@@ -9,7 +9,7 @@ Configuration files use a flat, typed key/value format with section nesting:
     row = 6                       # integer
     [noise]
     gamma = 0.01                  # float
-    channels = dephasing, photon_loss   # comma list
+    channels = dephasing, photon_loss   # comma list ('[]' is the empty list)
     [grid]
     lo = 2.0
     hi = 40.0
@@ -17,11 +17,12 @@ Configuration files use a flat, typed key/value format with section nesting:
     [run]
     seed = 0
     samples = 90
-    threads = 1
-    out = scan_j2.csv
+    out = "runs/a#1.csv"          # quoted: '#' and ',' are literal here
 
-Every key is validated against the experiment's schema; unknown keys are
-rejected with their line number.  Loading fills defaults, and emitting a
+Every key is validated against the experiment's schema (type, finiteness,
+and range: table rows 1..16, at least one sample and grid point, gamma >= 0);
+unknown keys are rejected.  '#' and ',' inside double quotes are literal, and
+'\\' escapes '"' and '\\' there.  Loading fills defaults, and emitting a
 loaded configuration reproduces it exactly (load -> emit -> load is the
 identity on resolved configurations).
 
@@ -36,8 +37,9 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import json
+import math
+import re
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -93,10 +95,36 @@ class ConfigError(ValueError):
 # config format
 # ---------------------------------------------------------------------------
 
+_QUOTED = re.compile(r'"((?:[^"\\]|\\.)*)"')
+_UNESCAPE = re.compile(r"\\(.)")
+
+
+def _split_unquoted(text: str, sep: str) -> list[str]:
+    """Split ``text`` at every ``sep`` character outside double quotes."""
+    parts, start, quoted, escaped = [], 0, False, False
+    for i, c in enumerate(text):
+        if escaped:
+            escaped = False
+        elif quoted and c == "\\":
+            escaped = True
+        elif c == '"':
+            quoted = not quoted
+        elif c == sep and not quoted:
+            parts.append(text[start:i])
+            start = i + 1
+    if quoted:
+        raise ConfigError("unterminated string")
+    parts.append(text[start:])
+    return parts
+
+
 def _parse_scalar(raw: str):
     raw = raw.strip()
-    if raw.startswith('"') and raw.endswith('"') and len(raw) >= 2:
-        return raw[1:-1]
+    quoted = _QUOTED.fullmatch(raw)
+    if quoted:
+        return _UNESCAPE.sub(r"\1", quoted.group(1))
+    if '"' in raw:
+        raise ConfigError(f"stray quote in {raw!r}")
     low = raw.lower()
     if low in ("true", "false"):
         return low == "true"
@@ -111,6 +139,13 @@ def _parse_scalar(raw: str):
     return raw
 
 
+def _parse_value(raw: str):
+    parts = _split_unquoted(raw, ",")
+    if len(parts) > 1:
+        return [_parse_scalar(p) for p in parts]
+    return [] if raw.strip() == "[]" else _parse_scalar(raw)
+
+
 def parse_config_text(text: str) -> dict[str, dict[str, Any]]:
     """Parse the sectioned key/value format into {section: {key: value}}.
 
@@ -119,7 +154,10 @@ def parse_config_text(text: str) -> dict[str, dict[str, Any]]:
     out: dict[str, dict[str, Any]] = {"": {}}
     section = ""
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
+        try:
+            stripped = _split_unquoted(line, "#")[0].strip()
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
         if not stripped:
             continue
         if stripped.startswith("[") and stripped.endswith("]"):
@@ -135,10 +173,10 @@ def parse_config_text(text: str) -> dict[str, dict[str, Any]]:
             raise ConfigError(f"line {lineno}: empty key")
         if key in out[section]:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        if "," in raw:
-            out[section][key] = [_parse_scalar(p) for p in raw.split(",")]
-        else:
-            out[section][key] = _parse_scalar(raw)
+        try:
+            out[section][key] = _parse_value(raw)
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
     return out
 
 
@@ -146,12 +184,16 @@ def _format_value(v: Any) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        return f"{v:.12g}"
+        short = f"{v:.12g}"
+        # "-0" would load back as the integer 0
+        return short if float(short) == v and short != "-0" else repr(v)
     if isinstance(v, (list, tuple)):
-        return ", ".join(_format_value(x) for x in v)
+        return ", ".join(_format_value(x) for x in v) if v else "[]"
     if isinstance(v, str):
-        needs_quotes = v == "" or any(c in v for c in "#,=[]") or v != v.strip()
-        return f'"{v}"' if needs_quotes else v
+        if (v == "" or any(c in v for c in '#,=[]"\\') or v != v.strip()
+                or _parse_scalar(v) != v):
+            return '"' + v.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        return v
     return str(v)
 
 
@@ -169,16 +211,19 @@ def serialize_config(sections: dict[str, dict[str, Any]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-# schema: section -> key -> (type tag, default); None default means required
+# schema: section -> key -> (type tag, default[, (lo, hi)]); None default
+# means required; the optional inclusive bounds apply to each number, with
+# None for an open side
+_AT_LEAST_ONE = (1, None)
+_TABLE_ROWS = (min(cmap.TABLE_S1), max(cmap.TABLE_S1))
 _COMMON_RUN = {
-    "seed": ("int", 0),
-    "samples": ("int", 90),
-    "threads": ("int", 1),
+    "seed": ("int", 0, (0, None)),
+    "samples": ("int", 90, _AT_LEAST_ONE),
     "out": ("str", ""),
 }
 _MODEL_KEYS = {
     "source": ("str", "table_row"),
-    "row": ("int", 6),
+    "row": ("int", 6, _TABLE_ROWS),
     "j1x": ("float", 40.9),
     "j1z": ("float", 40.9),
     "j2x": ("float", -540.4),
@@ -195,7 +240,7 @@ _MODEL_KEYS = {
     "l12": ("float", 37.3),
 }
 _NOISE_KEYS = {
-    "gamma": ("float", 0.01),
+    "gamma": ("float", 0.01, (0.0, None)),
     "channels": ("strlist", ["dephasing", "photon_loss"]),
 }
 
@@ -217,7 +262,7 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple]]] = {
             "j1": ("float", 30.0),
             "lo": ("float", 2.0),
             "hi": ("float", 40.0),
-            "points": ("int", 8),
+            "points": ("int", 8, _AT_LEAST_ONE),
         },
         "run": _COMMON_RUN,
     },
@@ -228,7 +273,7 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple]]] = {
             "j2": ("float", 750.0),
             "lo": ("float", 18.75),
             "hi": ("float", 125.0),
-            "points": ("int", 8),
+            "points": ("int", 8, _AT_LEAST_ONE),
         },
         "run": _COMMON_RUN,
     },
@@ -240,12 +285,12 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple]]] = {
             "j2z": ("float", 600.0),
             "lo": ("float", 300.0),
             "hi": ("float", 900.0),
-            "points": ("int", 7),
+            "points": ("int", 7, _AT_LEAST_ONE),
         },
         "run": _COMMON_RUN,
     },
     "qutrit_compare": {
-        "model": {"rows": ("intlist", [6, 11])},
+        "model": {"rows": ("intlist", [6, 11], _TABLE_ROWS)},
         "noise": _NOISE_KEYS,
         "grid": {
             "window_hi": ("float", 1.2),
@@ -277,7 +322,7 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple]]] = {
         "noise": _NOISE_KEYS,
         "grid": {
             "amplitude_fraction": ("float", 0.02),
-            "n_durations": ("int", 25),
+            "n_durations": ("int", 25, _AT_LEAST_ONE),
         },
         "run": _COMMON_RUN,
     },
@@ -291,40 +336,44 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple]]] = {
         "model": {"branch": ("str", "plus")},
         "noise": _NOISE_KEYS,
         "grid": {
-            "n_restarts": ("int", 8),
-            "max_evaluations": ("int", 400),
+            "n_restarts": ("int", 8, _AT_LEAST_ONE),
+            "max_evaluations": ("int", 400, _AT_LEAST_ONE),
             "keep_all": ("bool", True),
         },
         "run": _COMMON_RUN,
     },
 }
 
-def _check_scalar(tag: str, value: Any) -> Any:
+def _check_scalar(tag: str, value: Any, bounds: tuple | None) -> Any:
     if tag == "int":
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError("expected integer")
-        return value
-    if tag == "float":
+    elif tag == "float":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError("expected number")
-        return float(value)
-    if tag == "str":
+        if not math.isfinite(value):
+            raise ConfigError("expected a finite number")
+        value = float(value)
+    elif tag == "str":
         if not isinstance(value, str):
             raise ConfigError("expected string")
-        return value
-    if tag == "bool":
+    elif tag == "bool":
         if not isinstance(value, bool):
             raise ConfigError("expected true/false")
-        return value
-    raise ConfigError(f"unknown schema type {tag}")
+    else:
+        raise ConfigError(f"unknown schema type {tag}")
+    lo, hi = bounds or (None, None)
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        raise ConfigError(f"{value} outside [{lo}, {'inf' if hi is None else hi}]")
+    return value
 
 
-def _check_type(tag: str, value: Any, where: str) -> Any:
+def _check_type(tag: str, value: Any, where: str, bounds: tuple | None) -> Any:
     try:
         if tag.endswith("list"):
             items = value if isinstance(value, list) else [value]
-            return [_check_scalar(tag[:-4], x) for x in items]
-        return _check_scalar(tag, value)
+            return [_check_scalar(tag[:-4], x, bounds) for x in items]
+        return _check_scalar(tag, value, bounds)
     except ConfigError as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
@@ -368,9 +417,10 @@ def resolve_config(raw: dict[str, dict[str, Any]]) -> ExperimentConfig:
     for sec_name, keys in schema.items():
         body = dict(raw.get(sec_name, {}))
         resolved = {}
-        for key, (tag, default) in keys.items():
+        for key, (tag, default, *bounds) in keys.items():
             if key in body:
-                resolved[key] = _check_type(tag, body[key], f"[{sec_name}] {key}")
+                resolved[key] = _check_type(tag, body[key], f"[{sec_name}] {key}",
+                                            bounds[0] if bounds else None)
             else:
                 if default is None:
                     raise ConfigError(f"missing required key {key!r} in [{sec_name}]")
@@ -467,22 +517,17 @@ def _spin_from_model_section(model: dict[str, Any]) -> tuple[SpinModelParams, st
 def _noise_from_section(noise: dict[str, Any], no_noise: bool) -> NoiseModel | None:
     if no_noise or noise["gamma"] == 0.0:
         return None
-    return NoiseModel(
-        gamma=noise["gamma"], channels=frozenset(noise["channels"])
-    )
+    try:
+        return NoiseModel(
+            gamma=noise["gamma"], channels=frozenset(noise["channels"])
+        )
+    except ValueError as exc:
+        raise ConfigError(f"[noise] {exc}") from None
 
 
 def _trace_at(trace: FidelityTrace, t: float) -> float:
     times, fbar = trace.as_arrays()
     return float(np.interp(t, times, fbar))
-
-
-def _map_points(fn: Callable, items: Sequence, threads: int) -> list:
-    """Evaluate scan points, optionally on a thread pool, preserving order."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -582,14 +627,11 @@ def _scan_record(
     t0 = time.perf_counter()
     noise = _noise_from_section(config["noise"], no_noise)
     n = config["run"]["samples"]
-    threads = config["run"]["threads"]
-
-    def point(v: float) -> tuple:
+    rows = []
+    for v in axis_values:
         params, branch = params_of(v)
         data = _scan_point(params, branch, noise, n)
-        return (v,) + tuple(data[c] for c in _SCAN_COLUMNS)
-
-    rows = _map_points(point, list(axis_values), threads)
+        rows.append((v,) + tuple(data[c] for c in _SCAN_COLUMNS))
     best = max(rows, key=lambda r: r[3])
     summary = {
         "best_axis_value": best[0],
@@ -927,11 +969,9 @@ def _register(name: str, kind: str) -> None:
                   default=None, help="Configuration file.")
     @click.option("--out", "out_path", default=None, help="Output CSV path.")
     @click.option("--seed", type=int, default=None, help="Override the seed.")
-    @click.option("--threads", type=int, default=None,
-                  help="Worker threads for scan points.")
     @click.option("--no-noise", is_flag=True, default=False,
                   help="Disable decoherence noise for this run.")
-    def command(config_path, out_path, seed, threads, no_noise, _kind=kind):
+    def command(config_path, out_path, seed, no_noise, _kind=kind):
         try:
             cfg = load_config(config_path) if config_path else default_config(_kind)
             if cfg.kind != _kind:
@@ -941,8 +981,6 @@ def _register(name: str, kind: str) -> None:
             sections = {k: dict(v) for k, v in cfg.sections.items()}
             if seed is not None:
                 sections["run"]["seed"] = seed
-            if threads is not None:
-                sections["run"]["threads"] = threads
             cfg = ExperimentConfig(kind=cfg.kind, sections=sections)
             out = out_path or cfg["run"]["out"] or f"{_kind}.csv"
         except ConfigError as exc:
@@ -950,6 +988,9 @@ def _register(name: str, kind: str) -> None:
             raise SystemExit(2)
         try:
             record = run_experiment(cfg, no_noise=no_noise)
+        except ConfigError as exc:
+            click.echo(f"configuration error: {exc}", err=True)
+            raise SystemExit(2)
         except (PropagationError, GateTimeWindowError, ModelError,
                 HilbertError, cmap.MappingError,
                 cmap.SingularCapacitanceError) as exc:

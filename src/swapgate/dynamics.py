@@ -4,12 +4,20 @@ The master equation
 
     drho/dt = -i [H, rho] + sum_l gamma_l (A_l rho A_l+ - 1/2 {A_l+ A_l, rho})
 
-is integrated with an adaptive embedded Runge-Kutta 4(5) pair on the
-vectorized (stacked) density matrices; absolute tolerance defaults to 1e-10,
-relative to 1e-8, and the step size is capped at 0.05/||H|| so oscillating
-drive coefficients are always resolved.  Coefficients of time-dependent terms
-are evaluated exactly at the RK stage times.  Hamiltonians are in rad/us and
-times in us.
+is solved on stacks of operators in one of two ways, chosen by the generator:
+
+* A static generator (a plain ``OperatorMatrix`` Hamiltonian: the qubit
+  chains, cross-talk variants and the five-site chain) is propagated exactly.
+  The row-major Liouvillian ``L`` is exponentiated once for the first sample
+  time and once for the grid spacing (once per interval on a non-uniform
+  grid), and the stack advances by matrix products.
+* A time-dependent generator (``TimeDependentOperator``: qutrit sidebands,
+  the register drive) is integrated with an adaptive embedded Runge-Kutta
+  4(5) pair; absolute tolerance defaults to 1e-10, relative to 1e-8, and the
+  step size is capped at 0.05/||H|| so oscillating coefficients are always
+  resolved.  Coefficients are evaluated exactly at the RK stage times.
+
+Hamiltonians are in rad/us and times in us.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from .hilbert import (
     DEPHASE_3,
@@ -96,7 +105,11 @@ NO_NOISE = NoiseModel(gamma=0.0)
 
 @dataclass(frozen=True)
 class Propagation:
-    """A propagation problem: generator, noise, horizon and sample times."""
+    """A propagation problem: generator, noise, horizon and sample times.
+
+    ``rtol``, ``atol`` and ``max_step_factor`` steer the Runge-Kutta
+    integrator and so apply to time-dependent generators only.
+    """
 
     hamiltonian: OperatorMatrix | TimeDependentOperator
     noise: NoiseModel | None
@@ -169,6 +182,28 @@ class _LindbladGenerator:
             tmp = tmp.reshape(self.dim, self.n_stack, self.dim).transpose(1, 0, 2)
             out += g * (tmp.reshape(-1, self.dim) @ l_op.conj().T).reshape(r.shape)
         return out.ravel()
+
+    def is_finite(self) -> bool:
+        parts = [self.heff] + [op for _, op in self.td_terms]
+        parts += [g * op for g, op in self.jumps]
+        if self.mask is not None:
+            parts.append(self.mask)
+        return all(np.isfinite(p).all() for p in parts)
+
+    def liouvillian(self) -> np.ndarray:
+        """Matrix of the static generator on row-major vectorized operators.
+
+        ``vec(A X B) = (A kron B^T) vec(X)``, so the generator is
+        ``Heff x I + I x Heff* + sum_l g_l A_l x A_l*`` plus the diagonal
+        dephasing mask.
+        """
+        eye = np.eye(self.dim)
+        lv = np.kron(self.heff, eye) + np.kron(eye, self.heff.conj())
+        if self.mask is not None:
+            lv += np.diag(self.mask.ravel())
+        for g, op in self.jumps:
+            lv += g * np.kron(op, op.conj())
+        return lv
 
 
 def _split_hamiltonian(
@@ -276,29 +311,65 @@ def evolve_stack_raw(
 
     ``collapse`` carries explicit (rate, operator) pairs, which permits
     evolving in a restricted excitation sector where embedded operators have
-    already been projected.  Returns an array of shape
-    (n_times, n_stack, D, D).
+    already been projected.  Without ``td_terms`` the generator is static and
+    is propagated exactly with ``expm``; otherwise it is integrated with RK45
+    under ``rtol``, ``atol`` and the ``max_step_factor / norm_bound`` step
+    cap.  Evolution starts at t = 0.  Returns an array of shape
+    (n_times, n_stack, D, D); a non-finite generator or result raises
+    ``PropagationError``.
     """
     times = np.asarray(sample_times, dtype=float)
     if times.size == 0:
         raise ValueError("no sample times requested")
+    if times[0] < 0.0 or np.any(np.diff(times) <= 0.0):
+        raise ValueError("sample times must be nonnegative and strictly increasing")
     rhs = _LindbladGenerator(h_static, td_terms, collapse, stack.shape[0])
-    if norm_bound is None:
-        norm_bound = float(np.linalg.norm(h_static, 2)) + sum(
-            float(np.linalg.norm(op, 2)) for _, op in td_terms
-        )
-    kwargs = dict(rtol=rtol, atol=atol, method="RK45")
-    if norm_bound > 0:
-        kwargs["max_step"] = max_step_factor / norm_bound
-    sol = solve_ivp(
-        rhs, (0.0, float(times[-1])), stack.astype(complex).ravel(),
-        t_eval=times, **kwargs
-    )
-    if not sol.success:
-        reached = float(sol.t[-1]) if sol.t.size else 0.0
-        raise PropagationError(
-            f"integrator failed: {sol.message} (reached t = {reached:.3e} us)",
-            t_reached=reached,
-        )
+    if not (rhs.is_finite() and np.isfinite(stack).all()):
+        raise PropagationError("generator or initial operators are not finite")
     n, d = stack.shape[0], stack.shape[1]
-    return sol.y.T.reshape(times.size, n, d, d)
+    if not td_terms:
+        out = _evolve_static(rhs.liouvillian(), stack.reshape(n, d * d), times)
+    else:
+        if norm_bound is None:
+            norm_bound = float(np.linalg.norm(h_static, 2)) + sum(
+                float(np.linalg.norm(op, 2)) for _, op in td_terms
+            )
+        kwargs = dict(rtol=rtol, atol=atol, method="RK45")
+        if norm_bound > 0:
+            kwargs["max_step"] = max_step_factor / norm_bound
+        sol = solve_ivp(
+            rhs, (0.0, float(times[-1])), stack.astype(complex).ravel(),
+            t_eval=times, **kwargs
+        )
+        if not sol.success:
+            reached = float(sol.t[-1]) if sol.t.size else 0.0
+            raise PropagationError(
+                f"integrator failed: {sol.message} (reached t = {reached:.3e} us)",
+                t_reached=reached,
+            )
+        out = sol.y.T
+    if not np.isfinite(out).all():
+        raise PropagationError("propagation produced non-finite entries")
+    return out.reshape(times.size, n, d, d)
+
+
+def _evolve_static(lv: np.ndarray, rows: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Exact propagation of row-vectorized operators ``rows`` (n, D^2)."""
+    out = np.empty((times.size,) + rows.shape, dtype=complex)
+    rows = rows.astype(complex)
+    if times[0] > 0.0:
+        rows = rows @ expm(lv * times[0]).T
+    out[0] = rows
+    if times.size == 1:
+        return out
+    steps = np.diff(times)
+    dt = (times[-1] - times[0]) / steps.size
+    grid = times[0] + dt * np.arange(times.size)
+    if np.max(np.abs(grid - times)) <= 1e-14 * times[-1]:
+        step_t = expm(lv * dt).T
+        for k in range(1, times.size):
+            out[k] = out[k - 1] @ step_t
+    else:
+        for k in range(1, times.size):
+            out[k] = out[k - 1] @ expm(lv * steps[k - 1]).T
+    return out

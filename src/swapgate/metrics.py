@@ -9,7 +9,10 @@ over the 16 products (X_1)^k (Z_1)^l (X_N)^m (Z_N)^n.  E_t acts on operators
 of the two target (end) qubits: the operator is embedded together with the
 control-register projector, evolved under the full master equation, and the
 control sites are traced out.  Linearity of the generator makes this
-well-defined for the non-Hermitian basis elements.
+well-defined for the non-Hermitian basis elements.  The partial trace is
+folded into the functional: each term is Tr(W_j rho_j(t)) with W_j the
+operator U U_j+ U+ lifted by the identity on the control sites, so a whole
+trace is one contraction of the evolved stack.
 """
 
 from __future__ import annotations
@@ -19,13 +22,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import NoiseModel, evolve_stack_raw
+from .dynamics import NoiseModel, _split_hamiltonian, evolve_stack_raw
 from .hilbert import (
+    IDENTITY_2,
     PAULI_X,
     PAULI_Z,
     OperatorMatrix,
     SiteDims,
     TimeDependentOperator,
+    excitation_numbers,
     sector_indices,
 )
 from .spin_model import (
@@ -91,24 +96,17 @@ class FidelityTrace:
         return np.asarray(self.times), np.asarray(self.fbar)
 
 
+# single-qubit factors X^k Z^l in lexicographic (k, l) order
+_PAULI_FACTORS = tuple(
+    (PAULI_X if k else IDENTITY_2) @ (PAULI_Z if l else IDENTITY_2)
+    for k in range(2)
+    for l in range(2)
+)
+
+
 def pauli_basis_2q() -> list[np.ndarray]:
     """The 16 operators (X)^k (Z)^l x (X)^m (Z)^n in lexicographic k,l,m,n order."""
-    singles = {}
-    for a in range(2):
-        for b in range(2):
-            op = np.eye(2, dtype=complex)
-            if a:
-                op = op @ PAULI_X
-            if b:
-                op = op @ PAULI_Z
-            singles[(a, b)] = op
-    out = []
-    for k in range(2):
-        for l in range(2):
-            for m in range(2):
-                for n in range(2):
-                    out.append(np.kron(singles[(k, l)], singles[(m, n)]))
-    return out
+    return [np.kron(a, b) for a in _PAULI_FACTORS for b in _PAULI_FACTORS]
 
 
 def control_state_vector(
@@ -157,16 +155,6 @@ def default_target(config: GateConfig) -> TargetGate:
     )
 
 
-def _control_excitation(vec: np.ndarray, control_dims: Sequence[int]) -> int:
-    """Largest excitation number carried by the control state's support."""
-    counts = np.zeros(int(np.prod(control_dims)), dtype=int)
-    total = np.zeros(1, dtype=int)
-    for d in control_dims:
-        total = (total[:, None] + np.arange(d)[None, :]).ravel()
-    support = np.abs(vec) > 1e-12
-    return int(total[support].max()) if support.any() else 0
-
-
 def average_fidelity(
     model: SpinModelParams | QutritModelParams,
     gate_config: GateConfig,
@@ -195,69 +183,38 @@ def average_fidelity(
             else build_interaction_hamiltonian(model)
         )
     dims = hamiltonian.dims
-    n = dims.n_sites
-    target_sites = (0, n - 1)
-    control_sites = tuple(range(1, n - 1))
-    control_dims = [dims[c] for c in control_sites]
+    control_dims = list(dims.dims[1:-1])
 
     cvec = control_state_vector(gate_config, control_dims)
     rho_c = np.outer(cvec, cvec.conj())
     if target is None:
         target = default_target(gate_config)
-    u = target.matrix
 
     # initial operators: (first-target factor) x rho_C x (last-target factor)
-    singles = []
-    for k in range(2):
-        for l in range(2):
-            op = np.eye(2, dtype=complex)
-            if k:
-                op = op @ PAULI_X
-            if l:
-                op = op @ PAULI_Z
-            singles.append(op)
     stack = np.stack(
-        [
-            np.kron(np.kron(singles[j // 4], rho_c), singles[j % 4])
-            for j in range(16)
-        ]
+        [np.kron(np.kron(a, rho_c), b) for a in _PAULI_FACTORS for b in _PAULI_FACTORS]
     )
+    weights = _target_functionals(target.matrix, dims)
 
-    h_static, td_terms, bound = _split(hamiltonian)
+    h_static, td_terms, bound = _split_hamiltonian(hamiltonian)
     collapse = noise.collapse_operators(dims) if noise is not None else []
 
     if restrict_sector:
-        n_max = 2 + _control_excitation(cvec, control_dims)
-        keep = sector_indices(dims, n_max)
+        n_ctrl = excitation_numbers(control_dims)[np.abs(cvec) > 1e-12]
+        keep = sector_indices(dims, 2 + int(n_ctrl.max(initial=0)))
         sub = np.ix_(keep, keep)
         h_static = h_static[sub]
         td_terms = [(coef, op[sub]) for coef, op in td_terms]
         collapse = [(g, op[sub]) for g, op in collapse]
         stack = stack[:, keep[:, None], keep[None, :]]
-    else:
-        keep = None
+        weights = weights[:, keep[:, None], keep[None, :]]
 
     out = evolve_stack_raw(
         h_static, td_terms, collapse, stack, times,
         rtol=rtol, atol=atol, max_step_factor=max_step_factor, norm_bound=bound,
     )
-
-    conj_ops = [u @ np.kron(singles[j // 4], singles[j % 4]).conj().T @ u.conj().T
-                for j in range(16)]
-    full_dim = dims.total_dim
-    fbar = np.empty(len(times))
-    for it in range(len(times)):
-        acc = 0.0
-        for j in range(16):
-            if keep is not None:
-                m = np.zeros((full_dim, full_dim), dtype=complex)
-                m[np.ix_(keep, keep)] = out[it, j]
-            else:
-                m = out[it, j]
-            reduced = _reduce_to_targets(m, dims)
-            acc += np.trace(conj_ops[j] @ reduced).real
-        fbar[it] = 0.2 + acc / 80.0
-    if fbar.max() > 1.0 + 1e-9 or fbar.min() < -1e-9:
+    fbar = 0.2 + np.einsum("tjab,jba->t", out, weights).real / 80.0
+    if not np.all((fbar >= -1e-9) & (fbar <= 1.0 + 1e-9)):
         raise RuntimeError(
             f"average fidelity left [0, 1]: range [{fbar.min()}, {fbar.max()}]"
         )
@@ -275,28 +232,14 @@ def average_fidelity(
     )
 
 
-def _split(hamiltonian):
-    if isinstance(hamiltonian, TimeDependentOperator):
-        return (
-            hamiltonian.static.entries,
-            [(coef, op.entries) for coef, op in hamiltonian.terms],
-            hamiltonian.norm_bound(),
-        )
-    return hamiltonian.entries, [], hamiltonian.norm()
-
-
-def _reduce_to_targets(m: np.ndarray, dims: SiteDims) -> np.ndarray:
-    """Trace out all middle (control) sites, keeping the two end qubits."""
-    shape = dims.dims + dims.dims
-    a = m.reshape(shape)
-    n = dims.n_sites
-    remaining = list(range(n))
-    for site in range(n - 2, 0, -1):
-        pos = remaining.index(site)
-        k = len(remaining)
-        a = np.trace(a, axis1=pos, axis2=pos + k)
-        remaining.pop(pos)
-    return a.reshape(4, 4)
+def _target_functionals(u: np.ndarray, dims: SiteDims) -> np.ndarray:
+    """The 16 operators U U_j+ U+ on the end qubits, lifted by the identity
+    on the control sites: Tr(W_j M) = Tr(U U_j+ U+ Tr_controls(M))."""
+    c = np.stack([u @ p.conj().T @ u.conj().T for p in pauli_basis_2q()])
+    d_ctrl = dims.total_dim // 4
+    lifted = np.einsum("jikml,ab->jiakmbl", c.reshape(16, 2, 2, 2, 2),
+                       np.eye(d_ctrl))
+    return lifted.reshape(16, dims.total_dim, dims.total_dim)
 
 
 def _refine_peak(times: np.ndarray, fbar: np.ndarray, k: int) -> tuple[float, float]:

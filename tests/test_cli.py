@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from swapgate.cli import (
+    SCHEMAS,
     ConfigError,
     default_config,
     main,
@@ -29,6 +31,24 @@ hi = 10.0
 [run]
 samples = 30
 """
+
+
+def _value_strategy(tag, bounds):
+    """Values a resolved configuration can hold for a schema entry."""
+    lo, hi = bounds or (None, None)
+    scalar = {
+        "int": st.integers(-10**12 if lo is None else lo, 10**12 if hi is None else hi),
+        "float": st.floats(min_value=lo, max_value=hi, allow_nan=False,
+                           allow_infinity=False),
+        "bool": st.booleans(),
+        # any text a single line can hold (str.splitlines breaks at the rest)
+        "str": st.text(st.characters(blacklist_categories=("Cs", "Zl", "Zp"),
+                                     blacklist_characters="\n\r\x0b\x0c\x1c\x1d\x1e\x85"),
+                       max_size=12),
+    }
+    if tag.endswith("list"):
+        return st.lists(scalar[tag[:-4]], max_size=4)
+    return scalar[tag]
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +117,40 @@ class TestConfigFormat:
         cfg2 = resolve_config(parse_config_text(text))
         assert cfg2.sections == cfg.sections
         assert cfg2.to_text() == text
+
+    def test_quotes_protect_comment_and_list_characters(self):
+        raw = parse_config_text(
+            'out = "a#b.csv"  # trailing comment\n'
+            'name = "x,y", "q\\"uote", plain\n'
+            'empty = []\n'
+            'text = "[]"\n'
+        )[""]
+        assert raw["out"] == "a#b.csv"
+        assert raw["name"] == ["x,y", 'q"uote', "plain"]
+        assert raw["empty"] == []
+        assert raw["text"] == "[]"
+
+    @pytest.mark.parametrize("line", ['out = "open', 'out = a"b'])
+    def test_malformed_quotes_rejected_with_line(self, line):
+        with pytest.raises(ConfigError, match="line 2"):
+            parse_config_text("experiment = scan_j2\n" + line + "\n")
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_load_emit_load_is_identity(self, data):
+        kind = data.draw(st.sampled_from(sorted(SCHEMAS)))
+        raw = {"": {"experiment": kind}}
+        for section, keys in SCHEMAS[kind].items():
+            raw[section] = {}
+            for key, (tag, _default, *bounds) in keys.items():
+                if data.draw(st.booleans()):
+                    value = _value_strategy(tag, bounds[0] if bounds else None)
+                    raw[section][key] = data.draw(value)
+        cfg = resolve_config(raw)
+        text = cfg.to_text()
+        again = resolve_config(parse_config_text(text))
+        assert again.sections == cfg.sections
+        assert again.to_text() == text
 
     def test_table_row_reference_resolves_published_circuit(self):
         cfg = default_config("circuit_map")
@@ -261,6 +315,38 @@ class TestCommandLine:
         result = runner.invoke(main, ["scan-j2", "--config", str(bad)])
         assert result.exit_code == 2
         assert "bogus" in result.output
+
+    @pytest.mark.parametrize("command, body", [
+        ("trace", "[model]\nrow = 99"),
+        ("scan-j2", "[grid]\npoints = 0"),
+        ("trace", "[run]\nsamples = 0"),
+        ("trace", "[noise]\ngamma = nan"),
+        ("trace", "[noise]\ngamma = -0.5"),
+        ("qutrit", "[model]\nrows = 6, 17"),
+        ("trace", "[model]\nsource = bogus"),
+        ("trace", "[noise]\nchannels = dephasing, heating"),
+    ])
+    def test_out_of_range_input_exits_2(self, tmp_path, command, body):
+        kind = {"trace": "fidelity_trace", "scan-j2": "scan_j2",
+                "qutrit": "qutrit_compare"}[command]
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(f"experiment = {kind}\n{body}\n")
+        result = CliRunner().invoke(
+            main, [command, "--config", str(cfgfile), "--out", str(tmp_path / "o.csv")]
+        )
+        assert result.exit_code == 2, result.output
+        assert "configuration error" in result.output
+
+    def test_non_finite_propagation_exits_3(self, tmp_path):
+        # a finite but absurd rate overflows the propagator
+        cfgfile = tmp_path / "huge.cfg"
+        cfgfile.write_text("experiment = fidelity_trace\n[noise]\ngamma = 1e300\n"
+                           "[run]\nsamples = 5\n")
+        result = CliRunner().invoke(
+            main, ["trace", "--config", str(cfgfile), "--out", str(tmp_path / "o.csv")]
+        )
+        assert result.exit_code == 3
+        assert "non-finite" in result.output
 
     def test_kind_mismatch_is_config_error(self, tmp_path):
         cfgfile = tmp_path / "trace.cfg"

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from swapgate.dynamics import (
     NoiseModel,
     Propagation,
+    PropagationError,
+    _LindbladGenerator,
+    evolve_stack_raw,
     propagate,
     propagate_superoperator,
 )
@@ -18,8 +22,16 @@ from swapgate.hilbert import (
     TimeDependentOperator,
     embed_operators,
     excitation_numbers,
+    sector_indices,
 )
-from swapgate.spin_model import TWO_PI, build_interaction_hamiltonian, symmetric_chain
+from swapgate.spin_model import (
+    TWO_PI,
+    analytic_gate_time,
+    build_interaction_hamiltonian,
+    symmetric_chain,
+)
+
+ROW6 = dict(j1x=40.9, j1z=40.9, j2x=-540.4, j2z=1007.1, delta=933.4)
 
 
 def qubit_op(matrix):
@@ -243,3 +255,99 @@ class TestNoiseModel:
             NoiseModel(gamma=-1.0)
         with pytest.raises(ValueError):
             NoiseModel(gamma=0.1, channels=frozenset({"heating"}))
+
+
+def row6_sector(n_max, gamma):
+    """Row-6 chain restricted to excitation <= n_max: (H, collapse, ||H||, t_g)."""
+    params = symmetric_chain(**ROW6)
+    h = build_interaction_hamiltonian(params)
+    keep = sector_indices(h.dims, n_max)
+    sub = np.ix_(keep, keep)
+    noise = NoiseModel(gamma=gamma).collapse_operators(h.dims) if gamma else []
+    collapse = [(g, op[sub]) for g, op in noise]
+    return h.entries[sub], collapse, h.norm(), analytic_gate_time(params)
+
+
+def rk45_reference(h, collapse, stack, times, norm_bound):
+    """RK45 on the Lindblad right-hand side, with tolerances 1000x tighter
+    than the integrator's defaults (at those, RK45 itself errs by ~3e-8 on
+    these stacks; here by ~1e-10)."""
+    gen = _LindbladGenerator(h, [], collapse, stack.shape[0])
+    sol = solve_ivp(gen, (0.0, times[-1]), stack.astype(complex).ravel(),
+                    t_eval=times, method="RK45", rtol=1e-11, atol=1e-13,
+                    max_step=0.05 / norm_bound)
+    assert sol.success
+    return sol.y.T.reshape((len(times),) + stack.shape)
+
+
+def random_stack(d, n=4, seed=21):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+    return a / np.linalg.norm(a, axis=(1, 2), keepdims=True)
+
+
+class TestExactPropagator:
+    @pytest.mark.parametrize("n_max, gamma, sector, window", [
+        (2, 0.01, 11, (0.8, 1.05)),   # open register, noisy
+        (3, 0.0, 15, (1e-3, 1.0)),    # closed_1plus sector: a 225x225 generator
+        (3, 0.01, 15, (1e-3, 1.0)),
+    ])
+    def test_matches_rk45_on_row6(self, n_max, gamma, sector, window):
+        h, collapse, bound, tg = row6_sector(n_max, gamma)
+        assert h.shape == (sector, sector)
+        times = np.linspace(window[0] * tg, window[1] * tg, 60)
+        stack = random_stack(sector)
+        exact = evolve_stack_raw(h, [], collapse, stack, times)
+        ref = rk45_reference(h, collapse, stack, times, bound)
+        assert np.max(np.abs(exact - ref)) < 1e-9
+
+    @pytest.mark.parametrize("fractions", [
+        np.geomspace(0.01, 0.6, 7),       # non-uniform: one expm per interval
+        np.linspace(0.0, 0.6, 7),         # starts at t = 0
+        np.array([0.0, 0.1, 0.15, 0.5]),  # both
+    ])
+    def test_grids_match_rk45(self, fractions):
+        h, collapse, bound, tg = row6_sector(2, 0.01)
+        times = fractions * tg
+        stack = random_stack(h.shape[0])
+        exact = evolve_stack_raw(h, [], collapse, stack, times)
+        ref = rk45_reference(h, collapse, stack, times, bound)
+        assert np.max(np.abs(exact - ref)) < 1e-9
+        if times[0] == 0.0:
+            assert np.array_equal(exact[0], stack)
+
+    def test_propagator_is_trace_preserving_and_completely_positive(self):
+        h, collapse, _, tg = row6_sector(3, 0.01)
+        d = h.shape[0]
+        units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)  # |i><j|
+        images = evolve_stack_raw(h, [], collapse, units, [tg / 120])[0]
+        # vec(I)+ P = vec(I)+: Tr E(|i><j|) = delta_ij
+        traces = np.trace(images, axis1=1, axis2=2)
+        assert np.max(np.abs(traces - np.eye(d).ravel())) < 1e-12
+        choi = images.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+        assert np.max(np.abs(choi - choi.conj().T)) < 1e-12
+        assert np.linalg.eigvalsh(choi).min() >= -1e-10
+
+    def test_rejects_unordered_times(self):
+        h, collapse, _, tg = row6_sector(2, 0.01)
+        stack = random_stack(h.shape[0])
+        for times in ([2 * tg, tg], [-tg, tg], []):
+            with pytest.raises(ValueError):
+                evolve_stack_raw(h, [], collapse, stack, times)
+
+
+class TestNonFiniteGuard:
+    @pytest.mark.parametrize("td", [False, True])
+    def test_nan_rate_raises_instead_of_integrating(self, td):
+        h, collapse, _, tg = row6_sector(2, 0.01)
+        bad = [(float("nan"), op) for _, op in collapse]
+        terms = [(lambda t: 1.0, np.zeros_like(h))] if td else []
+        with pytest.raises(PropagationError):
+            evolve_stack_raw(h, terms, bad, random_stack(h.shape[0]), [tg])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_propagator_raises(self):
+        # a non-Hermitian "Hamiltonian" with gain: exp(2000 t) overflows at t = 1
+        h = np.array([[1000j]])
+        with pytest.raises(PropagationError, match="non-finite"):
+            evolve_stack_raw(h, [], [], np.ones((1, 1, 1)), [1.0])

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from swapgate import metrics
+from swapgate.circuit_map import table_qutrit_params
 from swapgate.dynamics import NoiseModel, Propagation, propagate_superoperator
-from swapgate.hilbert import OperatorMatrix, SiteDims
+from swapgate.hilbert import OperatorMatrix, SiteDims, partial_trace, sector_indices
 from swapgate.metrics import (
     FidelityTrace,
     GateTimeWindowError,
@@ -221,6 +223,51 @@ class TestGateSimulation:
             params, cfg, noise, np.linspace(0.1 * tg, tg, 13)
         )
         assert all(0.0 <= f <= 1.0 for f in trace.fbar)
+
+
+class TestFidelityContraction:
+    """The one-contraction readout against re-embedding each evolved operator
+    and tracing out the controls with ``hilbert.partial_trace``."""
+
+    @pytest.mark.parametrize("case", ["closed_noisy", "open_full_space", "qutrit"])
+    def test_matches_partial_trace_readout(self, case, monkeypatch):
+        evolved = []
+        real = metrics.evolve_stack_raw
+
+        def spy(*args, **kwargs):
+            evolved.append(real(*args, **kwargs))
+            return evolved[-1]
+
+        monkeypatch.setattr(metrics, "evolve_stack_raw", spy)
+        spin = symmetric_chain(**ROW6)
+        tg = analytic_gate_time(spin)
+        open_cfg = GateConfig(delta_branch="plus", control_state="open_0")
+        restrict = case != "open_full_space"
+        model, cfg, noise, times = {
+            "closed_noisy": (spin, closed_config_for_branch("plus"),
+                             NoiseModel(gamma=0.05), np.linspace(0.1, 1.0, 7) * tg),
+            "open_full_space": (spin, open_cfg, NoiseModel(gamma=0.05),
+                                np.linspace(0.8, 1.0, 5) * tg),
+            "qutrit": (table_qutrit_params(6), open_cfg, None,
+                       np.linspace(0.02, 0.1, 3) * tg),
+        }[case]
+        trace = average_fidelity(model, cfg, noise, times, restrict_sector=restrict)
+
+        (out,) = evolved
+        dims = SiteDims((2,) + (3 if case == "qutrit" else 2,) * 2 + (2,))
+        n_ctrl = 1 if cfg.control_state == "closed_1plus" else 0
+        keep = sector_indices(dims, 2 + n_ctrl) if restrict else np.arange(dims.total_dim)
+        u = TargetGate.open_gate("plus").matrix if cfg.is_open else np.eye(4)
+        want = []
+        for sample in out:
+            acc = 0.0
+            for p, m in zip(pauli_basis_2q(), sample):
+                full = np.zeros((dims.total_dim,) * 2, dtype=complex)
+                full[np.ix_(keep, keep)] = m
+                reduced = partial_trace(OperatorMatrix(dims, full), (0, 3)).entries
+                acc += np.trace(u @ p.conj().T @ u.conj().T @ reduced).real
+            want.append(0.2 + acc / 80.0)
+        assert np.max(np.abs(np.array(trace.fbar) - want)) < 1e-12
 
 
 class TestControlStates:
