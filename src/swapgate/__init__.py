@@ -2,7 +2,7 @@
 
 Four (or five) XXZ-coupled qubits realize a two-qubit swap between the chain
 ends, switched open or closed by the state of the middle control register.
-The package builds the chain Hamiltonians, integrates the Lindblad master
+The package builds the chain Hamiltonians, propagates the Lindblad master
 equation, scores the realized gate against its analytic targets, maps
 superconducting-circuit parameters onto the spin model, drives the control
 register, and searches circuit-parameter space for valid gate points.
@@ -13,7 +13,6 @@ from .hilbert import (
     HilbertError,
     OperatorMatrix,
     SiteDims,
-    TimeDependentOperator,
     eig_hermitian,
     embed_operators,
     embed_site_operator,
@@ -93,7 +92,6 @@ __all__ = [
     "SpinMapResult",
     "SpinModelParams",
     "TargetGate",
-    "TimeDependentOperator",
     "add_crosstalk",
     "analytic_gate_time",
     "analytic_n5_spectrum",

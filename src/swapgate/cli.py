@@ -20,11 +20,12 @@ Configuration files use a flat, typed key/value format with section nesting:
     out = "runs/a#1.csv"          # quoted: '#' and ',' are literal here
 
 Every key is validated against the experiment's schema (type, finiteness,
-and range: table rows 1..16, at least one sample and grid point, gamma >= 0);
-unknown keys are rejected.  '#' and ',' inside double quotes are literal, and
-'\\' escapes '"' and '\\' there.  Loading fills defaults, and emitting a
-loaded configuration reproduces it exactly (load -> emit -> load is the
-identity on resolved configurations).
+and range: table rows 1..16, at least one sample and grid point, gamma >= 0)
+and the cross-key rules in ``ORDER_RULES`` (time windows increase, the drive
+amplitude is positive); unknown keys are rejected.  '#' and ',' inside double
+quotes are literal, and '\\' escapes '"' and '\\' there.  Loading fills
+defaults, and emitting a loaded configuration reproduces it exactly
+(load -> emit -> load is the identity on resolved configurations).
 
 Per run, a CSV table (header row, '.' decimal, 12 significant digits, one
 row per sample) and a JSON summary (peaks, locations, seeds, the full
@@ -249,7 +250,7 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple]]] = {
         "model": _MODEL_KEYS,
         "noise": _NOISE_KEYS,
         "grid": {
-            "window_lo": ("float", 0.001),
+            "window_lo": ("float", 0.001, (0.0, None)),
             "window_hi": ("float", 1.2),
             "control": ("str", "open"),
         },
@@ -344,6 +345,27 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple]]] = {
     },
 }
 
+# cross-key rules: kind -> (section, lower, upper) triples requiring
+# lower < upper, each side a key of the section or a fixed number; time
+# windows of the qutrit and five-site traces start at FIRST_SAMPLE t_g
+FIRST_SAMPLE = 1e-4
+ORDER_RULES: dict[str, tuple[tuple[str, str | float, str | float], ...]] = {
+    "fidelity_trace": (("grid", "window_lo", "window_hi"),),
+    "qutrit_compare": (("grid", FIRST_SAMPLE, "window_hi"),),
+    "n5_trace": (("grid", FIRST_SAMPLE, "window_hi"),),
+    "drive_demo": (("grid", 0.0, "amplitude_fraction"),),
+}
+
+
+def _check_order(kind: str, sections: dict[str, dict[str, Any]]) -> None:
+    for section, lower, upper in ORDER_RULES.get(kind, ()):
+        body = sections[section]
+        lo, hi = (body[v] if isinstance(v, str) else v for v in (lower, upper))
+        if not lo < hi:
+            named = f" = {lo}" if isinstance(lower, str) else ""
+            raise ConfigError(f"[{section}] {upper} = {hi} must exceed {lower}{named}")
+
+
 def _check_scalar(tag: str, value: Any, bounds: tuple | None) -> Any:
     if tag == "int":
         if isinstance(value, bool) or not isinstance(value, int):
@@ -426,6 +448,7 @@ def resolve_config(raw: dict[str, dict[str, Any]]) -> ExperimentConfig:
                     raise ConfigError(f"missing required key {key!r} in [{sec_name}]")
                 resolved[key] = default
         sections[sec_name] = resolved
+    _check_order(kind, sections)
     return ExperimentConfig(kind=kind, sections=sections)
 
 
@@ -711,7 +734,7 @@ def run_qutrit_compare(config: ExperimentConfig, no_noise: bool = False) -> RunR
         qutrit = cmap.table_qutrit_params(row_index)
         branch = cmap.table_branch(row_index)
         tg = analytic_gate_time(spin)
-        times = np.linspace(1e-4 * tg, grid["window_hi"] * tg, n)
+        times = np.linspace(FIRST_SAMPLE * tg, grid["window_hi"] * tg, n)
         for control in grid["configs"]:
             cfg = _gate_config(control, branch)
             tr_qubit = average_fidelity(spin, cfg, noise, times)
@@ -787,7 +810,7 @@ def run_n5_trace(config: ExperimentConfig, no_noise: bool = False) -> RunRecord:
         m["j1"], m["j1"], m["j2"], m["j2"], m["delta3"], branch=m["branch"]
     )
     tg = analytic_gate_time(params)
-    times = np.linspace(1e-4 * tg, config["grid"]["window_hi"] * tg, n)
+    times = np.linspace(FIRST_SAMPLE * tg, config["grid"]["window_hi"] * tg, n)
     cfg = GateConfig(delta_branch="plus", control_state="custom",
                      custom_vector=tuple(n5_control_states(params)["open_0"]))
     target = TargetGate.open_gate("plus")  # negative swap with the i phase

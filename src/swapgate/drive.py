@@ -1,11 +1,18 @@
 """Microwave control of the gate register: Rabi preparation of the switch.
 
 A charge drive on both control nodes produces, in the interaction picture,
+the single tone
 
-    H_d(t) = (A/2) [ I(t) ( cos(dt) (Y_2 + Y_3) - sin(dt) (X_2 + X_3) )
-                   + Q(t) ( -sin(dt) (Y_2 + Y_3) + cos(dt) (X_2 + X_3) ) ]
+    H_d(t) = (A/2) [ cos(dt + phi) (Y_2 + Y_3) - sin(dt + phi) (X_2 + X_3) ]
 
-with d = omega - Omega_1 the drive detuning from the end-qubit frequency.
+with d = omega - Omega_1 the drive detuning from the end-qubit frequency and
+phi the pulse phase (I = cos(phi), Q = sin(phi)).  Each site term is
+i e^{i(dt + phi)} sigma+ + h.c., so in the frame exp(-i d N t) that rotates
+at the detuning times the total excitation number N, which commutes with
+the chain, the driven chain is static:
+
+    H' = H_0 + d N + (A/2) [ cos(phi) (Y_2 + Y_3) - sin(phi) (X_2 + X_3) ].
+
 The drive couples the open register |00>_C to the symmetric Bell state
 |1+>_C with collective matrix element A/sqrt(2) (both controls are driven in
 phase), so the Rabi angular frequency is sqrt(2) A and a full transfer takes
@@ -16,7 +23,7 @@ vanishing matrix element and never mixes in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,8 +34,8 @@ from .hilbert import (
     DensityMatrix,
     OperatorMatrix,
     SiteDims,
-    TimeDependentOperator,
     embed_operators,
+    excitation_numbers,
     partial_trace,
 )
 from .metrics import control_state_vector
@@ -46,25 +53,19 @@ from .spin_model import (
 WEAK_DRIVE_FRACTION = 1.0 / 20.0
 
 
-def rectangular_envelope(_t: float) -> float:
-    return 1.0
-
-
 @dataclass(frozen=True)
 class DrivePulse:
-    """An in-phase/quadrature drive tone on the two control sites.
+    """A rectangular in-phase/quadrature drive tone on the two control sites.
 
     ``amplitude`` and ``frequency`` are 2pi*MHz numbers; ``omega1`` is the
     end-qubit frequency the interaction picture rotates at (zero for the
-    detuning-only chain parameterization).  ``envelope`` maps time to [0, 1];
-    ``phase`` mixes the in-phase and quadrature components,
-    I = envelope*cos(phase), Q = envelope*sin(phase).
+    detuning-only chain parameterization).  ``phase`` mixes the in-phase and
+    quadrature components, I = cos(phase), Q = sin(phase).
     """
 
     amplitude: float
     frequency: float
     omega1: float = 0.0
-    envelope: Callable[[float], float] = rectangular_envelope
     phase: float = 0.0
     duration: float | None = None
 
@@ -107,41 +108,22 @@ def resonant_drive_frequency(params: SpinModelParams) -> float:
 
 def drive_hamiltonian(
     pulse: DrivePulse, dims: SiteDims | Sequence[int]
-) -> TimeDependentOperator:
-    """Drive terms as unit-coefficient oscillations times amplitude operators.
+) -> OperatorMatrix:
+    """What the drive adds to the chain in its rotating frame, in rad/us.
 
-    Returns an empty term list at zero amplitude.  The operator pair is
-    Hermitian at every instant for any envelope and phase.
+    ``d N + (A/2) [cos(phi) (Y_2 + Y_3) - sin(phi) (X_2 + X_3)]``: the frame
+    term plus the static drive, so that ``H_0 + drive_hamiltonian`` is the
+    driven chain in the frame exp(-i d N t).  At zero amplitude only the
+    frame term remains.
     """
     dims = dims if isinstance(dims, SiteDims) else SiteDims(tuple(dims))
     if dims.n_sites != 4 or dims[1] != 2 or dims[2] != 2:
         raise ModelError("drive acts on the two qubit control sites of a 4-site chain")
-    zero = OperatorMatrix(dims, np.zeros((dims.total_dim,) * 2, dtype=complex))
-    if pulse.amplitude == 0.0:
-        return TimeDependentOperator(static=zero, terms=())
-
-    o_y = (
-        embed_operators({1: PAULI_Y}, dims) + embed_operators({2: PAULI_Y}, dims)
-    )
-    o_x = (
-        embed_operators({1: PAULI_X}, dims) + embed_operators({2: PAULI_X}, dims)
-    )
-    amp = TWO_PI * pulse.amplitude / 2.0
-    delta = TWO_PI * pulse.detuning
-    env = pulse.envelope
-    cph, sph = np.cos(pulse.phase), np.sin(pulse.phase)
-
-    def coef_y(t: float) -> float:
-        e = env(t)
-        return e * (cph * np.cos(delta * t) - sph * np.sin(delta * t))
-
-    def coef_x(t: float) -> float:
-        e = env(t)
-        return e * (-cph * np.sin(delta * t) + sph * np.cos(delta * t))
-
-    return TimeDependentOperator(
-        static=zero,
-        terms=((coef_y, amp * o_y), (coef_x, amp * o_x)),
+    frame = np.diag(pulse.detuning * excitation_numbers(dims)).astype(complex)
+    tone = np.cos(pulse.phase) * PAULI_Y - np.sin(pulse.phase) * PAULI_X
+    drive = embed_operators({1: tone}, dims) + embed_operators({2: tone}, dims)
+    return OperatorMatrix(
+        dims, TWO_PI * (frame + 0.5 * pulse.amplitude * drive.entries)
     )
 
 
@@ -161,16 +143,18 @@ def rabi_prepare(
     duration: float | None = None,
     noise: NoiseModel | None = None,
     target_population: str = "open_0",
-    rtol: float = 1e-8,
-    atol: float = 1e-10,
 ) -> RabiResult:
     """Drive the full four-site chain and return the reduced control state.
 
-    ``transfer_probability`` is the population of ``target_population`` in
-    the reduced control register at the end of the pulse.  The level-frame
-    copy removes the deterministic free-evolution phases of the register
-    levels (the bookkeeping that ``superposition_phase`` prescribes), so it
-    can be compared directly against ideal superposition targets.
+    The chain is propagated in the drive's rotating frame (module docstring;
+    dephasing and decay are unchanged by that frame) and the final state is
+    rotated back to the interaction picture, rho = R rho' R+ with
+    R = exp(+i d N t).  ``transfer_probability`` is the population of
+    ``target_population`` in the reduced control register at the end of the
+    pulse.  The level-frame copy removes the deterministic free-evolution
+    phases of the register levels (the bookkeeping that
+    ``superposition_phase`` prescribes), so it can be compared directly
+    against ideal superposition targets.
     """
     if params.n_sites != 4:
         raise ModelError("state preparation drives the 4-site chain")
@@ -181,8 +165,7 @@ def rabi_prepare(
         duration = pulse.pi_duration()
 
     h0 = build_interaction_hamiltonian(params)
-    hd = drive_hamiltonian(pulse, h0.dims)
-    h = TimeDependentOperator(static=h0, terms=hd.terms)
+    h = h0 + drive_hamiltonian(pulse, h0.dims)
 
     cvec = control_state_vector(initial_control_state, [2, 2])
     ground = np.array([1.0, 0.0], dtype=complex)
@@ -190,15 +173,13 @@ def rabi_prepare(
     rho0 = DensityMatrix.from_state_vector(full, h0.dims)
 
     prop = Propagation(
-        hamiltonian=h,
-        noise=noise,
-        t_final=duration,
-        sample_times=(duration,),
-        rtol=rtol,
-        atol=atol,
+        hamiltonian=h, noise=noise, t_final=duration, sample_times=(duration,)
     )
-    final = propagate(rho0, prop)[-1]
-    reduced = partial_trace(final, keep_sites=(1, 2))
+    final = propagate(rho0, prop)[-1].entries
+    back = np.exp(1j * TWO_PI * pulse.detuning * duration
+                  * excitation_numbers(h0.dims))
+    lab = DensityMatrix(OperatorMatrix(h0.dims, back[:, None] * final * back.conj()))
+    reduced = partial_trace(lab, keep_sites=(1, 2))
 
     tvec = control_state_vector(GateConfig(control_state=target_population), [2, 2])
     p = float(np.real(tvec.conj() @ reduced.entries @ tvec))

@@ -4,18 +4,20 @@ The master equation
 
     drho/dt = -i [H, rho] + sum_l gamma_l (A_l rho A_l+ - 1/2 {A_l+ A_l, rho})
 
-is solved on stacks of operators in one of two ways, chosen by the generator:
+is solved exactly on stacks of operators.  Every generator the package ships
+is static: the qubit chains, cross-talk variants and the five-site chain in
+the interaction picture, the qutrit-control chain in the frame rotating at
+the sideband gap times the number of control |2> levels
+(``spin_model.build_qutrit_hamiltonian``), and the driven register in the
+frame rotating at the drive detuning times the total excitation number
+(``drive.rabi_prepare``).  The input selects one of two branches:
 
-* A static generator (a plain ``OperatorMatrix`` Hamiltonian: the qubit
-  chains, cross-talk variants and the five-site chain) is propagated exactly.
-  The row-major Liouvillian ``L`` is exponentiated once for the first sample
-  time and once for the grid spacing (once per interval on a non-uniform
-  grid), and the stack advances by matrix products.
-* A time-dependent generator (``TimeDependentOperator``: qutrit sidebands,
-  the register drive) is integrated with an adaptive embedded Runge-Kutta
-  4(5) pair; absolute tolerance defaults to 1e-10, relative to 1e-8, and the
-  step size is capped at 0.05/||H|| so oscillating coefficients are always
-  resolved.  Coefficients are evaluated exactly at the RK stage times.
+* With collapse operators the row-major Liouvillian ``L`` is exponentiated
+  once for the first sample time and once for the grid spacing (once per
+  interval on a non-uniform grid), and the stack advances by matrix products.
+* Without them (a noiseless run) the generator is ``X -> Heff X + X Heff+``,
+  so each operator evolves by conjugation, ``X -> U X U+`` with
+  ``U = expm(Heff dt)``: one D x D exponential instead of the D^2 x D^2 one.
 
 Hamiltonians are in rad/us and times in us.
 """
@@ -26,7 +28,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from .hilbert import (
@@ -38,17 +39,12 @@ from .hilbert import (
     HilbertError,
     OperatorMatrix,
     SiteDims,
-    TimeDependentOperator,
     embed_operators,
 )
 
 
 class PropagationError(RuntimeError):
-    """Integration failure, with the time reached when it occurred."""
-
-    def __init__(self, message: str, t_reached: float | None = None):
-        super().__init__(message)
-        self.t_reached = t_reached
+    """Propagation failure: a non-finite generator, input or result."""
 
 
 @dataclass(frozen=True)
@@ -105,19 +101,12 @@ NO_NOISE = NoiseModel(gamma=0.0)
 
 @dataclass(frozen=True)
 class Propagation:
-    """A propagation problem: generator, noise, horizon and sample times.
+    """A propagation problem: generator, noise, horizon and sample times."""
 
-    ``rtol``, ``atol`` and ``max_step_factor`` steer the Runge-Kutta
-    integrator and so apply to time-dependent generators only.
-    """
-
-    hamiltonian: OperatorMatrix | TimeDependentOperator
+    hamiltonian: OperatorMatrix
     noise: NoiseModel | None
     t_final: float
     sample_times: tuple[float, ...]
-    rtol: float = 1e-8
-    atol: float = 1e-10
-    max_step_factor: float = 0.05
 
     def __post_init__(self) -> None:
         ts = tuple(float(t) for t in self.sample_times)
@@ -138,20 +127,20 @@ class _LindbladGenerator:
     Uses the effective-Hamiltonian form: the anticommutator halves are folded
     into a non-Hermitian Heff, diagonal (dephasing-type) jump terms are
     applied as one precomputed elementwise mask, and the remaining jumps as
-    matrix products.
+    matrix products.  Propagation uses the matrix forms below; calling the
+    generator evaluates the right-hand side directly (the tests integrate it
+    as an independent oracle).
     """
 
     def __init__(
         self,
-        h_static: np.ndarray,
-        td_terms: Sequence[tuple],
+        hamiltonian: np.ndarray,
         collapse: Sequence[tuple[float, np.ndarray]],
         n_stack: int,
     ):
-        self.td_terms = [(coef, -1j * np.asarray(op)) for coef, op in td_terms]
-        self.dim = h_static.shape[0]
+        self.dim = hamiltonian.shape[0]
         self.n_stack = n_stack
-        heff = -1j * h_static.astype(complex)
+        heff = -1j * hamiltonian.astype(complex)
         mask = np.zeros((self.dim, self.dim), dtype=complex)
         jumps: list[tuple[float, np.ndarray]] = []
         for g, op in collapse:
@@ -168,8 +157,6 @@ class _LindbladGenerator:
     def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
         r = y.reshape(self.n_stack, self.dim, self.dim)
         heff = self.heff
-        for coef, a in self.td_terms:
-            heff = heff + coef(t) * a
         # flatten the stack into one wide matrix so BLAS sees a single product
         flat = r.reshape(self.n_stack * self.dim, self.dim)
         out = (flat @ heff.conj().T).reshape(r.shape)
@@ -184,14 +171,13 @@ class _LindbladGenerator:
         return out.ravel()
 
     def is_finite(self) -> bool:
-        parts = [self.heff] + [op for _, op in self.td_terms]
-        parts += [g * op for g, op in self.jumps]
+        parts = [self.heff] + [g * op for g, op in self.jumps]
         if self.mask is not None:
             parts.append(self.mask)
         return all(np.isfinite(p).all() for p in parts)
 
     def liouvillian(self) -> np.ndarray:
-        """Matrix of the static generator on row-major vectorized operators.
+        """Matrix of the generator on row-major vectorized operators.
 
         ``vec(A X B) = (A kron B^T) vec(X)``, so the generator is
         ``Heff x I + I x Heff* + sum_l g_l A_l x A_l*`` plus the diagonal
@@ -206,32 +192,13 @@ class _LindbladGenerator:
         return lv
 
 
-def _split_hamiltonian(
-    hamiltonian: OperatorMatrix | TimeDependentOperator,
-) -> tuple[np.ndarray, list[tuple], float]:
-    """Static matrix, time-dependent (coef, matrix) terms, and a norm bound."""
-    if isinstance(hamiltonian, TimeDependentOperator):
-        terms = [(coef, op.entries) for coef, op in hamiltonian.terms]
-        return hamiltonian.static.entries, terms, hamiltonian.norm_bound()
-    return hamiltonian.entries, [], hamiltonian.norm()
-
-
 def _integrate_stack(prop: Propagation, stack: np.ndarray) -> np.ndarray:
     """Evolve a (n, D, D) stack; returns (n_times, n, D, D)."""
     collapse = (
         prop.noise.collapse_operators(prop.dims) if prop.noise is not None else []
     )
-    h_static, td_terms, bound = _split_hamiltonian(prop.hamiltonian)
     return evolve_stack_raw(
-        h_static,
-        td_terms,
-        collapse,
-        stack,
-        prop.sample_times,
-        rtol=prop.rtol,
-        atol=prop.atol,
-        max_step_factor=prop.max_step_factor,
-        norm_bound=bound,
+        prop.hamiltonian.entries, collapse, stack, prop.sample_times
     )
 
 
@@ -297,79 +264,72 @@ def propagate_superoperator(
 
 
 def evolve_stack_raw(
-    h_static: np.ndarray,
-    td_terms: Sequence[tuple],
+    hamiltonian: np.ndarray,
     collapse: Sequence[tuple[float, np.ndarray]],
     stack: np.ndarray,
     sample_times: Sequence[float],
-    rtol: float = 1e-8,
-    atol: float = 1e-10,
-    max_step_factor: float = 0.05,
-    norm_bound: float | None = None,
 ) -> np.ndarray:
     """Low-level stacked evolution on raw arrays (used by the metrics layer).
 
     ``collapse`` carries explicit (rate, operator) pairs, which permits
     evolving in a restricted excitation sector where embedded operators have
-    already been projected.  Without ``td_terms`` the generator is static and
-    is propagated exactly with ``expm``; otherwise it is integrated with RK45
-    under ``rtol``, ``atol`` and the ``max_step_factor / norm_bound`` step
-    cap.  Evolution starts at t = 0.  Returns an array of shape
-    (n_times, n_stack, D, D); a non-finite generator or result raises
-    ``PropagationError``.
+    already been projected.  With jump terms the Liouvillian is exponentiated;
+    without them each operator is conjugated by ``expm(Heff dt)``.  Evolution
+    starts at t = 0.  Returns an array of shape (n_times, n_stack, D, D); a
+    non-finite generator or result raises ``PropagationError``.
     """
     times = np.asarray(sample_times, dtype=float)
     if times.size == 0:
         raise ValueError("no sample times requested")
     if times[0] < 0.0 or np.any(np.diff(times) <= 0.0):
         raise ValueError("sample times must be nonnegative and strictly increasing")
-    rhs = _LindbladGenerator(h_static, td_terms, collapse, stack.shape[0])
-    if not (rhs.is_finite() and np.isfinite(stack).all()):
+    gen = _LindbladGenerator(hamiltonian, collapse, stack.shape[0])
+    if not (gen.is_finite() and np.isfinite(stack).all()):
         raise PropagationError("generator or initial operators are not finite")
     n, d = stack.shape[0], stack.shape[1]
-    if not td_terms:
-        out = _evolve_static(rhs.liouvillian(), stack.reshape(n, d * d), times)
+    if gen.mask is None and not gen.jumps:  # X -> Heff X + X Heff+
+        out = _evolve(gen.heff, stack.astype(complex), times,
+                      lambda u, x: u @ x @ u.conj().T)
     else:
-        if norm_bound is None:
-            norm_bound = float(np.linalg.norm(h_static, 2)) + sum(
-                float(np.linalg.norm(op, 2)) for _, op in td_terms
-            )
-        kwargs = dict(rtol=rtol, atol=atol, method="RK45")
-        if norm_bound > 0:
-            kwargs["max_step"] = max_step_factor / norm_bound
-        sol = solve_ivp(
-            rhs, (0.0, float(times[-1])), stack.astype(complex).ravel(),
-            t_eval=times, **kwargs
-        )
-        if not sol.success:
-            reached = float(sol.t[-1]) if sol.t.size else 0.0
-            raise PropagationError(
-                f"integrator failed: {sol.message} (reached t = {reached:.3e} us)",
-                t_reached=reached,
-            )
-        out = sol.y.T
+        out = _evolve(gen.liouvillian(), stack.reshape(n, d * d).astype(complex),
+                      times, lambda p, rows: rows @ p.T)
     if not np.isfinite(out).all():
         raise PropagationError("propagation produced non-finite entries")
     return out.reshape(times.size, n, d, d)
 
 
-def _evolve_static(lv: np.ndarray, rows: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Exact propagation of row-vectorized operators ``rows`` (n, D^2)."""
-    out = np.empty((times.size,) + rows.shape, dtype=complex)
-    rows = rows.astype(complex)
+def _evolve(generator: np.ndarray, x: np.ndarray, times: np.ndarray,
+            apply) -> np.ndarray:
+    """Sample ``apply(expm(generator * t), x)`` at ``times``, stepping.
+
+    One exponential reaches the first sample and one more serves every step
+    of a uniform grid; a non-uniform grid takes one per interval.
+    """
+    out = np.empty((times.size,) + x.shape, dtype=complex)
     if times[0] > 0.0:
-        rows = rows @ expm(lv * times[0]).T
-    out[0] = rows
-    if times.size == 1:
-        return out
+        x = apply(expm(generator * times[0]), x)
+    out[0] = x
     steps = np.diff(times)
+    if steps.size == 0:
+        return out
     dt = (times[-1] - times[0]) / steps.size
     grid = times[0] + dt * np.arange(times.size)
+    step = None
     if np.max(np.abs(grid - times)) <= 1e-14 * times[-1]:
-        step_t = expm(lv * dt).T
-        for k in range(1, times.size):
-            out[k] = out[k - 1] @ step_t
-    else:
-        for k in range(1, times.size):
-            out[k] = out[k - 1] @ expm(lv * steps[k - 1]).T
+        step = expm(generator * dt)
+    for k in range(1, times.size):
+        out[k] = apply(expm(generator * steps[k - 1]) if step is None else step,
+                       out[k - 1])
     return out
+
+
+def __getattr__(name: str):
+    # perfbench's tracer counts RK45 right-hand-side evaluations by wrapping
+    # ``dynamics.solve_ivp``; nothing here integrates with it any more, and
+    # the import is deferred so that importing the package does not load
+    # scipy.integrate
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -9,7 +9,7 @@ sparse machinery is used.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -179,32 +179,6 @@ class DensityMatrix:
         v = np.asarray(vec, dtype=complex)
         v = v / np.linalg.norm(v)
         return cls(OperatorMatrix(_as_site_dims(dims), np.outer(v, v.conj())))
-
-
-@dataclass(frozen=True)
-class TimeDependentOperator:
-    """A static operator plus oscillating terms ``sum_k c_k(t) * O_k``.
-
-    Coefficient callables must stay bounded by 1 in magnitude (phases or
-    normalized envelopes); term amplitudes belong inside the operators so that
-    integrator step-size bounds can be computed from operator norms alone.
-    """
-
-    static: OperatorMatrix
-    terms: tuple[tuple[Callable[[float], complex], OperatorMatrix], ...] = ()
-
-    @property
-    def dims(self) -> SiteDims:
-        return self.static.dims
-
-    def value(self, t: float) -> np.ndarray:
-        m = self.static.entries.copy()
-        for coef, op in self.terms:
-            m += coef(t) * op.entries
-        return m
-
-    def norm_bound(self) -> float:
-        return self.static.norm() + sum(op.norm() for _, op in self.terms)
 
 
 def identity(dims: SiteDims | Sequence[int]) -> OperatorMatrix:

@@ -5,6 +5,11 @@ plain number f printed on instrument panels and parameter tables, with the
 angular frequency being omega = 2*pi*f.  Values are in MHz (or GHz where
 noted) and times in microseconds; the single factor of 2*pi is applied here,
 once, when Hamiltonian matrices are formed, so matrices are in rad/us.
+
+Chains are built in the interaction picture, except the chain with
+three-level controls, whose sideband pair oscillates there: it is built in
+the frame exp(-i w n2 t) rotating at the sideband gap w times the number n2
+of controls in |2>, where it is static (``build_qutrit_hamiltonian``).
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from .hilbert import (
     PAULI_Z,
     OperatorMatrix,
     SiteDims,
-    TimeDependentOperator,
     embed_operators,
     projector,
 )
@@ -301,13 +305,23 @@ class QutritModelParams:
 QUTRIT_DIMS = SiteDims((2, 3, 3, 2))
 
 
-def build_qutrit_hamiltonian(params: QutritModelParams) -> TimeDependentOperator:
-    """Chain Hamiltonian with qutrit controls: static part plus two sidebands.
+def build_qutrit_hamiltonian(params: QutritModelParams) -> OperatorMatrix:
+    """Chain Hamiltonian with qutrit controls, static in its rotating frame.
 
-    The static part restricts exactly to the qubit Hamiltonian on the
-    two-level subspace of each control, commutes with total excitation
-    (counting a control |2> as two), and the sideband pair oscillates at
-    +/- (omega2 - omega2').
+    In the interaction picture the chain is ``H_s + e^{iwt} S + e^{-iwt} S+``
+    with w = 2pi (omega2 - omega2') and S the sideband operator that moves
+    one control from |1> to |2> and the other from |1> to |0>.  ``H_s``
+    restricts exactly to the qubit Hamiltonian on the two-level subspace of
+    each control and commutes with total excitation (counting a control |2>
+    as two).  With ``n2`` the number of controls in |2>, ``[H_s, n2] = 0`` and
+    ``[n2, S] = S``, so in the frame ``exp(-i w n2 t)`` the chain is the
+    returned static
+
+        H' = H_s + w n2 + S + S+.
+
+    The frame acts only on the control sites and is the identity at t = 0,
+    and dephasing and control decay are unchanged by it, so reduced target
+    dynamics (and the gate fidelity) are the same in either frame.
     """
     q = params.qubit
     j1x, j1z, j2x, j2z, delta = q.j1x, q.j1z, q.j2x, q.j2z, q.delta
@@ -344,25 +358,19 @@ def build_qutrit_hamiltonian(params: QutritModelParams) -> TimeDependentOperator
         embed_operators({1: projector(3, 2, 1), 2: projector(3, 1, 2)}, dims).entries
         + embed_operators({1: projector(3, 1, 2), 2: projector(3, 2, 1)}, dims).entries
     )
-    static = OperatorMatrix(dims, TWO_PI * h)
-
+    # sideband pair, static in the rotating frame
     sideband = 2.0 * np.sqrt(2.0) * params.p23x * (
         embed_operators({1: projector(3, 2, 1), 2: dn3}, dims).entries
         + embed_operators({1: dn3, 2: projector(3, 2, 1)}, dims).entries
     )
-    sideband_op = OperatorMatrix(dims, TWO_PI * sideband)
-    w = TWO_PI * params.sideband_gap
-
-    def phase_plus(t: float, _w: float = w) -> complex:
-        return np.exp(1j * _w * t)
-
-    def phase_minus(t: float, _w: float = w) -> complex:
-        return np.exp(-1j * _w * t)
-
-    return TimeDependentOperator(
-        static=static,
-        terms=((phase_plus, sideband_op), (phase_minus, sideband_op.dagger())),
+    h += sideband + sideband.conj().T
+    # frame term w n2
+    level2 = projector(3, 2, 2)
+    h += params.sideband_gap * (
+        embed_operators({1: level2}, dims).entries
+        + embed_operators({2: level2}, dims).entries
     )
+    return OperatorMatrix(dims, TWO_PI * h)
 
 
 def project_qutrit_to_qubit(op: OperatorMatrix) -> np.ndarray:

@@ -49,7 +49,6 @@ from swapgate.hilbert import (
     DensityMatrix,
     OperatorMatrix,
     SiteDims,
-    TimeDependentOperator,
     partial_trace,
 )
 from swapgate.metrics import (
@@ -363,9 +362,10 @@ def test_c09_drive_scheme(row6):
                                    [2, 2])
 
     def singlet_max(params, pls):
+        # propagated in the drive's rotating frame, where populations are
+        # those of the interaction picture
         h0 = build_interaction_hamiltonian(params)
-        h = TimeDependentOperator(static=h0,
-                                  terms=drive_hamiltonian(pls, h0.dims).terms)
+        h = h0 + drive_hamiltonian(pls, h0.dims)
         ground = np.array([1.0, 0.0], dtype=complex)
         rho0 = DensityMatrix.from_state_vector(
             np.kron(np.kron(ground, bell), ground), h0.dims)

@@ -1,10 +1,19 @@
 """Tests for the control-register drive scheme."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from swapgate.dynamics import Propagation, propagate
-from swapgate.hilbert import DensityMatrix, TimeDependentOperator
+from swapgate.hilbert import (
+    PAULI_X,
+    PAULI_Y,
+    DensityMatrix,
+    embed_operators,
+    excitation_numbers,
+    partial_trace,
+)
 from swapgate.drive import (
     DrivePulse,
     LeakageReport,
@@ -38,36 +47,51 @@ def pi_pulse():
     return calibrated_pi_pulse(params, abs(params.j2z) / 50.0)
 
 
+def control_sum(op):
+    dims = (2, 2, 2, 2)
+    return (embed_operators({1: op}, dims) + embed_operators({2: op}, dims)).entries
+
+
 class TestDriveHamiltonian:
     def test_zero_amplitude_empty(self):
+        """At zero amplitude the drive adds only the frame term d N."""
         pulse = DrivePulse(amplitude=0.0, frequency=100.0)
         h = drive_hamiltonian(pulse, (2, 2, 2, 2))
-        assert h.terms == ()
+        want = TWO_PI * 100.0 * np.diag(excitation_numbers((2, 2, 2, 2)))
+        assert np.max(np.abs(h.entries - want)) < 1e-12
 
     def test_resonant_in_phase_static_form(self):
         """Zero detuning, zero phase: the drive is (A/2)(Y_2 + Y_3)."""
         a = 8.0
         pulse = DrivePulse(amplitude=a, frequency=0.0, omega1=0.0)
         h = drive_hamiltonian(pulse, (2, 2, 2, 2))
-        m = h.value(0.31)
-        from swapgate.hilbert import PAULI_Y, embed_operators
-
-        want = (TWO_PI * a / 2) * (
-            embed_operators({1: PAULI_Y}, (2, 2, 2, 2)).entries
-            + embed_operators({2: PAULI_Y}, (2, 2, 2, 2)).entries
-        )
-        assert np.max(np.abs(m - want)) < 1e-12
+        want = (TWO_PI * a / 2) * control_sum(PAULI_Y)
+        assert np.max(np.abs(h.entries - want)) < 1e-12
 
     def test_hermitian_at_random_times(self):
+        """Rotated back by exp(+i d N t), the frame drive is the single tone
+        (A/2)[cos(dt + phi) Y - sin(dt + phi) X], Hermitian at every instant."""
         rng = np.random.default_rng(3)
         pulse = DrivePulse(amplitude=5.0, frequency=321.0, phase=0.7)
         h = drive_hamiltonian(pulse, (2, 2, 2, 2))
+        assert np.max(np.abs(h.entries - h.entries.conj().T)) < 1e-12
+        d = TWO_PI * pulse.detuning
+        n_of = excitation_numbers((2, 2, 2, 2))
+        coupling = h.entries - d * np.diag(n_of)
         for t in rng.uniform(0, 1.0, 100):
-            m = h.value(t)
+            r = np.exp(1j * d * n_of * t)
+            m = r[:, None] * coupling * r.conj()
+            phase = d * t + pulse.phase
+            want = (TWO_PI * pulse.amplitude / 2) * (
+                np.cos(phase) * control_sum(PAULI_Y)
+                - np.sin(phase) * control_sum(PAULI_X)
+            )
             assert np.max(np.abs(m - m.conj().T)) < 1e-12
+            assert np.max(np.abs(m - want)) < 1e-9
 
     def test_singlet_is_dark(self):
-        """The drive operators annihilate the antisymmetric control state."""
+        """The drive never moves the antisymmetric control state: it is an
+        eigenvector of the frame drive (eigenvalue d, from the frame term)."""
         pulse = DrivePulse(amplitude=5.0, frequency=321.0)
         h = drive_hamiltonian(pulse, (2, 2, 2, 2))
         singlet = control_state_vector(
@@ -75,8 +99,8 @@ class TestDriveHamiltonian:
         )
         ground = np.array([1.0, 0.0], dtype=complex)
         full = np.kron(np.kron(ground, singlet), ground)
-        for _, op in h.terms:
-            assert np.linalg.norm(op.entries @ full) < 1e-12
+        d = TWO_PI * pulse.detuning
+        assert np.linalg.norm(h.entries @ full - d * full) < 1e-12
 
 
 class TestRabiTransfer:
@@ -131,11 +155,12 @@ class TestRabiTransfer:
         annihilate it exactly); the full chain admits a second-order channel
         through the end-bond couplings that leaves a tolerance-independent
         residual of a few 1e-7 at this amplitude, which bounds the test.
+        Populations are the same in the drive's rotating frame, which is
+        where the chain is propagated.
         """
         params = row6_params()
         h0 = build_interaction_hamiltonian(params)
-        hd = drive_hamiltonian(pi_pulse, h0.dims)
-        h = TimeDependentOperator(static=h0, terms=hd.terms)
+        h = h0 + drive_hamiltonian(pi_pulse, h0.dims)
         bell = control_state_vector(GateConfig(control_state="closed_1plus"), [2, 2])
         ground = np.array([1.0, 0.0], dtype=complex)
         rho0 = DensityMatrix.from_state_vector(
@@ -147,8 +172,6 @@ class TestRabiTransfer:
         singlet = control_state_vector(
             GateConfig(control_state="closed_1minus"), [2, 2]
         )
-        from swapgate.hilbert import partial_trace
-
         for st in propagate(rho0, prop):
             red = partial_trace(st, keep_sites=(1, 2))
             pop = float(np.real(singlet.conj() @ red.entries @ singlet))
@@ -172,6 +195,25 @@ class TestRabiTransfer:
         best = rates[int(np.argmin(errs))]
         assert abs(best - np.sqrt(2) * TWO_PI * pi_pulse.amplitude) \
             / (np.sqrt(2) * TWO_PI * pi_pulse.amplitude) < 0.05
+
+
+class TestPulsePhase:
+    def test_pi_transfer_independent_of_phase(self):
+        """A resonant single tone transfers the same population at any phase.
+
+        The phase is a rotation about the excitation number, which commutes
+        with the chain, so with the calibrated row-6 pi pulse (A = J2z/20)
+        P(open) must agree at phi = 0, pi/4 and pi/2.
+        """
+        params = row6_params()
+        pulse = calibrated_pi_pulse(params, abs(params.j2z) / 20.0)
+        probs = [
+            rabi_prepare(params, replace(pulse, phase=phi), "closed_1plus",
+                         pulse.pi_duration()).transfer_probability
+            for phi in (0.0, np.pi / 4, np.pi / 2)
+        ]
+        assert probs[0] > 0.999
+        assert np.ptp(probs) < 1e-9
 
 
 class TestResonance:

@@ -1,10 +1,16 @@
-"""Tests for the master-equation integrator."""
+"""Tests for the master-equation propagator."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+import swapgate
 from swapgate.dynamics import (
     NoiseModel,
     Propagation,
@@ -19,8 +25,6 @@ from swapgate.hilbert import (
     DensityMatrix,
     OperatorMatrix,
     SiteDims,
-    TimeDependentOperator,
-    embed_operators,
     excitation_numbers,
     sector_indices,
 )
@@ -94,7 +98,7 @@ class TestAgainstOracles:
         h = (h + h.T) * 10.0
         noise = NoiseModel(gamma=0.3)
         collapse = noise.collapse_operators(dims)
-        gen = _LindbladGenerator(h.astype(complex), [], collapse, 2)
+        gen = _LindbladGenerator(h.astype(complex), collapse, 2)
         rhos = rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4))
         got = gen(0.0, rhos.ravel()).reshape(2, 4, 4)
         for k in range(2):
@@ -195,43 +199,35 @@ class TestStructure:
             pop = sum(out.entries[i, i].real for i in range(16) if n_of[i] == n)
             assert abs(pop - pops0[n]) < 1e-8
 
-    def test_tolerance_self_consistency(self):
-        """Halving the tolerances moves the answer by less than the tolerance."""
-        params = symmetric_chain(30.0, 30.0, 300.0, 300.0, 1200.0)
-        h = build_interaction_hamiltonian(params)
-        vec = np.zeros(16, dtype=complex)
-        vec[0b1000] = 1.0
-        rho0 = DensityMatrix.from_state_vector(vec, (2, 2, 2, 2))
-        noise = NoiseModel(gamma=0.01)
-        t_end = 4e-3
-        outs = []
-        for rtol in (1e-8, 5e-9):
-            prop = Propagation(
-                h, noise, t_final=t_end, sample_times=(t_end,), rtol=rtol
-            )
-            outs.append(propagate(rho0, prop)[-1].entries)
-        assert np.linalg.norm(outs[0] - outs[1]) < 1e-8
-
     def test_time_dependent_term_equivalence(self):
-        """A static term written as a trivial oscillation evolves identically."""
+        """A term that is time dependent in one frame and static in another
+        evolves identically.
+
+        The chain conserves the excitation number N, so H in the frame
+        exp(-i w N t) is the static H + w N: propagating that and rotating
+        back by exp(+i w N t) reproduces H, with and without noise (the
+        dissipator is invariant under the frame).
+        """
         params = symmetric_chain(30.0, 30.0, 300.0, 300.0, 1200.0)
         h = build_interaction_hamiltonian(params)
-        extra = embed_operators({1: PAULI_Z}, h.dims) * (TWO_PI * 5.0)
-        h_static = OperatorMatrix(h.dims, h.entries + extra.entries)
-        h_td = TimeDependentOperator(
-            static=h, terms=((lambda t: 1.0, extra),)
-        )
-        vec = np.zeros(16, dtype=complex)
-        vec[0b0100] = 1.0
+        n_of = excitation_numbers(h.dims)
+        w = TWO_PI * 250.0
+        h_frame = OperatorMatrix(h.dims, h.entries + w * np.diag(n_of))
+        rng = np.random.default_rng(10)
+        vec = rng.normal(size=16) + 1j * rng.normal(size=16)
         rho0 = DensityMatrix.from_state_vector(vec, (2, 2, 2, 2))
         t_end = 2e-3
-        out_static = propagate(
-            rho0, Propagation(h_static, None, t_final=t_end, sample_times=(t_end,))
-        )[-1]
-        out_td = propagate(
-            rho0, Propagation(h_td, None, t_final=t_end, sample_times=(t_end,))
-        )[-1]
-        assert np.max(np.abs(out_static.entries - out_td.entries)) < 1e-8
+        back = np.exp(1j * w * n_of * t_end)
+        for noise in (None, NoiseModel(gamma=0.05)):
+            out = propagate(
+                rho0, Propagation(h, noise, t_final=t_end, sample_times=(t_end,))
+            )[-1].entries
+            framed = propagate(
+                rho0, Propagation(h_frame, noise, t_final=t_end, sample_times=(t_end,))
+            )[-1].entries
+            rotated = back[:, None] * framed * back.conj()
+            assert np.max(np.abs(rotated - out)) < 1e-8
+            assert np.max(np.abs(framed - out)) > 1e-2  # the frame is not trivial
 
 
 class TestNoiseModel:
@@ -272,7 +268,7 @@ def rk45_reference(h, collapse, stack, times, norm_bound):
     """RK45 on the Lindblad right-hand side, with tolerances 1000x tighter
     than the integrator's defaults (at those, RK45 itself errs by ~3e-8 on
     these stacks; here by ~1e-10)."""
-    gen = _LindbladGenerator(h, [], collapse, stack.shape[0])
+    gen = _LindbladGenerator(h, collapse, stack.shape[0])
     sol = solve_ivp(gen, (0.0, times[-1]), stack.astype(complex).ravel(),
                     t_eval=times, method="RK45", rtol=1e-11, atol=1e-13,
                     max_step=0.05 / norm_bound)
@@ -297,7 +293,7 @@ class TestExactPropagator:
         assert h.shape == (sector, sector)
         times = np.linspace(window[0] * tg, window[1] * tg, 60)
         stack = random_stack(sector)
-        exact = evolve_stack_raw(h, [], collapse, stack, times)
+        exact = evolve_stack_raw(h, collapse, stack, times)
         ref = rk45_reference(h, collapse, stack, times, bound)
         assert np.max(np.abs(exact - ref)) < 1e-9
 
@@ -310,7 +306,7 @@ class TestExactPropagator:
         h, collapse, bound, tg = row6_sector(2, 0.01)
         times = fractions * tg
         stack = random_stack(h.shape[0])
-        exact = evolve_stack_raw(h, [], collapse, stack, times)
+        exact = evolve_stack_raw(h, collapse, stack, times)
         ref = rk45_reference(h, collapse, stack, times, bound)
         assert np.max(np.abs(exact - ref)) < 1e-9
         if times[0] == 0.0:
@@ -320,7 +316,7 @@ class TestExactPropagator:
         h, collapse, _, tg = row6_sector(3, 0.01)
         d = h.shape[0]
         units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)  # |i><j|
-        images = evolve_stack_raw(h, [], collapse, units, [tg / 120])[0]
+        images = evolve_stack_raw(h, collapse, units, [tg / 120])[0]
         # vec(I)+ P = vec(I)+: Tr E(|i><j|) = delta_ij
         traces = np.trace(images, axis1=1, axis2=2)
         assert np.max(np.abs(traces - np.eye(d).ravel())) < 1e-12
@@ -328,26 +324,57 @@ class TestExactPropagator:
         assert np.max(np.abs(choi - choi.conj().T)) < 1e-12
         assert np.linalg.eigvalsh(choi).min() >= -1e-10
 
+    def test_conjugation_matches_liouvillian_on_row6_closed_sector(self):
+        """Noiseless runs conjugate by expm(-i H dt); the Liouvillian
+        exponential of the same generator, taken at each sample time, agrees."""
+        h, collapse, _, tg = row6_sector(3, 0.0)
+        assert collapse == []
+        times = np.linspace(1e-3 * tg, tg, 20)
+        stack = random_stack(h.shape[0])
+        closed = evolve_stack_raw(h, [], stack, times)
+        lv = _LindbladGenerator(h, [], len(stack)).liouvillian()
+        rows = stack.reshape(len(stack), -1)
+        ref = np.stack([rows @ expm(lv * t).T for t in times])
+        assert np.max(np.abs(closed - ref.reshape(closed.shape))) < 1e-12
+
     def test_rejects_unordered_times(self):
         h, collapse, _, tg = row6_sector(2, 0.01)
         stack = random_stack(h.shape[0])
         for times in ([2 * tg, tg], [-tg, tg], []):
             with pytest.raises(ValueError):
-                evolve_stack_raw(h, [], collapse, stack, times)
+                evolve_stack_raw(h, collapse, stack, times)
 
 
 class TestNonFiniteGuard:
-    @pytest.mark.parametrize("td", [False, True])
-    def test_nan_rate_raises_instead_of_integrating(self, td):
+    def test_nan_rate_raises_instead_of_integrating(self):
         h, collapse, _, tg = row6_sector(2, 0.01)
         bad = [(float("nan"), op) for _, op in collapse]
-        terms = [(lambda t: 1.0, np.zeros_like(h))] if td else []
         with pytest.raises(PropagationError):
-            evolve_stack_raw(h, terms, bad, random_stack(h.shape[0]), [tg])
+            evolve_stack_raw(h, bad, random_stack(h.shape[0]), [tg])
+
+    def test_nan_hamiltonian_raises_on_conjugation_branch(self):
+        h, _, _, tg = row6_sector(2, 0.0)
+        h = h.copy()
+        h[0, 0] = float("nan")
+        with pytest.raises(PropagationError):
+            evolve_stack_raw(h, [], random_stack(h.shape[0]), [tg])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_propagator_raises(self):
         # a non-Hermitian "Hamiltonian" with gain: exp(2000 t) overflows at t = 1
         h = np.array([[1000j]])
         with pytest.raises(PropagationError, match="non-finite"):
-            evolve_stack_raw(h, [], [], np.ones((1, 1, 1)), [1.0])
+            evolve_stack_raw(h, [], np.ones((1, 1, 1)), [1.0])
+
+
+class TestPackage:
+    def test_import_does_not_load_the_integrator(self):
+        """RK45 is a test oracle only: importing the package (and its command
+        line) must not import scipy.integrate."""
+        src = str(Path(swapgate.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys, swapgate, swapgate.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"

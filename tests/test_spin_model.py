@@ -1,5 +1,7 @@
 """Tests for chain construction and the closed-form spectral analysis."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -313,32 +315,47 @@ class TestQutritModel:
         from swapgate.spin_model import project_qutrit_to_qubit
 
         q = self.qutrit_row6()
-        h_qutrit = build_qutrit_hamiltonian(q)
-        projected = project_qutrit_to_qubit(h_qutrit.static)
+        h_qutrit = build_qutrit_hamiltonian(q)  # frame term and sidebands need a |2>
+        projected = project_qutrit_to_qubit(h_qutrit)
         h_qubit = build_interaction_hamiltonian(q.qubit).entries
         scale = np.max(np.abs(h_qubit))
         assert np.max(np.abs(projected - h_qubit)) < 1e-12 * scale
 
     def test_static_part_conserves_excitation(self):
+        """The rotating-frame generator conserves excitation (a control |2>
+        counting two), so excitation sectors can still be evolved alone."""
         q = self.qutrit_row6()
-        h = build_qutrit_hamiltonian(q)
+        hs = build_qutrit_hamiltonian(q).entries
         n_op = excitation_number_operator((2, 3, 3, 2)).entries
-        hs = h.static.entries
         assert np.linalg.norm(hs @ n_op - n_op @ hs) < 1e-9
-        for _, op in h.terms:
-            m = op.entries
-            assert np.linalg.norm(m @ n_op - n_op @ m) < 1e-9
 
     def test_sidebands_are_conjugate_pair(self):
+        """The sideband pair of the rotating frame exp(-i w n2 t).
+
+        The blocks of H' that raise and lower the number n2 of controls in
+        |2> by one are S and S+; nothing changes n2 by more; the frame term is
+        w n2 (a zero-gap build has none); and back in the interaction picture
+        the chain H_s + e^{iwt} S + e^{-iwt} S+ is Hermitian at every instant.
+        """
         q = self.qutrit_row6()
-        h = build_qutrit_hamiltonian(q)
-        (c1, o1), (c2, o2) = h.terms
-        assert np.allclose(o1.entries.conj().T, o2.entries)
-        t = 0.37e-3
-        assert c1(t) == pytest.approx(np.conj(c2(t)))
-        # full H(t) Hermitian at arbitrary instants
+        h = build_qutrit_hamiltonian(q).entries
+        idx = np.arange(36)
+        n2 = ((idx // 6) % 3 == 2).astype(int) + ((idx // 2) % 3 == 2)
+        step = n2[:, None] - n2[None, :]
+        s_up = np.where(step == 1, h, 0.0)
+        s_dn = np.where(step == -1, h, 0.0)
+        assert np.allclose(s_up.conj().T, s_dn)
+        assert not np.any(h[np.abs(step) > 1])
+        # |0,1,1,0> -> |0,2,0,0>: one control up to |2>, the other down to |0>
+        assert s_up[12, 8] == pytest.approx(TWO_PI * 2 * np.sqrt(2) * q.p23x)
+        w = TWO_PI * q.sideband_gap
+        h_gapless = build_qutrit_hamiltonian(
+            replace(q, omega2_prime=q.omega2)
+        ).entries
+        assert np.max(np.abs(h - h_gapless - w * np.diag(n2))) < 1e-9
+        h_s = np.where(step == 0, h_gapless, 0.0)
         for t in (0.0, 1.3e-4, 7.7e-4):
-            m = h.value(t)
+            m = h_s + np.exp(1j * w * t) * s_up + np.exp(-1j * w * t) * s_dn
             assert np.max(np.abs(m - m.conj().T)) < 1e-9
 
     def test_accepts_published_row6_coefficients(self):
