@@ -32,7 +32,6 @@ from .spin_model import (
     build_qutrit_hamiltonian,
     closed_config_for_branch,
     closed_state_eigencheck,
-    gate_chain,
     perfect_transfer_conditions,
     symmetric_chain,
 )
@@ -110,7 +109,6 @@ __all__ = [
     "embed_operators",
     "embed_site_operator",
     "entanglement_power",
-    "gate_chain",
     "inverse_capacitance",
     "leakage_avoidance_check",
     "numerical_gate_time",

@@ -15,25 +15,20 @@ inductances in nH.  Capacitive and inductive energies are converted to
     IND_ENERGY_SCALE = (Phi_0 / 2 pi)^2 / h per nH / (2 pi)^2 = 4.1408
 
 so E_C,i = CAP_ENERGY_SCALE * (C^-1)_ii and E_L = IND_ENERGY_SCALE *
-(2 pi)^2 / L.  ``calibrate_energy_scales`` re-fits the two constants against
-published parameter-table rows by least squares; the fit is retained for
-diagnostics, but the published table is not reproducible from these formulas
-under any two-constant calibration (see the acceptance report), so the
-physical unit bridge is frozen instead of a fitted pair.
+(2 pi)^2 / L.  These are the physical constants, not a fit: each scales
+every site alike, so no choice of the two can change the per-site ratios of
+the charging energies, and the published table's columns demand ratios the
+tabulated capacitances do not give (acceptance criterion 1).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
-from .spin_model import SpinModelParams, QutritModelParams, symmetric_chain
-
-TWO_PI = 2.0 * math.pi
+from .spin_model import TWO_PI, SpinModelParams, QutritModelParams, symmetric_chain
 
 # e^2/(2h) in GHz*fF and (Phi_0/2pi)^2/h in GHz*nH (divided by (2pi)^2 so the
 # inductive energies can be written with their conventional (2pi)^2/L factor).
@@ -70,9 +65,13 @@ class CircuitParams:
     l12: float
 
     def __post_init__(self) -> None:
-        for name in ("e1", "e2", "e12", "e23", "c1", "c2", "c23", "l12"):
+        for name in CIRCUIT_NAMES:
             if getattr(self, name) <= 0:
                 raise MappingError(f"{name} must be strictly positive")
+
+
+#: the eight circuit values, in field order
+CIRCUIT_NAMES = tuple(f.name for f in fields(CircuitParams))
 
 
 @dataclass(frozen=True)
@@ -163,16 +162,15 @@ def gate_capacitance_matrix(params: CircuitParams) -> np.ndarray:
     )
 
 
-def _mapping_core(
-    params: CircuitParams, cap_scale: float, ind_scale: float
-) -> SpinMapResult:
+def circuit_to_spin(params: CircuitParams) -> SpinMapResult:
+    """Map lumped-circuit values to spin-model parameters."""
     k = gate_capacitance_matrix(params)
     kinv, _ = inverse_capacitance(k)
-    e_c = cap_scale * np.diagonal(kinv)  # 2pi*GHz per site
+    e_c = CAP_ENERGY_SCALE * np.diagonal(kinv)  # 2pi*GHz per site
 
     e1, e2, e12, e23 = params.e1, params.e2, params.e12, params.e23
     e_j = np.array([e1 + e12, e2 + e12 + e23, e2 + e12 + e23, e1 + e12])
-    e_lb = ind_scale * TWO_PI**2 / params.l12  # both inductive bonds identical
+    e_lb = IND_ENERGY_SCALE * TWO_PI**2 / params.l12  # both inductive bonds identical
     e_l = np.array([e_lb, e_lb, e_lb, e_lb])
 
     radicand = 2.0 * e_c / (e_j + e_l)
@@ -194,7 +192,7 @@ def _mapping_core(
     j2x_tilde = -0.5 * e23 * t[1] * t[2] + 0.25 * e23 * (
         t[1] ** 3 * t[2] + t[1] * t[2] ** 3
     )
-    j2y = -cap_scale * kinv[1, 2] / (t[1] * t[2])
+    j2y = -CAP_ENERGY_SCALE * kinv[1, 2] / (t[1] * t[2])
     j1z = -0.25 * e12 * (t[0] * t[1]) ** 2
     j2z = -0.25 * e23 * (t[1] * t[2]) ** 2
     j2x = j2x_tilde + j2y
@@ -226,36 +224,23 @@ def _mapping_core(
     )
 
 
-def circuit_to_spin(
-    params: CircuitParams,
-    cap_scale: float = CAP_ENERGY_SCALE,
-    ind_scale: float = IND_ENERGY_SCALE,
-) -> SpinMapResult:
-    """Map lumped-circuit values to spin-model parameters."""
-    return _mapping_core(params, cap_scale, ind_scale)
-
-
 def drive_amplitude(
-    params: CircuitParams,
-    a_tilde: float,
-    omega_drive: float,
-    cap_scale: float = CAP_ENERGY_SCALE,
-    ind_scale: float = IND_ENERGY_SCALE,
+    params: CircuitParams, a_tilde: float, omega_drive: float
 ) -> float:
     """Spin-level drive amplitude from a charge drive of the control nodes.
 
     A = -8 * a_tilde * omega * ((K^-1)_22 + (K^-1)_32) / T_2, with the
-    matrix entries in calibrated energy units; same frequency unit as
-    ``omega_drive``.
+    matrix entries in energy units (times ``CAP_ENERGY_SCALE``); same
+    frequency unit as ``omega_drive``.
     """
     if omega_drive <= 0:
         raise MappingError("drive frequency must be positive")
-    res = _mapping_core(params, cap_scale, ind_scale)
+    res = circuit_to_spin(params)
     kinv, _ = inverse_capacitance(gate_capacitance_matrix(params))
     t2 = res.t_coeffs[1]
     if t2 == 0:
         raise MappingError("vanishing mode scale on the control site")
-    ksum = cap_scale * (kinv[1, 1] + kinv[2, 1])
+    ksum = CAP_ENERGY_SCALE * (kinv[1, 1] + kinv[2, 1])
     return -8.0 * a_tilde * omega_drive * ksum / t2
 
 
@@ -312,8 +297,7 @@ def table_row(index: int) -> dict[str, float]:
     if index not in TABLE_S1:
         raise KeyError(f"table rows run 1..16, got {index}")
     row = TABLE_S1[index]
-    keys = ("e1", "e2", "e12", "e23", "c1", "c2", "c23", "l12") + TABLE_SPIN_COLUMNS
-    return dict(zip(keys, row))
+    return dict(zip(CIRCUIT_NAMES + TABLE_SPIN_COLUMNS, row))
 
 
 def table_branch(index: int) -> str:
@@ -323,10 +307,7 @@ def table_branch(index: int) -> str:
 
 def table_circuit_params(index: int) -> CircuitParams:
     r = table_row(index)
-    return CircuitParams(
-        e1=r["e1"], e2=r["e2"], e12=r["e12"], e23=r["e23"],
-        c1=r["c1"], c2=r["c2"], c23=r["c23"], l12=r["l12"],
-    )
+    return CircuitParams(**{name: r[name] for name in CIRCUIT_NAMES})
 
 
 def table_spin_params(index: int) -> SpinModelParams:
@@ -359,63 +340,7 @@ def table_qutrit_params(index: int) -> QutritModelParams:
     )
 
 
-def calibrate_energy_scales(
-    rows: Sequence[int] = (6, 11),
-    x0: tuple[float, float] = (CAP_ENERGY_SCALE, IND_ENERGY_SCALE),
-) -> tuple[float, float, dict[int, dict[str, float]]]:
-    """Least-squares fit of the two energy-scale constants to table rows.
-
-    Minimizes relative residuals of the mapped spin columns against the
-    published ones.  Returns the fitted (cap_scale, ind_scale) and a
-    per-row, per-column relative-error report at the fitted point.  The
-    residual landscape is degenerate (see module docstring), so the result
-    documents the attainable agreement rather than defining the shipped
-    constants.
-    """
-
-    def mapped_columns(index: int, cap: float, ind: float) -> dict[str, float]:
-        res = _mapping_core(table_circuit_params(index), cap, ind)
-        return {
-            "omega1": res.omega1,
-            "omega2": res.omega2,
-            "j1x": res.j1x,
-            "j1z": res.j1z,
-            "j2x": res.j2x,
-            "j2z": res.j2z,
-            "delta": res.delta,
-            "anh1_pct": abs(res.anh_rel_1) * 100.0,
-            "anh2_pct": abs(res.anh_rel_2) * 100.0,
-            "k23x": res.k23x,
-            "m23x": res.m23x,
-        }
-
-    def residuals(p: np.ndarray) -> np.ndarray:
-        cap, ind = np.exp(p)
-        out = []
-        for i in rows:
-            published = table_row(i)
-            mapped = mapped_columns(i, cap, ind)
-            for col in TABLE_SPIN_COLUMNS:
-                ref = max(abs(published[col]), 1.0)
-                out.append((mapped[col] - published[col]) / ref)
-        return np.asarray(out)
-
-    fit = least_squares(residuals, np.log(np.asarray(x0)), method="lm")
-    cap, ind = (float(x) for x in np.exp(fit.x))
-    report: dict[int, dict[str, float]] = {}
-    for i in rows:
-        published = table_row(i)
-        mapped = mapped_columns(i, cap, ind)
-        report[i] = {
-            col: abs(mapped[col] - published[col]) / max(abs(published[col]), 1e-12)
-            for col in TABLE_SPIN_COLUMNS
-        }
-    return cap, ind, report
-
-
-def table_roundtrip_errors(
-    cap_scale: float = CAP_ENERGY_SCALE, ind_scale: float = IND_ENERGY_SCALE
-) -> dict[int, dict[str, tuple[float, float, float]]]:
+def table_roundtrip_errors() -> dict[int, dict[str, tuple[float, float, float]]]:
     """(mapped, published, tolerance) per spin column for all 16 rows.
 
     The tolerance is max(1% of the published value, one unit in its last
@@ -428,7 +353,7 @@ def table_roundtrip_errors(
     }
     out: dict[int, dict[str, tuple[float, float, float]]] = {}
     for i in TABLE_S1:
-        res = _mapping_core(table_circuit_params(i), cap_scale, ind_scale)
+        res = circuit_to_spin(table_circuit_params(i))
         mapped = {
             "omega1": res.omega1, "omega2": res.omega2, "j1x": res.j1x,
             "j1z": res.j1z, "j2x": res.j2x, "j2z": res.j2z, "delta": res.delta,

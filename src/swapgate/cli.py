@@ -3,7 +3,7 @@
 Configuration files use a flat, typed key/value format with section nesting:
 
     # comment lines start with '#'; blank lines are ignored
-    experiment = scan_j2          # top-level key before any section
+    experiment = fidelity_trace   # top-level key before any section
     [model]                       # section header
     source = table_row            # string (bare or double-quoted)
     row = 6                       # integer
@@ -11,9 +11,8 @@ Configuration files use a flat, typed key/value format with section nesting:
     gamma = 0.01                  # float
     channels = dephasing, photon_loss   # comma list ('[]' is the empty list)
     [grid]
-    lo = 2.0
-    hi = 40.0
-    points = 8
+    window_lo = 0.8
+    window_hi = 1.05
     [run]
     seed = 0
     samples = 90
@@ -22,10 +21,12 @@ Configuration files use a flat, typed key/value format with section nesting:
 Every key is validated against the experiment's schema (type, finiteness,
 and range: table rows 1..16, at least one sample and grid point, gamma >= 0)
 and the cross-key rules in ``ORDER_RULES`` (time windows increase, the drive
-amplitude is positive); unknown keys are rejected.  '#' and ',' inside double
-quotes are literal, and '\\' escapes '"' and '\\' there.  Loading fills
-defaults, and emitting a loaded configuration reproduces it exactly
-(load -> emit -> load is the identity on resolved configurations).
+amplitude is positive).  A schema holds only the keys its experiment reads
+(the scans take no [model] section), and unknown keys are rejected.  '#'
+and ',' inside double quotes are literal, and '\\' escapes '"' and '\\'
+there.  Loading fills defaults, and emitting a loaded configuration
+reproduces it exactly (load -> emit -> load is the identity on resolved
+configurations).
 
 Per run, a CSV table (header row, '.' decimal, 12 significant digits, one
 row per sample) and a JSON summary (peaks, locations, seeds, the full
@@ -41,9 +42,9 @@ import json
 import math
 import re
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 import click
 import numpy as np
@@ -58,7 +59,7 @@ from .metrics import (
     average_fidelity,
     default_open_window,
 )
-from .search import CostSpec, search as run_search
+from .search import search as run_search
 from .spin_model import (
     GateConfig,
     ModelError,
@@ -67,6 +68,7 @@ from .spin_model import (
     analytic_gate_time,
     build_n5_model,
     closed_config_for_branch,
+    delta_for_branch,
     n5_control_states,
     symmetric_chain,
 )
@@ -217,28 +219,29 @@ def serialize_config(sections: dict[str, dict[str, Any]]) -> str:
 # None for an open side
 _AT_LEAST_ONE = (1, None)
 _TABLE_ROWS = (min(cmap.TABLE_S1), max(cmap.TABLE_S1))
-_COMMON_RUN = {
+_SAMPLED_RUN = {
     "seed": ("int", 0, (0, None)),
     "samples": ("int", 90, _AT_LEAST_ONE),
     "out": ("str", ""),
 }
-_MODEL_KEYS = {
+_RUN_KEYS = {k: v for k, v in _SAMPLED_RUN.items() if k != "samples"}
+_SOURCE_KEYS = {
     "source": ("str", "table_row"),
     "row": ("int", 6, _TABLE_ROWS),
+}
+# defaults: the circuit of table row 6
+_CIRCUIT_KEYS = {
+    name: ("float", cmap.table_row(6)[name]) for name in cmap.CIRCUIT_NAMES
+}
+_MODEL_KEYS = {
+    **_SOURCE_KEYS,
     "j1x": ("float", 40.9),
     "j1z": ("float", 40.9),
     "j2x": ("float", -540.4),
     "j2z": ("float", 1007.1),
     "delta": ("float", 933.4),
     "branch": ("str", "plus"),
-    "e1": ("float", 561.6),
-    "e2": ("float", 438.5),
-    "e12": ("float", 186.0),
-    "e23": ("float", 397.1),
-    "c1": ("float", 926.3),
-    "c2": ("float", 76.2),
-    "c23": ("float", 240.4),
-    "l12": ("float", 37.3),
+    **_CIRCUIT_KEYS,
 }
 _NOISE_KEYS = {
     "gamma": ("float", 0.01, (0.0, None)),
@@ -254,10 +257,9 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple]]] = {
             "window_hi": ("float", 1.2),
             "control": ("str", "open"),
         },
-        "run": _COMMON_RUN,
+        "run": _SAMPLED_RUN,
     },
     "scan_j2": {
-        "model": _MODEL_KEYS,
         "noise": _NOISE_KEYS,
         "grid": {
             "j1": ("float", 30.0),
@@ -265,10 +267,9 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple]]] = {
             "hi": ("float", 40.0),
             "points": ("int", 8, _AT_LEAST_ONE),
         },
-        "run": _COMMON_RUN,
+        "run": _SAMPLED_RUN,
     },
     "scan_j1": {
-        "model": _MODEL_KEYS,
         "noise": _NOISE_KEYS,
         "grid": {
             "j2": ("float", 750.0),
@@ -276,10 +277,9 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple]]] = {
             "hi": ("float", 125.0),
             "points": ("int", 8, _AT_LEAST_ONE),
         },
-        "run": _COMMON_RUN,
+        "run": _SAMPLED_RUN,
     },
     "scan_delta": {
-        "model": _MODEL_KEYS,
         "noise": _NOISE_KEYS,
         "grid": {
             "j1": ("float", 30.0),
@@ -288,7 +288,7 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple]]] = {
             "hi": ("float", 900.0),
             "points": ("int", 7, _AT_LEAST_ONE),
         },
-        "run": _COMMON_RUN,
+        "run": _SAMPLED_RUN,
     },
     "qutrit_compare": {
         "model": {"rows": ("intlist", [6, 11], _TABLE_ROWS)},
@@ -297,7 +297,7 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple]]] = {
             "window_hi": ("float", 1.2),
             "configs": ("strlist", ["open", "closed_plus", "closed_minus"]),
         },
-        "run": _COMMON_RUN,
+        "run": _SAMPLED_RUN,
     },
     "crosstalk_scan": {
         "model": _MODEL_KEYS,
@@ -305,7 +305,7 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple]]] = {
         "grid": {
             "fractions_pct": ("floatlist", [0.0, 2.0, 4.0, 6.0, 8.0, 10.0]),
         },
-        "run": _COMMON_RUN,
+        "run": _SAMPLED_RUN,
     },
     "n5_trace": {
         "model": {
@@ -316,7 +316,7 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple]]] = {
         },
         "noise": _NOISE_KEYS,
         "grid": {"window_hi": ("float", 1.2)},
-        "run": _COMMON_RUN,
+        "run": _SAMPLED_RUN,
     },
     "drive_demo": {
         "model": _MODEL_KEYS,
@@ -325,23 +325,20 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple]]] = {
             "amplitude_fraction": ("float", 0.02),
             "n_durations": ("int", 25, _AT_LEAST_ONE),
         },
-        "run": _COMMON_RUN,
+        "run": _RUN_KEYS,
     },
     "circuit_map": {
-        "model": _MODEL_KEYS,
-        "noise": _NOISE_KEYS,
-        "grid": {},
-        "run": _COMMON_RUN,
+        "model": {**_SOURCE_KEYS, **_CIRCUIT_KEYS},
+        "run": _RUN_KEYS,
     },
     "search": {
         "model": {"branch": ("str", "plus")},
-        "noise": _NOISE_KEYS,
         "grid": {
             "n_restarts": ("int", 8, _AT_LEAST_ONE),
             "max_evaluations": ("int", 400, _AT_LEAST_ONE),
             "keep_all": ("bool", True),
         },
-        "run": _COMMON_RUN,
+        "run": _RUN_KEYS,
     },
 }
 
@@ -472,7 +469,6 @@ class RunRecord:
     rows: list[tuple]
     summary: dict[str, Any]
     wall_time_s: float
-    version: str = FORMAT_VERSION
 
     def to_csv(self) -> str:
         lines = [",".join(self.columns)]
@@ -482,7 +478,7 @@ class RunRecord:
 
     def to_json(self) -> str:
         payload = {
-            "version": self.version,
+            "version": FORMAT_VERSION,
             "experiment": self.kind,
             "config": self.config.to_text(),
             "summary": self.summary,
@@ -513,6 +509,16 @@ def emit(record: RunRecord, out_path: str | Path) -> tuple[Path, Path]:
 # model resolution helpers
 # ---------------------------------------------------------------------------
 
+def _circuit_from_model_section(model: dict[str, Any]) -> cmap.CircuitParams:
+    """The circuit a model section names: a table row's, or its own values."""
+    source = model["source"]
+    if source == "table_row":
+        return cmap.table_circuit_params(model["row"])
+    if source == "circuit":
+        return cmap.CircuitParams(**{name: model[name] for name in cmap.CIRCUIT_NAMES})
+    raise ConfigError(f"unknown model source {source!r}")
+
+
 def _spin_from_model_section(model: dict[str, Any]) -> tuple[SpinModelParams, str]:
     source = model["source"]
     if source == "table_row":
@@ -526,19 +532,12 @@ def _spin_from_model_section(model: dict[str, Any]) -> tuple[SpinModelParams, st
             ),
             model["branch"],
         )
-    if source == "circuit":
-        circuit = cmap.CircuitParams(
-            e1=model["e1"], e2=model["e2"], e12=model["e12"], e23=model["e23"],
-            c1=model["c1"], c2=model["c2"], c23=model["c23"], l12=model["l12"],
-        )
-        res = cmap.circuit_to_spin(circuit)
-        branch = model["branch"]
-        return res.spin_params(), branch
-    raise ConfigError(f"unknown model source {source!r}")
+    res = cmap.circuit_to_spin(_circuit_from_model_section(model))
+    return res.spin_params(), model["branch"]
 
 
-def _noise_from_section(noise: dict[str, Any], no_noise: bool) -> NoiseModel | None:
-    if no_noise or noise["gamma"] == 0.0:
+def _noise_from_section(noise: dict[str, Any]) -> NoiseModel | None:
+    if noise["gamma"] == 0.0:
         return None
     try:
         return NoiseModel(
@@ -554,13 +553,15 @@ def _trace_at(trace: FidelityTrace, t: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# experiments
+# experiments: each returns (CSV columns, CSV rows, JSON summary)
 # ---------------------------------------------------------------------------
 
-def run_fidelity_trace(config: ExperimentConfig, no_noise: bool = False) -> RunRecord:
-    t0 = time.perf_counter()
+Table = tuple[tuple[str, ...], list[tuple], dict[str, Any]]
+
+
+def _fidelity_trace(config: ExperimentConfig) -> Table:
     model, branch = _spin_from_model_section(config["model"])
-    noise = _noise_from_section(config["noise"], no_noise)
+    noise = _noise_from_section(config["noise"])
     grid = config["grid"]
     n = config["run"]["samples"]
     tg = analytic_gate_time(model)
@@ -568,70 +569,32 @@ def run_fidelity_trace(config: ExperimentConfig, no_noise: bool = False) -> RunR
     cfg = _gate_config(grid["control"], branch)
     trace_noisy = average_fidelity(model, cfg, noise, times)
     trace_clean = average_fidelity(model, cfg, None, times)
-    rows = [
-        (t, fn, fc)
-        for t, fn, fc in zip(times, trace_noisy.fbar, trace_clean.fbar)
-    ]
+    rows = list(zip(times, trace_noisy.fbar, trace_clean.fbar))
     summary = {
         "gate_time_analytic_us": tg,
         "peak_time_us": trace_noisy.peak_time,
         "peak_fidelity": trace_noisy.peak_value,
         "peak_fidelity_noiseless": trace_clean.peak_value,
-        "seed": config["run"]["seed"],
     }
-    return RunRecord(
-        kind=config.kind,
-        config=config,
-        columns=("t_us", "fbar", "fbar_noiseless"),
-        rows=rows,
-        summary=summary,
-        wall_time_s=time.perf_counter() - t0,
-    )
+    return ("t_us", "fbar", "fbar_noiseless"), rows, summary
+
+
+_CONTROL_STATES = {
+    "open": "open_0",
+    "closed_plus": "closed_1plus",
+    "closed_minus": "closed_1minus",
+    "closed_11": "closed_11",
+}
 
 
 def _gate_config(control: str, branch: str) -> GateConfig:
-    if control == "open":
-        return GateConfig(delta_branch=branch, control_state="open_0")
+    """The register preparation a ``control`` value names; ``closed`` is the
+    stationary Bell state of the branch."""
     if control == "closed":
         return closed_config_for_branch(branch)
-    if control in ("closed_plus", "closed_minus", "closed_11"):
-        state = {
-            "closed_plus": "closed_1plus",
-            "closed_minus": "closed_1minus",
-            "closed_11": "closed_11",
-        }[control]
-        return GateConfig(delta_branch=branch, control_state=state)
-    raise ConfigError(f"unknown control configuration {control!r}")
-
-
-def _scan_point(
-    params: SpinModelParams,
-    branch: str,
-    noise: NoiseModel | None,
-    n_samples: int,
-) -> dict[str, float]:
-    """Open and closed fidelities at the numerical gate time, noisy and clean."""
-    tg = analytic_gate_time(params)
-    window = default_open_window(params, n=n_samples)
-    open_cfg = GateConfig(delta_branch=branch, control_state="open_0")
-    closed_cfg = closed_config_for_branch(branch)
-    out: dict[str, float] = {"tg_analytic_us": tg}
-    trace_clean = average_fidelity(params, open_cfg, None, window)
-    t_num = trace_clean.peak_time
-    out["tg_numeric_us"] = t_num
-    out["peak_on_boundary"] = float(trace_clean.peak_on_boundary)
-    out["fbar_open"] = trace_clean.peak_value
-    closed_clean = average_fidelity(params, closed_cfg, None, window)
-    out["fbar_closed"] = _trace_at(closed_clean, t_num)
-    if noise is not None:
-        trace_noisy = average_fidelity(params, open_cfg, noise, window)
-        out["fbar_open_noisy"] = _trace_at(trace_noisy, t_num)
-        closed_noisy = average_fidelity(params, closed_cfg, noise, window)
-        out["fbar_closed_noisy"] = _trace_at(closed_noisy, t_num)
-    else:
-        out["fbar_open_noisy"] = out["fbar_open"]
-        out["fbar_closed_noisy"] = out["fbar_closed"]
-    return out
+    if control not in _CONTROL_STATES:
+        raise ConfigError(f"unknown control configuration {control!r}")
+    return GateConfig(delta_branch=branch, control_state=_CONTROL_STATES[control])
 
 
 _SCAN_COLUMNS = (
@@ -640,95 +603,72 @@ _SCAN_COLUMNS = (
 )
 
 
-def _scan_record(
-    config: ExperimentConfig,
-    no_noise: bool,
-    axis_name: str,
-    axis_values: Sequence[float],
-    params_of: Callable[[float], tuple[SpinModelParams, str]],
-) -> RunRecord:
-    t0 = time.perf_counter()
-    noise = _noise_from_section(config["noise"], no_noise)
+def _scan_point(
+    params: SpinModelParams,
+    branch: str,
+    noise: NoiseModel | None,
+    n_samples: int,
+) -> tuple[float, ...]:
+    """The ``_SCAN_COLUMNS`` of one chain: open and closed fidelities at the
+    numerical gate time, clean and noisy."""
+    window = default_open_window(params, n=n_samples)
+    open_cfg = GateConfig(delta_branch=branch, control_state="open_0")
+    closed_cfg = closed_config_for_branch(branch)
+    trace_clean = average_fidelity(params, open_cfg, None, window)
+    t_num = trace_clean.peak_time
+    fbar_open = trace_clean.peak_value
+    fbar_closed = _trace_at(average_fidelity(params, closed_cfg, None, window), t_num)
+    if noise is None:
+        open_noisy, closed_noisy = fbar_open, fbar_closed
+    else:
+        open_noisy = _trace_at(average_fidelity(params, open_cfg, noise, window), t_num)
+        closed_noisy = _trace_at(average_fidelity(params, closed_cfg, noise, window),
+                                 t_num)
+    return (analytic_gate_time(params), t_num, fbar_open, open_noisy, fbar_closed,
+            closed_noisy, float(trace_clean.peak_on_boundary))
+
+
+# scan kind -> (axis column, detuning branch, the [grid] key whose value is
+# the unit of lo and hi (None: absolute), (j1, j2x, j2z) at an axis value v).
+# Every point sits on its branch's resonant detuning; scan_delta varies J2x
+# at fixed J2z, so the minus-branch detuning sweeps through zero.
+_SCANS: dict[str, tuple[str, str, str | None, Callable]] = {
+    "scan_j2": ("j2_mhz", "plus", "j1", lambda g, v: (g["j1"], v, v)),
+    "scan_j1": ("j1_mhz", "plus", None, lambda g, v: (v, g["j2"], g["j2"])),
+    "scan_delta": ("j2x_mhz", "minus", None, lambda g, v: (g["j1"], v, g["j2z"])),
+}
+
+
+def _scan(config: ExperimentConfig) -> Table:
+    axis, branch, unit_key, couplings = _SCANS[config.kind]
+    grid = config["grid"]
+    noise = _noise_from_section(config["noise"])
     n = config["run"]["samples"]
-    rows = []
-    for v in axis_values:
-        params, branch = params_of(v)
-        data = _scan_point(params, branch, noise, n)
-        rows.append((v,) + tuple(data[c] for c in _SCAN_COLUMNS))
+    unit = grid[unit_key] if unit_key else 1.0
+    rows, deltas = [], []
+    for v in np.linspace(grid["lo"] * unit, grid["hi"] * unit, grid["points"]):
+        j1, j2x, j2z = couplings(grid, v)
+        delta = delta_for_branch(branch, j2x, j2z)
+        params = symmetric_chain(j1, j1, j2x, j2z, delta, detuning_choice=branch)
+        rows.append((v,) + _scan_point(params, branch, noise, n))
+        deltas.append(delta)
     best = max(rows, key=lambda r: r[3])
     summary = {
         "best_axis_value": best[0],
         "best_open_fidelity": best[3],
-        "axis": axis_name,
-        "seed": config["run"]["seed"],
+        "axis": axis,
     }
-    return RunRecord(
-        kind=config.kind,
-        config=config,
-        columns=(axis_name,) + _SCAN_COLUMNS,
-        rows=rows,
-        summary=summary,
-        wall_time_s=time.perf_counter() - t0,
-    )
+    if config.kind == "scan_delta":
+        summary["delta_values_mhz"] = deltas
+    return (axis,) + _SCAN_COLUMNS, rows, summary
 
 
-def run_scan_j2(config: ExperimentConfig, no_noise: bool = False) -> RunRecord:
-    grid = config["grid"]
-    j1 = grid["j1"]
-    values = np.linspace(grid["lo"] * j1, grid["hi"] * j1, grid["points"])
-
-    def params_of(j2: float) -> tuple[SpinModelParams, str]:
-        delta = 2.0 * (j2 + j2)
-        return (
-            symmetric_chain(j1, j1, j2, j2, delta, detuning_choice="plus"),
-            "plus",
-        )
-
-    return _scan_record(config, no_noise, "j2_mhz", values, params_of)
-
-
-def run_scan_j1(config: ExperimentConfig, no_noise: bool = False) -> RunRecord:
-    grid = config["grid"]
-    j2 = grid["j2"]
-    values = np.linspace(grid["lo"], grid["hi"], grid["points"])
-
-    def params_of(j1: float) -> tuple[SpinModelParams, str]:
-        delta = 2.0 * (j2 + j2)
-        return (
-            symmetric_chain(j1, j1, j2, j2, delta, detuning_choice="plus"),
-            "plus",
-        )
-
-    return _scan_record(config, no_noise, "j1_mhz", values, params_of)
-
-
-def run_scan_delta(config: ExperimentConfig, no_noise: bool = False) -> RunRecord:
-    """Vary J2x at fixed J2z so the minus-branch detuning sweeps through zero."""
-    grid = config["grid"]
-    j1, j2z = grid["j1"], grid["j2z"]
-    values = np.linspace(grid["lo"], grid["hi"], grid["points"])
-
-    def params_of(j2x: float) -> tuple[SpinModelParams, str]:
-        delta = 2.0 * (j2z - j2x)
-        return (
-            symmetric_chain(j1, j1, j2x, j2z, delta, detuning_choice="minus"),
-            "minus",
-        )
-
-    record = _scan_record(config, no_noise, "j2x_mhz", values, params_of)
-    record.summary["delta_values_mhz"] = [
-        2.0 * (j2z - v) for v in values
-    ]
-    return record
-
-
-def run_qutrit_compare(config: ExperimentConfig, no_noise: bool = False) -> RunRecord:
-    t0 = time.perf_counter()
-    noise = _noise_from_section(config["noise"], no_noise)
+def _qutrit_compare(config: ExperimentConfig) -> Table:
+    noise = _noise_from_section(config["noise"])
     grid = config["grid"]
     n = config["run"]["samples"]
-    rows_out: list[tuple] = []
-    summary: dict[str, Any] = {"peaks": {}, "seed": config["run"]["seed"]}
+    rows: list[tuple] = []
+    peaks: dict[str, dict[str, float]] = {}
     for row_index in config["model"]["rows"]:
         spin = cmap.table_spin_params(row_index)
         qutrit = cmap.table_qutrit_params(row_index)
@@ -740,28 +680,21 @@ def run_qutrit_compare(config: ExperimentConfig, no_noise: bool = False) -> RunR
             tr_qubit = average_fidelity(spin, cfg, noise, times)
             tr_qutrit = average_fidelity(qutrit, cfg, noise, times)
             for t, fq, ft in zip(times, tr_qubit.fbar, tr_qutrit.fbar):
-                rows_out.append((row_index, control, t, fq, ft))
-            summary["peaks"][f"row{row_index}_{control}"] = {
+                rows.append((row_index, control, t, fq, ft))
+            peaks[f"row{row_index}_{control}"] = {
                 "qubit_peak": tr_qubit.peak_value,
                 "qubit_peak_time_us": tr_qubit.peak_time,
                 "qutrit_peak": tr_qutrit.peak_value,
                 "qutrit_peak_time_us": tr_qutrit.peak_time,
                 "peak_shift": tr_qutrit.peak_value - tr_qubit.peak_value,
             }
-    return RunRecord(
-        kind=config.kind,
-        config=config,
-        columns=("table_row", "control", "t_us", "fbar_qubit", "fbar_qutrit"),
-        rows=rows_out,
-        summary=summary,
-        wall_time_s=time.perf_counter() - t0,
-    )
+    columns = ("table_row", "control", "t_us", "fbar_qubit", "fbar_qutrit")
+    return columns, rows, {"peaks": peaks}
 
 
-def run_crosstalk_scan(config: ExperimentConfig, no_noise: bool = False) -> RunRecord:
-    t0 = time.perf_counter()
+def _crosstalk_scan(config: ExperimentConfig) -> Table:
     model, branch = _spin_from_model_section(config["model"])
-    noise = _noise_from_section(config["noise"], no_noise)
+    noise = _noise_from_section(config["noise"])
     n = config["run"]["samples"]
     fractions = config["grid"]["fractions_pct"]
     window = default_open_window(model, n=n)
@@ -782,29 +715,17 @@ def run_crosstalk_scan(config: ExperimentConfig, no_noise: bool = False) -> RunR
                 tr = average_fidelity(model, ccfg, noise, window, hamiltonian=h)
                 cells.append(_trace_at(tr, t_num))
         rows.append(tuple(cells))
-    summary = {
-        "j1_mhz": model.j1x,
-        "baseline_open": rows[0][1],
-        "seed": config["run"]["seed"],
-    }
-    return RunRecord(
-        kind=config.kind,
-        config=config,
-        columns=(
-            "jc_mhz",
-            "fbar_open_nn", "fbar_closed_plus_nn", "fbar_closed_minus_nn",
-            "fbar_open_nnn", "fbar_closed_plus_nnn", "fbar_closed_minus_nnn",
-        ),
-        rows=rows,
-        summary=summary,
-        wall_time_s=time.perf_counter() - t0,
+    columns = (
+        "jc_mhz",
+        "fbar_open_nn", "fbar_closed_plus_nn", "fbar_closed_minus_nn",
+        "fbar_open_nnn", "fbar_closed_plus_nnn", "fbar_closed_minus_nnn",
     )
+    return columns, rows, {"j1_mhz": model.j1x, "baseline_open": rows[0][1]}
 
 
-def run_n5_trace(config: ExperimentConfig, no_noise: bool = False) -> RunRecord:
-    t0 = time.perf_counter()
+def _n5_trace(config: ExperimentConfig) -> Table:
     m = config["model"]
-    noise = _noise_from_section(config["noise"], no_noise)
+    noise = _noise_from_section(config["noise"])
     n = config["run"]["samples"]
     params = build_n5_model(
         m["j1"], m["j1"], m["j2"], m["j2"], m["delta3"], branch=m["branch"]
@@ -815,27 +736,17 @@ def run_n5_trace(config: ExperimentConfig, no_noise: bool = False) -> RunRecord:
                      custom_vector=tuple(n5_control_states(params)["open_0"]))
     target = TargetGate.open_gate("plus")  # negative swap with the i phase
     trace = average_fidelity(params, cfg, noise, times, target=target)
-    rows = [(t, f) for t, f in zip(times, trace.fbar)]
     summary = {
         "gate_time_analytic_us": tg,
         "peak_time_us": trace.peak_time,
         "peak_fidelity": trace.peak_value,
-        "seed": config["run"]["seed"],
     }
-    return RunRecord(
-        kind=config.kind,
-        config=config,
-        columns=("t_us", "fbar"),
-        rows=rows,
-        summary=summary,
-        wall_time_s=time.perf_counter() - t0,
-    )
+    return ("t_us", "fbar"), list(zip(times, trace.fbar)), summary
 
 
-def run_drive_demo(config: ExperimentConfig, no_noise: bool = False) -> RunRecord:
-    t0 = time.perf_counter()
+def _drive_demo(config: ExperimentConfig) -> Table:
     model, _branch = _spin_from_model_section(config["model"])
-    noise = _noise_from_section(config["noise"], no_noise)
+    noise = _noise_from_section(config["noise"])
     grid = config["grid"]
     amplitude = grid["amplitude_fraction"] * abs(model.j2z)
     pulse = calibrated_pi_pulse(model, amplitude)
@@ -852,28 +763,12 @@ def run_drive_demo(config: ExperimentConfig, no_noise: bool = False) -> RunRecor
         "frequency_mhz": pulse.frequency,
         "pi_duration_us": t_pi,
         "pi_transfer_probability": pi_result.transfer_probability,
-        "seed": config["run"]["seed"],
     }
-    return RunRecord(
-        kind=config.kind,
-        config=config,
-        columns=("duration_us", "p_open"),
-        rows=rows,
-        summary=summary,
-        wall_time_s=time.perf_counter() - t0,
-    )
+    return ("duration_us", "p_open"), rows, summary
 
 
-def run_circuit_map(config: ExperimentConfig, no_noise: bool = False) -> RunRecord:
-    t0 = time.perf_counter()
-    m = config["model"]
-    if m["source"] == "table_row":
-        circuit = cmap.table_circuit_params(m["row"])
-    else:
-        circuit = cmap.CircuitParams(
-            e1=m["e1"], e2=m["e2"], e12=m["e12"], e23=m["e23"],
-            c1=m["c1"], c2=m["c2"], c23=m["c23"], l12=m["l12"],
-        )
+def _circuit_map(config: ExperimentConfig) -> Table:
+    circuit = _circuit_from_model_section(config["model"])
     res = cmap.circuit_to_spin(circuit)
     columns = (
         "omega1_ghz", "omega2_ghz", "j1x_mhz", "j1z_mhz", "j2x_mhz", "j2y_mhz",
@@ -885,29 +780,18 @@ def run_circuit_map(config: ExperimentConfig, no_noise: bool = False) -> RunReco
         res.delta, res.anh_rel_1, res.anh_rel_2, res.k23x, res.m23x,
         res.r23x, res.p23x,
     )
-    kinv, cond = cmap.inverse_capacitance(cmap.gate_capacitance_matrix(circuit))
+    _, cond = cmap.inverse_capacitance(cmap.gate_capacitance_matrix(circuit))
     summary = {
         "condition_number": cond,
         "t_coeffs": list(res.t_coeffs),
         "s_coeffs_ghz": list(res.s_coeffs),
-        "seed": config["run"]["seed"],
     }
-    return RunRecord(
-        kind=config.kind,
-        config=config,
-        columns=columns,
-        rows=[row],
-        summary=summary,
-        wall_time_s=time.perf_counter() - t0,
-    )
+    return columns, [row], summary
 
 
-def run_search_experiment(config: ExperimentConfig, no_noise: bool = False) -> RunRecord:
-    t0 = time.perf_counter()
+def _search(config: ExperimentConfig) -> Table:
     grid = config["grid"]
     results = run_search(
-        cost=CostSpec(),
-        bounds=None,
         branch=config["model"]["branch"],
         seed=config["run"]["seed"],
         n_restarts=grid["n_restarts"],
@@ -922,9 +806,8 @@ def run_search_experiment(config: ExperimentConfig, no_noise: bool = False) -> R
     )
     rows = []
     for r in results:
-        c, s = r.circuit, r.spin
-        rows.append((
-            c.e1, c.e2, c.e12, c.e23, c.c1, c.c2, c.c23, c.l12,
+        s = r.spin
+        rows.append(astuple(r.circuit) + (
             s.omega1, s.omega2, s.j1x, s.j1z, s.j2x, s.j2z, s.delta,
             s.anh_rel_1, s.anh_rel_2, s.k23x, s.m23x, r.cost, r.accepted,
         ))
@@ -933,8 +816,29 @@ def run_search_experiment(config: ExperimentConfig, no_noise: bool = False) -> R
         "n_accepted": sum(1 for r in results if r.accepted),
         "best_cost": results[0].cost if results else None,
         "best_residuals": results[0].residuals if results else None,
-        "seed": config["run"]["seed"],
     }
+    return columns, rows, summary
+
+
+EXPERIMENTS: dict[str, Callable[[ExperimentConfig], Table]] = {
+    "fidelity_trace": _fidelity_trace,
+    "scan_j2": _scan,
+    "scan_j1": _scan,
+    "scan_delta": _scan,
+    "qutrit_compare": _qutrit_compare,
+    "crosstalk_scan": _crosstalk_scan,
+    "n5_trace": _n5_trace,
+    "drive_demo": _drive_demo,
+    "circuit_map": _circuit_map,
+    "search": _search,
+}
+
+
+def run_experiment(config: ExperimentConfig) -> RunRecord:
+    """Run the configured experiment and record its table and summary."""
+    t0 = time.perf_counter()
+    columns, rows, summary = EXPERIMENTS[config.kind](config)
+    summary["seed"] = config["run"]["seed"]
     return RunRecord(
         kind=config.kind,
         config=config,
@@ -943,24 +847,6 @@ def run_search_experiment(config: ExperimentConfig, no_noise: bool = False) -> R
         summary=summary,
         wall_time_s=time.perf_counter() - t0,
     )
-
-
-RUNNERS: dict[str, Callable[[ExperimentConfig, bool], RunRecord]] = {
-    "fidelity_trace": run_fidelity_trace,
-    "scan_j2": run_scan_j2,
-    "scan_j1": run_scan_j1,
-    "scan_delta": run_scan_delta,
-    "qutrit_compare": run_qutrit_compare,
-    "crosstalk_scan": run_crosstalk_scan,
-    "n5_trace": run_n5_trace,
-    "drive_demo": run_drive_demo,
-    "circuit_map": run_circuit_map,
-    "search": run_search_experiment,
-}
-
-
-def run_experiment(config: ExperimentConfig, no_noise: bool = False) -> RunRecord:
-    return RUNNERS[config.kind](config, no_noise)
 
 
 # ---------------------------------------------------------------------------
@@ -993,7 +879,7 @@ def _register(name: str, kind: str) -> None:
     @click.option("--out", "out_path", default=None, help="Output CSV path.")
     @click.option("--seed", type=int, default=None, help="Override the seed.")
     @click.option("--no-noise", is_flag=True, default=False,
-                  help="Disable decoherence noise for this run.")
+                  help="Disable decoherence noise for this run ([noise] gamma = 0).")
     def command(config_path, out_path, seed, no_noise, _kind=kind):
         try:
             cfg = load_config(config_path) if config_path else default_config(_kind)
@@ -1004,13 +890,10 @@ def _register(name: str, kind: str) -> None:
             sections = {k: dict(v) for k, v in cfg.sections.items()}
             if seed is not None:
                 sections["run"]["seed"] = seed
+            if no_noise and "noise" in sections:
+                sections["noise"]["gamma"] = 0.0
             cfg = ExperimentConfig(kind=cfg.kind, sections=sections)
-            out = out_path or cfg["run"]["out"] or f"{_kind}.csv"
-        except ConfigError as exc:
-            click.echo(f"configuration error: {exc}", err=True)
-            raise SystemExit(2)
-        try:
-            record = run_experiment(cfg, no_noise=no_noise)
+            record = run_experiment(cfg)
         except ConfigError as exc:
             click.echo(f"configuration error: {exc}", err=True)
             raise SystemExit(2)
@@ -1019,6 +902,7 @@ def _register(name: str, kind: str) -> None:
                 cmap.SingularCapacitanceError) as exc:
             click.echo(f"numerical failure: {exc}", err=True)
             raise SystemExit(3)
+        out = out_path or cfg["run"]["out"] or f"{_kind}.csv"
         csv_path, json_path = emit(record, out)
         click.echo(f"wrote {csv_path} and {json_path} "
                    f"({record.wall_time_s:.1f} s)")

@@ -67,7 +67,6 @@ class DrivePulse:
     frequency: float
     omega1: float = 0.0
     phase: float = 0.0
-    duration: float | None = None
 
     @property
     def detuning(self) -> float:
@@ -99,11 +98,16 @@ def resonant_drive_frequency(params: SpinModelParams) -> float:
     |Omega_2 - 2 J2z + 2 J2x| misses that shift by 2 J1z.
     """
     e_vac = vacuum_energy(params) / TWO_PI
-    h1 = single_excitation_block(params) / TWO_PI
-    bell = np.zeros(params.n_sites)
-    bell[1] = bell[2] = 1.0 / np.sqrt(2.0)
-    e_bell = float(bell @ h1 @ bell)
+    e_bell = _bell_energy(single_excitation_block(params) / TWO_PI)
     return params.omega[0] + (e_vac - e_bell)
+
+
+def _bell_energy(h1: np.ndarray) -> float:
+    """Energy of the symmetric control Bell state in the one-excitation block
+    ``h1`` of the 4-site chain (targets in their ground state)."""
+    bell = np.zeros(h1.shape[0])
+    bell[1] = bell[2] = 1.0 / np.sqrt(2.0)
+    return float(bell @ h1 @ bell)
 
 
 def drive_hamiltonian(
@@ -160,7 +164,6 @@ def rabi_prepare(
         raise ModelError("state preparation drives the 4-site chain")
     if isinstance(initial_control_state, str):
         initial_control_state = GateConfig(control_state=initial_control_state)
-    duration = pulse.duration if duration is None else duration
     if duration is None:
         duration = pulse.pi_duration()
 
@@ -189,10 +192,7 @@ def rabi_prepare(
     # and |11>_C at its exact chain energy with the targets in their ground
     # state
     e_vac = vacuum_energy(params)
-    h1 = single_excitation_block(params)
-    bell = np.zeros(params.n_sites)
-    bell[1] = bell[2] = 1.0 / np.sqrt(2.0)
-    e_bell = float(bell @ h1 @ bell)
+    e_bell = _bell_energy(single_excitation_block(params))
     e_11 = float(np.real(h0.entries[0b0110, 0b0110]))
     phases = np.exp(1j * np.array([e_vac, e_bell, e_bell, e_11]) * duration)
     rot = np.diag(phases)

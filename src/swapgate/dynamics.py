@@ -49,17 +49,14 @@ class PropagationError(RuntimeError):
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Per-site dephasing and photon-loss channels at a common base rate.
+    """Per-site dephasing and photon-loss channels at a common rate.
 
     ``gamma`` is in 1/us (a printed 0.01 MHz decay rate is 0.01 here, giving
-    a 100 us lifetime).  Individual channel rates may be overridden; both
-    default to ``gamma``.
+    a 100 us lifetime).
     """
 
     gamma: float
     channels: frozenset[str] = frozenset({"dephasing", "photon_loss"})
-    gamma_dephasing: float | None = None
-    gamma_photon_loss: float | None = None
 
     def __post_init__(self) -> None:
         if self.gamma < 0:
@@ -67,13 +64,6 @@ class NoiseModel:
         unknown = self.channels - {"dephasing", "photon_loss"}
         if unknown:
             raise ValueError(f"unknown noise channels {sorted(unknown)}")
-
-    def rate(self, channel: str) -> float:
-        override = {
-            "dephasing": self.gamma_dephasing,
-            "photon_loss": self.gamma_photon_loss,
-        }[channel]
-        return self.gamma if override is None else override
 
     def collapse_operators(
         self, dims: SiteDims | Sequence[int]
@@ -85,18 +75,12 @@ class NoiseModel:
             ("dephasing", PAULI_Z, DEPHASE_3),
             ("photon_loss", SIGMA_MINUS, LOWER_3),
         ):
-            if channel not in self.channels:
-                continue
-            g = self.rate(channel)
-            if g == 0.0:
+            if channel not in self.channels or self.gamma == 0.0:
                 continue
             for j, d in enumerate(dims):
                 local = op2 if d == 2 else op3
-                ops.append((g, embed_operators({j: local}, dims).entries))
+                ops.append((self.gamma, embed_operators({j: local}, dims).entries))
         return ops
-
-
-NO_NOISE = NoiseModel(gamma=0.0)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .circuit_map import (
+    CIRCUIT_NAMES,
     CircuitParams,
     MappingError,
     SingularCapacitanceError,
@@ -35,8 +36,6 @@ from .spin_model import (
     closed_config_for_branch,
     delta_for_branch,
 )
-
-PARAM_NAMES = ("e1", "e2", "e12", "e23", "c1", "c2", "c23", "l12")
 
 #: search box matching the published solution ranges
 DEFAULT_BOUNDS: dict[str, tuple[float, float]] = {
@@ -118,7 +117,7 @@ def evaluate_cost(
     """Cost at a parameter vector; infeasible points get a large finite cost."""
     penalty = 0.0
     vals = {}
-    for name, v in zip(PARAM_NAMES, x):
+    for name, v in zip(CIRCUIT_NAMES, x):
         lo, hi = bounds[name]
         if v < lo:
             penalty += ((lo - v) / max(hi - lo, 1e-9)) ** 2
@@ -162,14 +161,14 @@ def search(
     cost = cost or CostSpec()
     bounds = dict(DEFAULT_BOUNDS, **(bounds or {}))
     rng = np.random.default_rng(seed)
-    lo = np.array([bounds[n][0] for n in PARAM_NAMES])
-    hi = np.array([bounds[n][1] for n in PARAM_NAMES])
+    lo = np.array([bounds[n][0] for n in CIRCUIT_NAMES])
+    hi = np.array([bounds[n][1] for n in CIRCUIT_NAMES])
     if np.any(hi < lo):
         raise ValueError("bounds must satisfy lo <= hi")
 
     results: list[SearchResult] = []
     for _ in range(n_restarts):
-        x0 = lo + (hi - lo) * rng.random(len(PARAM_NAMES))
+        x0 = lo + (hi - lo) * rng.random(len(CIRCUIT_NAMES))
         if np.all(hi == lo):
             x0 = lo.copy()
         sol = minimize(
@@ -187,7 +186,7 @@ def search(
             continue
         vals = {
             name: float(np.clip(v, bounds[name][0], bounds[name][1]))
-            for name, v in zip(PARAM_NAMES, sol.x)
+            for name, v in zip(CIRCUIT_NAMES, sol.x)
         }
         results.append(
             SearchResult(
@@ -199,7 +198,7 @@ def search(
         )
 
     results.sort(key=lambda r: (r.cost,) + tuple(
-        getattr(r.circuit, n) for n in PARAM_NAMES
+        getattr(r.circuit, n) for n in CIRCUIT_NAMES
     ))
     deduped: list[SearchResult] = []
     for r in results:
@@ -208,7 +207,7 @@ def search(
             rel = [
                 abs(getattr(r.circuit, n) - getattr(kept.circuit, n))
                 / max(abs(getattr(kept.circuit, n)), 1e-12)
-                for n in PARAM_NAMES
+                for n in CIRCUIT_NAMES
             ]
             if max(rel) <= 0.01:
                 dup = True

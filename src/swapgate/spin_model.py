@@ -22,17 +22,16 @@ from .hilbert import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    SIGMA_MINUS,
+    SIGMA_PLUS,
     OperatorMatrix,
     SiteDims,
     embed_operators,
+    ket,
     projector,
 )
 
 TWO_PI = 2.0 * np.pi
-
-# single-qubit lowering/raising with the ground-first basis convention
-SIGMA_MINUS_2 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-SIGMA_PLUS_2 = SIGMA_MINUS_2.conj().T
 
 #: default threshold for the weak target-control coupling check, |J2/J1| >= 5
 COUPLING_RATIO_THRESHOLD = 5.0
@@ -153,18 +152,6 @@ def delta_for_branch(branch: str, j2x: float, j2z: float) -> float:
     if branch == "minus":
         return 2.0 * (j2z - j2x)
     raise ModelError(f"unknown branch {branch!r}")
-
-
-def gate_chain(
-    j1x: float, j1z: float, j2x: float, j2z: float, branch: str = "plus"
-) -> SpinModelParams:
-    """Symmetric 4-site chain at the resonant detuning of the chosen branch."""
-    delta = delta_for_branch(branch, j2x, j2z)
-    p = symmetric_chain(j1x, j1z, j2x, j2z, delta, detuning_choice=branch)
-    bad = p.gate_mode_violations()
-    if bad:
-        warnings.warn("; ".join(bad), stacklevel=2)
-    return p
 
 
 @dataclass(frozen=True)
@@ -297,10 +284,6 @@ class QutritModelParams:
         """Frequency of the 0->1 vs 1->2 mismatch, omega2 - omega2' (2pi*MHz)."""
         return self.omega2 - self.omega2_prime
 
-    def check_coefficients(self, r23x: float, p23x: float, tol: float = 1e-9):
-        if abs(self.r23x - r23x) > tol or abs(self.p23x - p23x) > tol:
-            raise ModelError("inconsistent R/P coefficients for given K, M, J2y")
-
 
 QUTRIT_DIMS = SiteDims((2, 3, 3, 2))
 
@@ -339,8 +322,8 @@ def build_qutrit_hamiltonian(params: QutritModelParams) -> OperatorMatrix:
     # target-control flip-flop and z coupling (both target bonds, symmetric J1)
     for t, c in ((0, 1), (3, 2)):
         h += 2.0 * j1x * (
-            embed_operators({t: SIGMA_PLUS_2, c: dn3}, dims).entries
-            + embed_operators({t: SIGMA_MINUS_2, c: up3}, dims).entries
+            embed_operators({t: SIGMA_PLUS, c: dn3}, dims).entries
+            + embed_operators({t: SIGMA_MINUS, c: up3}, dims).entries
         )
         h += j1z * embed_operators({t: PAULI_Z, c: zz3}, dims).entries
     # control-control z, double-excitation swap, and 0<->1 flip-flop
@@ -473,28 +456,21 @@ def closed_state_eigencheck(
 ) -> ClosedStateReport:
     """How close the control Bell states are to stationary states.
 
-    At theta = +/- pi/4 the candidate eigenvalue is b = 2 J2x - J2z for the
-    symmetric combination (and 2 J2x cos(2 theta)... evaluated exactly below);
-    the residual vanishes linearly with J1.
+    The candidate eigenvalue is b = 2 J2x sin(2 theta) - J2z, which is
+    2 J2x - J2z for the symmetric combination (theta = pi/4) and -2 J2x - J2z
+    for the antisymmetric one (theta = -pi/4); the residual vanishes linearly
+    with J1.
     """
     if params.n_sites != 4:
         raise ModelError("eigencheck applies to the 4-site chain")
     h = build_interaction_hamiltonian(params).entries
-    dims = SiteDims((2, 2, 2, 2))
     c, s = np.cos(theta), np.sin(theta)
-
-    def basis_vec(bits: str) -> np.ndarray:
-        idx = int(bits, 2)
-        v = np.zeros(dims.total_dim, dtype=complex)
-        v[idx] = 1.0
-        return v
-
-    psi1 = c * basis_vec("0100") + s * basis_vec("0010")
-    psi2 = c * basis_vec("1100") + s * basis_vec("1010")
+    psi1 = c * ket(16, 0b0100) + s * ket(16, 0b0010)
+    psi2 = c * ket(16, 0b1100) + s * ket(16, 0b1010)
     b = TWO_PI * (2.0 * params.j2x * np.sin(2.0 * theta) - params.j2z)
     res1 = float(np.linalg.norm(h @ psi1 - b * psi1))
-    res2 = float(np.linalg.norm(h @ psi2 - (b + 0.0) * psi2))
-    # the double-excitation analogue carries an extra J1z Stark shift
+    # the double-excitation analogue carries an extra J1z Stark shift, so its
+    # residual is taken against its own expectation value
     e2 = psi2.conj() @ (h @ psi2)
     res2 = float(np.linalg.norm(h @ psi2 - e2 * psi2))
     return ClosedStateReport(

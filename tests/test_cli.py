@@ -1,12 +1,15 @@
 """Tests for configuration handling, experiment records, and the CLI."""
 
 import json
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import assume, given, settings, strategies as st
 
+import swapgate.cli
 from swapgate.cli import (
     SCHEMAS,
     ConfigError,
@@ -14,11 +17,7 @@ from swapgate.cli import (
     main,
     parse_config_text,
     resolve_config,
-    run_circuit_map,
-    run_drive_demo,
     run_experiment,
-    run_fidelity_trace,
-    run_scan_j2,
 )
 
 
@@ -54,7 +53,7 @@ def _value_strategy(tag, bounds):
 @pytest.fixture(scope="module")
 def one_point_record():
     cfg = resolve_config(parse_config_text(MINIMAL))
-    return run_scan_j2(cfg)
+    return run_experiment(cfg)
 
 
 class TestConfigFormat:
@@ -77,11 +76,12 @@ class TestConfigFormat:
     def test_defaults_filled(self):
         cfg = resolve_config(parse_config_text(MINIMAL))
         assert cfg["noise"]["gamma"] == 0.01
-        assert cfg["model"]["source"] == "table_row"
+        trace = resolve_config(parse_config_text("experiment = fidelity_trace\n"))
+        assert trace["model"]["source"] == "table_row"
         assert cfg["grid"]["points"] == 1
 
     def test_unknown_key_rejected_with_name(self):
-        text = MINIMAL + "\n[model]\nwobble = 3\n"
+        text = MINIMAL + "\n[noise]\nwobble = 3\n"
         with pytest.raises(ConfigError, match="wobble"):
             resolve_config(parse_config_text(text))
 
@@ -100,7 +100,7 @@ class TestConfigFormat:
     def test_type_errors_are_located(self):
         with pytest.raises(ConfigError, match=r"\[model\] row"):
             resolve_config(
-                parse_config_text("experiment = scan_j2\n[model]\nrow = six\n")
+                parse_config_text("experiment = fidelity_trace\n[model]\nrow = six\n")
             )
 
     def test_parse_diagnostics_carry_line_numbers(self):
@@ -160,7 +160,7 @@ class TestConfigFormat:
 
     def test_table_row_reference_resolves_published_circuit(self):
         cfg = default_config("circuit_map")
-        record = run_circuit_map(cfg)
+        record = run_experiment(cfg)
         # row 6 reference resolves to its published circuit values
         from swapgate.circuit_map import table_circuit_params
 
@@ -178,7 +178,7 @@ class TestRunRecords:
 
     def test_csv_determinism(self, one_point_record):
         cfg = resolve_config(parse_config_text(MINIMAL))
-        again = run_scan_j2(cfg)
+        again = run_experiment(cfg)
         assert again.to_csv() == one_point_record.to_csv()
 
     def test_json_summary_round_trip(self, one_point_record):
@@ -202,18 +202,21 @@ class TestExperiments:
             "experiment = fidelity_trace\n[grid]\nwindow_hi = 1.05\n"
             "[run]\nsamples = 30\n"
         ))
-        rec = run_fidelity_trace(cfg)
+        rec = run_experiment(cfg)
         assert rec.columns == ("t_us", "fbar", "fbar_noiseless")
         assert len(rec.rows) == 30
         assert rec.summary["peak_fidelity"] > 0.97
 
-    def test_no_noise_flag_matches_zero_gamma(self):
-        cfg = resolve_config(parse_config_text(
-            "experiment = fidelity_trace\n[run]\nsamples = 12\n"
-        ))
-        rec_flag = run_fidelity_trace(cfg, no_noise=True)
-        fbar, clean = np.array([r[1] for r in rec_flag.rows]), \
-            np.array([r[2] for r in rec_flag.rows])
+    def test_no_noise_flag_matches_zero_gamma(self, tmp_path):
+        cfgfile = tmp_path / "t.cfg"
+        cfgfile.write_text("experiment = fidelity_trace\n[run]\nsamples = 12\n")
+        out = tmp_path / "t.csv"
+        result = CliRunner().invoke(
+            main, ["trace", "--no-noise", "--config", str(cfgfile), "--out", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        fbar, clean = rows[:, 1], rows[:, 2]
         assert np.allclose(fbar, clean)
 
     def test_drive_demo_runs(self):
@@ -221,12 +224,12 @@ class TestExperiments:
             "experiment = drive_demo\n[grid]\nn_durations = 4\n"
             "[noise]\ngamma = 0.0\n"
         ))
-        rec = run_drive_demo(cfg)
+        rec = run_experiment(cfg)
         assert rec.summary["pi_transfer_probability"] > 0.98
         assert len(rec.rows) == 4
 
     def test_circuit_map_record(self):
-        rec = run_circuit_map(default_config("circuit_map"))
+        rec = run_experiment(default_config("circuit_map"))
         assert len(rec.rows) == 1
         row = dict(zip(rec.columns, rec.rows[0]))
         assert row["r23x_mhz"] - row["p23x_mhz"] == pytest.approx(
@@ -395,3 +398,58 @@ class TestCommandLine:
             assert result.exit_code == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("command, kind, body", [
+        ("scan-j2", "scan_j2", "[model]\nrow = 11"),
+        ("scan-j2", "scan_j2", "[model]\nrow = 11\nsource = spin\nj1x = 1"),
+        ("circuit-map", "circuit_map", "[noise]\ngamma = 0.01"),
+        ("search", "search", "[run]\nsamples = 5"),
+        ("drive", "drive_demo", "[run]\nsamples = 5"),
+        ("circuit-map", "circuit_map", "[model]\nsource = spin"),
+    ])
+    def test_key_the_experiment_does_not_read_exits_2(self, tmp_path, command,
+                                                       kind, body):
+        cfgfile = tmp_path / "unread.cfg"
+        cfgfile.write_text(f"experiment = {kind}\n{body}\n")
+        out = tmp_path / "o.csv"
+        result = CliRunner().invoke(
+            main, [command, "--config", str(cfgfile), "--out", str(out)]
+        )
+        assert result.exit_code == 2, result.output
+        assert "configuration error" in result.output
+        assert not out.exists()
+
+    def test_no_noise_flag_is_zero_gamma_in_the_record(self, tmp_path):
+        body = "experiment = fidelity_trace\n[run]\nsamples = 8\n"
+        flagged = tmp_path / "flag.cfg"
+        flagged.write_text(body)
+        zero = tmp_path / "zero.cfg"
+        zero.write_text(body + "[noise]\ngamma = 0.0\n")
+        runner = CliRunner()
+        for args, out in ((["--config", str(flagged), "--no-noise"], "flag.csv"),
+                          (["--config", str(zero)], "zero.csv")):
+            result = runner.invoke(main, ["trace", *args, "--out", str(tmp_path / out)])
+            assert result.exit_code == 0, result.output
+        payload = json.loads((tmp_path / "flag.json").read_text())
+        embedded = resolve_config(parse_config_text(payload["config"]))
+        assert embedded["noise"]["gamma"] == 0.0
+        assert (tmp_path / "flag.csv").read_bytes() == (tmp_path / "zero.csv").read_bytes()
+
+
+def _readme_config_block() -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split("### Configuration format", 1)[1].split("```")[1]
+
+
+def _docstring_config_block() -> str:
+    doc = swapgate.cli.__doc__
+    return textwrap.dedent(doc.split("nesting:\n\n", 1)[1].split("\n\n")[0])
+
+
+@pytest.mark.parametrize("block", [_readme_config_block, _docstring_config_block],
+                         ids=["readme", "cli_docstring"])
+def test_documented_config_example_resolves(block):
+    text = block()
+    assert text.count("=") >= 8
+    cfg = resolve_config(parse_config_text(text))
+    assert cfg["run"]["out"].endswith("#1.csv")

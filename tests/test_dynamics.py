@@ -241,11 +241,6 @@ class TestNoiseModel:
         ).collapse_operators((2, 2))
         assert len(ops) == 2
 
-    def test_per_channel_rates(self):
-        nm = NoiseModel(gamma=0.01, gamma_photon_loss=0.03)
-        assert nm.rate("dephasing") == 0.01
-        assert nm.rate("photon_loss") == 0.03
-
     def test_invalid(self):
         with pytest.raises(ValueError):
             NoiseModel(gamma=-1.0)
