@@ -5,7 +5,10 @@ parallel with an inductor joins each end qubit to its neighboring control
 qubit, and a junction in parallel with a capacitor joins the two controls.
 Quantizing, expanding the potential to quartic order, and truncating gives
 the spin frequencies, the XX/YY/ZZ couplings, the anharmonicities, and the
-three-level coefficients of the control sites.
+three-level coefficients of the control sites.  Spatial symmetry leaves two
+distinct sites (end and control), which ``circuit_to_spin`` maps with floats
+through the closed-form inverse of the gate capacitance matrix, under the
+singularity thresholds of the general-chain ``inverse_capacitance``.
 
 Unit bridge: Josephson energies are entered in 2pi*GHz, capacitances in fF,
 inductances in nH.  Capacitive and inductive energies are converted to
@@ -23,6 +26,7 @@ tabulated capacitances do not give (acceptance criterion 1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -79,7 +83,8 @@ class SpinMapResult:
     """Spin-model parameters produced by the circuit mapping.
 
     Frequencies in 2pi*GHz; couplings, detuning and three-level coefficients
-    in 2pi*MHz; anharmonicities relative (dimensionless).
+    in 2pi*MHz; anharmonicities relative (dimensionless); the condition
+    number is that of the gate capacitance matrix.
     """
 
     omega1: float
@@ -98,6 +103,7 @@ class SpinMapResult:
     p23x: float
     t_coeffs: tuple[float, ...]
     s_coeffs: tuple[float, ...]
+    condition_number: float
 
     def spin_params(self) -> SpinModelParams:
         return symmetric_chain(self.j1x, self.j1z, self.j2x, self.j2z, self.delta)
@@ -139,19 +145,22 @@ def inverse_capacitance(k: np.ndarray) -> tuple[np.ndarray, float]:
     1e12.
     """
     k = np.asarray(k, dtype=float)
-    row_norms = np.linalg.norm(k, axis=1)
-    scale = float(np.prod(row_norms)) or 1.0
-    det = float(np.linalg.det(k))
-    if abs(det) / scale < 1e-12:
-        raise SingularCapacitanceError(
-            f"capacitance matrix is singular (normalized det {det / scale:.2e})"
-        )
+    scale = float(np.prod(np.linalg.norm(k, axis=1))) or 1.0
     cond = float(np.linalg.cond(k))
+    _check_capacitance(float(np.linalg.det(k)) / scale, cond)
+    return np.linalg.inv(k), cond
+
+
+def _check_capacitance(det: float, cond: float) -> None:
+    """Raise on a normalized determinant below 1e-12 or a condition above 1e12."""
+    if abs(det) < 1e-12:
+        raise SingularCapacitanceError(
+            f"capacitance matrix is singular (normalized det {det:.2e})"
+        )
     if cond > 1e12:
         raise SingularCapacitanceError(
             f"capacitance matrix is ill-conditioned (cond {cond:.2e})"
         )
-    return np.linalg.inv(k), cond
 
 
 def gate_capacitance_matrix(params: CircuitParams) -> np.ndarray:
@@ -163,64 +172,71 @@ def gate_capacitance_matrix(params: CircuitParams) -> np.ndarray:
 
 
 def circuit_to_spin(params: CircuitParams) -> SpinMapResult:
-    """Map lumped-circuit values to spin-model parameters."""
-    k = gate_capacitance_matrix(params)
-    kinv, _ = inverse_capacitance(k)
-    e_c = CAP_ENERGY_SCALE * np.diagonal(kinv)  # 2pi*GHz per site
+    """Map lumped-circuit values to spin-model parameters.
 
-    e1, e2, e12, e23 = params.e1, params.e2, params.e12, params.e23
-    e_j = np.array([e1 + e12, e2 + e12 + e23, e2 + e12 + e23, e1 + e12])
+    The two distinct sites, end (a) and control (b), are mapped with floats
+    through the closed form of K = ``gate_capacitance_matrix``: with
+    d = c2 (c2 + 2 c23), K^-1 is 1/c1 on the ends, (c2+c23)/d on the controls
+    and +c23/d between them; K has eigenvalues c1, c1, c2, c2 + 2 c23 and
+    determinant c1^2 d, against a row-norm product c1^2 ((c2+c23)^2 + c23^2).
+    The singularity thresholds are those of ``inverse_capacitance``.
+    """
+    c1, c2, c23 = params.c1, params.c2, params.c23
+    d = c2 * (c2 + 2.0 * c23)
+    eig = (c1, c2, c2 + 2.0 * c23)
+    cond = max(eig) / min(eig)
+    _check_capacitance(d / ((c2 + c23) ** 2 + c23**2), cond)  # c1^2 cancels
+    e_ca = CAP_ENERGY_SCALE * (1.0 / c1)  # 2pi*GHz per site
+    e_cb = CAP_ENERGY_SCALE * ((c2 + c23) / d)
+
+    e12, e23 = params.e12, params.e23
+    e_ja = params.e1 + e12
+    e_jb = params.e2 + e12 + e23
     e_lb = IND_ENERGY_SCALE * TWO_PI**2 / params.l12  # both inductive bonds identical
-    e_l = np.array([e_lb, e_lb, e_lb, e_lb])
 
-    radicand = 2.0 * e_c / (e_j + e_l)
-    if np.any(radicand <= 0):
+    ra = 2.0 * e_ca / (e_ja + e_lb)
+    rb = 2.0 * e_cb / (e_jb + e_lb)
+    if ra <= 0 or rb <= 0:
         raise MappingError("nonpositive quartic-root argument in mode scale")
-    t = radicand**0.25
-    s = 4.0 * np.sqrt(0.5 * e_c * (e_j + e_l))
+    ta, tb = ra**0.25, rb**0.25
+    sa = 4.0 * math.sqrt(0.5 * e_ca * (e_ja + e_lb))
+    sb = 4.0 * math.sqrt(0.5 * e_cb * (e_jb + e_lb))
 
-    bond_e = [0.0, e12, e23, e12, 0.0]  # Josephson energy of bond (i-1, i)
-    omega = np.empty(4)
-    for i in range(4):
-        left = bond_e[i] * (t[i - 1] ** 2 if i > 0 else 0.0) * t[i] ** 2
-        right = bond_e[i + 1] * t[i] ** 2 * (t[i + 1] ** 2 if i < 3 else 0.0)
-        omega[i] = s[i] - 0.5 * e_j[i] * t[i] ** 4 - left - right
+    bond_12 = e12 * ta**2 * tb**2  # Josephson energy of bond (a, b)
+    omega_a = sa - 0.5 * e_ja * ta**4 - bond_12
+    omega_b = sb - 0.5 * e_jb * tb**4 - bond_12 - e23 * tb**2 * tb**2
 
-    j1x_tilde = -0.5 * (e12 + e_lb) * t[0] * t[1] + 0.25 * e12 * (
-        t[0] ** 3 * t[1] + t[0] * t[1] ** 3
-    )
-    j2x_tilde = -0.5 * e23 * t[1] * t[2] + 0.25 * e23 * (
-        t[1] ** 3 * t[2] + t[1] * t[2] ** 3
-    )
-    j2y = -CAP_ENERGY_SCALE * kinv[1, 2] / (t[1] * t[2])
-    j1z = -0.25 * e12 * (t[0] * t[1]) ** 2
-    j2z = -0.25 * e23 * (t[1] * t[2]) ** 2
+    j1x_tilde = -0.5 * (e12 + e_lb) * ta * tb + 0.25 * e12 * (ta**3 * tb + ta * tb**3)
+    j2x_tilde = -0.5 * e23 * tb * tb + 0.25 * e23 * (tb**3 * tb + tb * tb**3)
+    j2y = -CAP_ENERGY_SCALE * (c23 / d) / (tb * tb)
+    j1z = -0.25 * e12 * (ta * tb) ** 2
+    j2z = -0.25 * e23 * (tb * tb) ** 2
     j2x = j2x_tilde + j2y
 
-    anh = -0.5 * e_j * t**4
-    k23x = -e23 * t[1] * t[2] + e23 * t[1] ** 3 * t[2] / 6.0
-    m23x = e23 * t[1] * t[2] ** 3 / 6.0
+    k23x = -e23 * tb * tb + e23 * tb**3 * tb / 6.0
+    m23x = e23 * tb * tb**3 / 6.0
 
     ghz_to_mhz = 1000.0
     r23x = j2y + k23x + 4.0 * m23x
     p23x = j2y + k23x + 2.0 * m23x
     return SpinMapResult(
-        omega1=float(omega[0]),
-        omega2=float(omega[1]),
-        j1x=float(j1x_tilde * ghz_to_mhz),
-        j1z=float(j1z * ghz_to_mhz),
-        j2x=float(j2x * ghz_to_mhz),
-        j2y=float(j2y * ghz_to_mhz),
-        j2z=float(j2z * ghz_to_mhz),
-        delta=float((omega[1] - omega[0]) * ghz_to_mhz),
-        anh_rel_1=float(anh[0] / omega[0]),
-        anh_rel_2=float(anh[1] / omega[1]),
-        k23x=float(k23x * ghz_to_mhz),
-        m23x=float(m23x * ghz_to_mhz),
-        r23x=float(r23x * ghz_to_mhz),
-        p23x=float(p23x * ghz_to_mhz),
-        t_coeffs=tuple(float(x) for x in t),
-        s_coeffs=tuple(float(x) for x in s),
+        omega1=omega_a,
+        omega2=omega_b,
+        j1x=j1x_tilde * ghz_to_mhz,
+        j1z=j1z * ghz_to_mhz,
+        j2x=j2x * ghz_to_mhz,
+        j2y=j2y * ghz_to_mhz,
+        j2z=j2z * ghz_to_mhz,
+        delta=(omega_b - omega_a) * ghz_to_mhz,
+        anh_rel_1=-0.5 * e_ja * ta**4 / omega_a,
+        anh_rel_2=-0.5 * e_jb * tb**4 / omega_b,
+        k23x=k23x * ghz_to_mhz,
+        m23x=m23x * ghz_to_mhz,
+        r23x=r23x * ghz_to_mhz,
+        p23x=p23x * ghz_to_mhz,
+        t_coeffs=(ta, tb, tb, ta),
+        s_coeffs=(sa, sb, sb, sa),
+        condition_number=cond,
     )
 
 
@@ -231,17 +247,13 @@ def drive_amplitude(
 
     A = -8 * a_tilde * omega * ((K^-1)_22 + (K^-1)_32) / T_2, with the
     matrix entries in energy units (times ``CAP_ENERGY_SCALE``); same
-    frequency unit as ``omega_drive``.
+    frequency unit as ``omega_drive``.  In closed form the entry sum is
+    (c2 + 2 c23) / d = 1 / c2.
     """
     if omega_drive <= 0:
         raise MappingError("drive frequency must be positive")
-    res = circuit_to_spin(params)
-    kinv, _ = inverse_capacitance(gate_capacitance_matrix(params))
-    t2 = res.t_coeffs[1]
-    if t2 == 0:
-        raise MappingError("vanishing mode scale on the control site")
-    ksum = CAP_ENERGY_SCALE * (kinv[1, 1] + kinv[2, 1])
-    return -8.0 * a_tilde * omega_drive * ksum / t2
+    t2 = circuit_to_spin(params).t_coeffs[1]  # positive: its radicand is checked
+    return -8.0 * a_tilde * omega_drive * (CAP_ENERGY_SCALE / params.c2) / t2
 
 
 # ---------------------------------------------------------------------------

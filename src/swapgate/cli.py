@@ -780,9 +780,8 @@ def _circuit_map(config: ExperimentConfig) -> Table:
         res.delta, res.anh_rel_1, res.anh_rel_2, res.k23x, res.m23x,
         res.r23x, res.p23x,
     )
-    _, cond = cmap.inverse_capacitance(cmap.gate_capacitance_matrix(circuit))
     summary = {
-        "condition_number": cond,
+        "condition_number": res.condition_number,
         "t_coeffs": list(res.t_coeffs),
         "s_coeffs_ghz": list(res.s_coeffs),
     }
@@ -873,14 +872,18 @@ def main() -> None:
 
 
 def _register(name: str, kind: str) -> None:
+    no_noise_option = click.option(
+        "--no-noise", is_flag=True, default=False,
+        help="Disable decoherence noise for this run ([noise] gamma = 0).",
+    ) if "noise" in SCHEMAS[kind] else (lambda f: f)
+
     @main.command(name=name, help=f"Run the {kind} experiment.")
     @click.option("--config", "config_path", type=click.Path(exists=True),
                   default=None, help="Configuration file.")
     @click.option("--out", "out_path", default=None, help="Output CSV path.")
     @click.option("--seed", type=int, default=None, help="Override the seed.")
-    @click.option("--no-noise", is_flag=True, default=False,
-                  help="Disable decoherence noise for this run ([noise] gamma = 0).")
-    def command(config_path, out_path, seed, no_noise, _kind=kind):
+    @no_noise_option
+    def command(config_path, out_path, seed, no_noise=False, _kind=kind):
         try:
             cfg = load_config(config_path) if config_path else default_config(_kind)
             if cfg.kind != _kind:
@@ -890,7 +893,7 @@ def _register(name: str, kind: str) -> None:
             sections = {k: dict(v) for k, v in cfg.sections.items()}
             if seed is not None:
                 sections["run"]["seed"] = seed
-            if no_noise and "noise" in sections:
+            if no_noise:
                 sections["noise"]["gamma"] = 0.0
             cfg = ExperimentConfig(kind=cfg.kind, sections=sections)
             record = run_experiment(cfg)

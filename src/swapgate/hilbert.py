@@ -114,9 +114,6 @@ class OperatorMatrix:
     def is_hermitian(self, tol: float = DEFAULT_TOL) -> bool:
         return bool(np.max(np.abs(self.entries - self.entries.conj().T)) <= tol)
 
-    def dagger(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.dims, self.entries.conj().T)
-
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
 
@@ -179,11 +176,6 @@ class DensityMatrix:
         v = np.asarray(vec, dtype=complex)
         v = v / np.linalg.norm(v)
         return cls(OperatorMatrix(_as_site_dims(dims), np.outer(v, v.conj())))
-
-
-def identity(dims: SiteDims | Sequence[int]) -> OperatorMatrix:
-    dims = _as_site_dims(dims)
-    return OperatorMatrix(dims, np.eye(dims.total_dim, dtype=complex))
 
 
 def embed_operators(

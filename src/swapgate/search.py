@@ -117,7 +117,7 @@ def evaluate_cost(
     """Cost at a parameter vector; infeasible points get a large finite cost."""
     penalty = 0.0
     vals = {}
-    for name, v in zip(CIRCUIT_NAMES, x):
+    for name, v in zip(CIRCUIT_NAMES, x.tolist()):
         lo, hi = bounds[name]
         if v < lo:
             penalty += ((lo - v) / max(hi - lo, 1e-9)) ** 2
@@ -125,7 +125,7 @@ def evaluate_cost(
         elif v > hi:
             penalty += ((v - hi) / max(hi - lo, 1e-9)) ** 2
             v = hi
-        vals[name] = float(v)
+        vals[name] = v
     try:
         spin = circuit_to_spin(CircuitParams(**vals))
     except (MappingError, SingularCapacitanceError):

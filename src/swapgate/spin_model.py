@@ -33,9 +33,6 @@ from .hilbert import (
 
 TWO_PI = 2.0 * np.pi
 
-#: default threshold for the weak target-control coupling check, |J2/J1| >= 5
-COUPLING_RATIO_THRESHOLD = 5.0
-
 
 class ModelError(ValueError):
     """Invalid chain parameters."""
@@ -93,28 +90,23 @@ class SpinModelParams:
     def j2z(self) -> float:
         return self.jz[1]
 
-    def is_spatially_symmetric(self, tol: float = 1e-9) -> bool:
-        n = self.n_sites
-        ok = all(
-            abs(self.omega[j] - self.omega[n - 1 - j]) <= tol for j in range(n)
-        )
-        ok = ok and all(
-            abs(self.jx[j] - self.jx[n - 2 - j]) <= tol
-            and abs(self.jz[j] - self.jz[n - 2 - j]) <= tol
-            for j in range(n - 1)
-        )
-        return ok
-
     def gate_mode_violations(
         self,
-        ratio_threshold: float = COUPLING_RATIO_THRESHOLD,
+        ratio_threshold: float = 5.0,  # weak target-control coupling, |J2/J1|
         j1_equality_rtol: float = 1e-2,
     ) -> list[str]:
         """Soft validity checks for use as a conditional swap gate."""
         out = []
-        if self.n_sites not in (4, 5):
-            out.append(f"gate mode needs 4 or 5 sites, have {self.n_sites}")
-        if not self.is_spatially_symmetric():
+        n = self.n_sites
+        if n not in (4, 5):
+            out.append(f"gate mode needs 4 or 5 sites, have {n}")
+        if not all(
+            abs(self.omega[j] - self.omega[n - 1 - j]) <= 1e-9 for j in range(n)
+        ) or not all(
+            abs(self.jx[j] - self.jx[n - 2 - j]) <= 1e-9
+            and abs(self.jz[j] - self.jz[n - 2 - j]) <= 1e-9
+            for j in range(n - 1)
+        ):
             out.append("chain is not spatially symmetric")
         if abs(self.j1x) > 0 and abs(self.j2x / self.j1x) < ratio_threshold:
             out.append(

@@ -1,13 +1,19 @@
 """Tests for capacitance matrices and the circuit-to-spin mapping."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from swapgate.circuit_map import (
+    CAP_ENERGY_SCALE,
+    CIRCUIT_NAMES,
+    IND_ENERGY_SCALE,
     TABLE_S1,
     CircuitParams,
     MappingError,
     SingularCapacitanceError,
+    SpinMapResult,
     capacitance_matrix,
     circuit_to_spin,
     drive_amplitude,
@@ -19,6 +25,8 @@ from swapgate.circuit_map import (
     table_row,
     table_spin_params,
 )
+from swapgate.search import DEFAULT_BOUNDS
+from swapgate.spin_model import TWO_PI
 
 
 def row6():
@@ -134,6 +142,122 @@ class TestCapacitanceMatrix:
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(MappingError):
             capacitance_matrix([1.0, 1.0], [1.0, 1.0])
+
+
+def matrix_map(params: CircuitParams) -> dict[str, object]:
+    """Per-site mapping on the 4x4 matrix inverse, as before the closed form.
+
+    Every site is mapped from length-4 arrays and the ``np.linalg.inv`` of
+    ``gate_capacitance_matrix`` that ``inverse_capacitance`` returns after
+    its singularity checks.
+    """
+    kinv, cond = inverse_capacitance(gate_capacitance_matrix(params))
+    e_c = CAP_ENERGY_SCALE * np.diagonal(kinv)
+    e1, e2, e12, e23 = params.e1, params.e2, params.e12, params.e23
+    e_j = np.array([e1 + e12, e2 + e12 + e23, e2 + e12 + e23, e1 + e12])
+    e_lb = IND_ENERGY_SCALE * TWO_PI**2 / params.l12
+    e_l = np.full(4, e_lb)
+    radicand = 2.0 * e_c / (e_j + e_l)
+    if np.any(radicand <= 0):
+        raise MappingError("nonpositive quartic-root argument in mode scale")
+    t = radicand**0.25
+    s = 4.0 * np.sqrt(0.5 * e_c * (e_j + e_l))
+    bond_e = [0.0, e12, e23, e12, 0.0]  # Josephson energy of bond (i-1, i)
+    omega = np.empty(4)
+    for i in range(4):
+        left = bond_e[i] * (t[i - 1] ** 2 if i > 0 else 0.0) * t[i] ** 2
+        right = bond_e[i + 1] * t[i] ** 2 * (t[i + 1] ** 2 if i < 3 else 0.0)
+        omega[i] = s[i] - 0.5 * e_j[i] * t[i] ** 4 - left - right
+    j1x = -0.5 * (e12 + e_lb) * t[0] * t[1] + 0.25 * e12 * (
+        t[0] ** 3 * t[1] + t[0] * t[1] ** 3
+    )
+    j2y = -CAP_ENERGY_SCALE * kinv[1, 2] / (t[1] * t[2])
+    j2x = -0.5 * e23 * t[1] * t[2] + 0.25 * e23 * (
+        t[1] ** 3 * t[2] + t[1] * t[2] ** 3
+    ) + j2y
+    anh = -0.5 * e_j * t**4
+    k23x = -e23 * t[1] * t[2] + e23 * t[1] ** 3 * t[2] / 6.0
+    m23x = e23 * t[1] * t[2] ** 3 / 6.0
+    mhz = 1000.0
+    return {
+        "omega1": omega[0],
+        "omega2": omega[1],
+        "j1x": j1x * mhz,
+        "j1z": -0.25 * e12 * (t[0] * t[1]) ** 2 * mhz,
+        "j2x": j2x * mhz,
+        "j2y": j2y * mhz,
+        "j2z": -0.25 * e23 * (t[1] * t[2]) ** 2 * mhz,
+        "delta": (omega[1] - omega[0]) * mhz,
+        "anh_rel_1": anh[0] / omega[0],
+        "anh_rel_2": anh[1] / omega[1],
+        "k23x": k23x * mhz,
+        "m23x": m23x * mhz,
+        "r23x": (j2y + k23x + 4.0 * m23x) * mhz,
+        "p23x": (j2y + k23x + 2.0 * m23x) * mhz,
+        "t_coeffs": tuple(t),
+        "s_coeffs": tuple(s),
+        "condition_number": cond,
+    }
+
+
+def assert_maps_agree(params: CircuitParams) -> None:
+    got = circuit_to_spin(params)
+    want = matrix_map(params)
+    assert {f.name for f in fields(SpinMapResult)} == set(want)
+    for name, value in want.items():
+        assert np.allclose(getattr(got, name), value, rtol=1e-12, atol=0.0), (
+            name, getattr(got, name), value, params)
+
+
+def random_circuits(seed, n, widen=1.0):
+    """Uniform draws over DEFAULT_BOUNDS, or log-uniform over a box widened
+    by ``widen`` on both sides."""
+    rng = np.random.default_rng(seed)
+    lo = np.array([DEFAULT_BOUNDS[name][0] for name in CIRCUIT_NAMES]) / widen
+    hi = np.array([DEFAULT_BOUNDS[name][1] for name in CIRCUIT_NAMES]) * widen
+    if widen == 1.0:
+        draws = lo + (hi - lo) * rng.random((n, len(CIRCUIT_NAMES)))
+    else:
+        draws = np.exp(np.log(lo) + np.log(hi / lo) * rng.random((n, len(CIRCUIT_NAMES))))
+    return [CircuitParams(*row) for row in draws.tolist()]
+
+
+class TestClosedFormOracle:
+    """The two-site closed form against the 4x4 matrix-inverse mapping."""
+
+    @pytest.mark.parametrize("row", sorted(TABLE_S1))
+    def test_table_rows(self, row):
+        assert_maps_agree(table_circuit_params(row))
+
+    def test_random_points_in_search_bounds(self):
+        for params in random_circuits(seed=11, n=256):
+            assert_maps_agree(params)
+
+    def test_random_points_outside_search_bounds(self):
+        # The matrix path's inverse loses about eps * c23 / c2 (the middle
+        # block's condition), so the box is widened only as far as that
+        # stays well inside the tolerance; the closed form keeps a few ulps.
+        circuits = random_circuits(seed=12, n=128, widen=5.0)
+        outside = [
+            p for p in circuits
+            if any(not lo <= getattr(p, name) <= hi
+                   for name, (lo, hi) in DEFAULT_BOUNDS.items())
+        ]
+        assert len(outside) > 100
+        for params in outside:
+            assert_maps_agree(params)
+
+    @pytest.mark.parametrize("c1, c2, c23, message", [
+        (500.0, 1e-11, 1000.0, "singular"),  # c2 << c23: normalized det ~ c2/c23
+        (1e15, 1.0, 1.0, "ill-conditioned"),  # eigenvalues 1e15 and 1
+    ])
+    def test_singular_capacitance_raises_on_both_paths(self, c1, c2, c23, message):
+        params = CircuitParams(e1=300.0, e2=300.0, e12=200.0, e23=200.0,
+                               c1=c1, c2=c2, c23=c23, l12=50.0)
+        with pytest.raises(SingularCapacitanceError, match=message):
+            matrix_map(params)
+        with pytest.raises(SingularCapacitanceError, match=message):
+            circuit_to_spin(params)
 
 
 class TestTableData:

@@ -435,6 +435,20 @@ class TestCommandLine:
         assert embedded["noise"]["gamma"] == 0.0
         assert (tmp_path / "flag.csv").read_bytes() == (tmp_path / "zero.csv").read_bytes()
 
+    @pytest.mark.parametrize("command", ["circuit-map", "search"])
+    def test_no_noise_flag_rejected_without_noise_section(self, tmp_path, command):
+        out = tmp_path / "o.csv"
+        result = CliRunner().invoke(main, [command, "--no-noise", "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "--no-noise" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, kind", sorted(swapgate.cli._SUBCOMMANDS.items()))
+    def test_no_noise_flag_offered_exactly_with_noise_section(self, command, kind):
+        result = CliRunner().invoke(main, [command, "--help"])
+        assert result.exit_code == 0
+        assert ("--no-noise" in result.output) == ("noise" in SCHEMAS[kind])
+
 
 def _readme_config_block() -> str:
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from swapgate.circuit_map import CircuitParams, circuit_to_spin, table_spin_params
+from swapgate.cli import default_config, run_experiment
 from swapgate.search import (
     DEFAULT_BOUNDS,
     CostSpec,
@@ -73,6 +74,19 @@ class TestSearch:
                     for n in DEFAULT_BOUNDS
                 )
                 assert rel > 0.01
+
+    def test_default_experiment_regression_pin(self):
+        """The default ``search`` experiment's best cost and result count.
+
+        Nelder-Mead on this flat landscape amplifies one-ulp changes in the
+        cost path, so an edit that changes the descent shows up here.
+        """
+        cfg = default_config("search")
+        assert (cfg["grid"]["n_restarts"], cfg["grid"]["max_evaluations"],
+                cfg["run"]["seed"], cfg["model"]["branch"]) == (8, 400, 0, "plus")
+        summary = run_experiment(cfg).summary
+        assert summary["best_cost"] == pytest.approx(0.9633969687757836, rel=1e-9)
+        assert summary["n_results"] == 8
 
     def test_degenerate_infeasible_bounds_empty(self):
         point = {k: (v[0], v[0]) for k, v in DEFAULT_BOUNDS.items()}

@@ -105,6 +105,11 @@ class TestConstruction:
         assert any("J2x/J1x" in v for v in p.gate_mode_violations())
         good = row6_params()
         assert good.gate_mode_violations() == []
+        for field, value in (("omega", good.omega[:3] + (5.0,)),
+                             ("jx", good.jx[:2] + (good.jx[2] + 1.0,)),
+                             ("jz", (good.jz[0] - 1.0,) + good.jz[1:])):
+            mirrored_off = replace(good, **{field: value})
+            assert "chain is not spatially symmetric" in mirrored_off.gate_mode_violations()
 
 
 class TestClosedFormSpectrum:
