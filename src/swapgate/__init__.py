@@ -40,7 +40,6 @@ from .dynamics import (
     Propagation,
     PropagationError,
     propagate,
-    propagate_superoperator,
 )
 from .metrics import (
     FidelityTrace,
@@ -116,7 +115,6 @@ __all__ = [
     "pauli_basis_2q",
     "perfect_transfer_conditions",
     "propagate",
-    "propagate_superoperator",
     "rabi_prepare",
     "search",
     "superposition_phase",

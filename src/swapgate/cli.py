@@ -43,6 +43,7 @@ import math
 import re
 import time
 from dataclasses import astuple, dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable
 
@@ -66,6 +67,7 @@ from .spin_model import (
     SpinModelParams,
     add_crosstalk,
     analytic_gate_time,
+    build_interaction_hamiltonian,
     build_n5_model,
     closed_config_for_branch,
     delta_for_branch,
@@ -614,16 +616,17 @@ def _scan_point(
     window = default_open_window(params, n=n_samples)
     open_cfg = GateConfig(delta_branch=branch, control_state="open_0")
     closed_cfg = closed_config_for_branch(branch)
-    trace_clean = average_fidelity(params, open_cfg, None, window)
+    trace = partial(average_fidelity, params, times=window,
+                    hamiltonian=build_interaction_hamiltonian(params))
+    trace_clean = trace(open_cfg, None)
     t_num = trace_clean.peak_time
     fbar_open = trace_clean.peak_value
-    fbar_closed = _trace_at(average_fidelity(params, closed_cfg, None, window), t_num)
+    fbar_closed = _trace_at(trace(closed_cfg, None), t_num)
     if noise is None:
         open_noisy, closed_noisy = fbar_open, fbar_closed
     else:
-        open_noisy = _trace_at(average_fidelity(params, open_cfg, noise, window), t_num)
-        closed_noisy = _trace_at(average_fidelity(params, closed_cfg, noise, window),
-                                 t_num)
+        open_noisy = _trace_at(trace(open_cfg, noise), t_num)
+        closed_noisy = _trace_at(trace(closed_cfg, noise), t_num)
     return (analytic_gate_time(params), t_num, fbar_open, open_noisy, fbar_closed,
             closed_noisy, float(trace_clean.peak_on_boundary))
 

@@ -10,11 +10,18 @@ the interaction picture, the qutrit-control chain in the frame rotating at
 the sideband gap times the number of control |2> levels
 (``spin_model.build_qutrit_hamiltonian``), and the driven register in the
 frame rotating at the drive detuning times the total excitation number
-(``drive.rabi_prepare``).  The input selects one of two branches:
+(``drive.rabi_prepare``).  Only the levels the stack reaches are propagated:
+the closure of the rows and columns it occupies under the nonzero patterns
+of Heff and of the jump operators, which every generator term maps into
+itself.  The input then selects one of two branches:
 
-* With collapse operators the row-major Liouvillian ``L`` is exponentiated
-  once for the first sample time and once for the grid spacing (once per
-  interval on a non-uniform grid), and the stack advances by matrix products.
+* With collapse operators the row-major Liouvillian ``L`` on those levels
+  splits into the weakly connected components of its nonzero pattern (for
+  an excitation-conserving chain whose loss only lowers excitation, the
+  blocks of fixed coherence order N_row - N_col).  Each component the stack
+  touches is exponentiated once for the first sample time and once for the
+  grid spacing (once per interval on a non-uniform grid), and the stack
+  advances by matrix products.
 * Without them (a noiseless run) the generator is ``X -> Heff X + X Heff+``,
   so each operator evolves by conjugation, ``X -> U X U+`` with
   ``U = expm(Heff dt)``: one D x D exponential instead of the D^2 x D^2 one.
@@ -154,12 +161,6 @@ class _LindbladGenerator:
             out += g * (tmp.reshape(-1, self.dim) @ l_op.conj().T).reshape(r.shape)
         return out.ravel()
 
-    def is_finite(self) -> bool:
-        parts = [self.heff] + [g * op for g, op in self.jumps]
-        if self.mask is not None:
-            parts.append(self.mask)
-        return all(np.isfinite(p).all() for p in parts)
-
     def liouvillian(self) -> np.ndarray:
         """Matrix of the generator on row-major vectorized operators.
 
@@ -175,15 +176,12 @@ class _LindbladGenerator:
             lv += g * np.kron(op, op.conj())
         return lv
 
-
-def _integrate_stack(prop: Propagation, stack: np.ndarray) -> np.ndarray:
-    """Evolve a (n, D, D) stack; returns (n_times, n, D, D)."""
-    collapse = (
-        prop.noise.collapse_operators(prop.dims) if prop.noise is not None else []
-    )
-    return evolve_stack_raw(
-        prop.hamiltonian.entries, collapse, stack, prop.sample_times
-    )
+    def restrict(self, keep: np.ndarray) -> None:
+        """Drop every level outside ``keep``, a set the generator maps into itself."""
+        sub = np.ix_(keep, keep)
+        self.dim, self.heff = keep.size, self.heff[sub]
+        self.mask = None if self.mask is None else self.mask[sub]
+        self.jumps = [(g, op[sub]) for g, op in self.jumps]
 
 
 def propagate(
@@ -201,7 +199,9 @@ def propagate(
         raise HilbertError("state dimensions do not match the Hamiltonian")
     if is_state:
         rho0.validate()
-    out = _integrate_stack(prop, rho0.entries[None, :, :])
+    collapse = prop.noise.collapse_operators(prop.dims) if prop.noise else []
+    out = evolve_stack_raw(prop.hamiltonian.entries, collapse,
+                           rho0.entries[None, :, :], prop.sample_times)
     results: list = []
     for k in range(out.shape[0]):
         m = out[k, 0]
@@ -223,63 +223,92 @@ def propagate(
     return results
 
 
-def propagate_superoperator(
-    prop: Propagation, basis: Sequence[OperatorMatrix]
-) -> list[list[OperatorMatrix]]:
-    """Evolve a family of operators under the same linear generator.
-
-    All basis elements are integrated together as one stacked system, which
-    keeps the quantum map construction over an operator basis cheap.  Returns
-    one list of evolved operators per sample time.
-    """
-    if not basis:
-        raise ValueError("basis must be nonempty")
-    dims0 = basis[0].dims.dims
-    if any(b.dims.dims != dims0 for b in basis):
-        raise HilbertError("all basis elements must share site dimensions")
-    if dims0 != prop.dims.dims:
-        raise HilbertError("basis dimensions do not match the Hamiltonian")
-    stack = np.stack([b.entries for b in basis])
-    out = _integrate_stack(prop, stack)
-    return [
-        [OperatorMatrix(prop.dims, out[k, j]) for j in range(len(basis))]
-        for k in range(out.shape[0])
-    ]
-
-
 def evolve_stack_raw(
     hamiltonian: np.ndarray,
     collapse: Sequence[tuple[float, np.ndarray]],
     stack: np.ndarray,
     sample_times: Sequence[float],
+    functionals: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Low-level stacked evolution on raw arrays (used by the metrics layer).
+    """Stacked evolution on raw arrays from t = 0: the one propagation engine.
 
-    ``collapse`` carries explicit (rate, operator) pairs, which permits
-    evolving in a restricted excitation sector where embedded operators have
-    already been projected.  With jump terms the Liouvillian is exponentiated;
-    without them each operator is conjugated by ``expm(Heff dt)``.  Evolution
-    starts at t = 0.  Returns an array of shape (n_times, n_stack, D, D); a
-    non-finite generator or result raises ``PropagationError``.
+    ``collapse`` carries explicit (rate, operator) pairs.  Only the reachable
+    levels, and with jump terms only the Liouvillian components the stack
+    touches, are propagated (module docstring).  Returns the evolved stack,
+    shape (n_times, n_stack, D, D), exactly zero outside those; or, given
+    ``functionals`` W of the stack's shape, the (n_times,) sums
+    ``sum_j Tr(W_j X_j(t))``, contracted piece by piece without forming the
+    full-space stack.  A non-finite generator or result raises
+    ``PropagationError``.
     """
     times = np.asarray(sample_times, dtype=float)
     if times.size == 0:
         raise ValueError("no sample times requested")
     if times[0] < 0.0 or np.any(np.diff(times) <= 0.0):
         raise ValueError("sample times must be nonnegative and strictly increasing")
-    gen = _LindbladGenerator(hamiltonian, collapse, stack.shape[0])
-    if not (gen.is_finite() and np.isfinite(stack).all()):
+    if not (np.isfinite(hamiltonian).all() and np.isfinite(stack).all()
+            and all(np.isfinite(g * op).all() for g, op in collapse)):
         raise PropagationError("generator or initial operators are not finite")
     n, d = stack.shape[0], stack.shape[1]
+    gen = _LindbladGenerator(hamiltonian, collapse, n)
+    keep = _reachable_levels(gen, stack)
+    gen.restrict(keep)
+    x = stack[:, keep[:, None], keep[None, :]].astype(complex)
+    full_index = (keep[:, None] * d + keep[None, :]).ravel()  # into vec(D x D)
     if gen.mask is None and not gen.jumps:  # X -> Heff X + X Heff+
-        out = _evolve(gen.heff, stack.astype(complex), times,
-                      lambda u, x: u @ x @ u.conj().T)
+        out = _evolve(gen.heff, x, times, lambda u, x: u @ x @ u.conj().T)
+        pieces = [(full_index, out.reshape(times.size, n, -1))]
     else:
-        out = _evolve(gen.liouvillian(), stack.reshape(n, d * d).astype(complex),
-                      times, lambda p, rows: rows @ p.T)
-    if not np.isfinite(out).all():
+        lv, rows = gen.liouvillian(), x.reshape(n, -1)
+        pieces = [(full_index[b], _evolve(lv[np.ix_(b, b)], rows[:, b], times,
+                                          lambda p, rows: rows @ p.T))
+                  for b in _touched_components(lv, rows)]
+    if functionals is None:
+        result = np.zeros((times.size, n, d * d), dtype=complex)
+        for index, piece in pieces:
+            result[:, :, index] = piece
+        result = result.reshape(times.size, n, d, d)
+    else:
+        w = functionals.reshape(n, d * d)  # Tr(W X) pairs X[a, b] with W[b, a]
+        result = sum((np.einsum("tje,je->t", piece, w[:, index % d * d + index // d])
+                      for index, piece in pieces), np.zeros(times.size, complex))
+    if not np.isfinite(result).all():
         raise PropagationError("propagation produced non-finite entries")
-    return out.reshape(times.size, n, d, d)
+    return result
+
+
+def _reachable_levels(gen: _LindbladGenerator, stack: np.ndarray) -> np.ndarray:
+    """Sorted levels reached from the rows and columns the stack occupies,
+    where level i feeds j if Heff[j, i] or a non-diagonal jump's [j, i] is
+    nonzero (diagonal jumps, held in the mask, move no level)."""
+    feeds = gen.heff != 0
+    for _, op in gen.jumps:
+        feeds |= op != 0
+    occupied = stack != 0
+    seed = occupied.any(axis=(0, 1)) | occupied.any(axis=(0, 2))
+    return np.flatnonzero(_closure(feeds.T, seed))
+
+
+def _touched_components(lv: np.ndarray, rows: np.ndarray) -> list[np.ndarray]:
+    """Weakly connected components of ``lv != 0`` holding a nonzero of a row."""
+    linked = (lv != 0) | (lv != 0).T
+    untouched = ~np.any(rows != 0, axis=0)
+    blocks = []
+    while not untouched.all():
+        seed = np.arange(untouched.size) == np.argmin(untouched)
+        blocks.append(np.flatnonzero(_closure(linked, seed)))
+        untouched[blocks[-1]] = True
+    return blocks
+
+
+def _closure(successors: np.ndarray, reach: np.ndarray) -> np.ndarray:
+    """Smallest superset of the mask ``reach`` holding each successor of its
+    members (j succeeds i where ``successors[i, j]``)."""
+    while True:
+        grown = reach | successors[reach].any(axis=0)
+        if np.array_equal(grown, reach):
+            return reach
+        reach = grown
 
 
 def _evolve(generator: np.ndarray, x: np.ndarray, times: np.ndarray,
@@ -308,12 +337,17 @@ def _evolve(generator: np.ndarray, x: np.ndarray, times: np.ndarray,
 
 
 def __getattr__(name: str):
-    # perfbench's tracer counts RK45 right-hand-side evaluations by wrapping
-    # ``dynamics.solve_ivp``; nothing here integrates with it any more, and
-    # the import is deferred so that importing the package does not load
-    # scipy.integrate
+    # perfbench's tracer looks up two names nothing here uses: it counts RK45
+    # evaluations by wrapping ``solve_ivp`` (imported lazily, so that the
+    # package does not load scipy.integrate), and it wraps the stub below
     if name == "solve_ivp":
         from scipy.integrate import solve_ivp
 
         return solve_ivp
+    if name == "propagate_superoperator":
+        return _removed_propagate_superoperator
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _removed_propagate_superoperator(*_args, **_kwargs):
+    raise AttributeError("propagate_superoperator is folded into evolve_stack_raw")

@@ -122,27 +122,11 @@ class OperatorMatrix:
         return float(np.linalg.norm(self.entries, 2))
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        self._check_same(other)
-        return OperatorMatrix(self.dims, self.entries + other.entries)
-
-    def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        self._check_same(other)
-        return OperatorMatrix(self.dims, self.entries - other.entries)
-
-    def __mul__(self, scalar: complex) -> "OperatorMatrix":
-        return OperatorMatrix(self.dims, self.entries * scalar)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        self._check_same(other)
-        return OperatorMatrix(self.dims, self.entries @ other.entries)
-
-    def _check_same(self, other: "OperatorMatrix") -> None:
         if self.dims.dims != other.dims.dims:
             raise HilbertError(
                 f"site dimensions differ: {self.dims.dims} vs {other.dims.dims}"
             )
+        return OperatorMatrix(self.dims, self.entries + other.entries)
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ control-register projector, evolved under the full master equation, and the
 control sites are traced out.  Linearity of the generator makes this
 well-defined for the non-Hermitian basis elements.  The partial trace is
 folded into the functional: each term is Tr(W_j rho_j(t)) with W_j the
-operator U U_j+ U+ lifted by the identity on the control sites, so a whole
-trace is one contraction of the evolved stack.
+operator U U_j+ U+ lifted by the identity on the control sites, so the
+propagator reads a whole trace off its evolved blocks by one contraction.
 """
 
 from __future__ import annotations
@@ -23,15 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import NoiseModel, evolve_stack_raw
-from .hilbert import (
-    IDENTITY_2,
-    PAULI_X,
-    PAULI_Z,
-    OperatorMatrix,
-    SiteDims,
-    excitation_numbers,
-    sector_indices,
-)
+from .hilbert import IDENTITY_2, PAULI_X, PAULI_Z, OperatorMatrix, SiteDims
 from .spin_model import (
     GateConfig,
     ModelError,
@@ -95,17 +87,19 @@ class FidelityTrace:
         return np.asarray(self.times), np.asarray(self.fbar)
 
 
-# single-qubit factors X^k Z^l in lexicographic (k, l) order
-_PAULI_FACTORS = tuple(
+# single-qubit factors X^k Z^l in lexicographic (k, l) order, and their 16
+# two-qubit products
+_PAULI_FACTORS = np.stack([
     (PAULI_X if k else IDENTITY_2) @ (PAULI_Z if l else IDENTITY_2)
     for k in range(2)
     for l in range(2)
-)
+])
+_PAULI_2Q = np.stack([np.kron(a, b) for a in _PAULI_FACTORS for b in _PAULI_FACTORS])
 
 
 def pauli_basis_2q() -> list[np.ndarray]:
     """The 16 operators (X)^k (Z)^l x (X)^m (Z)^n in lexicographic k,l,m,n order."""
-    return [np.kron(a, b) for a in _PAULI_FACTORS for b in _PAULI_FACTORS]
+    return list(_PAULI_2Q.copy())
 
 
 def control_state_vector(
@@ -161,19 +155,18 @@ def average_fidelity(
     times: Sequence[float],
     hamiltonian: OperatorMatrix | None = None,
     target: TargetGate | None = None,
-    restrict_sector: bool = True,
 ) -> FidelityTrace:
     """Average gate fidelity of the chain against the configured target.
 
     The two end sites are the target qubits; all middle sites form the
     control register, prepared in the configured state and traced out after
     evolution.  ``hamiltonian`` overrides the model-built generator (used for
-    cross-talk studies).  ``restrict_sector`` evolves only the excitation
-    sectors the initial operators can reach, which is exact here because the
-    Hamiltonian conserves excitation and the loss channels only lower it.
-    Qutrit-control models evolve under the rotating-frame generator of
-    ``build_qutrit_hamiltonian``; that frame acts only on the traced-out
-    controls, so the fidelity is the same as in the interaction picture.
+    cross-talk studies).  The propagator evolves only the levels and
+    coherence-order blocks the initial operators reach
+    (``dynamics.evolve_stack_raw``).  Qutrit-control models evolve under the
+    rotating-frame generator of ``build_qutrit_hamiltonian``; that frame acts
+    only on the traced-out controls, so the fidelity is the same as in the
+    interaction picture.
     """
     if hamiltonian is None:
         hamiltonian = (
@@ -182,33 +175,19 @@ def average_fidelity(
             else build_interaction_hamiltonian(model)
         )
     dims = hamiltonian.dims
-    control_dims = list(dims.dims[1:-1])
-
-    cvec = control_state_vector(gate_config, control_dims)
+    cvec = control_state_vector(gate_config, list(dims.dims[1:-1]))
     rho_c = np.outer(cvec, cvec.conj())
     if target is None:
         target = default_target(gate_config)
 
     # initial operators: (first-target factor) x rho_C x (last-target factor)
-    stack = np.stack(
-        [np.kron(np.kron(a, rho_c), b) for a in _PAULI_FACTORS for b in _PAULI_FACTORS]
-    )
+    stack = np.einsum("aik,cl,bjm->abicjklm", _PAULI_FACTORS, rho_c,
+                      _PAULI_FACTORS).reshape(16, dims.total_dim, dims.total_dim)
     weights = _target_functionals(target.matrix, dims)
-
-    h = hamiltonian.entries
     collapse = noise.collapse_operators(dims) if noise is not None else []
-
-    if restrict_sector:
-        n_ctrl = excitation_numbers(control_dims)[np.abs(cvec) > 1e-12]
-        keep = sector_indices(dims, 2 + int(n_ctrl.max(initial=0)))
-        sub = np.ix_(keep, keep)
-        h = h[sub]
-        collapse = [(g, op[sub]) for g, op in collapse]
-        stack = stack[:, keep[:, None], keep[None, :]]
-        weights = weights[:, keep[:, None], keep[None, :]]
-
-    out = evolve_stack_raw(h, collapse, stack, times)
-    fbar = 0.2 + np.einsum("tjab,jba->t", out, weights).real / 80.0
+    traces = evolve_stack_raw(hamiltonian.entries, collapse, stack, times,
+                              functionals=weights)
+    fbar = 0.2 + traces.real / 80.0
     if not np.all((fbar >= -1e-9) & (fbar <= 1.0 + 1e-9)):
         raise RuntimeError(
             f"average fidelity left [0, 1]: range [{fbar.min()}, {fbar.max()}]"
@@ -230,7 +209,7 @@ def average_fidelity(
 def _target_functionals(u: np.ndarray, dims: SiteDims) -> np.ndarray:
     """The 16 operators U U_j+ U+ on the end qubits, lifted by the identity
     on the control sites: Tr(W_j M) = Tr(U U_j+ U+ Tr_controls(M))."""
-    c = np.stack([u @ p.conj().T @ u.conj().T for p in pauli_basis_2q()])
+    c = u @ _PAULI_2Q.conj().transpose(0, 2, 1) @ u.conj().T
     d_ctrl = dims.total_dim // 4
     lifted = np.einsum("jikml,ab->jiakmbl", c.reshape(16, 2, 2, 2, 2),
                        np.eye(d_ctrl))

@@ -16,9 +16,10 @@ from swapgate.dynamics import (
     Propagation,
     PropagationError,
     _LindbladGenerator,
+    _reachable_levels,
+    _touched_components,
     evolve_stack_raw,
     propagate,
-    propagate_superoperator,
 )
 from swapgate.hilbert import (
     PAULI_Z,
@@ -28,10 +29,18 @@ from swapgate.hilbert import (
     excitation_numbers,
     sector_indices,
 )
+from swapgate.circuit_map import table_qutrit_params
+from swapgate.metrics import control_state_vector
 from swapgate.spin_model import (
     TWO_PI,
+    GateConfig,
+    add_crosstalk,
     analytic_gate_time,
     build_interaction_hamiltonian,
+    build_n5_model,
+    build_qutrit_hamiltonian,
+    closed_config_for_branch,
+    n5_control_states,
     symmetric_chain,
 )
 
@@ -148,9 +157,10 @@ class TestSuperoperator:
         noise = NoiseModel(gamma=0.02)
         prop = Propagation(h, noise, t_final=2e-3, sample_times=(1e-3, 2e-3))
         single = propagate(rho0, prop)
-        stacked = propagate_superoperator(prop, [rho0.op])
+        stacked = evolve_stack_raw(h.entries, noise.collapse_operators(h.dims),
+                                   rho0.entries[None], prop.sample_times)
         for k in range(2):
-            assert np.max(np.abs(single[k].entries - stacked[k][0].entries)) < 1e-9
+            assert np.max(np.abs(single[k].entries - stacked[k][0])) < 1e-9
 
     def test_linearity_of_the_map(self):
         params = symmetric_chain(30.0, 30.0, 300.0, 300.0, 1200.0)
@@ -161,15 +171,11 @@ class TestSuperoperator:
         b = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
         alpha, beta = 0.6 - 0.1j, -0.3 + 0.9j
         dims = SiteDims((2, 2, 2, 2))
-        ops = [
-            OperatorMatrix(dims, a),
-            OperatorMatrix(dims, b),
-            OperatorMatrix(dims, alpha * a + beta * b),
-        ]
-        prop = Propagation(h, noise, t_final=1.5e-3, sample_times=(1.5e-3,))
-        out = propagate_superoperator(prop, ops)[-1]
-        combo = alpha * out[0].entries + beta * out[1].entries
-        assert np.max(np.abs(combo - out[2].entries)) < 1e-8
+        ops = np.stack([a, b, alpha * a + beta * b])
+        out = evolve_stack_raw(h.entries, noise.collapse_operators(dims), ops,
+                               [1.5e-3])[-1]
+        combo = alpha * out[0] + beta * out[1]
+        assert np.max(np.abs(combo - out[2])) < 1e-8
 
     def test_completely_mixed_fixed_under_dephasing(self):
         dims = SiteDims((2, 2))
@@ -340,6 +346,156 @@ class TestExactPropagator:
                 evolve_stack_raw(h, collapse, stack, times)
 
 
+def textbook_liouvillian(h, collapse):
+    """Row-major Liouvillian of the master equation, term by term, from
+    vec(A X B) = (A kron B^T) vec(X)."""
+    eye = np.eye(h.shape[0])
+    lv = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for g, a in collapse:
+        ada = a.conj().T @ a
+        lv = lv + g * (np.kron(a, a.conj()) - 0.5 * np.kron(ada, eye)
+                       - 0.5 * np.kron(eye, ada.T))
+    return lv
+
+
+def full_space_oracle(h, collapse, stack, times):
+    """The stack evolved by expm of the whole space's Liouvillian at each time."""
+    lv = textbook_liouvillian(h, collapse)
+    rows = stack.reshape(len(stack), -1)
+    return np.stack([rows @ expm(lv * t).T for t in times]).reshape(
+        (len(times),) + stack.shape)
+
+
+# single-qubit factors X^k Z^l in (k, l) order
+PAULI_FACTORS = [np.eye(2), PAULI_Z, np.array([[0, 1], [1, 0]]),
+                 np.array([[0, 1], [1, 0]]) @ PAULI_Z]
+
+
+def fidelity_stack(cvec):
+    """The fidelity's 16 initial operators: a Pauli factor on each target
+    around the control-register state."""
+    rho_c = np.outer(cvec, cvec.conj())
+    return np.stack([np.kron(np.kron(a, rho_c), b)
+                     for a in PAULI_FACTORS for b in PAULI_FACTORS])
+
+
+def register(name):
+    """(Hamiltonian, control-register vector) of a shipped register."""
+    spin = symmetric_chain(**ROW6)
+    if name == "n5":
+        params = build_n5_model(40.0, 40.0, 500.0, 500.0, 900.0)
+        return (build_interaction_hamiltonian(params).entries,
+                n5_control_states(params)["open_0"])
+    qutrit = name.startswith("qutrit_")
+    h = (build_qutrit_hamiltonian(table_qutrit_params(6)) if qutrit
+         else build_interaction_hamiltonian(spin))
+    cfg = {
+        "open": GateConfig(control_state="open_0"),
+        "closed_plus": closed_config_for_branch("plus"),
+        "closed_minus": closed_config_for_branch("minus"),
+        "closed_11": GateConfig(control_state="closed_11"),
+    }[name.removeprefix("qutrit_")]
+    return h.entries, control_state_vector(cfg, list(h.dims.dims[1:-1]))
+
+
+class TestReachableBlocks:
+    """Propagation on the reachable levels, block by block, against the
+    Liouvillian of the whole space."""
+
+    @pytest.mark.parametrize("name, window", [
+        ("open", (0.8, 1.05)),
+        ("closed_plus", (1e-3, 1.0)),
+    ])
+    def test_row6_matches_full_space(self, name, window):
+        h, cvec = register(name)
+        collapse = NoiseModel(gamma=0.01).collapse_operators((2, 2, 2, 2))
+        tg = analytic_gate_time(symmetric_chain(**ROW6))
+        times = np.linspace(window[0] * tg, window[1] * tg, 6)
+        stack = fidelity_stack(cvec)
+        got = evolve_stack_raw(h, collapse, stack, times)
+        want = full_space_oracle(h, collapse, stack, times)
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_qutrit_row6_matches_full_space(self):
+        h, cvec = register("qutrit_closed_plus")
+        collapse = NoiseModel(gamma=0.01).collapse_operators((2, 3, 3, 2))
+        times = [0.5 * analytic_gate_time(symmetric_chain(**ROW6))]
+        stack = fidelity_stack(cvec)
+        got = evolve_stack_raw(h, collapse, stack, times)
+        want = full_space_oracle(h, collapse, stack, times)
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_crosstalk_hamiltonian_matches_full_space(self):
+        spin = symmetric_chain(**ROW6)
+        h = add_crosstalk(spin, j_nn=0.05 * spin.j1x, j_nnn=0.05 * spin.j1x).entries
+        collapse = NoiseModel(gamma=0.01).collapse_operators((2, 2, 2, 2))
+        tg = analytic_gate_time(spin)
+        times = np.linspace(0.8 * tg, 1.05 * tg, 6)
+        _, cvec = register("closed_minus")
+        stack = fidelity_stack(cvec)
+        got = evolve_stack_raw(h, collapse, stack, times)
+        want = full_space_oracle(h, collapse, stack, times)
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_stack_spanning_every_block_matches_full_space(self):
+        h, _ = register("open")
+        collapse = NoiseModel(gamma=0.01).collapse_operators((2, 2, 2, 2))
+        tg = analytic_gate_time(symmetric_chain(**ROW6))
+        times = np.linspace(0.1 * tg, tg, 5)
+        stack = random_stack(16, n=3)
+        got = evolve_stack_raw(h, collapse, stack, times)
+        want = full_space_oracle(h, collapse, stack, times)
+        assert np.max(np.abs(got - want)) < 1e-12
+        # every coherence order N_row - N_col in [-4, 4] is a block of its own
+        lv = _LindbladGenerator(h, collapse, 3).liouvillian()
+        blocks = _touched_components(lv, stack.reshape(3, -1))
+        n_of = excitation_numbers((2, 2, 2, 2))
+        order = (n_of[:, None] - n_of[None, :]).ravel()
+        assert sorted(tuple(np.unique(order[b])) for b in blocks) == [
+            (q,) for q in range(-4, 5)]
+
+    def test_stack_in_one_block_leaves_the_rest_exactly_zero(self):
+        h, _ = register("open")
+        collapse = NoiseModel(gamma=0.01).collapse_operators((2, 2, 2, 2))
+        n_of = excitation_numbers((2, 2, 2, 2))
+        in_block = (n_of[:, None] - n_of[None, :]) == 1
+        stack = random_stack(16, n=2) * in_block
+        tg = analytic_gate_time(symmetric_chain(**ROW6))
+        out = evolve_stack_raw(h, collapse, stack, np.linspace(0.1 * tg, tg, 4))
+        assert np.all(out[:, :, ~in_block] == 0.0)
+        assert np.min(np.abs(out[:, :, in_block])) > 0.0
+
+    def test_functionals_contract_the_evolved_stack(self):
+        h, cvec = register("closed_plus")
+        collapse = NoiseModel(gamma=0.05).collapse_operators((2, 2, 2, 2))
+        tg = analytic_gate_time(symmetric_chain(**ROW6))
+        times = np.linspace(0.1 * tg, tg, 5)
+        stack = fidelity_stack(cvec)
+        w = random_stack(16, n=16, seed=4)
+        for c in (collapse, []):
+            out = evolve_stack_raw(h, c, stack, times)
+            traces = evolve_stack_raw(h, c, stack, times, functionals=w)
+            want = np.einsum("tjab,jba->t", out, w)
+            assert np.max(np.abs(traces - want)) < 1e-13
+
+    @pytest.mark.parametrize("name", [
+        "open", "closed_plus", "closed_minus", "closed_11",
+        "qutrit_open", "qutrit_closed_plus", "n5",
+    ])
+    def test_reachable_levels_are_the_excitation_sector(self, name):
+        """Under the shipped noise model the levels a register's fidelity
+        stack reaches are those with at most 2 + n_ctrl excitations, n_ctrl
+        the largest excitation in the control state."""
+        h, cvec = register(name)
+        n_sites = 5 if name == "n5" else 4
+        dims = SiteDims((2,) + ((3,) if name.startswith("qutrit") else (2,))
+                        * (n_sites - 2) + (2,))
+        n_ctrl = int(excitation_numbers(dims.dims[1:-1])[np.abs(cvec) > 1e-12].max())
+        gen = _LindbladGenerator(h, NoiseModel(gamma=0.01).collapse_operators(dims), 16)
+        keep = _reachable_levels(gen, fidelity_stack(cvec))
+        assert np.array_equal(keep, sector_indices(dims, 2 + n_ctrl))
+
+
 class TestNonFiniteGuard:
     def test_nan_rate_raises_instead_of_integrating(self):
         h, collapse, _, tg = row6_sector(2, 0.01)
@@ -363,6 +519,15 @@ class TestNonFiniteGuard:
 
 
 class TestPackage:
+    def test_superoperator_entry_point_is_gone(self):
+        """Stacked evolution has one entry point, ``evolve_stack_raw``."""
+        from swapgate import dynamics
+
+        assert "propagate_superoperator" not in swapgate.__all__
+        assert "propagate_superoperator" not in vars(dynamics)
+        with pytest.raises(AttributeError, match="evolve_stack_raw"):
+            dynamics.propagate_superoperator()
+
     def test_import_does_not_load_the_integrator(self):
         """RK45 is a test oracle only: importing the package (and its command
         line) must not import scipy.integrate."""

@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from swapgate import metrics
 from swapgate.circuit_map import table_qutrit_params
-from swapgate.dynamics import NoiseModel, Propagation, propagate_superoperator
-from swapgate.hilbert import OperatorMatrix, SiteDims, partial_trace, sector_indices
+from swapgate.dynamics import NoiseModel, evolve_stack_raw
+from swapgate.hilbert import PAULI_Z, OperatorMatrix, SiteDims, partial_trace
 from swapgate.metrics import (
     FidelityTrace,
     GateTimeWindowError,
@@ -21,7 +21,10 @@ from swapgate.metrics import (
 )
 from swapgate.spin_model import (
     GateConfig,
+    add_crosstalk,
     analytic_gate_time,
+    build_interaction_hamiltonian,
+    build_qutrit_hamiltonian,
     closed_config_for_branch,
     symmetric_chain,
 )
@@ -31,6 +34,39 @@ ROW6 = dict(j1x=40.9, j1z=40.9, j2x=-540.4, j2z=1007.1, delta=933.4)
 SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
 )
+
+
+def full_space_fbar(h, collapse, cvec, target, times):
+    """Fbar read from the whole space: the 16 initial operators evolved by
+    expm of the full Liouvillian (vec(A X B) = (A kron B^T) vec(X)), or by
+    conjugation with expm(-i H t) when there is no noise, then reduced with
+    ``hilbert.partial_trace``."""
+    dims = h.dims
+    eye = np.eye(dims.total_dim)
+    lv = -1j * (np.kron(h.entries, eye) - np.kron(eye, h.entries.T))
+    for g, a in collapse:
+        ada = a.conj().T @ a
+        lv = lv + g * (np.kron(a, a.conj()) - 0.5 * np.kron(ada, eye)
+                       - 0.5 * np.kron(eye, ada.T))
+
+    x = np.array([[0, 1], [1, 0]])
+    factors = [np.eye(2), PAULI_Z, x, x @ PAULI_Z]  # X^k Z^l, (k, l) order
+    rho_c = np.outer(cvec, cvec.conj())
+    stack = [np.kron(np.kron(a, rho_c), b) for a in factors for b in factors]
+    fbar = []
+    for t in times:
+        if collapse:
+            prop = expm(lv * t)
+            evolved = [(prop @ op.ravel()).reshape(op.shape) for op in stack]
+        else:
+            u = expm(-1j * h.entries * t)
+            evolved = [u @ op @ u.conj().T for op in stack]
+        acc = 0.0
+        for p, m in zip(pauli_basis_2q(), evolved):
+            reduced = partial_trace(OperatorMatrix(dims, m), (0, 3)).entries
+            acc += np.trace(target @ p.conj().T @ target.conj().T @ reduced).real
+        fbar.append(0.2 + acc / 80.0)
+    return np.array(fbar)
 
 
 def fbar_formula(target, channel_of):
@@ -113,11 +149,10 @@ class TestChannelMapConsistency:
         h = OperatorMatrix(dims, h_mat)
         noise = NoiseModel(gamma=0.4)
         t_end = 2e-3
-        prop = Propagation(h, noise, t_final=t_end, sample_times=(t_end,))
+        collapse = noise.collapse_operators(dims)
 
         basis = pauli_basis_2q()
-        ops = [OperatorMatrix(dims, b) for b in basis]
-        direct = [o.entries for o in propagate_superoperator(prop, ops)[-1]]
+        direct = evolve_stack_raw(h.entries, collapse, np.stack(basis), [t_end])[-1]
 
         # tomography route: evolve matrix units via physical combinations
         def ket(i):
@@ -138,11 +173,11 @@ class TestChannelMapConsistency:
                 prep_states[(i, j, "q")] = np.outer(p2, p2.conj())
         evolved = {}
         keys = list(prep_states)
-        stacked = propagate_superoperator(
-            prop, [OperatorMatrix(dims, prep_states[k]) for k in keys]
+        stacked = evolve_stack_raw(
+            h.entries, collapse, np.stack([prep_states[k] for k in keys]), [t_end]
         )[-1]
         for k, out in zip(keys, stacked):
-            evolved[k] = out.entries
+            evolved[k] = out
 
         def evolved_unit(i, j):
             if i == j:
@@ -205,14 +240,18 @@ class TestGateSimulation:
         assert 0.93 <= ratio <= 0.97
 
     def test_restricted_equals_full_space(self):
+        """The propagator's reachable blocks give the fidelity of the whole
+        space, here for the row-6 chain with cross-talk and noise."""
         params = symmetric_chain(**ROW6)
         tg = analytic_gate_time(params)
-        cfg = closed_config_for_branch("plus")
+        cfg = closed_config_for_branch("minus")
         noise = NoiseModel(gamma=0.01)
         times = np.linspace(0.2 * tg, 0.4 * tg, 5)
-        a = average_fidelity(params, cfg, noise, times, restrict_sector=True)
-        b = average_fidelity(params, cfg, noise, times, restrict_sector=False)
-        assert np.max(np.abs(np.array(a.fbar) - np.array(b.fbar))) < 1e-9
+        h = add_crosstalk(params, j_nn=0.05 * params.j1x, j_nnn=0.02 * params.j1x)
+        trace = average_fidelity(params, cfg, noise, times, hamiltonian=h)
+        want = full_space_fbar(h, noise.collapse_operators(h.dims),
+                               control_state_vector(cfg, [2, 2]), np.eye(4), times)
+        assert np.max(np.abs(np.array(trace.fbar) - want)) < 1e-12
 
     def test_fbar_stays_in_unit_interval(self):
         params = symmetric_chain(**ROW6)
@@ -226,23 +265,15 @@ class TestGateSimulation:
 
 
 class TestFidelityContraction:
-    """The one-contraction readout against re-embedding each evolved operator
-    and tracing out the controls with ``hilbert.partial_trace``."""
+    """The one-contraction readout against re-embedding each operator evolved
+    by the full-space Liouvillian and tracing out the controls with
+    ``hilbert.partial_trace``."""
 
     @pytest.mark.parametrize("case", ["closed_noisy", "open_full_space", "qutrit"])
-    def test_matches_partial_trace_readout(self, case, monkeypatch):
-        evolved = []
-        real = metrics.evolve_stack_raw
-
-        def spy(*args, **kwargs):
-            evolved.append(real(*args, **kwargs))
-            return evolved[-1]
-
-        monkeypatch.setattr(metrics, "evolve_stack_raw", spy)
+    def test_matches_partial_trace_readout(self, case):
         spin = symmetric_chain(**ROW6)
         tg = analytic_gate_time(spin)
         open_cfg = GateConfig(delta_branch="plus", control_state="open_0")
-        restrict = case != "open_full_space"
         model, cfg, noise, times = {
             "closed_noisy": (spin, closed_config_for_branch("plus"),
                              NoiseModel(gamma=0.05), np.linspace(0.1, 1.0, 7) * tg),
@@ -251,22 +282,14 @@ class TestFidelityContraction:
             "qutrit": (table_qutrit_params(6), open_cfg, None,
                        np.linspace(0.02, 0.1, 3) * tg),
         }[case]
-        trace = average_fidelity(model, cfg, noise, times, restrict_sector=restrict)
+        trace = average_fidelity(model, cfg, noise, times)
 
-        (out,) = evolved
-        dims = SiteDims((2,) + (3 if case == "qutrit" else 2,) * 2 + (2,))
-        n_ctrl = 1 if cfg.control_state == "closed_1plus" else 0
-        keep = sector_indices(dims, 2 + n_ctrl) if restrict else np.arange(dims.total_dim)
+        h = (build_qutrit_hamiltonian(model) if case == "qutrit"
+             else build_interaction_hamiltonian(model))
+        collapse = noise.collapse_operators(h.dims) if noise else []
+        cvec = control_state_vector(cfg, list(h.dims.dims[1:-1]))
         u = TargetGate.open_gate("plus").matrix if cfg.is_open else np.eye(4)
-        want = []
-        for sample in out:
-            acc = 0.0
-            for p, m in zip(pauli_basis_2q(), sample):
-                full = np.zeros((dims.total_dim,) * 2, dtype=complex)
-                full[np.ix_(keep, keep)] = m
-                reduced = partial_trace(OperatorMatrix(dims, full), (0, 3)).entries
-                acc += np.trace(u @ p.conj().T @ u.conj().T @ reduced).real
-            want.append(0.2 + acc / 80.0)
+        want = full_space_fbar(h, collapse, cvec, u, times)
         assert np.max(np.abs(np.array(trace.fbar) - want)) < 1e-12
 
 

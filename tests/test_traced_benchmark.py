@@ -23,6 +23,8 @@ EXPERIMENTS = {
         "[grid]\nconfigs = open\n[run]\nsamples = 5\n"
     ),
     "drive_demo": "experiment = drive_demo\n[grid]\nn_durations = 1\n",
+    # noisy by default: the block-by-block Liouvillian path of param_scan
+    "scan_j2": "experiment = scan_j2\n[grid]\npoints = 2\n[run]\nsamples = 5\n",
     "circuit_map": "experiment = circuit_map\n",
     "search": (
         "experiment = search\n[grid]\nn_restarts = 1\nmax_evaluations = 20\n"
