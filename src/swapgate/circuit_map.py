@@ -6,9 +6,16 @@ qubit, and a junction in parallel with a capacitor joins the two controls.
 Quantizing, expanding the potential to quartic order, and truncating gives
 the spin frequencies, the XX/YY/ZZ couplings, the anharmonicities, and the
 three-level coefficients of the control sites.  Spatial symmetry leaves two
-distinct sites (end and control), which ``circuit_to_spin`` maps with floats
-through the closed-form inverse of the gate capacitance matrix, under the
-singularity thresholds of the general-chain ``inverse_capacitance``.
+distinct sites (end and control).  ``map_sites`` maps them for a batch of
+circuits at once, one row per circuit, through the closed-form inverse of
+the gate capacitance matrix.  It is pow-free: the quartic root is
+``sqrt(sqrt(r))``, integer powers are products and sums run left to right,
+so every operation is IEEE-rounded and a row gives the same bits alone or
+in any batch (``np.power`` and Python's ``**`` can differ in the last bit,
+and ``np.sum`` pairs its terms).  ``circuit_to_spin`` is that mapping on
+one circuit, under the singularity thresholds of the general-chain
+``inverse_capacitance``; the search's batched cost masks the same
+conditions instead of raising.
 
 Unit bridge: Josephson energies are entered in 2pi*GHz, capacitances in fF,
 inductances in nH.  Capacitive and inductive energies are converted to
@@ -26,7 +33,6 @@ tabulated capacitances do not give (acceptance criterion 1).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -109,6 +115,11 @@ class SpinMapResult:
         return symmetric_chain(self.j1x, self.j1z, self.j2x, self.j2z, self.delta)
 
 
+_SCALAR_FIELDS = tuple(
+    f.name for f in fields(SpinMapResult) if f.name not in ("t_coeffs", "s_coeffs")
+)
+
+
 def capacitance_matrix(
     shunts: Sequence[float],
     couplings: Sequence[float],
@@ -151,13 +162,20 @@ def inverse_capacitance(k: np.ndarray) -> tuple[np.ndarray, float]:
     return np.linalg.inv(k), cond
 
 
+#: a capacitance matrix is singular below this normalized determinant, and
+#: ill-conditioned above this condition number
+_DET_FLOOR = 1e-12
+_COND_CEILING = 1e12
+
+
 def _check_capacitance(det: float, cond: float) -> None:
-    """Raise on a normalized determinant below 1e-12 or a condition above 1e12."""
-    if abs(det) < 1e-12:
+    """Raise on a normalized determinant below ``_DET_FLOOR`` or a condition
+    above ``_COND_CEILING``."""
+    if abs(det) < _DET_FLOOR:
         raise SingularCapacitanceError(
             f"capacitance matrix is singular (normalized det {det:.2e})"
         )
-    if cond > 1e12:
+    if cond > _COND_CEILING:
         raise SingularCapacitanceError(
             f"capacitance matrix is ill-conditioned (cond {cond:.2e})"
         )
@@ -171,73 +189,126 @@ def gate_capacitance_matrix(params: CircuitParams) -> np.ndarray:
     )
 
 
-def circuit_to_spin(params: CircuitParams) -> SpinMapResult:
-    """Map lumped-circuit values to spin-model parameters.
+def map_sites(x: np.ndarray) -> dict[str, np.ndarray]:
+    """Map circuits, one per row of ``x`` (``CIRCUIT_NAMES`` order), to the
+    ``SpinMapResult`` fields of their two distinct sites, as arrays.
 
-    The two distinct sites, end (a) and control (b), are mapped with floats
-    through the closed form of K = ``gate_capacitance_matrix``: with
-    d = c2 (c2 + 2 c23), K^-1 is 1/c1 on the ends, (c2+c23)/d on the controls
-    and +c23/d between them; K has eigenvalues c1, c1, c2, c2 + 2 c23 and
-    determinant c1^2 d, against a row-norm product c1^2 ((c2+c23)^2 + c23^2).
-    The singularity thresholds are those of ``inverse_capacitance``.
+    The end (a) and control (b) sites are mapped through the closed form of
+    K = ``gate_capacitance_matrix``: with d = c2 (c2 + 2 c23), K^-1 is 1/c1
+    on the ends, (c2+c23)/d on the controls and +c23/d between them; K has
+    eigenvalues c1, c1, c2, c2 + 2 c23 and determinant c1^2 d, against a
+    row-norm product c1^2 ((c2+c23)^2 + c23^2).  Besides the fields, the
+    result holds the per-site mode scales and frequencies ``ta``, ``tb``,
+    ``sa``, ``sb``, and what ``circuit_to_spin`` checks: the normalized
+    determinant ``det_norm`` and the quartic-root radicands ``ra``, ``rb``.
+
+    Rows are mapped independently and without checks (an unphysical row
+    gives meaningless numbers or NaN; ``mappable`` says which rows are
+    sound).  The formula uses only IEEE-rounded operations in a fixed
+    order -- the quartic root is ``sqrt(sqrt(r))``, integer powers are
+    products, sums run left to right -- so a row maps to the same bits
+    whatever the batch around it.
     """
-    c1, c2, c23 = params.c1, params.c2, params.c23
-    d = c2 * (c2 + 2.0 * c23)
-    eig = (c1, c2, c2 + 2.0 * c23)
-    cond = max(eig) / min(eig)
-    _check_capacitance(d / ((c2 + c23) ** 2 + c23**2), cond)  # c1^2 cancels
-    e_ca = CAP_ENERGY_SCALE * (1.0 / c1)  # 2pi*GHz per site
-    e_cb = CAP_ENERGY_SCALE * ((c2 + c23) / d)
+    with np.errstate(all="ignore"):
+        return _map_sites(*np.asarray(x, dtype=float).T)
 
-    e12, e23 = params.e12, params.e23
-    e_ja = params.e1 + e12
-    e_jb = params.e2 + e12 + e23
-    e_lb = IND_ENERGY_SCALE * TWO_PI**2 / params.l12  # both inductive bonds identical
+
+def _map_sites(e1, e2, e12, e23, c1, c2, c23, l12) -> dict[str, np.ndarray]:
+    d = c2 * (c2 + 2.0 * c23)
+    s = c2 + c23
+    det_norm = d / (s * s + c23 * c23)  # c1^2 cancels
+    cond = np.maximum(c1, c2 + 2.0 * c23) / np.minimum(c1, c2)  # c23 > 0
+    e_ca = CAP_ENERGY_SCALE * (1.0 / c1)  # 2pi*GHz per site
+    e_cb = CAP_ENERGY_SCALE * (s / d)
+
+    e_ja = e1 + e12
+    e_jb = e2 + e12 + e23
+    e_lb = IND_ENERGY_SCALE * TWO_PI**2 / l12  # both inductive bonds identical
 
     ra = 2.0 * e_ca / (e_ja + e_lb)
     rb = 2.0 * e_cb / (e_jb + e_lb)
-    if ra <= 0 or rb <= 0:
-        raise MappingError("nonpositive quartic-root argument in mode scale")
-    ta, tb = ra**0.25, rb**0.25
-    sa = 4.0 * math.sqrt(0.5 * e_ca * (e_ja + e_lb))
-    sb = 4.0 * math.sqrt(0.5 * e_cb * (e_jb + e_lb))
+    ta, tb = np.sqrt(np.sqrt(ra)), np.sqrt(np.sqrt(rb))
+    sa = 4.0 * np.sqrt(0.5 * e_ca * (e_ja + e_lb))
+    sb = 4.0 * np.sqrt(0.5 * e_cb * (e_jb + e_lb))
+    ta2, tb2 = ta * ta, tb * tb
+    ta3, tb3 = ta2 * ta, tb2 * tb
+    ta4, tb4 = ta2 * ta2, tb2 * tb2
 
-    bond_12 = e12 * ta**2 * tb**2  # Josephson energy of bond (a, b)
-    omega_a = sa - 0.5 * e_ja * ta**4 - bond_12
-    omega_b = sb - 0.5 * e_jb * tb**4 - bond_12 - e23 * tb**2 * tb**2
+    bond_12 = e12 * ta2 * tb2  # Josephson energy of bond (a, b)
+    omega_a = sa - 0.5 * e_ja * ta4 - bond_12
+    omega_b = sb - 0.5 * e_jb * tb4 - bond_12 - e23 * tb2 * tb2
 
-    j1x_tilde = -0.5 * (e12 + e_lb) * ta * tb + 0.25 * e12 * (ta**3 * tb + ta * tb**3)
-    j2x_tilde = -0.5 * e23 * tb * tb + 0.25 * e23 * (tb**3 * tb + tb * tb**3)
+    j1x_tilde = -0.5 * (e12 + e_lb) * ta * tb + 0.25 * e12 * (ta3 * tb + ta * tb3)
+    j2x_tilde = -0.5 * e23 * tb * tb + 0.25 * e23 * (tb3 * tb + tb * tb3)
     j2y = -CAP_ENERGY_SCALE * (c23 / d) / (tb * tb)
-    j1z = -0.25 * e12 * (ta * tb) ** 2
-    j2z = -0.25 * e23 * (tb * tb) ** 2
+    tab = ta * tb
+    j1z = -0.25 * e12 * (tab * tab)
+    j2z = -0.25 * e23 * (tb2 * tb2)
     j2x = j2x_tilde + j2y
 
-    k23x = -e23 * tb * tb + e23 * tb**3 * tb / 6.0
-    m23x = e23 * tb * tb**3 / 6.0
+    k23x = -e23 * tb * tb + e23 * tb3 * tb / 6.0
+    m23x = e23 * tb * tb3 / 6.0
 
     ghz_to_mhz = 1000.0
     r23x = j2y + k23x + 4.0 * m23x
     p23x = j2y + k23x + 2.0 * m23x
+    return {
+        "omega1": omega_a,
+        "omega2": omega_b,
+        "j1x": j1x_tilde * ghz_to_mhz,
+        "j1z": j1z * ghz_to_mhz,
+        "j2x": j2x * ghz_to_mhz,
+        "j2y": j2y * ghz_to_mhz,
+        "j2z": j2z * ghz_to_mhz,
+        "delta": (omega_b - omega_a) * ghz_to_mhz,
+        "anh_rel_1": -0.5 * e_ja * ta4 / omega_a,
+        "anh_rel_2": -0.5 * e_jb * tb4 / omega_b,
+        "k23x": k23x * ghz_to_mhz,
+        "m23x": m23x * ghz_to_mhz,
+        "r23x": r23x * ghz_to_mhz,
+        "p23x": p23x * ghz_to_mhz,
+        "condition_number": cond,
+        "ta": ta, "tb": tb, "sa": sa, "sb": sb,
+        "det_norm": det_norm, "ra": ra, "rb": rb,
+    }
+
+
+def mappable(sites: dict[str, np.ndarray]) -> np.ndarray:
+    """Rows of a ``map_sites`` result that ``circuit_to_spin`` would accept
+    (positive circuit values assumed): not singular, not ill-conditioned, and
+    both quartic-root radicands positive."""
+    return ~(
+        (np.abs(sites["det_norm"]) < _DET_FLOOR)
+        | (sites["condition_number"] > _COND_CEILING)
+        | (sites["ra"] <= 0)
+        | (sites["rb"] <= 0)
+    )
+
+
+def spin_result(sites: dict[str, np.ndarray]) -> SpinMapResult:
+    """The first row of a ``map_sites`` result as a ``SpinMapResult`` of floats."""
+    v = {name: float(arr[0]) for name, arr in sites.items()}
+    ta, tb, sa, sb = v["ta"], v["tb"], v["sa"], v["sb"]
     return SpinMapResult(
-        omega1=omega_a,
-        omega2=omega_b,
-        j1x=j1x_tilde * ghz_to_mhz,
-        j1z=j1z * ghz_to_mhz,
-        j2x=j2x * ghz_to_mhz,
-        j2y=j2y * ghz_to_mhz,
-        j2z=j2z * ghz_to_mhz,
-        delta=(omega_b - omega_a) * ghz_to_mhz,
-        anh_rel_1=-0.5 * e_ja * ta**4 / omega_a,
-        anh_rel_2=-0.5 * e_jb * tb**4 / omega_b,
-        k23x=k23x * ghz_to_mhz,
-        m23x=m23x * ghz_to_mhz,
-        r23x=r23x * ghz_to_mhz,
-        p23x=p23x * ghz_to_mhz,
+        **{name: v[name] for name in _SCALAR_FIELDS},
         t_coeffs=(ta, tb, tb, ta),
         s_coeffs=(sa, sb, sb, sa),
-        condition_number=cond,
     )
+
+
+def circuit_to_spin(params: CircuitParams) -> SpinMapResult:
+    """Map lumped-circuit values to spin-model parameters (``map_sites`` on
+    one circuit).
+
+    Raises ``SingularCapacitanceError`` under the singularity thresholds of
+    ``inverse_capacitance``, and ``MappingError`` on a nonpositive
+    quartic-root argument.
+    """
+    sites = map_sites(np.array([[getattr(params, n) for n in CIRCUIT_NAMES]]))
+    _check_capacitance(float(sites["det_norm"][0]), float(sites["condition_number"][0]))
+    if sites["ra"][0] <= 0 or sites["rb"][0] <= 0:
+        raise MappingError("nonpositive quartic-root argument in mode scale")
+    return spin_result(sites)
 
 
 def drive_amplitude(

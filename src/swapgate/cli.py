@@ -22,7 +22,8 @@ Every key is validated against the experiment's schema (type, finiteness,
 and range: table rows 1..16, at least one sample and grid point, gamma >= 0)
 and the cross-key rules in ``ORDER_RULES`` (time windows increase, the drive
 amplitude is positive).  A schema holds only the keys its experiment reads
-(the scans take no [model] section), and unknown keys are rejected.  '#'
+(the scans take no [model] section; a ``BySource`` [model] section takes
+only the keys of the ``source`` it names), and unknown keys are rejected.  '#'
 and ',' inside double quotes are literal, and '\\' escapes '"' and '\\'
 there.  Loading fills defaults, and emitting a loaded configuration
 reproduces it exactly (load -> emit -> load is the identity on resolved
@@ -227,24 +228,34 @@ _SAMPLED_RUN = {
     "out": ("str", ""),
 }
 _RUN_KEYS = {k: v for k, v in _SAMPLED_RUN.items() if k != "samples"}
-_SOURCE_KEYS = {
-    "source": ("str", "table_row"),
-    "row": ("int", 6, _TABLE_ROWS),
-}
-# defaults: the circuit of table row 6
-_CIRCUIT_KEYS = {
-    name: ("float", cmap.table_row(6)[name]) for name in cmap.CIRCUIT_NAMES
-}
-_MODEL_KEYS = {
-    **_SOURCE_KEYS,
+
+
+class BySource(dict):
+    """Schema of a ``[model]`` section whose keys depend on its ``source``:
+    source value -> that source's key schema (besides ``source`` itself).
+    The first source is the default."""
+
+
+_ROW_KEYS = {"row": ("int", 6, _TABLE_ROWS)}
+_SPIN_KEYS = {
     "j1x": ("float", 40.9),
     "j1z": ("float", 40.9),
     "j2x": ("float", -540.4),
     "j2z": ("float", 1007.1),
     "delta": ("float", 933.4),
-    "branch": ("str", "plus"),
-    **_CIRCUIT_KEYS,
 }
+# defaults: the circuit of table row 6
+_CIRCUIT_KEYS = {
+    name: ("float", cmap.table_row(6)[name]) for name in cmap.CIRCUIT_NAMES
+}
+_BRANCH_KEY = {"branch": ("str", "plus")}
+# a chain from a table row (whose branch is the table's), explicit spin
+# couplings, or a mapped circuit; ``branch`` only where the experiment reads it
+_GATE_MODEL = BySource(
+    table_row=_ROW_KEYS,
+    spin={**_SPIN_KEYS, **_BRANCH_KEY},
+    circuit={**_CIRCUIT_KEYS, **_BRANCH_KEY},
+)
 _NOISE_KEYS = {
     "gamma": ("float", 0.01, (0.0, None)),
     "channels": ("strlist", ["dephasing", "photon_loss"]),
@@ -252,7 +263,7 @@ _NOISE_KEYS = {
 
 SCHEMAS: dict[str, dict[str, dict[str, tuple]]] = {
     "fidelity_trace": {
-        "model": _MODEL_KEYS,
+        "model": _GATE_MODEL,
         "noise": _NOISE_KEYS,
         "grid": {
             "window_lo": ("float", 0.001, (0.0, None)),
@@ -302,7 +313,7 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple]]] = {
         "run": _SAMPLED_RUN,
     },
     "crosstalk_scan": {
-        "model": _MODEL_KEYS,
+        "model": _GATE_MODEL,
         "noise": _NOISE_KEYS,
         "grid": {
             "fractions_pct": ("floatlist", [0.0, 2.0, 4.0, 6.0, 8.0, 10.0]),
@@ -321,7 +332,7 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple]]] = {
         "run": _SAMPLED_RUN,
     },
     "drive_demo": {
-        "model": _MODEL_KEYS,
+        "model": BySource(table_row=_ROW_KEYS, spin=_SPIN_KEYS, circuit=_CIRCUIT_KEYS),
         "noise": _NOISE_KEYS,
         "grid": {
             "amplitude_fraction": ("float", 0.02),
@@ -330,7 +341,7 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple]]] = {
         "run": _RUN_KEYS,
     },
     "circuit_map": {
-        "model": {**_SOURCE_KEYS, **_CIRCUIT_KEYS},
+        "model": BySource(table_row=_ROW_KEYS, circuit=_CIRCUIT_KEYS),
         "run": _RUN_KEYS,
     },
     "search": {
@@ -415,6 +426,25 @@ class ExperimentConfig:
         return serialize_config(data)
 
 
+def _section_keys(sec_name: str, spec: dict, body: dict[str, Any]) -> dict[str, tuple]:
+    """The key schema of a section; for a ``BySource`` section, ``source``
+    plus the keys of the source the body names (or the default source)."""
+    if not isinstance(spec, BySource):
+        return spec
+    default = next(iter(spec))
+    source = _check_type("str", body.get("source", default), f"[{sec_name}] source", None)
+    if source not in spec:
+        raise ConfigError(f"[{sec_name}] source = {source!r}: expected one of "
+                          + ", ".join(spec))
+    return {"source": ("str", default), **spec[source]}
+
+
+def _source_hint(spec: dict, key: str, body: dict[str, Any]) -> str:
+    if isinstance(spec, BySource) and any(key in keys for keys in spec.values()):
+        return f" (not read with source = {body.get('source', next(iter(spec)))})"
+    return ""
+
+
 def resolve_config(raw: dict[str, dict[str, Any]]) -> ExperimentConfig:
     """Validate a parsed mapping against its experiment schema, fill defaults."""
     top = dict(raw.get("", {}))
@@ -426,17 +456,17 @@ def resolve_config(raw: dict[str, dict[str, Any]]) -> ExperimentConfig:
     if top:
         raise ConfigError(f"unknown top-level key {sorted(top)[0]!r}")
     schema = SCHEMAS[kind]
-    sections: dict[str, dict[str, Any]] = {}
-    for sec_name, body in raw.items():
-        if sec_name == "":
-            continue
-        if sec_name not in schema:
+    for sec_name in raw:
+        if sec_name and sec_name not in schema:
             raise ConfigError(f"unknown section [{sec_name}] for {kind}")
-        for key in body:
-            if key not in schema[sec_name]:
-                raise ConfigError(f"unknown key {key!r} in section [{sec_name}]")
-    for sec_name, keys in schema.items():
+    sections: dict[str, dict[str, Any]] = {}
+    for sec_name, spec in schema.items():
         body = dict(raw.get(sec_name, {}))
+        keys = _section_keys(sec_name, spec, body)
+        for key in body:
+            if key not in keys:
+                raise ConfigError(f"unknown key {key!r} in section [{sec_name}]"
+                                  + _source_hint(spec, key, body))
         resolved = {}
         for key, (tag, default, *bounds) in keys.items():
             if key in body:
@@ -513,29 +543,27 @@ def emit(record: RunRecord, out_path: str | Path) -> tuple[Path, Path]:
 
 def _circuit_from_model_section(model: dict[str, Any]) -> cmap.CircuitParams:
     """The circuit a model section names: a table row's, or its own values."""
-    source = model["source"]
-    if source == "table_row":
+    if model["source"] == "table_row":
         return cmap.table_circuit_params(model["row"])
-    if source == "circuit":
-        return cmap.CircuitParams(**{name: model[name] for name in cmap.CIRCUIT_NAMES})
-    raise ConfigError(f"unknown model source {source!r}")
+    return cmap.CircuitParams(**{name: model[name] for name in cmap.CIRCUIT_NAMES})
 
 
-def _spin_from_model_section(model: dict[str, Any]) -> tuple[SpinModelParams, str]:
+def _spin_from_model_section(model: dict[str, Any]) -> tuple[SpinModelParams, str | None]:
+    """The chain a model section names, and its detuning branch: the table's
+    for a table row, else the section's ``branch`` (None where the
+    experiment's schema has no such key)."""
     source = model["source"]
     if source == "table_row":
         params = cmap.table_spin_params(model["row"])
         return params, cmap.table_branch(model["row"])
+    branch = model.get("branch")
     if source == "spin":
-        return (
-            symmetric_chain(
-                model["j1x"], model["j1z"], model["j2x"], model["j2z"],
-                model["delta"], detuning_choice=model["branch"],
-            ),
-            model["branch"],
+        params = symmetric_chain(
+            model["j1x"], model["j1z"], model["j2x"], model["j2z"],
+            model["delta"], detuning_choice=branch or "explicit",
         )
-    res = cmap.circuit_to_spin(_circuit_from_model_section(model))
-    return res.spin_params(), model["branch"]
+        return params, branch
+    return cmap.circuit_to_spin(_circuit_from_model_section(model)).spin_params(), branch
 
 
 def _noise_from_section(noise: dict[str, Any]) -> NoiseModel | None:
@@ -748,7 +776,7 @@ def _n5_trace(config: ExperimentConfig) -> Table:
 
 
 def _drive_demo(config: ExperimentConfig) -> Table:
-    model, _branch = _spin_from_model_section(config["model"])
+    model, _ = _spin_from_model_section(config["model"])
     noise = _noise_from_section(config["noise"])
     grid = config["grid"]
     amplitude = grid["amplitude_fraction"] * abs(model.j2z)

@@ -31,6 +31,7 @@ Hamiltonians are in rad/us and times in us.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -75,19 +76,39 @@ class NoiseModel:
     def collapse_operators(
         self, dims: SiteDims | Sequence[int]
     ) -> list[tuple[float, np.ndarray]]:
-        """(rate, operator) pairs over the full chain, one per site and channel."""
+        """(rate, operator) pairs over the full chain, one per site and channel.
+
+        The operators are shared, read-only arrays, embedded once per chain
+        shape and channel.
+        """
         dims = dims if isinstance(dims, SiteDims) else SiteDims(tuple(dims))
-        ops: list[tuple[float, np.ndarray]] = []
-        for channel, op2, op3 in (
-            ("dephasing", PAULI_Z, DEPHASE_3),
-            ("photon_loss", SIGMA_MINUS, LOWER_3),
-        ):
-            if channel not in self.channels or self.gamma == 0.0:
-                continue
-            for j, d in enumerate(dims):
-                local = op2 if d == 2 else op3
-                ops.append((self.gamma, embed_operators({j: local}, dims).entries))
-        return ops
+        if self.gamma == 0.0:
+            return []
+        return [
+            (self.gamma, op)
+            for channel in _CHANNEL_OPERATORS
+            if channel in self.channels
+            for op in _jump_operators(dims.dims, channel)
+        ]
+
+
+# local jump operator of each channel on a qubit and on a qutrit site
+_CHANNEL_OPERATORS = {
+    "dephasing": (PAULI_Z, DEPHASE_3),
+    "photon_loss": (SIGMA_MINUS, LOWER_3),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _jump_operators(dims: tuple[int, ...], channel: str) -> tuple[np.ndarray, ...]:
+    """The channel's jump operator embedded at each site, as read-only arrays."""
+    op2, op3 = _CHANNEL_OPERATORS[channel]
+    ops = []
+    for j, d in enumerate(dims):
+        op = embed_operators({j: op2 if d == 2 else op3}, dims).entries
+        op.flags.writeable = False
+        ops.append(op)
+    return tuple(ops)
 
 
 @dataclass(frozen=True)

@@ -3,24 +3,37 @@
 The cost is a weighted sum of squared relative residuals on the gate
 requirements: equal transverse and longitudinal end couplings, the detuning
 on its resonance branch, a floor on the control/end coupling ratio, and a
-floor on the end-qubit relative anharmonicity.  Multi-start random
-initialization inside the bounds feeds a simplex descent per start; results
-are deduplicated and sorted, and identical seeds give identical output.
+floor on the end-qubit relative anharmonicity.  Points outside the box are
+clipped into it and pay a quadratic penalty; circuits the mapping rejects
+cost ``1e6`` plus that penalty.  The cost is evaluated on arrays of points
+through ``circuit_map.map_sites``; ``evaluate_cost`` is that cost on one
+point.
+
+Multi-start random initialization inside the bounds feeds one Nelder-Mead
+simplex per start (Nelder & Mead, Comput. J. 7, 308 (1965)).  All simplices
+descend in lockstep: each iteration makes one batched cost call on the
+reflection, expansion and both contraction points of every live start, and
+the starts that shrink make one more.  Each start follows exactly the steps,
+stopping rule (``xatol``/``fatol``) and evaluation budget of scipy's
+``minimize(method="Nelder-Mead")`` from the same start; trial points that
+its branch does not use are not charged to the budget.  Results are
+deduplicated and sorted, and identical seeds give identical output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
-from scipy.optimize import minimize
 
 from .circuit_map import (
     CIRCUIT_NAMES,
     CircuitParams,
-    MappingError,
-    SingularCapacitanceError,
     SpinMapResult,
-    circuit_to_spin,
+    map_sites,
+    mappable,
+    spin_result,
 )
 from .dynamics import NoiseModel
 from .metrics import (
@@ -48,6 +61,9 @@ DEFAULT_BOUNDS: dict[str, tuple[float, float]] = {
     "c23": (20.0, 1000.0),
     "l12": (25.0, 100.0),
 }
+
+#: cost of a circuit the mapping rejects, before the bounds penalty
+INFEASIBLE_COST = 1e6
 
 
 @dataclass(frozen=True)
@@ -92,20 +108,70 @@ class SearchResult:
         )
 
 
+def _residuals(spin, branch: str, spec: CostSpec) -> dict[str, np.ndarray]:
+    """Requirement residuals of mapped spin values (floats or arrays, read
+    by name from the mapping or ``SpinMapResult`` attributes)."""
+    j1x, j1z, j2x = spin["j1x"], spin["j1z"], spin["j2x"]
+    j1_scale = np.maximum(np.abs(j1x), 1e-9)
+    delta_target = delta_for_branch(branch, j2x, spin["j2z"])
+    delta_scale = np.maximum(np.abs(delta_target), 1e-9)
+    ratio = np.abs(j2x) / j1_scale
+    return {
+        "j1_equality": np.abs(j1x - j1z) / j1_scale,
+        "delta_branch": np.abs(spin["delta"] - delta_target) / delta_scale,
+        "coupling_ratio": np.fmax(spec.ratio_min - ratio, 0.0) / spec.ratio_min,
+        "anharmonicity": np.fmax(spec.anh_floor - np.abs(spin["anh_rel_1"]), 0.0)
+        / spec.anh_floor,
+    }
+
+
 def requirement_residuals(
     spin: SpinMapResult, branch: str, spec: CostSpec
 ) -> dict[str, float]:
-    j1_scale = max(abs(spin.j1x), 1e-9)
-    delta_target = delta_for_branch(branch, spin.j2x, spin.j2z)
-    delta_scale = max(abs(delta_target), 1e-9)
-    ratio = abs(spin.j2x) / j1_scale
-    return {
-        "j1_equality": abs(spin.j1x - spin.j1z) / j1_scale,
-        "delta_branch": abs(spin.delta - delta_target) / delta_scale,
-        "coupling_ratio": max(0.0, spec.ratio_min - ratio) / spec.ratio_min,
-        "anharmonicity": max(0.0, spec.anh_floor - abs(spin.anh_rel_1))
-        / spec.anh_floor,
-    }
+    res = _residuals(vars(spin), branch, spec)
+    return {name: float(v) for name, v in res.items()}
+
+
+def _box(bounds: dict[str, tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
+    lo = np.array([bounds[n][0] for n in CIRCUIT_NAMES], dtype=float)
+    hi = np.array([bounds[n][1] for n in CIRCUIT_NAMES], dtype=float)
+    return lo, hi
+
+
+def _cost_rows(
+    x: np.ndarray, branch: str, spec: CostSpec, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, dict, dict]:
+    """Cost of every row of ``x``, with what ``evaluate_cost`` reports.
+
+    Returns the costs, the feasibility mask, the ``map_sites`` result of the
+    points clipped into the box, and the residual arrays.  Rows are independent, and
+    the per-parameter penalties are summed left to right, so a row's cost
+    does not depend on the batch around it.
+    """
+    below, above = x < lo, x > hi
+    clipped = np.where(below, lo, np.where(above, hi, x))
+    excess = np.where(below, lo - x, np.where(above, x - hi, 0.0))
+    excess = excess / np.maximum(hi - lo, 1e-9)
+    squares = excess * excess
+    penalty = squares[:, 0]
+    for k in range(1, squares.shape[1]):
+        penalty = penalty + squares[:, k]
+
+    sites = map_sites(clipped)
+    feasible = ~(clipped <= 0).any(axis=1) & mappable(sites)
+    with np.errstate(all="ignore"):
+        res = _residuals(sites, branch, spec)
+        r1, r2 = res["j1_equality"], res["delta_branch"]
+        r3, r4 = res["coupling_ratio"], res["anharmonicity"]
+        cost = (
+            spec.w_j1_equality * (r1 * r1)
+            + spec.w_delta_branch * (r2 * r2)
+            + spec.w_coupling_ratio * (r3 * r3)
+            + spec.w_anharmonicity * (r4 * r4)
+            + spec.w_bounds * penalty
+        )
+    cost = np.where(feasible, cost, INFEASIBLE_COST + penalty)
+    return cost, feasible, sites, res
 
 
 def evaluate_cost(
@@ -114,31 +180,139 @@ def evaluate_cost(
     spec: CostSpec,
     bounds: dict[str, tuple[float, float]],
 ) -> tuple[float, dict[str, float] | None, SpinMapResult | None]:
-    """Cost at a parameter vector; infeasible points get a large finite cost."""
-    penalty = 0.0
-    vals = {}
-    for name, v in zip(CIRCUIT_NAMES, x.tolist()):
-        lo, hi = bounds[name]
-        if v < lo:
-            penalty += ((lo - v) / max(hi - lo, 1e-9)) ** 2
-            v = lo
-        elif v > hi:
-            penalty += ((v - hi) / max(hi - lo, 1e-9)) ** 2
-            v = hi
-        vals[name] = v
-    try:
-        spin = circuit_to_spin(CircuitParams(**vals))
-    except (MappingError, SingularCapacitanceError):
-        return 1e6 + penalty, None, None
-    res = requirement_residuals(spin, branch, spec)
-    cost = (
-        spec.w_j1_equality * res["j1_equality"] ** 2
-        + spec.w_delta_branch * res["delta_branch"] ** 2
-        + spec.w_coupling_ratio * res["coupling_ratio"] ** 2
-        + spec.w_anharmonicity * res["anharmonicity"] ** 2
-        + spec.w_bounds * penalty
+    """Cost at a parameter vector; infeasible points get a large finite cost.
+
+    This is the batched cost of ``search`` on one row, with the residuals
+    and the mapping of the clipped point when the mapping accepts it.
+    """
+    lo, hi = _box(bounds)
+    cost, feasible, sites, res = _cost_rows(
+        np.asarray(x, dtype=float)[None, :], branch, spec, lo, hi
     )
-    return float(cost), res, spin
+    if not feasible[0]:
+        return float(cost[0]), None, None
+    return (
+        float(cost[0]),
+        {name: float(v[0]) for name, v in res.items()},
+        spin_result(sites),
+    )
+
+
+# Nelder-Mead coefficients (reflection, expansion, contraction, shrink) and
+# initial-simplex steps, as in scipy's non-adaptive Nelder-Mead
+_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
+_NONZDELT, _ZDELT = 0.05, 0.00025
+# the search's stopping tolerances on the simplex extent and its cost spread
+_XATOL, _FATOL = 1e-6, 1e-14
+# trial point k is _TRIAL_A[k] * centroid - _TRIAL_B[k] * worst vertex:
+# reflection, expansion, outside and inside contraction (a - (-b) w is
+# a + b w exactly, so the inside contraction keeps scipy's bits)
+_TRIAL_A = np.array([1 + _RHO, 1 + _RHO * _CHI, 1 + _PSI * _RHO, 1 - _PSI])[:, None]
+_TRIAL_B = np.array([_RHO, _RHO * _CHI, _PSI * _RHO, -_PSI])[:, None]
+
+
+def _sort_simplices(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each simplex ordered by cost, with scipy's (unstable) ``argsort``."""
+    rows = np.arange(len(fsim))[:, None]
+    order = fsim.argsort(axis=1)
+    return sim[rows, order], fsim[rows, order]
+
+
+def _lockstep_nelder_mead(
+    cost: Callable[[np.ndarray], np.ndarray],
+    starts: np.ndarray,
+    max_evaluations: int,
+    xatol: float,
+    fatol: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nelder-Mead from every row of ``starts`` at once.
+
+    ``cost`` maps an (m, n) array of points to their m costs, each row on
+    its own.  Every start follows scipy's ``minimize(method="Nelder-Mead")``
+    with ``maxfev=max_evaluations``, ``xatol`` and ``fatol`` step for step:
+    the default initial simplex, the stopping test, and the budget, which
+    stops a start mid-iteration (the reflection is always paid for, the one
+    point its branch then needs only if budget is left) or mid-shrink (the
+    vertex whose evaluation the budget refuses is already moved).  Returns
+    the final sorted simplices (R, n+1, n), their costs (R, n+1) and the
+    evaluations charged to each start (R,); the best points are
+    ``simplices[:, 0]``.
+    """
+    starts = np.asarray(starts, dtype=float)
+    n_runs, n = starts.shape
+    budget = max_evaluations
+    sim = np.repeat(starts[:, None, :], n + 1, axis=1)
+    for k in range(n):
+        col = sim[:, k + 1, k]
+        sim[:, k + 1, k] = np.where(col != 0, (1 + _NONZDELT) * col, _ZDELT)
+    n_init = max(0, min(n + 1, budget))
+    fsim = np.full((n_runs, n + 1), np.inf)
+    if n_init and n_runs:
+        fsim[:, :n_init] = cost(sim[:, :n_init].reshape(-1, n)).reshape(n_runs, n_init)
+    nfev = np.full(n_runs, n_init)
+    for _ in range(2):  # scipy sorts twice before its first iteration
+        sim, fsim = _sort_simplices(sim, fsim)
+
+    vertices = np.arange(1, n + 1)
+    live = np.arange(n_runs)
+    s, f, used = sim, fsim, nfev.copy()
+    while live.size:
+        # a start stops on its budget or on scipy's xatol/fatol test; its
+        # simplex goes back to ``sim`` and the live arrays shrink
+        stop = (used >= budget) | (
+            (np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= xatol)
+            & (np.abs(f[:, :1] - f[:, 1:]).max(axis=1) <= fatol))
+        if stop.any():
+            sim[live[stop]], fsim[live[stop]], nfev[live[stop]] = (
+                s[stop], f[stop], used[stop])
+            keep = ~stop
+            live, s, f, used = live[keep], s[keep], f[keep], used[keep]
+            if not live.size:
+                break
+
+        # scipy's centroid, np.add.reduce over the best n vertices (it adds
+        # them in order: the reduced axis is not the contiguous one)
+        xbar = np.add.reduce(s[:, :-1], axis=1) / n
+        trial = _TRIAL_A * xbar[:, None] - _TRIAL_B * s[:, -1:]
+        f_trial = cost(trial.reshape(-1, n)).reshape(-1, 4)
+        fr, fe, fc, fcc = f_trial.T
+
+        expand = fr < f[:, 0]
+        contract = ~expand & ~(fr < f[:, -2])
+        # the point after the reflection is evaluated only with budget left
+        paid = (expand | contract) & (used + 1 < budget)
+        # trial column replacing the worst vertex, or -1 for none (the
+        # refused and the shrinking starts)
+        pick = np.where(
+            expand,
+            np.where(fe < fr, 1, 0),
+            np.where(
+                contract,
+                np.where(fr < f[:, -1], np.where(fc <= fr, 2, -1),
+                         np.where(fcc < f[:, -1], 3, -1)),
+                0,
+            ),
+        )
+        pick[(expand | contract) & ~paid] = -1
+        shrink = contract & paid & (pick < 0)
+        used = used + 1 + paid
+
+        rows = np.flatnonzero(pick >= 0)
+        s[rows, -1] = trial[rows, pick[rows]]
+        f[rows, -1] = f_trial[rows, pick[rows]]
+
+        if shrink.any():
+            rows = np.flatnonzero(shrink)
+            best = s[rows, :1]
+            moved = best + _SIGMA * (s[rows, 1:] - best)
+            f_moved = cost(moved.reshape(-1, n)).reshape(rows.size, n)
+            left = (budget - used[rows])[:, None]
+            s[rows, 1:] = np.where((vertices <= left + 1)[:, :, None], moved, s[rows, 1:])
+            f[rows, 1:] = np.where(vertices <= left, f_moved, f[rows, 1:])
+            used[rows] += np.minimum(left[:, 0], n)
+
+        s, f = _sort_simplices(s, f)
+    return sim, fsim, nfev
 
 
 def search(
@@ -161,32 +335,32 @@ def search(
     cost = cost or CostSpec()
     bounds = dict(DEFAULT_BOUNDS, **(bounds or {}))
     rng = np.random.default_rng(seed)
-    lo = np.array([bounds[n][0] for n in CIRCUIT_NAMES])
-    hi = np.array([bounds[n][1] for n in CIRCUIT_NAMES])
+    lo, hi = _box(bounds)
     if np.any(hi < lo):
         raise ValueError("bounds must satisfy lo <= hi")
 
-    results: list[SearchResult] = []
-    for _ in range(n_restarts):
+    starts = np.empty((n_restarts, len(CIRCUIT_NAMES)))
+    for i in range(n_restarts):
         x0 = lo + (hi - lo) * rng.random(len(CIRCUIT_NAMES))
         if np.all(hi == lo):
             x0 = lo.copy()
-        sol = minimize(
-            lambda x: evaluate_cost(x, branch, cost, bounds)[0],
-            x0,
-            method="Nelder-Mead",
-            options={
-                "maxfev": max_evaluations,
-                "xatol": 1e-6,
-                "fatol": 1e-14,
-            },
-        )
-        c, res, spin = evaluate_cost(sol.x, branch, cost, bounds)
+        starts[i] = x0
+    simplices, _, _ = _lockstep_nelder_mead(
+        lambda x: _cost_rows(x, branch, cost, lo, hi)[0],
+        starts,
+        max_evaluations,
+        xatol=_XATOL,
+        fatol=_FATOL,
+    )
+
+    results: list[SearchResult] = []
+    for x in simplices[:, 0]:
+        c, res, spin = evaluate_cost(x, branch, cost, bounds)
         if res is None:
             continue
         vals = {
             name: float(np.clip(v, bounds[name][0], bounds[name][1]))
-            for name, v in zip(CIRCUIT_NAMES, sol.x)
+            for name, v in zip(CIRCUIT_NAMES, x)
         }
         results.append(
             SearchResult(

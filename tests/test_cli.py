@@ -10,8 +10,10 @@ from click.testing import CliRunner
 from hypothesis import assume, given, settings, strategies as st
 
 import swapgate.cli
+from swapgate.circuit_map import CIRCUIT_NAMES
 from swapgate.cli import (
     SCHEMAS,
+    BySource,
     ConfigError,
     default_config,
     main,
@@ -142,6 +144,12 @@ class TestConfigFormat:
         raw = {"": {"experiment": kind}}
         for section, keys in SCHEMAS[kind].items():
             raw[section] = {}
+            if isinstance(keys, BySource):
+                # a source, named or left at the default, and then its keys
+                source = data.draw(st.sampled_from(sorted(keys)))
+                if source != next(iter(keys)) or data.draw(st.booleans()):
+                    raw[section]["source"] = source
+                keys = keys[source]
             for key, (tag, _default, *bounds) in keys.items():
                 if data.draw(st.booleans()):
                     value = _value_strategy(tag, bounds[0] if bounds else None)
@@ -157,6 +165,35 @@ class TestConfigFormat:
         again = resolve_config(parse_config_text(text))
         assert again.sections == cfg.sections
         assert again.to_text() == text
+
+    @pytest.mark.parametrize("kind, source, keys", [
+        ("fidelity_trace", None, {"row"}),
+        ("fidelity_trace", "spin", {"j1x", "j1z", "j2x", "j2z", "delta", "branch"}),
+        ("crosstalk_scan", "circuit", set(CIRCUIT_NAMES) | {"branch"}),
+        ("drive_demo", "spin", {"j1x", "j1z", "j2x", "j2z", "delta"}),
+        ("drive_demo", "circuit", set(CIRCUIT_NAMES)),
+        ("circuit_map", "circuit", set(CIRCUIT_NAMES)),
+    ])
+    def test_model_section_holds_its_sources_keys(self, kind, source, keys):
+        """Resolving fills, and emitting writes, only the chosen source's
+        keys, and the emitted text loads back to the same configuration."""
+        text = f"experiment = {kind}\n"
+        if source is not None:
+            text += f"[model]\nsource = {source}\n"
+        cfg = resolve_config(parse_config_text(text))
+        assert set(cfg["model"]) == keys | {"source"}
+        emitted = cfg.to_text()
+        model_lines = emitted.split("[model]\n")[1].split("[")[0].splitlines()
+        assert {line.split(" = ")[0] for line in model_lines} == keys | {"source"}
+        assert resolve_config(parse_config_text(emitted)).sections == cfg.sections
+
+    def test_key_of_another_source_names_the_source(self):
+        with pytest.raises(ConfigError, match="not read with source = table_row"):
+            resolve_config(parse_config_text(
+                "experiment = fidelity_trace\n[model]\nj1x = 1\n"))
+        with pytest.raises(ConfigError, match="expected one of table_row, circuit"):
+            resolve_config(parse_config_text(
+                "experiment = circuit_map\n[model]\nsource = spin\n"))
 
     def test_table_row_reference_resolves_published_circuit(self):
         cfg = default_config("circuit_map")
@@ -406,6 +443,18 @@ class TestCommandLine:
         ("search", "search", "[run]\nsamples = 5"),
         ("drive", "drive_demo", "[run]\nsamples = 5"),
         ("circuit-map", "circuit_map", "[model]\nsource = spin"),
+        # [model] keys of another source than the chosen one
+        ("trace", "fidelity_trace", "[model]\nsource = table_row\nj1x = 1"),
+        ("trace", "fidelity_trace", "[model]\nbranch = minus"),
+        ("trace", "fidelity_trace", "[model]\ne1 = 5"),
+        ("trace", "fidelity_trace", "[model]\nsource = spin\nrow = 3"),
+        ("trace", "fidelity_trace", "[model]\nsource = circuit\nj1x = 1"),
+        ("crosstalk", "crosstalk_scan", "[model]\nsource = table_row\nbranch = minus"),
+        ("drive", "drive_demo", "[model]\nj1x = 1"),
+        # the drive never reads a branch
+        ("drive", "drive_demo", "[model]\nsource = spin\nbranch = minus"),
+        ("drive", "drive_demo", "[model]\nsource = circuit\nbranch = minus"),
+        ("circuit-map", "circuit_map", "[model]\ne1 = 5"),
     ])
     def test_key_the_experiment_does_not_read_exits_2(self, tmp_path, command,
                                                        kind, body):

@@ -22,10 +22,13 @@ from swapgate.dynamics import (
     propagate,
 )
 from swapgate.hilbert import (
+    DEPHASE_3,
     PAULI_Z,
+    SIGMA_MINUS,
     DensityMatrix,
     OperatorMatrix,
     SiteDims,
+    embed_operators,
     excitation_numbers,
     sector_indices,
 )
@@ -246,6 +249,20 @@ class TestNoiseModel:
             gamma=0.01, channels=frozenset({"dephasing"})
         ).collapse_operators((2, 2))
         assert len(ops) == 2
+
+    def test_operators_are_built_once_and_read_only(self):
+        """Each (chain shape, channel) is embedded once; the shared arrays
+        reject writes, so no caller can alter another's jump operators."""
+        first = NoiseModel(gamma=0.01).collapse_operators((2, 3, 3, 2))
+        again = NoiseModel(gamma=0.02).collapse_operators(SiteDims((2, 3, 3, 2)))
+        assert [g for g, _ in again] == [0.02] * 8
+        assert all(a is b for (_, a), (_, b) in zip(first, again))
+        for _, op in first:
+            with pytest.raises(ValueError, match="read-only"):
+                op[0, 0] = 1.0
+        # still the embedded site operators, dephasing first
+        assert np.array_equal(first[1][1], embed_operators({1: DEPHASE_3}, (2, 3, 3, 2)).entries)
+        assert np.array_equal(first[4][1], embed_operators({0: SIGMA_MINUS}, (2, 3, 3, 2)).entries)
 
     def test_invalid(self):
         with pytest.raises(ValueError):
@@ -535,6 +552,17 @@ class TestPackage:
         env = dict(os.environ, PYTHONPATH=src)
         code = ("import sys, swapgate, swapgate.cli; "
                 "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
+
+    def test_import_does_not_load_the_optimizer(self):
+        """scipy's Nelder-Mead is a test oracle only: the search descends on
+        its own, so importing the package must not import scipy.optimize."""
+        src = str(Path(swapgate.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys, swapgate, swapgate.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out.strip() == "[]"

@@ -2,17 +2,67 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
-from swapgate.circuit_map import CircuitParams, circuit_to_spin, table_spin_params
+from swapgate.circuit_map import (
+    CIRCUIT_NAMES,
+    CircuitParams,
+    circuit_to_spin,
+    table_row,
+    table_spin_params,
+)
 from swapgate.cli import default_config, run_experiment
 from swapgate.search import (
     DEFAULT_BOUNDS,
+    INFEASIBLE_COST,
+    _FATOL,
+    _XATOL,
     CostSpec,
+    _box,
+    _cost_rows,
+    _lockstep_nelder_mead,
     evaluate_cost,
     requirement_residuals,
     search,
     validate_solution,
 )
+
+
+def table_circuit_values(row):
+    return [table_row(row)[name] for name in CIRCUIT_NAMES]
+
+
+def draw_starts(seed, n, bounds=DEFAULT_BOUNDS):
+    lo, hi = _box(bounds)
+    rng = np.random.default_rng(seed)
+    return lo + (hi - lo) * rng.random((n, len(lo)))
+
+
+def assert_matches_scipy(starts, budget, branch="plus", bounds=DEFAULT_BOUNDS):
+    """The lockstep descent against scipy's Nelder-Mead, start by start.
+
+    Each start's final simplex, its costs and its evaluation count must equal
+    scipy's bit for bit, with the search's cost and stopping tolerances.
+    Returns the lockstep costs.
+    """
+    spec = CostSpec()
+    lo, hi = _box(bounds)
+    sims, fsims, nfev = _lockstep_nelder_mead(
+        lambda x: _cost_rows(x, branch, spec, lo, hi)[0],
+        starts, budget, xatol=_XATOL, fatol=_FATOL,
+    )
+    for r, x0 in enumerate(starts):
+        sol = minimize(
+            lambda x: evaluate_cost(x, branch, spec, bounds)[0], x0,
+            method="Nelder-Mead",
+            options={"maxfev": budget, "xatol": _XATOL, "fatol": _FATOL},
+        )
+        final_sim, final_f = sol.final_simplex
+        assert np.array_equal(sims[r, 0], sol.x), (r, budget)
+        assert np.array_equal(sims[r], final_sim), (r, budget)
+        assert np.array_equal(fsims[r], final_f), (r, budget)
+        assert nfev[r] == sol.nfev, (r, budget)
+    return fsims
 
 
 class TestCostFunction:
@@ -51,6 +101,112 @@ class TestCostFunction:
             c1, _, _ = evaluate_cost(x2, "plus", CostSpec(), DEFAULT_BOUNDS)
             assert np.isfinite(c1)
             assert abs(c1 - c0) < 10.0
+
+
+class TestCostParity:
+    """The batched cost, row by row, against ``evaluate_cost`` on one point."""
+
+    @pytest.mark.parametrize("bounds, n_feasible", [
+        (DEFAULT_BOUNDS, "all"),
+        # lo <= 0: clipped values at or below zero are not circuits
+        (dict(DEFAULT_BOUNDS, e1=(-700.0, 700.0), c2=(0.0, 1000.0)), "some"),
+        # c2 / c23 below 1e-12: a singular capacitance matrix
+        (dict(DEFAULT_BOUNDS, c2=(1e-13, 1e-11), c23=(500.0, 1000.0)), "none"),
+        # c1 / c2 above 1e12: an ill-conditioned one
+        (dict(DEFAULT_BOUNDS, c1=(1e16, 1e17)), "none"),
+    ])
+    def test_rows_equal_single_point_cost(self, bounds, n_feasible):
+        lo, hi = _box(bounds)
+        rng = np.random.default_rng(31)
+        # half the points outside the box, by up to half its width per side
+        x = lo + (hi - lo) * rng.uniform(-0.5, 1.5, (256, len(lo)))
+        for branch in ("plus", "minus"):
+            batch, feasible, _, _ = _cost_rows(x, branch, CostSpec(), lo, hi)
+            single = [evaluate_cost(row, branch, CostSpec(), bounds) for row in x]
+            assert np.array_equal(batch, [c for c, _, _ in single])
+            assert np.array_equal(feasible, [res is not None for _, res, _ in single])
+            assert n_feasible == {0: "none", len(x): "all"}.get(feasible.sum(), "some")
+            assert np.all(batch[~feasible] >= INFEASIBLE_COST)
+
+    def test_single_point_reports_match_the_mapping(self):
+        x = np.array([561.6, 438.5, 186.0, 397.1, 926.3, 76.2, 240.4, 37.3])
+        cost, res, spin = evaluate_cost(x, "plus", CostSpec(), DEFAULT_BOUNDS)
+        want = circuit_to_spin(CircuitParams(*x))
+        assert spin == want
+        assert res == requirement_residuals(want, "plus", CostSpec())
+        weighted = (res["j1_equality"] ** 2 + res["delta_branch"] ** 2
+                    + res["coupling_ratio"] ** 2 + 0.1 * res["anharmonicity"] ** 2)
+        assert cost == pytest.approx(weighted, rel=1e-14)
+
+
+class TestLockstepDescent:
+    """``_lockstep_nelder_mead`` is scipy's Nelder-Mead, run for every start
+    at once."""
+
+    @pytest.mark.parametrize("branch", ["plus", "minus"])
+    @pytest.mark.parametrize("budget", [1, 8, 9, 10, 37, 400])
+    def test_matches_scipy_per_start(self, budget, branch):
+        # budgets below, at and just past the initial simplex's 9
+        # evaluations, one that stops mid-iteration and a long descent
+        assert_matches_scipy(draw_starts(budget, 6), budget, branch)
+
+    def test_matches_scipy_on_the_search_budget(self):
+        assert_matches_scipy(draw_starts(2000, 4), 2000)
+
+    def test_zero_coordinate_and_degenerate_bounds(self):
+        """A start with a zero coordinate (scipy steps it by 0.00025) under a
+        box with ``lo == hi`` on two parameters (a 1e-9 penalty scale)."""
+        bounds = dict(DEFAULT_BOUNDS, l12=(50.0, 50.0), c23=(300.0, 300.0))
+        starts = draw_starts(4, 5, bounds)
+        starts[0, 2] = 0.0
+        starts[3, 7] = 0.0
+        assert_matches_scipy(starts, 150, "minus", bounds)
+
+    def test_cost_plateaus_and_ties(self):
+        """Under lo <= 0 bounds whole regions cost exactly ``INFEASIBLE_COST``:
+        ties between trial and vertex costs decide the branch."""
+        bounds = dict(DEFAULT_BOUNDS, e1=(-700.0, 700.0), c2=(-1000.0, 1000.0))
+        starts = draw_starts(9, 8, bounds)
+        fsims = assert_matches_scipy(starts, 120, "plus", bounds)
+        assert np.any(fsims == INFEASIBLE_COST)
+
+    @pytest.mark.parametrize("budget", range(11, 20))
+    def test_budget_ends_mid_shrink(self, budget):
+        """On a flat infeasible region every iteration shrinks: 9 initial
+        evaluations, a reflection and an inside contraction that tie with the
+        worst vertex, then 8 shrink evaluations, of which budgets 11-19 allow
+        0-8.  The starts are table circuits with e1 < 0 whose initial
+        simplices stay inside the box, so every vertex costs exactly
+        ``INFEASIBLE_COST``."""
+        bounds = dict(DEFAULT_BOUNDS, e1=(-700.0, 700.0))
+        starts = np.array([table_circuit_values(row) for row in (1, 6, 8)])
+        starts[:, 0] = [-300.0, -450.0, -120.0]
+        calls = []
+
+        def cost(x):
+            calls.append(len(x))
+            return _cost_rows(x, "plus", CostSpec(), *_box(bounds))[0]
+
+        _lockstep_nelder_mead(cost, starts, budget, xatol=_XATOL, fatol=_FATOL)
+        assert calls == [27, 12, 24]  # init, trial points, all three shrink
+        fsims = assert_matches_scipy(starts, budget, "plus", bounds)
+        assert np.all(fsims == INFEASIBLE_COST)
+
+    def test_point_bounds(self):
+        """A box of one point: every step off it costs ~1e18 (a 1e-9
+        penalty scale), so the start stays the best vertex."""
+        point = {k: (v[0], v[0]) for k, v in DEFAULT_BOUNDS.items()}
+        lo, _ = _box(point)
+        fsims = assert_matches_scipy(lo[None, :], 50, "plus", point)
+        assert fsims[0, 0] == evaluate_cost(lo, "plus", CostSpec(), point)[0]
+
+    def test_search_is_the_lockstep_descent_of_its_starts(self):
+        """``search`` draws its starts in restart order and reports the cost
+        at each start's best vertex."""
+        results = search(seed=4, n_restarts=3, max_evaluations=60, keep_all=True)
+        fsims = assert_matches_scipy(draw_starts(4, 3), 60)
+        assert results[0].cost == fsims[:, 0].min()
+        assert {r.cost for r in results} <= set(fsims[:, 0].tolist())
 
 
 class TestSearch:
