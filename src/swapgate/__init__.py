@@ -37,7 +37,6 @@ from .spin_model import (
 )
 from .dynamics import (
     NoiseModel,
-    Propagation,
     PropagationError,
     propagate,
 )
@@ -66,13 +65,12 @@ from .drive import (
     rabi_prepare,
     superposition_phase,
 )
-from .search import CostSpec, SearchResult, search, validate_solution
+from .search import SearchResult, search, validate_solution
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CircuitParams",
-    "CostSpec",
     "DensityMatrix",
     "DrivePulse",
     "FidelityTrace",
@@ -81,7 +79,6 @@ __all__ = [
     "ModelError",
     "NoiseModel",
     "OperatorMatrix",
-    "Propagation",
     "PropagationError",
     "QutritModelParams",
     "SearchResult",

@@ -285,9 +285,9 @@ def mappable(sites: dict[str, np.ndarray]) -> np.ndarray:
     )
 
 
-def spin_result(sites: dict[str, np.ndarray]) -> SpinMapResult:
-    """The first row of a ``map_sites`` result as a ``SpinMapResult`` of floats."""
-    v = {name: float(arr[0]) for name, arr in sites.items()}
+def spin_result(sites: dict[str, np.ndarray], row: int) -> SpinMapResult:
+    """One row of a ``map_sites`` result as a ``SpinMapResult`` of floats."""
+    v = {name: float(arr[row]) for name, arr in sites.items()}
     ta, tb, sa, sb = v["ta"], v["tb"], v["sa"], v["sb"]
     return SpinMapResult(
         **{name: v[name] for name in _SCALAR_FIELDS},
@@ -308,7 +308,7 @@ def circuit_to_spin(params: CircuitParams) -> SpinMapResult:
     _check_capacitance(float(sites["det_norm"][0]), float(sites["condition_number"][0]))
     if sites["ra"][0] <= 0 or sites["rb"][0] <= 0:
         raise MappingError("nonpositive quartic-root argument in mode scale")
-    return spin_result(sites)
+    return spin_result(sites, 0)
 
 
 def drive_amplitude(

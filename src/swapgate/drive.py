@@ -27,13 +27,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import NoiseModel, Propagation, propagate
+from .dynamics import NoiseModel, propagate
 from .hilbert import (
     PAULI_X,
     PAULI_Y,
     DensityMatrix,
     OperatorMatrix,
     SiteDims,
+    _as_site_dims,
     embed_operators,
     excitation_numbers,
     partial_trace,
@@ -51,6 +52,10 @@ from .spin_model import (
 
 #: weak-drive validity threshold: flag unless A <= J2z / 20
 WEAK_DRIVE_FRACTION = 1.0 / 20.0
+#: frequencies the calibration scans, and their span about the transition (2pi*MHz)
+CALIBRATION_POINTS, CALIBRATION_SPAN = 7, 12.0
+#: leakage flag: the |1+> -> |11> transition within this many drive amplitudes
+LEAKAGE_FLAG_MULTIPLE = 5.0
 
 
 @dataclass(frozen=True)
@@ -120,7 +125,7 @@ def drive_hamiltonian(
     driven chain in the frame exp(-i d N t).  At zero amplitude only the
     frame term remains.
     """
-    dims = dims if isinstance(dims, SiteDims) else SiteDims(tuple(dims))
+    dims = _as_site_dims(dims)
     if dims.n_sites != 4 or dims[1] != 2 or dims[2] != 2:
         raise ModelError("drive acts on the two qubit control sites of a 4-site chain")
     frame = np.diag(pulse.detuning * excitation_numbers(dims)).astype(complex)
@@ -143,48 +148,42 @@ class RabiResult:
 def rabi_prepare(
     params: SpinModelParams,
     pulse: DrivePulse,
-    initial_control_state: GateConfig | str,
     duration: float | None = None,
     noise: NoiseModel | None = None,
-    target_population: str = "open_0",
 ) -> RabiResult:
-    """Drive the full four-site chain and return the reduced control state.
+    """Drive the four-site chain from the closed register |1+>_C towards the
+    open |00>_C and return the reduced control state.
 
-    The chain is propagated in the drive's rotating frame (module docstring;
-    dephasing and decay are unchanged by that frame) and the final state is
-    rotated back to the interaction picture, rho = R rho' R+ with
-    R = exp(+i d N t).  ``transfer_probability`` is the population of
-    ``target_population`` in the reduced control register at the end of the
-    pulse.  The level-frame copy removes the deterministic free-evolution
-    phases of the register levels (the bookkeeping that
-    ``superposition_phase`` prescribes), so it can be compared directly
-    against ideal superposition targets.
+    The targets start in their ground state; ``transfer_probability`` is the
+    population of |00>_C at the end of the pulse (``duration`` defaults to
+    the pi duration).  The chain is propagated in the drive's rotating frame
+    (module docstring; dephasing and decay are unchanged by that frame) and
+    the final state is rotated back to the interaction picture,
+    rho = R rho' R+ with R = exp(+i d N t).  The level-frame copy removes the
+    deterministic free-evolution phases of the register levels (the
+    bookkeeping that ``superposition_phase`` prescribes), so it can be
+    compared directly against ideal superposition targets.
     """
     if params.n_sites != 4:
         raise ModelError("state preparation drives the 4-site chain")
-    if isinstance(initial_control_state, str):
-        initial_control_state = GateConfig(control_state=initial_control_state)
     if duration is None:
         duration = pulse.pi_duration()
 
     h0 = build_interaction_hamiltonian(params)
     h = h0 + drive_hamiltonian(pulse, h0.dims)
 
-    cvec = control_state_vector(initial_control_state, [2, 2])
+    cvec = control_state_vector(GateConfig(control_state="closed_1plus"), [2, 2])
     ground = np.array([1.0, 0.0], dtype=complex)
     full = np.kron(np.kron(ground, cvec), ground)
     rho0 = DensityMatrix.from_state_vector(full, h0.dims)
 
-    prop = Propagation(
-        hamiltonian=h, noise=noise, t_final=duration, sample_times=(duration,)
-    )
-    final = propagate(rho0, prop)[-1].entries
+    final = propagate(rho0, h, noise, (duration,))[-1].entries
     back = np.exp(1j * TWO_PI * pulse.detuning * duration
                   * excitation_numbers(h0.dims))
     lab = DensityMatrix(OperatorMatrix(h0.dims, back[:, None] * final * back.conj()))
     reduced = partial_trace(lab, keep_sites=(1, 2))
 
-    tvec = control_state_vector(GateConfig(control_state=target_population), [2, 2])
+    tvec = control_state_vector(GateConfig(control_state="open_0"), [2, 2])
     p = float(np.real(tvec.conj() @ reduced.entries @ tvec))
 
     # undo the free phases: |00>_C rides at the vacuum energy, the symmetric
@@ -208,26 +207,22 @@ def rabi_prepare(
     )
 
 
-def calibrated_pi_pulse(
-    params: SpinModelParams,
-    amplitude: float,
-    search_span: float = 12.0,
-    n_points: int = 7,
-) -> DrivePulse:
+def calibrated_pi_pulse(params: SpinModelParams, amplitude: float) -> DrivePulse:
     """Resonance-calibrated rectangular pi pulse of the given amplitude.
 
-    Scans the drive frequency over ``+- search_span`` (2pi*MHz) around the
-    exact transition and quadratically refines on the transfer probability,
+    Scans the drive frequency over ``+- CALIBRATION_SPAN`` (2pi*MHz) around
+    the exact transition and quadratically refines on the transfer probability,
     the numerical analogue of an experimental Rabi calibration; the off-
     resonant dressing of the register levels shifts the optimum by a few
     2pi*MHz from the bare transition.
     """
     base = resonant_drive_frequency(params)
-    freqs = np.linspace(base - search_span, base + search_span, n_points)
+    freqs = np.linspace(base - CALIBRATION_SPAN, base + CALIBRATION_SPAN,
+                        CALIBRATION_POINTS)
     probs = []
     for f in freqs:
         pulse = DrivePulse(amplitude=amplitude, frequency=f, omega1=params.omega[0])
-        res = rabi_prepare(params, pulse, "closed_1plus", pulse.pi_duration())
+        res = rabi_prepare(params, pulse, pulse.pi_duration())
         probs.append(res.transfer_probability)
     k = int(np.argmax(probs))
     if 0 < k < len(freqs) - 1:
@@ -259,15 +254,13 @@ class LeakageReport:
 
 
 def leakage_avoidance_check(
-    pulse: DrivePulse,
-    level_energies: tuple[float, float, float],
-    flag_multiple: float = 5.0,
+    pulse: DrivePulse, level_energies: tuple[float, float, float]
 ) -> LeakageReport:
     """Offsets of the drive from each register transition, with a proximity flag.
 
     ``level_energies`` are the (|00>, |1+>, |11>) register energies.  The
     pulse is flagged when the |1+> -> |11> transition sits within
-    ``flag_multiple`` amplitudes of the drive.
+    ``LEAKAGE_FLAG_MULTIPLE`` amplitudes of the drive.
     """
     e00, e1p, e11 = level_energies
     omega = abs(pulse.frequency)
@@ -276,6 +269,6 @@ def leakage_avoidance_check(
         "bell_to_double": abs(omega - abs(e11 - e1p)),
         "open_to_double_twophoton": abs(omega - abs(e11 - e00) / 2.0),
     }
-    threshold = flag_multiple * abs(pulse.amplitude)
+    threshold = LEAKAGE_FLAG_MULTIPLE * abs(pulse.amplitude)
     flagged = offsets["bell_to_double"] < threshold
     return LeakageReport(detunings=offsets, flagged=flagged, threshold=threshold)

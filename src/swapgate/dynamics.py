@@ -47,6 +47,7 @@ from .hilbert import (
     HilbertError,
     OperatorMatrix,
     SiteDims,
+    _as_site_dims,
     embed_operators,
 )
 
@@ -81,7 +82,7 @@ class NoiseModel:
         The operators are shared, read-only arrays, embedded once per chain
         shape and channel.
         """
-        dims = dims if isinstance(dims, SiteDims) else SiteDims(tuple(dims))
+        dims = _as_site_dims(dims)
         if self.gamma == 0.0:
             return []
         return [
@@ -109,28 +110,6 @@ def _jump_operators(dims: tuple[int, ...], channel: str) -> tuple[np.ndarray, ..
         op.flags.writeable = False
         ops.append(op)
     return tuple(ops)
-
-
-@dataclass(frozen=True)
-class Propagation:
-    """A propagation problem: generator, noise, horizon and sample times."""
-
-    hamiltonian: OperatorMatrix
-    noise: NoiseModel | None
-    t_final: float
-    sample_times: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        ts = tuple(float(t) for t in self.sample_times)
-        if any(t2 <= t1 for t1, t2 in zip(ts, ts[1:])):
-            raise ValueError("sample_times must be strictly increasing")
-        if ts and (ts[0] < 0.0 or ts[-1] > self.t_final + 1e-15):
-            raise ValueError("sample_times must lie within [0, t_final]")
-        object.__setattr__(self, "sample_times", ts)
-
-    @property
-    def dims(self) -> SiteDims:
-        return self.hamiltonian.dims
 
 
 class _LindbladGenerator:
@@ -206,41 +185,38 @@ class _LindbladGenerator:
 
 
 def propagate(
-    rho0: DensityMatrix | OperatorMatrix, prop: Propagation
-) -> list[DensityMatrix] | list[OperatorMatrix]:
-    """Evolve one state (or general operator) and sample it at ``sample_times``.
+    rho0: DensityMatrix,
+    hamiltonian: OperatorMatrix,
+    noise: NoiseModel | None,
+    sample_times: Sequence[float],
+) -> list[DensityMatrix]:
+    """Evolve a state from t = 0 under ``hamiltonian`` and ``noise`` and
+    sample it at ``sample_times``, nonnegative and strictly increasing.
 
-    Density-matrix inputs are validated, and every sample is checked for
-    trace and Hermiticity preservation (1e-8) and positivity (-1e-7).
-    General operators evolve under the identical linear generator with no
-    physicality checks.
+    The input is validated, and every sample is checked for trace and
+    Hermiticity preservation (1e-8) and positivity (-1e-7).
     """
-    is_state = isinstance(rho0, DensityMatrix)
-    if rho0.dims.dims != prop.dims.dims:
+    dims = hamiltonian.dims
+    if rho0.dims.dims != dims.dims:
         raise HilbertError("state dimensions do not match the Hamiltonian")
-    if is_state:
-        rho0.validate()
-    collapse = prop.noise.collapse_operators(prop.dims) if prop.noise else []
-    out = evolve_stack_raw(prop.hamiltonian.entries, collapse,
-                           rho0.entries[None, :, :], prop.sample_times)
-    results: list = []
+    rho0.validate()
+    collapse = noise.collapse_operators(dims) if noise else []
+    out = evolve_stack_raw(hamiltonian.entries, collapse,
+                           rho0.entries[None, :, :], sample_times)
+    results = []
     for k in range(out.shape[0]):
         m = out[k, 0]
-        op = OperatorMatrix(prop.dims, m)
-        if is_state:
-            tr = np.trace(m)
-            if abs(tr - 1.0) > 1e-8:
-                raise PropagationError(
-                    f"trace drifted to {tr:.10f} at t = {prop.sample_times[k]:.3e}"
-                )
-            if np.max(np.abs(m - m.conj().T)) > 1e-8:
-                raise PropagationError("Hermiticity lost beyond 1e-8")
-            w = np.linalg.eigvalsh((m + m.conj().T) / 2)
-            if w.min() < -1e-7:
-                raise PropagationError(f"negative population {w.min():.3e}")
-            results.append(DensityMatrix(op))
-        else:
-            results.append(op)
+        tr = np.trace(m)
+        if abs(tr - 1.0) > 1e-8:
+            raise PropagationError(
+                f"trace drifted to {tr:.10f} at t = {sample_times[k]:.3e}"
+            )
+        if np.max(np.abs(m - m.conj().T)) > 1e-8:
+            raise PropagationError("Hermiticity lost beyond 1e-8")
+        w = np.linalg.eigvalsh((m + m.conj().T) / 2)
+        if w.min() < -1e-7:
+            raise PropagationError(f"negative population {w.min():.3e}")
+        results.append(DensityMatrix(OperatorMatrix(dims, m)))
     return results
 
 

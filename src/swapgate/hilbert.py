@@ -143,14 +143,14 @@ class DensityMatrix:
     def entries(self) -> np.ndarray:
         return self.op.entries
 
-    def validate(self, tol: float = DEFAULT_TOL, positivity_tol: float = 1e-7) -> None:
+    def validate(self) -> None:
         m = self.op.entries
-        if not self.op.is_hermitian(tol):
+        if not self.op.is_hermitian():
             raise HilbertError("density matrix is not Hermitian within tolerance")
-        if abs(np.trace(m) - 1.0) > tol:
+        if abs(np.trace(m) - 1.0) > DEFAULT_TOL:
             raise HilbertError(f"density matrix trace {np.trace(m):.3e} != 1")
         w = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-        if w.min() < -positivity_tol:
+        if w.min() < -1e-7:
             raise HilbertError(f"density matrix has eigenvalue {w.min():.3e} < 0")
 
     @classmethod
@@ -227,17 +227,15 @@ def partial_trace(
     return DensityMatrix(reduced) if is_state else reduced
 
 
-def eig_hermitian(
-    op: OperatorMatrix | np.ndarray, tol: float = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray]:
+def eig_hermitian(op: OperatorMatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvectors of a Hermitian operator.
 
-    Raises if the input fails the Hermiticity tolerance, and checks the
-    reconstruction residual against 1e-10 * ||A||.
+    Raises if the input is not Hermitian to ``DEFAULT_TOL`` (relative), and
+    checks the reconstruction residual against 1e-10 * ||A||.
     """
     m = op.entries if isinstance(op, OperatorMatrix) else np.asarray(op, dtype=complex)
     scale = max(1.0, float(np.max(np.abs(m))))
-    if np.max(np.abs(m - m.conj().T)) > tol * scale:
+    if np.max(np.abs(m - m.conj().T)) > DEFAULT_TOL * scale:
         raise HilbertError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
     residual = np.linalg.norm(m @ v - v @ np.diag(w))

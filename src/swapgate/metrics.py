@@ -68,9 +68,9 @@ class TargetGate:
     def closed_gate(cls) -> "TargetGate":
         return cls(kind="closed", matrix=np.eye(4, dtype=complex))
 
-    def is_unitary(self, tol: float = 1e-12) -> bool:
+    def is_unitary(self) -> bool:
         m = self.matrix
-        return bool(np.max(np.abs(m.conj().T @ m - np.eye(4))) <= tol)
+        return bool(np.max(np.abs(m.conj().T @ m - np.eye(4))) <= 1e-12)
 
 
 @dataclass(frozen=True)
@@ -243,18 +243,20 @@ def numerical_gate_time(trace: FidelityTrace) -> float:
     return trace.peak_time
 
 
-def default_open_window(
-    params: SpinModelParams, lo: float = 0.8, hi: float = 1.05, n: int = 120
-) -> np.ndarray:
+def default_open_window(params: SpinModelParams, n: int = 120) -> np.ndarray:
     """Sample grid bracketing the analytic gate time for peak location."""
     tg = analytic_gate_time(params)
-    return np.linspace(lo * tg, hi * tg, n)
+    return np.linspace(0.8 * tg, 1.05 * tg, n)
+
+
+#: first sample of a window from the origin, as a fraction of the gate time
+FIRST_SAMPLE = 1e-4
 
 
 def closed_window(params: SpinModelParams, n: int = 120) -> np.ndarray:
-    """Sample grid over [0, t_g] (first sample slightly above zero)."""
+    """Sample grid over [0, t_g] (first sample at ``FIRST_SAMPLE`` t_g)."""
     tg = analytic_gate_time(params)
-    return np.linspace(tg * 1e-4, tg, n)
+    return np.linspace(FIRST_SAMPLE * tg, tg, n)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ deduplicated and sorted, and identical seeds give identical output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable
 
 import numpy as np
@@ -43,6 +43,7 @@ from .metrics import (
     numerical_gate_time,
 )
 from .spin_model import (
+    MIN_COUPLING_RATIO,
     GateConfig,
     SpinModelParams,
     analytic_gate_time,
@@ -66,30 +67,11 @@ DEFAULT_BOUNDS: dict[str, tuple[float, float]] = {
 INFEASIBLE_COST = 1e6
 
 
-@dataclass(frozen=True)
-class CostSpec:
-    """Weights and thresholds of the gate-requirement cost function."""
-
-    w_j1_equality: float = 1.0
-    w_delta_branch: float = 1.0
-    w_coupling_ratio: float = 1.0
-    w_anharmonicity: float = 0.1
-    w_bounds: float = 10.0
-    ratio_min: float = 5.0
-    anh_floor: float = 0.001  # relative anharmonicity floor, 0.1%
-
-    def __post_init__(self) -> None:
-        weights = (
-            self.w_j1_equality,
-            self.w_delta_branch,
-            self.w_coupling_ratio,
-            self.w_anharmonicity,
-            self.w_bounds,
-        )
-        if any(w < 0 for w in weights):
-            raise ValueError("weights must be nonnegative")
-        if self.w_j1_equality <= 0 or self.w_delta_branch <= 0:
-            raise ValueError("the two requirement weights must be positive")
+# weights of the four requirement residuals and of the bounds penalty
+_W_J1_EQUALITY = _W_DELTA_BRANCH = _W_COUPLING_RATIO = 1.0
+_W_ANHARMONICITY, _W_BOUNDS = 0.1, 10.0
+#: floor on the end-qubit relative anharmonicity, 0.1%
+ANH_FLOOR = 0.001
 
 
 @dataclass(frozen=True)
@@ -108,7 +90,7 @@ class SearchResult:
         )
 
 
-def _residuals(spin, branch: str, spec: CostSpec) -> dict[str, np.ndarray]:
+def _residuals(spin, branch: str) -> dict[str, np.ndarray]:
     """Requirement residuals of mapped spin values (floats or arrays, read
     by name from the mapping or ``SpinMapResult`` attributes)."""
     j1x, j1z, j2x = spin["j1x"], spin["j1z"], spin["j2x"]
@@ -119,16 +101,15 @@ def _residuals(spin, branch: str, spec: CostSpec) -> dict[str, np.ndarray]:
     return {
         "j1_equality": np.abs(j1x - j1z) / j1_scale,
         "delta_branch": np.abs(spin["delta"] - delta_target) / delta_scale,
-        "coupling_ratio": np.fmax(spec.ratio_min - ratio, 0.0) / spec.ratio_min,
-        "anharmonicity": np.fmax(spec.anh_floor - np.abs(spin["anh_rel_1"]), 0.0)
-        / spec.anh_floor,
+        "coupling_ratio": np.fmax(MIN_COUPLING_RATIO - ratio, 0.0)
+        / MIN_COUPLING_RATIO,
+        "anharmonicity": np.fmax(ANH_FLOOR - np.abs(spin["anh_rel_1"]), 0.0)
+        / ANH_FLOOR,
     }
 
 
-def requirement_residuals(
-    spin: SpinMapResult, branch: str, spec: CostSpec
-) -> dict[str, float]:
-    res = _residuals(vars(spin), branch, spec)
+def requirement_residuals(spin: SpinMapResult, branch: str) -> dict[str, float]:
+    res = _residuals(vars(spin), branch)
     return {name: float(v) for name, v in res.items()}
 
 
@@ -139,7 +120,7 @@ def _box(bounds: dict[str, tuple[float, float]]) -> tuple[np.ndarray, np.ndarray
 
 
 def _cost_rows(
-    x: np.ndarray, branch: str, spec: CostSpec, lo: np.ndarray, hi: np.ndarray
+    x: np.ndarray, branch: str, lo: np.ndarray, hi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, dict, dict]:
     """Cost of every row of ``x``, with what ``evaluate_cost`` reports.
 
@@ -160,15 +141,15 @@ def _cost_rows(
     sites = map_sites(clipped)
     feasible = ~(clipped <= 0).any(axis=1) & mappable(sites)
     with np.errstate(all="ignore"):
-        res = _residuals(sites, branch, spec)
+        res = _residuals(sites, branch)
         r1, r2 = res["j1_equality"], res["delta_branch"]
         r3, r4 = res["coupling_ratio"], res["anharmonicity"]
         cost = (
-            spec.w_j1_equality * (r1 * r1)
-            + spec.w_delta_branch * (r2 * r2)
-            + spec.w_coupling_ratio * (r3 * r3)
-            + spec.w_anharmonicity * (r4 * r4)
-            + spec.w_bounds * penalty
+            _W_J1_EQUALITY * (r1 * r1)
+            + _W_DELTA_BRANCH * (r2 * r2)
+            + _W_COUPLING_RATIO * (r3 * r3)
+            + _W_ANHARMONICITY * (r4 * r4)
+            + _W_BOUNDS * penalty
         )
     cost = np.where(feasible, cost, INFEASIBLE_COST + penalty)
     return cost, feasible, sites, res
@@ -177,7 +158,6 @@ def _cost_rows(
 def evaluate_cost(
     x: np.ndarray,
     branch: str,
-    spec: CostSpec,
     bounds: dict[str, tuple[float, float]],
 ) -> tuple[float, dict[str, float] | None, SpinMapResult | None]:
     """Cost at a parameter vector; infeasible points get a large finite cost.
@@ -187,14 +167,14 @@ def evaluate_cost(
     """
     lo, hi = _box(bounds)
     cost, feasible, sites, res = _cost_rows(
-        np.asarray(x, dtype=float)[None, :], branch, spec, lo, hi
+        np.asarray(x, dtype=float)[None, :], branch, lo, hi
     )
     if not feasible[0]:
         return float(cost[0]), None, None
     return (
         float(cost[0]),
         {name: float(v[0]) for name, v in res.items()},
-        spin_result(sites),
+        spin_result(sites, 0),
     )
 
 
@@ -316,7 +296,6 @@ def _lockstep_nelder_mead(
 
 
 def search(
-    cost: CostSpec | None = None,
     bounds: dict[str, tuple[float, float]] | None = None,
     branch: str = "plus",
     seed: int = 0,
@@ -332,61 +311,41 @@ def search(
     are returned, so an infeasible search yields an empty list (the residual
     diagnostics remain available through ``keep_all=True``).
     """
-    cost = cost or CostSpec()
     bounds = dict(DEFAULT_BOUNDS, **(bounds or {}))
     rng = np.random.default_rng(seed)
     lo, hi = _box(bounds)
     if np.any(hi < lo):
         raise ValueError("bounds must satisfy lo <= hi")
 
-    starts = np.empty((n_restarts, len(CIRCUIT_NAMES)))
-    for i in range(n_restarts):
-        x0 = lo + (hi - lo) * rng.random(len(CIRCUIT_NAMES))
-        if np.all(hi == lo):
-            x0 = lo.copy()
-        starts[i] = x0
+    starts = lo + (hi - lo) * rng.random((n_restarts, len(CIRCUIT_NAMES)))
     simplices, _, _ = _lockstep_nelder_mead(
-        lambda x: _cost_rows(x, branch, cost, lo, hi)[0],
+        lambda x: _cost_rows(x, branch, lo, hi)[0],
         starts,
         max_evaluations,
         xatol=_XATOL,
         fatol=_FATOL,
     )
 
-    results: list[SearchResult] = []
-    for x in simplices[:, 0]:
-        c, res, spin = evaluate_cost(x, branch, cost, bounds)
-        if res is None:
-            continue
-        vals = {
-            name: float(np.clip(v, bounds[name][0], bounds[name][1]))
-            for name, v in zip(CIRCUIT_NAMES, x)
-        }
-        results.append(
-            SearchResult(
-                circuit=CircuitParams(**vals),
-                spin=spin,
-                cost=c,
-                residuals=res,
-            )
+    best = simplices[:, 0]
+    cost, feasible, sites, res = _cost_rows(best, branch, lo, hi)
+    circuits = np.clip(best, lo, hi)
+    results = [
+        SearchResult(
+            circuit=CircuitParams(*(float(v) for v in circuits[i])),
+            spin=spin_result(sites, i),
+            cost=float(cost[i]),
+            residuals={name: float(v[i]) for name, v in res.items()},
         )
+        for i in np.flatnonzero(feasible)
+    ]
 
-    results.sort(key=lambda r: (r.cost,) + tuple(
-        getattr(r.circuit, n) for n in CIRCUIT_NAMES
-    ))
+    results.sort(key=lambda r: (r.cost,) + astuple(r.circuit))
     deduped: list[SearchResult] = []
     for r in results:
-        dup = False
-        for kept in deduped:
-            rel = [
-                abs(getattr(r.circuit, n) - getattr(kept.circuit, n))
-                / max(abs(getattr(kept.circuit, n)), 1e-12)
-                for n in CIRCUIT_NAMES
-            ]
-            if max(rel) <= 0.01:
-                dup = True
-                break
-        if not dup:
+        x = astuple(r.circuit)
+        rel = (max(abs(a - b) / max(abs(b), 1e-12) for a, b in zip(x, astuple(k.circuit)))
+               for k in deduped)
+        if all(d > 0.01 for d in rel):
             deduped.append(r)
     if keep_all:
         return deduped
@@ -405,24 +364,22 @@ class ValidationReport:
 def validate_solution(
     spin_params: SpinModelParams | SearchResult,
     gamma: float,
-    branch: str | None = None,
     n_samples: int = 90,
 ) -> ValidationReport:
     """Full fidelity pipeline on a search solution (or explicit chain params).
 
     Reports the open-configuration peak and the closed-configuration minimum
-    over one gate period, at the given decoherence rate.
+    over one gate period, at the given decoherence rate, on the branch of
+    the solution's detuning sign (or of the chain's ``detuning_choice``,
+    "plus" when that is explicit).
     """
     if isinstance(spin_params, SearchResult):
-        branch = branch or (
-            "plus" if spin_params.spin.delta >= 0 else "minus"
-        )
+        branch = "plus" if spin_params.spin.delta >= 0 else "minus"
         params = spin_params.spin.spin_params()
     else:
         params = spin_params
-        if branch is None:
-            branch = params.detuning_choice if params.detuning_choice in (
-                "plus", "minus") else "plus"
+        branch = params.detuning_choice if params.detuning_choice in (
+            "plus", "minus") else "plus"
     noise = NoiseModel(gamma=gamma) if gamma > 0 else None
     open_cfg = GateConfig(delta_branch=branch, control_state="open_0")
     trace_open = average_fidelity(

@@ -33,6 +33,9 @@ from .hilbert import (
 
 TWO_PI = 2.0 * np.pi
 
+#: weak target-control coupling of the gate mode: |J2x/J1x| at least this
+MIN_COUPLING_RATIO = 5.0
+
 
 class ModelError(ValueError):
     """Invalid chain parameters."""
@@ -90,11 +93,7 @@ class SpinModelParams:
     def j2z(self) -> float:
         return self.jz[1]
 
-    def gate_mode_violations(
-        self,
-        ratio_threshold: float = 5.0,  # weak target-control coupling, |J2/J1|
-        j1_equality_rtol: float = 1e-2,
-    ) -> list[str]:
+    def gate_mode_violations(self) -> list[str]:
         """Soft validity checks for use as a conditional swap gate."""
         out = []
         n = self.n_sites
@@ -108,13 +107,13 @@ class SpinModelParams:
             for j in range(n - 1)
         ):
             out.append("chain is not spatially symmetric")
-        if abs(self.j1x) > 0 and abs(self.j2x / self.j1x) < ratio_threshold:
+        if abs(self.j1x) > 0 and abs(self.j2x / self.j1x) < MIN_COUPLING_RATIO:
             out.append(
                 f"|J2x/J1x| = {abs(self.j2x / self.j1x):.2f} below "
-                f"threshold {ratio_threshold}"
+                f"threshold {MIN_COUPLING_RATIO}"
             )
         scale = max(abs(self.j1x), 1e-12)
-        if abs(self.j1x - self.j1z) / scale > j1_equality_rtol:
+        if abs(self.j1x - self.j1z) / scale > 1e-2:
             out.append("J1x != J1z beyond tolerance")
         return out
 

@@ -35,7 +35,7 @@ from swapgate.circuit_map import (
     table_spin_params,
     SingularCapacitanceError,
 )
-from swapgate.dynamics import NoiseModel, Propagation, propagate
+from swapgate.dynamics import NoiseModel, propagate
 from swapgate.drive import (
     DrivePulse,
     calibrated_pi_pulse,
@@ -298,7 +298,7 @@ def test_c08_lindblad_correctness(row6):
     rho0 = DensityMatrix(OperatorMatrix(SiteDims((2,)),
                                         np.diag([0.0, 1.0]).astype(complex)))
     times = np.linspace(4.0, 100.0, 25)
-    states = propagate(rho0, Propagation(h, noise, 100.0, tuple(times)))
+    states = propagate(rho0, h, noise, times)
     damping_err = max(
         abs(st.entries[1, 1].real - np.exp(-GAMMA * t))
         for t, st in zip(times, states)
@@ -309,11 +309,8 @@ def test_c08_lindblad_correctness(row6):
     rho_gate = DensityMatrix.from_state_vector(vec, (2, 2, 2, 2))
     hg = build_interaction_hamiltonian(row6)
     tg = analytic_gate_time(row6)
-    gate_states = propagate(
-        rho_gate,
-        Propagation(hg, NoiseModel(gamma=GAMMA), tg,
-                    tuple(np.linspace(tg / 10, tg, 10))),
-    )
+    gate_states = propagate(rho_gate, hg, NoiseModel(gamma=GAMMA),
+                            np.linspace(tg / 10, tg, 10))
     invariants_ok = all(
         abs(np.trace(s.entries) - 1) < 1e-8
         and np.linalg.eigvalsh(s.entries).min() > -1e-7
@@ -322,9 +319,7 @@ def test_c08_lindblad_correctness(row6):
     # gamma -> 0 limit matches U = V exp(-i E t) V+ from the eigendecomposition
     # of H to 1e-8 (the noiseless propagator itself conjugates by expm)
     t_end = 0.5 * tg
-    out = propagate(
-        rho_gate, Propagation(hg, None, t_end, (t_end,))
-    )[-1].entries
+    out = propagate(rho_gate, hg, None, (t_end,))[-1].entries
     energies, vecs = np.linalg.eigh(hg.entries)
     u = (vecs * np.exp(-1j * energies * t_end)) @ vecs.conj().T
     unitary_err = float(np.max(np.abs(out - u @ rho_gate.entries @ u.conj().T)))
@@ -343,9 +338,8 @@ def test_c09_drive_scheme(row6):
     amplitude = abs(row6.j2z) / 50.0
     pulse = calibrated_pi_pulse(row6, amplitude)
     t_pi = pulse.pi_duration()
-    full = rabi_prepare(row6, pulse, "closed_1plus", t_pi,
-                        target_population="open_0")
-    half = rabi_prepare(row6, pulse, "closed_1plus", t_pi / 2)
+    full = rabi_prepare(row6, pulse, t_pi)
+    half = rabi_prepare(row6, pulse, t_pi / 2)
     bell = control_state_vector(GateConfig(control_state="closed_1plus"), [2, 2])
     zero = control_state_vector(GateConfig(control_state="open_0"), [2, 2])
     red = half.control_state_level_frame.entries
@@ -371,9 +365,8 @@ def test_c09_drive_scheme(row6):
         rho0 = DensityMatrix.from_state_vector(
             np.kron(np.kron(ground, bell), ground), h0.dims)
         ts = tuple(np.linspace(t_pi / 6, t_pi, 6))
-        prop = Propagation(h, None, t_pi, ts)
         vals = []
-        for st in propagate(rho0, prop):
+        for st in propagate(rho0, h, None, ts):
             r = partial_trace(st, keep_sites=(1, 2))
             vals.append(abs(float(np.real(singlet.conj() @ r.entries @ singlet))))
         return max(vals)

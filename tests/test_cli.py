@@ -1,6 +1,7 @@
 """Tests for configuration handling, experiment records, and the CLI."""
 
 import json
+import math
 import textwrap
 from pathlib import Path
 
@@ -96,8 +97,9 @@ class TestConfigFormat:
             resolve_config(parse_config_text("[model]\nrow = 6\n"))
 
     def test_unknown_experiment_rejected(self):
-        with pytest.raises(ConfigError, match="unknown experiment"):
-            resolve_config(parse_config_text("experiment = teleport\n"))
+        for kind in ("teleport", "scan_j2, search"):
+            with pytest.raises(ConfigError, match="unknown experiment"):
+                resolve_config(parse_config_text(f"experiment = {kind}\n"))
 
     def test_type_errors_are_located(self):
         with pytest.raises(ConfigError, match=r"\[model\] row"):
@@ -335,6 +337,27 @@ class TestExperiments:
         rec = run_experiment(cfg)
         row = dict(zip(rec.columns, rec.rows[0]))
         assert row["fbar_open"] > 0.95
+
+
+DEFAULT_CSV = Path(__file__).parent / "data" / "default_csv"
+
+
+@pytest.mark.parametrize("name, kind", sorted(swapgate.cli._SUBCOMMANDS.items()))
+def test_default_csv_matches_the_recorded_table(name, kind):
+    """Each subcommand's CSV at its default config against the table recorded
+    in ``tests/data/default_csv``: the same header and row count, equal text
+    cells, and numeric cells within 1e-9 relative (room for last-digit
+    platform differences; a real change of the outputs is larger)."""
+    want = (DEFAULT_CSV / f"{name}.csv").read_text().splitlines()
+    got = run_experiment(default_config(kind)).to_csv().splitlines()
+    assert got[0] == want[0]
+    assert len(got) == len(want)
+    for line, (got_row, want_row) in enumerate(zip(got[1:], want[1:]), start=2):
+        got_cells, want_cells = got_row.split(","), want_row.split(",")
+        assert len(got_cells) == len(want_cells), line
+        for column, a, b in zip(want[0].split(","), got_cells, want_cells):
+            if a != b:
+                assert math.isclose(float(a), float(b), rel_tol=1e-9), (line, column, a, b)
 
 
 class TestCommandLine:

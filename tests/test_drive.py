@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from swapgate.dynamics import Propagation, propagate
+from swapgate.dynamics import propagate
 from swapgate.hilbert import (
     PAULI_X,
     PAULI_Y,
@@ -107,18 +107,13 @@ class TestRabiTransfer:
     def test_pi_pulse_transfer(self, pi_pulse):
         """A calibrated pi pulse moves |1+>_C to |0>_C with P >= 0.99."""
         params = row6_params()
-        res = rabi_prepare(
-            params, pi_pulse, "closed_1plus", pi_pulse.pi_duration(),
-            target_population="open_0",
-        )
+        res = rabi_prepare(params, pi_pulse, pi_pulse.pi_duration())
         assert res.transfer_probability >= 0.99
 
     def test_half_pulse_superposition(self, pi_pulse):
         """Half a pi pulse leaves (|1+> + i|0>)/sqrt(2) up to free phases."""
         params = row6_params()
-        res = rabi_prepare(
-            params, pi_pulse, "closed_1plus", pi_pulse.pi_duration() / 2.0
-        )
+        res = rabi_prepare(params, pi_pulse, pi_pulse.pi_duration() / 2.0)
         red = res.control_state_level_frame.entries
         bell = control_state_vector(GateConfig(control_state="closed_1plus"), [2, 2])
         zero = control_state_vector(GateConfig(control_state="open_0"), [2, 2])
@@ -140,10 +135,7 @@ class TestRabiTransfer:
             frequency=pi_pulse.frequency + 10.0 * pi_pulse.amplitude,
             omega1=params.omega[0],
         )
-        res = rabi_prepare(
-            params, detuned, "closed_1plus", detuned.pi_duration(),
-            target_population="open_0",
-        )
+        res = rabi_prepare(params, detuned, detuned.pi_duration())
         # generalized-Rabi bound: A_R^2 / (A_R^2 + offset^2) with A_R = sqrt(2) A
         bound = 2.0 / (2.0 + 10.0**2)
         assert res.transfer_probability <= bound + 0.03
@@ -168,11 +160,10 @@ class TestRabiTransfer:
         )
         t_end = pi_pulse.pi_duration()
         times = np.linspace(t_end / 5, t_end, 5)
-        prop = Propagation(h, None, t_final=t_end, sample_times=tuple(times))
         singlet = control_state_vector(
             GateConfig(control_state="closed_1minus"), [2, 2]
         )
-        for st in propagate(rho0, prop):
+        for st in propagate(rho0, h, None, times):
             red = partial_trace(st, keep_sites=(1, 2))
             pop = float(np.real(singlet.conj() @ red.entries @ singlet))
             assert pop < 1e-6
@@ -183,8 +174,7 @@ class TestRabiTransfer:
         t_pi = pi_pulse.pi_duration()
         durations = np.linspace(t_pi / 8, 2 * t_pi, 16)
         probs = [
-            rabi_prepare(params, pi_pulse, "closed_1plus", float(d),
-                         target_population="open_0").transfer_probability
+            rabi_prepare(params, pi_pulse, float(d)).transfer_probability
             for d in durations
         ]
         # fit P(t) = sin^2(omega_r t / 2) by scanning the rate
@@ -208,7 +198,7 @@ class TestPulsePhase:
         params = row6_params()
         pulse = calibrated_pi_pulse(params, abs(params.j2z) / 20.0)
         probs = [
-            rabi_prepare(params, replace(pulse, phase=phi), "closed_1plus",
+            rabi_prepare(params, replace(pulse, phase=phi),
                          pulse.pi_duration()).transfer_probability
             for phi in (0.0, np.pi / 4, np.pi / 2)
         ]

@@ -13,7 +13,6 @@ from scipy.linalg import expm
 import swapgate
 from swapgate.dynamics import (
     NoiseModel,
-    Propagation,
     PropagationError,
     _LindbladGenerator,
     _reachable_levels,
@@ -70,8 +69,7 @@ class TestAgainstOracles:
         noise = NoiseModel(gamma=gamma, channels=frozenset({"photon_loss"}))
         rho0 = DensityMatrix(qubit_op(np.diag([0.0, 1.0]).astype(complex)))
         times = np.linspace(1.0, 100.0, 25)
-        prop = Propagation(h, noise, t_final=100.0, sample_times=tuple(times))
-        states = propagate(rho0, prop)
+        states = propagate(rho0, h, noise, times)
         for t, st in zip(times, states):
             assert abs(st.entries[1, 1].real - np.exp(-gamma * t)) < 1e-6
 
@@ -83,8 +81,7 @@ class TestAgainstOracles:
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
         rho0 = DensityMatrix.from_state_vector(psi, (2, 2))
         t_end = 0.02
-        prop = Propagation(h, None, t_final=t_end, sample_times=(t_end,))
-        out = propagate(rho0, prop)[-1]
+        out = propagate(rho0, h, None, (t_end,))[-1]
         u = expm(-1j * h_mat * t_end)
         want = u @ rho0.entries @ u.conj().T
         assert np.max(np.abs(out.entries - want)) < 1e-8
@@ -96,8 +93,7 @@ class TestAgainstOracles:
         rho = a @ a.conj().T
         rho /= np.trace(rho)
         rho0 = DensityMatrix(OperatorMatrix(SiteDims((2, 2)), rho))
-        prop = Propagation(h, None, t_final=1.0, sample_times=(0.5, 1.0))
-        for st in propagate(rho0, prop):
+        for st in propagate(rho0, h, None, (0.5, 1.0)):
             assert np.max(np.abs(st.entries - rho)) < 1e-10
 
     def test_generator_matches_naive_form(self):
@@ -128,8 +124,7 @@ class TestPhysicalityChecks:
         noise = NoiseModel(gamma=0.01)
         tg = 6.112e-3
         times = np.linspace(tg / 10, tg, 10)
-        prop = Propagation(h, noise, t_final=tg, sample_times=tuple(times))
-        states = propagate(rho0, prop)  # raises internally if any check fails
+        states = propagate(rho0, h, noise, times)  # raises internally if any check fails
         for st in states:
             assert abs(np.trace(st.entries) - 1) < 1e-8
             w = np.linalg.eigvalsh(st.entries)
@@ -138,16 +133,15 @@ class TestPhysicalityChecks:
     def test_dimension_mismatch_rejected(self):
         h = OperatorMatrix(SiteDims((2, 2)), np.zeros((4, 4)))
         rho0 = DensityMatrix(qubit_op(np.diag([1.0, 0.0]).astype(complex)))
-        prop = Propagation(h, None, t_final=1.0, sample_times=(1.0,))
         with pytest.raises(Exception):
-            propagate(rho0, prop)
+            propagate(rho0, h, None, (1.0,))
 
     def test_sample_times_validation(self):
         h = qubit_op(np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            Propagation(h, None, t_final=1.0, sample_times=(0.5, 0.5))
-        with pytest.raises(ValueError):
-            Propagation(h, None, t_final=1.0, sample_times=(0.5, 1.5))
+        rho0 = DensityMatrix(qubit_op(np.diag([1.0, 0.0]).astype(complex)))
+        for times in ((0.5, 0.5), (-0.5, 1.0)):
+            with pytest.raises(ValueError):
+                propagate(rho0, h, None, times)
 
 
 class TestSuperoperator:
@@ -158,10 +152,10 @@ class TestSuperoperator:
         vec[0b1000] = 1.0
         rho0 = DensityMatrix.from_state_vector(vec, (2, 2, 2, 2))
         noise = NoiseModel(gamma=0.02)
-        prop = Propagation(h, noise, t_final=2e-3, sample_times=(1e-3, 2e-3))
-        single = propagate(rho0, prop)
+        times = (1e-3, 2e-3)
+        single = propagate(rho0, h, noise, times)
         stacked = evolve_stack_raw(h.entries, noise.collapse_operators(h.dims),
-                                   rho0.entries[None], prop.sample_times)
+                                   rho0.entries[None], times)
         for k in range(2):
             assert np.max(np.abs(single[k].entries - stacked[k][0])) < 1e-9
 
@@ -185,8 +179,7 @@ class TestSuperoperator:
         h = OperatorMatrix(dims, np.zeros((4, 4)))
         noise = NoiseModel(gamma=0.5, channels=frozenset({"dephasing"}))
         rho0 = DensityMatrix(OperatorMatrix(dims, np.eye(4) / 4))
-        prop = Propagation(h, noise, t_final=3.0, sample_times=(3.0,))
-        out = propagate(rho0, prop)[-1]
+        out = propagate(rho0, h, noise, (3.0,))[-1]
         assert np.max(np.abs(out.entries - np.eye(4) / 4)) < 1e-9
 
 
@@ -202,8 +195,7 @@ class TestStructure:
             sum(abs(vec[i] / np.linalg.norm(vec)) ** 2 for i in range(16) if n_of[i] == n)
             for n in range(5)
         ]
-        prop = Propagation(h, None, t_final=3e-3, sample_times=(3e-3,))
-        out = propagate(rho0, prop)[-1]
+        out = propagate(rho0, h, None, (3e-3,))[-1]
         for n in range(5):
             pop = sum(out.entries[i, i].real for i in range(16) if n_of[i] == n)
             assert abs(pop - pops0[n]) < 1e-8
@@ -228,12 +220,8 @@ class TestStructure:
         t_end = 2e-3
         back = np.exp(1j * w * n_of * t_end)
         for noise in (None, NoiseModel(gamma=0.05)):
-            out = propagate(
-                rho0, Propagation(h, noise, t_final=t_end, sample_times=(t_end,))
-            )[-1].entries
-            framed = propagate(
-                rho0, Propagation(h_frame, noise, t_final=t_end, sample_times=(t_end,))
-            )[-1].entries
+            out = propagate(rho0, h, noise, (t_end,))[-1].entries
+            framed = propagate(rho0, h_frame, noise, (t_end,))[-1].entries
             rotated = back[:, None] * framed * back.conj()
             assert np.max(np.abs(rotated - out)) < 1e-8
             assert np.max(np.abs(framed - out)) > 1e-2  # the frame is not trivial

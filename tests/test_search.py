@@ -17,7 +17,6 @@ from swapgate.search import (
     INFEASIBLE_COST,
     _FATOL,
     _XATOL,
-    CostSpec,
     _box,
     _cost_rows,
     _lockstep_nelder_mead,
@@ -45,15 +44,14 @@ def assert_matches_scipy(starts, budget, branch="plus", bounds=DEFAULT_BOUNDS):
     scipy's bit for bit, with the search's cost and stopping tolerances.
     Returns the lockstep costs.
     """
-    spec = CostSpec()
     lo, hi = _box(bounds)
     sims, fsims, nfev = _lockstep_nelder_mead(
-        lambda x: _cost_rows(x, branch, spec, lo, hi)[0],
+        lambda x: _cost_rows(x, branch, lo, hi)[0],
         starts, budget, xatol=_XATOL, fatol=_FATOL,
     )
     for r, x0 in enumerate(starts):
         sol = minimize(
-            lambda x: evaluate_cost(x, branch, spec, bounds)[0], x0,
+            lambda x: evaluate_cost(x, branch, bounds)[0], x0,
             method="Nelder-Mead",
             options={"maxfev": budget, "xatol": _XATOL, "fatol": _FATOL},
         )
@@ -66,18 +64,12 @@ def assert_matches_scipy(starts, budget, branch="plus", bounds=DEFAULT_BOUNDS):
 
 
 class TestCostFunction:
-    def test_weights_validation(self):
-        with pytest.raises(ValueError):
-            CostSpec(w_j1_equality=0.0)
-        with pytest.raises(ValueError):
-            CostSpec(w_coupling_ratio=-1.0)
-
     def test_residuals_of_mapped_point(self):
         spin = circuit_to_spin(CircuitParams(
             e1=561.6, e2=438.5, e12=186.0, e23=397.1,
             c1=926.3, c2=76.2, c23=240.4, l12=37.3,
         ))
-        res = requirement_residuals(spin, "plus", CostSpec())
+        res = requirement_residuals(spin, "plus")
         assert set(res) == {
             "j1_equality", "delta_branch", "coupling_ratio", "anharmonicity"
         }
@@ -87,18 +79,18 @@ class TestCostFunction:
         x_in = np.array([300, 300, 200, 200, 500, 100, 300, 50], dtype=float)
         x_out = x_in.copy()
         x_out[0] = 5000.0
-        c_in, _, _ = evaluate_cost(x_in, "plus", CostSpec(), DEFAULT_BOUNDS)
-        c_out, _, _ = evaluate_cost(x_out, "plus", CostSpec(), DEFAULT_BOUNDS)
+        c_in, _, _ = evaluate_cost(x_in, "plus", DEFAULT_BOUNDS)
+        c_out, _, _ = evaluate_cost(x_out, "plus", DEFAULT_BOUNDS)
         assert c_out > c_in
 
     def test_smoothness_under_perturbation(self):
         """A 1% nudge on any single parameter changes the cost finitely."""
         x = np.array([300, 300, 200, 200, 500, 100, 300, 50], dtype=float)
-        c0, _, _ = evaluate_cost(x, "plus", CostSpec(), DEFAULT_BOUNDS)
+        c0, _, _ = evaluate_cost(x, "plus", DEFAULT_BOUNDS)
         for k in range(8):
             x2 = x.copy()
             x2[k] *= 1.01
-            c1, _, _ = evaluate_cost(x2, "plus", CostSpec(), DEFAULT_BOUNDS)
+            c1, _, _ = evaluate_cost(x2, "plus", DEFAULT_BOUNDS)
             assert np.isfinite(c1)
             assert abs(c1 - c0) < 10.0
 
@@ -121,8 +113,8 @@ class TestCostParity:
         # half the points outside the box, by up to half its width per side
         x = lo + (hi - lo) * rng.uniform(-0.5, 1.5, (256, len(lo)))
         for branch in ("plus", "minus"):
-            batch, feasible, _, _ = _cost_rows(x, branch, CostSpec(), lo, hi)
-            single = [evaluate_cost(row, branch, CostSpec(), bounds) for row in x]
+            batch, feasible, _, _ = _cost_rows(x, branch, lo, hi)
+            single = [evaluate_cost(row, branch, bounds) for row in x]
             assert np.array_equal(batch, [c for c, _, _ in single])
             assert np.array_equal(feasible, [res is not None for _, res, _ in single])
             assert n_feasible == {0: "none", len(x): "all"}.get(feasible.sum(), "some")
@@ -130,10 +122,10 @@ class TestCostParity:
 
     def test_single_point_reports_match_the_mapping(self):
         x = np.array([561.6, 438.5, 186.0, 397.1, 926.3, 76.2, 240.4, 37.3])
-        cost, res, spin = evaluate_cost(x, "plus", CostSpec(), DEFAULT_BOUNDS)
+        cost, res, spin = evaluate_cost(x, "plus", DEFAULT_BOUNDS)
         want = circuit_to_spin(CircuitParams(*x))
         assert spin == want
-        assert res == requirement_residuals(want, "plus", CostSpec())
+        assert res == requirement_residuals(want, "plus")
         weighted = (res["j1_equality"] ** 2 + res["delta_branch"] ** 2
                     + res["coupling_ratio"] ** 2 + 0.1 * res["anharmonicity"] ** 2)
         assert cost == pytest.approx(weighted, rel=1e-14)
@@ -185,7 +177,7 @@ class TestLockstepDescent:
 
         def cost(x):
             calls.append(len(x))
-            return _cost_rows(x, "plus", CostSpec(), *_box(bounds))[0]
+            return _cost_rows(x, "plus", *_box(bounds))[0]
 
         _lockstep_nelder_mead(cost, starts, budget, xatol=_XATOL, fatol=_FATOL)
         assert calls == [27, 12, 24]  # init, trial points, all three shrink
@@ -198,7 +190,7 @@ class TestLockstepDescent:
         point = {k: (v[0], v[0]) for k, v in DEFAULT_BOUNDS.items()}
         lo, _ = _box(point)
         fsims = assert_matches_scipy(lo[None, :], 50, "plus", point)
-        assert fsims[0, 0] == evaluate_cost(lo, "plus", CostSpec(), point)[0]
+        assert fsims[0, 0] == evaluate_cost(lo, "plus", point)[0]
 
     def test_search_is_the_lockstep_descent_of_its_starts(self):
         """``search`` draws its starts in restart order and reports the cost
@@ -207,6 +199,28 @@ class TestLockstepDescent:
         fsims = assert_matches_scipy(draw_starts(4, 3), 60)
         assert results[0].cost == fsims[:, 0].min()
         assert {r.cost for r in results} <= set(fsims[:, 0].tolist())
+
+    @pytest.mark.parametrize("branch", ["plus", "minus"])
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_results_are_the_single_point_cost_of_each_best_vertex(self, seed, branch):
+        """``search`` assembles all results from one batched cost call: each
+        must be ``evaluate_cost`` at its own restart's best vertex, with the
+        same cost, residuals and every mapped spin field."""
+        lo, hi = _box(DEFAULT_BOUNDS)
+        sims, _, _ = _lockstep_nelder_mead(
+            lambda x: _cost_rows(x, branch, lo, hi)[0],
+            draw_starts(seed, 6), 120, xatol=_XATOL, fatol=_FATOL,
+        )
+        want = {}
+        for x in sims[:, 0]:
+            cost, res, spin = evaluate_cost(x, branch, DEFAULT_BOUNDS)
+            if res is not None:
+                want[CircuitParams(*map(float, np.clip(x, lo, hi)))] = (cost, res, spin)
+        results = search(branch=branch, seed=seed, n_restarts=6,
+                         max_evaluations=120, keep_all=True)
+        assert len(results) >= 2
+        for r in results:
+            assert (r.cost, r.residuals, r.spin) == want[r.circuit]
 
 
 class TestSearch:
@@ -264,7 +278,7 @@ class TestSearch:
         lo = np.array([DEFAULT_BOUNDS[n][0] for n in DEFAULT_BOUNDS])
         hi = np.array([DEFAULT_BOUNDS[n][1] for n in DEFAULT_BOUNDS])
         x0 = lo + (hi - lo) * rng.random(8)
-        c0, _, _ = evaluate_cost(x0, "plus", CostSpec(), DEFAULT_BOUNDS)
+        c0, _, _ = evaluate_cost(x0, "plus", DEFAULT_BOUNDS)
         best = search(seed=5, n_restarts=1, max_evaluations=400, keep_all=True)
         assert best[0].cost <= c0
 
