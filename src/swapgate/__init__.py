@@ -65,7 +65,7 @@ from .drive import (
     rabi_prepare,
     superposition_phase,
 )
-from .search import SearchResult, search, validate_solution
+from .search import SearchResult, validate_solution
 
 __version__ = "0.1.0"
 
@@ -113,7 +113,6 @@ __all__ = [
     "perfect_transfer_conditions",
     "propagate",
     "rabi_prepare",
-    "search",
     "superposition_phase",
     "symmetric_chain",
     "table_spin_params",

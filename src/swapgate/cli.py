@@ -14,25 +14,26 @@ Configuration files use a flat, typed key/value format with section nesting:
     window_lo = 0.8
     window_hi = 1.05
     [run]
-    seed = 0
     samples = 90
     out = "runs/a#1.csv"          # quoted: '#' and ',' are literal here
 
 Every key is validated against the experiment's schema (type, finiteness,
-and range: table rows 1..16, at least one sample and grid point, gamma >= 0)
-and the cross-key rules in ``ORDER_RULES`` (time windows increase, the drive
-amplitude is positive).  A schema holds only the keys its experiment reads
-(the scans take no [model] section; a ``BySource`` [model] section takes
-only the keys of the ``source`` it names), and unknown keys are rejected.  '#'
-and ',' inside double quotes are literal, and '\\' escapes '"' and '\\'
-there.  Loading fills defaults, and emitting a loaded configuration
-reproduces it exactly (load -> emit -> load is the identity on resolved
-configurations).
+range: table rows 1..16, at least one sample and grid point, gamma >= 0;
+the allowed names of a string; at least one item in a list other than
+``channels``) and the cross-key rules in ``ORDER_RULES`` (time windows
+increase, the drive amplitude is positive).  A schema holds only the keys
+its experiment reads (the scans take no [model] section; a ``BySource``
+[model] section takes only the keys of the ``source`` it names), and
+unknown keys are rejected.  '#' and ',' inside double quotes are literal,
+and '\\' escapes '"' and '\\' there.  Loading fills defaults, and emitting a
+loaded configuration reproduces it exactly (load -> emit -> load is the
+identity on resolved configurations).
 
 Per run, a CSV table (header row, '.' decimal, 12 significant digits, one
-row per sample) and a JSON summary (peaks, locations, seeds, the full
-resolved configuration, and a format-version field) are written.  Identical
-configurations and seeds produce byte-identical CSV files.
+row per sample) and a JSON summary (peaks, locations, the search seed, the
+full resolved configuration, and a format-version field) are written.  The
+output path must not end in ``.json``, the summary's suffix.  Identical
+configurations produce byte-identical CSV files.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -52,18 +53,19 @@ import click
 import numpy as np
 
 from . import circuit_map as cmap
-from .dynamics import NoiseModel, PropagationError
+from .dynamics import CHANNELS, NoiseModel, PropagationError
 from .hilbert import HilbertError
 from .metrics import (
     FIRST_SAMPLE,
+    OPEN_WINDOW,
     FidelityTrace,
-    GateTimeWindowError,
     TargetGate,
     average_fidelity,
-    default_open_window,
+    gate_window,
 )
 from .search import search as run_search
 from .spin_model import (
+    BRANCHES,
     GateConfig,
     ModelError,
     SpinModelParams,
@@ -205,17 +207,16 @@ def serialize_config(sections: dict[str, dict[str, Any]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-# schema: section -> key -> (type tag, default[, (lo, hi)]); None default
-# means required; the optional inclusive bounds apply to each number, with
-# None for an open side
+# schema: section -> key -> (type tag, default[, limits]); None default
+# means required; the optional limits are, for each number, inclusive
+# (lo, hi) bounds with None for an open side, and for each string the tuple
+# of allowed values.  A list holds at least one item unless its key is in
+# _MAY_BE_EMPTY.
 _AT_LEAST_ONE = (1, None)
 _TABLE_ROWS = (min(cmap.TABLE_S1), max(cmap.TABLE_S1))
-_SAMPLED_RUN = {
-    "seed": ("int", 0, (0, None)),
-    "samples": ("int", 90, _AT_LEAST_ONE),
-    "out": ("str", ""),
-}
-_RUN_KEYS = {k: v for k, v in _SAMPLED_RUN.items() if k != "samples"}
+_RUN_KEYS = {"out": ("str", "")}
+_SAMPLED_RUN = {"samples": ("int", 90, _AT_LEAST_ONE), **_RUN_KEYS}
+_MAY_BE_EMPTY = frozenset({"channels"})
 
 
 class BySource(dict):
@@ -236,7 +237,7 @@ _SPIN_KEYS = {
 _CIRCUIT_KEYS = {
     name: ("float", cmap.table_row(6)[name]) for name in cmap.CIRCUIT_NAMES
 }
-_BRANCH_KEY = {"branch": ("str", "plus")}
+_BRANCH_KEY = {"branch": ("str", "plus", BRANCHES)}
 # a chain from a table row (whose branch is the table's), explicit spin
 # couplings, or a mapped circuit; ``branch`` only where the experiment reads it
 _GATE_MODEL = BySource(
@@ -246,8 +247,16 @@ _GATE_MODEL = BySource(
 )
 _NOISE_KEYS = {
     "gamma": ("float", 0.01, (0.0, None)),
-    "channels": ("strlist", ["dephasing", "photon_loss"]),
+    "channels": ("strlist", list(CHANNELS), CHANNELS),
 }
+# [grid] control names: ``closed`` is the stationary Bell state of the branch
+_CONTROL_STATES = {
+    "open": "open_0",
+    "closed_plus": "closed_1plus",
+    "closed_minus": "closed_1minus",
+    "closed_11": "closed_11",
+}
+_CONTROLS = ("closed", *_CONTROL_STATES)
 
 SCHEMAS: dict[str, dict[str, dict[str, tuple]]] = {
     "fidelity_trace": {
@@ -256,7 +265,7 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple]]] = {
         "grid": {
             "window_lo": ("float", 0.001, (0.0, None)),
             "window_hi": ("float", 1.2),
-            "control": ("str", "open"),
+            "control": ("str", "open", _CONTROLS),
         },
         "run": _SAMPLED_RUN,
     },
@@ -296,7 +305,7 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple]]] = {
         "noise": _NOISE_KEYS,
         "grid": {
             "window_hi": ("float", 1.2),
-            "configs": ("strlist", ["open", "closed_plus", "closed_minus"]),
+            "configs": ("strlist", ["open", "closed_plus", "closed_minus"], _CONTROLS),
         },
         "run": _SAMPLED_RUN,
     },
@@ -313,7 +322,7 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple]]] = {
             "j1": ("float", 30.0),
             "j2": ("float", 750.0),
             "delta3": ("float", 3000.0),
-            "branch": ("str", "E0"),
+            "branch": ("str", "E0", ("E0", "Eplus", "Eminus")),
         },
         "noise": _NOISE_KEYS,
         "grid": {"window_hi": ("float", 1.2)},
@@ -333,13 +342,13 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple]]] = {
         "run": _RUN_KEYS,
     },
     "search": {
-        "model": {"branch": ("str", "plus")},
+        "model": _BRANCH_KEY,
         "grid": {
             "n_restarts": ("int", 8, _AT_LEAST_ONE),
             "max_evaluations": ("int", 400, _AT_LEAST_ONE),
             "keep_all": ("bool", True),
         },
-        "run": _RUN_KEYS,
+        "run": {"seed": ("int", 0, (0, None)), **_RUN_KEYS},
     },
 }
 
@@ -363,7 +372,7 @@ def _check_order(kind: str, sections: dict[str, dict[str, Any]]) -> None:
             raise ConfigError(f"[{section}] {upper} = {hi} must exceed {lower}{named}")
 
 
-def _check_scalar(tag: str, value: Any, bounds: tuple | None) -> Any:
+def _check_scalar(tag: str, value: Any, limits: tuple | None) -> Any:
     if tag == "int":
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError("expected integer")
@@ -376,23 +385,29 @@ def _check_scalar(tag: str, value: Any, bounds: tuple | None) -> Any:
     elif tag == "str":
         if not isinstance(value, str):
             raise ConfigError("expected string")
+        if limits is not None and value not in limits:
+            raise ConfigError(f"{value!r}: expected one of " + ", ".join(limits))
+        return value
     elif tag == "bool":
         if not isinstance(value, bool):
             raise ConfigError("expected true/false")
     else:
         raise ConfigError(f"unknown schema type {tag}")
-    lo, hi = bounds or (None, None)
+    lo, hi = limits or (None, None)
     if (lo is not None and value < lo) or (hi is not None and value > hi):
         raise ConfigError(f"{value} outside [{lo}, {'inf' if hi is None else hi}]")
     return value
 
 
-def _check_type(tag: str, value: Any, where: str, bounds: tuple | None) -> Any:
+def _check_type(tag: str, value: Any, where: str, limits: tuple | None,
+                may_be_empty: bool = False) -> Any:
     try:
         if tag.endswith("list"):
             items = value if isinstance(value, list) else [value]
-            return [_check_scalar(tag[:-4], x, bounds) for x in items]
-        return _check_scalar(tag, value, bounds)
+            if not items and not may_be_empty:
+                raise ConfigError("expected at least one item")
+            return [_check_scalar(tag[:-4], x, limits) for x in items]
+        return _check_scalar(tag, value, limits)
     except ConfigError as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
@@ -419,10 +434,8 @@ def _section_keys(sec_name: str, spec: dict, body: dict[str, Any]) -> dict[str, 
     if not isinstance(spec, BySource):
         return spec
     default = next(iter(spec))
-    source = _check_type("str", body.get("source", default), f"[{sec_name}] source", None)
-    if source not in spec:
-        raise ConfigError(f"[{sec_name}] source = {source!r}: expected one of "
-                          + ", ".join(spec))
+    source = _check_type("str", body.get("source", default), f"[{sec_name}] source",
+                         tuple(spec))
     return {"source": ("str", default), **spec[source]}
 
 
@@ -455,10 +468,11 @@ def resolve_config(raw: dict[str, dict[str, Any]]) -> ExperimentConfig:
                 raise ConfigError(f"unknown key {key!r} in section [{sec_name}]"
                                   + _source_hint(spec, key, body))
         resolved = {}
-        for key, (tag, default, *bounds) in keys.items():
+        for key, (tag, default, *limits) in keys.items():
             if key in body:
                 resolved[key] = _check_type(tag, body[key], f"[{sec_name}] {key}",
-                                            bounds[0] if bounds else None)
+                                            limits[0] if limits else None,
+                                            key in _MAY_BE_EMPTY)
             else:
                 if default is None:
                     raise ConfigError(f"missing required key {key!r} in [{sec_name}]")
@@ -556,17 +570,11 @@ def _spin_from_model_section(model: dict[str, Any]) -> tuple[SpinModelParams, st
 def _noise_from_section(noise: dict[str, Any]) -> NoiseModel | None:
     if noise["gamma"] == 0.0:
         return None
-    try:
-        return NoiseModel(
-            gamma=noise["gamma"], channels=frozenset(noise["channels"])
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[noise] {exc}") from None
+    return NoiseModel(gamma=noise["gamma"], channels=frozenset(noise["channels"]))
 
 
 def _trace_at(trace: FidelityTrace, t: float) -> float:
-    times, fbar = trace.as_arrays()
-    return float(np.interp(t, times, fbar))
+    return float(np.interp(t, trace.times, trace.fbar))
 
 
 # ---------------------------------------------------------------------------
@@ -580,15 +588,14 @@ def _fidelity_trace(config: ExperimentConfig) -> Table:
     model, branch = _spin_from_model_section(config["model"])
     noise = _noise_from_section(config["noise"])
     grid = config["grid"]
-    n = config["run"]["samples"]
-    tg = analytic_gate_time(model)
-    times = np.linspace(grid["window_lo"] * tg, grid["window_hi"] * tg, n)
+    times = gate_window(model, grid["window_lo"], grid["window_hi"],
+                        config["run"]["samples"])
     cfg = _gate_config(grid["control"], branch)
     trace_noisy = average_fidelity(model, cfg, noise, times)
     trace_clean = average_fidelity(model, cfg, None, times)
     rows = list(zip(times, trace_noisy.fbar, trace_clean.fbar))
     summary = {
-        "gate_time_analytic_us": tg,
+        "gate_time_analytic_us": analytic_gate_time(model),
         "peak_time_us": trace_noisy.peak_time,
         "peak_fidelity": trace_noisy.peak_value,
         "peak_fidelity_noiseless": trace_clean.peak_value,
@@ -596,21 +603,10 @@ def _fidelity_trace(config: ExperimentConfig) -> Table:
     return ("t_us", "fbar", "fbar_noiseless"), rows, summary
 
 
-_CONTROL_STATES = {
-    "open": "open_0",
-    "closed_plus": "closed_1plus",
-    "closed_minus": "closed_1minus",
-    "closed_11": "closed_11",
-}
-
-
 def _gate_config(control: str, branch: str) -> GateConfig:
-    """The register preparation a ``control`` value names; ``closed`` is the
-    stationary Bell state of the branch."""
+    """The register preparation a ``control`` value names (``_CONTROLS``)."""
     if control == "closed":
         return closed_config_for_branch(branch)
-    if control not in _CONTROL_STATES:
-        raise ConfigError(f"unknown control configuration {control!r}")
     return GateConfig(delta_branch=branch, control_state=_CONTROL_STATES[control])
 
 
@@ -628,7 +624,7 @@ def _scan_point(
 ) -> tuple[float, ...]:
     """The ``_SCAN_COLUMNS`` of one chain: open and closed fidelities at the
     numerical gate time, clean and noisy."""
-    window = default_open_window(params, n=n_samples)
+    window = gate_window(params, *OPEN_WINDOW, n_samples)
     open_cfg = GateConfig(delta_branch=branch, control_state="open_0")
     closed_cfg = closed_config_for_branch(branch)
     trace = partial(average_fidelity, params, times=window,
@@ -691,8 +687,7 @@ def _qutrit_compare(config: ExperimentConfig) -> Table:
         spin = cmap.table_spin_params(row_index)
         qutrit = cmap.table_qutrit_params(row_index)
         branch = cmap.table_branch(row_index)
-        tg = analytic_gate_time(spin)
-        times = np.linspace(FIRST_SAMPLE * tg, grid["window_hi"] * tg, n)
+        times = gate_window(spin, FIRST_SAMPLE, grid["window_hi"], n)
         for control in grid["configs"]:
             cfg = _gate_config(control, branch)
             tr_qubit = average_fidelity(spin, cfg, noise, times)
@@ -715,7 +710,7 @@ def _crosstalk_scan(config: ExperimentConfig) -> Table:
     noise = _noise_from_section(config["noise"])
     n = config["run"]["samples"]
     fractions = config["grid"]["fractions_pct"]
-    window = default_open_window(model, n=n)
+    window = gate_window(model, *OPEN_WINDOW, n)
     open_cfg = GateConfig(delta_branch=branch, control_state="open_0")
     closed_plus = GateConfig(delta_branch=branch, control_state="closed_1plus")
     closed_minus = GateConfig(delta_branch=branch, control_state="closed_1minus")
@@ -744,18 +739,17 @@ def _crosstalk_scan(config: ExperimentConfig) -> Table:
 def _n5_trace(config: ExperimentConfig) -> Table:
     m = config["model"]
     noise = _noise_from_section(config["noise"])
-    n = config["run"]["samples"]
     params = build_n5_model(
         m["j1"], m["j1"], m["j2"], m["j2"], m["delta3"], branch=m["branch"]
     )
-    tg = analytic_gate_time(params)
-    times = np.linspace(FIRST_SAMPLE * tg, config["grid"]["window_hi"] * tg, n)
+    times = gate_window(params, FIRST_SAMPLE, config["grid"]["window_hi"],
+                        config["run"]["samples"])
     cfg = GateConfig(delta_branch="plus", control_state="custom",
                      custom_vector=tuple(n5_control_states(params)["open_0"]))
     target = TargetGate.open_gate("plus")  # negative swap with the i phase
     trace = average_fidelity(params, cfg, noise, times, target=target)
     summary = {
-        "gate_time_analytic_us": tg,
+        "gate_time_analytic_us": analytic_gate_time(params),
         "peak_time_us": trace.peak_time,
         "peak_fidelity": trace.peak_value,
     }
@@ -808,9 +802,10 @@ def _circuit_map(config: ExperimentConfig) -> Table:
 
 def _search(config: ExperimentConfig) -> Table:
     grid = config["grid"]
+    seed = config["run"]["seed"]
     results = run_search(
         branch=config["model"]["branch"],
-        seed=config["run"]["seed"],
+        seed=seed,
         n_restarts=grid["n_restarts"],
         max_evaluations=grid["max_evaluations"],
         keep_all=grid["keep_all"],
@@ -833,6 +828,7 @@ def _search(config: ExperimentConfig) -> Table:
         "n_accepted": sum(1 for r in results if r.accepted),
         "best_cost": results[0].cost if results else None,
         "best_residuals": results[0].residuals if results else None,
+        "seed": seed,
     }
     return columns, rows, summary
 
@@ -855,7 +851,6 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     """Run the configured experiment and record its table and summary."""
     t0 = time.perf_counter()
     columns, rows, summary = EXPERIMENTS[config.kind](config)
-    summary["seed"] = config["run"]["seed"]
     return RunRecord(
         kind=config.kind,
         config=config,
@@ -890,6 +885,11 @@ def main() -> None:
 
 
 def _register(name: str, kind: str) -> None:
+    # --seed and --no-noise exist only where the schema has the key they set
+    seed_option = click.option(
+        "--seed", type=click.IntRange(min=0), default=None,
+        help="Override [run] seed.",
+    ) if "seed" in SCHEMAS[kind]["run"] else (lambda f: f)
     no_noise_option = click.option(
         "--no-noise", is_flag=True, default=False,
         help="Disable decoherence noise for this run ([noise] gamma = 0).",
@@ -899,9 +899,9 @@ def _register(name: str, kind: str) -> None:
     @click.option("--config", "config_path", type=click.Path(exists=True),
                   default=None, help="Configuration file.")
     @click.option("--out", "out_path", default=None, help="Output CSV path.")
-    @click.option("--seed", type=int, default=None, help="Override the seed.")
+    @seed_option
     @no_noise_option
-    def command(config_path, out_path, seed, no_noise=False, _kind=kind):
+    def command(config_path, out_path, seed=None, no_noise=False, _kind=kind):
         try:
             cfg = load_config(config_path) if config_path else default_config(_kind)
             if cfg.kind != _kind:
@@ -914,16 +914,17 @@ def _register(name: str, kind: str) -> None:
             if no_noise:
                 sections["noise"]["gamma"] = 0.0
             cfg = ExperimentConfig(kind=cfg.kind, sections=sections)
+            out = Path(out_path or cfg["run"]["out"] or f"{_kind}.csv")
+            if out.suffix.lower() == ".json":
+                raise ConfigError(f"output path {out}: .json is the summary's suffix")
             record = run_experiment(cfg)
         except ConfigError as exc:
             click.echo(f"configuration error: {exc}", err=True)
             raise SystemExit(2)
-        except (PropagationError, GateTimeWindowError, ModelError,
-                HilbertError, cmap.MappingError,
+        except (PropagationError, ModelError, HilbertError, cmap.MappingError,
                 cmap.SingularCapacitanceError) as exc:
             click.echo(f"numerical failure: {exc}", err=True)
             raise SystemExit(3)
-        out = out_path or cfg["run"]["out"] or f"{_kind}.csv"
         csv_path, json_path = emit(record, out)
         click.echo(f"wrote {csv_path} and {json_path} "
                    f"({record.wall_time_s:.1f} s)")

@@ -5,11 +5,12 @@ the single tone
 
     H_d(t) = (A/2) [ cos(dt + phi) (Y_2 + Y_3) - sin(dt + phi) (X_2 + X_3) ]
 
-with d = omega - Omega_1 the drive detuning from the end-qubit frequency and
-phi the pulse phase (I = cos(phi), Q = sin(phi)).  Each site term is
-i e^{i(dt + phi)} sigma+ + h.c., so in the frame exp(-i d N t) that rotates
-at the detuning times the total excitation number N, which commutes with
-the chain, the driven chain is static:
+with d the drive frequency in the interaction frame (its detuning from the
+end-qubit frequency, which that frame rotates at) and phi the pulse phase
+(I = cos(phi), Q = sin(phi)).  Each site term is i e^{i(dt + phi)} sigma+ +
+h.c., so in the frame exp(-i d N t) that rotates at the detuning times the
+total excitation number N, which commutes with the chain, the driven chain
+is static:
 
     H' = H_0 + d N + (A/2) [ cos(phi) (Y_2 + Y_3) - sin(phi) (X_2 + X_3) ].
 
@@ -39,7 +40,7 @@ from .hilbert import (
     excitation_numbers,
     partial_trace,
 )
-from .metrics import control_state_vector
+from .metrics import control_state_vector, refine_peak
 from .spin_model import (
     TWO_PI,
     GateConfig,
@@ -62,20 +63,15 @@ LEAKAGE_FLAG_MULTIPLE = 5.0
 class DrivePulse:
     """A rectangular in-phase/quadrature drive tone on the two control sites.
 
-    ``amplitude`` and ``frequency`` are 2pi*MHz numbers; ``omega1`` is the
-    end-qubit frequency the interaction picture rotates at (zero for the
-    detuning-only chain parameterization).  ``phase`` mixes the in-phase and
-    quadrature components, I = cos(phase), Q = sin(phase).
+    ``amplitude`` and ``frequency`` are 2pi*MHz numbers; ``frequency`` is
+    measured in the interaction frame, i.e. it is the detuning d from the
+    end-qubit frequency.  ``phase`` mixes the in-phase and quadrature
+    components, I = cos(phase), Q = sin(phase).
     """
 
     amplitude: float
     frequency: float
-    omega1: float = 0.0
     phase: float = 0.0
-
-    @property
-    def detuning(self) -> float:
-        return self.frequency - self.omega1
 
     def weak_drive_ok(self, j2z: float) -> bool:
         return abs(self.amplitude) <= abs(j2z) * WEAK_DRIVE_FRACTION
@@ -95,7 +91,8 @@ def control_level_energies(
 
 
 def resonant_drive_frequency(params: SpinModelParams) -> float:
-    """Drive frequency that exactly matches the |00>_C <-> |1+>_C transition.
+    """Interaction-frame drive frequency that exactly matches the
+    |00>_C <-> |1+>_C transition.
 
     Computed from the full-chain level energies with the target qubits in
     their ground state, so the shift of the vacuum from the target-control
@@ -104,7 +101,7 @@ def resonant_drive_frequency(params: SpinModelParams) -> float:
     """
     e_vac = vacuum_energy(params) / TWO_PI
     e_bell = _bell_energy(single_excitation_block(params) / TWO_PI)
-    return params.omega[0] + (e_vac - e_bell)
+    return e_vac - e_bell
 
 
 def _bell_energy(h1: np.ndarray) -> float:
@@ -128,7 +125,7 @@ def drive_hamiltonian(
     dims = _as_site_dims(dims)
     if dims.n_sites != 4 or dims[1] != 2 or dims[2] != 2:
         raise ModelError("drive acts on the two qubit control sites of a 4-site chain")
-    frame = np.diag(pulse.detuning * excitation_numbers(dims)).astype(complex)
+    frame = np.diag(pulse.frequency * excitation_numbers(dims)).astype(complex)
     tone = np.cos(pulse.phase) * PAULI_Y - np.sin(pulse.phase) * PAULI_X
     drive = embed_operators({1: tone}, dims) + embed_operators({2: tone}, dims)
     return OperatorMatrix(
@@ -141,8 +138,6 @@ class RabiResult:
     control_state: DensityMatrix          # reduced, interaction-picture frame
     control_state_level_frame: DensityMatrix  # free-evolution phases removed
     transfer_probability: float
-    duration: float
-    frequency: float
 
 
 def rabi_prepare(
@@ -178,7 +173,7 @@ def rabi_prepare(
     rho0 = DensityMatrix.from_state_vector(full, h0.dims)
 
     final = propagate(rho0, h, noise, (duration,))[-1].entries
-    back = np.exp(1j * TWO_PI * pulse.detuning * duration
+    back = np.exp(1j * TWO_PI * pulse.frequency * duration
                   * excitation_numbers(h0.dims))
     lab = DensityMatrix(OperatorMatrix(h0.dims, back[:, None] * final * back.conj()))
     reduced = partial_trace(lab, keep_sites=(1, 2))
@@ -202,8 +197,6 @@ def rabi_prepare(
         control_state=reduced,
         control_state_level_frame=level_frame,
         transfer_probability=p,
-        duration=duration,
-        frequency=pulse.frequency,
     )
 
 
@@ -211,29 +204,22 @@ def calibrated_pi_pulse(params: SpinModelParams, amplitude: float) -> DrivePulse
     """Resonance-calibrated rectangular pi pulse of the given amplitude.
 
     Scans the drive frequency over ``+- CALIBRATION_SPAN`` (2pi*MHz) around
-    the exact transition and quadratically refines on the transfer probability,
-    the numerical analogue of an experimental Rabi calibration; the off-
-    resonant dressing of the register levels shifts the optimum by a few
-    2pi*MHz from the bare transition.
+    the exact transition and refines the best sample of the transfer
+    probability quadratically (``metrics.refine_peak``), the numerical
+    analogue of an experimental Rabi calibration; the off-resonant dressing
+    of the register levels shifts the optimum by a few 2pi*MHz from the bare
+    transition.
     """
     base = resonant_drive_frequency(params)
     freqs = np.linspace(base - CALIBRATION_SPAN, base + CALIBRATION_SPAN,
                         CALIBRATION_POINTS)
     probs = []
     for f in freqs:
-        pulse = DrivePulse(amplitude=amplitude, frequency=f, omega1=params.omega[0])
+        pulse = DrivePulse(amplitude=amplitude, frequency=f)
         res = rabi_prepare(params, pulse, pulse.pi_duration())
         probs.append(res.transfer_probability)
-    k = int(np.argmax(probs))
-    if 0 < k < len(freqs) - 1:
-        f0, f1, f2 = freqs[k - 1:k + 2]
-        p0, p1, p2 = probs[k - 1:k + 2]
-        denom = (p0 - 2 * p1 + p2)
-        best = f1 if denom == 0 else f1 - 0.5 * (f2 - f0) / 2 * (p2 - p0) / denom
-    else:
-        best = freqs[k]
-    return DrivePulse(amplitude=amplitude, frequency=float(best),
-                      omega1=params.omega[0])
+    best, _ = refine_peak(freqs, np.array(probs), int(np.argmax(probs)))
+    return DrivePulse(amplitude=amplitude, frequency=best)
 
 
 def superposition_phase(j2x: float, j2z: float, omega2: float, t: float) -> complex:

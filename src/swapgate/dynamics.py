@@ -56,6 +56,15 @@ class PropagationError(RuntimeError):
     """Propagation failure: a non-finite generator, input or result."""
 
 
+# local jump operator of each channel on a qubit and on a qutrit site
+_CHANNEL_OPERATORS = {
+    "dephasing": (PAULI_Z, DEPHASE_3),
+    "photon_loss": (SIGMA_MINUS, LOWER_3),
+}
+#: the noise channel names
+CHANNELS = tuple(_CHANNEL_OPERATORS)
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Per-site dephasing and photon-loss channels at a common rate.
@@ -65,12 +74,12 @@ class NoiseModel:
     """
 
     gamma: float
-    channels: frozenset[str] = frozenset({"dephasing", "photon_loss"})
+    channels: frozenset[str] = frozenset(CHANNELS)
 
     def __post_init__(self) -> None:
         if self.gamma < 0:
             raise ValueError("gamma must be nonnegative")
-        unknown = self.channels - {"dephasing", "photon_loss"}
+        unknown = self.channels - set(CHANNELS)
         if unknown:
             raise ValueError(f"unknown noise channels {sorted(unknown)}")
 
@@ -92,12 +101,6 @@ class NoiseModel:
             for op in _jump_operators(dims.dims, channel)
         ]
 
-
-# local jump operator of each channel on a qubit and on a qutrit site
-_CHANNEL_OPERATORS = {
-    "dephasing": (PAULI_Z, DEPHASE_3),
-    "photon_loss": (SIGMA_MINUS, LOWER_3),
-}
 
 
 @functools.lru_cache(maxsize=None)

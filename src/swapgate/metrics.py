@@ -25,6 +25,8 @@ import numpy as np
 from .dynamics import NoiseModel, evolve_stack_raw
 from .hilbert import IDENTITY_2, PAULI_X, PAULI_Z, OperatorMatrix, SiteDims
 from .spin_model import (
+    BRANCHES,
+    REGISTER_STATES,
     GateConfig,
     ModelError,
     QutritModelParams,
@@ -43,14 +45,13 @@ class GateTimeWindowError(RuntimeError):
 class TargetGate:
     """Ideal two-qubit gate in the {|00>, |01>, |10>, |11>} target basis."""
 
-    kind: str
     matrix: np.ndarray
 
     @classmethod
     def open_gate(cls, branch: str) -> "TargetGate":
         """Conditional swap: -1 swap entries on the plus branch, +1 on minus,
         and an i phase on |11> in both cases."""
-        if branch not in ("plus", "minus"):
+        if branch not in BRANCHES:
             raise ModelError(f"unknown branch {branch!r}")
         s = -1.0 if branch == "plus" else 1.0
         m = np.array(
@@ -62,11 +63,11 @@ class TargetGate:
             ],
             dtype=complex,
         )
-        return cls(kind=f"open_{branch}", matrix=m)
+        return cls(m)
 
     @classmethod
     def closed_gate(cls) -> "TargetGate":
-        return cls(kind="closed", matrix=np.eye(4, dtype=complex))
+        return cls(np.eye(4, dtype=complex))
 
     def is_unitary(self) -> bool:
         m = self.matrix
@@ -82,9 +83,6 @@ class FidelityTrace:
     peak_time: float
     peak_value: float
     peak_on_boundary: bool
-
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.asarray(self.times), np.asarray(self.fbar)
 
 
 # single-qubit factors X^k Z^l in lexicographic (k, l) order, and their 16
@@ -121,22 +119,10 @@ def control_state_vector(
             "use a custom vector otherwise"
         )
     d1, d2 = control_dims
-    dim = d1 * d2
-
-    def basis(i: int, j: int) -> np.ndarray:
-        v = np.zeros(dim, dtype=complex)
-        v[i * d2 + j] = 1.0
-        return v
-
-    if config.control_state == "open_0":
-        return basis(0, 0)
-    if config.control_state == "closed_1plus":
-        return (basis(1, 0) + basis(0, 1)) / np.sqrt(2.0)
-    if config.control_state == "closed_1minus":
-        return (basis(1, 0) - basis(0, 1)) / np.sqrt(2.0)
-    if config.control_state == "closed_11":
-        return basis(1, 1)
-    raise ModelError(f"unknown control state {config.control_state!r}")
+    v = np.zeros(d1 * d2, dtype=complex)
+    for (i, j), amplitude in REGISTER_STATES[config.control_state].items():
+        v[i * d2 + j] = amplitude
+    return v / np.linalg.norm(v)
 
 
 def default_target(config: GateConfig) -> TargetGate:
@@ -196,7 +182,7 @@ def average_fidelity(
 
     k = int(np.argmax(fbar))
     boundary = k in (0, len(times) - 1)
-    peak_t, peak_f = _refine_peak(np.asarray(times), fbar, k)
+    peak_t, peak_f = refine_peak(np.asarray(times), fbar, k)
     return FidelityTrace(
         times=tuple(float(t) for t in times),
         fbar=tuple(float(f) for f in fbar),
@@ -216,8 +202,8 @@ def _target_functionals(u: np.ndarray, dims: SiteDims) -> np.ndarray:
     return lifted.reshape(16, dims.total_dim, dims.total_dim)
 
 
-def _refine_peak(times: np.ndarray, fbar: np.ndarray, k: int) -> tuple[float, float]:
-    """Three-point quadratic refinement around the discrete argmax."""
+def refine_peak(times: np.ndarray, fbar: np.ndarray, k: int) -> tuple[float, float]:
+    """Three-point quadratic refinement around the discrete argmax ``k``."""
     if k == 0 or k == len(times) - 1:
         return float(times[k]), float(fbar[k])
     t0, t1, t2 = times[k - 1], times[k], times[k + 1]
@@ -243,20 +229,18 @@ def numerical_gate_time(trace: FidelityTrace) -> float:
     return trace.peak_time
 
 
-def default_open_window(params: SpinModelParams, n: int = 120) -> np.ndarray:
-    """Sample grid bracketing the analytic gate time for peak location."""
-    tg = analytic_gate_time(params)
-    return np.linspace(0.8 * tg, 1.05 * tg, n)
-
-
 #: first sample of a window from the origin, as a fraction of the gate time
 FIRST_SAMPLE = 1e-4
+#: (lo, hi) in gate times: a window bracketing the open-gate peak, and one
+#: over a whole gate period
+OPEN_WINDOW = (0.8, 1.05)
+CLOSED_WINDOW = (FIRST_SAMPLE, 1.0)
 
 
-def closed_window(params: SpinModelParams, n: int = 120) -> np.ndarray:
-    """Sample grid over [0, t_g] (first sample at ``FIRST_SAMPLE`` t_g)."""
+def gate_window(params: SpinModelParams, lo: float, hi: float, n: int) -> np.ndarray:
+    """``n`` sample times from ``lo`` to ``hi`` analytic gate times."""
     tg = analytic_gate_time(params)
-    return np.linspace(FIRST_SAMPLE * tg, tg, n)
+    return np.linspace(lo * tg, hi * tg, n)
 
 
 @dataclass(frozen=True)

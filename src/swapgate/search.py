@@ -36,13 +36,9 @@ from .circuit_map import (
     spin_result,
 )
 from .dynamics import NoiseModel
-from .metrics import (
-    average_fidelity,
-    closed_window,
-    default_open_window,
-    numerical_gate_time,
-)
+from .metrics import CLOSED_WINDOW, OPEN_WINDOW, average_fidelity, gate_window
 from .spin_model import (
+    BRANCHES,
     MIN_COUPLING_RATIO,
     GateConfig,
     SpinModelParams,
@@ -362,38 +358,29 @@ class ValidationReport:
 
 
 def validate_solution(
-    spin_params: SpinModelParams | SearchResult,
+    params: SpinModelParams,
     gamma: float,
     n_samples: int = 90,
 ) -> ValidationReport:
-    """Full fidelity pipeline on a search solution (or explicit chain params).
+    """Full fidelity pipeline on a chain.
 
     Reports the open-configuration peak and the closed-configuration minimum
     over one gate period, at the given decoherence rate, on the branch of
-    the solution's detuning sign (or of the chain's ``detuning_choice``,
-    "plus" when that is explicit).
+    the chain's ``detuning_choice`` ("plus" when that is explicit).
     """
-    if isinstance(spin_params, SearchResult):
-        branch = "plus" if spin_params.spin.delta >= 0 else "minus"
-        params = spin_params.spin.spin_params()
-    else:
-        params = spin_params
-        branch = params.detuning_choice if params.detuning_choice in (
-            "plus", "minus") else "plus"
+    branch = params.detuning_choice if params.detuning_choice in BRANCHES else "plus"
     noise = NoiseModel(gamma=gamma) if gamma > 0 else None
     open_cfg = GateConfig(delta_branch=branch, control_state="open_0")
     trace_open = average_fidelity(
-        params, open_cfg, noise, default_open_window(params, n=n_samples)
+        params, open_cfg, noise, gate_window(params, *OPEN_WINDOW, n_samples)
     )
     closed_cfg = closed_config_for_branch(branch)
     trace_closed = average_fidelity(
-        params, closed_cfg, noise, closed_window(params, n=n_samples)
+        params, closed_cfg, noise, gate_window(params, *CLOSED_WINDOW, n_samples)
     )
     return ValidationReport(
         open_peak_fidelity=trace_open.peak_value,
-        open_peak_time=numerical_gate_time(trace_open)
-        if not trace_open.peak_on_boundary
-        else trace_open.peak_time,
+        open_peak_time=trace_open.peak_time,
         closed_min_fidelity=min(trace_closed.fbar),
         gate_time_analytic=analytic_gate_time(params),
         gamma=gamma,

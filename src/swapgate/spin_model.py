@@ -136,6 +136,10 @@ def symmetric_chain(
     )
 
 
+#: the two resonance branches of the 4-site chain's detuning
+BRANCHES = ("plus", "minus")
+
+
 def delta_for_branch(branch: str, j2x: float, j2z: float) -> float:
     """Resonant detuning 2(J2z + J2x) for "plus", 2(J2z - J2x) for "minus"."""
     if branch == "plus":
@@ -145,14 +149,24 @@ def delta_for_branch(branch: str, j2x: float, j2z: float) -> float:
     raise ModelError(f"unknown branch {branch!r}")
 
 
+#: named preparations of the two-site control register: name -> amplitudes
+#: on |control-1 level, control-2 level>, normalised when used
+REGISTER_STATES: dict[str, dict[tuple[int, int], float]] = {
+    "open_0": {(0, 0): 1.0},
+    "closed_1plus": {(1, 0): 1.0, (0, 1): 1.0},
+    "closed_1minus": {(1, 0): 1.0, (0, 1): -1.0},
+    "closed_11": {(1, 1): 1.0},
+}
+
+
 @dataclass(frozen=True)
 class GateConfig:
     """Detuning branch plus the control-register preparation.
 
-    ``control_state`` is one of ``open_0`` (all controls in |0>),
-    ``closed_1plus`` / ``closed_1minus`` (Bell states of the two controls),
-    ``closed_11``, or ``custom`` with an explicit ``custom_vector`` over the
-    control subspace.
+    ``control_state`` is a name of ``REGISTER_STATES`` (``open_0``: all
+    controls in |0>; ``closed_1plus`` / ``closed_1minus``: Bell states of the
+    two controls; ``closed_11``), or ``custom`` with an explicit
+    ``custom_vector`` over the control subspace.
     """
 
     delta_branch: str = "plus"
@@ -160,10 +174,9 @@ class GateConfig:
     custom_vector: tuple[complex, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.delta_branch not in ("plus", "minus"):
+        if self.delta_branch not in BRANCHES:
             raise ModelError(f"unknown branch {self.delta_branch!r}")
-        valid = ("open_0", "closed_1plus", "closed_1minus", "closed_11", "custom")
-        if self.control_state not in valid:
+        if self.control_state not in REGISTER_STATES and self.control_state != "custom":
             raise ModelError(f"unknown control state {self.control_state!r}")
         if self.control_state == "custom" and self.custom_vector is None:
             raise ModelError("custom control state needs custom_vector")
@@ -205,13 +218,16 @@ def build_interaction_hamiltonian(params: SpinModelParams) -> OperatorMatrix:
     for j in range(n - 1):
         jx, jz = params.jx[j], params.jz[j]
         if jx != 0.0:
-            h += jx * (
-                embed_operators({j: PAULI_X, j + 1: PAULI_X}, dims).entries
-                + embed_operators({j: PAULI_Y, j + 1: PAULI_Y}, dims).entries
-            )
+            h += jx * _flip_flop(j, j + 1, dims)
         if jz != 0.0:
             h += jz * embed_operators({j: PAULI_Z, j + 1: PAULI_Z}, dims).entries
     return OperatorMatrix(dims, TWO_PI * h)
+
+
+def _flip_flop(a: int, b: int, dims: SiteDims) -> np.ndarray:
+    """The XX + YY bond between qubit sites ``a`` and ``b``."""
+    return (embed_operators({a: PAULI_X, b: PAULI_X}, dims).entries
+            + embed_operators({a: PAULI_Y, b: PAULI_Y}, dims).entries)
 
 
 def add_crosstalk(
@@ -229,10 +245,7 @@ def add_crosstalk(
     extra = np.zeros_like(h.entries)
     for (a, b), j in (((0, 2), j_nn), ((1, 3), j_nn), ((0, 3), j_nnn)):
         if j != 0.0:
-            extra += j * (
-                embed_operators({a: PAULI_X, b: PAULI_X}, dims).entries
-                + embed_operators({a: PAULI_Y, b: PAULI_Y}, dims).entries
-            )
+            extra += j * _flip_flop(a, b, dims)
     return OperatorMatrix(dims, h.entries + TWO_PI * extra)
 
 
@@ -497,18 +510,13 @@ def perfect_transfer_conditions(params: SpinModelParams) -> TransferReport:
     """
     if params.j1x == 0.0:
         return TransferReport(np.inf, (0.0, 0.0, 0.0, 0.0), 0.0, True)
-    t_f = np.pi / abs(2.0 * TWO_PI * params.j1x)
+    t_f = analytic_gate_time(params)
     energies, _ = analytic_single_excitation_spectrum(params)
     residuals = []
     for k, e in enumerate(energies):
-        phase = e * t_f
-        if k in (0, 2):  # odd multiples of pi
-            r = abs((phase - np.pi) % (2 * np.pi))
-            r = min(r, 2 * np.pi - r)
-        else:  # even multiples of pi
-            r = abs(phase % (2 * np.pi))
-            r = min(r, 2 * np.pi - r)
-        residuals.append(float(r))
+        # distance of E t_f from the odd (k = 0, 2) or even multiples of pi
+        r = (e * t_f - (np.pi if k in (0, 2) else 0.0)) % (2 * np.pi)
+        residuals.append(float(min(r, 2 * np.pi - r)))
     e0 = vacuum_energy(params)
     superpos = abs(abs(energies[0] - e0) * t_f - 2 * np.pi)
     return TransferReport(t_f, tuple(residuals), float(superpos), False)

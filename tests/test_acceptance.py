@@ -51,12 +51,13 @@ from swapgate.hilbert import (
     partial_trace,
 )
 from swapgate.metrics import (
+    CLOSED_WINDOW,
+    OPEN_WINDOW,
     TargetGate,
     average_fidelity,
-    closed_window,
     control_state_vector,
-    default_open_window,
     entanglement_power,
+    gate_window,
 )
 from swapgate.spin_model import (
     TWO_PI,
@@ -92,7 +93,7 @@ def row11():
 
 @pytest.fixture(scope="module")
 def row6_open_noisy(row6):
-    times = default_open_window(row6, n=111)
+    times = gate_window(row6, *OPEN_WINDOW, 111)
     cfg = GateConfig(delta_branch="plus", control_state="open_0")
     return average_fidelity(row6, cfg, NoiseModel(gamma=GAMMA), times)
 
@@ -199,7 +200,7 @@ def test_c04_closed_gate_fidelity(row6, row11):
     results = {}
     for label, params in (("row6", row6), ("row11", row11)):
         cfg = closed_config_for_branch(params.detuning_choice)
-        times = closed_window(params, n=120)
+        times = gate_window(params, *CLOSED_WINDOW, 120)
         clean = average_fidelity(params, cfg, None, times)
         noisy = average_fidelity(params, cfg, NoiseModel(gamma=GAMMA), times)
         results[label] = (min(clean.fbar), min(noisy.fbar))
@@ -226,7 +227,7 @@ def test_c05_qutrit_leakage(row6, row11):
         qutrit = table_qutrit_params(index)
         cfg = GateConfig(delta_branch=params.detuning_choice,
                          control_state="open_0")
-        times = default_open_window(params, n=90)
+        times = gate_window(params, *OPEN_WINDOW, 90)
         tr_qubit = average_fidelity(params, cfg, noise, times)
         tr_qutrit = average_fidelity(qutrit, cfg, noise, times)
         shifts[index] = abs(tr_qutrit.peak_value - tr_qubit.peak_value)
@@ -404,7 +405,7 @@ def test_c10_crosstalk_scaling():
     params = symmetric_chain(j1, j1, 750.0, 750.0, 3000.0,
                              detuning_choice="plus")
     open_cfg = GateConfig(delta_branch="plus", control_state="open_0")
-    window = default_open_window(params, n=70)
+    window = gate_window(params, *OPEN_WINDOW, 70)
     base = average_fidelity(params, open_cfg, None, window,
                             hamiltonian=add_crosstalk(params, 0.0, 0.0))
     fractions = np.array([0.02, 0.04, 0.06, 0.08, 0.10])
@@ -455,13 +456,13 @@ def test_c11_delta_zero_failure(row6_open_noisy):
     # detuning swept through zero by setting j2x = j2z on the minus branch
     dead = symmetric_chain(j1, j1, 600.0, j2z, 0.0, detuning_choice="minus")
     cfg = GateConfig(delta_branch="minus", control_state="open_0")
-    window = default_open_window(dead, n=80)
+    window = gate_window(dead, *OPEN_WINDOW, 80)
     tr_dead = average_fidelity(dead, cfg, None, window)
     # a proper minus-branch design point recovers
     live = symmetric_chain(j1, j1, 450.0, j2z, 2 * (j2z - 450.0),
                            detuning_choice="minus")
     tr_live = average_fidelity(
-        live, cfg, None, default_open_window(live, n=80)
+        live, cfg, None, gate_window(live, *OPEN_WINDOW, 80)
     )
     collapsed = tr_dead.peak_value < 0.6
     recovered = tr_live.peak_value > 0.98 and row6_open_noisy.peak_value > 0.98

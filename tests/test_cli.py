@@ -35,9 +35,15 @@ samples = 30
 """
 
 
-def _value_strategy(tag, bounds):
-    """Values a resolved configuration can hold for a schema entry."""
-    lo, hi = bounds or (None, None)
+def _value_strategy(tag, limits, may_be_empty):
+    """Values a resolved configuration can hold for a schema entry: a string
+    with allowed values is one of them, and a list is empty only where its
+    key may be."""
+    if tag.startswith("str") and limits is not None:
+        names = st.sampled_from(limits)
+        return st.lists(names, min_size=0 if may_be_empty else 1, max_size=4) \
+            if tag.endswith("list") else names
+    lo, hi = limits or (None, None)
     scalar = {
         "int": st.integers(-10**12 if lo is None else lo, 10**12 if hi is None else hi),
         "float": st.floats(min_value=lo, max_value=hi, allow_nan=False,
@@ -49,7 +55,7 @@ def _value_strategy(tag, bounds):
                        max_size=12),
     }
     if tag.endswith("list"):
-        return st.lists(scalar[tag[:-4]], max_size=4)
+        return st.lists(scalar[tag[:-4]], min_size=0 if may_be_empty else 1, max_size=4)
     return scalar[tag]
 
 
@@ -152,9 +158,10 @@ class TestConfigFormat:
                 if source != next(iter(keys)) or data.draw(st.booleans()):
                     raw[section]["source"] = source
                 keys = keys[source]
-            for key, (tag, _default, *bounds) in keys.items():
+            for key, (tag, _default, *limits) in keys.items():
                 if data.draw(st.booleans()):
-                    value = _value_strategy(tag, bounds[0] if bounds else None)
+                    value = _value_strategy(tag, limits[0] if limits else None,
+                                            key in swapgate.cli._MAY_BE_EMPTY)
                     raw[section][key] = data.draw(value)
         try:
             cfg = resolve_config(raw)
@@ -401,11 +408,21 @@ class TestCommandLine:
         ("n5", "[grid]\nwindow_hi = 5e-5"),
         ("drive", "[grid]\namplitude_fraction = 0"),
         ("drive", "[grid]\namplitude_fraction = -0.02"),
+        # names outside a key's allowed values
+        ("n5", "[model]\nbranch = foo"),
+        ("search", "[model]\nbranch = foo"),
+        ("trace", "[model]\nsource = spin\nbranch = foo"),
+        ("crosstalk", "[model]\nsource = circuit\nbranch = foo"),
+        ("trace", "[grid]\ncontrol = foo"),
+        ("qutrit", "[grid]\nconfigs = open, foo"),
+        ("trace", "[noise]\nchannels = foo"),
+        # lists that need at least one item
+        ("crosstalk", "[grid]\nfractions_pct = []"),
+        ("qutrit", "[model]\nrows = []"),
+        ("qutrit", "[grid]\nconfigs = []"),
     ])
     def test_out_of_range_input_exits_2(self, tmp_path, command, body):
-        kind = {"trace": "fidelity_trace", "scan-j2": "scan_j2",
-                "qutrit": "qutrit_compare", "n5": "n5_trace",
-                "drive": "drive_demo"}[command]
+        kind = swapgate.cli._SUBCOMMANDS[command]
         cfgfile = tmp_path / "bad.cfg"
         cfgfile.write_text(f"experiment = {kind}\n{body}\n")
         result = CliRunner().invoke(
@@ -433,17 +450,48 @@ class TestCommandLine:
         assert result.exit_code == 2
 
     def test_seed_override_lands_in_summary(self, tmp_path):
-        cfgfile = tmp_path / "m.cfg"
-        cfgfile.write_text(MINIMAL)
-        out = tmp_path / "scan.csv"
+        cfgfile = tmp_path / "s.cfg"
+        cfgfile.write_text("experiment = search\n[grid]\nn_restarts = 2\n"
+                           "max_evaluations = 20\n")
+        out = tmp_path / "search.csv"
         runner = CliRunner()
         result = runner.invoke(
-            main, ["scan-j2", "--config", str(cfgfile), "--out", str(out),
+            main, ["search", "--config", str(cfgfile), "--out", str(out),
                    "--seed", "42"],
         )
-        assert result.exit_code == 0
+        assert result.exit_code == 0, result.output
         payload = json.loads(out.with_suffix(".json").read_text())
         assert payload["summary"]["seed"] == 42
+
+    @pytest.mark.parametrize("command, seed", [("trace", "3"), ("search", "-1")])
+    def test_rejected_seed_exits_2(self, tmp_path, command, seed):
+        """Only ``search`` has ``--seed``, and the override keeps the
+        schema's ``seed >= 0``."""
+        out = tmp_path / "o.csv"
+        result = CliRunner().invoke(main, [command, "--seed", seed, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "--seed" in result.output
+        assert not out.exists()
+
+    def test_empty_channel_list_means_no_channel(self):
+        cfg = resolve_config(parse_config_text(
+            "experiment = fidelity_trace\n[noise]\nchannels = []\n"))
+        assert cfg["noise"]["channels"] == []
+
+    @pytest.mark.parametrize("where", ["option", "config"])
+    def test_json_output_path_exits_2(self, tmp_path, where):
+        """A ``.json`` output path would have the summary overwrite the CSV."""
+        out = tmp_path / "r.json"
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("experiment = circuit_map\n"
+                           + (f'[run]\nout = "{out}"\n' if where == "config" else ""))
+        args = ["circuit-map", "--config", str(cfgfile)]
+        if where == "option":
+            args += ["--out", str(out)]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert ".json" in result.output
+        assert not out.exists()
 
     def test_byte_identical_csv_across_invocations(self, tmp_path):
         cfgfile = tmp_path / "m.cfg"
@@ -516,10 +564,14 @@ class TestCommandLine:
         assert not out.exists()
 
     @pytest.mark.parametrize("command, kind", sorted(swapgate.cli._SUBCOMMANDS.items()))
-    def test_no_noise_flag_offered_exactly_with_noise_section(self, command, kind):
+    def test_flags_offered_exactly_with_their_keys(self, command, kind):
+        """``--no-noise`` where there is a ``[noise]`` section, and ``--seed``
+        where there is a ``[run] seed``: only ``search`` draws random numbers."""
         result = CliRunner().invoke(main, [command, "--help"])
         assert result.exit_code == 0
         assert ("--no-noise" in result.output) == ("noise" in SCHEMAS[kind])
+        assert ("seed" in SCHEMAS[kind]["run"]) == (kind == "search")
+        assert ("--seed" in result.output) == (kind == "search")
 
 
 def _readme_config_block() -> str:

@@ -63,7 +63,7 @@ class TestDriveHamiltonian:
     def test_resonant_in_phase_static_form(self):
         """Zero detuning, zero phase: the drive is (A/2)(Y_2 + Y_3)."""
         a = 8.0
-        pulse = DrivePulse(amplitude=a, frequency=0.0, omega1=0.0)
+        pulse = DrivePulse(amplitude=a, frequency=0.0)
         h = drive_hamiltonian(pulse, (2, 2, 2, 2))
         want = (TWO_PI * a / 2) * control_sum(PAULI_Y)
         assert np.max(np.abs(h.entries - want)) < 1e-12
@@ -75,7 +75,7 @@ class TestDriveHamiltonian:
         pulse = DrivePulse(amplitude=5.0, frequency=321.0, phase=0.7)
         h = drive_hamiltonian(pulse, (2, 2, 2, 2))
         assert np.max(np.abs(h.entries - h.entries.conj().T)) < 1e-12
-        d = TWO_PI * pulse.detuning
+        d = TWO_PI * pulse.frequency
         n_of = excitation_numbers((2, 2, 2, 2))
         coupling = h.entries - d * np.diag(n_of)
         for t in rng.uniform(0, 1.0, 100):
@@ -99,7 +99,7 @@ class TestDriveHamiltonian:
         )
         ground = np.array([1.0, 0.0], dtype=complex)
         full = np.kron(np.kron(ground, singlet), ground)
-        d = TWO_PI * pulse.detuning
+        d = TWO_PI * pulse.frequency
         assert np.linalg.norm(h.entries @ full - d * full) < 1e-12
 
 
@@ -133,7 +133,6 @@ class TestRabiTransfer:
         detuned = DrivePulse(
             amplitude=pi_pulse.amplitude,
             frequency=pi_pulse.frequency + 10.0 * pi_pulse.amplitude,
-            omega1=params.omega[0],
         )
         res = rabi_prepare(params, detuned, detuned.pi_duration())
         # generalized-Rabi bound: A_R^2 / (A_R^2 + offset^2) with A_R = sqrt(2) A

@@ -318,6 +318,18 @@ class TestExactPropagator:
         if times[0] == 0.0:
             assert np.array_equal(exact[0], stack)
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.01])
+    def test_non_uniform_grid_matches_per_sample_expm(self, gamma):
+        """A non-uniform grid takes one exponential per interval, on the
+        conjugation (noiseless) and the Liouvillian (noisy) branch alike;
+        every sample agrees with the Liouvillian exponential at its time."""
+        h, collapse, _, tg = row6_sector(2, gamma)
+        times = np.array([0.05, 0.1, 0.3, 0.35, 0.8]) * tg
+        stack = random_stack(h.shape[0])
+        got = evolve_stack_raw(h, collapse, stack, times)
+        ref = full_space_oracle(h, collapse, stack, times)
+        assert np.max(np.abs(got - ref)) < 1e-12
+
     def test_propagator_is_trace_preserving_and_completely_positive(self):
         h, collapse, _, tg = row6_sector(3, 0.01)
         d = h.shape[0]

@@ -135,7 +135,7 @@ class TestDriveFrame:
         x_op = (embed_operators({1: PAULI_X}, dims)
                 + embed_operators({2: PAULI_X}, dims)).entries
         amp = TWO_PI * pulse.amplitude / 2.0
-        d = TWO_PI * pulse.detuning
+        d = TWO_PI * pulse.frequency
 
         def rhs(t, psi):
             th = d * t + phase

@@ -8,16 +8,19 @@ from swapgate.circuit_map import table_qutrit_params
 from swapgate.dynamics import NoiseModel, evolve_stack_raw
 from swapgate.hilbert import PAULI_Z, OperatorMatrix, SiteDims, partial_trace
 from swapgate.metrics import (
+    CLOSED_WINDOW,
+    FIRST_SAMPLE,
+    OPEN_WINDOW,
     FidelityTrace,
     GateTimeWindowError,
     TargetGate,
     average_fidelity,
-    closed_window,
     control_state_vector,
-    default_open_window,
     entanglement_power,
+    gate_window,
     numerical_gate_time,
     pauli_basis_2q,
+    refine_peak,
 )
 from swapgate.spin_model import (
     GateConfig,
@@ -219,9 +222,7 @@ class TestGateSimulation:
         assert trace.peak_value > 0.985
         assert 0.9 * tg < trace.peak_time < 1.0 * tg
         # conjugate phase and opposite swap sign must both score far lower
-        wrong_phase = TargetGate(
-            "conj", TargetGate.open_gate("plus").matrix.conj()
-        )
+        wrong_phase = TargetGate(TargetGate.open_gate("plus").matrix.conj())
         tr2 = average_fidelity(params, cfg, None, times, target=wrong_phase)
         assert tr2.peak_value < 0.7
         tr3 = average_fidelity(
@@ -235,7 +236,7 @@ class TestGateSimulation:
                             detuning_choice="plus")
         tg = analytic_gate_time(p)
         cfg = GateConfig(delta_branch="plus", control_state="open_0")
-        trace = average_fidelity(p, cfg, None, default_open_window(p, n=120))
+        trace = average_fidelity(p, cfg, None, gate_window(p, *OPEN_WINDOW, 120))
         ratio = numerical_gate_time(trace) / tg
         assert 0.93 <= ratio <= 0.97
 
@@ -324,10 +325,8 @@ class TestPeakLocation:
             peak_time=0.0, peak_value=0.0, peak_on_boundary=False,
         )
         # rebuild through the refiner used by average_fidelity
-        from swapgate.metrics import _refine_peak
-
         k = int(np.argmax(fbar))
-        t_star, f_star = _refine_peak(times, fbar, k)
+        t_star, f_star = refine_peak(times, fbar, k)
         assert abs(t_star - tg) < (times[1] - times[0])
         assert f_star == pytest.approx(1.0, abs=1e-6)
 
@@ -341,15 +340,16 @@ class TestPeakLocation:
         with pytest.raises(GateTimeWindowError):
             numerical_gate_time(trace)
 
-    def test_window_helpers(self):
+    def test_gate_window(self):
         params = symmetric_chain(**ROW6)
         tg = analytic_gate_time(params)
-        w = default_open_window(params, n=100)
+        w = gate_window(params, *OPEN_WINDOW, 100)
         assert len(w) == 100
-        assert w[0] == pytest.approx(0.8 * tg)
-        assert w[-1] == pytest.approx(1.05 * tg)
-        cw = closed_window(params, n=50)
-        assert cw[-1] == pytest.approx(tg)
+        assert w[0] == 0.8 * tg
+        assert w[-1] == 1.05 * tg
+        cw = gate_window(params, *CLOSED_WINDOW, 50)
+        assert cw[0] == FIRST_SAMPLE * tg
+        assert cw[-1] == tg
 
 
 class TestEntanglementPower:

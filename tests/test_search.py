@@ -296,3 +296,13 @@ class TestValidation:
         clean = validate_solution(table_spin_params(6), gamma=0.0, n_samples=50)
         noisy = validate_solution(table_spin_params(6), gamma=0.01, n_samples=50)
         assert noisy.open_peak_fidelity < clean.open_peak_fidelity
+
+
+def test_package_does_not_shadow_the_search_module():
+    """``swapgate.search`` is the module, not a function exported over it."""
+    import types
+
+    import swapgate.search as module
+
+    assert isinstance(module, types.ModuleType)
+    assert callable(module.search)
