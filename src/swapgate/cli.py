@@ -528,9 +528,16 @@ def _format_cell(v: Any) -> str:
     return str(v)
 
 
+def _check_out_path(out: Path) -> None:
+    if out.suffix.lower() == ".json":
+        raise ConfigError(f"output path {out}: .json is the summary's suffix")
+
+
 def emit(record: RunRecord, out_path: str | Path) -> tuple[Path, Path]:
-    """Write the CSV table and JSON summary next to each other."""
+    """Write the CSV table and JSON summary next to each other; a ``.json``
+    output path is refused before anything is written."""
     csv_path = Path(out_path)
+    _check_out_path(csv_path)
     csv_path.parent.mkdir(parents=True, exist_ok=True)
     csv_path.write_text(record.to_csv())
     json_path = csv_path.with_suffix(".json")
@@ -915,8 +922,7 @@ def _register(name: str, kind: str) -> None:
                 sections["noise"]["gamma"] = 0.0
             cfg = ExperimentConfig(kind=cfg.kind, sections=sections)
             out = Path(out_path or cfg["run"]["out"] or f"{_kind}.csv")
-            if out.suffix.lower() == ".json":
-                raise ConfigError(f"output path {out}: .json is the summary's suffix")
+            _check_out_path(out)
             record = run_experiment(cfg)
         except ConfigError as exc:
             click.echo(f"configuration error: {exc}", err=True)

@@ -23,6 +23,7 @@ vanishing matrix element and never mixes in.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -36,7 +37,7 @@ from .hilbert import (
     OperatorMatrix,
     SiteDims,
     _as_site_dims,
-    embed_operators,
+    _embedded_sum,
     excitation_numbers,
     partial_trace,
 )
@@ -125,12 +126,19 @@ def drive_hamiltonian(
     dims = _as_site_dims(dims)
     if dims.n_sites != 4 or dims[1] != 2 or dims[2] != 2:
         raise ModelError("drive acts on the two qubit control sites of a 4-site chain")
-    frame = np.diag(pulse.frequency * excitation_numbers(dims)).astype(complex)
-    tone = np.cos(pulse.phase) * PAULI_Y - np.sin(pulse.phase) * PAULI_X
-    drive = embed_operators({1: tone}, dims) + embed_operators({2: tone}, dims)
-    return OperatorMatrix(
-        dims, TWO_PI * (frame + 0.5 * pulse.amplitude * drive.entries)
-    )
+    numbers, y_pair, x_pair = _drive_terms(dims)
+    frame = np.diag(pulse.frequency * numbers).astype(complex)
+    drive = np.cos(pulse.phase) * y_pair - np.sin(pulse.phase) * x_pair
+    return OperatorMatrix(dims, TWO_PI * (frame + 0.5 * pulse.amplitude * drive))
+
+
+@functools.lru_cache(maxsize=None)
+def _drive_terms(dims: SiteDims) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Excitation numbers, ``Y_2 + Y_3`` and ``X_2 + X_3`` of a shape, read-only."""
+    numbers = excitation_numbers(dims)
+    numbers.flags.writeable = False
+    return (numbers, _embedded_sum(dims, {1: PAULI_Y}, {2: PAULI_Y}),
+            _embedded_sum(dims, {1: PAULI_X}, {2: PAULI_X}))
 
 
 @dataclass(frozen=True)
@@ -174,7 +182,7 @@ def rabi_prepare(
 
     final = propagate(rho0, h, noise, (duration,))[-1].entries
     back = np.exp(1j * TWO_PI * pulse.frequency * duration
-                  * excitation_numbers(h0.dims))
+                  * _drive_terms(h0.dims)[0])
     lab = DensityMatrix(OperatorMatrix(h0.dims, back[:, None] * final * back.conj()))
     reduced = partial_trace(lab, keep_sites=(1, 2))
 

@@ -102,17 +102,12 @@ class NoiseModel:
         ]
 
 
-
 @functools.lru_cache(maxsize=None)
 def _jump_operators(dims: tuple[int, ...], channel: str) -> tuple[np.ndarray, ...]:
     """The channel's jump operator embedded at each site, as read-only arrays."""
     op2, op3 = _CHANNEL_OPERATORS[channel]
-    ops = []
-    for j, d in enumerate(dims):
-        op = embed_operators({j: op2 if d == 2 else op3}, dims).entries
-        op.flags.writeable = False
-        ops.append(op)
-    return tuple(ops)
+    return tuple(embed_operators({j: op2 if d == 2 else op3}, dims).entries
+                 for j, d in enumerate(dims))
 
 
 class _LindbladGenerator:

@@ -8,6 +8,8 @@ sparse machinery is used.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -69,7 +71,7 @@ class SiteDims:
 
     @property
     def total_dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     def __iter__(self):
         return iter(self.dims)
@@ -169,19 +171,19 @@ def embed_operators(
     dims = _as_site_dims(dims)
     factors = []
     for i, d in enumerate(dims):
-        if i in site_ops:
-            local = np.asarray(site_ops[i], dtype=complex)
-            if local.shape != (d, d):
-                raise HilbertError(
-                    f"operator at site {i} has shape {local.shape}, expected ({d}, {d})"
-                )
-            factors.append(local)
-        else:
-            factors.append(np.eye(d, dtype=complex))
-    out = factors[0]
-    for f in factors[1:]:
-        out = np.kron(out, f)
-    return OperatorMatrix(dims, out)
+        local = np.asarray(site_ops.get(i, np.eye(d)), dtype=complex)
+        if local.shape != (d, d):
+            raise HilbertError(
+                f"operator at site {i} has shape {local.shape}, expected ({d}, {d})"
+            )
+        factors.append(local)
+    return OperatorMatrix(dims, functools.reduce(np.kron, factors))
+
+
+def _embedded_sum(dims: SiteDims, *products: dict[int, np.ndarray]) -> np.ndarray:
+    """The sum of the embedded local products, as a read-only array."""
+    embedded = (embed_operators(product, dims) for product in products)
+    return functools.reduce(OperatorMatrix.__add__, embedded).entries
 
 
 def embed_site_operator(

@@ -22,6 +22,7 @@ deduplicated and sorted, and identical seeds give identical output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import astuple, dataclass
 from typing import Callable
 
@@ -41,6 +42,7 @@ from .spin_model import (
     BRANCHES,
     MIN_COUPLING_RATIO,
     GateConfig,
+    ModelError,
     SpinModelParams,
     analytic_gate_time,
     closed_config_for_branch,
@@ -61,6 +63,8 @@ DEFAULT_BOUNDS: dict[str, tuple[float, float]] = {
 
 #: cost of a circuit the mapping rejects, before the bounds penalty
 INFEASIBLE_COST = 1e6
+#: relative tolerance within which an explicit detuning sits on a branch
+BRANCH_MATCH_RTOL = 1e-9
 
 
 # weights of the four requirement residuals and of the bounds penalty
@@ -366,9 +370,17 @@ def validate_solution(
 
     Reports the open-configuration peak and the closed-configuration minimum
     over one gate period, at the given decoherence rate, on the branch of
-    the chain's ``detuning_choice`` ("plus" when that is explicit).
+    the chain's ``detuning_choice``.  An explicit detuning is scored on the
+    branch whose resonant detuning it matches within ``BRANCH_MATCH_RTOL``
+    (relative), and a chain on neither branch is refused.
     """
-    branch = params.detuning_choice if params.detuning_choice in BRANCHES else "plus"
+    branch = params.detuning_choice
+    if branch not in BRANCHES:
+        branch = next((b for b in BRANCHES if math.isclose(
+            params.delta, delta_for_branch(b, params.j2x, params.j2z),
+            rel_tol=BRANCH_MATCH_RTOL)), None)
+        if branch is None:
+            raise ModelError(f"detuning {params.delta} is on neither resonance branch")
     noise = NoiseModel(gamma=gamma) if gamma > 0 else None
     open_cfg = GateConfig(delta_branch=branch, control_state="open_0")
     trace_open = average_fidelity(

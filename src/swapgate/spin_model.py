@@ -14,8 +14,10 @@ of controls in |2>, where it is static (``build_qutrit_hamiltonian``).
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
+from types import MappingProxyType
 import numpy as np
 
 from .hilbert import (
@@ -26,7 +28,7 @@ from .hilbert import (
     SIGMA_PLUS,
     OperatorMatrix,
     SiteDims,
-    embed_operators,
+    _embedded_sum,
     ket,
     projector,
 )
@@ -200,6 +202,21 @@ def closed_config_for_branch(branch: str) -> GateConfig:
 # Hamiltonian construction
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _qubit_terms(n: int) -> tuple[tuple, tuple, MappingProxyType]:
+    """The coupling-free terms of an n-qubit chain, built once per length:
+    ``Z_j`` per site, ``Z_j Z_j+1`` per bond and the ``XX + YY`` flip-flop
+    of every site pair ``(a, b)``, a < b, all read-only."""
+    dims = SiteDims((2,) * n)
+    z = tuple(_embedded_sum(dims, {j: PAULI_Z}) for j in range(n))
+    zz = tuple(_embedded_sum(dims, {j: PAULI_Z, j + 1: PAULI_Z}) for j in range(n - 1))
+    flip_flop = {
+        (a, b): _embedded_sum(dims, {a: PAULI_X, b: PAULI_X}, {a: PAULI_Y, b: PAULI_Y})
+        for a in range(n) for b in range(a + 1, n)
+    }
+    return z, zz, MappingProxyType(flip_flop)
+
+
 def build_interaction_hamiltonian(params: SpinModelParams) -> OperatorMatrix:
     """Interaction-picture chain Hamiltonian, in rad/us.
 
@@ -210,24 +227,14 @@ def build_interaction_hamiltonian(params: SpinModelParams) -> OperatorMatrix:
     """
     n = params.n_sites
     dims = SiteDims((2,) * n)
-    d = dims.total_dim
-    h = np.zeros((d, d), dtype=complex)
+    z, zz, flip_flop = _qubit_terms(n)
+    h = np.zeros((dims.total_dim,) * 2, dtype=complex)
     for j, det in enumerate(params.detunings):
-        if det != 0.0:
-            h += -0.5 * det * embed_operators({j: PAULI_Z}, dims).entries
+        h += -0.5 * det * z[j]
     for j in range(n - 1):
-        jx, jz = params.jx[j], params.jz[j]
-        if jx != 0.0:
-            h += jx * _flip_flop(j, j + 1, dims)
-        if jz != 0.0:
-            h += jz * embed_operators({j: PAULI_Z, j + 1: PAULI_Z}, dims).entries
+        h += params.jx[j] * flip_flop[j, j + 1]
+        h += params.jz[j] * zz[j]
     return OperatorMatrix(dims, TWO_PI * h)
-
-
-def _flip_flop(a: int, b: int, dims: SiteDims) -> np.ndarray:
-    """The XX + YY bond between qubit sites ``a`` and ``b``."""
-    return (embed_operators({a: PAULI_X, b: PAULI_X}, dims).entries
-            + embed_operators({a: PAULI_Y, b: PAULI_Y}, dims).entries)
 
 
 def add_crosstalk(
@@ -241,12 +248,9 @@ def add_crosstalk(
     if params.n_sites != 4:
         raise ModelError("crosstalk model is defined for the 4-site chain")
     h = build_interaction_hamiltonian(params)
-    dims = h.dims
-    extra = np.zeros_like(h.entries)
-    for (a, b), j in (((0, 2), j_nn), ((1, 3), j_nn), ((0, 3), j_nnn)):
-        if j != 0.0:
-            extra += j * _flip_flop(a, b, dims)
-    return OperatorMatrix(dims, h.entries + TWO_PI * extra)
+    _, _, flip_flop = _qubit_terms(4)
+    extra = j_nn * flip_flop[0, 2] + j_nn * flip_flop[1, 3] + j_nnn * flip_flop[0, 3]
+    return OperatorMatrix(h.dims, h.entries + TWO_PI * extra)
 
 
 # ---------------------------------------------------------------------------
@@ -310,54 +314,46 @@ def build_qutrit_hamiltonian(params: QutritModelParams) -> OperatorMatrix:
     and dephasing and control decay are unchanged by it, so reduced target
     dynamics (and the gate fidelity) are the same in either frame.
     """
-    q = params.qubit
-    j1x, j1z, j2x, j2z, delta = q.j1x, q.j1z, q.j2x, q.j2z, q.delta
-    dims = QUTRIT_DIMS
-
-    z2 = projector(3, 0, 0) - projector(3, 1, 1)
-    zz3 = projector(3, 0, 0) - projector(3, 1, 1) - 3.0 * projector(3, 2, 2)
-    up3 = projector(3, 1, 0)
-    dn3 = projector(3, 0, 1)
-
-    h = np.zeros((dims.total_dim,) * 2, dtype=complex)
-    h += -0.5 * delta * (
-        embed_operators({1: z2}, dims).entries + embed_operators({2: z2}, dims).entries
-    )
+    q, t = params.qubit, _qutrit_terms()
+    h = np.zeros((QUTRIT_DIMS.total_dim,) * 2, dtype=complex)
+    h += -0.5 * q.delta * t["detuning"]
     # target-control flip-flop and z coupling (both target bonds, symmetric J1)
-    for t, c in ((0, 1), (3, 2)):
-        h += 2.0 * j1x * (
-            embed_operators({t: SIGMA_PLUS, c: dn3}, dims).entries
-            + embed_operators({t: SIGMA_MINUS, c: up3}, dims).entries
-        )
-        h += j1z * embed_operators({t: PAULI_Z, c: zz3}, dims).entries
+    for flip, zz in t["target_bonds"]:
+        h += 2.0 * q.j1x * flip
+        h += q.j1z * zz
     # control-control z, double-excitation swap, and 0<->1 flip-flop
-    h += j2z * embed_operators({1: zz3, 2: zz3}, dims).entries
-    h += 2.0 * j2z * (
-        embed_operators({1: projector(3, 2, 0), 2: projector(3, 0, 2)}, dims).entries
-        + embed_operators({1: projector(3, 0, 2), 2: projector(3, 2, 0)}, dims).entries
-    )
-    h += 2.0 * j2x * (
-        embed_operators({1: dn3, 2: up3}, dims).entries
-        + embed_operators({1: up3, 2: dn3}, dims).entries
-    )
+    h += q.j2z * t["control_zz"]
+    h += 2.0 * q.j2z * t["double_swap"]
+    h += 2.0 * q.j2x * t["control_flip"]
     # 1<->2 swap between the controls
-    h += 4.0 * params.r23x * (
-        embed_operators({1: projector(3, 2, 1), 2: projector(3, 1, 2)}, dims).entries
-        + embed_operators({1: projector(3, 1, 2), 2: projector(3, 2, 1)}, dims).entries
-    )
+    h += 4.0 * params.r23x * t["swap_12"]
     # sideband pair, static in the rotating frame
-    sideband = 2.0 * np.sqrt(2.0) * params.p23x * (
-        embed_operators({1: projector(3, 2, 1), 2: dn3}, dims).entries
-        + embed_operators({1: dn3, 2: projector(3, 2, 1)}, dims).entries
-    )
+    sideband = 2.0 * np.sqrt(2.0) * params.p23x * t["sideband"]
     h += sideband + sideband.conj().T
     # frame term w n2
-    level2 = projector(3, 2, 2)
-    h += params.sideband_gap * (
-        embed_operators({1: level2}, dims).entries
-        + embed_operators({2: level2}, dims).entries
-    )
-    return OperatorMatrix(dims, TWO_PI * h)
+    h += params.sideband_gap * t["level2"]
+    return OperatorMatrix(QUTRIT_DIMS, TWO_PI * h)
+
+
+@functools.lru_cache(maxsize=None)
+def _qutrit_terms() -> MappingProxyType:
+    """The coupling-free terms of ``build_qutrit_hamiltonian``, read-only."""
+    p = functools.partial(projector, 3)
+    z2, zz3 = p(0, 0) - p(1, 1), p(0, 0) - p(1, 1) - 3.0 * p(2, 2)
+    up3, dn3 = p(1, 0), p(0, 1)
+    term = functools.partial(_embedded_sum, QUTRIT_DIMS)
+    return MappingProxyType({
+        "detuning": term({1: z2}, {2: z2}),
+        "target_bonds": tuple(
+            (term({t: SIGMA_PLUS, c: dn3}, {t: SIGMA_MINUS, c: up3}),
+             term({t: PAULI_Z, c: zz3})) for t, c in ((0, 1), (3, 2))),
+        "control_zz": term({1: zz3, 2: zz3}),
+        "double_swap": term({1: p(2, 0), 2: p(0, 2)}, {1: p(0, 2), 2: p(2, 0)}),
+        "control_flip": term({1: dn3, 2: up3}, {1: up3, 2: dn3}),
+        "swap_12": term({1: p(2, 1), 2: p(1, 2)}, {1: p(1, 2), 2: p(2, 1)}),
+        "sideband": term({1: p(2, 1), 2: dn3}, {1: dn3, 2: p(2, 1)}),
+        "level2": term({1: p(2, 2)}, {2: p(2, 2)}),
+    })
 
 
 def project_qutrit_to_qubit(op: OperatorMatrix) -> np.ndarray:

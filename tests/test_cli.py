@@ -17,6 +17,7 @@ from swapgate.cli import (
     BySource,
     ConfigError,
     default_config,
+    emit,
     main,
     parse_config_text,
     resolve_config,
@@ -234,6 +235,13 @@ class TestRunRecords:
         # the embedded config parses back to the same resolved configuration
         embedded = resolve_config(parse_config_text(payload["config"]))
         assert embedded.sections == one_point_record.config.sections
+
+    def test_emit_refuses_json_path_before_writing(self, one_point_record, tmp_path):
+        """Called directly, ``emit`` refuses the summary's suffix, as the
+        command does, instead of overwriting the CSV with the summary."""
+        with pytest.raises(ConfigError, match=r"x\.json: \.json is the summary's suffix"):
+            emit(one_point_record, tmp_path / "x.json")
+        assert list(tmp_path.iterdir()) == []
 
     def test_scan_point_values_sane(self, one_point_record):
         row = dict(zip(one_point_record.columns, one_point_record.rows[0]))

@@ -16,6 +16,7 @@ from swapgate.hilbert import (
 )
 from swapgate.drive import (
     DrivePulse,
+    _drive_terms,
     LeakageReport,
     calibrated_pi_pulse,
     control_level_energies,
@@ -101,6 +102,45 @@ class TestDriveHamiltonian:
         full = np.kron(np.kron(ground, singlet), ground)
         d = TWO_PI * pulse.frequency
         assert np.linalg.norm(h.entries @ full - d * full) < 1e-12
+
+
+def kron_drive_hamiltonian(pulse):
+    """``drive_hamiltonian`` on four qubits with the tone embedded afresh by
+    np.kron and the excitation numbers counted bit by bit."""
+    numbers = np.array([bin(i).count("1") for i in range(16)])
+    tone = np.cos(pulse.phase) * PAULI_Y - np.sin(pulse.phase) * PAULI_X
+    eye = np.eye(2, dtype=complex)
+    drive = (np.kron(np.kron(np.kron(eye, tone), eye), eye)
+             + np.kron(np.kron(np.kron(eye, eye), tone), eye))
+    frame = np.diag(pulse.frequency * numbers).astype(complex)
+    return TWO_PI * (frame + 0.5 * pulse.amplitude * drive)
+
+
+class TestDriveTerms:
+    """``drive_hamiltonian`` scales cached, read-only terms; every entry must
+    equal the per-call Kronecker build bit for bit."""
+
+    @pytest.mark.parametrize("phase", [0.0, 0.3, np.pi / 2, np.pi])
+    def test_matches_kron_build(self, phase):
+        for amplitude, frequency in ((8.0, 0.0), (20.1, -321.7), (0.0, 55.5)):
+            pulse = DrivePulse(amplitude, frequency, phase)
+            h = drive_hamiltonian(pulse, (2, 2, 2, 2)).entries
+            assert np.array_equal(h, kron_drive_hamiltonian(pulse))
+
+    def test_tables_are_read_only(self):
+        terms = _drive_terms((2, 2, 2, 2))
+        assert not any(a.flags.writeable for a in terms)
+        with pytest.raises(ValueError):
+            terms[0][0] = 5
+
+    def test_consecutive_builds_are_independent(self):
+        a = DrivePulse(amplitude=5.0, frequency=321.0, phase=0.7)
+        b = DrivePulse(amplitude=-3.0, frequency=12.5, phase=2.1)
+        h_a = drive_hamiltonian(a, (2, 2, 2, 2)).entries
+        assert np.array_equal(drive_hamiltonian(b, (2, 2, 2, 2)).entries,
+                              kron_drive_hamiltonian(b))
+        assert np.array_equal(drive_hamiltonian(a, (2, 2, 2, 2)).entries, h_a)
+        assert np.array_equal(h_a, kron_drive_hamiltonian(a))
 
 
 class TestRabiTransfer:

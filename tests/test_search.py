@@ -11,6 +11,7 @@ from swapgate.circuit_map import (
     table_row,
     table_spin_params,
 )
+from swapgate.spin_model import ModelError, delta_for_branch, symmetric_chain
 from swapgate.cli import default_config, run_experiment
 from swapgate.search import (
     DEFAULT_BOUNDS,
@@ -291,6 +292,25 @@ class TestValidation:
         assert report.closed_min_fidelity >= 0.98
         assert 0.85 * report.gate_time_analytic <= report.open_peak_time \
             <= report.gate_time_analytic
+
+    def test_explicit_detuning_scored_on_its_branch(self):
+        """An explicit minus-resonant chain is scored on the minus branch,
+        as if it were labelled so (on the plus branch it read 0.2046 open
+        peak and 0.2709 closed minimum)."""
+        j1, j2x, j2z = 40.9, -540.4, 1007.1
+        delta = delta_for_branch("minus", j2x, j2z)
+        explicit = symmetric_chain(j1, j1, j2x, j2z, delta)
+        labelled = symmetric_chain(j1, j1, j2x, j2z, delta, detuning_choice="minus")
+        report = validate_solution(explicit, gamma=0.0, n_samples=60)
+        assert report == validate_solution(labelled, gamma=0.0, n_samples=60)
+        assert report.open_peak_fidelity == pytest.approx(0.978, abs=1e-3)
+        assert report.closed_min_fidelity == pytest.approx(0.990, abs=1e-3)
+
+    def test_explicit_detuning_off_both_branches_refused(self):
+        j1, j2x, j2z = 40.9, -540.4, 1007.1
+        off = symmetric_chain(j1, j1, j2x, j2z, 1.001 * delta_for_branch("plus", j2x, j2z))
+        with pytest.raises(ModelError, match="neither resonance branch"):
+            validate_solution(off, gamma=0.0, n_samples=10)
 
     def test_noise_strictly_reduces_peak(self):
         clean = validate_solution(table_spin_params(6), gamma=0.0, n_samples=50)

@@ -1,15 +1,27 @@
 """Tests for chain construction and the closed-form spectral analysis."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import swapgate
+from swapgate.circuit_map import table_qutrit_params
 from swapgate.hilbert import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    SIGMA_MINUS,
+    SIGMA_PLUS,
     OperatorMatrix,
     SiteDims,
     eig_hermitian,
     excitation_number_operator,
+    projector,
 )
 from swapgate.spin_model import (
     TWO_PI,
@@ -17,6 +29,8 @@ from swapgate.spin_model import (
     ModelError,
     QutritModelParams,
     SpinModelParams,
+    _qubit_terms,
+    _qutrit_terms,
     add_crosstalk,
     analytic_gate_time,
     analytic_n5_spectrum,
@@ -380,3 +394,148 @@ class TestGateConfig:
     def test_custom_needs_vector(self):
         with pytest.raises(ModelError):
             GateConfig(control_state="custom")
+
+
+# ---------------------------------------------------------------------------
+# Cached term tables against a Kronecker-product reference
+# ---------------------------------------------------------------------------
+
+def kron_embed(site_ops, dims):
+    """Local operators at the given sites, identities elsewhere, by np.kron."""
+    out = np.eye(1, dtype=complex)
+    for i, d in enumerate(dims):
+        out = np.kron(out, np.asarray(site_ops.get(i, np.eye(d)), dtype=complex))
+    return out
+
+
+def kron_interaction_hamiltonian(p):
+    """The qubit chain with every term embedded afresh by np.kron, with the
+    coefficients and order of build_interaction_hamiltonian: the reference
+    for the cached tables."""
+    dims = (2,) * p.n_sites
+    h = np.zeros((2 ** p.n_sites,) * 2, dtype=complex)
+    for j, det in enumerate(p.detunings):
+        if det != 0.0:
+            h += -0.5 * det * kron_embed({j: PAULI_Z}, dims)
+    for j in range(p.n_sites - 1):
+        if p.jx[j] != 0.0:
+            h += p.jx[j] * kron_flip_flop(j, j + 1, dims)
+        if p.jz[j] != 0.0:
+            h += p.jz[j] * kron_embed({j: PAULI_Z, j + 1: PAULI_Z}, dims)
+    return TWO_PI * h
+
+
+def kron_flip_flop(a, b, dims):
+    return (kron_embed({a: PAULI_X, b: PAULI_X}, dims)
+            + kron_embed({a: PAULI_Y, b: PAULI_Y}, dims))
+
+
+def kron_qutrit_hamiltonian(params):
+    """``build_qutrit_hamiltonian`` with every term embedded afresh."""
+    q, dims = params.qubit, (2, 3, 3, 2)
+
+    def pair(a, b):
+        return kron_embed(a, dims) + kron_embed(b, dims)
+
+    z2 = projector(3, 0, 0) - projector(3, 1, 1)
+    zz3 = projector(3, 0, 0) - projector(3, 1, 1) - 3.0 * projector(3, 2, 2)
+    up3, dn3 = projector(3, 1, 0), projector(3, 0, 1)
+    p02, p20 = projector(3, 0, 2), projector(3, 2, 0)
+    p12, p21, p22 = projector(3, 1, 2), projector(3, 2, 1), projector(3, 2, 2)
+    h = np.zeros((36, 36), dtype=complex)
+    h += -0.5 * q.delta * pair({1: z2}, {2: z2})
+    for t, c in ((0, 1), (3, 2)):
+        h += 2.0 * q.j1x * pair({t: SIGMA_PLUS, c: dn3}, {t: SIGMA_MINUS, c: up3})
+        h += q.j1z * kron_embed({t: PAULI_Z, c: zz3}, dims)
+    h += q.j2z * kron_embed({1: zz3, 2: zz3}, dims)
+    h += 2.0 * q.j2z * pair({1: p20, 2: p02}, {1: p02, 2: p20})
+    h += 2.0 * q.j2x * pair({1: dn3, 2: up3}, {1: up3, 2: dn3})
+    h += 4.0 * params.r23x * pair({1: p21, 2: p12}, {1: p12, 2: p21})
+    sideband = 2.0 * np.sqrt(2.0) * params.p23x * pair({1: p21, 2: dn3},
+                                                       {1: dn3, 2: p21})
+    h += sideband + sideband.conj().T
+    h += params.sideband_gap * pair({1: p22}, {2: p22})
+    return TWO_PI * h
+
+
+def random_chain(rng, n):
+    """Random detunings and couplings, each zero with probability 1/3."""
+    def draw(size, scale):
+        return tuple(rng.uniform(-scale, scale, size) * (rng.random(size) > 1 / 3))
+
+    return SpinModelParams(n_sites=n, omega=draw(n, 3000.0),
+                           jx=draw(n - 1, 1200.0), jz=draw(n - 1, 1200.0))
+
+
+class TestTermTables:
+    """The chain Hamiltonians sum scaled, cached, read-only terms; every
+    entry must equal the per-call Kronecker build bit for bit."""
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_interaction_hamiltonian_matches_kron_build(self, n):
+        rng = np.random.default_rng(12 + n)
+        chains = [random_chain(rng, n) for _ in range(20)]
+        zero = (0.0,) * (n - 1)
+        chains.append(SpinModelParams(n, (0.0,) * n, zero, zero))
+        for p in chains:
+            h = build_interaction_hamiltonian(p).entries
+            assert np.array_equal(h, kron_interaction_hamiltonian(p))
+
+    def test_crosstalk_matches_kron_build(self):
+        rng = np.random.default_rng(7)
+        for j_nn, j_nnn in ((3.0, 2.0), (0.0, -1.5), (-4.2, 0.0), (0.0, 0.0)):
+            p = random_chain(rng, 4)
+            want = kron_interaction_hamiltonian(p)
+            extra = np.zeros_like(want)
+            for (a, b), j in (((0, 2), j_nn), ((1, 3), j_nn), ((0, 3), j_nnn)):
+                if j != 0.0:
+                    extra += j * kron_flip_flop(a, b, (2, 2, 2, 2))
+            want = want + TWO_PI * extra
+            assert np.array_equal(add_crosstalk(p, j_nn, j_nnn).entries, want)
+
+    @pytest.mark.parametrize("row", [6, 13, 15])
+    def test_qutrit_hamiltonian_matches_kron_build(self, row):
+        q = table_qutrit_params(row)
+        assert np.array_equal(build_qutrit_hamiltonian(q).entries,
+                              kron_qutrit_hamiltonian(q))
+
+    def test_tables_are_read_only(self):
+        z, zz, flip_flop = _qubit_terms(4)
+        qutrit = dict(_qutrit_terms())
+        bonds = qutrit.pop("target_bonds")
+        arrays = [*z, *zz, *flip_flop.values(), *qutrit.values(), *sum(bonds, ())]
+        assert not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError):
+            z[0][0, 0] = 2.0
+        with pytest.raises(TypeError):
+            flip_flop[0, 1] = z[0]
+        with pytest.raises(TypeError):
+            _qutrit_terms()["level2"] = z[0]
+
+    def test_consecutive_builds_are_independent(self):
+        rng = np.random.default_rng(3)
+        a, b = random_chain(rng, 4), random_chain(rng, 4)
+        h_a = build_interaction_hamiltonian(a).entries
+        h_b = build_interaction_hamiltonian(b).entries
+        assert np.array_equal(h_a, kron_interaction_hamiltonian(a))
+        assert np.array_equal(h_b, kron_interaction_hamiltonian(b))
+        assert np.array_equal(build_interaction_hamiltonian(a).entries, h_a)
+        q6, q13 = table_qutrit_params(6), table_qutrit_params(13)
+        h6 = build_qutrit_hamiltonian(q6).entries
+        assert np.array_equal(build_qutrit_hamiltonian(q13).entries,
+                              kron_qutrit_hamiltonian(q13))
+        assert np.array_equal(build_qutrit_hamiltonian(q6).entries, h6)
+
+    def test_import_builds_no_table(self):
+        """The tables fill on first use: importing the command line leaves
+        every term cache empty."""
+        src = str(Path(swapgate.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import swapgate.cli\n"
+                "from swapgate import drive, dynamics, spin_model as sm\n"
+                "caches = (sm._qubit_terms, sm._qutrit_terms, drive._drive_terms,"
+                " dynamics._jump_operators)\n"
+                "print([c.cache_info().currsize for c in caches])")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[0, 0, 0, 0]"
