@@ -15,16 +15,20 @@ the closure of the rows and columns it occupies under the nonzero patterns
 of Heff and of the jump operators, which every generator term maps into
 itself.  The input then selects one of two branches:
 
-* With collapse operators the row-major Liouvillian ``L`` on those levels
-  splits into the weakly connected components of its nonzero pattern (for
-  an excitation-conserving chain whose loss only lowers excitation, the
-  blocks of fixed coherence order N_row - N_col).  Each component the stack
-  touches is exponentiated once for the first sample time and once for the
-  grid spacing (once per interval on a non-uniform grid), and the stack
-  advances by matrix products.
-* Without them (a noiseless run) the generator is ``X -> Heff X + X Heff+``,
-  so each operator evolves by conjugation, ``X -> U X U+`` with
-  ``U = expm(Heff dt)``: one D x D exponential instead of the D^2 x D^2 one.
+* Without collapse operators, when the kept-level ``H = i Heff`` is Hermitian
+  within ``HERMITIAN_RTOL`` (a noiseless run), each operator evolves by
+  conjugation, ``X -> U X U+`` with ``U = exp(-i H t)``.  ``H = V E V+`` is
+  diagonalised once and every sample is exact,
+  ``X(t) = V (e^{-iEt} (V+ X V) e^{iEt}) V+``, on any grid: no stepping and
+  no D^2 x D^2 generator.
+* Otherwise the row-major Liouvillian ``L`` on those levels splits into the
+  weakly connected components of its nonzero pattern (for an
+  excitation-conserving chain whose loss only lowers excitation, the blocks
+  of fixed coherence order N_row - N_col).  Each component the stack touches
+  is exponentiated once for the first sample time and once for the grid
+  spacing (once per interval on a non-uniform grid), and the stack advances
+  by matrix products.  A noiseless generator that is not Hermitian (gain or
+  loss written into H) takes this branch too.
 
 Hamiltonians are in rad/us and times in us.
 """
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import eigh, expm
 
 from .hilbert import (
     DEPHASE_3,
@@ -63,6 +67,11 @@ _CHANNEL_OPERATORS = {
 }
 #: the noise channel names
 CHANNELS = tuple(_CHANNEL_OPERATORS)
+
+#: largest anti-Hermitian part, max|H - H+| relative to max|H|, of a
+#: noiseless generator that is propagated spectrally as (H + H+) / 2: a few
+#: ulps of rounding, far below any physical gain or loss
+HERMITIAN_RTOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -228,13 +237,14 @@ def evolve_stack_raw(
     """Stacked evolution on raw arrays from t = 0: the one propagation engine.
 
     ``collapse`` carries explicit (rate, operator) pairs.  Only the reachable
-    levels, and with jump terms only the Liouvillian components the stack
-    touches, are propagated (module docstring).  Returns the evolved stack,
-    shape (n_times, n_stack, D, D), exactly zero outside those; or, given
+    levels are propagated: a noiseless Hermitian generator from one
+    eigendecomposition, any other by the Liouvillian components the stack
+    touches (module docstring).  Returns the evolved stack, shape
+    (n_times, n_stack, D, D), exactly zero outside those; or, given
     ``functionals`` W of the stack's shape, the (n_times,) sums
-    ``sum_j Tr(W_j X_j(t))``, contracted piece by piece without forming the
-    full-space stack.  A non-finite generator or result raises
-    ``PropagationError``.
+    ``sum_j Tr(W_j X_j(t))``, contracted piece by piece (in the eigenbasis on
+    the spectral branch) without forming the full-space stack.  A non-finite
+    generator or result raises ``PropagationError``.
     """
     times = np.asarray(sample_times, dtype=float)
     if times.size == 0:
@@ -248,28 +258,50 @@ def evolve_stack_raw(
     gen = _LindbladGenerator(hamiltonian, collapse, n)
     keep = _reachable_levels(gen, stack)
     gen.restrict(keep)
-    x = stack[:, keep[:, None], keep[None, :]].astype(complex)
-    full_index = (keep[:, None] * d + keep[None, :]).ravel()  # into vec(D x D)
-    if gen.mask is None and not gen.jumps:  # X -> Heff X + X Heff+
-        out = _evolve(gen.heff, x, times, lambda u, x: u @ x @ u.conj().T)
-        pieces = [(full_index, out.reshape(times.size, n, -1))]
+    sub = (slice(None), keep[:, None], keep[None, :])
+    x = stack[sub].astype(complex)
+    w = None if functionals is None else functionals[sub]
+    h = 1j * gen.heff  # the kept-level Hamiltonian when nothing is lost
+    if (gen.mask is None and not gen.jumps
+            and np.abs(h - h.conj().T).max(initial=0.0)
+            <= HERMITIAN_RTOL * np.abs(h).max(initial=0.0)):
+        result = _spectral((h + h.conj().T) / 2, x, times, w)
     else:
         lv, rows = gen.liouvillian(), x.reshape(n, -1)
-        pieces = [(full_index[b], _evolve(lv[np.ix_(b, b)], rows[:, b], times,
-                                          lambda p, rows: rows @ p.T))
+        pieces = [(b, _evolve(lv[np.ix_(b, b)], rows[:, b], times))
                   for b in _touched_components(lv, rows)]
-    if functionals is None:
-        result = np.zeros((times.size, n, d * d), dtype=complex)
-        for index, piece in pieces:
-            result[:, :, index] = piece
-        result = result.reshape(times.size, n, d, d)
-    else:
-        w = functionals.reshape(n, d * d)  # Tr(W X) pairs X[a, b] with W[b, a]
-        result = sum((np.einsum("tje,je->t", piece, w[:, index % d * d + index // d])
-                      for index, piece in pieces), np.zeros(times.size, complex))
+        if w is None:
+            result = np.zeros((times.size,) + rows.shape, dtype=complex)
+            for b, piece in pieces:
+                result[:, :, b] = piece
+            result = result.reshape((times.size,) + x.shape)
+        else:
+            w = w.transpose(0, 2, 1).reshape(n, -1)  # Tr(W X) pairs X[a, b] with W[b, a]
+            result = sum((np.einsum("tje,je->t", piece, w[:, b]) for b, piece in pieces),
+                         np.zeros(times.size, complex))
     if not np.isfinite(result).all():
         raise PropagationError("propagation produced non-finite entries")
-    return result
+    if w is not None:
+        return result
+    full = np.zeros((times.size, n, d, d), dtype=complex)
+    full[(slice(None),) + sub] = result
+    return full
+
+
+def _spectral(h: np.ndarray, x: np.ndarray, times: np.ndarray,
+              w: np.ndarray | None) -> np.ndarray:
+    """The stack ``x`` conjugated by ``exp(-i h t)`` at ``times`` for a
+    Hermitian ``h = V diag(E) V+``, where ``X~ = V+ X V`` only turns,
+    ``X~_ab e^{-i(E_a - E_b) t}``; or, given functionals ``w``, the traces
+    ``sum_ab C_ab e^{-i(E_a - E_b) t}``, ``C_ab = sum_j W~_j[b, a] X~_j[a, b]``."""
+    energies, vecs = eigh(h)
+    turn = np.exp(-1j * np.outer(times, energies))  # e^{-i E_a t}
+    x = vecs.conj().T @ x @ vecs
+    if w is None:
+        x = turn[:, None, :, None] * x * turn.conj()[:, None, None, :]
+        return vecs @ x @ vecs.conj().T
+    c = np.einsum("jba,jab->ab", vecs.conj().T @ w @ vecs, x)
+    return np.sum((turn @ c) * turn.conj(), axis=1)
 
 
 def _reachable_levels(gen: _LindbladGenerator, stack: np.ndarray) -> np.ndarray:
@@ -306,17 +338,18 @@ def _closure(successors: np.ndarray, reach: np.ndarray) -> np.ndarray:
         reach = grown
 
 
-def _evolve(generator: np.ndarray, x: np.ndarray, times: np.ndarray,
-            apply) -> np.ndarray:
-    """Sample ``apply(expm(generator * t), x)`` at ``times``, stepping.
+def _evolve(generator: np.ndarray, rows: np.ndarray,
+            times: np.ndarray) -> np.ndarray:
+    """Sample ``rows @ expm(generator * t).T`` at ``times``, stepping: the
+    rows are vectorised operators and ``generator`` a Liouvillian block.
 
     One exponential reaches the first sample and one more serves every step
     of a uniform grid; a non-uniform grid takes one per interval.
     """
-    out = np.empty((times.size,) + x.shape, dtype=complex)
+    out = np.empty((times.size,) + rows.shape, dtype=complex)
     if times[0] > 0.0:
-        x = apply(expm(generator * times[0]), x)
-    out[0] = x
+        rows = rows @ expm(generator * times[0]).T
+    out[0] = rows
     steps = np.diff(times)
     if steps.size == 0:
         return out
@@ -326,8 +359,8 @@ def _evolve(generator: np.ndarray, x: np.ndarray, times: np.ndarray,
     if np.max(np.abs(grid - times)) <= 1e-14 * times[-1]:
         step = expm(generator * dt)
     for k in range(1, times.size):
-        out[k] = apply(expm(generator * steps[k - 1]) if step is None else step,
-                       out[k - 1])
+        p = expm(generator * steps[k - 1]) if step is None else step
+        out[k] = out[k - 1] @ p.T
     return out
 
 

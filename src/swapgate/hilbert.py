@@ -167,8 +167,14 @@ class DensityMatrix:
 def embed_operators(
     site_ops: Mapping[int, np.ndarray], dims: SiteDims | Sequence[int]
 ) -> OperatorMatrix:
-    """Kronecker product with the given local operators and identities elsewhere."""
+    """Kronecker product with the given local operators and identities elsewhere.
+
+    Every site index must lie on the chain, ``0 <= i < n_sites``.
+    """
     dims = _as_site_dims(dims)
+    outside = [i for i in site_ops if not 0 <= i < dims.n_sites]
+    if outside:
+        raise HilbertError(f"site index {outside[0]} out of range")
     factors = []
     for i, d in enumerate(dims):
         local = np.asarray(site_ops.get(i, np.eye(d)), dtype=complex)
@@ -190,9 +196,6 @@ def embed_site_operator(
     local_op: np.ndarray, site_index: int, dims: SiteDims | Sequence[int]
 ) -> OperatorMatrix:
     """Embed a single-site operator: I x ... x local_op x ... x I."""
-    dims = _as_site_dims(dims)
-    if not 0 <= site_index < dims.n_sites:
-        raise HilbertError(f"site index {site_index} out of range")
     return embed_operators({site_index: local_op}, dims)
 
 

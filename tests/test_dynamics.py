@@ -320,9 +320,10 @@ class TestExactPropagator:
 
     @pytest.mark.parametrize("gamma", [0.0, 0.01])
     def test_non_uniform_grid_matches_per_sample_expm(self, gamma):
-        """A non-uniform grid takes one exponential per interval, on the
-        conjugation (noiseless) and the Liouvillian (noisy) branch alike;
-        every sample agrees with the Liouvillian exponential at its time."""
+        """A non-uniform grid: the noiseless branch evaluates every sample
+        from the eigendecomposition of H, the noisy one takes one exponential
+        per interval; every sample agrees with the Liouvillian exponential
+        at its time."""
         h, collapse, _, tg = row6_sector(2, gamma)
         times = np.array([0.05, 0.1, 0.3, 0.35, 0.8]) * tg
         stack = random_stack(h.shape[0])
@@ -343,8 +344,9 @@ class TestExactPropagator:
         assert np.linalg.eigvalsh(choi).min() >= -1e-10
 
     def test_conjugation_matches_liouvillian_on_row6_closed_sector(self):
-        """Noiseless runs conjugate by expm(-i H dt); the Liouvillian
-        exponential of the same generator, taken at each sample time, agrees."""
+        """Noiseless runs conjugate by exp(-i H t), taken from the
+        eigendecomposition of H; the Liouvillian exponential of the same
+        generator, taken at each sample time, agrees."""
         h, collapse, _, tg = row6_sector(3, 0.0)
         assert collapse == []
         times = np.linspace(1e-3 * tg, tg, 20)
@@ -365,9 +367,10 @@ class TestExactPropagator:
 
 def textbook_liouvillian(h, collapse):
     """Row-major Liouvillian of the master equation, term by term, from
-    vec(A X B) = (A kron B^T) vec(X)."""
+    vec(A X B) = (A kron B^T) vec(X).  The Hamiltonian part is
+    -i (H X - X H+), so a non-Hermitian H (gain or loss) is read as such."""
     eye = np.eye(h.shape[0])
-    lv = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    lv = -1j * (np.kron(h, eye) - np.kron(eye, h.conj()))
     for g, a in collapse:
         ada = a.conj().T @ a
         lv = lv + g * (np.kron(a, a.conj()) - 0.5 * np.kron(ada, eye)
@@ -511,6 +514,57 @@ class TestReachableBlocks:
         gen = _LindbladGenerator(h, NoiseModel(gamma=0.01).collapse_operators(dims), 16)
         keep = _reachable_levels(gen, fidelity_stack(cvec))
         assert np.array_equal(keep, sector_indices(dims, 2 + n_ctrl))
+
+
+class TestSpectralBranch:
+    """Noiseless propagation from one eigendecomposition of H, against the
+    Liouvillian exponential of the whole space at each sample time."""
+
+    @pytest.mark.parametrize("chain", ["zero_end_coupling", "row6"])
+    def test_degenerate_levels_on_non_uniform_grid_from_zero(self, chain):
+        """Exactly degenerate levels (four- and eightfold with the end
+        couplings off; mirror pairs on row 6) leave the eigenbasis free
+        within each level; every sample and the contracted traces agree."""
+        couplings = dict(ROW6, j1x=0.0, j1z=0.0) if chain == "zero_end_coupling" else ROW6
+        h = build_interaction_hamiltonian(symmetric_chain(**couplings)).entries
+        energies = np.linalg.eigvalsh(h)
+        assert np.min(np.diff(energies)) < 1e-9 * np.max(np.abs(energies))
+        tg = analytic_gate_time(symmetric_chain(**ROW6))
+        times = np.array([0.0, 0.05, 0.3, 0.35, 0.8, 1.0]) * tg
+        stack = random_stack(16)
+        w = random_stack(16, seed=4)
+        want = full_space_oracle(h, [], stack, times)
+        got = evolve_stack_raw(h, [], stack, times)
+        assert np.max(np.abs(got - want)) < 1e-12
+        traces = evolve_stack_raw(h, [], stack, times, functionals=w)
+        assert np.max(np.abs(traces - np.einsum("tjab,jba->t", want, w))) < 1e-12
+
+    def test_non_hermitian_generator_takes_the_liouvillian_branch(self):
+        """Loss written into H (-i Gamma on one level) is no Hamiltonian:
+        X -> -i (H X - X H+) damps that level's rows and columns."""
+        h, _, _, tg = row6_sector(2, 0.0)
+        h = h.astype(complex)
+        h[3, 3] -= 1j * 200.0
+        times = np.array([0.05, 0.1, 0.3, 0.35, 0.8]) * tg
+        stack = random_stack(h.shape[0])
+        got = evolve_stack_raw(h, [], stack, times)
+        want = full_space_oracle(h, [], stack, times)
+        assert np.max(np.abs(got - want)) < 1e-12
+        trace = np.trace(got, axis1=2, axis2=3)
+        assert np.max(np.abs(trace - np.trace(stack, axis1=1, axis2=2))) > 1e-3
+
+    def test_hermitian_within_an_ulp_is_propagated_symmetrised(self):
+        h, _, _, tg = row6_sector(3, 0.0)
+        h = h.astype(complex)
+        i, j = np.argwhere(np.triu(h != 0, k=1))[0]
+        h[i, j] = np.nextafter(h[i, j].real, np.inf) + 1j * h[i, j].imag
+        assert not np.array_equal(h, h.conj().T)
+        sym = (h + h.conj().T) / 2
+        times = np.linspace(1e-3 * tg, tg, 7)
+        stack = random_stack(h.shape[0])
+        got = evolve_stack_raw(h, [], stack, times)
+        assert np.array_equal(got, evolve_stack_raw(sym, [], stack, times))
+        assert np.max(np.abs(got - full_space_oracle(sym, [], stack, times))) < 1e-12
 
 
 class TestNonFiniteGuard:

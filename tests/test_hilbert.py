@@ -72,6 +72,16 @@ class TestEmbed:
         with pytest.raises(HilbertError):
             embed_site_operator(np.eye(3), 0, (2, 2))
 
+    @pytest.mark.parametrize("site_ops", [
+        {7: PAULI_X}, {-1: PAULI_X}, {2: PAULI_X}, {0: PAULI_X, 7: PAULI_X, -1: PAULI_X},
+    ])
+    def test_site_outside_the_chain_rejected(self, site_ops):
+        """An operator off the chain is an error, not a silent identity."""
+        with pytest.raises(HilbertError, match="out of range"):
+            embed_operators(site_ops, (2, 2))
+        with pytest.raises(HilbertError, match="out of range"):
+            embed_site_operator(PAULI_X, min(site_ops), (2, 2))
+
     def test_embeddings_at_distinct_sites_commute(self):
         rng = np.random.default_rng(7)
         dims = (2, 3, 2)
