@@ -22,13 +22,24 @@ itself.  The input then selects one of two branches:
   ``X(t) = V (e^{-iEt} (V+ X V) e^{iEt}) V+``, on any grid: no stepping and
   no D^2 x D^2 generator.
 * Otherwise the row-major Liouvillian ``L`` on those levels splits into the
-  weakly connected components of its nonzero pattern (for an
-  excitation-conserving chain whose loss only lowers excitation, the blocks
-  of fixed coherence order N_row - N_col).  Each component the stack touches
+  weakly connected components of its pattern on the graph of level pairs:
+  (a, b) and (c, b) are linked where Heff[a, c] or Heff[c, a] is nonzero,
+  (a, b) and (a, d) where Heff[b, d] or Heff[d, b] is, and (a, b) and
+  (c, d) where a non-diagonal jump has nonzero [a, c] and [b, d].  For an
+  excitation-conserving chain whose loss only lowers excitation these are
+  the blocks of fixed coherence order N_row - N_col.  The components are
+  found once per kept-level pattern of Heff and the jumps and cached, and
+  each block is assembled straight from Heff, the dephasing mask and the
+  jumps; ``L`` itself is never formed.  Real rates make every generator
+  term map X+ to its own adjoint, ``L(X+) = L(X)+``, so the component
+  holding the pairs (b, a) mirrors the one holding (a, b) (Buca & Prosen,
+  New J. Phys. 14, 073007, 2012): one block of each mirror pair is evolved,
+  the partner's rows entering as adjoints and leaving conjugated.  A block
   is exponentiated once for the first sample time and once for the grid
-  spacing (once per interval on a non-uniform grid), and the stack advances
-  by matrix products.  A noiseless generator that is not Hermitian (gain or
-  loss written into H) takes this branch too.
+  spacing (once per interval on a non-uniform grid) and steps, by matrix
+  products, only the stack rows that are nonzero in it; the rest stay
+  exactly zero.  A noiseless generator that is not Hermitian (gain or loss
+  written into H) takes this branch too.
 
 Hamiltonians are in rad/us and times in us.
 """
@@ -144,7 +155,9 @@ class _LindbladGenerator:
         for g, op in collapse:
             heff = heff - 0.5 * g * (op.conj().T @ op)
             diag = np.diagonal(op)
-            if np.allclose(op, np.diag(diag)):
+            # any off-diagonal entry, however small, moves levels: a jump
+            # goes to the mask only when it is exactly diagonal
+            if np.array_equal(op, np.diag(diag)):
                 mask += g * np.outer(diag, diag.conj())
             else:
                 jumps.append((g, op))
@@ -168,20 +181,38 @@ class _LindbladGenerator:
             out += g * (tmp.reshape(-1, self.dim) @ l_op.conj().T).reshape(r.shape)
         return out.ravel()
 
-    def liouvillian(self) -> np.ndarray:
-        """Matrix of the generator on row-major vectorized operators.
+    def block(self, pairs: np.ndarray) -> np.ndarray:
+        """Matrix of the generator on the row-major vectorized entries
+        ``pairs`` (entry X[a, b] has index ``a * dim + b``), a set it maps
+        into itself.
 
-        ``vec(A X B) = (A kron B^T) vec(X)``, so the generator is
-        ``Heff x I + I x Heff* + sum_l g_l A_l x A_l*`` plus the diagonal
-        dephasing mask.
+        ``vec(A X B) = (A kron B^T) vec(X)``, so the entry of pairs (a, b)
+        and (c, d) is ``Heff[a, c] d_bd + d_ac Heff*[b, d]``, plus the
+        dephasing mask on the diagonal, plus ``g_l A_l[a, c] A_l*[b, d]`` per
+        jump: the terms of the Kronecker form, summed in its order.
         """
-        eye = np.eye(self.dim)
-        lv = np.kron(self.heff, eye) + np.kron(eye, self.heff.conj())
+        a, b = np.divmod(pairs, self.dim)
+        # flat indices of the entries [a, c] and [b, d] of a dim x dim matrix
+        left, right = a[:, None] * self.dim + a, b[:, None] * self.dim + b
+        lv = self.heff.ravel()[left]
+        lv[b[:, None] != b] = 0
+        right_term = self.heff.conj().ravel()[right]
+        right_term[a[:, None] != a] = 0
+        lv += right_term
         if self.mask is not None:
-            lv += np.diag(self.mask.ravel())
+            lv.flat[::pairs.size + 1] += self.mask[a, b]
         for g, op in self.jumps:
-            lv += g * np.kron(op, op.conj())
+            term = op.ravel()[left]
+            term *= op.conj().ravel()[right]
+            term *= g
+            lv += term
         return lv
+
+    def components(self) -> tuple[tuple[np.ndarray, np.ndarray | None], ...]:
+        """The generator's blocks on the level pairs, one per mirror pair
+        (``_components``), for the current pattern of Heff and the jumps."""
+        return _components(self.dim, (self.heff != 0).tobytes(),
+                           tuple((op != 0).tobytes() for _, op in self.jumps))
 
     def restrict(self, keep: np.ndarray) -> None:
         """Drop every level outside ``keep``, a set the generator maps into itself."""
@@ -236,14 +267,15 @@ def evolve_stack_raw(
 ) -> np.ndarray:
     """Stacked evolution on raw arrays from t = 0: the one propagation engine.
 
-    ``collapse`` carries explicit (rate, operator) pairs.  Only the reachable
-    levels are propagated: a noiseless Hermitian generator from one
-    eigendecomposition, any other by the Liouvillian components the stack
-    touches (module docstring).  Returns the evolved stack, shape
-    (n_times, n_stack, D, D), exactly zero outside those; or, given
-    ``functionals`` W of the stack's shape, the (n_times,) sums
-    ``sum_j Tr(W_j X_j(t))``, contracted piece by piece (in the eigenbasis on
-    the spectral branch) without forming the full-space stack.  A non-finite
+    ``collapse`` carries explicit (rate, operator) pairs with real rates.
+    Only the reachable levels are propagated: a noiseless Hermitian generator
+    from one eigendecomposition, any other block by block on the stack rows
+    each block holds, one evolution per mirror pair of blocks (module
+    docstring).  Returns the evolved stack, shape (n_times, n_stack, D, D),
+    exactly zero outside those; or, given ``functionals`` W of the stack's
+    shape, the (n_times,) sums ``sum_j Tr(W_j X_j(t))``, contracted piece by
+    piece (in the eigenbasis on the spectral branch) without forming the
+    full-space stack.  A complex rate raises ``ValueError``; a non-finite
     generator or result raises ``PropagationError``.
     """
     times = np.asarray(sample_times, dtype=float)
@@ -254,6 +286,8 @@ def evolve_stack_raw(
     if not (np.isfinite(hamiltonian).all() and np.isfinite(stack).all()
             and all(np.isfinite(g * op).all() for g, op in collapse)):
         raise PropagationError("generator or initial operators are not finite")
+    if any(np.imag(g) != 0 for g, _ in collapse):
+        raise ValueError("collapse rates must be real")
     n, d = stack.shape[0], stack.shape[1]
     gen = _LindbladGenerator(hamiltonian, collapse, n)
     keep = _reachable_levels(gen, stack)
@@ -267,18 +301,32 @@ def evolve_stack_raw(
             <= HERMITIAN_RTOL * np.abs(h).max(initial=0.0)):
         result = _spectral((h + h.conj().T) / 2, x, times, w)
     else:
-        lv, rows = gen.liouvillian(), x.reshape(n, -1)
-        pieces = [(b, _evolve(lv[np.ix_(b, b)], rows[:, b], times))
-                  for b in _touched_components(lv, rows)]
+        rows = x.reshape(n, -1)
         if w is None:
             result = np.zeros((times.size,) + rows.shape, dtype=complex)
-            for b, piece in pieces:
-                result[:, :, b] = piece
-            result = result.reshape((times.size,) + x.shape)
         else:
             w = w.transpose(0, 2, 1).reshape(n, -1)  # Tr(W X) pairs X[a, b] with W[b, a]
-            result = sum((np.einsum("tje,je->t", piece, w[:, b]) for b, piece in pieces),
-                         np.zeros(times.size, complex))
+            result = np.zeros(times.size, dtype=complex)
+        for block, mirror in gen.components():
+            own = np.flatnonzero(rows[:, block].any(axis=1))
+            adj = own[:0] if mirror is None else np.flatnonzero(rows[:, mirror].any(axis=1))
+            if own.size + adj.size == 0:
+                continue
+            start = rows[own[:, None], block]
+            if adj.size:  # the mirror block's rows, as adjoints
+                start = np.concatenate([start, rows[adj[:, None], mirror].conj()])
+            piece = _evolve(gen.block(block), start, times)
+            mine, theirs = piece[:, :own.size], piece[:, own.size:].conj()
+            if w is None:
+                result[:, own[:, None], block] = mine
+                if adj.size:
+                    result[:, adj[:, None], mirror] = theirs
+            else:
+                result += np.einsum("tje,je->t", mine, w[own[:, None], block])
+                if adj.size:
+                    result += np.einsum("tje,je->t", theirs, w[adj[:, None], mirror])
+        if w is None:
+            result = result.reshape((times.size,) + x.shape)
     if not np.isfinite(result).all():
         raise PropagationError("propagation produced non-finite entries")
     if w is not None:
@@ -313,26 +361,58 @@ def _reachable_levels(gen: _LindbladGenerator, stack: np.ndarray) -> np.ndarray:
         feeds |= op != 0
     occupied = stack != 0
     seed = occupied.any(axis=(0, 1)) | occupied.any(axis=(0, 2))
-    return np.flatnonzero(_closure(feeds.T, seed))
+    return np.flatnonzero(_closure(lambda reach: feeds @ reach, seed))
 
 
-def _touched_components(lv: np.ndarray, rows: np.ndarray) -> list[np.ndarray]:
-    """Weakly connected components of ``lv != 0`` holding a nonzero of a row."""
-    linked = (lv != 0) | (lv != 0).T
-    untouched = ~np.any(rows != 0, axis=0)
-    blocks = []
-    while not untouched.all():
-        seed = np.arange(untouched.size) == np.argmin(untouched)
-        blocks.append(np.flatnonzero(_closure(linked, seed)))
-        untouched[blocks[-1]] = True
-    return blocks
+@functools.lru_cache(maxsize=64)
+def _components(
+    dim: int, heff_pattern: bytes, jump_patterns: tuple[bytes, ...]
+) -> tuple[tuple[np.ndarray, np.ndarray | None], ...]:
+    """Weakly connected components of the Liouvillian's pattern on the level
+    pairs (module docstring), from the nonzero patterns of Heff and of the
+    non-diagonal jumps, as read-only (block, mirror) index arrays.
+
+    ``block`` holds the row-major indices ``a * dim + b`` of one component,
+    sorted, and ``mirror`` the transposed indices ``b * dim + a`` in the same
+    order, which make up the mirror component; ``mirror`` is None for a
+    self-mirror component (coherence order 0), and each mirror pair appears
+    once.
+    """
+    heff = np.frombuffer(heff_pattern, dtype=bool).reshape(dim, dim)
+    heff = heff | heff.T
+    jumps = [np.frombuffer(p, dtype=bool).reshape(dim, dim) for p in jump_patterns]
+
+    def linked(reach):
+        out = heff @ reach | reach @ heff
+        for op in jumps:
+            out |= op @ reach @ op.T | op.T @ reach @ op
+        return out
+
+    transposed = np.arange(dim * dim).reshape(dim, dim).T
+    free = np.ones((dim, dim), dtype=bool)
+    found = []
+    while free.any():
+        # seeded from the last free pair: where the last level holds the
+        # most excitations (every shipped chain), each evolved block has
+        # coherence order N_row - N_col >= 0 and its mirror the negative
+        seed = np.zeros_like(free)
+        seed.flat[np.flatnonzero(free)[-1]] = True
+        member = _closure(linked, seed)
+        free &= ~(member | member.T)
+        block = np.flatnonzero(member)
+        mirror = None if np.array_equal(member, member.T) else transposed[member]
+        for index in (block, mirror):
+            if index is not None:
+                index.flags.writeable = False
+        found.append((block, mirror))
+    return tuple(found)
 
 
-def _closure(successors: np.ndarray, reach: np.ndarray) -> np.ndarray:
-    """Smallest superset of the mask ``reach`` holding each successor of its
-    members (j succeeds i where ``successors[i, j]``)."""
+def _closure(linked, reach: np.ndarray) -> np.ndarray:
+    """Smallest superset of the mask ``reach`` that holds ``linked(reach)``,
+    the mask of everything its members link to."""
     while True:
-        grown = reach | successors[reach].any(axis=0)
+        grown = reach | linked(reach)
         if np.array_equal(grown, reach):
             return reach
         reach = grown
@@ -341,7 +421,9 @@ def _closure(successors: np.ndarray, reach: np.ndarray) -> np.ndarray:
 def _evolve(generator: np.ndarray, rows: np.ndarray,
             times: np.ndarray) -> np.ndarray:
     """Sample ``rows @ expm(generator * t).T`` at ``times``, stepping: the
-    rows are vectorised operators and ``generator`` a Liouvillian block.
+    rows are the vectorised operators that occupy a Liouvillian block (for a
+    mirror pair, those of both blocks, the mirror's as adjoints) and
+    ``generator`` is the block.
 
     One exponential reaches the first sample and one more serves every step
     of a uniform grid; a non-uniform grid takes one per interval.

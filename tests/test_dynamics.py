@@ -16,7 +16,6 @@ from swapgate.dynamics import (
     PropagationError,
     _LindbladGenerator,
     _reachable_levels,
-    _touched_components,
     evolve_stack_raw,
     propagate,
 )
@@ -112,6 +111,22 @@ class TestAgainstOracles:
         for k in range(2):
             want = naive_lindblad_rhs(h, collapse, rhos[k])
             assert np.max(np.abs(got[k] - want)) < 1e-10
+
+
+    def test_jump_with_tiny_off_diagonal_entries_is_applied_whole(self):
+        """An off-diagonal entry far below np.allclose's atol still moves
+        levels: the jump stays a jump term, so the generator keeps its trace
+        and matches the textbook Liouvillian."""
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        h = a + a.conj().T
+        op = np.diag([1.0, -1.0, 0.5, 0.0]).astype(complex)
+        op[0, 1] = 5e-9
+        stack = random_stack(4, n=2)
+        times = np.linspace(0.5, 2.0, 4)
+        got = evolve_stack_raw(h, [(1.0, op)], stack, times)
+        want = full_space_oracle(h, [(1.0, op)], stack, times)
+        assert np.max(np.abs(got - want)) < 1e-12
 
 
 class TestPhysicalityChecks:
@@ -352,10 +367,18 @@ class TestExactPropagator:
         times = np.linspace(1e-3 * tg, tg, 20)
         stack = random_stack(h.shape[0])
         closed = evolve_stack_raw(h, [], stack, times)
-        lv = _LindbladGenerator(h, [], len(stack)).liouvillian()
+        lv = textbook_liouvillian(h, [])
         rows = stack.reshape(len(stack), -1)
         ref = np.stack([rows @ expm(lv * t).T for t in times])
         assert np.max(np.abs(closed - ref.reshape(closed.shape))) < 1e-12
+
+    def test_rejects_complex_rates(self):
+        """Real rates are what make L(X+) = L(X)+, on which the mirror fold
+        rests."""
+        h, collapse, _, tg = row6_sector(2, 0.01)
+        bad = [(g + 1e-3j, op) for g, op in collapse]
+        with pytest.raises(ValueError, match="real"):
+            evolve_stack_raw(h, bad, random_stack(h.shape[0]), [tg])
 
     def test_rejects_unordered_times(self):
         h, collapse, _, tg = row6_sector(2, 0.01)
@@ -467,8 +490,8 @@ class TestReachableBlocks:
         want = full_space_oracle(h, collapse, stack, times)
         assert np.max(np.abs(got - want)) < 1e-12
         # every coherence order N_row - N_col in [-4, 4] is a block of its own
-        lv = _LindbladGenerator(h, collapse, 3).liouvillian()
-        blocks = _touched_components(lv, stack.reshape(3, -1))
+        blocks = [b for pair in _LindbladGenerator(h, collapse, 3).components()
+                  for b in pair if b is not None]
         n_of = excitation_numbers((2, 2, 2, 2))
         order = (n_of[:, None] - n_of[None, :]).ravel()
         assert sorted(tuple(np.unique(order[b])) for b in blocks) == [
@@ -514,6 +537,125 @@ class TestReachableBlocks:
         gen = _LindbladGenerator(h, NoiseModel(gamma=0.01).collapse_operators(dims), 16)
         keep = _reachable_levels(gen, fidelity_stack(cvec))
         assert np.array_equal(keep, sector_indices(dims, 2 + n_ctrl))
+
+
+def coherence_orders(dims):
+    """N_row - N_col of every level pair."""
+    n_of = excitation_numbers(dims)
+    return n_of[:, None] - n_of[None, :]
+
+
+def register_dims(h):
+    """Site dimensions of a shipped register's Hamiltonian."""
+    return {16: (2, 2, 2, 2), 32: (2, 2, 2, 2, 2), 36: (2, 3, 3, 2)}[h.shape[0]]
+
+
+class TestMirrorBlocks:
+    """The Liouvillian branch: components cached per pattern, each block
+    assembled from Heff, the mask and the jumps, one evolution per mirror
+    pair on the stack rows each block holds."""
+
+    def test_positive_orders_are_evolved_and_negative_ones_mirrored(self):
+        h, _ = register("open")
+        collapse = NoiseModel(gamma=0.01).collapse_operators((2, 2, 2, 2))
+        order = coherence_orders((2, 2, 2, 2)).ravel()
+        roles = {}
+        for block, mirror in _LindbladGenerator(h, collapse, 1).components():
+            roles[tuple(np.unique(order[block]))] = "self" if mirror is None else "evolved"
+            if mirror is not None:
+                roles[tuple(np.unique(order[mirror]))] = "mirror"
+        assert roles == {(q,): "self" if q == 0 else "evolved" if q > 0 else "mirror"
+                         for q in range(-4, 5)}
+
+    @pytest.mark.parametrize("orders", [(-1,), (2, -2), (0,)],
+                             ids=["mirror_alone", "pair_not_adjoint", "self_mirror_alone"])
+    def test_stack_in_chosen_blocks_matches_full_space(self, orders):
+        """A stack in a -q block alone comes back through the fold; one in
+        +-q whose rows are not adjoints of each other evolves both sides in
+        one product; the q = 0 block is its own mirror."""
+        h, _ = register("open")
+        collapse = NoiseModel(gamma=0.01).collapse_operators((2, 2, 2, 2))
+        stack = random_stack(16, n=3) * np.isin(coherence_orders((2, 2, 2, 2)), orders)
+        assert not np.allclose(stack, stack.conj().transpose(0, 2, 1))
+        tg = analytic_gate_time(symmetric_chain(**ROW6))
+        times = np.linspace(0.1 * tg, tg, 5)
+        want = full_space_oracle(h, collapse, stack, times)
+        got = evolve_stack_raw(h, collapse, stack, times)
+        assert np.max(np.abs(got - want)) < 1e-12
+        w = random_stack(16, n=3, seed=4)
+        traces = evolve_stack_raw(h, collapse, stack, times, functionals=w)
+        assert np.max(np.abs(traces - np.einsum("tjab,jba->t", want, w))) < 1e-12
+
+    @pytest.mark.parametrize("name", [
+        "open", "closed_plus", "qutrit_closed_plus", "n5", "crosstalk"])
+    def test_blocks_are_the_restricted_liouvillian(self, name):
+        """The blocks partition the kept level pairs, the textbook
+        Liouvillian links no two of them, and each assembled block is its
+        restriction."""
+        if name == "crosstalk":
+            spin = symmetric_chain(**ROW6)
+            h = add_crosstalk(spin, j_nn=0.05 * spin.j1x, j_nnn=0.05 * spin.j1x).entries
+            cvec = register("closed_minus")[1]
+        else:
+            h, cvec = register(name)
+        collapse = NoiseModel(gamma=0.01).collapse_operators(register_dims(h))
+        gen = _LindbladGenerator(h, collapse, 16)
+        keep = _reachable_levels(gen, fidelity_stack(cvec))
+        gen.restrict(keep)
+        sub = np.ix_(keep, keep)
+        lv = textbook_liouvillian(h[sub], [(g, op[sub]) for g, op in collapse])
+        blocks = [b for pair in gen.components() for b in pair if b is not None]
+        everything = np.arange(keep.size ** 2)
+        assert np.array_equal(np.sort(np.concatenate(blocks)), everything)
+        for b in blocks:
+            rest = np.setdiff1d(everything, b)
+            assert not lv[np.ix_(rest, b)].any() and not lv[np.ix_(b, rest)].any()
+            assert np.max(np.abs(gen.block(b) - lv[np.ix_(b, b)])) < 1e-12
+
+    def test_raising_jump_links_the_pairs_it_feeds_from(self):
+        """Components are weakly connected: with a diagonal H and a raising
+        jump, the last pair (1, 1) is linked to (0, 0) only by the jump
+        feeding it from there."""
+        h = np.diag([0.0, 2.0])
+        collapse = [(0.3, SIGMA_MINUS.T.astype(complex)), (0.1, PAULI_Z)]
+        stack = random_stack(2, n=2)
+        times = np.array([0.5, 1.0, 3.0])
+        want = full_space_oracle(h, collapse, stack, times)
+        assert np.max(np.abs(evolve_stack_raw(h, collapse, stack, times) - want)) < 1e-12
+        w = random_stack(2, n=2, seed=4)
+        traces = evolve_stack_raw(h, collapse, stack, times, functionals=w)
+        assert np.max(np.abs(traces - np.einsum("tjab,jba->t", want, w))) < 1e-12
+
+    def test_components_are_cached_per_pattern_and_read_only(self):
+        h, _ = register("open")
+        collapse = NoiseModel(gamma=0.01).collapse_operators((2, 2, 2, 2))
+        first = _LindbladGenerator(h, collapse, 1).components()
+        rescaled = [(2 * g, op) for g, op in collapse]
+        assert _LindbladGenerator(0.5 * h, rescaled, 3).components() is first
+        for pair in first:
+            for index in pair:
+                if index is not None:
+                    with pytest.raises(ValueError, match="read-only"):
+                        index[0] = 0
+
+    def test_a_zero_coupling_gives_components_of_its_own(self):
+        """Row 6 with its end couplings off has another pattern: the end
+        qubits no longer exchange excitations with the controls, which
+        splits the coherence-order blocks; both give the full-space result."""
+        collapse = NoiseModel(gamma=0.01).collapse_operators((2, 2, 2, 2))
+        tg = analytic_gate_time(symmetric_chain(**ROW6))
+        times = np.linspace(0.1 * tg, tg, 5)
+        stack = random_stack(16, n=3)
+        w = random_stack(16, n=3, seed=4)
+        found = []
+        for couplings in (ROW6, dict(ROW6, j1x=0.0)):
+            h = build_interaction_hamiltonian(symmetric_chain(**couplings)).entries
+            found.append(_LindbladGenerator(h, collapse, 3).components())
+            want = full_space_oracle(h, collapse, stack, times)
+            assert np.max(np.abs(evolve_stack_raw(h, collapse, stack, times) - want)) < 1e-12
+            traces = evolve_stack_raw(h, collapse, stack, times, functionals=w)
+            assert np.max(np.abs(traces - np.einsum("tjab,jba->t", want, w))) < 1e-12
+        assert len(found[1]) > len(found[0])
 
 
 class TestSpectralBranch:
