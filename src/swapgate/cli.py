@@ -483,7 +483,11 @@ def resolve_config(raw: dict[str, dict[str, Any]]) -> ExperimentConfig:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    return resolve_config(parse_config_text(Path(path).read_text()))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+    return resolve_config(parse_config_text(text))
 
 
 def default_config(kind: str) -> ExperimentConfig:
@@ -531,11 +535,14 @@ def _format_cell(v: Any) -> str:
 def _check_out_path(out: Path) -> None:
     if out.suffix.lower() == ".json":
         raise ConfigError(f"output path {out}: .json is the summary's suffix")
+    for path in (out, out.with_suffix(".json")):
+        if path.is_dir():
+            raise ConfigError(f"output path {path} is a directory")
 
 
 def emit(record: RunRecord, out_path: str | Path) -> tuple[Path, Path]:
     """Write the CSV table and JSON summary next to each other; a ``.json``
-    output path is refused before anything is written."""
+    output path or a directory is refused before anything is written."""
     csv_path = Path(out_path)
     _check_out_path(csv_path)
     csv_path.parent.mkdir(parents=True, exist_ok=True)
@@ -772,11 +779,11 @@ def _drive_demo(config: ExperimentConfig) -> Table:
     t_pi = pulse.pi_duration()
     durations = np.linspace(t_pi / grid["n_durations"], 2.0 * t_pi,
                             grid["n_durations"])
-    rows = []
-    for d in durations:
-        res = rabi_prepare(model, pulse, float(d), noise=noise)
-        rows.append((float(d), res.transfer_probability))
-    pi_result = rabi_prepare(model, pulse, t_pi, noise=noise)
+    # t_pi is off the uniform grid, and a non-uniform grid costs one
+    # exponential per interval, so the pi pulse is its own propagation
+    rows = [(float(d), res.transfer_probability)
+            for d, res in zip(durations, rabi_prepare(model, pulse, durations, noise))]
+    pi_result, = rabi_prepare(model, pulse, noise=noise)
     summary = {
         "amplitude_mhz": amplitude,
         "frequency_mhz": pulse.frequency,
@@ -903,7 +910,8 @@ def _register(name: str, kind: str) -> None:
     ) if "noise" in SCHEMAS[kind] else (lambda f: f)
 
     @main.command(name=name, help=f"Run the {kind} experiment.")
-    @click.option("--config", "config_path", type=click.Path(exists=True),
+    @click.option("--config", "config_path",
+                  type=click.Path(exists=True, dir_okay=False),
                   default=None, help="Configuration file.")
     @click.option("--out", "out_path", default=None, help="Output CSV path.")
     @seed_option

@@ -48,7 +48,6 @@ from .spin_model import (
     ModelError,
     SpinModelParams,
     build_interaction_hamiltonian,
-    single_excitation_block,
     vacuum_energy,
 )
 
@@ -101,16 +100,16 @@ def resonant_drive_frequency(params: SpinModelParams) -> float:
     |Omega_2 - 2 J2z + 2 J2x| misses that shift by 2 J1z.
     """
     e_vac = vacuum_energy(params) / TWO_PI
-    e_bell = _bell_energy(single_excitation_block(params) / TWO_PI)
+    e_bell = _bell_energy(build_interaction_hamiltonian(params).entries / TWO_PI)
     return e_vac - e_bell
 
 
-def _bell_energy(h1: np.ndarray) -> float:
-    """Energy of the symmetric control Bell state in the one-excitation block
-    ``h1`` of the 4-site chain (targets in their ground state)."""
-    bell = np.zeros(h1.shape[0])
-    bell[1] = bell[2] = 1.0 / np.sqrt(2.0)
-    return float(bell @ h1 @ bell)
+def _bell_energy(h: np.ndarray) -> float:
+    """Energy of the symmetric control Bell state, targets in their ground
+    state, under the 4-site chain Hamiltonian ``h``."""
+    bell = np.zeros(h.shape[0])
+    bell[0b0100] = bell[0b0010] = 1.0 / np.sqrt(2.0)
+    return float(np.real(bell @ h @ bell))
 
 
 def drive_hamiltonian(
@@ -151,26 +150,29 @@ class RabiResult:
 def rabi_prepare(
     params: SpinModelParams,
     pulse: DrivePulse,
-    duration: float | None = None,
+    durations: Sequence[float] | None = None,
     noise: NoiseModel | None = None,
-) -> RabiResult:
+) -> list[RabiResult]:
     """Drive the four-site chain from the closed register |1+>_C towards the
-    open |00>_C and return the reduced control state.
+    open |00>_C and return the reduced control state after each of
+    ``durations``, strictly increasing (default: the pi duration alone), all
+    sampled from one propagation.
 
     The targets start in their ground state; ``transfer_probability`` is the
-    population of |00>_C at the end of the pulse (``duration`` defaults to
-    the pi duration).  The chain is propagated in the drive's rotating frame
-    (module docstring; dephasing and decay are unchanged by that frame) and
-    the final state is rotated back to the interaction picture,
-    rho = R rho' R+ with R = exp(+i d N t).  The level-frame copy removes the
-    deterministic free-evolution phases of the register levels (the
-    bookkeeping that ``superposition_phase`` prescribes), so it can be
-    compared directly against ideal superposition targets.
+    population of |00>_C.  The chain is propagated in the drive's rotating
+    frame (module docstring; dephasing and decay are unchanged by that frame)
+    and each sample is traced down to the register and rotated back there,
+    rho_C = R_C rho_C' R_C+ with R_C = exp(+i d N_C t): N = N_T + N_C, and
+    the targets' share of the frame cancels under their trace.  The
+    level-frame copy removes the deterministic free-evolution phases of the
+    register levels (the bookkeeping that ``superposition_phase``
+    prescribes), so it can be compared directly against ideal superposition
+    targets.
     """
     if params.n_sites != 4:
         raise ModelError("state preparation drives the 4-site chain")
-    if duration is None:
-        duration = pulse.pi_duration()
+    if durations is None:
+        durations = (pulse.pi_duration(),)
 
     h0 = build_interaction_hamiltonian(params)
     h = h0 + drive_hamiltonian(pulse, h0.dims)
@@ -179,33 +181,29 @@ def rabi_prepare(
     ground = np.array([1.0, 0.0], dtype=complex)
     full = np.kron(np.kron(ground, cvec), ground)
     rho0 = DensityMatrix.from_state_vector(full, h0.dims)
-
-    final = propagate(rho0, h, noise, (duration,))[-1].entries
-    back = np.exp(1j * TWO_PI * pulse.frequency * duration
-                  * _drive_terms(h0.dims)[0])
-    lab = DensityMatrix(OperatorMatrix(h0.dims, back[:, None] * final * back.conj()))
-    reduced = partial_trace(lab, keep_sites=(1, 2))
+    states = propagate(rho0, h, noise, durations)
 
     tvec = control_state_vector(GateConfig(control_state="open_0"), [2, 2])
-    p = float(np.real(tvec.conj() @ reduced.entries @ tvec))
-
-    # undo the free phases: |00>_C rides at the vacuum energy, the symmetric
-    # Bell level covers the |01>/|10> sector (the singlet never mixes in),
-    # and |11>_C at its exact chain energy with the targets in their ground
-    # state
-    e_vac = vacuum_energy(params)
-    e_bell = _bell_energy(single_excitation_block(params))
-    e_11 = float(np.real(h0.entries[0b0110, 0b0110]))
-    phases = np.exp(1j * np.array([e_vac, e_bell, e_bell, e_11]) * duration)
-    rot = np.diag(phases)
-    level_frame = DensityMatrix(
-        OperatorMatrix(reduced.dims, rot @ reduced.entries @ rot.conj().T)
-    )
-    return RabiResult(
-        control_state=reduced,
-        control_state_level_frame=level_frame,
-        transfer_probability=p,
-    )
+    numbers = excitation_numbers((2, 2))
+    # the free phases: |00>_C rides at the vacuum energy, the symmetric Bell
+    # level covers the |01>/|10> sector (the singlet never mixes in), and
+    # |11>_C at its exact chain energy with the targets in their ground state
+    e_bell = _bell_energy(h0.entries)
+    levels = np.array([vacuum_energy(params), e_bell, e_bell,
+                       float(np.real(h0.entries[0b0110, 0b0110]))])
+    results = []
+    for t, state in zip(durations, states):
+        reduced = partial_trace(state, keep_sites=(1, 2))
+        back = np.exp(1j * TWO_PI * pulse.frequency * t * numbers)
+        rho = back[:, None] * reduced.entries * back.conj()
+        phases = np.exp(1j * levels * t)
+        results.append(RabiResult(
+            control_state=DensityMatrix(OperatorMatrix(reduced.dims, rho)),
+            control_state_level_frame=DensityMatrix(OperatorMatrix(
+                reduced.dims, phases[:, None] * rho * phases.conj())),
+            transfer_probability=float(np.real(tvec.conj() @ rho @ tvec)),
+        ))
+    return results
 
 
 def calibrated_pi_pulse(params: SpinModelParams, amplitude: float) -> DrivePulse:
@@ -221,11 +219,8 @@ def calibrated_pi_pulse(params: SpinModelParams, amplitude: float) -> DrivePulse
     base = resonant_drive_frequency(params)
     freqs = np.linspace(base - CALIBRATION_SPAN, base + CALIBRATION_SPAN,
                         CALIBRATION_POINTS)
-    probs = []
-    for f in freqs:
-        pulse = DrivePulse(amplitude=amplitude, frequency=f)
-        res = rabi_prepare(params, pulse, pulse.pi_duration())
-        probs.append(res.transfer_probability)
+    probs = [rabi_prepare(params, DrivePulse(amplitude, f))[0].transfer_probability
+             for f in freqs]
     best, _ = refine_peak(freqs, np.array(probs), int(np.argmax(probs)))
     return DrivePulse(amplitude=amplitude, frequency=best)
 

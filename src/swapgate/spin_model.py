@@ -374,18 +374,8 @@ def single_excitation_block(params: SpinModelParams) -> np.ndarray:
     Basis ordering: excitation on site 0, 1, ..., N-1.
     """
     n = params.n_sites
-    det = params.detunings
-    diag = np.empty(n)
-    for k in range(n):
-        z = np.ones(n)
-        z[k] = -1.0
-        diag[k] = -0.5 * sum(det[j] * z[j] for j in range(n)) + sum(
-            params.jz[j] * z[j] * z[j + 1] for j in range(n - 1)
-        )
-    h = np.diag(diag)
-    for j in range(n - 1):
-        h[j, j + 1] = h[j + 1, j] = 2.0 * params.jx[j]
-    return TWO_PI * h
+    states = [1 << (n - 1 - k) for k in range(n)]
+    return build_interaction_hamiltonian(params).entries[np.ix_(states, states)].real
 
 
 def vacuum_energy(params: SpinModelParams) -> float:

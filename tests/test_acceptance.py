@@ -339,8 +339,7 @@ def test_c09_drive_scheme(row6):
     amplitude = abs(row6.j2z) / 50.0
     pulse = calibrated_pi_pulse(row6, amplitude)
     t_pi = pulse.pi_duration()
-    full = rabi_prepare(row6, pulse, t_pi)
-    half = rabi_prepare(row6, pulse, t_pi / 2)
+    half, full = rabi_prepare(row6, pulse, (t_pi / 2, t_pi))
     bell = control_state_vector(GateConfig(control_state="closed_1plus"), [2, 2])
     zero = control_state_vector(GateConfig(control_state="open_0"), [2, 2])
     red = half.control_state_level_frame.entries

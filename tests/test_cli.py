@@ -501,6 +501,46 @@ class TestCommandLine:
         assert ".json" in result.output
         assert not out.exists()
 
+    def test_config_path_that_is_a_directory_exits_2(self, tmp_path):
+        out = tmp_path / "t.csv"
+        result = CliRunner().invoke(
+            main, ["trace", "--config", str(tmp_path), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "directory" in result.output
+        assert not out.exists()
+
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_bytes(b"experiment = circuit_map\n# caf\xe9\n")
+        out = tmp_path / "m.csv"
+        result = CliRunner().invoke(
+            main, ["circuit-map", "--config", str(cfgfile), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "configuration error" in result.output
+        assert not out.exists()
+        with pytest.raises(ConfigError):
+            swapgate.cli.load_config(cfgfile)
+
+    @pytest.mark.parametrize("taken", ["d.csv", "d.json"])
+    def test_output_path_that_is_a_directory_exits_2(
+        self, tmp_path, monkeypatch, taken
+    ):
+        """The CSV path, or the JSON path beside it, is a directory: refused
+        before the run starts, and by ``emit`` itself."""
+        out = tmp_path / "d.csv"
+        (tmp_path / taken).mkdir()
+        record = run_experiment(default_config("circuit_map"))
+        runs = []
+        monkeypatch.setattr(swapgate.cli, "run_experiment", runs.append)
+        result = CliRunner().invoke(main, ["circuit-map", "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "directory" in result.output
+        assert runs == []
+        with pytest.raises(ConfigError):
+            emit(record, out)
+        assert [p.name for p in tmp_path.iterdir()] == [taken]
+        assert list((tmp_path / taken).iterdir()) == []
+
     def test_byte_identical_csv_across_invocations(self, tmp_path):
         cfgfile = tmp_path / "m.cfg"
         cfgfile.write_text(MINIMAL)

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from swapgate.dynamics import propagate
+from swapgate.dynamics import NoiseModel, propagate
 from swapgate.hilbert import (
     PAULI_X,
     PAULI_Y,
@@ -147,13 +147,13 @@ class TestRabiTransfer:
     def test_pi_pulse_transfer(self, pi_pulse):
         """A calibrated pi pulse moves |1+>_C to |0>_C with P >= 0.99."""
         params = row6_params()
-        res = rabi_prepare(params, pi_pulse, pi_pulse.pi_duration())
+        res, = rabi_prepare(params, pi_pulse, (pi_pulse.pi_duration(),))
         assert res.transfer_probability >= 0.99
 
     def test_half_pulse_superposition(self, pi_pulse):
         """Half a pi pulse leaves (|1+> + i|0>)/sqrt(2) up to free phases."""
         params = row6_params()
-        res = rabi_prepare(params, pi_pulse, pi_pulse.pi_duration() / 2.0)
+        res, = rabi_prepare(params, pi_pulse, (pi_pulse.pi_duration() / 2.0,))
         red = res.control_state_level_frame.entries
         bell = control_state_vector(GateConfig(control_state="closed_1plus"), [2, 2])
         zero = control_state_vector(GateConfig(control_state="open_0"), [2, 2])
@@ -174,7 +174,7 @@ class TestRabiTransfer:
             amplitude=pi_pulse.amplitude,
             frequency=pi_pulse.frequency + 10.0 * pi_pulse.amplitude,
         )
-        res = rabi_prepare(params, detuned, detuned.pi_duration())
+        res, = rabi_prepare(params, detuned, (detuned.pi_duration(),))
         # generalized-Rabi bound: A_R^2 / (A_R^2 + offset^2) with A_R = sqrt(2) A
         bound = 2.0 / (2.0 + 10.0**2)
         assert res.transfer_probability <= bound + 0.03
@@ -213,8 +213,8 @@ class TestRabiTransfer:
         t_pi = pi_pulse.pi_duration()
         durations = np.linspace(t_pi / 8, 2 * t_pi, 16)
         probs = [
-            rabi_prepare(params, pi_pulse, float(d)).transfer_probability
-            for d in durations
+            res.transfer_probability
+            for res in rabi_prepare(params, pi_pulse, durations)
         ]
         # fit P(t) = sin^2(omega_r t / 2) by scanning the rate
         rates = np.linspace(0.7, 1.3, 601) * np.sqrt(2) * TWO_PI * pi_pulse.amplitude
@@ -224,6 +224,42 @@ class TestRabiTransfer:
         best = rates[int(np.argmin(errs))]
         assert abs(best - np.sqrt(2) * TWO_PI * pi_pulse.amplitude) \
             / (np.sqrt(2) * TWO_PI * pi_pulse.amplitude) < 0.05
+
+
+class TestDurationGrid:
+    """One call samples every duration from a single propagation; each
+    sample must equal a call for that duration alone."""
+
+    @pytest.mark.parametrize("gamma", [0.01, 0.0])
+    @pytest.mark.parametrize("grid", ["default", "non_uniform"])
+    def test_grid_matches_single_durations(self, pi_pulse, gamma, grid):
+        """The default drive grid (row 6, A = J2z/50, 25 durations up to
+        2 t_pi) and an uneven one, on the Liouvillian (gamma = 0.01) and
+        the spectral (gamma = 0) branch."""
+        params = row6_params()
+        t_pi = pi_pulse.pi_duration()
+        if grid == "default":
+            durations = np.linspace(t_pi / 25, 2.0 * t_pi, 25)
+        else:
+            durations = t_pi * np.array([0.05, 0.3, 0.31, 0.9, 1.0, 1.7])
+        noise = NoiseModel(gamma=gamma) if gamma else None
+        together = rabi_prepare(params, pi_pulse, durations, noise)
+        assert len(together) == durations.size
+        for t, got in zip(durations, together):
+            want, = rabi_prepare(params, pi_pulse, (t,), noise)
+            assert abs(got.transfer_probability
+                       - want.transfer_probability) < 1e-12
+            for frame in ("control_state", "control_state_level_frame"):
+                diff = (getattr(got, frame).entries
+                        - getattr(want, frame).entries)
+                assert np.max(np.abs(diff)) < 1e-12, frame
+
+    @pytest.mark.parametrize("durations", [
+        (2e-3, 1e-3), (1e-3, 1e-3), (1e-3, 2e-3, 2e-3), (1e-3, 3e-3, 2e-3),
+    ])
+    def test_non_increasing_durations_raise(self, pi_pulse, durations):
+        with pytest.raises(ValueError):
+            rabi_prepare(row6_params(), pi_pulse, durations)
 
 
 class TestPulsePhase:
@@ -238,7 +274,7 @@ class TestPulsePhase:
         pulse = calibrated_pi_pulse(params, abs(params.j2z) / 20.0)
         probs = [
             rabi_prepare(params, replace(pulse, phase=phi),
-                         pulse.pi_duration()).transfer_probability
+                         (pulse.pi_duration(),))[0].transfer_probability
             for phi in (0.0, np.pi / 4, np.pi / 2)
         ]
         assert probs[0] > 0.999

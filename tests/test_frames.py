@@ -126,7 +126,7 @@ class TestDriveFrame:
         params, pulse = row6_pulse
         pulse = replace(pulse, phase=phase)
         duration = pulse.pi_duration() / 2.0
-        got = rabi_prepare(params, pulse, duration).control_state
+        got = rabi_prepare(params, pulse, (duration,))[0].control_state
 
         h0 = build_interaction_hamiltonian(params)
         dims = h0.dims
