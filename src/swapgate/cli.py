@@ -193,20 +193,6 @@ def _format_value(v: Any) -> str:
     return str(v)
 
 
-def serialize_config(sections: dict[str, dict[str, Any]]) -> str:
-    lines = []
-    top = sections.get("", {})
-    for key in top:
-        lines.append(f"{key} = {_format_value(top[key])}")
-    for name, body in sections.items():
-        if name == "":
-            continue
-        lines.append(f"[{name}]")
-        for key in body:
-            lines.append(f"{key} = {_format_value(body[key])}")
-    return "\n".join(lines) + "\n"
-
-
 # schema: section -> key -> (type tag, default[, limits]); None default
 # means required; the optional limits are, for each number, inclusive
 # (lo, hi) bounds with None for an open side, and for each string the tuple
@@ -423,9 +409,11 @@ class ExperimentConfig:
         return self.sections[section]
 
     def to_text(self) -> str:
-        data: dict[str, dict[str, Any]] = {"": {"experiment": self.kind}}
-        data.update({k: dict(v) for k, v in self.sections.items()})
-        return serialize_config(data)
+        lines = [f"experiment = {_format_value(self.kind)}"]
+        for name, body in self.sections.items():
+            lines.append(f"[{name}]")
+            lines.extend(f"{key} = {_format_value(v)}" for key, v in body.items())
+        return "\n".join(lines) + "\n"
 
 
 def _section_keys(sec_name: str, spec: dict, body: dict[str, Any]) -> dict[str, tuple]:
@@ -538,11 +526,15 @@ def _check_out_path(out: Path) -> None:
     for path in (out, out.with_suffix(".json")):
         if path.is_dir():
             raise ConfigError(f"output path {path} is a directory")
+    ancestor = next(p for p in out.parents if p.exists())
+    if not ancestor.is_dir():
+        raise ConfigError(f"output path {out}: {ancestor} is not a directory")
 
 
 def emit(record: RunRecord, out_path: str | Path) -> tuple[Path, Path]:
     """Write the CSV table and JSON summary next to each other; a ``.json``
-    output path or a directory is refused before anything is written."""
+    output path, a directory or a path below a regular file is refused
+    before anything is written."""
     csv_path = Path(out_path)
     _check_out_path(csv_path)
     csv_path.parent.mkdir(parents=True, exist_ok=True)
@@ -606,7 +598,8 @@ def _fidelity_trace(config: ExperimentConfig) -> Table:
                         config["run"]["samples"])
     cfg = _gate_config(grid["control"], branch)
     trace_noisy = average_fidelity(model, cfg, noise, times)
-    trace_clean = average_fidelity(model, cfg, None, times)
+    trace_clean = (trace_noisy if noise is None
+                   else average_fidelity(model, cfg, None, times))
     rows = list(zip(times, trace_noisy.fbar, trace_clean.fbar))
     summary = {
         "gate_time_analytic_us": analytic_gate_time(model),

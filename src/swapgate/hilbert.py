@@ -116,9 +116,6 @@ class OperatorMatrix:
     def is_hermitian(self, tol: float = DEFAULT_TOL) -> bool:
         return bool(np.max(np.abs(self.entries - self.entries.conj().T)) <= tol)
 
-    def trace(self) -> complex:
-        return complex(np.trace(self.entries))
-
     def norm(self) -> float:
         """Spectral norm (largest singular value)."""
         return float(np.linalg.norm(self.entries, 2))
@@ -256,11 +253,6 @@ def excitation_numbers(dims: SiteDims | Sequence[int]) -> np.ndarray:
     for d in dims:
         total = (total[:, None] + np.arange(d)[None, :]).ravel()
     return total
-
-
-def excitation_number_operator(dims: SiteDims | Sequence[int]) -> OperatorMatrix:
-    dims = _as_site_dims(dims)
-    return OperatorMatrix(dims, np.diag(excitation_numbers(dims)).astype(complex))
 
 
 def sector_indices(dims: SiteDims | Sequence[int], n_max: int) -> np.ndarray:

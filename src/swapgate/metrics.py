@@ -125,15 +125,6 @@ def control_state_vector(
     return v / np.linalg.norm(v)
 
 
-def default_target(config: GateConfig) -> TargetGate:
-    """Open gate of the configured branch when the register is open, else identity."""
-    return (
-        TargetGate.open_gate(config.delta_branch)
-        if config.is_open
-        else TargetGate.closed_gate()
-    )
-
-
 def average_fidelity(
     model: SpinModelParams | QutritModelParams,
     gate_config: GateConfig,
@@ -146,13 +137,14 @@ def average_fidelity(
 
     The two end sites are the target qubits; all middle sites form the
     control register, prepared in the configured state and traced out after
-    evolution.  ``hamiltonian`` overrides the model-built generator (used for
-    cross-talk studies).  The propagator evolves only the levels and
-    coherence-order blocks the initial operators reach
-    (``dynamics.evolve_stack_raw``).  Qutrit-control models evolve under the
-    rotating-frame generator of ``build_qutrit_hamiltonian``; that frame acts
-    only on the traced-out controls, so the fidelity is the same as in the
-    interaction picture.
+    evolution.  ``target`` defaults to the open gate of the configured branch
+    when the register is open, else the identity.  ``hamiltonian`` overrides
+    the model-built generator (used for cross-talk studies).  The propagator
+    evolves only the levels and coherence-order blocks the initial operators
+    reach (``dynamics.evolve_stack_raw``).  Qutrit-control models evolve
+    under the rotating-frame generator of ``build_qutrit_hamiltonian``; that
+    frame acts only on the traced-out controls, so the fidelity is the same
+    as in the interaction picture.
     """
     if hamiltonian is None:
         hamiltonian = (
@@ -164,7 +156,8 @@ def average_fidelity(
     cvec = control_state_vector(gate_config, list(dims.dims[1:-1]))
     rho_c = np.outer(cvec, cvec.conj())
     if target is None:
-        target = default_target(gate_config)
+        target = (TargetGate.open_gate(gate_config.delta_branch)
+                  if gate_config.is_open else TargetGate.closed_gate())
 
     # initial operators: (first-target factor) x rho_C x (last-target factor)
     stack = np.einsum("aik,cl,bjm->abicjklm", _PAULI_FACTORS, rho_c,
@@ -243,33 +236,29 @@ def gate_window(params: SpinModelParams, lo: float, hi: float, n: int) -> np.nda
     return np.linspace(lo * tg, hi * tg, n)
 
 
-@dataclass(frozen=True)
-class EntanglementPowerEstimate:
-    value: float
-    std_error: float
-    n_samples: int
+_SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
 
 
-def entanglement_power(
-    u: np.ndarray, n_samples: int = 100_000, seed: int = 0
-) -> EntanglementPowerEstimate:
+def _operator_entanglement(v: np.ndarray) -> float:
+    """Linear entropy 1 - sum p_k^2 of the operator-Schmidt weights
+    p_k = s_k^2 / 4, with s_k the singular values of the realigned matrix
+    R[(a,c),(b,d)] = V[(a,b),(c,d)]."""
+    realigned = v.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    p = np.linalg.svd(realigned, compute_uv=False) ** 2 / 4.0
+    return 1.0 - float(np.sum(p**2))
+
+
+def entanglement_power(u: np.ndarray) -> float:
     """Mean linear entropy generated from Haar-random two-qubit product states.
 
-    Zero for any product of local unitaries with SWAP or identity; the
-    conditional swap gate gives 1/9.
+    Exact, by the closed form of Zanardi, Zalka & Faoro (Phys. Rev. A 62,
+    030301(R), 2000): e_p(U) = (4/9) [E(U) + E(U SWAP) - E(SWAP)] with E the
+    operator entanglement (``_operator_entanglement``).  Zero for any product
+    of local unitaries with SWAP or identity; the conditional swap gate
+    gives 1/9 and CNOT 2/9.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape != (4, 4) or np.max(np.abs(u.conj().T @ u - np.eye(4))) > 1e-9:
         raise ValueError("input must be a 4x4 unitary")
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(n_samples, 2)) + 1j * rng.normal(size=(n_samples, 2))
-    b = rng.normal(size=(n_samples, 2)) + 1j * rng.normal(size=(n_samples, 2))
-    a /= np.linalg.norm(a, axis=1, keepdims=True)
-    b /= np.linalg.norm(b, axis=1, keepdims=True)
-    psi = np.einsum("ni,nj->nij", a, b).reshape(n_samples, 4) @ u.T
-    psi = psi.reshape(n_samples, 2, 2)
-    rho1 = np.einsum("nij,nkj->nik", psi, psi.conj())
-    purity = np.einsum("nik,nki->n", rho1, rho1).real
-    ent = 1.0 - purity
-    se = float(ent.std(ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
-    return EntanglementPowerEstimate(float(ent.mean()), se, n_samples)
+    return 4.0 / 9.0 * (_operator_entanglement(u) + _operator_entanglement(u @ _SWAP)
+                        - _operator_entanglement(_SWAP))

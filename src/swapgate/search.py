@@ -202,21 +202,19 @@ def _lockstep_nelder_mead(
     cost: Callable[[np.ndarray], np.ndarray],
     starts: np.ndarray,
     max_evaluations: int,
-    xatol: float,
-    fatol: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nelder-Mead from every row of ``starts`` at once.
 
     ``cost`` maps an (m, n) array of points to their m costs, each row on
     its own.  Every start follows scipy's ``minimize(method="Nelder-Mead")``
-    with ``maxfev=max_evaluations``, ``xatol`` and ``fatol`` step for step:
-    the default initial simplex, the stopping test, and the budget, which
-    stops a start mid-iteration (the reflection is always paid for, the one
-    point its branch then needs only if budget is left) or mid-shrink (the
-    vertex whose evaluation the budget refuses is already moved).  Returns
-    the final sorted simplices (R, n+1, n), their costs (R, n+1) and the
-    evaluations charged to each start (R,); the best points are
-    ``simplices[:, 0]``.
+    with ``maxfev=max_evaluations``, ``xatol=_XATOL`` and ``fatol=_FATOL``
+    step for step: the default initial simplex, the stopping test, and the
+    budget, which stops a start mid-iteration (the reflection is always paid
+    for, the one point its branch then needs only if budget is left) or
+    mid-shrink (the vertex whose evaluation the budget refuses is already
+    moved).  Returns the final sorted simplices (R, n+1, n), their costs
+    (R, n+1) and the evaluations charged to each start (R,); the best points
+    are ``simplices[:, 0]``.
     """
     starts = np.asarray(starts, dtype=float)
     n_runs, n = starts.shape
@@ -240,8 +238,8 @@ def _lockstep_nelder_mead(
         # a start stops on its budget or on scipy's xatol/fatol test; its
         # simplex goes back to ``sim`` and the live arrays shrink
         stop = (used >= budget) | (
-            (np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= xatol)
-            & (np.abs(f[:, :1] - f[:, 1:]).max(axis=1) <= fatol))
+            (np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= _XATOL)
+            & (np.abs(f[:, :1] - f[:, 1:]).max(axis=1) <= _FATOL))
         if stop.any():
             sim[live[stop]], fsim[live[stop]], nfev[live[stop]] = (
                 s[stop], f[stop], used[stop])
@@ -319,12 +317,7 @@ def search(
 
     starts = lo + (hi - lo) * rng.random((n_restarts, len(CIRCUIT_NAMES)))
     simplices, _, _ = _lockstep_nelder_mead(
-        lambda x: _cost_rows(x, branch, lo, hi)[0],
-        starts,
-        max_evaluations,
-        xatol=_XATOL,
-        fatol=_FATOL,
-    )
+        lambda x: _cost_rows(x, branch, lo, hi)[0], starts, max_evaluations)
 
     best = simplices[:, 0]
     cost, feasible, sites, res = _cost_rows(best, branch, lo, hi)

@@ -239,21 +239,22 @@ def test_c05_qutrit_leakage(row6, row11):
 
 
 def test_c06_entanglement_power():
-    """Criterion 6: 1/9 within 3 standard errors; zero for identity and swap."""
-    est = entanglement_power(TargetGate.open_gate("plus").matrix,
-                             n_samples=100_000, seed=0)
-    swap = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
-                    dtype=complex)
-    z_id = entanglement_power(np.eye(4, dtype=complex), n_samples=100_000, seed=1)
-    z_swap = entanglement_power(swap, n_samples=100_000, seed=2)
-    ok_open = abs(est.value - 1 / 9) <= 3 * est.std_error
-    ok_zero = abs(z_id.value) < 1e-10 and abs(z_swap.value) < 1e-10
-    detail = (
-        f"open gate: {est.value:.6f} +- {est.std_error:.6f} "
-        f"(1/9 = {1/9:.6f}); identity {z_id.value:.1e}, swap {z_swap.value:.1e}"
-    )
-    report("6 (entanglement power)", ok_open and ok_zero, detail)
-    assert ok_open and ok_zero, detail
+    """Criterion 6: exactly 1/9 for the open gate of each branch, 2/9 for
+    CNOT, zero for identity and swap (all to 1e-12)."""
+    swap = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+    cnot = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
+    got = {
+        "open plus": (entanglement_power(TargetGate.open_gate("plus").matrix), 1 / 9),
+        "open minus": (entanglement_power(TargetGate.open_gate("minus").matrix), 1 / 9),
+        "cnot": (entanglement_power(cnot), 2 / 9),
+        "identity": (entanglement_power(np.eye(4, dtype=complex)), 0.0),
+        "swap": (entanglement_power(swap), 0.0),
+    }
+    passed = all(abs(value - want) <= 1e-12 for value, want in got.values())
+    detail = ", ".join(f"{name} {value:.15f} (want {want:.15f})"
+                       for name, (value, want) in got.items())
+    report("6 (entanglement power)", passed, detail)
+    assert passed, detail
 
 
 def test_c07_analytic_spectra():

@@ -23,6 +23,7 @@ from swapgate.cli import (
     resolve_config,
     run_experiment,
 )
+from swapgate.metrics import average_fidelity
 
 
 MINIMAL = """\
@@ -273,6 +274,22 @@ class TestExperiments:
         fbar, clean = rows[:, 1], rows[:, 2]
         assert np.allclose(fbar, clean)
 
+    def test_zero_gamma_trace_runs_one_noiseless_trace(self, monkeypatch):
+        """With gamma = 0 the noisy trace is the noiseless one: computed once."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return average_fidelity(*args, **kwargs)
+
+        monkeypatch.setattr(swapgate.cli, "average_fidelity", counted)
+        rec = run_experiment(resolve_config(parse_config_text(
+            "experiment = fidelity_trace\n[noise]\ngamma = 0.0\n"
+            "[run]\nsamples = 12\n")))
+        assert len(calls) == 1
+        assert [r[1] for r in rec.rows] == [r[2] for r in rec.rows]
+        assert rec.summary["peak_fidelity"] == rec.summary["peak_fidelity_noiseless"]
+
     def test_drive_demo_runs(self):
         cfg = resolve_config(parse_config_text(
             "experiment = drive_demo\n[grid]\nn_durations = 4\n"
@@ -521,14 +538,24 @@ class TestCommandLine:
         with pytest.raises(ConfigError):
             swapgate.cli.load_config(cfgfile)
 
-    @pytest.mark.parametrize("taken", ["d.csv", "d.json"])
+    @pytest.mark.parametrize("taken, out_name", [
+        pytest.param("d.csv/", "d.csv", id="d.csv"),
+        pytest.param("d.json/", "d.csv", id="d.json"),
+        pytest.param("f", "f/x.csv", id="f/x.csv"),
+        pytest.param("f", "f/sub/x.csv", id="f/sub/x.csv"),
+    ])
     def test_output_path_that_is_a_directory_exits_2(
-        self, tmp_path, monkeypatch, taken
+        self, tmp_path, monkeypatch, taken, out_name
     ):
-        """The CSV path, or the JSON path beside it, is a directory: refused
-        before the run starts, and by ``emit`` itself."""
-        out = tmp_path / "d.csv"
-        (tmp_path / taken).mkdir()
+        """The CSV path, or the JSON path beside it, is a directory (a
+        trailing "/" on ``taken``), or the path lies below a regular file:
+        refused before the run starts, and by ``emit`` itself."""
+        out = tmp_path / out_name
+        blocker = tmp_path / taken.rstrip("/")
+        if taken.endswith("/"):
+            blocker.mkdir()
+        else:
+            blocker.write_text("kept")
         record = run_experiment(default_config("circuit_map"))
         runs = []
         monkeypatch.setattr(swapgate.cli, "run_experiment", runs.append)
@@ -538,8 +565,11 @@ class TestCommandLine:
         assert runs == []
         with pytest.raises(ConfigError):
             emit(record, out)
-        assert [p.name for p in tmp_path.iterdir()] == [taken]
-        assert list((tmp_path / taken).iterdir()) == []
+        assert [p.name for p in tmp_path.iterdir()] == [blocker.name]
+        if blocker.is_dir():
+            assert list(blocker.iterdir()) == []
+        else:
+            assert blocker.read_text() == "kept"
 
     def test_byte_identical_csv_across_invocations(self, tmp_path):
         cfgfile = tmp_path / "m.cfg"

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
+from scipy.sparse import csr_array
+from scipy.sparse.linalg import expm_multiply
 
 import swapgate
 from swapgate.dynamics import (
@@ -285,50 +287,92 @@ def row6_sector(n_max, gamma):
     return h.entries[sub], collapse, h.norm(), analytic_gate_time(params)
 
 
-def rk45_reference(h, collapse, stack, times, norm_bound):
-    """RK45 on the Lindblad right-hand side, with tolerances 1000x tighter
-    than the integrator's defaults (at those, RK45 itself errs by ~3e-8 on
-    these stacks; here by ~1e-10)."""
-    gen = _LindbladGenerator(h, collapse, stack.shape[0])
-    sol = solve_ivp(gen, (0.0, times[-1]), stack.astype(complex).ravel(),
-                    t_eval=times, method="RK45", rtol=1e-11, atol=1e-13,
-                    max_step=0.05 / norm_bound)
-    assert sol.success
-    return sol.y.T.reshape((len(times),) + stack.shape)
-
-
 def random_stack(d, n=4, seed=21):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
     return a / np.linalg.norm(a, axis=(1, 2), keepdims=True)
 
 
+# the grids read off RK45: 60-sample windows as (n_max, gamma, sector size,
+# window in gate times), and more grids of the (2, 0.01) sector in gate times
+RK45_WINDOWS = [
+    (2, 0.01, 11, (0.8, 1.05)),   # open register, noisy
+    (3, 0.0, 15, (1e-3, 1.0)),    # closed_1plus sector: a 225x225 generator
+    (3, 0.01, 15, (1e-3, 1.0)),
+]
+RK45_FRACTIONS = [
+    np.geomspace(0.01, 0.6, 7),       # non-uniform: one expm per interval
+    np.linspace(0.0, 0.6, 7),         # starts at t = 0
+    np.array([0.0, 0.1, 0.15, 0.5]),  # both
+]
+
+
+def window_times(window, tg):
+    return np.linspace(window[0] * tg, window[1] * tg, 60)
+
+
+def sector_grids(n_max, gamma, tg):
+    """Every sample grid the tests read off the RK45 solve of a sector."""
+    grids = [window_times(w, tg) for n, g, _, w in RK45_WINDOWS
+             if (n, g) == (n_max, gamma)]
+    if (n_max, gamma) == (2, 0.01):
+        grids += [f * tg for f in RK45_FRACTIONS]
+    return grids
+
+
+@pytest.fixture(scope="module")
+def rk45_reference():
+    """(n_max, gamma, times) -> the seed-21 ``random_stack`` of that row-6
+    sector at ``times``, by RK45 on the (sparse) textbook Liouvillian, with
+    tolerances 1000x tighter than the integrator's defaults (at those, RK45
+    itself errs by ~3e-8 on these stacks; here by ~1e-10).  Each sector is
+    solved once, from 0 to the end of its last grid with ``t_eval`` the
+    union of its grids (``sector_grids``): ``solve_ivp`` reads ``t_eval``
+    off its dense output, so a grid's samples match a solve ending at that
+    grid's end up to the last, clipped step."""
+    solved = {}
+
+    def reference(n_max, gamma, times):
+        if (n_max, gamma) not in solved:
+            h, collapse, bound, tg = row6_sector(n_max, gamma)
+            t_eval = np.unique(np.concatenate(sector_grids(n_max, gamma, tg)))
+            stack = random_stack(h.shape[0])
+            lv = csr_array(textbook_liouvillian(h, collapse))
+
+            def rhs(t, y):
+                return (lv @ y.reshape(len(stack), -1).T).T.ravel()
+
+            sol = solve_ivp(rhs, (0.0, t_eval[-1]), stack.astype(complex).ravel(),
+                            t_eval=t_eval, method="RK45", rtol=1e-11, atol=1e-13,
+                            max_step=0.05 / bound)
+            assert sol.success
+            solved[n_max, gamma] = t_eval, sol.y.T.reshape((len(t_eval),) + stack.shape)
+        t_eval, samples = solved[n_max, gamma]
+        idx = np.searchsorted(t_eval, times)
+        assert np.array_equal(t_eval[idx], times)
+        return samples[idx]
+
+    return reference
+
+
 class TestExactPropagator:
-    @pytest.mark.parametrize("n_max, gamma, sector, window", [
-        (2, 0.01, 11, (0.8, 1.05)),   # open register, noisy
-        (3, 0.0, 15, (1e-3, 1.0)),    # closed_1plus sector: a 225x225 generator
-        (3, 0.01, 15, (1e-3, 1.0)),
-    ])
-    def test_matches_rk45_on_row6(self, n_max, gamma, sector, window):
-        h, collapse, bound, tg = row6_sector(n_max, gamma)
+    @pytest.mark.parametrize("n_max, gamma, sector, window", RK45_WINDOWS)
+    def test_matches_rk45_on_row6(self, rk45_reference, n_max, gamma, sector, window):
+        h, collapse, _, tg = row6_sector(n_max, gamma)
         assert h.shape == (sector, sector)
-        times = np.linspace(window[0] * tg, window[1] * tg, 60)
+        times = window_times(window, tg)
         stack = random_stack(sector)
         exact = evolve_stack_raw(h, collapse, stack, times)
-        ref = rk45_reference(h, collapse, stack, times, bound)
+        ref = rk45_reference(n_max, gamma, times)
         assert np.max(np.abs(exact - ref)) < 1e-9
 
-    @pytest.mark.parametrize("fractions", [
-        np.geomspace(0.01, 0.6, 7),       # non-uniform: one expm per interval
-        np.linspace(0.0, 0.6, 7),         # starts at t = 0
-        np.array([0.0, 0.1, 0.15, 0.5]),  # both
-    ])
-    def test_grids_match_rk45(self, fractions):
-        h, collapse, bound, tg = row6_sector(2, 0.01)
+    @pytest.mark.parametrize("fractions", RK45_FRACTIONS)
+    def test_grids_match_rk45(self, rk45_reference, fractions):
+        h, collapse, _, tg = row6_sector(2, 0.01)
         times = fractions * tg
         stack = random_stack(h.shape[0])
         exact = evolve_stack_raw(h, collapse, stack, times)
-        ref = rk45_reference(h, collapse, stack, times, bound)
+        ref = rk45_reference(2, 0.01, times)
         assert np.max(np.abs(exact - ref)) < 1e-9
         if times[0] == 0.0:
             assert np.array_equal(exact[0], stack)
@@ -460,13 +504,16 @@ class TestReachableBlocks:
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_qutrit_row6_matches_full_space(self):
+        """The whole space's generator is 1296x1296: its action on the 16
+        operators is taken by ``expm_multiply`` rather than a dense expm."""
         h, cvec = register("qutrit_closed_plus")
         collapse = NoiseModel(gamma=0.01).collapse_operators((2, 3, 3, 2))
-        times = [0.5 * analytic_gate_time(symmetric_chain(**ROW6))]
+        t = 0.5 * analytic_gate_time(symmetric_chain(**ROW6))
         stack = fidelity_stack(cvec)
-        got = evolve_stack_raw(h, collapse, stack, times)
-        want = full_space_oracle(h, collapse, stack, times)
-        assert np.max(np.abs(got - want)) < 1e-12
+        got = evolve_stack_raw(h, collapse, stack, [t])[0]
+        rows = stack.reshape(len(stack), -1)
+        want = expm_multiply(csr_array(textbook_liouvillian(h, collapse)) * t, rows.T).T
+        assert np.max(np.abs(got - want.reshape(stack.shape))) < 1e-12
 
     def test_crosstalk_hamiltonian_matches_full_space(self):
         spin = symmetric_chain(**ROW6)

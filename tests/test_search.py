@@ -48,7 +48,7 @@ def assert_matches_scipy(starts, budget, branch="plus", bounds=DEFAULT_BOUNDS):
     lo, hi = _box(bounds)
     sims, fsims, nfev = _lockstep_nelder_mead(
         lambda x: _cost_rows(x, branch, lo, hi)[0],
-        starts, budget, xatol=_XATOL, fatol=_FATOL,
+        starts, budget,
     )
     for r, x0 in enumerate(starts):
         sol = minimize(
@@ -180,7 +180,7 @@ class TestLockstepDescent:
             calls.append(len(x))
             return _cost_rows(x, "plus", *_box(bounds))[0]
 
-        _lockstep_nelder_mead(cost, starts, budget, xatol=_XATOL, fatol=_FATOL)
+        _lockstep_nelder_mead(cost, starts, budget)
         assert calls == [27, 12, 24]  # init, trial points, all three shrink
         fsims = assert_matches_scipy(starts, budget, "plus", bounds)
         assert np.all(fsims == INFEASIBLE_COST)
@@ -210,7 +210,7 @@ class TestLockstepDescent:
         lo, hi = _box(DEFAULT_BOUNDS)
         sims, _, _ = _lockstep_nelder_mead(
             lambda x: _cost_rows(x, branch, lo, hi)[0],
-            draw_starts(seed, 6), 120, xatol=_XATOL, fatol=_FATOL,
+            draw_starts(seed, 6), 120,
         )
         want = {}
         for x in sims[:, 0]:
