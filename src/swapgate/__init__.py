@@ -9,7 +9,6 @@ register, and searches circuit-parameter space for valid gate points.
 """
 
 from .hilbert import (
-    DensityMatrix,
     HilbertError,
     OperatorMatrix,
     SiteDims,
@@ -42,10 +41,10 @@ from .dynamics import (
 )
 from .metrics import (
     FidelityTrace,
-    TargetGate,
     average_fidelity,
     entanglement_power,
     numerical_gate_time,
+    open_gate,
     pauli_basis_2q,
 )
 from .circuit_map import (
@@ -71,7 +70,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CircuitParams",
-    "DensityMatrix",
     "DrivePulse",
     "FidelityTrace",
     "GateConfig",
@@ -86,7 +84,6 @@ __all__ = [
     "SiteDims",
     "SpinMapResult",
     "SpinModelParams",
-    "TargetGate",
     "add_crosstalk",
     "analytic_gate_time",
     "analytic_n5_spectrum",
@@ -108,6 +105,7 @@ __all__ = [
     "inverse_capacitance",
     "leakage_avoidance_check",
     "numerical_gate_time",
+    "open_gate",
     "partial_trace",
     "pauli_basis_2q",
     "perfect_transfer_conditions",

@@ -59,9 +59,9 @@ from .metrics import (
     FIRST_SAMPLE,
     OPEN_WINDOW,
     FidelityTrace,
-    TargetGate,
     average_fidelity,
     gate_window,
+    open_gate,
 )
 from .search import search as run_search
 from .spin_model import (
@@ -753,7 +753,7 @@ def _n5_trace(config: ExperimentConfig) -> Table:
                         config["run"]["samples"])
     cfg = GateConfig(delta_branch="plus", control_state="custom",
                      custom_vector=tuple(n5_control_states(params)["open_0"]))
-    target = TargetGate.open_gate("plus")  # negative swap with the i phase
+    target = open_gate("plus")  # negative swap with the i phase
     trace = average_fidelity(params, cfg, noise, times, target=target)
     summary = {
         "gate_time_analytic_us": analytic_gate_time(params),

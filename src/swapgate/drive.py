@@ -33,7 +33,6 @@ from .dynamics import NoiseModel, propagate
 from .hilbert import (
     PAULI_X,
     PAULI_Y,
-    DensityMatrix,
     OperatorMatrix,
     SiteDims,
     _as_site_dims,
@@ -142,8 +141,8 @@ def _drive_terms(dims: SiteDims) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class RabiResult:
-    control_state: DensityMatrix          # reduced, interaction-picture frame
-    control_state_level_frame: DensityMatrix  # free-evolution phases removed
+    control_state: OperatorMatrix          # reduced, interaction-picture frame
+    control_state_level_frame: OperatorMatrix  # free-evolution phases removed
     transfer_probability: float
 
 
@@ -180,7 +179,8 @@ def rabi_prepare(
     cvec = control_state_vector(GateConfig(control_state="closed_1plus"), [2, 2])
     ground = np.array([1.0, 0.0], dtype=complex)
     full = np.kron(np.kron(ground, cvec), ground)
-    rho0 = DensityMatrix.from_state_vector(full, h0.dims)
+    full /= np.linalg.norm(full)
+    rho0 = OperatorMatrix(h0.dims, np.outer(full, full.conj()))
     states = propagate(rho0, h, noise, durations)
 
     tvec = control_state_vector(GateConfig(control_state="open_0"), [2, 2])
@@ -198,9 +198,9 @@ def rabi_prepare(
         rho = back[:, None] * reduced.entries * back.conj()
         phases = np.exp(1j * levels * t)
         results.append(RabiResult(
-            control_state=DensityMatrix(OperatorMatrix(reduced.dims, rho)),
-            control_state_level_frame=DensityMatrix(OperatorMatrix(
-                reduced.dims, phases[:, None] * rho * phases.conj())),
+            control_state=OperatorMatrix(reduced.dims, rho),
+            control_state_level_frame=OperatorMatrix(
+                reduced.dims, phases[:, None] * rho * phases.conj()),
             transfer_probability=float(np.real(tvec.conj() @ rho @ tvec)),
         ))
     return results

@@ -41,7 +41,8 @@ itself.  The input then selects one of two branches:
   exactly zero.  A noiseless generator that is not Hermitian (gain or loss
   written into H) takes this branch too.
 
-Hamiltonians are in rad/us and times in us.
+``propagate`` evolves one state, an ``OperatorMatrix``, checked on input and
+at every sample.  Hamiltonians are in rad/us and times in us.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ from .hilbert import (
     LOWER_3,
     PAULI_Z,
     SIGMA_MINUS,
-    DensityMatrix,
     HilbertError,
     OperatorMatrix,
     SiteDims,
@@ -97,8 +97,11 @@ class NoiseModel:
     channels: frozenset[str] = frozenset(CHANNELS)
 
     def __post_init__(self) -> None:
-        if self.gamma < 0:
-            raise ValueError("gamma must be nonnegative")
+        if not (np.isfinite(self.gamma) and self.gamma >= 0):
+            raise ValueError(f"gamma must be finite and nonnegative, got {self.gamma}")
+        if isinstance(self.channels, str):
+            raise ValueError("channels must be a collection of names, not a string")
+        object.__setattr__(self, "channels", frozenset(self.channels))
         unknown = self.channels - set(CHANNELS)
         if unknown:
             raise ValueError(f"unknown noise channels {sorted(unknown)}")
@@ -137,8 +140,8 @@ class _LindbladGenerator:
     into a non-Hermitian Heff, diagonal (dephasing-type) jump terms are
     applied as one precomputed elementwise mask, and the remaining jumps as
     matrix products.  Propagation uses the matrix forms below; calling the
-    generator evaluates the right-hand side directly (the tests integrate it
-    as an independent oracle).
+    generator evaluates the right-hand side directly (the tests check it
+    against the master equation written out term by term).
     """
 
     def __init__(
@@ -223,39 +226,41 @@ class _LindbladGenerator:
 
 
 def propagate(
-    rho0: DensityMatrix,
+    rho0: OperatorMatrix,
     hamiltonian: OperatorMatrix,
     noise: NoiseModel | None,
     sample_times: Sequence[float],
-) -> list[DensityMatrix]:
+) -> list[OperatorMatrix]:
     """Evolve a state from t = 0 under ``hamiltonian`` and ``noise`` and
     sample it at ``sample_times``, nonnegative and strictly increasing.
 
-    The input is validated, and every sample is checked for trace and
-    Hermiticity preservation (1e-8) and positivity (-1e-7).
+    The input must be a state within 1e-9 (``HilbertError``), and every
+    sample is checked for trace and Hermiticity preservation within 1e-8
+    (``PropagationError``); both must have no eigenvalue below -1e-7.
     """
     dims = hamiltonian.dims
     if rho0.dims.dims != dims.dims:
         raise HilbertError("state dimensions do not match the Hamiltonian")
-    rho0.validate()
+    _check_state(rho0.entries, 1e-9, HilbertError, "in the initial state")
     collapse = noise.collapse_operators(dims) if noise else []
     out = evolve_stack_raw(hamiltonian.entries, collapse,
                            rho0.entries[None, :, :], sample_times)
-    results = []
-    for k in range(out.shape[0]):
-        m = out[k, 0]
-        tr = np.trace(m)
-        if abs(tr - 1.0) > 1e-8:
-            raise PropagationError(
-                f"trace drifted to {tr:.10f} at t = {sample_times[k]:.3e}"
-            )
-        if np.max(np.abs(m - m.conj().T)) > 1e-8:
-            raise PropagationError("Hermiticity lost beyond 1e-8")
-        w = np.linalg.eigvalsh((m + m.conj().T) / 2)
-        if w.min() < -1e-7:
-            raise PropagationError(f"negative population {w.min():.3e}")
-        results.append(DensityMatrix(OperatorMatrix(dims, m)))
-    return results
+    for t, m in zip(sample_times, out[:, 0]):
+        _check_state(m, 1e-8, PropagationError, f"at t = {t:.3e}")
+    return [OperatorMatrix(dims, m) for m in out[:, 0]]
+
+
+def _check_state(m: np.ndarray, tol: float, error: type[Exception], where: str) -> None:
+    """Raise ``error`` unless ``m`` has unit trace and is Hermitian within
+    ``tol`` (NaN fails both) with no eigenvalue below -1e-7."""
+    tr = np.trace(m)
+    if not abs(tr - 1.0) <= tol:
+        raise error(f"trace {tr:.10f} is not 1 within {tol:g} {where}")
+    if not np.max(np.abs(m - m.conj().T)) <= tol:
+        raise error(f"Hermiticity lost beyond {tol:g} {where}")
+    w_min = np.linalg.eigvalsh((m + m.conj().T) / 2.0).min()
+    if w_min < -1e-7:
+        raise error(f"negative population {w_min:.3e} {where}")
 
 
 def evolve_stack_raw(

@@ -3,7 +3,7 @@
 Site 0 is the slowest-varying (leftmost) Kronecker factor, so a chain state
 reads left to right, ``|q0 q1 ... qN-1>``.  All matrices are dense complex
 numpy arrays; total dimensions stay at or below 36 in this package, so no
-sparse machinery is used.
+sparse machinery is used.  A density matrix is a plain ``OperatorMatrix``.
 """
 
 from __future__ import annotations
@@ -109,56 +109,12 @@ class OperatorMatrix:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "entries", arr)
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def is_hermitian(self, tol: float = DEFAULT_TOL) -> bool:
-        return bool(np.max(np.abs(self.entries - self.entries.conj().T)) <= tol)
-
-    def norm(self) -> float:
-        """Spectral norm (largest singular value)."""
-        return float(np.linalg.norm(self.entries, 2))
-
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         if self.dims.dims != other.dims.dims:
             raise HilbertError(
                 f"site dimensions differ: {self.dims.dims} vs {other.dims.dims}"
             )
         return OperatorMatrix(self.dims, self.entries + other.entries)
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """A physical state: Hermitian, unit trace, positive semidefinite."""
-
-    op: OperatorMatrix
-
-    @property
-    def dims(self) -> SiteDims:
-        return self.op.dims
-
-    @property
-    def entries(self) -> np.ndarray:
-        return self.op.entries
-
-    def validate(self) -> None:
-        m = self.op.entries
-        if not self.op.is_hermitian():
-            raise HilbertError("density matrix is not Hermitian within tolerance")
-        if abs(np.trace(m) - 1.0) > DEFAULT_TOL:
-            raise HilbertError(f"density matrix trace {np.trace(m):.3e} != 1")
-        w = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-        if w.min() < -1e-7:
-            raise HilbertError(f"density matrix has eigenvalue {w.min():.3e} < 0")
-
-    @classmethod
-    def from_state_vector(
-        cls, vec: np.ndarray, dims: SiteDims | Sequence[int]
-    ) -> "DensityMatrix":
-        v = np.asarray(vec, dtype=complex)
-        v = v / np.linalg.norm(v)
-        return cls(OperatorMatrix(_as_site_dims(dims), np.outer(v, v.conj())))
 
 
 def embed_operators(
@@ -196,16 +152,12 @@ def embed_site_operator(
     return embed_operators({site_index: local_op}, dims)
 
 
-def partial_trace(
-    op: OperatorMatrix | DensityMatrix, keep_sites: Iterable[int]
-) -> OperatorMatrix | DensityMatrix:
+def partial_trace(op: OperatorMatrix, keep_sites: Iterable[int]) -> OperatorMatrix:
     """Trace out all sites not in ``keep_sites``; kept sites keep their order.
 
     Preserves trace and Hermiticity, and is linear in the input, which the
     fidelity map relies on when evolved Pauli-basis operators are reduced.
     """
-    is_state = isinstance(op, DensityMatrix)
-    matrix = op.entries
     dims = op.dims
     keep = sorted(set(int(k) for k in keep_sites))
     if not keep:
@@ -214,7 +166,7 @@ def partial_trace(
         raise HilbertError(f"invalid site index in {keep}")
 
     n = dims.n_sites
-    arr = matrix.reshape(dims.dims + dims.dims)
+    arr = op.entries.reshape(dims.dims + dims.dims)
     # Trace one site at a time, from the highest index down so positions of
     # the remaining axes stay valid.
     remaining = list(range(n))
@@ -224,9 +176,8 @@ def partial_trace(
         arr = np.trace(arr, axis1=pos, axis2=pos + m)
         remaining.pop(pos)
     d_red = int(np.prod([dims[k] for k in keep]))
-    reduced = OperatorMatrix(SiteDims(tuple(dims[k] for k in keep)),
-                             arr.reshape(d_red, d_red))
-    return DensityMatrix(reduced) if is_state else reduced
+    return OperatorMatrix(SiteDims(tuple(dims[k] for k in keep)),
+                          arr.reshape(d_red, d_red))
 
 
 def eig_hermitian(op: OperatorMatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -41,37 +41,22 @@ class GateTimeWindowError(RuntimeError):
     """The fidelity peak sits on the boundary of the sampled window."""
 
 
-@dataclass(frozen=True)
-class TargetGate:
-    """Ideal two-qubit gate in the {|00>, |01>, |10>, |11>} target basis."""
-
-    matrix: np.ndarray
-
-    @classmethod
-    def open_gate(cls, branch: str) -> "TargetGate":
-        """Conditional swap: -1 swap entries on the plus branch, +1 on minus,
-        and an i phase on |11> in both cases."""
-        if branch not in BRANCHES:
-            raise ModelError(f"unknown branch {branch!r}")
-        s = -1.0 if branch == "plus" else 1.0
-        m = np.array(
-            [
-                [1, 0, 0, 0],
-                [0, 0, s, 0],
-                [0, s, 0, 0],
-                [0, 0, 0, 1j],
-            ],
-            dtype=complex,
-        )
-        return cls(m)
-
-    @classmethod
-    def closed_gate(cls) -> "TargetGate":
-        return cls(np.eye(4, dtype=complex))
-
-    def is_unitary(self) -> bool:
-        m = self.matrix
-        return bool(np.max(np.abs(m.conj().T @ m - np.eye(4))) <= 1e-12)
+def open_gate(branch: str) -> np.ndarray:
+    """Ideal open gate in the {|00>, |01>, |10>, |11>} target basis, the
+    conditional swap: -1 swap entries on the plus branch, +1 on minus, and
+    an i phase on |11> in both cases."""
+    if branch not in BRANCHES:
+        raise ModelError(f"unknown branch {branch!r}")
+    s = -1.0 if branch == "plus" else 1.0
+    return np.array(
+        [
+            [1, 0, 0, 0],
+            [0, 0, s, 0],
+            [0, s, 0, 0],
+            [0, 0, 0, 1j],
+        ],
+        dtype=complex,
+    )
 
 
 @dataclass(frozen=True)
@@ -111,6 +96,8 @@ def control_state_vector(
             raise ModelError(
                 f"custom control vector has length {v.shape}, expected {dim}"
             )
+        if not (np.isfinite(v).all() and v.any()):
+            raise ModelError("custom control vector must be finite and nonzero")
         return v / np.linalg.norm(v)
 
     if len(control_dims) != 2:
@@ -131,7 +118,7 @@ def average_fidelity(
     noise: NoiseModel | None,
     times: Sequence[float],
     hamiltonian: OperatorMatrix | None = None,
-    target: TargetGate | None = None,
+    target: np.ndarray | None = None,
 ) -> FidelityTrace:
     """Average gate fidelity of the chain against the configured target.
 
@@ -156,13 +143,13 @@ def average_fidelity(
     cvec = control_state_vector(gate_config, list(dims.dims[1:-1]))
     rho_c = np.outer(cvec, cvec.conj())
     if target is None:
-        target = (TargetGate.open_gate(gate_config.delta_branch)
-                  if gate_config.is_open else TargetGate.closed_gate())
+        target = (open_gate(gate_config.delta_branch)
+                  if gate_config.is_open else np.eye(4, dtype=complex))
 
     # initial operators: (first-target factor) x rho_C x (last-target factor)
     stack = np.einsum("aik,cl,bjm->abicjklm", _PAULI_FACTORS, rho_c,
                       _PAULI_FACTORS).reshape(16, dims.total_dim, dims.total_dim)
-    weights = _target_functionals(target.matrix, dims)
+    weights = _target_functionals(target, dims)
     collapse = noise.collapse_operators(dims) if noise is not None else []
     traces = evolve_stack_raw(hamiltonian.entries, collapse, stack, times,
                               functionals=weights)

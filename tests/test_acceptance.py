@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from helpers import pure_state
 from swapgate.circuit_map import (
     capacitance_matrix,
     inverse_capacitance,
@@ -46,7 +47,6 @@ from swapgate.drive import (
 )
 from swapgate.hilbert import (
     PAULI_Z,
-    DensityMatrix,
     OperatorMatrix,
     SiteDims,
     partial_trace,
@@ -54,11 +54,11 @@ from swapgate.hilbert import (
 from swapgate.metrics import (
     CLOSED_WINDOW,
     OPEN_WINDOW,
-    TargetGate,
     average_fidelity,
     control_state_vector,
     entanglement_power,
     gate_window,
+    open_gate,
 )
 from swapgate.spin_model import (
     TWO_PI,
@@ -244,8 +244,8 @@ def test_c06_entanglement_power():
     swap = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
     cnot = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
     got = {
-        "open plus": (entanglement_power(TargetGate.open_gate("plus").matrix), 1 / 9),
-        "open minus": (entanglement_power(TargetGate.open_gate("minus").matrix), 1 / 9),
+        "open plus": (entanglement_power(open_gate("plus")), 1 / 9),
+        "open minus": (entanglement_power(open_gate("minus")), 1 / 9),
         "cnot": (entanglement_power(cnot), 2 / 9),
         "identity": (entanglement_power(np.eye(4, dtype=complex)), 0.0),
         "swap": (entanglement_power(swap), 0.0),
@@ -298,8 +298,7 @@ def test_c08_lindblad_correctness(row6):
     # amplitude damping: excited population follows exp(-gamma t) to 1e-6
     h = OperatorMatrix(SiteDims((2,)), -0.5 * TWO_PI * 2.0 * PAULI_Z)
     noise = NoiseModel(gamma=GAMMA, channels=frozenset({"photon_loss"}))
-    rho0 = DensityMatrix(OperatorMatrix(SiteDims((2,)),
-                                        np.diag([0.0, 1.0]).astype(complex)))
+    rho0 = OperatorMatrix(SiteDims((2,)), np.diag([0.0, 1.0]).astype(complex))
     times = np.linspace(4.0, 100.0, 25)
     states = propagate(rho0, h, noise, times)
     damping_err = max(
@@ -309,7 +308,7 @@ def test_c08_lindblad_correctness(row6):
     # physical invariants along a noisy gate run (validated inside propagate)
     vec = np.zeros(16, dtype=complex)
     vec[0b1001] = 1.0
-    rho_gate = DensityMatrix.from_state_vector(vec, (2, 2, 2, 2))
+    rho_gate = pure_state(vec, (2, 2, 2, 2))
     hg = build_interaction_hamiltonian(row6)
     tg = analytic_gate_time(row6)
     gate_states = propagate(rho_gate, hg, NoiseModel(gamma=GAMMA),
@@ -363,7 +362,7 @@ def test_c09_drive_scheme(row6):
         h0 = build_interaction_hamiltonian(params)
         h = h0 + drive_hamiltonian(pls, h0.dims)
         ground = np.array([1.0, 0.0], dtype=complex)
-        rho0 = DensityMatrix.from_state_vector(
+        rho0 = pure_state(
             np.kron(np.kron(ground, bell), ground), h0.dims)
         ts = tuple(np.linspace(t_pi / 6, t_pi, 6))
         vals = []

@@ -5,11 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from helpers import pure_state
 from swapgate.dynamics import NoiseModel, propagate
 from swapgate.hilbert import (
     PAULI_X,
     PAULI_Y,
-    DensityMatrix,
     embed_operators,
     excitation_numbers,
     partial_trace,
@@ -194,7 +194,7 @@ class TestRabiTransfer:
         h = h0 + drive_hamiltonian(pi_pulse, h0.dims)
         bell = control_state_vector(GateConfig(control_state="closed_1plus"), [2, 2])
         ground = np.array([1.0, 0.0], dtype=complex)
-        rho0 = DensityMatrix.from_state_vector(
+        rho0 = pure_state(
             np.kron(np.kron(ground, bell), ground), h0.dims
         )
         t_end = pi_pulse.pi_duration()

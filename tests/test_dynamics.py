@@ -13,6 +13,7 @@ from scipy.sparse import csr_array
 from scipy.sparse.linalg import expm_multiply
 
 import swapgate
+from swapgate import dynamics
 from swapgate.dynamics import (
     NoiseModel,
     PropagationError,
@@ -25,13 +26,14 @@ from swapgate.hilbert import (
     DEPHASE_3,
     PAULI_Z,
     SIGMA_MINUS,
-    DensityMatrix,
+    HilbertError,
     OperatorMatrix,
     SiteDims,
     embed_operators,
     excitation_numbers,
     sector_indices,
 )
+from helpers import pure_state, textbook_liouvillian
 from swapgate.circuit_map import table_qutrit_params
 from swapgate.metrics import control_state_vector
 from swapgate.spin_model import (
@@ -68,7 +70,7 @@ class TestAgainstOracles:
         omega = 2.0  # 2pi*MHz; modest so the 100 us horizon stays cheap
         h = qubit_op(-0.5 * TWO_PI * omega * PAULI_Z)
         noise = NoiseModel(gamma=gamma, channels=frozenset({"photon_loss"}))
-        rho0 = DensityMatrix(qubit_op(np.diag([0.0, 1.0]).astype(complex)))
+        rho0 = qubit_op(np.diag([0.0, 1.0]).astype(complex))
         times = np.linspace(1.0, 100.0, 25)
         states = propagate(rho0, h, noise, times)
         for t, st in zip(times, states):
@@ -80,7 +82,7 @@ class TestAgainstOracles:
         h_mat = (a + a.conj().T) * 30.0
         h = OperatorMatrix(SiteDims((2, 2)), h_mat)
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
-        rho0 = DensityMatrix.from_state_vector(psi, (2, 2))
+        rho0 = pure_state(psi, (2, 2))
         t_end = 0.02
         out = propagate(rho0, h, None, (t_end,))[-1]
         u = expm(-1j * h_mat * t_end)
@@ -93,7 +95,7 @@ class TestAgainstOracles:
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         rho = a @ a.conj().T
         rho /= np.trace(rho)
-        rho0 = DensityMatrix(OperatorMatrix(SiteDims((2, 2)), rho))
+        rho0 = OperatorMatrix(SiteDims((2, 2)), rho)
         for st in propagate(rho0, h, None, (0.5, 1.0)):
             assert np.max(np.abs(st.entries - rho)) < 1e-10
 
@@ -137,7 +139,7 @@ class TestPhysicalityChecks:
         h = build_interaction_hamiltonian(params)
         vec = np.zeros(16, dtype=complex)
         vec[0b1000] = 1.0
-        rho0 = DensityMatrix.from_state_vector(vec, (2, 2, 2, 2))
+        rho0 = pure_state(vec, (2, 2, 2, 2))
         noise = NoiseModel(gamma=0.01)
         tg = 6.112e-3
         times = np.linspace(tg / 10, tg, 10)
@@ -149,16 +151,73 @@ class TestPhysicalityChecks:
 
     def test_dimension_mismatch_rejected(self):
         h = OperatorMatrix(SiteDims((2, 2)), np.zeros((4, 4)))
-        rho0 = DensityMatrix(qubit_op(np.diag([1.0, 0.0]).astype(complex)))
+        rho0 = qubit_op(np.diag([1.0, 0.0]).astype(complex))
         with pytest.raises(Exception):
             propagate(rho0, h, None, (1.0,))
 
     def test_sample_times_validation(self):
         h = qubit_op(np.zeros((2, 2)))
-        rho0 = DensityMatrix(qubit_op(np.diag([1.0, 0.0]).astype(complex)))
+        rho0 = qubit_op(np.diag([1.0, 0.0]).astype(complex))
         for times in ((0.5, 0.5), (-0.5, 1.0)):
             with pytest.raises(ValueError):
                 propagate(rho0, h, None, times)
+
+
+class TestStateChecks:
+    """``propagate`` checks its input within 1e-9 (``HilbertError``) and every
+    sample within 1e-8 (``PropagationError``): unit trace, Hermiticity, and
+    no eigenvalue below -1e-7."""
+
+    ZERO = qubit_op(np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("rho, match", [
+        ([[0.5, 0.1], [0.0, 0.5]], "Hermiticity"),
+        ([[0.6, 0.0], [0.0, 0.5]], "trace"),
+        ([[1.5, 0.0], [0.0, -0.5]], "negative"),
+        ([[np.nan, 0.0], [0.0, 1.0]], "trace"),
+    ], ids=["non_hermitian", "wrong_trace", "negative_eigenvalue", "nan"])
+    def test_rejects_non_state_rho0(self, rho, match):
+        with pytest.raises(HilbertError, match=f"{match}.*initial state"):
+            propagate(qubit_op(np.array(rho)), self.ZERO, None, (1.0,))
+
+    @pytest.mark.parametrize("scale, ok", [(0.4, True), (2.0, False)])
+    def test_input_tolerances(self, scale, ok):
+        """Trace and Hermiticity within 1e-9, eigenvalues above -1e-7."""
+        eps = scale * 1e-9
+        candidates = [np.diag([0.5 + eps, 0.5]),
+                      np.array([[0.5, eps], [0.0, 0.5]]),
+                      np.diag([1.0 + 100 * eps, -100 * eps])]
+        for rho in candidates:
+            if ok:
+                propagate(qubit_op(rho), self.ZERO, None, (1.0,))
+            else:
+                with pytest.raises(HilbertError):
+                    propagate(qubit_op(rho), self.ZERO, None, (1.0,))
+
+    @pytest.mark.parametrize("scale, ok", [(0.5, True), (2.0, False)])
+    @pytest.mark.parametrize("fault, match", [
+        (lambda e: np.diag([0.5 + e, 0.5]), "trace"),
+        (lambda e: np.array([[0.5, e], [0.0, 0.5]]), "Hermiticity"),
+        (lambda e: np.diag([1.0 + 10 * e, -10 * e]), "negative"),
+    ], ids=["trace", "hermiticity", "negative_eigenvalue"])
+    def test_checks_every_sample(self, monkeypatch, fault, match, scale, ok):
+        """A second sample off by ``scale`` x 1e-8 (1e-7 for the eigenvalue
+        floor) passes below the tolerance and raises, naming its time, above."""
+        good = np.diag([1.0, 0.0]).astype(complex)
+        samples = np.stack([good, fault(scale * 1e-8)])[:, None]
+        monkeypatch.setattr(dynamics, "evolve_stack_raw", lambda *args: samples)
+        if ok:
+            out = propagate(qubit_op(good), self.ZERO, None, (0.1, 0.2))
+            assert np.array_equal(out[1].entries, samples[1, 0])
+        else:
+            with pytest.raises(PropagationError, match=f"{match}.*at t = 2.000e-01"):
+                propagate(qubit_op(good), self.ZERO, None, (0.1, 0.2))
+
+    def test_trace_drift_under_loss_in_h(self):
+        """A real run that leaves the states: loss written into H."""
+        h = qubit_op(np.diag([-0.5j, 0.0]))
+        with pytest.raises(PropagationError, match="trace"):
+            propagate(qubit_op(np.diag([1.0, 0.0])), h, None, (1.0,))
 
 
 class TestSuperoperator:
@@ -167,7 +226,7 @@ class TestSuperoperator:
         h = build_interaction_hamiltonian(params)
         vec = np.zeros(16, dtype=complex)
         vec[0b1000] = 1.0
-        rho0 = DensityMatrix.from_state_vector(vec, (2, 2, 2, 2))
+        rho0 = pure_state(vec, (2, 2, 2, 2))
         noise = NoiseModel(gamma=0.02)
         times = (1e-3, 2e-3)
         single = propagate(rho0, h, noise, times)
@@ -195,7 +254,7 @@ class TestSuperoperator:
         dims = SiteDims((2, 2))
         h = OperatorMatrix(dims, np.zeros((4, 4)))
         noise = NoiseModel(gamma=0.5, channels=frozenset({"dephasing"}))
-        rho0 = DensityMatrix(OperatorMatrix(dims, np.eye(4) / 4))
+        rho0 = OperatorMatrix(dims, np.eye(4) / 4)
         out = propagate(rho0, h, noise, (3.0,))[-1]
         assert np.max(np.abs(out.entries - np.eye(4) / 4)) < 1e-9
 
@@ -206,7 +265,7 @@ class TestStructure:
         h = build_interaction_hamiltonian(params)
         rng = np.random.default_rng(9)
         vec = rng.normal(size=16) + 1j * rng.normal(size=16)
-        rho0 = DensityMatrix.from_state_vector(vec, (2, 2, 2, 2))
+        rho0 = pure_state(vec, (2, 2, 2, 2))
         n_of = excitation_numbers((2, 2, 2, 2))
         pops0 = [
             sum(abs(vec[i] / np.linalg.norm(vec)) ** 2 for i in range(16) if n_of[i] == n)
@@ -233,7 +292,7 @@ class TestStructure:
         h_frame = OperatorMatrix(h.dims, h.entries + w * np.diag(n_of))
         rng = np.random.default_rng(10)
         vec = rng.normal(size=16) + 1j * rng.normal(size=16)
-        rho0 = DensityMatrix.from_state_vector(vec, (2, 2, 2, 2))
+        rho0 = pure_state(vec, (2, 2, 2, 2))
         t_end = 2e-3
         back = np.exp(1j * w * n_of * t_end)
         for noise in (None, NoiseModel(gamma=0.05)):
@@ -275,6 +334,23 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             NoiseModel(gamma=0.1, channels=frozenset({"heating"}))
 
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf")])
+    def test_non_finite_gamma_rejected(self, gamma):
+        with pytest.raises(ValueError, match="finite"):
+            NoiseModel(gamma=gamma)
+
+    @pytest.mark.parametrize("channels", [["dephasing"], {"dephasing"}, ("dephasing",)])
+    def test_channel_collections_are_stored_frozen(self, channels):
+        noise = NoiseModel(gamma=0.01, channels=channels)
+        assert type(noise.channels) is frozenset
+        assert noise == NoiseModel(gamma=0.01, channels=frozenset({"dephasing"}))
+        assert hash(noise) == hash(NoiseModel(0.01, frozenset({"dephasing"})))
+        assert len(noise.collapse_operators((2, 2))) == 2
+
+    def test_bare_string_channels_rejected(self):
+        with pytest.raises(ValueError, match="not a string"):
+            NoiseModel(gamma=0.01, channels="dephasing")
+
 
 def row6_sector(n_max, gamma):
     """Row-6 chain restricted to excitation <= n_max: (H, collapse, ||H||, t_g)."""
@@ -284,7 +360,8 @@ def row6_sector(n_max, gamma):
     sub = np.ix_(keep, keep)
     noise = NoiseModel(gamma=gamma).collapse_operators(h.dims) if gamma else []
     collapse = [(g, op[sub]) for g, op in noise]
-    return h.entries[sub], collapse, h.norm(), analytic_gate_time(params)
+    return (h.entries[sub], collapse, np.linalg.norm(h.entries, 2),
+            analytic_gate_time(params))
 
 
 def random_stack(d, n=4, seed=21):
@@ -430,19 +507,6 @@ class TestExactPropagator:
         for times in ([2 * tg, tg], [-tg, tg], []):
             with pytest.raises(ValueError):
                 evolve_stack_raw(h, collapse, stack, times)
-
-
-def textbook_liouvillian(h, collapse):
-    """Row-major Liouvillian of the master equation, term by term, from
-    vec(A X B) = (A kron B^T) vec(X).  The Hamiltonian part is
-    -i (H X - X H+), so a non-Hermitian H (gain or loss) is read as such."""
-    eye = np.eye(h.shape[0])
-    lv = -1j * (np.kron(h, eye) - np.kron(eye, h.conj()))
-    for g, a in collapse:
-        ada = a.conj().T @ a
-        lv = lv + g * (np.kron(a, a.conj()) - 0.5 * np.kron(ada, eye)
-                       - 0.5 * np.kron(eye, ada.T))
-    return lv
 
 
 def full_space_oracle(h, collapse, stack, times):

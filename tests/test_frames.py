@@ -11,10 +11,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.sparse import csr_array
 
+from helpers import textbook_liouvillian
 from swapgate.circuit_map import table_qutrit_params, table_spin_params
 from swapgate.drive import calibrated_pi_pulse, rabi_prepare
-from swapgate.dynamics import NoiseModel, _LindbladGenerator
+from swapgate.dynamics import NoiseModel
 from swapgate.hilbert import (
     PAULI_X,
     PAULI_Y,
@@ -23,9 +25,9 @@ from swapgate.hilbert import (
     partial_trace,
 )
 from swapgate.metrics import (
-    TargetGate,
     average_fidelity,
     control_state_vector,
+    open_gate,
     pauli_basis_2q,
 )
 from swapgate.spin_model import (
@@ -58,7 +60,8 @@ def qutrit_lab_parts(q):
 
 def lab_fbar(h_s, s_up, w, collapse, rho_c, target, times):
     """Average fidelity from RK45 on the interaction-picture master equation
-    over the full space, reduced with ``hilbert.partial_trace``."""
+    over the full space, reduced with ``hilbert.partial_trace``.  The static
+    part is the textbook Liouvillian, independent of the engine."""
     dims = QUTRIT_DIMS
     d = dims.total_dim
     basis = pauli_basis_2q()
@@ -68,13 +71,14 @@ def lab_fbar(h_s, s_up, w, collapse, rho_c, target, times):
                   rho_c).reshape(d, d)
         for p in basis
     ])
-    gen = _LindbladGenerator(h_s, collapse, len(stack))
+    lv = csr_array(textbook_liouvillian(h_s, collapse))
 
     def rhs(t, y):
         r = y.reshape(stack.shape)
         side = np.exp(1j * w * t) * s_up
         side = side + side.conj().T
-        return gen(t, y) - 1j * (side @ r - r @ side).ravel()
+        static = (lv @ y.reshape(len(r), -1).T).T.reshape(r.shape)
+        return (static - 1j * (side @ r - r @ side)).ravel()
 
     sol = solve_ivp(rhs, (0.0, times[-1]), stack.astype(complex).ravel(),
                     t_eval=times, method="RK45", rtol=1e-10, atol=1e-12)
@@ -105,7 +109,7 @@ class TestQutritFrame:
         collapse = noise.collapse_operators(QUTRIT_DIMS) if noise else []
         cvec = control_state_vector(cfg, [3, 3])
         want = lab_fbar(h_s, s_up, w, collapse, np.outer(cvec, cvec.conj()),
-                        TargetGate.open_gate("plus").matrix, times)
+                        open_gate("plus"), times)
         assert np.max(np.abs(np.array(trace.fbar) - want)) < 1e-9
 
 

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import pure_state
 from swapgate.hilbert import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    DensityMatrix,
     HilbertError,
     OperatorMatrix,
     SiteDims,
@@ -105,14 +105,14 @@ class TestPartialTrace:
         rng = np.random.default_rng(1)
         rho_a = random_density(rng, 2)
         rho_b = random_density(rng, 3)
-        full = DensityMatrix(OperatorMatrix(SiteDims((2, 3)), np.kron(rho_a, rho_b)))
+        full = OperatorMatrix(SiteDims((2, 3)), np.kron(rho_a, rho_b))
         reduced = partial_trace(full, keep_sites=[0])
         assert np.allclose(reduced.entries, rho_a, atol=1e-12)
 
     def test_bell_state_marginal_is_maximally_mixed(self):
         bell = np.zeros(4, dtype=complex)
         bell[0b00] = bell[0b11] = 1 / np.sqrt(2)
-        rho = DensityMatrix.from_state_vector(bell, (2, 2))
+        rho = pure_state(bell, (2, 2))
         for keep in ([0], [1]):
             red = partial_trace(rho, keep)
             assert np.allclose(red.entries, np.eye(2) / 2, atol=1e-12)
@@ -120,7 +120,7 @@ class TestPartialTrace:
     def test_trace_preserved_random_four_site(self):
         rng = np.random.default_rng(2)
         rho = random_density(rng, 16)
-        dm = DensityMatrix(OperatorMatrix(SiteDims((2, 2, 2, 2)), rho))
+        dm = OperatorMatrix(SiteDims((2, 2, 2, 2)), rho)
         red = partial_trace(dm, keep_sites=[1, 2])
         assert abs(np.trace(red.entries) - 1.0) < 1e-12
         assert np.max(np.abs(red.entries - red.entries.conj().T)) < 1e-12
@@ -128,7 +128,7 @@ class TestPartialTrace:
     def test_keep_all_is_identity(self):
         rng = np.random.default_rng(3)
         rho = random_density(rng, 12)
-        dm = DensityMatrix(OperatorMatrix(SiteDims((2, 3, 2)), rho))
+        dm = OperatorMatrix(SiteDims((2, 3, 2)), rho)
         red = partial_trace(dm, keep_sites=[0, 1, 2])
         assert np.allclose(red.entries, rho)
 
@@ -146,7 +146,7 @@ class TestPartialTrace:
         assert np.allclose(lhs, rhs, atol=1e-12)
 
     def test_empty_keep_rejected(self):
-        rho = DensityMatrix(OperatorMatrix(SiteDims((2, 2)), np.eye(4) / 4))
+        rho = OperatorMatrix(SiteDims((2, 2)), np.eye(4) / 4)
         with pytest.raises(HilbertError):
             partial_trace(rho, keep_sites=[])
         with pytest.raises(HilbertError):
@@ -184,15 +184,16 @@ class TestOperatorMatrix:
         with pytest.raises(HilbertError):
             OperatorMatrix(SiteDims((2, 2)), np.eye(3))
 
-    def test_hermiticity_flag(self):
-        assert OperatorMatrix(SiteDims((2,)), PAULI_Y).is_hermitian()
-        skew = np.array([[0, 1], [-1, 0]], dtype=complex)
-        assert not OperatorMatrix(SiteDims((2,)), skew).is_hermitian()
+    def test_no_state_or_target_wrapper_is_exported(self):
+        """A state is an OperatorMatrix and a target gate an array."""
+        import swapgate
+        from swapgate import hilbert, metrics
 
-    def test_density_matrix_validation(self):
-        bad = OperatorMatrix(SiteDims((2,)), np.diag([1.5, -0.5]))
-        with pytest.raises(HilbertError):
-            DensityMatrix(bad).validate()
+        for name in ("DensityMatrix", "TargetGate"):
+            assert name not in swapgate.__all__
+            assert not hasattr(hilbert, name) and not hasattr(metrics, name)
+        for member in ("is_hermitian", "norm", "dim"):
+            assert not hasattr(OperatorMatrix, member)
 
 
 class TestExcitationSectors:

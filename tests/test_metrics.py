@@ -13,17 +13,18 @@ from swapgate.metrics import (
     OPEN_WINDOW,
     FidelityTrace,
     GateTimeWindowError,
-    TargetGate,
     average_fidelity,
     control_state_vector,
     entanglement_power,
     gate_window,
     numerical_gate_time,
+    open_gate,
     pauli_basis_2q,
     refine_peak,
 )
 from swapgate.spin_model import (
     GateConfig,
+    ModelError,
     add_crosstalk,
     analytic_gate_time,
     build_interaction_hamiltonian,
@@ -100,27 +101,40 @@ class TestPauliBasis:
 
 class TestTargets:
     def test_open_targets(self):
-        plus = TargetGate.open_gate("plus").matrix
-        minus = TargetGate.open_gate("minus").matrix
+        plus = open_gate("plus")
+        minus = open_gate("minus")
         assert plus[1, 2] == plus[2, 1] == -1
         assert minus[1, 2] == minus[2, 1] == 1
         assert plus[3, 3] == minus[3, 3] == 1j
-        assert TargetGate.open_gate("plus").is_unitary()
+        for u in (plus, minus):
+            assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-12
 
-    def test_closed_target_is_identity(self):
-        assert np.allclose(TargetGate.closed_gate().matrix, np.eye(4))
+    def test_unknown_branch_rejected(self):
+        with pytest.raises(ModelError, match="unknown branch"):
+            open_gate("sideways")
+
+    @pytest.mark.parametrize("cfg, want", [
+        (closed_config_for_branch("plus"), np.eye(4)),
+        (GateConfig(delta_branch="minus", control_state="open_0"), open_gate("minus")),
+    ], ids=["closed_is_identity", "open_is_open_gate"])
+    def test_default_target(self, cfg, want):
+        params = symmetric_chain(**ROW6)
+        times = np.linspace(0.2, 0.4, 3) * analytic_gate_time(params)
+        default = average_fidelity(params, cfg, None, times)
+        explicit = average_fidelity(params, cfg, None, times, target=want)
+        assert default.fbar == explicit.fbar
 
 
 class TestFidelityFormula:
     def test_perfect_gate_scores_unity(self):
         for branch in ("plus", "minus"):
-            u = TargetGate.open_gate(branch).matrix
+            u = open_gate(branch)
             val = fbar_formula(u, lambda rho: u @ rho @ u.conj().T)
             assert val == pytest.approx(1.0, abs=1e-12)
 
     def test_identity_channel_against_trace_oracle(self):
         """Fbar of the do-nothing channel, computed two independent ways."""
-        u = TargetGate.open_gate("plus").matrix
+        u = open_gate("plus")
         direct = fbar_formula(u, lambda rho: rho)
         oracle = 0.2 + sum(
             np.trace(u @ b.conj().T @ u.conj().T @ b).real
@@ -136,7 +150,7 @@ class TestFidelityFormula:
 
     def test_swap_channel_against_open_target(self):
         """A plain swap misses the -1 and i phases, so Fbar stays below 1."""
-        u = TargetGate.open_gate("plus").matrix
+        u = open_gate("plus")
         val = fbar_formula(u, lambda rho: SWAP @ rho @ SWAP.conj().T)
         assert 0.3 < val < 0.9
 
@@ -192,7 +206,7 @@ class TestChannelMapConsistency:
             )
 
         units = {(i, j): evolved_unit(i, j) for i in range(4) for j in range(4)}
-        u_tgt = TargetGate.open_gate("plus").matrix
+        u_tgt = open_gate("plus")
         fbar_direct = 0.2 + sum(
             np.trace(u_tgt @ basis[m].conj().T @ u_tgt.conj().T @ direct[m]).real
             for m in range(16)
@@ -222,11 +236,11 @@ class TestGateSimulation:
         assert trace.peak_value > 0.985
         assert 0.9 * tg < trace.peak_time < 1.0 * tg
         # conjugate phase and opposite swap sign must both score far lower
-        wrong_phase = TargetGate(TargetGate.open_gate("plus").matrix.conj())
+        wrong_phase = open_gate("plus").conj()
         tr2 = average_fidelity(params, cfg, None, times, target=wrong_phase)
         assert tr2.peak_value < 0.7
         tr3 = average_fidelity(
-            params, cfg, None, times, target=TargetGate.open_gate("minus")
+            params, cfg, None, times, target=open_gate("minus")
         )
         assert tr3.peak_value < 0.7
 
@@ -289,7 +303,7 @@ class TestFidelityContraction:
              else build_interaction_hamiltonian(model))
         collapse = noise.collapse_operators(h.dims) if noise else []
         cvec = control_state_vector(cfg, list(h.dims.dims[1:-1]))
-        u = TargetGate.open_gate("plus").matrix if cfg.is_open else np.eye(4)
+        u = open_gate("plus") if cfg.is_open else np.eye(4)
         want = full_space_fbar(h, collapse, cvec, u, times)
         assert np.max(np.abs(np.array(trace.fbar) - want)) < 1e-12
 
@@ -313,6 +327,15 @@ class TestControlStates:
         )
         v = control_state_vector(cfg, [2, 2])
         assert np.allclose(np.linalg.norm(v), 1.0)
+
+    @pytest.mark.parametrize("vector", [(0.0,) * 4, (1.0, np.nan, 0.0, 0.0),
+                                        (np.inf, 0.0, 0.0, 0.0)],
+                             ids=["zero", "nan", "inf"])
+    def test_bad_custom_vector_is_a_model_error(self, vector):
+        """Bad input, not a numerical failure: no division, no warning."""
+        cfg = GateConfig(control_state="custom", custom_vector=vector)
+        with pytest.raises(ModelError, match="finite and nonzero"):
+            control_state_vector(cfg, [2, 2])
 
 
 class TestPeakLocation:
@@ -383,7 +406,7 @@ class TestEntanglementPower:
 
     @pytest.mark.parametrize("branch", ["plus", "minus"])
     def test_open_gate_is_one_ninth(self, branch):
-        value = entanglement_power(TargetGate.open_gate(branch).matrix)
+        value = entanglement_power(open_gate(branch))
         assert isinstance(value, float)
         assert abs(value - 1.0 / 9.0) <= 1e-12
 
@@ -392,7 +415,7 @@ class TestEntanglementPower:
 
     def test_invariant_under_local_rotations(self):
         rng = np.random.default_rng(17)
-        u = TargetGate.open_gate("plus").matrix
+        u = open_gate("plus")
         dressed = (np.kron(haar_unitary(rng, 2), haar_unitary(rng, 2)) @ u
                    @ np.kron(haar_unitary(rng, 2), haar_unitary(rng, 2)))
         assert abs(entanglement_power(u) - entanglement_power(dressed)) <= 1e-12
