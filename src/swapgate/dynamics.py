@@ -41,6 +41,13 @@ itself.  The input then selects one of two branches:
   exactly zero.  A noiseless generator that is not Hermitian (gain or loss
   written into H) takes this branch too.
 
+Instead of the evolved stack, the engine can return traces against grouped
+functionals: ``G`` groups of operators W over the stack, group g giving
+``sum_j Tr(W[g, j] X_j(t))``, each contracted block by block (in the
+eigenbasis on the spectral branch).  Stacks that share a generator, such as
+the fidelity stacks of several register preparations, are concatenated and
+evolved once, each group reading its own rows.
+
 ``propagate`` evolves one state, an ``OperatorMatrix``, checked on input and
 at every sample.  Hamiltonians are in rad/us and times in us.
 """
@@ -277,11 +284,13 @@ def evolve_stack_raw(
     from one eigendecomposition, any other block by block on the stack rows
     each block holds, one evolution per mirror pair of blocks (module
     docstring).  Returns the evolved stack, shape (n_times, n_stack, D, D),
-    exactly zero outside those; or, given ``functionals`` W of the stack's
-    shape, the (n_times,) sums ``sum_j Tr(W_j X_j(t))``, contracted piece by
-    piece (in the eigenbasis on the spectral branch) without forming the
-    full-space stack.  A complex rate raises ``ValueError``; a non-finite
-    generator or result raises ``PropagationError``.
+    exactly zero outside those; or, given ``functionals`` W of shape
+    (G, n_stack, D, D), the (n_times, G) sums ``sum_j Tr(W[g, j] X_j(t))``,
+    contracted piece by piece (in the eigenbasis on the spectral branch)
+    without forming the full-space stack.  Each group g of functionals reads
+    its own quantity off the one propagation, so operators that share a
+    generator are evolved together.  A complex rate raises ``ValueError``;
+    a non-finite generator or result raises ``PropagationError``.
     """
     times = np.asarray(sample_times, dtype=float)
     if times.size == 0:
@@ -299,7 +308,7 @@ def evolve_stack_raw(
     gen.restrict(keep)
     sub = (slice(None), keep[:, None], keep[None, :])
     x = stack[sub].astype(complex)
-    w = None if functionals is None else functionals[sub]
+    w = None if functionals is None else functionals[(slice(None),) + sub]
     h = 1j * gen.heff  # the kept-level Hamiltonian when nothing is lost
     if (gen.mask is None and not gen.jumps
             and np.abs(h - h.conj().T).max(initial=0.0)
@@ -310,8 +319,9 @@ def evolve_stack_raw(
         if w is None:
             result = np.zeros((times.size,) + rows.shape, dtype=complex)
         else:
-            w = w.transpose(0, 2, 1).reshape(n, -1)  # Tr(W X) pairs X[a, b] with W[b, a]
-            result = np.zeros(times.size, dtype=complex)
+            # Tr(W X) pairs X[a, b] with W[b, a]
+            w = w.transpose(0, 1, 3, 2).reshape(w.shape[0], n, -1)
+            result = np.zeros((times.size, w.shape[0]), dtype=complex)
         for block, mirror in gen.components():
             own = np.flatnonzero(rows[:, block].any(axis=1))
             adj = own[:0] if mirror is None else np.flatnonzero(rows[:, mirror].any(axis=1))
@@ -327,9 +337,9 @@ def evolve_stack_raw(
                 if adj.size:
                     result[:, adj[:, None], mirror] = theirs
             else:
-                result += np.einsum("tje,je->t", mine, w[own[:, None], block])
+                result += np.einsum("tje,gje->tg", mine, w[:, own[:, None], block])
                 if adj.size:
-                    result += np.einsum("tje,je->t", theirs, w[adj[:, None], mirror])
+                    result += np.einsum("tje,gje->tg", theirs, w[:, adj[:, None], mirror])
         if w is None:
             result = result.reshape((times.size,) + x.shape)
     if not np.isfinite(result).all():
@@ -345,16 +355,17 @@ def _spectral(h: np.ndarray, x: np.ndarray, times: np.ndarray,
               w: np.ndarray | None) -> np.ndarray:
     """The stack ``x`` conjugated by ``exp(-i h t)`` at ``times`` for a
     Hermitian ``h = V diag(E) V+``, where ``X~ = V+ X V`` only turns,
-    ``X~_ab e^{-i(E_a - E_b) t}``; or, given functionals ``w``, the traces
-    ``sum_ab C_ab e^{-i(E_a - E_b) t}``, ``C_ab = sum_j W~_j[b, a] X~_j[a, b]``."""
+    ``X~_ab e^{-i(E_a - E_b) t}``; or, given grouped functionals ``w``, the
+    traces ``sum_ab C_gab e^{-i(E_a - E_b) t}`` of each group g,
+    ``C_gab = sum_j W~[g, j, b, a] X~_j[a, b]``."""
     energies, vecs = eigh(h)
     turn = np.exp(-1j * np.outer(times, energies))  # e^{-i E_a t}
     x = vecs.conj().T @ x @ vecs
     if w is None:
         x = turn[:, None, :, None] * x * turn.conj()[:, None, None, :]
         return vecs @ x @ vecs.conj().T
-    c = np.einsum("jba,jab->ab", vecs.conj().T @ w @ vecs, x)
-    return np.sum((turn @ c) * turn.conj(), axis=1)
+    c = np.einsum("gjba,jab->gab", vecs.conj().T @ w @ vecs, x)
+    return ((turn @ c) * turn.conj()).sum(-1).T
 
 
 def _reachable_levels(gen: _LindbladGenerator, stack: np.ndarray) -> np.ndarray:

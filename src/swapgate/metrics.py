@@ -114,25 +114,35 @@ def control_state_vector(
 
 def average_fidelity(
     model: SpinModelParams | QutritModelParams,
-    gate_config: GateConfig,
+    gate_configs: Sequence[GateConfig],
     noise: NoiseModel | None,
     times: Sequence[float],
     hamiltonian: OperatorMatrix | None = None,
-    target: np.ndarray | None = None,
-) -> FidelityTrace:
-    """Average gate fidelity of the chain against the configured target.
+    targets: Sequence[np.ndarray | None] | None = None,
+) -> list[FidelityTrace]:
+    """Average gate fidelity of the chain against each configured target, one
+    trace per entry of ``gate_configs``.
 
     The two end sites are the target qubits; all middle sites form the
     control register, prepared in the configured state and traced out after
-    evolution.  ``target`` defaults to the open gate of the configured branch
-    when the register is open, else the identity.  ``hamiltonian`` overrides
-    the model-built generator (used for cross-talk studies).  The propagator
-    evolves only the levels and coherence-order blocks the initial operators
-    reach (``dynamics.evolve_stack_raw``).  Qutrit-control models evolve
-    under the rotating-frame generator of ``build_qutrit_hamiltonian``; that
-    frame acts only on the traced-out controls, so the fidelity is the same
-    as in the interaction picture.
+    evolution.  ``targets``, aligned with ``gate_configs``, defaults (as does
+    a None entry) to the open gate of the configured branch when the
+    register is open, else the identity.  ``hamiltonian`` overrides the
+    model-built generator (used for cross-talk studies).  Every
+    configuration shares that generator, so their fidelity stacks are
+    evolved together by one ``dynamics.evolve_stack_raw`` call, one group of
+    functionals each; the propagator evolves only the levels and
+    coherence-order blocks the initial operators reach.  Qutrit-control
+    models evolve under the rotating-frame generator of
+    ``build_qutrit_hamiltonian``; that frame acts only on the traced-out
+    controls, so the fidelity is the same as in the interaction picture.
     """
+    if isinstance(gate_configs, GateConfig) or not gate_configs:
+        raise TypeError("gate_configs must be a nonempty sequence of GateConfig")
+    if targets is None:
+        targets = [None] * len(gate_configs)
+    if len(targets) != len(gate_configs):
+        raise ValueError("targets must match gate_configs one to one")
     if hamiltonian is None:
         hamiltonian = (
             build_qutrit_hamiltonian(model)
@@ -140,35 +150,44 @@ def average_fidelity(
             else build_interaction_hamiltonian(model)
         )
     dims = hamiltonian.dims
-    cvec = control_state_vector(gate_config, list(dims.dims[1:-1]))
-    rho_c = np.outer(cvec, cvec.conj())
-    if target is None:
-        target = (open_gate(gate_config.delta_branch)
-                  if gate_config.is_open else np.eye(4, dtype=complex))
-
-    # initial operators: (first-target factor) x rho_C x (last-target factor)
-    stack = np.einsum("aik,cl,bjm->abicjklm", _PAULI_FACTORS, rho_c,
-                      _PAULI_FACTORS).reshape(16, dims.total_dim, dims.total_dim)
-    weights = _target_functionals(target, dims)
+    d = dims.total_dim
+    n_groups = len(gate_configs)
+    # each configuration's 16 initial operators, (first-target factor) x
+    # rho_C x (last-target factor), read only by its own group of functionals
+    stack = np.empty((16 * n_groups, d, d), dtype=complex)
+    weights = np.zeros((n_groups, 16 * n_groups, d, d), dtype=complex)
+    for g, (config, target) in enumerate(zip(gate_configs, targets)):
+        cvec = control_state_vector(config, list(dims.dims[1:-1]))
+        rows = slice(16 * g, 16 * (g + 1))
+        stack[rows] = np.einsum("aik,cl,bjm->abicjklm", _PAULI_FACTORS,
+                                np.outer(cvec, cvec.conj()),
+                                _PAULI_FACTORS).reshape(16, d, d)
+        if target is None:
+            target = (open_gate(config.delta_branch)
+                      if config.is_open else np.eye(4, dtype=complex))
+        weights[g, rows] = _target_functionals(target, dims)
     collapse = noise.collapse_operators(dims) if noise is not None else []
     traces = evolve_stack_raw(hamiltonian.entries, collapse, stack, times,
                               functionals=weights)
-    fbar = 0.2 + traces.real / 80.0
+    return [_checked_trace(np.asarray(times), 0.2 + t.real / 80.0) for t in traces.T]
+
+
+def _checked_trace(times: np.ndarray, fbar: np.ndarray) -> FidelityTrace:
+    """The trace of fidelity samples ``fbar``, checked to lie in [0, 1], with
+    its refined peak."""
     if not np.all((fbar >= -1e-9) & (fbar <= 1.0 + 1e-9)):
         raise RuntimeError(
             f"average fidelity left [0, 1]: range [{fbar.min()}, {fbar.max()}]"
         )
     fbar = np.clip(fbar, 0.0, 1.0)
-
     k = int(np.argmax(fbar))
-    boundary = k in (0, len(times) - 1)
-    peak_t, peak_f = refine_peak(np.asarray(times), fbar, k)
+    peak_t, peak_f = refine_peak(times, fbar, k)
     return FidelityTrace(
         times=tuple(float(t) for t in times),
         fbar=tuple(float(f) for f in fbar),
         peak_time=peak_t,
         peak_value=peak_f,
-        peak_on_boundary=boundary,
+        peak_on_boundary=k in (0, len(times) - 1),
     )
 
 

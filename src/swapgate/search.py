@@ -376,12 +376,12 @@ def validate_solution(
             raise ModelError(f"detuning {params.delta} is on neither resonance branch")
     noise = NoiseModel(gamma=gamma) if gamma > 0 else None
     open_cfg = GateConfig(delta_branch=branch, control_state="open_0")
-    trace_open = average_fidelity(
-        params, open_cfg, noise, gate_window(params, *OPEN_WINDOW, n_samples)
+    trace_open, = average_fidelity(
+        params, [open_cfg], noise, gate_window(params, *OPEN_WINDOW, n_samples)
     )
     closed_cfg = closed_config_for_branch(branch)
-    trace_closed = average_fidelity(
-        params, closed_cfg, noise, gate_window(params, *CLOSED_WINDOW, n_samples)
+    trace_closed, = average_fidelity(
+        params, [closed_cfg], noise, gate_window(params, *CLOSED_WINDOW, n_samples)
     )
     return ValidationReport(
         open_peak_fidelity=trace_open.peak_value,

@@ -96,7 +96,7 @@ def row11():
 def row6_open_noisy(row6):
     times = gate_window(row6, *OPEN_WINDOW, 111)
     cfg = GateConfig(delta_branch="plus", control_state="open_0")
-    return average_fidelity(row6, cfg, NoiseModel(gamma=GAMMA), times)
+    return average_fidelity(row6, [cfg], NoiseModel(gamma=GAMMA), times)[0]
 
 
 def test_c01_table_roundtrip():
@@ -202,8 +202,8 @@ def test_c04_closed_gate_fidelity(row6, row11):
     for label, params in (("row6", row6), ("row11", row11)):
         cfg = closed_config_for_branch(params.detuning_choice)
         times = gate_window(params, *CLOSED_WINDOW, 120)
-        clean = average_fidelity(params, cfg, None, times)
-        noisy = average_fidelity(params, cfg, NoiseModel(gamma=GAMMA), times)
+        clean, = average_fidelity(params, [cfg], None, times)
+        noisy, = average_fidelity(params, [cfg], NoiseModel(gamma=GAMMA), times)
         results[label] = (min(clean.fbar), min(noisy.fbar))
     detail = "; ".join(
         f"{k}: min Fbar gamma=0 {v[0]:.5f} (need 0.999), "
@@ -229,8 +229,8 @@ def test_c05_qutrit_leakage(row6, row11):
         cfg = GateConfig(delta_branch=params.detuning_choice,
                          control_state="open_0")
         times = gate_window(params, *OPEN_WINDOW, 90)
-        tr_qubit = average_fidelity(params, cfg, noise, times)
-        tr_qutrit = average_fidelity(qutrit, cfg, noise, times)
+        tr_qubit, = average_fidelity(params, [cfg], noise, times)
+        tr_qutrit, = average_fidelity(qutrit, [cfg], noise, times)
         shifts[index] = abs(tr_qutrit.peak_value - tr_qubit.peak_value)
     passed = all(s < 0.01 for s in shifts.values())
     detail = ", ".join(f"row {i}: |shift| = {s:.4f}" for i, s in shifts.items())
@@ -405,13 +405,13 @@ def test_c10_crosstalk_scaling():
                              detuning_choice="plus")
     open_cfg = GateConfig(delta_branch="plus", control_state="open_0")
     window = gate_window(params, *OPEN_WINDOW, 70)
-    base = average_fidelity(params, open_cfg, None, window,
-                            hamiltonian=add_crosstalk(params, 0.0, 0.0))
+    base, = average_fidelity(params, [open_cfg], None, window,
+                             hamiltonian=add_crosstalk(params, 0.0, 0.0))
     fractions = np.array([0.02, 0.04, 0.06, 0.08, 0.10])
     losses = []
     for f in fractions:
         h = add_crosstalk(params, j_nn=0.0, j_nnn=f * j1)
-        tr = average_fidelity(params, open_cfg, None, window, hamiltonian=h)
+        tr, = average_fidelity(params, [open_cfg], None, window, hamiltonian=h)
         losses.append(base.peak_value - tr.peak_value)
     losses = np.asarray(losses)
     coeffs = np.polyfit(fractions**2, losses, 1)
@@ -426,7 +426,7 @@ def test_c10_crosstalk_scaling():
     closed_vals = []
     for f in (0.0, 0.05, 0.10):
         h = add_crosstalk(params, j_nn=f * j1, j_nnn=0.0)
-        tr = average_fidelity(params, closed_cfg, None, window, hamiltonian=h)
+        tr, = average_fidelity(params, [closed_cfg], None, window, hamiltonian=h)
         closed_vals.append(tr.peak_value)
     closed_flat = max(closed_vals) - min(closed_vals)
     passed = r_squared >= 0.95 and closed_flat < 1e-3
@@ -456,12 +456,12 @@ def test_c11_delta_zero_failure(row6_open_noisy):
     dead = symmetric_chain(j1, j1, 600.0, j2z, 0.0, detuning_choice="minus")
     cfg = GateConfig(delta_branch="minus", control_state="open_0")
     window = gate_window(dead, *OPEN_WINDOW, 80)
-    tr_dead = average_fidelity(dead, cfg, None, window)
+    tr_dead, = average_fidelity(dead, [cfg], None, window)
     # a proper minus-branch design point recovers
     live = symmetric_chain(j1, j1, 450.0, j2z, 2 * (j2z - 450.0),
                            detuning_choice="minus")
-    tr_live = average_fidelity(
-        live, cfg, None, gate_window(live, *OPEN_WINDOW, 80)
+    tr_live, = average_fidelity(
+        live, [cfg], None, gate_window(live, *OPEN_WINDOW, 80)
     )
     collapsed = tr_dead.peak_value < 0.6
     recovered = tr_live.peak_value > 0.98 and row6_open_noisy.peak_value > 0.98

@@ -23,7 +23,15 @@ from swapgate.cli import (
     resolve_config,
     run_experiment,
 )
-from swapgate.metrics import average_fidelity
+from swapgate.dynamics import NoiseModel
+from swapgate.metrics import OPEN_WINDOW, average_fidelity, gate_window
+from swapgate.spin_model import (
+    GateConfig,
+    add_crosstalk,
+    build_interaction_hamiltonian,
+    closed_config_for_branch,
+    symmetric_chain,
+)
 
 
 MINIMAL = """\
@@ -169,8 +177,10 @@ class TestConfigFormat:
             cfg = resolve_config(raw)
         except ConfigError as exc:
             # every draw lies within its key's bounds, so only a cross-key
-            # rule (ORDER_RULES) can reject; that input resolves to nothing
-            assert "must exceed" in str(exc)
+            # rule (ORDER_RULES), a repeated item of a distinct list or a
+            # zero J1 can reject; that input resolves to nothing
+            assert any(rule in str(exc)
+                       for rule in ("must exceed", "listed twice", "gate time"))
             assume(False)
         text = cfg.to_text()
         again = resolve_config(parse_config_text(text))
@@ -371,6 +381,112 @@ class TestExperiments:
         assert row["fbar_open"] > 0.95
 
 
+ROW6 = dict(j1x=40.9, j1z=40.9, j2x=-540.4, j2z=1007.1, delta=933.4)
+
+
+def full_trace_reading(trace, t):
+    """A fidelity at ``t`` as read from a trace over the whole window."""
+    return float(np.interp(t, trace.times, trace.fbar))
+
+
+class TestScanReading:
+    """Closed and noisy scan cells come from traces sampled only at the two
+    window samples bracketing t_num; they must equal the linear
+    interpolation of traces over the whole window, each configuration
+    evolved on its own."""
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 7])
+    def test_bracket_reproduces_full_window_interpolation(self, size):
+        """Between samples, on every sample (the last included), and off
+        both ends, for windows of one and two samples too."""
+        window = np.linspace(1.0, 2.0, size)
+        f = np.random.default_rng(size).random(size)
+        inside = [0.5 * (a + b) for a, b in zip(window, window[1:])]
+        for t in [0.5, 2.5, *window, *inside]:
+            pair = swapgate.cli._bracket(window, t)
+            assert pair.size == min(size, 2)
+            picked = np.searchsorted(window, pair)
+            assert np.interp(t, pair, f[picked]) == np.interp(t, window, f)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.01])
+    @pytest.mark.parametrize("samples", [1, 2, 3, 20])
+    def test_scan_point_equals_full_trace_reading(self, samples, gamma):
+        """One and two samples put t_num on the window's edge (the first or
+        last sample); three and twenty refine it between samples."""
+        params = symmetric_chain(**ROW6, detuning_choice="plus")
+        noise = NoiseModel(gamma=gamma) if gamma else None
+        got = swapgate.cli._scan_point(params, "plus", noise, samples)
+
+        window = gate_window(params, *OPEN_WINDOW, samples)
+        h = build_interaction_hamiltonian(params)
+        open_cfg = GateConfig(delta_branch="plus", control_state="open_0")
+        closed_cfg = closed_config_for_branch("plus")
+
+        def trace(cfg, nz):
+            return average_fidelity(params, [cfg], nz, window, hamiltonian=h)[0]
+
+        clean = trace(open_cfg, None)
+        t_num = clean.peak_time
+        if samples < 3:
+            assert t_num in window
+        closed = full_trace_reading(trace(closed_cfg, None), t_num)
+        # without noise the noisy columns repeat the clean ones
+        noisy = ([full_trace_reading(trace(c, noise), t_num) for c in (open_cfg, closed_cfg)]
+                 if noise else [clean.peak_value, closed])
+        want = (t_num, clean.peak_value, noisy[0], closed, noisy[1])
+        assert got[1] == pytest.approx(t_num, rel=1e-12)
+        assert np.max(np.abs(np.subtract(got[1:6], want))) < 1e-12
+
+    @pytest.mark.parametrize("samples", [1, 2, 12])
+    def test_crosstalk_cells_equal_full_trace_reading(self, monkeypatch, samples):
+        """Two propagations per cross-talk Hamiltonian: the open register
+        over the window, both closed ones at the samples bracketing t_num."""
+        calls = []
+        engine = swapgate.metrics.evolve_stack_raw
+        monkeypatch.setattr(swapgate.metrics, "evolve_stack_raw",
+                            lambda *args, **kw: calls.append(1) or engine(*args, **kw))
+        cfg = resolve_config(parse_config_text(
+            "experiment = crosstalk_scan\n[grid]\nfractions_pct = 0.0, 5.0\n"
+            f"[run]\nsamples = {samples}\n"))
+        rec = run_experiment(cfg)
+        assert len(calls) == 2 * 2 * 2
+        params = swapgate.cli._spin_from_model_section(cfg["model"])[0]
+        noise = NoiseModel(gamma=cfg["noise"]["gamma"])
+        window = gate_window(params, *OPEN_WINDOW, samples)
+        for row in rec.rows:
+            jc = row[0]
+            want = [jc]
+            for j_nnn in (0.0, jc):
+                h = add_crosstalk(params, j_nn=jc, j_nnn=j_nnn)
+                tr_open, closed_plus, closed_minus = (
+                    average_fidelity(params, [GateConfig(delta_branch="plus",
+                                                         control_state=state)],
+                                     noise, window, hamiltonian=h)[0]
+                    for state in ("open_0", "closed_1plus", "closed_1minus"))
+                t_num = tr_open.peak_time
+                want += [tr_open.peak_value, full_trace_reading(closed_plus, t_num),
+                         full_trace_reading(closed_minus, t_num)]
+            assert np.max(np.abs(np.subtract(row, want))) < 1e-12
+
+    @pytest.mark.parametrize("gamma, calls", [(0.01, 2), (0.0, 1)])
+    def test_one_propagation_per_scan_point_and_noise(self, monkeypatch, gamma, calls):
+        """A noisy scan point propagates twice: the clean open and closed
+        registers over the window, then the noisy pair at the two samples
+        bracketing t_num; a clean one once."""
+        seen = []
+        engine = swapgate.metrics.evolve_stack_raw
+
+        def counted(hamiltonian, collapse, stack, sample_times, functionals=None):
+            seen.append((len(sample_times), len(stack), functionals.shape[0]))
+            return engine(hamiltonian, collapse, stack, sample_times, functionals)
+
+        monkeypatch.setattr(swapgate.metrics, "evolve_stack_raw", counted)
+        params = symmetric_chain(**ROW6, detuning_choice="plus")
+        noise = NoiseModel(gamma=gamma) if gamma else None
+        swapgate.cli._scan_point(params, "plus", noise, 20)
+        assert seen == [(20, 32, 2), (2, 32, 2)][:calls]
+
+
 DEFAULT_CSV = Path(__file__).parent / "data" / "default_csv"
 
 
@@ -455,6 +571,60 @@ class TestCommandLine:
         )
         assert result.exit_code == 2, result.output
         assert "configuration error" in result.output
+
+    @pytest.mark.parametrize("command, body", [
+        ("scan-j2", "[grid]\nj1 = 0"),
+        ("scan-delta", "[grid]\nj1 = 0.0"),
+        ("scan-j1", "[grid]\nlo = 0"),
+        ("scan-j1", "[grid]\nlo = -10\nhi = 10\npoints = 3"),
+        ("n5", "[model]\nj1 = 0"),
+        ("trace", "[model]\nsource = spin\nj1x = 0"),
+        ("crosstalk", "[model]\nsource = spin\nj1x = -0.0"),
+    ])
+    def test_zero_j1_exits_2(self, tmp_path, command, body):
+        """A chain whose gate time pi / |2 J1| the experiment reads, with
+        J1 = 0 (at any scan point), is a configuration error, not a
+        numerical failure."""
+        kind = swapgate.cli._SUBCOMMANDS[command]
+        cfgfile = tmp_path / "zero.cfg"
+        cfgfile.write_text(f"experiment = {kind}\n{body}\n[run]\nsamples = 3\n")
+        result = CliRunner().invoke(
+            main, [command, "--config", str(cfgfile), "--out", str(tmp_path / "o.csv")]
+        )
+        assert result.exit_code == 2, result.output
+        assert "leaves the gate time pi / |2 J1| undefined" in result.output
+
+    @given(lo=st.floats(-1e3, 1e3), hi=st.floats(-1e3, 1e3),
+           points=st.integers(1, 2000))
+    @settings(max_examples=300, deadline=None)
+    def test_zero_scan_point_found_without_forming_the_axis(self, lo, hi, points):
+        """The J1 scan's zero check agrees with the axis the scan forms."""
+        assert swapgate.cli._linspace_holds_zero(lo, hi, points) == bool(
+            np.any(np.linspace(lo, hi, points) == 0.0))
+
+    @pytest.mark.parametrize("lo, hi, points, zero", [
+        (-10.0, 10.0, 2, False), (-10.0, 10.0, 3, True), (-1.0, 2.0, 4, True),
+        (-0.25, 0.75, 5, True), (-0.3, 0.7, 11, False), (5.0, 0.0, 2, True),
+        (0.0, 0.0, 1, True), (1e300, -1e300, 3, True), (-1e308, 1.7e308, 10**12, False),
+    ])
+    def test_zero_scan_point_cases(self, lo, hi, points, zero):
+        assert swapgate.cli._linspace_holds_zero(lo, hi, points) is zero
+
+    @pytest.mark.parametrize("body", [
+        "[model]\nrows = 6, 6",
+        "[grid]\nconfigs = open, open",
+        "[model]\nrows = 6, 11, 6\n[grid]\nconfigs = open, closed_plus",
+    ])
+    def test_repeated_qutrit_entries_exit_2(self, tmp_path, body):
+        """A repeated row or configuration would write its CSV block twice
+        under one JSON ``peaks`` entry."""
+        cfgfile = tmp_path / "twice.cfg"
+        cfgfile.write_text(f"experiment = qutrit_compare\n{body}\n[run]\nsamples = 3\n")
+        result = CliRunner().invoke(
+            main, ["qutrit", "--config", str(cfgfile), "--out", str(tmp_path / "o.csv")]
+        )
+        assert result.exit_code == 2, result.output
+        assert "listed twice" in result.output
 
     def test_non_finite_propagation_exits_3(self, tmp_path):
         # a finite but absurd rate overflows the propagator

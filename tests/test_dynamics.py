@@ -628,9 +628,34 @@ class TestReachableBlocks:
         w = random_stack(16, n=16, seed=4)
         for c in (collapse, []):
             out = evolve_stack_raw(h, c, stack, times)
-            traces = evolve_stack_raw(h, c, stack, times, functionals=w)
+            traces = evolve_stack_raw(h, c, stack, times, functionals=w[None])[:, 0]
             want = np.einsum("tjab,jba->t", out, w)
             assert np.max(np.abs(traces - want)) < 1e-13
+
+    @pytest.mark.parametrize("gamma", [0.05, 0.0], ids=["liouvillian", "spectral"])
+    def test_grouped_functionals_equal_separate_calls(self, gamma):
+        """Groups of functionals over one stack give, group by group, the
+        traces of one-group calls; a group that reads only one register's
+        rows gives the traces of that register's stack evolved alone, though
+        the open register reaches fewer levels than the closed one."""
+        h, open_vec = register("open")
+        _, closed_vec = register("closed_plus")
+        collapse = NoiseModel(gamma=gamma).collapse_operators((2, 2, 2, 2))
+        tg = analytic_gate_time(symmetric_chain(**ROW6))
+        times = np.linspace(0.8 * tg, 1.05 * tg, 5)
+        parts = [fidelity_stack(open_vec), fidelity_stack(closed_vec)]
+        stack = np.concatenate(parts)
+        w = random_stack(16, n=3 * 32, seed=4).reshape(3, 32, 16, 16)
+        w[0, 16:] = 0.0  # the open rows only
+        w[1, :16] = 0.0  # the closed rows only
+        grouped = evolve_stack_raw(h, collapse, stack, times, functionals=w)
+        assert grouped.shape == (times.size, 3)
+        for g in range(3):
+            single = evolve_stack_raw(h, collapse, stack, times, functionals=w[g:g + 1])
+            assert np.max(np.abs(grouped[:, g] - single[:, 0])) < 1e-12
+        for g, (part, rows) in enumerate(zip(parts, (slice(0, 16), slice(16, 32)))):
+            alone = evolve_stack_raw(h, collapse, part, times, functionals=w[g:g + 1, rows])
+            assert np.max(np.abs(grouped[:, g] - alone[:, 0])) < 1e-12
 
     @pytest.mark.parametrize("name", [
         "open", "closed_plus", "closed_minus", "closed_11",
@@ -694,7 +719,7 @@ class TestMirrorBlocks:
         got = evolve_stack_raw(h, collapse, stack, times)
         assert np.max(np.abs(got - want)) < 1e-12
         w = random_stack(16, n=3, seed=4)
-        traces = evolve_stack_raw(h, collapse, stack, times, functionals=w)
+        traces = evolve_stack_raw(h, collapse, stack, times, functionals=w[None])[:, 0]
         assert np.max(np.abs(traces - np.einsum("tjab,jba->t", want, w))) < 1e-12
 
     @pytest.mark.parametrize("name", [
@@ -734,7 +759,7 @@ class TestMirrorBlocks:
         want = full_space_oracle(h, collapse, stack, times)
         assert np.max(np.abs(evolve_stack_raw(h, collapse, stack, times) - want)) < 1e-12
         w = random_stack(2, n=2, seed=4)
-        traces = evolve_stack_raw(h, collapse, stack, times, functionals=w)
+        traces = evolve_stack_raw(h, collapse, stack, times, functionals=w[None])[:, 0]
         assert np.max(np.abs(traces - np.einsum("tjab,jba->t", want, w))) < 1e-12
 
     def test_components_are_cached_per_pattern_and_read_only(self):
@@ -764,7 +789,7 @@ class TestMirrorBlocks:
             found.append(_LindbladGenerator(h, collapse, 3).components())
             want = full_space_oracle(h, collapse, stack, times)
             assert np.max(np.abs(evolve_stack_raw(h, collapse, stack, times) - want)) < 1e-12
-            traces = evolve_stack_raw(h, collapse, stack, times, functionals=w)
+            traces = evolve_stack_raw(h, collapse, stack, times, functionals=w[None])[:, 0]
             assert np.max(np.abs(traces - np.einsum("tjab,jba->t", want, w))) < 1e-12
         assert len(found[1]) > len(found[0])
 
@@ -789,7 +814,7 @@ class TestSpectralBranch:
         want = full_space_oracle(h, [], stack, times)
         got = evolve_stack_raw(h, [], stack, times)
         assert np.max(np.abs(got - want)) < 1e-12
-        traces = evolve_stack_raw(h, [], stack, times, functionals=w)
+        traces = evolve_stack_raw(h, [], stack, times, functionals=w[None])[:, 0]
         assert np.max(np.abs(traces - np.einsum("tjab,jba->t", want, w))) < 1e-12
 
     def test_non_hermitian_generator_takes_the_liouvillian_branch(self):

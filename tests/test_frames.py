@@ -103,7 +103,7 @@ class TestQutritFrame:
         times = np.linspace(0.04, 0.12, 3) * tg
         cfg = GateConfig(delta_branch="plus", control_state="open_0")
         noise = NoiseModel(gamma=gamma) if gamma else None
-        trace = average_fidelity(q, cfg, noise, times)
+        trace, = average_fidelity(q, [cfg], noise, times)
 
         h_s, s_up, w = qutrit_lab_parts(q)
         collapse = noise.collapse_operators(QUTRIT_DIMS) if noise else []

@@ -120,8 +120,8 @@ class TestTargets:
     def test_default_target(self, cfg, want):
         params = symmetric_chain(**ROW6)
         times = np.linspace(0.2, 0.4, 3) * analytic_gate_time(params)
-        default = average_fidelity(params, cfg, None, times)
-        explicit = average_fidelity(params, cfg, None, times, target=want)
+        default, = average_fidelity(params, [cfg], None, times)
+        explicit, = average_fidelity(params, [cfg], None, times, targets=[want])
         assert default.fbar == explicit.fbar
 
 
@@ -145,7 +145,7 @@ class TestFidelityFormula:
         params = symmetric_chain(**ROW6)
         tg = analytic_gate_time(params)
         cfg = GateConfig(delta_branch="plus", control_state="open_0")
-        trace = average_fidelity(params, cfg, None, [tg * 1e-7])
+        trace, = average_fidelity(params, [cfg], None, [tg * 1e-7])
         assert trace.fbar[0] == pytest.approx(oracle, abs=1e-5)
 
     def test_swap_channel_against_open_target(self):
@@ -232,15 +232,15 @@ class TestGateSimulation:
         tg = analytic_gate_time(params)
         cfg = GateConfig(delta_branch="plus", control_state="open_0")
         times = np.linspace(0.85 * tg, 1.05 * tg, 41)
-        trace = average_fidelity(params, cfg, None, times)
+        trace, = average_fidelity(params, [cfg], None, times)
         assert trace.peak_value > 0.985
         assert 0.9 * tg < trace.peak_time < 1.0 * tg
         # conjugate phase and opposite swap sign must both score far lower
         wrong_phase = open_gate("plus").conj()
-        tr2 = average_fidelity(params, cfg, None, times, target=wrong_phase)
+        tr2, = average_fidelity(params, [cfg], None, times, targets=[wrong_phase])
         assert tr2.peak_value < 0.7
-        tr3 = average_fidelity(
-            params, cfg, None, times, target=open_gate("minus")
+        tr3, = average_fidelity(
+            params, [cfg], None, times, targets=[open_gate("minus")]
         )
         assert tr3.peak_value < 0.7
 
@@ -250,7 +250,7 @@ class TestGateSimulation:
                             detuning_choice="plus")
         tg = analytic_gate_time(p)
         cfg = GateConfig(delta_branch="plus", control_state="open_0")
-        trace = average_fidelity(p, cfg, None, gate_window(p, *OPEN_WINDOW, 120))
+        trace, = average_fidelity(p, [cfg], None, gate_window(p, *OPEN_WINDOW, 120))
         ratio = numerical_gate_time(trace) / tg
         assert 0.93 <= ratio <= 0.97
 
@@ -263,7 +263,7 @@ class TestGateSimulation:
         noise = NoiseModel(gamma=0.01)
         times = np.linspace(0.2 * tg, 0.4 * tg, 5)
         h = add_crosstalk(params, j_nn=0.05 * params.j1x, j_nnn=0.02 * params.j1x)
-        trace = average_fidelity(params, cfg, noise, times, hamiltonian=h)
+        trace, = average_fidelity(params, [cfg], noise, times, hamiltonian=h)
         want = full_space_fbar(h, noise.collapse_operators(h.dims),
                                control_state_vector(cfg, [2, 2]), np.eye(4), times)
         assert np.max(np.abs(np.array(trace.fbar) - want)) < 1e-12
@@ -273,10 +273,59 @@ class TestGateSimulation:
         tg = analytic_gate_time(params)
         cfg = GateConfig(delta_branch="plus", control_state="open_0")
         noise = NoiseModel(gamma=0.05)
-        trace = average_fidelity(
-            params, cfg, noise, np.linspace(0.1 * tg, tg, 13)
+        trace, = average_fidelity(
+            params, [cfg], noise, np.linspace(0.1 * tg, tg, 13)
         )
         assert all(0.0 <= f <= 1.0 for f in trace.fbar)
+
+
+class TestBatchedConfigs:
+    """Several register preparations on one generator, from one propagation,
+    against one call per preparation."""
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.01])
+    @pytest.mark.parametrize("case", ["row6_scan_point", "crosstalk"])
+    def test_batch_equals_per_config_calls(self, case, gamma):
+        params = symmetric_chain(**ROW6)
+        window = gate_window(params, *OPEN_WINDOW, 20)
+        noise = NoiseModel(gamma=gamma) if gamma else None
+        if case == "row6_scan_point":
+            configs = [GateConfig(delta_branch="plus", control_state="open_0"),
+                       closed_config_for_branch("plus")]
+            h = None
+        else:
+            configs = [GateConfig(delta_branch="plus", control_state=state)
+                       for state in ("open_0", "closed_1plus", "closed_1minus")]
+            h = add_crosstalk(params, j_nn=0.05 * params.j1x, j_nnn=0.05 * params.j1x)
+        batch = average_fidelity(params, configs, noise, window, hamiltonian=h)
+        assert len(batch) == len(configs)
+        for cfg, got in zip(configs, batch):
+            want, = average_fidelity(params, [cfg], noise, window, hamiltonian=h)
+            assert got.times == want.times
+            assert np.max(np.abs(np.subtract(got.fbar, want.fbar))) < 1e-12
+            assert got.peak_time == pytest.approx(want.peak_time, rel=1e-9)
+            assert abs(got.peak_value - want.peak_value) < 1e-12
+
+    def test_targets_align_with_configs(self):
+        params = symmetric_chain(**ROW6)
+        times = gate_window(params, *OPEN_WINDOW, 9)
+        cfg = GateConfig(delta_branch="plus", control_state="open_0")
+        targets = [open_gate("minus"), None]
+        batch = average_fidelity(params, [cfg, cfg], None, times, targets=targets)
+        for target, got in zip(targets, batch):
+            want, = average_fidelity(params, [cfg], None, times, targets=[target])
+            assert np.max(np.abs(np.subtract(got.fbar, want.fbar))) < 1e-12
+        assert batch[0].peak_value < 0.7 < batch[1].peak_value
+
+    def test_rejects_a_bare_config_and_misaligned_targets(self):
+        params = symmetric_chain(**ROW6)
+        times = gate_window(params, *OPEN_WINDOW, 9)
+        cfg = GateConfig(delta_branch="plus", control_state="open_0")
+        for configs in (cfg, []):
+            with pytest.raises(TypeError, match="nonempty sequence"):
+                average_fidelity(params, configs, None, times)
+        with pytest.raises(ValueError, match="one to one"):
+            average_fidelity(params, [cfg], None, times, targets=[None, None])
 
 
 class TestFidelityContraction:
@@ -297,7 +346,7 @@ class TestFidelityContraction:
             "qutrit": (table_qutrit_params(6), open_cfg, None,
                        np.linspace(0.02, 0.1, 3) * tg),
         }[case]
-        trace = average_fidelity(model, cfg, noise, times)
+        trace, = average_fidelity(model, [cfg], noise, times)
 
         h = (build_qutrit_hamiltonian(model) if case == "qutrit"
              else build_interaction_hamiltonian(model))
