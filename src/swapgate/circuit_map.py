@@ -7,15 +7,18 @@ Quantizing, expanding the potential to quartic order, and truncating gives
 the spin frequencies, the XX/YY/ZZ couplings, the anharmonicities, and the
 three-level coefficients of the control sites.  Spatial symmetry leaves two
 distinct sites (end and control).  ``map_sites`` maps them for a batch of
-circuits at once, one row per circuit, through the closed-form inverse of
-the gate capacitance matrix.  It is pow-free: the quartic root is
-``sqrt(sqrt(r))``, integer powers are products and sums run left to right,
-so every operation is IEEE-rounded and a row gives the same bits alone or
-in any batch (``np.power`` and Python's ``**`` can differ in the last bit,
-and ``np.sum`` pairs its terms).  ``circuit_to_spin`` is that mapping on
-one circuit, under the singularity thresholds of the general-chain
-``inverse_capacitance``; the search's batched cost masks the same
-conditions instead of raising.
+circuits at once, one per column of an (8, m) array whose rows are the
+circuit values, through the closed-form inverse of the gate capacitance
+matrix; the end and control sites are the two rows of one array wherever
+their formulas agree, so that most steps are one numpy call for both.  It
+is pow-free: the quartic root is ``sqrt(sqrt(r))``, integer powers are
+products and sums run left to right, so every operation is IEEE-rounded
+and a circuit gives the same bits alone or in any batch (``np.power`` and
+Python's ``**`` can differ in the last bit, and ``np.sum`` pairs its
+terms).  ``circuit_to_spin`` is that mapping on one circuit, under the
+singularity thresholds of the general-chain ``inverse_capacitance``; the
+search's batched cost masks the same conditions instead of raising, and
+calls the formula under the one ``np.errstate`` it holds for its batch.
 
 Unit bridge: Josephson energies are entered in 2pi*GHz, capacitances in fF,
 inductances in nH.  Capacitive and inductive energies are converted to
@@ -190,8 +193,9 @@ def gate_capacitance_matrix(params: CircuitParams) -> np.ndarray:
 
 
 def map_sites(x: np.ndarray) -> dict[str, np.ndarray]:
-    """Map circuits, one per row of ``x`` (``CIRCUIT_NAMES`` order), to the
-    ``SpinMapResult`` fields of their two distinct sites, as arrays.
+    """Map circuits, one per column of ``x`` (an (8, m) array whose rows are
+    the ``CIRCUIT_NAMES``), to the ``SpinMapResult`` fields of their two
+    distinct sites, as arrays.
 
     The end (a) and control (b) sites are mapped through the closed form of
     K = ``gate_capacitance_matrix``: with d = c2 (c2 + 2 c23), K^-1 is 1/c1
@@ -202,49 +206,54 @@ def map_sites(x: np.ndarray) -> dict[str, np.ndarray]:
     ``sa``, ``sb``, and what ``circuit_to_spin`` checks: the normalized
     determinant ``det_norm`` and the quartic-root radicands ``ra``, ``rb``.
 
-    Rows are mapped independently and without checks (an unphysical row
-    gives meaningless numbers or NaN; ``mappable`` says which rows are
-    sound).  The formula uses only IEEE-rounded operations in a fixed
-    order -- the quartic root is ``sqrt(sqrt(r))``, integer powers are
-    products, sums run left to right -- so a row maps to the same bits
-    whatever the batch around it.
+    Circuits are mapped independently and without checks (an unphysical one
+    gives meaningless numbers or NaN; ``mappable`` says which are sound),
+    under ``np.errstate(all="ignore")``.  The formula uses only IEEE-rounded
+    elementwise operations in a fixed order -- the quartic root is
+    ``sqrt(sqrt(r))``, integer powers are products, sums run left to right
+    -- so a circuit maps to the same bits whatever the batch around it.
     """
     with np.errstate(all="ignore"):
-        return _map_sites(*np.asarray(x, dtype=float).T)
+        return _map_sites(np.asarray(x, dtype=float))
 
 
-def _map_sites(e1, e2, e12, e23, c1, c2, c23, l12) -> dict[str, np.ndarray]:
-    d = c2 * (c2 + 2.0 * c23)
+def _map_sites(x: np.ndarray) -> dict[str, np.ndarray]:
+    """``map_sites`` without its ``np.errstate``, for callers that hold one
+    over a larger computation."""
+    e1, e2, e12, e23 = x[0], x[1], x[2], x[3]
+    c1, c2, c23, l12 = x[4], x[5], x[6], x[7]
+    c2_2c23 = c2 + 2.0 * c23
+    d = c2 * c2_2c23
     s = c2 + c23
     det_norm = d / (s * s + c23 * c23)  # c1^2 cancels
-    cond = np.maximum(c1, c2 + 2.0 * c23) / np.minimum(c1, c2)  # c23 > 0
-    e_ca = CAP_ENERGY_SCALE * (1.0 / c1)  # 2pi*GHz per site
-    e_cb = CAP_ENERGY_SCALE * (s / d)
-
-    e_ja = e1 + e12
-    e_jb = e2 + e12 + e23
+    cond = np.maximum(c1, c2_2c23) / np.minimum(c1, c2)  # c23 > 0
     e_lb = IND_ENERGY_SCALE * TWO_PI**2 / l12  # both inductive bonds identical
 
-    ra = 2.0 * e_ca / (e_ja + e_lb)
-    rb = 2.0 * e_cb / (e_jb + e_lb)
-    ta, tb = np.sqrt(np.sqrt(ra)), np.sqrt(np.sqrt(rb))
-    sa = 4.0 * np.sqrt(0.5 * e_ca * (e_ja + e_lb))
-    sb = 4.0 * np.sqrt(0.5 * e_cb * (e_jb + e_lb))
-    ta2, tb2 = ta * ta, tb * tb
-    ta3, tb3 = ta2 * ta, tb2 * tb
-    ta4, tb4 = ta2 * ta2, tb2 * tb2
+    # rows: end site (a), control site (b)
+    e_c = CAP_ENERGY_SCALE * np.array([1.0 / c1, s / d])  # 2pi*GHz per site
+    e_j = np.array([e1 + e12, e2 + e12 + e23])
+    e_jl = e_j + e_lb
+    r = 2.0 * e_c / e_jl
+    t = np.sqrt(np.sqrt(r))
+    s_mode = 4.0 * np.sqrt(0.5 * e_c * e_jl)
+    t2 = t * t
+    t3, t4 = t2 * t, t2 * t2
+    ta, tb, ta2, tb2, tb3 = t[0], t[1], t2[0], t2[1], t3[1]
 
     bond_12 = e12 * ta2 * tb2  # Josephson energy of bond (a, b)
-    omega_a = sa - 0.5 * e_ja * ta4 - bond_12
-    omega_b = sb - 0.5 * e_jb * tb4 - bond_12 - e23 * tb2 * tb2
+    omega = s_mode - 0.5 * e_j * t4 - bond_12
+    omega[1] -= e23 * tb2 * tb2
+    anh_rel = -0.5 * e_j * t4 / omega
 
-    j1x_tilde = -0.5 * (e12 + e_lb) * ta * tb + 0.25 * e12 * (ta3 * tb + ta * tb3)
-    j2x_tilde = -0.5 * e23 * tb * tb + 0.25 * e23 * (tb3 * tb + tb * tb3)
-    j2y = -CAP_ENERGY_SCALE * (c23 / d) / (tb * tb)
-    tab = ta * tb
-    j1z = -0.25 * e12 * (tab * tab)
-    j2z = -0.25 * e23 * (tb2 * tb2)
-    j2x = j2x_tilde + j2y
+    # rows: bond (a, b), bond (b, b); j1x~ and j2x~, then j1z and j2z
+    e_bond = x[2:4]  # e12, e23
+    tb_tb = np.array([tb, tb])
+    jx_tilde = (-0.5 * np.array([e12 + e_lb, e23]) * t * tb_tb
+                + 0.25 * e_bond * (t3 * tb_tb + t * np.array([tb3, tb3])))
+    t_tb = t * tb_tb  # ta tb, tb tb
+    jz = -0.25 * e_bond * (t_tb * t_tb)
+    j2y = -CAP_ENERGY_SCALE * (c23 / d) / tb2
+    j2x = jx_tilde[1] + j2y
 
     k23x = -e23 * tb * tb + e23 * tb3 * tb / 6.0
     m23x = e23 * tb * tb3 / 6.0
@@ -252,29 +261,22 @@ def _map_sites(e1, e2, e12, e23, c1, c2, c23, l12) -> dict[str, np.ndarray]:
     ghz_to_mhz = 1000.0
     r23x = j2y + k23x + 4.0 * m23x
     p23x = j2y + k23x + 2.0 * m23x
+    mhz = np.array([
+        jx_tilde[0], jz[0], j2x, j2y, jz[1], omega[1] - omega[0], k23x, m23x, r23x, p23x,
+    ]) * ghz_to_mhz
     return {
-        "omega1": omega_a,
-        "omega2": omega_b,
-        "j1x": j1x_tilde * ghz_to_mhz,
-        "j1z": j1z * ghz_to_mhz,
-        "j2x": j2x * ghz_to_mhz,
-        "j2y": j2y * ghz_to_mhz,
-        "j2z": j2z * ghz_to_mhz,
-        "delta": (omega_b - omega_a) * ghz_to_mhz,
-        "anh_rel_1": -0.5 * e_ja * ta4 / omega_a,
-        "anh_rel_2": -0.5 * e_jb * tb4 / omega_b,
-        "k23x": k23x * ghz_to_mhz,
-        "m23x": m23x * ghz_to_mhz,
-        "r23x": r23x * ghz_to_mhz,
-        "p23x": p23x * ghz_to_mhz,
+        "omega1": omega[0], "omega2": omega[1],
+        "j1x": mhz[0], "j1z": mhz[1], "j2x": mhz[2], "j2y": mhz[3], "j2z": mhz[4],
+        "delta": mhz[5], "anh_rel_1": anh_rel[0], "anh_rel_2": anh_rel[1],
+        "k23x": mhz[6], "m23x": mhz[7], "r23x": mhz[8], "p23x": mhz[9],
         "condition_number": cond,
-        "ta": ta, "tb": tb, "sa": sa, "sb": sb,
-        "det_norm": det_norm, "ra": ra, "rb": rb,
+        "ta": ta, "tb": tb, "sa": s_mode[0], "sb": s_mode[1],
+        "det_norm": det_norm, "ra": r[0], "rb": r[1],
     }
 
 
 def mappable(sites: dict[str, np.ndarray]) -> np.ndarray:
-    """Rows of a ``map_sites`` result that ``circuit_to_spin`` would accept
+    """Circuits of a ``map_sites`` result that ``circuit_to_spin`` would accept
     (positive circuit values assumed): not singular, not ill-conditioned, and
     both quartic-root radicands positive."""
     return ~(
@@ -285,9 +287,9 @@ def mappable(sites: dict[str, np.ndarray]) -> np.ndarray:
     )
 
 
-def spin_result(sites: dict[str, np.ndarray], row: int) -> SpinMapResult:
-    """One row of a ``map_sites`` result as a ``SpinMapResult`` of floats."""
-    v = {name: float(arr[row]) for name, arr in sites.items()}
+def spin_result(sites: dict[str, np.ndarray], index: int) -> SpinMapResult:
+    """One circuit of a ``map_sites`` result as a ``SpinMapResult`` of floats."""
+    v = {name: float(arr[index]) for name, arr in sites.items()}
     ta, tb, sa, sb = v["ta"], v["tb"], v["sa"], v["sb"]
     return SpinMapResult(
         **{name: v[name] for name in _SCALAR_FIELDS},
@@ -304,7 +306,7 @@ def circuit_to_spin(params: CircuitParams) -> SpinMapResult:
     ``inverse_capacitance``, and ``MappingError`` on a nonpositive
     quartic-root argument.
     """
-    sites = map_sites(np.array([[getattr(params, n) for n in CIRCUIT_NAMES]]))
+    sites = map_sites(np.array([[getattr(params, n)] for n in CIRCUIT_NAMES]))
     _check_capacitance(float(sites["det_norm"][0]), float(sites["condition_number"][0]))
     if sites["ra"][0] <= 0 or sites["rb"][0] <= 0:
         raise MappingError("nonpositive quartic-root argument in mode scale")

@@ -387,6 +387,20 @@ def _check_gate_time(kind: str, sections: dict[str, dict[str, Any]]) -> None:
             raise ConfigError(f"[{section}] {key} = 0 {undefined}")
 
 
+def _check_qutrit_preparations(kind: str, sections: dict[str, dict[str, Any]]) -> None:
+    """Reject two ``qutrit_compare`` configs that name one preparation on a
+    requested row (``closed`` is ``closed_plus`` on a plus-branch row and
+    ``closed_minus`` on a minus one): it would be evolved and written twice."""
+    for row in sections["model"]["rows"] if kind == "qutrit_compare" else ():
+        named: dict[GateConfig, str] = {}
+        for control in sections["grid"]["configs"]:
+            config = _gate_config(control, cmap.table_branch(row))
+            if config in named:
+                raise ConfigError(f"[grid] configs: {config.control_state} is listed twice "
+                                  f"on row {row}, as {named[config]!r} and {control!r}")
+            named[config] = control
+
+
 def _linspace_holds_zero(lo: float, hi: float, n: int) -> bool:
     """Whether ``np.linspace(lo, hi, n)`` holds 0.0, decided without forming
     it (``n`` is unbounded).  numpy's points are ``lo``, then
@@ -518,6 +532,7 @@ def resolve_config(raw: dict[str, dict[str, Any]]) -> ExperimentConfig:
         sections[sec_name] = resolved
     _check_order(kind, sections)
     _check_gate_time(kind, sections)
+    _check_qutrit_preparations(kind, sections)
     return ExperimentConfig(kind=kind, sections=sections)
 
 

@@ -6,18 +6,21 @@ on its resonance branch, a floor on the control/end coupling ratio, and a
 floor on the end-qubit relative anharmonicity.  Points outside the box are
 clipped into it and pay a quadratic penalty; circuits the mapping rejects
 cost ``1e6`` plus that penalty.  The cost is evaluated on arrays of points
-through ``circuit_map.map_sites``; ``evaluate_cost`` is that cost on one
-point.
+through the ``circuit_map.map_sites`` formula, as the columns of a
+C-contiguous (8, m) array under one ``np.errstate``; ``evaluate_cost`` is
+that cost on one point.  The squared bound excesses are summed in order by
+``np.add.accumulate``: ``np.add.reduce`` and ``sum`` pair the terms of a
+lone column or of a row, so a point would cost other bits alone.
 
 Multi-start random initialization inside the bounds feeds one Nelder-Mead
 simplex per start (Nelder & Mead, Comput. J. 7, 308 (1965)).  All simplices
-descend in lockstep: each iteration makes one batched cost call on the
-reflection, expansion and both contraction points of every live start, and
-the starts that shrink make one more.  Each start follows exactly the steps,
-stopping rule (``xatol``/``fatol``) and evaluation budget of scipy's
-``minimize(method="Nelder-Mead")`` from the same start; trial points that
-its branch does not use are not charged to the budget.  Results are
-deduplicated and sorted, and identical seeds give identical output.
+descend in lockstep, held vertex-major: each iteration makes one batched
+cost call on the reflection, expansion and both contraction points of every
+live start, and the starts that shrink make one more.  Each start follows
+exactly the steps, stopping rule (``xatol``/``fatol``) and evaluation budget
+of scipy's ``minimize(method="Nelder-Mead")`` from the same start; trial
+points that its branch does not use are not charged to the budget.  Results
+are deduplicated and sorted, and identical seeds give identical output.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .circuit_map import (
     CIRCUIT_NAMES,
     CircuitParams,
     SpinMapResult,
-    map_sites,
+    _map_sites,
     mappable,
     spin_result,
 )
@@ -116,6 +119,8 @@ def requirement_residuals(spin: SpinMapResult, branch: str) -> dict[str, float]:
 def _box(bounds: dict[str, tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
     lo = np.array([bounds[n][0] for n in CIRCUIT_NAMES], dtype=float)
     hi = np.array([bounds[n][1] for n in CIRCUIT_NAMES], dtype=float)
+    if np.any(hi < lo):
+        raise ValueError("bounds must satisfy lo <= hi")
     return lo, hi
 
 
@@ -125,22 +130,21 @@ def _cost_rows(
     """Cost of every row of ``x``, with what ``evaluate_cost`` reports.
 
     Returns the costs, the feasibility mask, the ``map_sites`` result of the
-    points clipped into the box, and the residual arrays.  Rows are independent, and
-    the per-parameter penalties are summed left to right, so a row's cost
-    does not depend on the batch around it.
+    points clipped into the box, and the residual arrays.  The points become
+    the columns of a C-contiguous (8, m) array; every step is elementwise
+    and the per-parameter penalties are summed in order (see the module
+    docstring), so a row's cost does not depend on the batch around it.
     """
-    below, above = x < lo, x > hi
-    clipped = np.where(below, lo, np.where(above, hi, x))
-    excess = np.where(below, lo - x, np.where(above, x - hi, 0.0))
-    excess = excess / np.maximum(hi - lo, 1e-9)
-    squares = excess * excess
-    penalty = squares[:, 0]
-    for k in range(1, squares.shape[1]):
-        penalty = penalty + squares[:, k]
-
-    sites = map_sites(clipped)
-    feasible = ~(clipped <= 0).any(axis=1) & mappable(sites)
+    lo, hi = lo[:, None], hi[:, None]
     with np.errstate(all="ignore"):
+        cols = np.ascontiguousarray(np.asarray(x, dtype=float).T)
+        clipped = np.minimum(np.maximum(cols, lo), hi)
+        # x - clipped is lo - x below the box and x - hi above it, up to sign
+        excess = (cols - clipped) / np.maximum(hi - lo, 1e-9)
+        penalty = np.add.accumulate(excess * excess)[-1]
+
+        sites = _map_sites(clipped)
+        feasible = ~(clipped <= 0).any(axis=0) & mappable(sites)
         res = _residuals(sites, branch)
         r1, r2 = res["j1_equality"], res["delta_branch"]
         r3, r4 = res["coupling_ratio"], res["anharmonicity"]
@@ -187,15 +191,16 @@ _XATOL, _FATOL = 1e-6, 1e-14
 # trial point k is _TRIAL_A[k] * centroid - _TRIAL_B[k] * worst vertex:
 # reflection, expansion, outside and inside contraction (a - (-b) w is
 # a + b w exactly, so the inside contraction keeps scipy's bits)
-_TRIAL_A = np.array([1 + _RHO, 1 + _RHO * _CHI, 1 + _PSI * _RHO, 1 - _PSI])[:, None]
-_TRIAL_B = np.array([_RHO, _RHO * _CHI, _PSI * _RHO, -_PSI])[:, None]
+_TRIAL_A = np.array([1 + _RHO, 1 + _RHO * _CHI, 1 + _PSI * _RHO, 1 - _PSI])[:, None, None]
+_TRIAL_B = np.array([_RHO, _RHO * _CHI, _PSI * _RHO, -_PSI])[:, None, None]
 
 
-def _sort_simplices(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each simplex ordered by cost, with scipy's (unstable) ``argsort``."""
-    rows = np.arange(len(fsim))[:, None]
-    order = fsim.argsort(axis=1)
-    return sim[rows, order], fsim[rows, order]
+def _sort_simplices(sim: np.ndarray, fsim: np.ndarray,
+                    runs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each vertex-major simplex ordered by cost, with scipy's (unstable)
+    ``argsort``; ``runs`` is ``np.arange(R)``."""
+    order = fsim.argsort(axis=0)
+    return sim[order, runs], fsim[order, runs]
 
 
 def _lockstep_nelder_mead(
@@ -212,85 +217,89 @@ def _lockstep_nelder_mead(
     budget, which stops a start mid-iteration (the reflection is always paid
     for, the one point its branch then needs only if budget is left) or
     mid-shrink (the vertex whose evaluation the budget refuses is already
-    moved).  Returns the final sorted simplices (R, n+1, n), their costs
-    (R, n+1) and the evaluations charged to each start (R,); the best points
-    are ``simplices[:, 0]``.
+    moved).  The simplices are held vertex-major, (n+1, R, n), so that
+    centroids and per-vertex costs are contiguous.  Returns the final sorted
+    simplices (R, n+1, n), their costs (R, n+1) and the evaluations charged
+    to each start (R,); the best points are ``simplices[:, 0]``.
     """
     starts = np.asarray(starts, dtype=float)
     n_runs, n = starts.shape
     budget = max_evaluations
-    sim = np.repeat(starts[:, None, :], n + 1, axis=1)
+    sim = np.repeat(starts[None], n + 1, axis=0)
     for k in range(n):
-        col = sim[:, k + 1, k]
-        sim[:, k + 1, k] = np.where(col != 0, (1 + _NONZDELT) * col, _ZDELT)
+        col = sim[k + 1, :, k]
+        sim[k + 1, :, k] = np.where(col != 0, (1 + _NONZDELT) * col, _ZDELT)
     n_init = max(0, min(n + 1, budget))
-    fsim = np.full((n_runs, n + 1), np.inf)
+    fsim = np.full((n + 1, n_runs), np.inf)
     if n_init and n_runs:
-        fsim[:, :n_init] = cost(sim[:, :n_init].reshape(-1, n)).reshape(n_runs, n_init)
+        fsim[:n_init] = cost(sim[:n_init].reshape(-1, n)).reshape(n_init, n_runs)
     nfev = np.full(n_runs, n_init)
-    for _ in range(2):  # scipy sorts twice before its first iteration
-        sim, fsim = _sort_simplices(sim, fsim)
-
-    vertices = np.arange(1, n + 1)
     live = np.arange(n_runs)
+    runs = live  # the start index of the live arrays, for sorting
+    for _ in range(2):  # scipy sorts twice before its first iteration
+        sim, fsim = _sort_simplices(sim, fsim, runs)
+
+    vertices = np.arange(1, n + 1)[:, None]
     s, f, used = sim, fsim, nfev.copy()
     while live.size:
-        # a start stops on its budget or on scipy's xatol/fatol test; its
-        # simplex goes back to ``sim`` and the live arrays shrink
-        stop = (used >= budget) | (
-            (np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= _XATOL)
-            & (np.abs(f[:, :1] - f[:, 1:]).max(axis=1) <= _FATOL))
+        # a start stops on its budget or on scipy's fatol and xatol tests; on
+        # sorted costs max |f[0] - f[i]| is f[-1] - f[0] (a NaN sorts last and
+        # fails both), and the extent is measured only where the costs pass
+        stop = used >= budget
+        flat = f[-1] - f[0] <= _FATOL
+        if flat.any():
+            k = np.flatnonzero(flat)
+            stop[k] |= np.abs(s[1:, k] - s[:1, k]).max(axis=(0, 2)) <= _XATOL
         if stop.any():
-            sim[live[stop]], fsim[live[stop]], nfev[live[stop]] = (
-                s[stop], f[stop], used[stop])
+            # the stopped simplices go back to ``sim``, the live arrays shrink
+            done = live[stop]
+            sim[:, done], fsim[:, done], nfev[done] = s[:, stop], f[:, stop], used[stop]
             keep = ~stop
-            live, s, f, used = live[keep], s[keep], f[keep], used[keep]
+            live, s, f, used = live[keep], s[:, keep], f[:, keep], used[keep]
+            runs = runs[:live.size]
             if not live.size:
                 break
 
         # scipy's centroid, np.add.reduce over the best n vertices (it adds
         # them in order: the reduced axis is not the contiguous one)
-        xbar = np.add.reduce(s[:, :-1], axis=1) / n
-        trial = _TRIAL_A * xbar[:, None] - _TRIAL_B * s[:, -1:]
-        f_trial = cost(trial.reshape(-1, n)).reshape(-1, 4)
-        fr, fe, fc, fcc = f_trial.T
+        xbar = np.add.reduce(s[:-1], axis=0) / n
+        trial = _TRIAL_A * xbar - _TRIAL_B * s[-1]
+        f_trial = cost(trial.reshape(-1, n)).reshape(4, -1)
+        fr, fe, fc, fcc = f_trial
 
-        expand = fr < f[:, 0]
-        contract = ~expand & ~(fr < f[:, -2])
+        expand = fr < f[0]
+        contract = ~(expand | (fr < f[-2]))
+        # the outside contraction (reflection beats the worst vertex) keeps its
+        # point if no worse than the reflection, the inside one if it beats it
+        outside = fr < f[-1]
+        kept = np.where(outside, fc <= fr, fcc < f[-1])
         # the point after the reflection is evaluated only with budget left
-        paid = (expand | contract) & (used + 1 < budget)
-        # trial column replacing the worst vertex, or -1 for none (the
-        # refused and the shrinking starts)
-        pick = np.where(
-            expand,
-            np.where(fe < fr, 1, 0),
-            np.where(
-                contract,
-                np.where(fr < f[:, -1], np.where(fc <= fr, 2, -1),
-                         np.where(fcc < f[:, -1], 3, -1)),
-                0,
-            ),
-        )
-        pick[(expand | contract) & ~paid] = -1
-        shrink = contract & paid & (pick < 0)
+        second = expand | contract
+        paid = second & (used < budget - 1)
+        # the trial that replaces the worst vertex where ``take``:
+        # reflection 0, expansion 1, outside 2 or inside contraction 3
+        pick = np.where(contract, 3 - outside, expand & (fe < fr))
+        take = ~second | paid & (expand | kept)
+        shrink = paid & ~take
         used = used + 1 + paid
 
-        rows = np.flatnonzero(pick >= 0)
-        s[rows, -1] = trial[rows, pick[rows]]
-        f[rows, -1] = f_trial[rows, pick[rows]]
+        k = np.flatnonzero(take)
+        pick = pick[k]
+        s[-1, k] = trial[pick, k]
+        f[-1, k] = f_trial[pick, k]
 
         if shrink.any():
-            rows = np.flatnonzero(shrink)
-            best = s[rows, :1]
-            moved = best + _SIGMA * (s[rows, 1:] - best)
-            f_moved = cost(moved.reshape(-1, n)).reshape(rows.size, n)
-            left = (budget - used[rows])[:, None]
-            s[rows, 1:] = np.where((vertices <= left + 1)[:, :, None], moved, s[rows, 1:])
-            f[rows, 1:] = np.where(vertices <= left, f_moved, f[rows, 1:])
-            used[rows] += np.minimum(left[:, 0], n)
+            k = np.flatnonzero(shrink)
+            best = s[:1, k]
+            moved = best + _SIGMA * (s[1:, k] - best)
+            f_moved = cost(moved.reshape(-1, n)).reshape(n, k.size)
+            left = budget - used[k]
+            s[1:, k] = np.where((vertices <= left + 1)[:, :, None], moved, s[1:, k])
+            f[1:, k] = np.where(vertices <= left, f_moved, f[1:, k])
+            used[k] += np.minimum(left, n)
 
-        s, f = _sort_simplices(s, f)
-    return sim, fsim, nfev
+        s, f = _sort_simplices(s, f, runs)
+    return sim.transpose(1, 0, 2), fsim.T, nfev
 
 
 def search(
@@ -312,9 +321,6 @@ def search(
     bounds = dict(DEFAULT_BOUNDS, **(bounds or {}))
     rng = np.random.default_rng(seed)
     lo, hi = _box(bounds)
-    if np.any(hi < lo):
-        raise ValueError("bounds must satisfy lo <= hi")
-
     starts = lo + (hi - lo) * rng.random((n_restarts, len(CIRCUIT_NAMES)))
     simplices, _, _ = _lockstep_nelder_mead(
         lambda x: _cost_rows(x, branch, lo, hi)[0], starts, max_evaluations)

@@ -19,6 +19,7 @@ from swapgate.circuit_map import (
     drive_amplitude,
     gate_capacitance_matrix,
     inverse_capacitance,
+    map_sites,
     table_branch,
     table_circuit_params,
     table_qutrit_params,
@@ -258,6 +259,36 @@ class TestClosedFormOracle:
             matrix_map(params)
         with pytest.raises(SingularCapacitanceError, match=message):
             circuit_to_spin(params)
+
+
+class TestBatchedMap:
+    """``map_sites`` maps the circuits in the columns of an (8, m) array; a
+    circuit gets the same bits alone as in any batch."""
+
+    def test_every_column_equals_its_single_circuit_map(self):
+        rng = np.random.default_rng(41)
+        lo = np.array([DEFAULT_BOUNDS[name][0] for name in CIRCUIT_NAMES])
+        hi = np.array([DEFAULT_BOUNDS[name][1] for name in CIRCUIT_NAMES])
+        # half a box width past each side, so some values are not positive
+        x = lo + (hi - lo) * rng.uniform(-0.5, 1.5, (1000, len(lo)))
+        x[2::10, 0] = -1000.0  # e1 + e12 + E_L < 0: negative end radicand
+        x[5::10, 1:4] = -400.0  # e2 + e12 + e23 + E_L < 0: negative control one
+        x[7::50, 5] = 0.0  # c2 = 0: division by zero
+        batch = map_sites(np.ascontiguousarray(x.T))
+        assert (x <= 0).any(axis=1).sum() > 300
+        assert (batch["ra"] < 0).any() and (batch["rb"] < 0).any()
+        assert np.isnan(batch["j1x"]).any() and np.isfinite(batch["j1x"]).any()
+        assert len(batch) == 22
+
+        strided = map_sites(x.T)  # a transposed view: not C-contiguous
+        for name, column in batch.items():
+            assert np.array_equal(strided[name], column, equal_nan=True), name
+        for size in (1, 7, 64):
+            for start in range(0, len(x), size):
+                part = map_sites(np.ascontiguousarray(x[start:start + size].T))
+                for name, column in batch.items():
+                    assert np.array_equal(part[name], column[start:start + size],
+                                          equal_nan=True), (name, size, start)
 
 
 class TestTableData:

@@ -508,6 +508,17 @@ def test_default_csv_matches_the_recorded_table(name, kind):
                 assert math.isclose(float(a), float(b), rel_tol=1e-9), (line, column, a, b)
 
 
+@pytest.mark.parametrize("name", ["circuit-map", "search"])
+def test_default_csv_without_integration_is_byte_identical(name, tmp_path):
+    """``circuit-map`` and ``search`` use no BLAS and no integration, so the
+    CSV the command writes at its default config equals the recorded table
+    byte for byte (the other subcommands keep the 1e-9 room above)."""
+    out = tmp_path / f"{name}.csv"
+    result = CliRunner().invoke(main, [name, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert out.read_bytes() == (DEFAULT_CSV / f"{name}.csv").read_bytes()
+
+
 class TestCommandLine:
     def test_help_lists_subcommands(self):
         runner = CliRunner()
@@ -625,6 +636,33 @@ class TestCommandLine:
         )
         assert result.exit_code == 2, result.output
         assert "listed twice" in result.output
+
+    @pytest.mark.parametrize("rows, configs", [
+        ("6", "closed, closed_plus"),  # row 6 is on the plus branch
+        ("11", "closed_minus, open, closed"),  # row 11 on the minus branch
+        ("6, 11", "closed_minus, closed"),  # one preparation on row 11 only
+    ])
+    def test_one_preparation_under_two_names_exits_2(self, tmp_path, rows, configs):
+        """``closed`` is the stationary Bell state of the row's branch; next
+        to that state's own name it would evolve one preparation twice and
+        write two identical blocks and ``peaks`` entries."""
+        cfgfile = tmp_path / "alias.cfg"
+        cfgfile.write_text(f"experiment = qutrit_compare\n[model]\nrows = {rows}\n"
+                           f"[grid]\nconfigs = {configs}\n[run]\nsamples = 3\n")
+        result = CliRunner().invoke(
+            main, ["qutrit", "--config", str(cfgfile), "--out", str(tmp_path / "o.csv")]
+        )
+        assert result.exit_code == 2, result.output
+        assert "listed twice" in result.output
+
+    @pytest.mark.parametrize("rows, configs", [
+        ("6", "closed, closed_minus"),
+        ("11", "closed, closed_plus"),
+    ])
+    def test_closed_beside_the_other_branch_state_resolves(self, rows, configs):
+        cfg = resolve_config(parse_config_text(
+            f"experiment = qutrit_compare\n[model]\nrows = {rows}\n[grid]\nconfigs = {configs}\n"))
+        assert cfg["grid"]["configs"] == configs.split(", ")
 
     def test_non_finite_propagation_exits_3(self, tmp_path):
         # a finite but absurd rate overflows the propagator

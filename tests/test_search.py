@@ -1,5 +1,7 @@
 """Tests for the circuit-parameter search."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -7,6 +9,7 @@ from scipy.optimize import minimize
 from swapgate.circuit_map import (
     CIRCUIT_NAMES,
     CircuitParams,
+    MappingError,
     circuit_to_spin,
     table_row,
     table_spin_params,
@@ -83,6 +86,16 @@ class TestCostFunction:
         c_in, _, _ = evaluate_cost(x_in, "plus", DEFAULT_BOUNDS)
         c_out, _, _ = evaluate_cost(x_out, "plus", DEFAULT_BOUNDS)
         assert c_out > c_in
+
+    def test_inverted_bounds_rejected(self):
+        """Clipping into a box with lo > hi has no meaning; the single-point
+        cost refuses it as ``search`` does."""
+        bounds = dict(DEFAULT_BOUNDS, e1=(700.0, 50.0))
+        x = np.array([300, 300, 200, 200, 500, 100, 300, 50], dtype=float)
+        with pytest.raises(ValueError, match="lo <= hi"):
+            evaluate_cost(x, "plus", bounds)
+        with pytest.raises(ValueError, match="lo <= hi"):
+            search(bounds=bounds, n_restarts=1, max_evaluations=10)
 
     def test_smoothness_under_perturbation(self):
         """A 1% nudge on any single parameter changes the cost finitely."""
@@ -263,6 +276,26 @@ class TestSearch:
         point = {k: (v[0], v[0]) for k, v in DEFAULT_BOUNDS.items()}
         out = search(bounds=point, seed=0, n_restarts=2, max_evaluations=50)
         assert out == []
+
+    def test_infeasible_and_nan_rows_raise_no_warning(self):
+        """Under lo <= 0 bounds the descent meets non-positive circuit values
+        and negative quartic-root radicands (NaN mode scales); every entry
+        point keeps numpy's warnings inside."""
+        bounds = dict(DEFAULT_BOUNDS, e1=(-700.0, 700.0), c2=(-1000.0, 1000.0))
+        lo, hi = _box(bounds)
+        starts = draw_starts(9, 8, bounds)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _, feasible, sites, _ = _cost_rows(starts, "plus", lo, hi)
+            results = search(bounds=bounds, seed=9, n_restarts=8,
+                             max_evaluations=120, keep_all=True)
+            cost, res, spin = evaluate_cost(starts[~feasible][0], "plus", bounds)
+            # e1 + e12 overflows: a zero end radicand, reached through inf
+            huge = dict(zip(CIRCUIT_NAMES, table_circuit_values(6)), e1=1e308, e12=1e308)
+            with pytest.raises(MappingError, match="quartic-root"):
+                circuit_to_spin(CircuitParams(**huge))
+        assert not feasible.all() and np.isnan(sites["ta"]).any()
+        assert results and (res, spin) == (None, None) and cost >= INFEASIBLE_COST
 
     def test_minus_branch_runs(self):
         results = search(
