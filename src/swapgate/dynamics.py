@@ -36,17 +36,21 @@ itself.  The input then selects one of two branches:
   New J. Phys. 14, 073007, 2012): one block of each mirror pair is evolved,
   the partner's rows entering as adjoints and leaving conjugated.  A block
   is exponentiated once for the first sample time and once for the grid
-  spacing (once per interval on a non-uniform grid) and steps, by matrix
-  products, only the stack rows that are nonzero in it; the rest stay
-  exactly zero.  A noiseless generator that is not Hermitian (gain or loss
-  written into H) takes this branch too.
+  spacing ``p = exp(B dt)`` (once per interval on a non-uniform grid) and
+  acts, by matrix products, only on the stack rows that are nonzero in it;
+  the rest stay exactly zero.  A noiseless generator that is not Hermitian
+  (gain or loss written into H) takes this branch too.
 
 Instead of the evolved stack, the engine can return traces against grouped
 functionals: ``G`` groups of operators W over the stack, group g giving
 ``sum_j Tr(W[g, j] X_j(t))``, each contracted block by block (in the
-eigenbasis on the spectral branch).  Stacks that share a generator, such as
-the fidelity stacks of several register preparations, are concatenated and
-evolved once, each group reading its own rows.
+eigenbasis on the spectral branch).  On the Liouvillian branch the traces
+on a uniform grid of T samples meet in the middle instead of stepping every
+sample's state: the block's rows are stepped by ``p^m`` (m about sqrt(T)),
+the functionals by ``p``, and one matrix product contracts the two, about
+2 sqrt(T) products in place of T - 1.  Stacks that share a generator, such
+as the fidelity stacks of several register preparations, are concatenated
+and evolved once, each group reading its own rows.
 
 ``propagate`` evolves one state, an ``OperatorMatrix``, checked on input and
 at every sample.  Hamiltonians are in rad/us and times in us.
@@ -55,6 +59,7 @@ at every sample.  Hamiltonians are in rad/us and times in us.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -286,17 +291,25 @@ def evolve_stack_raw(
     docstring).  Returns the evolved stack, shape (n_times, n_stack, D, D),
     exactly zero outside those; or, given ``functionals`` W of shape
     (G, n_stack, D, D), the (n_times, G) sums ``sum_j Tr(W[g, j] X_j(t))``,
-    contracted piece by piece (in the eigenbasis on the spectral branch)
-    without forming the full-space stack.  Each group g of functionals reads
-    its own quantity off the one propagation, so operators that share a
-    generator are evolved together.  A complex rate raises ``ValueError``;
-    a non-finite generator or result raises ``PropagationError``.
+    contracted block by block (``_evolve``; in the eigenbasis on the
+    spectral branch) without forming the full-space stack.  Each group g of
+    functionals reads its own quantity off the one propagation, so operators
+    that share a generator are evolved together.  A stack of shape other
+    than (n_stack, D, D), functionals of shape other than (G,) + that, or a
+    complex rate raise ``ValueError``; a non-finite generator or result
+    raises ``PropagationError``.
     """
     times = np.asarray(sample_times, dtype=float)
     if times.size == 0:
         raise ValueError("no sample times requested")
     if times[0] < 0.0 or np.any(np.diff(times) <= 0.0):
         raise ValueError("sample times must be nonnegative and strictly increasing")
+    if stack.shape[1:] != hamiltonian.shape:
+        raise ValueError(f"stack of shape {stack.shape} does not fit the "
+                         f"{hamiltonian.shape} Hamiltonian")
+    if functionals is not None and functionals.shape[1:] != stack.shape:
+        raise ValueError(f"functionals of shape {functionals.shape} are not "
+                         f"groups (G,) + {stack.shape} over the stack")
     if not (np.isfinite(hamiltonian).all() and np.isfinite(stack).all()
             and all(np.isfinite(g * op).all() for g, op in collapse)):
         raise PropagationError("generator or initial operators are not finite")
@@ -330,16 +343,16 @@ def evolve_stack_raw(
             start = rows[own[:, None], block]
             if adj.size:  # the mirror block's rows, as adjoints
                 start = np.concatenate([start, rows[adj[:, None], mirror].conj()])
+            if w is not None:
+                funcs = w[:, own[:, None], block]
+                if adj.size:
+                    funcs = np.concatenate([funcs, w[:, adj[:, None], mirror]], axis=1)
+                result += _evolve(gen.block(block), start, times, funcs, adj.size)
+                continue
             piece = _evolve(gen.block(block), start, times)
-            mine, theirs = piece[:, :own.size], piece[:, own.size:].conj()
-            if w is None:
-                result[:, own[:, None], block] = mine
-                if adj.size:
-                    result[:, adj[:, None], mirror] = theirs
-            else:
-                result += np.einsum("tje,gje->tg", mine, w[:, own[:, None], block])
-                if adj.size:
-                    result += np.einsum("tje,gje->tg", theirs, w[:, adj[:, None], mirror])
+            result[:, own[:, None], block] = piece[:, :own.size]
+            if adj.size:
+                result[:, adj[:, None], mirror] = piece[:, own.size:].conj()
         if w is None:
             result = result.reshape((times.size,) + x.shape)
     if not np.isfinite(result).all():
@@ -434,32 +447,68 @@ def _closure(linked, reach: np.ndarray) -> np.ndarray:
         reach = grown
 
 
-def _evolve(generator: np.ndarray, rows: np.ndarray,
-            times: np.ndarray) -> np.ndarray:
-    """Sample ``rows @ expm(generator * t).T`` at ``times``, stepping: the
-    rows are the vectorised operators that occupy a Liouvillian block (for a
-    mirror pair, those of both blocks, the mirror's as adjoints) and
-    ``generator`` is the block.
+def _evolve(generator: np.ndarray, rows: np.ndarray, times: np.ndarray,
+            functionals: np.ndarray | None = None, n_adjoint: int = 0) -> np.ndarray:
+    """Sample ``rows @ expm(generator * t).T`` at ``times``: the rows are
+    the vectorised operators that occupy a Liouvillian block (for a mirror
+    pair, those of both blocks, the mirror's as adjoints) and ``generator``
+    is the block.  One exponential reaches the first sample and one more,
+    ``p = expm(generator * dt)``, serves every step of a uniform grid; a
+    non-uniform grid takes one per interval.
 
-    One exponential reaches the first sample and one more serves every step
-    of a uniform grid; a non-uniform grid takes one per interval.
+    Given ``functionals`` F of shape (G, rows, nb), paired entry by entry
+    with the operators the rows stand for (the last ``n_adjoint`` rows are
+    those operators' adjoints), returns instead the (T, G) traces
+    ``sum_{j,e} X_j(t)[e] F[g, j, e]`` without forming each sample's state:
+    the baby-step/giant-step split (Paterson & Stockmeyer, SIAM J. Comput.
+    2, 60, 1973) steps the functionals as well as the states.  With m the
+    largest power of two not above sqrt(T), ``Q = p^m`` comes from log2 m
+    squarings; the states ``U_a = x(t_0) (Q^T)^a`` for a < A = ceil(T / m)
+    meet the functionals ``V_b = F p^b`` for b < m in one product,
+    ``trace[a m + b] = sum_{j,e} U_a[j, e] V_b[g, j, e]``: (A - 1) + (m - 1)
+    + log2 m block products against T - 1 for stepping every sample.  The
+    adjoint rows are contracted against conj(F) and their sum conjugated.
+    The states themselves, and the traces on a non-uniform grid, are
+    stepped sample by sample (m = 1).
     """
-    out = np.empty((times.size,) + rows.shape, dtype=complex)
     if times[0] > 0.0:
         rows = rows @ expm(generator * times[0]).T
-    out[0] = rows
     steps = np.diff(times)
-    if steps.size == 0:
-        return out
-    dt = (times[-1] - times[0]) / steps.size
-    grid = times[0] + dt * np.arange(times.size)
-    step = None
-    if np.max(np.abs(grid - times)) <= 1e-14 * times[-1]:
-        step = expm(generator * dt)
-    for k in range(1, times.size):
-        p = expm(generator * steps[k - 1]) if step is None else step
-        out[k] = out[k - 1] @ p.T
-    return out
+    p = None
+    if steps.size:
+        dt = (times[-1] - times[0]) / steps.size
+        grid = times[0] + dt * np.arange(times.size)
+        if np.max(np.abs(grid - times)) <= 1e-14 * times[-1]:
+            p = expm(generator * dt)
+    m = 1
+    if functionals is not None and p is not None:
+        m = 1 << (math.isqrt(times.size).bit_length() - 1)
+    giant = p
+    for _ in range(m.bit_length() - 1):
+        giant = giant @ giant
+    states = np.empty((-(-times.size // m),) + rows.shape, dtype=complex)
+    states[0] = rows
+    for a in range(1, states.shape[0]):
+        step = giant if p is not None else expm(generator * steps[a - 1])
+        states[a] = states[a - 1] @ step.T
+    if functionals is None:
+        return states
+    n_groups, n_own = functionals.shape[0], rows.shape[0] - n_adjoint
+    baby = np.empty((m,) + functionals.shape, dtype=complex)
+    baby[0, :, :n_own] = functionals[:, :n_own]
+    baby[0, :, n_own:] = functionals[:, n_own:].conj()
+    flat = baby.reshape(m, -1, rows.shape[1])  # a view: steps fill ``baby``
+    for b in range(1, m):
+        flat[b] = flat[b - 1] @ p
+
+    def met(part: slice) -> np.ndarray:
+        u = states[:, part].reshape(states.shape[0], -1)
+        return u @ baby[:, :, part].reshape(m * n_groups, -1).T
+
+    traces = met(slice(None, n_own))
+    if n_adjoint:
+        traces += met(slice(n_own, None)).conj()
+    return traces.reshape(-1, n_groups)[:times.size]
 
 
 def __getattr__(name: str):

@@ -1,7 +1,9 @@
 """Acceptance suite: one test per release criterion, each printing a verdict.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the PASS/FAIL line
-and the measured numbers for every criterion.
+and the measured numbers for every criterion.  With the environment variable
+``SWAPGATE_ACCEPTANCE_RECORD`` set to a file name, each verdict is also
+appended to that file as one JSON line ``{criterion, verdict, detail}``.
 
 Three criteria are known-red and kept faithful rather than loosened:
 
@@ -21,6 +23,9 @@ Three criteria are known-red and kept faithful rather than loosened:
   detuning; the open-gate peak bottoms out near 0.68 for any coupling
   ratio, above the criterion's 0.6.
 """
+
+import json
+import os
 
 import numpy as np
 import pytest
@@ -78,8 +83,31 @@ GAMMA = 0.01  # state-of-the-art decoherence rate, 1/us
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
+    """Print the criterion's verdict and, when ``SWAPGATE_ACCEPTANCE_RECORD``
+    names a file, append it there as one JSON line."""
     verdict = "PASS" if passed else "FAIL"
     print(f"\nACCEPTANCE {criterion}: {verdict} -- {detail}")
+    record = os.environ.get("SWAPGATE_ACCEPTANCE_RECORD")
+    if record:
+        line = {"criterion": criterion, "verdict": verdict, "detail": detail}
+        with open(record, "a", encoding="utf-8") as f:
+            f.write(json.dumps(line) + "\n")
+
+
+def test_report_appends_a_json_line_per_verdict(tmp_path, monkeypatch, capsys):
+    record = tmp_path / "acceptance.jsonl"
+    monkeypatch.setenv("SWAPGATE_ACCEPTANCE_RECORD", str(record))
+    report("2 (capacitance matrices)", True, "3/3 checks")
+    report("4 (closed-gate fidelity)", False, "minimum 0.988")
+    monkeypatch.delenv("SWAPGATE_ACCEPTANCE_RECORD")
+    report("6 (entanglement power)", True, "not recorded")
+    assert capsys.readouterr().out.count("\nACCEPTANCE ") == 3
+    assert [json.loads(line) for line in record.read_text().splitlines()] == [
+        {"criterion": "2 (capacitance matrices)", "verdict": "PASS",
+         "detail": "3/3 checks"},
+        {"criterion": "4 (closed-gate fidelity)", "verdict": "FAIL",
+         "detail": "minimum 0.988"},
+    ]
 
 
 @pytest.fixture(scope="module")

@@ -508,6 +508,21 @@ class TestExactPropagator:
             with pytest.raises(ValueError):
                 evolve_stack_raw(h, collapse, stack, times)
 
+    @pytest.mark.parametrize("gamma", [0.1, 0.0], ids=["liouvillian", "spectral"])
+    @pytest.mark.parametrize("stack_shape, w_shape", [
+        ((2, 4, 4), (1, 3, 4, 4)),  # a functional row for no operator
+        ((2, 4, 4), (2, 4, 4)),     # functionals without a group axis
+        ((2, 3, 3), None),          # operators that do not fit H
+    ], ids=["extra_rows", "ungrouped", "stack"])
+    def test_rejects_mis_shaped_inputs(self, gamma, stack_shape, w_shape):
+        """On a 2-site chain, on both branches, before any propagation."""
+        h = np.diag([0.0, 1.0, 2.0, 3.0]) + 0.5 * np.eye(4)[::-1]
+        collapse = NoiseModel(gamma=gamma).collapse_operators((2, 2))
+        stack = np.ones(stack_shape, dtype=complex)
+        w = None if w_shape is None else np.ones(w_shape, dtype=complex)
+        with pytest.raises(ValueError, match="of shape"):
+            evolve_stack_raw(h, collapse, stack, [0.0, 1.0], functionals=w)
+
 
 def full_space_oracle(h, collapse, stack, times):
     """The stack evolved by expm of the whole space's Liouvillian at each time."""
@@ -792,6 +807,42 @@ class TestMirrorBlocks:
             traces = evolve_stack_raw(h, collapse, stack, times, functionals=w[None])[:, 0]
             assert np.max(np.abs(traces - np.einsum("tjab,jba->t", want, w))) < 1e-12
         assert len(found[1]) > len(found[0])
+
+
+# sample grids in gate times: uniform ones of T samples from 0 and from a
+# later start (m = 1 up to T = 3, m = 2 from T = 4, m = 8 at T = 120), and
+# a non-uniform one
+MIM_GRIDS = [pytest.param(start + np.arange(n) / 100.0, id=f"{n}_from_{start}")
+             for n in (1, 2, 3, 7, 8, 9, 120, 121) for start in (0.0, 0.3)]
+MIM_GRIDS.append(pytest.param(np.geomspace(0.01, 1.05, 40), id="non_uniform"))
+
+
+class TestMeetInTheMiddle:
+    """Traces against grouped functionals on the Liouvillian branch meet in
+    the middle (the states stepped by p^m, the functionals by p); the
+    stepped evolution of the whole stack, contracted, is their oracle."""
+
+    @pytest.mark.parametrize("fractions", MIM_GRIDS)
+    @pytest.mark.parametrize("case", ["noisy_open", "non_hermitian"])
+    def test_traces_match_the_stepped_stack(self, case, fractions):
+        """Three groups of functionals, over the open register's fidelity
+        stack under noise (its Pauli factors occupy both blocks of the +-1
+        coherence-order pairs, so those blocks carry adjoint rows) or over a
+        random stack under a noiseless H with loss written into it."""
+        h, cvec = register("open")
+        if case == "noisy_open":
+            collapse = NoiseModel(gamma=0.01).collapse_operators((2, 2, 2, 2))
+            stack = fidelity_stack(cvec)
+        else:
+            h = h - 30j * np.diag(excitation_numbers((2, 2, 2, 2)) == 1)
+            collapse, stack = [], random_stack(16, n=5)
+        times = fractions * analytic_gate_time(symmetric_chain(**ROW6))
+        w = random_stack(16, n=3 * len(stack), seed=5).reshape((3,) + stack.shape)
+        got = evolve_stack_raw(h, collapse, stack, times, functionals=w)
+        stepped = evolve_stack_raw(h, collapse, stack, times)
+        want = np.einsum("tjab,gjba->tg", stepped, w)
+        assert got.shape == want.shape == (times.size, 3)
+        assert np.max(np.abs(got - want)) < 1e-12
 
 
 class TestSpectralBranch:
