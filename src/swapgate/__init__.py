@@ -12,7 +12,6 @@ from .hilbert import (
     HilbertError,
     OperatorMatrix,
     SiteDims,
-    eig_hermitian,
     embed_operators,
     embed_site_operator,
     partial_trace,
@@ -30,8 +29,6 @@ from .spin_model import (
     build_n5_model,
     build_qutrit_hamiltonian,
     closed_config_for_branch,
-    closed_state_eigencheck,
-    perfect_transfer_conditions,
     symmetric_chain,
 )
 from .dynamics import (
@@ -43,9 +40,7 @@ from .metrics import (
     FidelityTrace,
     average_fidelity,
     entanglement_power,
-    numerical_gate_time,
     open_gate,
-    pauli_basis_2q,
 )
 from .circuit_map import (
     CircuitParams,
@@ -53,18 +48,11 @@ from .circuit_map import (
     SpinMapResult,
     capacitance_matrix,
     circuit_to_spin,
-    drive_amplitude,
     inverse_capacitance,
     table_spin_params,
 )
-from .drive import (
-    DrivePulse,
-    drive_hamiltonian,
-    leakage_avoidance_check,
-    rabi_prepare,
-    superposition_phase,
-)
-from .search import SearchResult, validate_solution
+from .drive import DrivePulse, drive_hamiltonian, rabi_prepare
+from .search import SearchResult
 
 __version__ = "0.1.0"
 
@@ -95,24 +83,15 @@ __all__ = [
     "capacitance_matrix",
     "circuit_to_spin",
     "closed_config_for_branch",
-    "closed_state_eigencheck",
-    "drive_amplitude",
     "drive_hamiltonian",
-    "eig_hermitian",
     "embed_operators",
     "embed_site_operator",
     "entanglement_power",
     "inverse_capacitance",
-    "leakage_avoidance_check",
-    "numerical_gate_time",
     "open_gate",
     "partial_trace",
-    "pauli_basis_2q",
-    "perfect_transfer_conditions",
     "propagate",
     "rabi_prepare",
-    "superposition_phase",
     "symmetric_chain",
     "table_spin_params",
-    "validate_solution",
 ]

@@ -15,10 +15,12 @@ is pow-free: the quartic root is ``sqrt(sqrt(r))``, integer powers are
 products and sums run left to right, so every operation is IEEE-rounded
 and a circuit gives the same bits alone or in any batch (``np.power`` and
 Python's ``**`` can differ in the last bit, and ``np.sum`` pairs its
-terms).  ``circuit_to_spin`` is that mapping on one circuit, under the
-singularity thresholds of the general-chain ``inverse_capacitance``; the
-search's batched cost masks the same conditions instead of raising, and
-calls the formula under the one ``np.errstate`` it holds for its batch.
+terms).  ``map_sites`` holds no ``np.errstate`` of its own: its callers
+do.  ``circuit_to_spin`` is that mapping on one circuit under its own
+``np.errstate``, checked against the singularity thresholds of the
+general-chain ``inverse_capacitance``; the search's batched cost masks the
+same conditions instead of raising, and calls the formula under the one
+``np.errstate`` it holds for its batch.
 
 Unit bridge: Josephson energies are entered in 2pi*GHz, capacitances in fF,
 inductances in nH.  Capacitive and inductive energies are converted to
@@ -207,19 +209,13 @@ def map_sites(x: np.ndarray) -> dict[str, np.ndarray]:
     determinant ``det_norm`` and the quartic-root radicands ``ra``, ``rb``.
 
     Circuits are mapped independently and without checks (an unphysical one
-    gives meaningless numbers or NaN; ``mappable`` says which are sound),
-    under ``np.errstate(all="ignore")``.  The formula uses only IEEE-rounded
-    elementwise operations in a fixed order -- the quartic root is
-    ``sqrt(sqrt(r))``, integer powers are products, sums run left to right
-    -- so a circuit maps to the same bits whatever the batch around it.
+    gives meaningless numbers or NaN; ``mappable`` says which are sound), and
+    the caller holds the ``np.errstate`` that silences their warnings.  The
+    formula uses only IEEE-rounded elementwise operations in a fixed order
+    -- the quartic root is ``sqrt(sqrt(r))``, integer powers are products,
+    sums run left to right -- so a circuit maps to the same bits whatever
+    the batch around it.
     """
-    with np.errstate(all="ignore"):
-        return _map_sites(np.asarray(x, dtype=float))
-
-
-def _map_sites(x: np.ndarray) -> dict[str, np.ndarray]:
-    """``map_sites`` without its ``np.errstate``, for callers that hold one
-    over a larger computation."""
     e1, e2, e12, e23 = x[0], x[1], x[2], x[3]
     c1, c2, c23, l12 = x[4], x[5], x[6], x[7]
     c2_2c23 = c2 + 2.0 * c23
@@ -306,27 +302,13 @@ def circuit_to_spin(params: CircuitParams) -> SpinMapResult:
     ``inverse_capacitance``, and ``MappingError`` on a nonpositive
     quartic-root argument.
     """
-    sites = map_sites(np.array([[getattr(params, n)] for n in CIRCUIT_NAMES]))
+    with np.errstate(all="ignore"):
+        sites = map_sites(np.array([[getattr(params, n)] for n in CIRCUIT_NAMES],
+                                   dtype=float))
     _check_capacitance(float(sites["det_norm"][0]), float(sites["condition_number"][0]))
     if sites["ra"][0] <= 0 or sites["rb"][0] <= 0:
         raise MappingError("nonpositive quartic-root argument in mode scale")
     return spin_result(sites, 0)
-
-
-def drive_amplitude(
-    params: CircuitParams, a_tilde: float, omega_drive: float
-) -> float:
-    """Spin-level drive amplitude from a charge drive of the control nodes.
-
-    A = -8 * a_tilde * omega * ((K^-1)_22 + (K^-1)_32) / T_2, with the
-    matrix entries in energy units (times ``CAP_ENERGY_SCALE``); same
-    frequency unit as ``omega_drive``.  In closed form the entry sum is
-    (c2 + 2 c23) / d = 1 / c2.
-    """
-    if omega_drive <= 0:
-        raise MappingError("drive frequency must be positive")
-    t2 = circuit_to_spin(params).t_coeffs[1]  # positive: its radicand is checked
-    return -8.0 * a_tilde * omega_drive * (CAP_ENERGY_SCALE / params.c2) / t2
 
 
 # ---------------------------------------------------------------------------

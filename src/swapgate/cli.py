@@ -63,7 +63,6 @@ from .metrics import (
     FidelityTrace,
     average_fidelity,
     gate_window,
-    open_gate,
 )
 from .search import search as run_search
 from .spin_model import (
@@ -77,7 +76,6 @@ from .spin_model import (
     build_n5_model,
     closed_config_for_branch,
     delta_for_branch,
-    n5_control_states,
     symmetric_chain,
 )
 from .drive import calibrated_pi_pulse, rabi_prepare
@@ -839,10 +837,9 @@ def _n5_trace(config: ExperimentConfig) -> Table:
     )
     times = gate_window(params, FIRST_SAMPLE, config["grid"]["window_hi"],
                         config["run"]["samples"])
-    cfg = GateConfig(delta_branch="plus", control_state="custom",
-                     custom_vector=tuple(n5_control_states(params)["open_0"]))
-    # the negative swap with the i phase
-    trace, = average_fidelity(params, [cfg], noise, times, targets=[open_gate("plus")])
+    # the open register |000>, scored against the plus branch's negative swap
+    # with the i phase
+    trace, = average_fidelity(params, [GateConfig(delta_branch="plus")], noise, times)
     summary = {
         "gate_time_analytic_us": analytic_gate_time(params),
         "peak_time_us": trace.peak_time,

@@ -50,12 +50,8 @@ from .spin_model import (
     vacuum_energy,
 )
 
-#: weak-drive validity threshold: flag unless A <= J2z / 20
-WEAK_DRIVE_FRACTION = 1.0 / 20.0
 #: frequencies the calibration scans, and their span about the transition (2pi*MHz)
 CALIBRATION_POINTS, CALIBRATION_SPAN = 7, 12.0
-#: leakage flag: the |1+> -> |11> transition within this many drive amplitudes
-LEAKAGE_FLAG_MULTIPLE = 5.0
 
 
 @dataclass(frozen=True)
@@ -72,21 +68,11 @@ class DrivePulse:
     frequency: float
     phase: float = 0.0
 
-    def weak_drive_ok(self, j2z: float) -> bool:
-        return abs(self.amplitude) <= abs(j2z) * WEAK_DRIVE_FRACTION
-
     def pi_duration(self) -> float:
         """Full-transfer duration pi / (sqrt(2) A), in us."""
         if self.amplitude == 0:
             raise ModelError("pi pulse undefined for zero amplitude")
         return np.pi / (np.sqrt(2.0) * TWO_PI * abs(self.amplitude))
-
-
-def control_level_energies(
-    omega2: float, j2z: float, j2x: float
-) -> tuple[float, float, float]:
-    """Bare control-register level energies (|00>, |1+>, |11>), 2pi*MHz."""
-    return (-omega2 + j2z, -j2z + 2.0 * j2x, omega2 + j2z)
 
 
 def resonant_drive_frequency(params: SpinModelParams) -> float:
@@ -163,10 +149,10 @@ def rabi_prepare(
     and each sample is traced down to the register and rotated back there,
     rho_C = R_C rho_C' R_C+ with R_C = exp(+i d N_C t): N = N_T + N_C, and
     the targets' share of the frame cancels under their trace.  The
-    level-frame copy removes the deterministic free-evolution phases of the
-    register levels (the bookkeeping that ``superposition_phase``
-    prescribes), so it can be compared directly against ideal superposition
-    targets.
+    level-frame copy also removes the deterministic free-evolution phase of
+    each register level, exp(-i E t) at its chain energy E with the targets
+    in their ground state, so it can be compared directly against ideal
+    superposition targets.
     """
     if params.n_sites != 4:
         raise ModelError("state preparation drives the 4-site chain")
@@ -223,41 +209,3 @@ def calibrated_pi_pulse(params: SpinModelParams, amplitude: float) -> DrivePulse
              for f in freqs]
     best, _ = refine_peak(freqs, np.array(probs), int(np.argmax(probs)))
     return DrivePulse(amplitude=amplitude, frequency=best)
-
-
-def superposition_phase(j2x: float, j2z: float, omega2: float, t: float) -> complex:
-    """Accumulated phase between the open and closed register states.
-
-    exp(-i (Omega_2 - 2 J2z + 2 J2x) t) with frequencies in 2pi*MHz and t in
-    us; applied when evaluating states prepared in a superposition of the
-    open and closed switch.
-    """
-    return complex(np.exp(-1j * TWO_PI * (omega2 - 2.0 * j2z + 2.0 * j2x) * t))
-
-
-@dataclass(frozen=True)
-class LeakageReport:
-    detunings: dict[str, float]   # drive offset from each register transition
-    flagged: bool
-    threshold: float
-
-
-def leakage_avoidance_check(
-    pulse: DrivePulse, level_energies: tuple[float, float, float]
-) -> LeakageReport:
-    """Offsets of the drive from each register transition, with a proximity flag.
-
-    ``level_energies`` are the (|00>, |1+>, |11>) register energies.  The
-    pulse is flagged when the |1+> -> |11> transition sits within
-    ``LEAKAGE_FLAG_MULTIPLE`` amplitudes of the drive.
-    """
-    e00, e1p, e11 = level_energies
-    omega = abs(pulse.frequency)
-    offsets = {
-        "open_to_bell": abs(omega - abs(e1p - e00)),
-        "bell_to_double": abs(omega - abs(e11 - e1p)),
-        "open_to_double_twophoton": abs(omega - abs(e11 - e00) / 2.0),
-    }
-    threshold = LEAKAGE_FLAG_MULTIPLE * abs(pulse.amplitude)
-    flagged = offsets["bell_to_double"] < threshold
-    return LeakageReport(detunings=offsets, flagged=flagged, threshold=threshold)

@@ -15,8 +15,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-DEFAULT_TOL = 1e-9
-
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -36,12 +34,6 @@ DEPHASE_3 = np.diag([1.0, -1.0, -3.0]).astype(complex)
 
 class HilbertError(ValueError):
     """Dimension or validity error in operator construction."""
-
-
-def ket(dim: int, index: int) -> np.ndarray:
-    v = np.zeros(dim, dtype=complex)
-    v[index] = 1.0
-    return v
 
 
 def projector(dim: int, row: int, col: int) -> np.ndarray:
@@ -178,23 +170,6 @@ def partial_trace(op: OperatorMatrix, keep_sites: Iterable[int]) -> OperatorMatr
     d_red = int(np.prod([dims[k] for k in keep]))
     return OperatorMatrix(SiteDims(tuple(dims[k] for k in keep)),
                           arr.reshape(d_red, d_red))
-
-
-def eig_hermitian(op: OperatorMatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors of a Hermitian operator.
-
-    Raises if the input is not Hermitian to ``DEFAULT_TOL`` (relative), and
-    checks the reconstruction residual against 1e-10 * ||A||.
-    """
-    m = op.entries if isinstance(op, OperatorMatrix) else np.asarray(op, dtype=complex)
-    scale = max(1.0, float(np.max(np.abs(m))))
-    if np.max(np.abs(m - m.conj().T)) > DEFAULT_TOL * scale:
-        raise HilbertError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
-    residual = np.linalg.norm(m @ v - v @ np.diag(w))
-    if residual > 1e-10 * max(1.0, np.linalg.norm(m)):
-        raise HilbertError(f"eigendecomposition residual {residual:.3e} too large")
-    return w, v
 
 
 def excitation_numbers(dims: SiteDims | Sequence[int]) -> np.ndarray:

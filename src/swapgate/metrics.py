@@ -17,6 +17,7 @@ propagator reads a whole trace off its evolved blocks by one contraction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -35,10 +36,6 @@ from .spin_model import (
     build_interaction_hamiltonian,
     build_qutrit_hamiltonian,
 )
-
-
-class GateTimeWindowError(RuntimeError):
-    """The fidelity peak sits on the boundary of the sampled window."""
 
 
 def open_gate(branch: str) -> np.ndarray:
@@ -80,33 +77,19 @@ _PAULI_FACTORS = np.stack([
 _PAULI_2Q = np.stack([np.kron(a, b) for a in _PAULI_FACTORS for b in _PAULI_FACTORS])
 
 
-def pauli_basis_2q() -> list[np.ndarray]:
-    """The 16 operators (X)^k (Z)^l x (X)^m (Z)^n in lexicographic k,l,m,n order."""
-    return list(_PAULI_2Q.copy())
-
-
 def control_state_vector(
     config: GateConfig, control_dims: Sequence[int]
 ) -> np.ndarray:
-    """Normalized control-register state over the given control-site dims."""
-    if config.control_state == "custom":
-        v = np.asarray(config.custom_vector, dtype=complex)
-        dim = int(np.prod(control_dims))
-        if v.shape != (dim,):
-            raise ModelError(
-                f"custom control vector has length {v.shape}, expected {dim}"
-            )
-        if not (np.isfinite(v).all() and v.any()):
-            raise ModelError("custom control vector must be finite and nonzero")
-        return v / np.linalg.norm(v)
-
+    """Normalized control-register state over the given control-site dims:
+    all controls in |0> when the register is open, for any number of
+    controls; a named closed state needs exactly two."""
+    v = np.zeros(math.prod(control_dims), dtype=complex)
+    if config.is_open:
+        v[0] = 1.0
+        return v
     if len(control_dims) != 2:
-        raise ModelError(
-            "named control states are defined for two control sites; "
-            "use a custom vector otherwise"
-        )
-    d1, d2 = control_dims
-    v = np.zeros(d1 * d2, dtype=complex)
+        raise ModelError("closed control states are defined for two control sites")
+    d2 = control_dims[1]
     for (i, j), amplitude in REGISTER_STATES[config.control_state].items():
         v[i * d2 + j] = amplitude
     return v / np.linalg.norm(v)
@@ -217,15 +200,6 @@ def refine_peak(times: np.ndarray, fbar: np.ndarray, k: int) -> tuple[float, flo
         return float(t1), float(f1)
     c = f1 - (a * t1**2 + b * t1)
     return float(t_star), float(min(1.0, a * t_star**2 + b * t_star + c))
-
-
-def numerical_gate_time(trace: FidelityTrace) -> float:
-    """Refined location of the fidelity maximum; rejects boundary peaks."""
-    if trace.peak_on_boundary:
-        raise GateTimeWindowError(
-            "fidelity peak lies on the window boundary; widen the time grid"
-        )
-    return trace.peak_time
 
 
 #: first sample of a window from the origin, as a fraction of the gate time

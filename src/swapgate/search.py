@@ -7,10 +7,13 @@ floor on the end-qubit relative anharmonicity.  Points outside the box are
 clipped into it and pay a quadratic penalty; circuits the mapping rejects
 cost ``1e6`` plus that penalty.  The cost is evaluated on arrays of points
 through the ``circuit_map.map_sites`` formula, as the columns of a
-C-contiguous (8, m) array under one ``np.errstate``; ``evaluate_cost`` is
-that cost on one point.  The squared bound excesses are summed in order by
-``np.add.accumulate``: ``np.add.reduce`` and ``sum`` pair the terms of a
-lone column or of a row, so a point would cost other bits alone.
+C-contiguous (8, m) array under the one ``np.errstate`` that ``_cost_rows``
+holds for the batch; ``evaluate_cost`` is that cost on one point, with its
+requirement residuals and mapped spin parameters.  The search runs no
+dynamics: it scores circuits by the mapping alone.  The squared bound
+excesses are summed in order by ``np.add.accumulate``: ``np.add.reduce``
+and ``sum`` pair the terms of a lone column or of a row, so a point would
+cost other bits alone.
 
 Multi-start random initialization inside the bounds feeds one Nelder-Mead
 simplex per start (Nelder & Mead, Comput. J. 7, 308 (1965)).  All simplices
@@ -25,7 +28,6 @@ are deduplicated and sorted, and identical seeds give identical output.
 
 from __future__ import annotations
 
-import math
 from dataclasses import astuple, dataclass
 from typing import Callable
 
@@ -35,22 +37,11 @@ from .circuit_map import (
     CIRCUIT_NAMES,
     CircuitParams,
     SpinMapResult,
-    _map_sites,
+    map_sites,
     mappable,
     spin_result,
 )
-from .dynamics import NoiseModel
-from .metrics import CLOSED_WINDOW, OPEN_WINDOW, average_fidelity, gate_window
-from .spin_model import (
-    BRANCHES,
-    MIN_COUPLING_RATIO,
-    GateConfig,
-    ModelError,
-    SpinModelParams,
-    analytic_gate_time,
-    closed_config_for_branch,
-    delta_for_branch,
-)
+from .spin_model import MIN_COUPLING_RATIO, delta_for_branch
 
 #: search box matching the published solution ranges
 DEFAULT_BOUNDS: dict[str, tuple[float, float]] = {
@@ -66,8 +57,6 @@ DEFAULT_BOUNDS: dict[str, tuple[float, float]] = {
 
 #: cost of a circuit the mapping rejects, before the bounds penalty
 INFEASIBLE_COST = 1e6
-#: relative tolerance within which an explicit detuning sits on a branch
-BRANCH_MATCH_RTOL = 1e-9
 
 
 # weights of the four requirement residuals and of the bounds penalty
@@ -111,11 +100,6 @@ def _residuals(spin, branch: str) -> dict[str, np.ndarray]:
     }
 
 
-def requirement_residuals(spin: SpinMapResult, branch: str) -> dict[str, float]:
-    res = _residuals(vars(spin), branch)
-    return {name: float(v) for name, v in res.items()}
-
-
 def _box(bounds: dict[str, tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
     lo = np.array([bounds[n][0] for n in CIRCUIT_NAMES], dtype=float)
     hi = np.array([bounds[n][1] for n in CIRCUIT_NAMES], dtype=float)
@@ -143,7 +127,7 @@ def _cost_rows(
         excess = (cols - clipped) / np.maximum(hi - lo, 1e-9)
         penalty = np.add.accumulate(excess * excess)[-1]
 
-        sites = _map_sites(clipped)
+        sites = map_sites(clipped)
         feasible = ~(clipped <= 0).any(axis=0) & mappable(sites)
         res = _residuals(sites, branch)
         r1, r2 = res["j1_equality"], res["delta_branch"]
@@ -349,50 +333,3 @@ def search(
     if keep_all:
         return deduped
     return [r for r in deduped if r.accepted]
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    open_peak_fidelity: float
-    open_peak_time: float
-    closed_min_fidelity: float
-    gate_time_analytic: float
-    gamma: float
-
-
-def validate_solution(
-    params: SpinModelParams,
-    gamma: float,
-    n_samples: int = 90,
-) -> ValidationReport:
-    """Full fidelity pipeline on a chain.
-
-    Reports the open-configuration peak and the closed-configuration minimum
-    over one gate period, at the given decoherence rate, on the branch of
-    the chain's ``detuning_choice``.  An explicit detuning is scored on the
-    branch whose resonant detuning it matches within ``BRANCH_MATCH_RTOL``
-    (relative), and a chain on neither branch is refused.
-    """
-    branch = params.detuning_choice
-    if branch not in BRANCHES:
-        branch = next((b for b in BRANCHES if math.isclose(
-            params.delta, delta_for_branch(b, params.j2x, params.j2z),
-            rel_tol=BRANCH_MATCH_RTOL)), None)
-        if branch is None:
-            raise ModelError(f"detuning {params.delta} is on neither resonance branch")
-    noise = NoiseModel(gamma=gamma) if gamma > 0 else None
-    open_cfg = GateConfig(delta_branch=branch, control_state="open_0")
-    trace_open, = average_fidelity(
-        params, [open_cfg], noise, gate_window(params, *OPEN_WINDOW, n_samples)
-    )
-    closed_cfg = closed_config_for_branch(branch)
-    trace_closed, = average_fidelity(
-        params, [closed_cfg], noise, gate_window(params, *CLOSED_WINDOW, n_samples)
-    )
-    return ValidationReport(
-        open_peak_fidelity=trace_open.peak_value,
-        open_peak_time=trace_open.peak_time,
-        closed_min_fidelity=min(trace_closed.fbar),
-        gate_time_analytic=analytic_gate_time(params),
-        gamma=gamma,
-    )

@@ -29,7 +29,6 @@ from .hilbert import (
     OperatorMatrix,
     SiteDims,
     _embedded_sum,
-    ket,
     projector,
 )
 
@@ -95,30 +94,6 @@ class SpinModelParams:
     def j2z(self) -> float:
         return self.jz[1]
 
-    def gate_mode_violations(self) -> list[str]:
-        """Soft validity checks for use as a conditional swap gate."""
-        out = []
-        n = self.n_sites
-        if n not in (4, 5):
-            out.append(f"gate mode needs 4 or 5 sites, have {n}")
-        if not all(
-            abs(self.omega[j] - self.omega[n - 1 - j]) <= 1e-9 for j in range(n)
-        ) or not all(
-            abs(self.jx[j] - self.jx[n - 2 - j]) <= 1e-9
-            and abs(self.jz[j] - self.jz[n - 2 - j]) <= 1e-9
-            for j in range(n - 1)
-        ):
-            out.append("chain is not spatially symmetric")
-        if abs(self.j1x) > 0 and abs(self.j2x / self.j1x) < MIN_COUPLING_RATIO:
-            out.append(
-                f"|J2x/J1x| = {abs(self.j2x / self.j1x):.2f} below "
-                f"threshold {MIN_COUPLING_RATIO}"
-            )
-        scale = max(abs(self.j1x), 1e-12)
-        if abs(self.j1x - self.j1z) / scale > 1e-2:
-            out.append("J1x != J1z beyond tolerance")
-        return out
-
 
 def symmetric_chain(
     j1x: float,
@@ -152,7 +127,9 @@ def delta_for_branch(branch: str, j2x: float, j2z: float) -> float:
 
 
 #: named preparations of the two-site control register: name -> amplitudes
-#: on |control-1 level, control-2 level>, normalised when used
+#: on |control-1 level, control-2 level>, normalised when used; the open
+#: register, all controls in |0>, is spelled for any number of controls by
+#: ``metrics.control_state_vector``
 REGISTER_STATES: dict[str, dict[tuple[int, int], float]] = {
     "open_0": {(0, 0): 1.0},
     "closed_1plus": {(1, 0): 1.0, (0, 1): 1.0},
@@ -165,23 +142,19 @@ REGISTER_STATES: dict[str, dict[tuple[int, int], float]] = {
 class GateConfig:
     """Detuning branch plus the control-register preparation.
 
-    ``control_state`` is a name of ``REGISTER_STATES`` (``open_0``: all
-    controls in |0>; ``closed_1plus`` / ``closed_1minus``: Bell states of the
-    two controls; ``closed_11``), or ``custom`` with an explicit
-    ``custom_vector`` over the control subspace.
+    ``control_state`` is a name of ``REGISTER_STATES``: ``open_0``, all
+    controls in |0> (on any number of controls); ``closed_1plus`` /
+    ``closed_1minus``, Bell states of the two controls; ``closed_11``.
     """
 
     delta_branch: str = "plus"
     control_state: str = "open_0"
-    custom_vector: tuple[complex, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.delta_branch not in BRANCHES:
             raise ModelError(f"unknown branch {self.delta_branch!r}")
-        if self.control_state not in REGISTER_STATES and self.control_state != "custom":
+        if self.control_state not in REGISTER_STATES:
             raise ModelError(f"unknown control state {self.control_state!r}")
-        if self.control_state == "custom" and self.custom_vector is None:
-            raise ModelError("custom control state needs custom_vector")
 
     @property
     def is_open(self) -> bool:
@@ -356,14 +329,6 @@ def _qutrit_terms() -> MappingProxyType:
     })
 
 
-def project_qutrit_to_qubit(op: OperatorMatrix) -> np.ndarray:
-    """Restrict a [2,3,3,2] operator to the two lowest levels of each control."""
-    if op.dims.dims != QUTRIT_DIMS.dims:
-        raise ModelError("expected dims (2, 3, 3, 2)")
-    a = op.entries.reshape(2, 3, 3, 2, 2, 3, 3, 2)
-    return a[:, :2, :2, :, :, :2, :2, :].reshape(16, 16)
-
-
 # ---------------------------------------------------------------------------
 # Closed-form single-excitation analysis (N = 4)
 # ---------------------------------------------------------------------------
@@ -429,83 +394,12 @@ def analytic_single_excitation_spectrum(
     return energies, vectors
 
 
-@dataclass(frozen=True)
-class ClosedStateReport:
-    theta: float
-    b_value: float                 # candidate eigenvalue, 2pi*MHz
-    residual_single: float         # || (H - b) |0 psi 0> ||, rad/us
-    residual_double: float         # || (H - b') |1 psi 0> || analogue, rad/us
-
-    @property
-    def residual(self) -> float:
-        return max(self.residual_single, self.residual_double)
-
-
-def closed_state_eigencheck(
-    params: SpinModelParams, theta: float = np.pi / 4
-) -> ClosedStateReport:
-    """How close the control Bell states are to stationary states.
-
-    The candidate eigenvalue is b = 2 J2x sin(2 theta) - J2z, which is
-    2 J2x - J2z for the symmetric combination (theta = pi/4) and -2 J2x - J2z
-    for the antisymmetric one (theta = -pi/4); the residual vanishes linearly
-    with J1.
-    """
-    if params.n_sites != 4:
-        raise ModelError("eigencheck applies to the 4-site chain")
-    h = build_interaction_hamiltonian(params).entries
-    c, s = np.cos(theta), np.sin(theta)
-    psi1 = c * ket(16, 0b0100) + s * ket(16, 0b0010)
-    psi2 = c * ket(16, 0b1100) + s * ket(16, 0b1010)
-    b = TWO_PI * (2.0 * params.j2x * np.sin(2.0 * theta) - params.j2z)
-    res1 = float(np.linalg.norm(h @ psi1 - b * psi1))
-    # the double-excitation analogue carries an extra J1z Stark shift, so its
-    # residual is taken against its own expectation value
-    e2 = psi2.conj() @ (h @ psi2)
-    res2 = float(np.linalg.norm(h @ psi2 - e2 * psi2))
-    return ClosedStateReport(
-        theta=theta,
-        b_value=b / TWO_PI,
-        residual_single=res1,
-        residual_double=res2,
-    )
-
-
 def analytic_gate_time(params: SpinModelParams) -> float:
     """Swap period t_g = pi / |2 J1| in microseconds."""
     j1 = params.j1x
     if j1 == 0.0:
         raise ModelError("gate time undefined for J1 = 0")
     return np.pi / abs(2.0 * TWO_PI * j1)
-
-
-@dataclass(frozen=True)
-class TransferReport:
-    t_f: float                         # us
-    level_residuals: tuple[float, ...]  # distance of E_k t_f from required parity
-    superposition_residual: float      # | |E1 - E0| t_f - 2 pi |
-    degenerate: bool
-
-
-def perfect_transfer_conditions(params: SpinModelParams) -> TransferReport:
-    """Integer-resonance conditions for perfect transfer at t_f = pi/|2 J1x|.
-
-    Levels 1 and 3 (antisymmetric pair) must satisfy E t_f = odd multiples of
-    pi and levels 2 and 4 even multiples; the all-ground state adds
-    |E1 - E0| t_f = 2 pi, which holds exactly when J1x = J1z.
-    """
-    if params.j1x == 0.0:
-        return TransferReport(np.inf, (0.0, 0.0, 0.0, 0.0), 0.0, True)
-    t_f = analytic_gate_time(params)
-    energies, _ = analytic_single_excitation_spectrum(params)
-    residuals = []
-    for k, e in enumerate(energies):
-        # distance of E t_f from the odd (k = 0, 2) or even multiples of pi
-        r = (e * t_f - (np.pi if k in (0, 2) else 0.0)) % (2 * np.pi)
-        residuals.append(float(min(r, 2 * np.pi - r)))
-    e0 = vacuum_energy(params)
-    superpos = abs(abs(energies[0] - e0) * t_f - 2 * np.pi)
-    return TransferReport(t_f, tuple(residuals), float(superpos), False)
 
 
 # ---------------------------------------------------------------------------
@@ -572,28 +466,3 @@ def analytic_n5_spectrum(params: SpinModelParams) -> np.ndarray:
     rad = np.sqrt(8.0 * j2x**2 + (0.5 * (delta - delta3) - j1z + j2z) ** 2)
     e_anti = -delta3 / 2.0
     return TWO_PI * np.array([e_end, mid + rad, e_anti, mid - rad, e_end])
-
-
-def n5_control_states(params: SpinModelParams) -> dict[str, np.ndarray]:
-    """Named control-register states of the 5-site gate (3-qubit vectors)."""
-    delta, delta3 = params.delta, params.omega[2] - params.omega[0]
-    j1z, j2x, j2z = params.j1z, params.j2x, params.j2z
-    out: dict[str, np.ndarray] = {}
-    v = np.zeros(8, dtype=complex)
-    v[0] = 1.0
-    out["open_0"] = v
-
-    anti = np.zeros(8, dtype=complex)
-    anti[int("100", 2)] = 1.0
-    anti[int("001", 2)] = -1.0
-    out["one_zero"] = anti / np.sqrt(2.0)
-
-    # dressed middle states have components {J2x, delta3/2 - E, J2x}
-    energies = analytic_n5_spectrum(params) / TWO_PI
-    for name, e in (("one_plus", energies[1]), ("one_minus", energies[3])):
-        mid = np.zeros(8, dtype=complex)
-        mid[int("100", 2)] = j2x
-        mid[int("010", 2)] = delta3 / 2.0 - e
-        mid[int("001", 2)] = j2x
-        out[name] = mid / np.linalg.norm(mid)
-    return out

@@ -1,4 +1,5 @@
-"""Shared test helpers: pure states and an independent Liouvillian oracle."""
+"""Shared test helpers: pure states, the two-qubit Pauli basis and an
+independent Liouvillian oracle."""
 
 import numpy as np
 
@@ -10,6 +11,15 @@ def pure_state(vec, dims):
     v = np.asarray(vec, dtype=complex)
     v = v / np.linalg.norm(v)
     return OperatorMatrix(dims, np.outer(v, v.conj()))
+
+
+def pauli_basis_2q():
+    """The 16 operators X^k Z^l x X^m Z^n in lexicographic (k, l, m, n)
+    order, each factor written out and the products taken by np.kron."""
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    z = np.diag([1.0, -1.0]).astype(complex)
+    factors = [np.eye(2), z, x, x @ z]
+    return [np.kron(a, b) for a in factors for b in factors]
 
 
 def textbook_liouvillian(h, collapse):

@@ -860,9 +860,15 @@ class TestCommandLine:
         assert ("--seed" in result.output) == (kind == "search")
 
 
-def _readme_config_block() -> str:
+def _readme_block(heading: str) -> str:
+    """The first fenced block below ``heading`` in the README, without its
+    language tag."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    return readme.split("### Configuration format", 1)[1].split("```")[1]
+    return readme.split(heading, 1)[1].split("```")[1].removeprefix("python")
+
+
+def _readme_config_block() -> str:
+    return _readme_block("### Configuration format")
 
 
 def _docstring_config_block() -> str:
@@ -877,3 +883,12 @@ def test_documented_config_example_resolves(block):
     assert text.count("=") >= 8
     cfg = resolve_config(parse_config_text(text))
     assert cfg["run"]["out"].endswith("#1.csv")
+
+
+def test_readme_library_example_runs(capsys):
+    """The README's library example runs as printed and finds the row-6 open
+    gate's peak inside its window."""
+    exec(compile(_readme_block("## Library example"), "README.md", "exec"), {})
+    peak_value, peak_ratio = map(float, capsys.readouterr().out.split())
+    assert 0.98 < peak_value < 1.0
+    assert 0.8 < peak_ratio < 1.05

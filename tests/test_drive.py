@@ -17,14 +17,10 @@ from swapgate.hilbert import (
 from swapgate.drive import (
     DrivePulse,
     _drive_terms,
-    LeakageReport,
     calibrated_pi_pulse,
-    control_level_energies,
     drive_hamiltonian,
-    leakage_avoidance_check,
     rabi_prepare,
     resonant_drive_frequency,
-    superposition_phase,
 )
 from swapgate.metrics import control_state_vector
 from swapgate.spin_model import (
@@ -290,57 +286,3 @@ class TestResonance:
         bare = -(params.delta + 2 * params.j2x - 2 * params.j2z)
         assert exact - bare == pytest.approx(2 * params.j1z, rel=1e-9)
 
-    def test_weak_drive_flag(self):
-        pulse = DrivePulse(amplitude=100.0, frequency=50.0)
-        assert not pulse.weak_drive_ok(1007.1)
-        assert DrivePulse(amplitude=20.0, frequency=50.0).weak_drive_ok(1007.1)
-
-
-class TestSuperpositionPhase:
-    def test_zero_time(self):
-        assert superposition_phase(-540.4, 1007.1, 10700.0, 0.0) == 1.0
-
-    def test_pi_rotation(self):
-        # choose t so the phase argument is exactly pi
-        freq = 10700.0 - 2 * 1007.1 + 2 * (-540.4)
-        t = 0.5 / freq
-        val = superposition_phase(-540.4, 1007.1, 10700.0, t)
-        assert val.real == pytest.approx(-1.0, abs=1e-12)
-
-    def test_row6_arithmetic(self):
-        t = 1e-3  # 1 ns in us
-        freq = 10700.0 - 2 * 1007.1 + 2 * (-540.4)
-        want = np.exp(-1j * TWO_PI * freq * t)
-        assert superposition_phase(-540.4, 1007.1, 10700.0, t) == pytest.approx(want)
-
-
-class TestLeakageCheck:
-    def test_row6_not_flagged(self):
-        params = row6_params()
-        omega2 = 10700.0
-        levels = control_level_energies(omega2, params.j2z, params.j2x)
-        pulse = DrivePulse(
-            amplitude=params.j2z / 50.0,
-            frequency=abs(levels[1] - levels[0]),
-        )
-        rep = leakage_avoidance_check(pulse, levels)
-        assert not rep.flagged
-        assert rep.detunings["open_to_bell"] < 1e-9
-
-    def test_bracket_energies(self):
-        e00, e1p, e11 = control_level_energies(10700.0, 1007.1, -540.4)
-        assert e00 == pytest.approx(-10700.0 + 1007.1)
-        assert e1p == pytest.approx(-1007.1 + 2 * -540.4)
-        assert e11 == pytest.approx(10700.0 + 1007.1)
-
-    def test_engineered_collision_flags(self):
-        """Choose omega2 so both transitions coincide: the flag must raise."""
-        j2z, j2x = 100.0, 50.0
-        # |e1p - e00| = |e11 - e1p| when omega2 - 2 j2z + 2 j2x = omega2 + 2 j2z - 2 j2x
-        # impossible unless j2z = j2x; take j2z = j2x so both gaps equal omega2
-        j2x = j2z
-        levels = control_level_energies(5000.0, j2z, j2x)
-        pulse = DrivePulse(amplitude=10.0, frequency=abs(levels[1] - levels[0]))
-        rep = leakage_avoidance_check(pulse, levels)
-        assert isinstance(rep, LeakageReport)
-        assert rep.flagged

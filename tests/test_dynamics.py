@@ -45,7 +45,6 @@ from swapgate.spin_model import (
     build_n5_model,
     build_qutrit_hamiltonian,
     closed_config_for_branch,
-    n5_control_states,
     symmetric_chain,
 )
 
@@ -551,7 +550,7 @@ def register(name):
     if name == "n5":
         params = build_n5_model(40.0, 40.0, 500.0, 500.0, 900.0)
         return (build_interaction_hamiltonian(params).entries,
-                n5_control_states(params)["open_0"])
+                control_state_vector(GateConfig(), [2, 2, 2]))
     qutrit = name.startswith("qutrit_")
     h = (build_qutrit_hamiltonian(table_qutrit_params(6)) if qutrit
          else build_interaction_hamiltonian(spin))

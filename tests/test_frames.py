@@ -13,7 +13,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.sparse import csr_array
 
-from helpers import textbook_liouvillian
+from helpers import pauli_basis_2q, textbook_liouvillian
 from swapgate.circuit_map import table_qutrit_params, table_spin_params
 from swapgate.drive import calibrated_pi_pulse, rabi_prepare
 from swapgate.dynamics import NoiseModel
@@ -24,12 +24,7 @@ from swapgate.hilbert import (
     embed_operators,
     partial_trace,
 )
-from swapgate.metrics import (
-    average_fidelity,
-    control_state_vector,
-    open_gate,
-    pauli_basis_2q,
-)
+from swapgate.metrics import average_fidelity, control_state_vector, open_gate
 from swapgate.spin_model import (
     QUTRIT_DIMS,
     TWO_PI,

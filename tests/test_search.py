@@ -12,9 +12,7 @@ from swapgate.circuit_map import (
     MappingError,
     circuit_to_spin,
     table_row,
-    table_spin_params,
 )
-from swapgate.spin_model import ModelError, delta_for_branch, symmetric_chain
 from swapgate.cli import default_config, run_experiment
 from swapgate.search import (
     DEFAULT_BOUNDS,
@@ -24,10 +22,9 @@ from swapgate.search import (
     _box,
     _cost_rows,
     _lockstep_nelder_mead,
+    _residuals,
     evaluate_cost,
-    requirement_residuals,
     search,
-    validate_solution,
 )
 
 
@@ -69,11 +66,8 @@ def assert_matches_scipy(starts, budget, branch="plus", bounds=DEFAULT_BOUNDS):
 
 class TestCostFunction:
     def test_residuals_of_mapped_point(self):
-        spin = circuit_to_spin(CircuitParams(
-            e1=561.6, e2=438.5, e12=186.0, e23=397.1,
-            c1=926.3, c2=76.2, c23=240.4, l12=37.3,
-        ))
-        res = requirement_residuals(spin, "plus")
+        x = np.array([561.6, 438.5, 186.0, 397.1, 926.3, 76.2, 240.4, 37.3])
+        _, res, _ = evaluate_cost(x, "plus", DEFAULT_BOUNDS)
         assert set(res) == {
             "j1_equality", "delta_branch", "coupling_ratio", "anharmonicity"
         }
@@ -139,7 +133,7 @@ class TestCostParity:
         cost, res, spin = evaluate_cost(x, "plus", DEFAULT_BOUNDS)
         want = circuit_to_spin(CircuitParams(*x))
         assert spin == want
-        assert res == requirement_residuals(want, "plus")
+        assert res == {name: float(v) for name, v in _residuals(vars(want), "plus").items()}
         weighted = (res["j1_equality"] ** 2 + res["delta_branch"] ** 2
                     + res["coupling_ratio"] ** 2 + 0.1 * res["anharmonicity"] ** 2)
         assert cost == pytest.approx(weighted, rel=1e-14)
@@ -315,40 +309,6 @@ class TestSearch:
         c0, _, _ = evaluate_cost(x0, "plus", DEFAULT_BOUNDS)
         best = search(seed=5, n_restarts=1, max_evaluations=400, keep_all=True)
         assert best[0].cost <= c0
-
-
-class TestValidation:
-    def test_row6_equivalent_passes_thresholds(self):
-        """Published row-6 spin parameters validate as a working gate."""
-        report = validate_solution(table_spin_params(6), gamma=0.01, n_samples=60)
-        assert report.open_peak_fidelity >= 0.98
-        assert report.closed_min_fidelity >= 0.98
-        assert 0.85 * report.gate_time_analytic <= report.open_peak_time \
-            <= report.gate_time_analytic
-
-    def test_explicit_detuning_scored_on_its_branch(self):
-        """An explicit minus-resonant chain is scored on the minus branch,
-        as if it were labelled so (on the plus branch it read 0.2046 open
-        peak and 0.2709 closed minimum)."""
-        j1, j2x, j2z = 40.9, -540.4, 1007.1
-        delta = delta_for_branch("minus", j2x, j2z)
-        explicit = symmetric_chain(j1, j1, j2x, j2z, delta)
-        labelled = symmetric_chain(j1, j1, j2x, j2z, delta, detuning_choice="minus")
-        report = validate_solution(explicit, gamma=0.0, n_samples=60)
-        assert report == validate_solution(labelled, gamma=0.0, n_samples=60)
-        assert report.open_peak_fidelity == pytest.approx(0.978, abs=1e-3)
-        assert report.closed_min_fidelity == pytest.approx(0.990, abs=1e-3)
-
-    def test_explicit_detuning_off_both_branches_refused(self):
-        j1, j2x, j2z = 40.9, -540.4, 1007.1
-        off = symmetric_chain(j1, j1, j2x, j2z, 1.001 * delta_for_branch("plus", j2x, j2z))
-        with pytest.raises(ModelError, match="neither resonance branch"):
-            validate_solution(off, gamma=0.0, n_samples=10)
-
-    def test_noise_strictly_reduces_peak(self):
-        clean = validate_solution(table_spin_params(6), gamma=0.0, n_samples=50)
-        noisy = validate_solution(table_spin_params(6), gamma=0.01, n_samples=50)
-        assert noisy.open_peak_fidelity < clean.open_peak_fidelity
 
 
 def test_package_does_not_shadow_the_search_module():
