@@ -1,9 +1,9 @@
-"""Shared test helpers: pure states, the two-qubit Pauli basis and an
-independent Liouvillian oracle."""
+"""Shared test helpers: pure states, the two-qubit Pauli basis, a checked
+Hermitian eigensolver and an independent Liouvillian oracle."""
 
 import numpy as np
 
-from swapgate.hilbert import OperatorMatrix
+from swapgate.hilbert import HilbertError, OperatorMatrix
 
 
 def pure_state(vec, dims):
@@ -20,6 +20,24 @@ def pauli_basis_2q():
     z = np.diag([1.0, -1.0]).astype(complex)
     factors = [np.eye(2), z, x, x @ z]
     return [np.kron(a, b) for a in factors for b in factors]
+
+
+def eig_hermitian(op):
+    """Eigenvalues (ascending) and eigenvectors of a Hermitian operator.
+
+    Raises ``HilbertError`` if the input is not Hermitian to 1e-9
+    (relative), and checks the reconstruction residual against
+    1e-10 * ||A||.
+    """
+    m = op.entries if isinstance(op, OperatorMatrix) else np.asarray(op, dtype=complex)
+    scale = max(1.0, float(np.max(np.abs(m))))
+    if np.max(np.abs(m - m.conj().T)) > 1e-9 * scale:
+        raise HilbertError("matrix is not Hermitian within tolerance")
+    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
+    residual = np.linalg.norm(m @ v - v @ np.diag(w))
+    if residual > 1e-10 * max(1.0, np.linalg.norm(m)):
+        raise HilbertError(f"eigendecomposition residual {residual:.3e} too large")
+    return w, v
 
 
 def textbook_liouvillian(h, collapse):

@@ -293,6 +293,14 @@ class TestBatchedMap:
                     assert np.array_equal(part[name], column[start:start + size],
                                           equal_nan=True), (name, size, start)
 
+    def test_unphysical_circuit_warns_without_errstate(self):
+        """``map_sites`` silences nothing: a c2 = 0 column warns unless its
+        caller holds an ``np.errstate``."""
+        x = np.array([table_row(6)[name] for name in CIRCUIT_NAMES])[:, None]
+        x[5] = 0.0
+        with pytest.warns(RuntimeWarning):
+            map_sites(x)
+
 
 class TestTableData:
     def test_detuning_identity_all_rows(self):
@@ -367,3 +375,12 @@ class TestMapping:
         with pytest.raises(MappingError):
             CircuitParams(e1=-1, e2=1, e12=1, e23=1, c1=1, c2=1, c23=1, l12=1)
 
+
+class TestDriveAmplitude:
+    def test_against_independent_evaluation(self):
+        """A charge drive of the control nodes enters the spin drive through
+        (K^-1)_22 + (K^-1)_32 of the general-chain inverse, which the closed
+        form gives as (c2 + 2 c23) / d = 1 / c2."""
+        for params in [row6()] + random_circuits(seed=13, n=64):
+            kinv, _ = inverse_capacitance(gate_capacitance_matrix(params))
+            assert kinv[1, 1] + kinv[2, 1] == pytest.approx(1.0 / params.c2, rel=1e-12)

@@ -15,7 +15,9 @@ from swapgate.hilbert import (
     partial_trace,
 )
 from swapgate.drive import (
+    CALIBRATION_SPAN,
     DrivePulse,
+    _bell_energy,
     _drive_terms,
     calibrated_pi_pulse,
     drive_hamiltonian,
@@ -26,8 +28,11 @@ from swapgate.metrics import control_state_vector
 from swapgate.spin_model import (
     TWO_PI,
     GateConfig,
+    ModelError,
     build_interaction_hamiltonian,
+    build_n5_model,
     symmetric_chain,
+    vacuum_energy,
 )
 
 ROW6 = dict(j1x=40.9, j1z=40.9, j2x=-540.4, j2z=1007.1, delta=933.4)
@@ -99,6 +104,10 @@ class TestDriveHamiltonian:
         d = TWO_PI * pulse.frequency
         assert np.linalg.norm(h.entries @ full - d * full) < 1e-12
 
+    def test_rejects_qutrit_controls(self):
+        with pytest.raises(ModelError, match="two qubit control sites"):
+            drive_hamiltonian(DrivePulse(amplitude=5.0, frequency=321.0), (2, 3, 3, 2))
+
 
 def kron_drive_hamiltonian(pulse):
     """``drive_hamiltonian`` on four qubits with the tone embedded afresh by
@@ -140,6 +149,15 @@ class TestDriveTerms:
 
 
 class TestRabiTransfer:
+    def test_refuses_zero_amplitude_and_other_chains(self):
+        """A pulse without amplitude has no pi duration, and the preparation
+        drives the four-site chain only."""
+        with pytest.raises(ModelError, match="zero amplitude"):
+            rabi_prepare(row6_params(), DrivePulse(amplitude=0.0, frequency=100.0))
+        five = build_n5_model(40.0, 40.0, 500.0, 500.0, 900.0)
+        with pytest.raises(ModelError, match="4-site chain"):
+            rabi_prepare(five, DrivePulse(amplitude=20.0, frequency=100.0), (1e-3,))
+
     def test_pi_pulse_transfer(self, pi_pulse):
         """A calibrated pi pulse moves |1+>_C to |0>_C with P >= 0.99."""
         params = row6_params()
@@ -286,3 +304,81 @@ class TestResonance:
         bare = -(params.delta + 2 * params.j2x - 2 * params.j2z)
         assert exact - bare == pytest.approx(2 * params.j1z, rel=1e-9)
 
+    def test_weak_drive_flag(self):
+        """The weak-drive condition A <= J2z/20: at its edge the calibrated pi
+        pulse transfers and keeps |11>_C empty; at A = J2z it leaks."""
+        params = row6_params()
+        populations = []
+        for amplitude in (abs(params.j2z) / 20.0, abs(params.j2z)):
+            res, = rabi_prepare(params, calibrated_pi_pulse(params, amplitude))
+            populations.append((res.transfer_probability,
+                                float(np.real(res.control_state.entries[3, 3]))))
+        (weak_transfer, weak_leak), (strong_transfer, strong_leak) = populations
+        assert weak_transfer >= 0.999 and weak_leak < 1e-4
+        assert strong_transfer < 0.99 and strong_leak > 5e-3
+
+
+def double_population(results):
+    """The largest |11>_C population over the samples of ``rabi_prepare``."""
+    return max(float(np.real(r.control_state.entries[3, 3])) for r in results)
+
+
+class TestSuperpositionPhase:
+    """The level frame removes the free phase between the open and closed
+    register, exp(-i 2pi f t) at the exact transition frequency f: the
+    |00><1+| coherence of the level frame is that of the drive frame times
+    exp(+i 2pi f t)."""
+
+    @staticmethod
+    def coherence_ratio(params, pulse, t):
+        res, = rabi_prepare(params, pulse, (t,))
+        return (res.control_state_level_frame.entries[0, 1]
+                / res.control_state.entries[0, 1])
+
+    def test_zero_time(self, pi_pulse):
+        res, = rabi_prepare(row6_params(), pi_pulse, (0.0,))
+        assert np.array_equal(res.control_state_level_frame.entries,
+                              res.control_state.entries)
+
+    def test_pi_rotation(self, pi_pulse):
+        """Half a period of the transition frequency flips the coherence."""
+        params = row6_params()
+        t = 0.5 / resonant_drive_frequency(params)
+        assert self.coherence_ratio(params, pi_pulse, t) == pytest.approx(-1.0, abs=1e-12)
+
+    def test_row6_arithmetic(self, pi_pulse):
+        params = row6_params()
+        t = 1e-3  # 1 ns in us
+        want = np.exp(1j * TWO_PI * resonant_drive_frequency(params) * t)
+        assert self.coherence_ratio(params, pi_pulse, t) == pytest.approx(want, abs=1e-12)
+
+
+class TestLeakageCheck:
+    def test_row6_not_flagged(self, pi_pulse):
+        """The calibrated row-6 pulse sits on the |00> <-> |1+> transition and
+        leaves |11>_C empty over two pi durations."""
+        params = row6_params()
+        assert abs(pi_pulse.frequency - resonant_drive_frequency(params)) < CALIBRATION_SPAN
+        t_pi = pi_pulse.pi_duration()
+        results = rabi_prepare(params, pi_pulse, np.linspace(t_pi / 10, 2 * t_pi, 20))
+        assert double_population(results) < 1e-4
+
+    def test_bracket_energies(self):
+        """With the targets decoupled the register levels the level frame
+        uses are the bare (|00>, |1+>, |11>) energies (-d + J2z,
+        -J2z + 2 J2x, d + J2z) at control detuning d."""
+        params = symmetric_chain(0.0, 0.0, -540.4, 1007.1, 933.4)
+        h = build_interaction_hamiltonian(params).entries
+        levels = (vacuum_energy(params), _bell_energy(h), float(np.real(h[0b0110, 0b0110])))
+        want = (-933.4 + 1007.1, -1007.1 + 2 * -540.4, 933.4 + 1007.1)
+        assert np.allclose(np.array(levels) / TWO_PI, want, rtol=1e-12)
+
+    def test_engineered_collision_flags(self):
+        """With J2z = J2x the |1+> -> |11> gap equals the |00> <-> |1+> gap,
+        so the drive that opens the register also fills |11>_C."""
+        j2 = 100.0
+        params = symmetric_chain(0.0, 0.0, j2, j2, 2000.0)
+        pulse = DrivePulse(amplitude=10.0, frequency=resonant_drive_frequency(params))
+        t_pi = pulse.pi_duration()
+        results = rabi_prepare(params, pulse, np.linspace(t_pi / 10, 3 * t_pi, 30))
+        assert double_population(results) > 0.4

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import pure_state
+from helpers import eig_hermitian, pure_state
 from swapgate.hilbert import (
     PAULI_X,
     PAULI_Y,
@@ -159,6 +159,25 @@ class TestPartialTrace:
         a = m.reshape(2, 3, 2, 2, 2, 3, 2, 2)
         want = np.einsum("aijbcijd->abcd", a).reshape(4, 4)
         assert np.allclose(got, want, atol=1e-12)
+
+
+class TestEigHermitian:
+    """The checked eigensolver the closed-form spectrum tests use as oracle."""
+
+    def test_sigma_x(self):
+        w, v = eig_hermitian(OperatorMatrix(SiteDims((2,)), PAULI_X))
+        assert np.allclose(w, [-1.0, 1.0])
+        assert np.allclose(PAULI_X @ v, v @ np.diag(w))
+
+    def test_diagonal_sorted(self):
+        d = np.diag([3.0, -1.0, 2.0, 0.5])
+        w, _ = eig_hermitian(OperatorMatrix(SiteDims((2, 2)), d))
+        assert np.allclose(w, sorted([3.0, -1.0, 2.0, 0.5]))
+
+    def test_rejects_non_hermitian(self):
+        m = np.array([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(HilbertError):
+            eig_hermitian(OperatorMatrix(SiteDims((2,)), m))
 
 
 class TestOperatorMatrix:

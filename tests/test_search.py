@@ -12,8 +12,18 @@ from swapgate.circuit_map import (
     MappingError,
     circuit_to_spin,
     table_row,
+    table_spin_params,
 )
 from swapgate.cli import default_config, run_experiment
+from swapgate.dynamics import NoiseModel
+from swapgate.metrics import CLOSED_WINDOW, OPEN_WINDOW, average_fidelity, gate_window
+from swapgate.spin_model import (
+    GateConfig,
+    analytic_gate_time,
+    closed_config_for_branch,
+    delta_for_branch,
+    symmetric_chain,
+)
 from swapgate.search import (
     DEFAULT_BOUNDS,
     INFEASIBLE_COST,
@@ -309,6 +319,49 @@ class TestSearch:
         c0, _, _ = evaluate_cost(x0, "plus", DEFAULT_BOUNDS)
         best = search(seed=5, n_restarts=1, max_evaluations=400, keep_all=True)
         assert best[0].cost <= c0
+
+
+def scored_gate(params, branch, gamma, n_samples):
+    """The open peak trace and the closed trace over a gate period of a
+    solution on ``branch``, at decoherence rate ``gamma``."""
+    noise = NoiseModel(gamma=gamma) if gamma > 0 else None
+    trace_open, = average_fidelity(params, [GateConfig(delta_branch=branch)], noise,
+                                   gate_window(params, *OPEN_WINDOW, n_samples))
+    trace_closed, = average_fidelity(params, [closed_config_for_branch(branch)], noise,
+                                     gate_window(params, *CLOSED_WINDOW, n_samples))
+    return trace_open, trace_closed
+
+
+class TestValidation:
+    """A search solution is judged by the fidelity pipeline on its branch."""
+
+    def test_row6_equivalent_passes_thresholds(self):
+        """Published row-6 spin parameters validate as a working gate."""
+        params = table_spin_params(6)
+        trace_open, trace_closed = scored_gate(params, "plus", 0.01, 60)
+        tg = analytic_gate_time(params)
+        assert trace_open.peak_value >= 0.98
+        assert min(trace_closed.fbar) >= 0.98
+        assert 0.85 * tg <= trace_open.peak_time <= tg
+
+    def test_explicit_detuning_scored_on_its_branch(self):
+        """An explicit minus-resonant chain scores on the minus branch as the
+        chain labelled so (on the plus branch it read 0.2046 open peak and
+        0.2709 closed minimum)."""
+        j1, j2x, j2z = 40.9, -540.4, 1007.1
+        delta = delta_for_branch("minus", j2x, j2z)
+        explicit = symmetric_chain(j1, j1, j2x, j2z, delta)
+        labelled = symmetric_chain(j1, j1, j2x, j2z, delta, detuning_choice="minus")
+        got = scored_gate(explicit, "minus", 0.0, 60)
+        assert got == scored_gate(labelled, "minus", 0.0, 60)
+        trace_open, trace_closed = got
+        assert trace_open.peak_value == pytest.approx(0.978, abs=1e-3)
+        assert min(trace_closed.fbar) == pytest.approx(0.990, abs=1e-3)
+
+    def test_noise_strictly_reduces_peak(self):
+        clean, _ = scored_gate(table_spin_params(6), "plus", 0.0, 50)
+        noisy, _ = scored_gate(table_spin_params(6), "plus", 0.01, 50)
+        assert noisy.peak_value < clean.peak_value
 
 
 def test_package_does_not_shadow_the_search_module():

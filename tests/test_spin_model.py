@@ -10,17 +10,21 @@ import numpy as np
 import pytest
 
 import swapgate
-from swapgate.circuit_map import table_qutrit_params
+from helpers import eig_hermitian
+from swapgate.circuit_map import table_qutrit_params, table_spin_params
 from swapgate.hilbert import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
     SIGMA_MINUS,
     SIGMA_PLUS,
+    OperatorMatrix,
+    SiteDims,
     excitation_numbers,
     projector,
 )
 from swapgate.spin_model import (
+    MIN_COUPLING_RATIO,
     TWO_PI,
     GateConfig,
     ModelError,
@@ -47,6 +51,25 @@ ROW6 = dict(j1x=40.9, j1z=40.9, j2x=-540.4, j2z=1007.1, delta=933.4)
 
 def row6_params():
     return symmetric_chain(**ROW6)
+
+
+def gate_mode_violations(params):
+    """The conditions a chain breaks for use as a conditional swap gate: 4 or
+    5 sites, mirror symmetry, |J2x/J1x| >= MIN_COUPLING_RATIO, J1x = J1z."""
+    out = []
+    n = params.n_sites
+    if n not in (4, 5):
+        out.append(f"gate mode needs 4 or 5 sites, have {n}")
+    if not (np.allclose(params.omega, params.omega[::-1], rtol=0, atol=1e-9)
+            and np.allclose(params.jx, params.jx[::-1], rtol=0, atol=1e-9)
+            and np.allclose(params.jz, params.jz[::-1], rtol=0, atol=1e-9)):
+        out.append("chain is not spatially symmetric")
+    if abs(params.j1x) > 0 and abs(params.j2x / params.j1x) < MIN_COUPLING_RATIO:
+        out.append(f"|J2x/J1x| = {abs(params.j2x / params.j1x):.2f} below "
+                   f"threshold {MIN_COUPLING_RATIO}")
+    if abs(params.j1x - params.j1z) / max(abs(params.j1x), 1e-12) > 1e-2:
+        out.append("J1x != J1z beyond tolerance")
+    return out
 
 
 def random_gate_params(rng):
@@ -109,13 +132,28 @@ class TestConstruction:
         with pytest.raises(ModelError):
             SpinModelParams(n_sites=4, omega=(0, 0, 0), jx=(1, 1, 1), jz=(1, 1, 1))
 
+    def test_gate_mode_violations(self):
+        """Every published row is a gate-mode chain; a weak control bond or
+        a chain off its mirror symmetry is not."""
+        for row in range(1, 17):
+            assert gate_mode_violations(table_spin_params(row)) == [], row
+        p = symmetric_chain(100.0, 100.0, 200.0, 200.0, 800.0)
+        assert any("J2x/J1x" in v for v in gate_mode_violations(p))
+        good = row6_params()
+        assert gate_mode_violations(good) == []
+        for field, value in (("omega", good.omega[:3] + (5.0,)),
+                             ("jx", good.jx[:2] + (good.jx[2] + 1.0,)),
+                             ("jz", (good.jz[0] - 1.0,) + good.jz[1:])):
+            mirrored_off = replace(good, **{field: value})
+            assert "chain is not spatially symmetric" in gate_mode_violations(mirrored_off)
+
 
 class TestClosedFormSpectrum:
     def test_matches_oracle_row6(self):
         p = row6_params()
         energies, vectors = analytic_single_excitation_spectrum(p)
         block = single_excitation_block(p)
-        w = np.linalg.eigvalsh(block)
+        w, v = eig_hermitian(OperatorMatrix(SiteDims((2, 2)), block))
         assert np.allclose(np.sort(energies), w, rtol=1e-9)
         # eigenvector overlap per closed-form vector
         for k in range(4):
@@ -247,6 +285,13 @@ class TestTransferConditions:
             residuals.append(superposition_residual(p))
         assert residuals[0] > 1e-3
         assert abs(residuals[1] / residuals[0] - 2.0) < 0.05
+
+    def test_zero_coupling_flags_degenerate(self):
+        """Without end bonds there is no transfer to time: the condition is
+        refused, not read as met."""
+        p = symmetric_chain(0.0, 0.0, 100.0, 100.0, 400.0)
+        with pytest.raises(ModelError, match="J1 = 0"):
+            superposition_residual(p)
 
 
 class TestCrosstalk:
