@@ -380,10 +380,7 @@ def table_circuit_params(index: int) -> CircuitParams:
 def table_spin_params(index: int) -> SpinModelParams:
     """Chain parameters taken verbatim from a table row's spin columns."""
     r = table_row(index)
-    return symmetric_chain(
-        r["j1x"], r["j1z"], r["j2x"], r["j2z"], r["delta"],
-        detuning_choice=table_branch(index),
-    )
+    return symmetric_chain(r["j1x"], r["j1z"], r["j2x"], r["j2z"], r["delta"])
 
 
 def table_qutrit_params(index: int) -> QutritModelParams:

@@ -23,13 +23,14 @@ the allowed names of a string; at least one item in a list other than
 ``channels``; no item twice in ``rows`` or ``configs``) and the cross-key
 rules in ``ORDER_RULES`` (time windows increase, the drive amplitude is
 positive); an experiment that reads the gate time pi / |2 J1| refuses a
-chain, or a scan point, with J1 = 0.  A schema holds only the keys
-its experiment reads (the scans take no [model] section; a ``BySource``
-[model] section takes only the keys of the ``source`` it names), and
-unknown keys are rejected.  '#' and ',' inside double quotes are literal,
-and '\\' escapes '"' and '\\' there.  Loading fills defaults, and emitting a
-loaded configuration reproduces it exactly (load -> emit -> load is the
-identity on resolved configurations).
+chain, or a scan point, with J1 = 0, and a zero any experiment divides by
+is refused (``_check_zero_divisors``).  A schema holds only the keys its
+experiment reads (the scans take no [model] section; a ``BySource`` [model]
+section takes only the keys of the ``source`` it names), and unknown keys
+are rejected.  '#' and ',' inside double quotes are literal, and '\\' escapes
+'"' and '\\' there.  Loading fills defaults, and emitting a loaded
+configuration reproduces it exactly (load -> emit -> load is the identity
+on resolved configurations).
 
 Per run, a CSV table (header row, '.' decimal, 12 significant digits, one
 row per sample) and a JSON summary (peaks, locations, the search seed, the
@@ -74,6 +75,7 @@ from .spin_model import (
     analytic_gate_time,
     build_interaction_hamiltonian,
     build_n5_model,
+    build_qutrit_hamiltonian,
     closed_config_for_branch,
     delta_for_branch,
     symmetric_chain,
@@ -385,6 +387,22 @@ def _check_gate_time(kind: str, sections: dict[str, dict[str, Any]]) -> None:
             raise ConfigError(f"[{section}] {key} = 0 {undefined}")
 
 
+def _check_zero_divisors(kind: str, sections: dict[str, dict[str, Any]]) -> None:
+    """Reject a zero the experiment divides by: the ``Eplus``/``Eminus``
+    denominator delta3/2 + 2 J2z of ``build_n5_model``, and the drive
+    amplitude amplitude_fraction * |J2z| of a spin-source chain."""
+    model = sections.get("model", {})
+    if (kind == "n5_trace" and model["branch"] != "E0"
+            and model["delta3"] / 2.0 + 2.0 * model["j2"] == 0.0):
+        raise ConfigError(f"[model] delta3/2 + 2 j2 = 0 leaves the {model['branch']} "
+                          "resonance branch undefined")
+    # a [model] section holds j2z only with source = spin
+    if (kind == "drive_demo" and "j2z" in model
+            and sections["grid"]["amplitude_fraction"] * abs(model["j2z"]) == 0.0):
+        raise ConfigError(f"[model] j2z = {model['j2z']} makes the drive amplitude "
+                          "amplitude_fraction * |J2z| zero")
+
+
 def _check_qutrit_preparations(kind: str, sections: dict[str, dict[str, Any]]) -> None:
     """Reject two ``qutrit_compare`` configs that name one preparation on a
     requested row (``closed`` is ``closed_plus`` on a plus-branch row and
@@ -530,6 +548,7 @@ def resolve_config(raw: dict[str, dict[str, Any]]) -> ExperimentConfig:
         sections[sec_name] = resolved
     _check_order(kind, sections)
     _check_gate_time(kind, sections)
+    _check_zero_divisors(kind, sections)
     _check_qutrit_preparations(kind, sections)
     return ExperimentConfig(kind=kind, sections=sections)
 
@@ -629,11 +648,7 @@ def _spin_from_model_section(model: dict[str, Any]) -> tuple[SpinModelParams, st
         return params, cmap.table_branch(model["row"])
     branch = model.get("branch")
     if source == "spin":
-        params = symmetric_chain(
-            model["j1x"], model["j1z"], model["j2x"], model["j2z"],
-            model["delta"], detuning_choice=branch or "explicit",
-        )
-        return params, branch
+        return symmetric_chain(**{name: model[name] for name in _SPIN_KEYS}), branch
     return cmap.circuit_to_spin(_circuit_from_model_section(model)).spin_params(), branch
 
 
@@ -673,9 +688,10 @@ def _fidelity_trace(config: ExperimentConfig) -> Table:
     times = gate_window(model, grid["window_lo"], grid["window_hi"],
                         config["run"]["samples"])
     configs = [_gate_config(grid["control"], branch)]
-    trace_noisy, = average_fidelity(model, configs, noise, times)
+    h = build_interaction_hamiltonian(model)
+    trace_noisy, = average_fidelity(h, configs, noise, times)
     trace_clean = (trace_noisy if noise is None
-                   else average_fidelity(model, configs, None, times)[0])
+                   else average_fidelity(h, configs, None, times)[0])
     rows = list(zip(times, trace_noisy.fbar, trace_clean.fbar))
     summary = {
         "gate_time_analytic_us": analytic_gate_time(model),
@@ -720,8 +736,7 @@ def _scan_point(
     window = gate_window(params, *OPEN_WINDOW, n_samples)
     configs = [GateConfig(delta_branch=branch, control_state="open_0"),
                closed_config_for_branch(branch)]
-    trace = partial(average_fidelity, params, configs,
-                    hamiltonian=build_interaction_hamiltonian(params))
+    trace = partial(average_fidelity, build_interaction_hamiltonian(params), configs)
     clean_open, clean_closed = trace(None, window)
     t_num = clean_open.peak_time
     fbar_open = clean_open.peak_value
@@ -756,7 +771,7 @@ def _scan(config: ExperimentConfig) -> Table:
     for v in np.linspace(grid["lo"] * unit, grid["hi"] * unit, grid["points"]):
         j1, j2x, j2z = couplings(grid, v)
         delta = delta_for_branch(branch, j2x, j2z)
-        params = symmetric_chain(j1, j1, j2x, j2z, delta, detuning_choice=branch)
+        params = symmetric_chain(j1, j1, j2x, j2z, delta)
         rows.append((v,) + _scan_point(params, branch, noise, n))
         deltas.append(delta)
     best = max(rows, key=lambda r: r[3])
@@ -782,9 +797,11 @@ def _qutrit_compare(config: ExperimentConfig) -> Table:
         branch = cmap.table_branch(row_index)
         times = gate_window(spin, FIRST_SAMPLE, grid["window_hi"], n)
         configs = [_gate_config(control, branch) for control in grid["configs"]]
+        h_qubit = build_interaction_hamiltonian(spin)
+        h_qutrit = build_qutrit_hamiltonian(qutrit)
         for control, tr_qubit, tr_qutrit in zip(
-                grid["configs"], average_fidelity(spin, configs, noise, times),
-                average_fidelity(qutrit, configs, noise, times)):
+                grid["configs"], average_fidelity(h_qubit, configs, noise, times),
+                average_fidelity(h_qutrit, configs, noise, times)):
             for t, fq, ft in zip(times, tr_qubit.fbar, tr_qutrit.fbar):
                 rows.append((row_index, control, t, fq, ft))
             peaks[f"row{row_index}_{control}"] = {
@@ -814,12 +831,12 @@ def _crosstalk_scan(config: ExperimentConfig) -> Table:
         h_nnn = add_crosstalk(model, j_nn=jc, j_nnn=jc)
         cells = [jc]
         for h in (h_nn, h_nnn):
-            tr_open, = average_fidelity(model, open_cfg, noise, window, hamiltonian=h)
+            tr_open, = average_fidelity(h, open_cfg, noise, window)
             t_num = tr_open.peak_time
             cells.append(tr_open.peak_value)
             # both closed registers at the two samples bracketing t_num
             cells.extend(_trace_at(tr, t_num) for tr in average_fidelity(
-                model, closed_cfgs, noise, _bracket(window, t_num), hamiltonian=h))
+                h, closed_cfgs, noise, _bracket(window, t_num)))
         rows.append(tuple(cells))
     columns = (
         "jc_mhz",
@@ -839,7 +856,8 @@ def _n5_trace(config: ExperimentConfig) -> Table:
                         config["run"]["samples"])
     # the open register |000>, scored against the plus branch's negative swap
     # with the i phase
-    trace, = average_fidelity(params, [GateConfig(delta_branch="plus")], noise, times)
+    trace, = average_fidelity(build_interaction_hamiltonian(params),
+                              [GateConfig(delta_branch="plus")], noise, times)
     summary = {
         "gate_time_analytic_us": analytic_gate_time(params),
         "peak_time_us": trace.peak_time,

@@ -30,11 +30,8 @@ from .spin_model import (
     REGISTER_STATES,
     GateConfig,
     ModelError,
-    QutritModelParams,
     SpinModelParams,
     analytic_gate_time,
-    build_interaction_hamiltonian,
-    build_qutrit_hamiltonian,
 )
 
 
@@ -96,42 +93,28 @@ def control_state_vector(
 
 
 def average_fidelity(
-    model: SpinModelParams | QutritModelParams,
+    hamiltonian: OperatorMatrix,
     gate_configs: Sequence[GateConfig],
     noise: NoiseModel | None,
     times: Sequence[float],
-    hamiltonian: OperatorMatrix | None = None,
-    targets: Sequence[np.ndarray | None] | None = None,
 ) -> list[FidelityTrace]:
-    """Average gate fidelity of the chain against each configured target, one
-    trace per entry of ``gate_configs``.
+    """Average gate fidelity of the chain that ``hamiltonian`` generates
+    against each configured target, one trace per entry of ``gate_configs``;
+    the arguments follow ``dynamics.propagate``.
 
-    The two end sites are the target qubits; all middle sites form the
-    control register, prepared in the configured state and traced out after
-    evolution.  ``targets``, aligned with ``gate_configs``, defaults (as does
-    a None entry) to the open gate of the configured branch when the
-    register is open, else the identity.  ``hamiltonian`` overrides the
-    model-built generator (used for cross-talk studies).  Every
-    configuration shares that generator, so their fidelity stacks are
-    evolved together by one ``dynamics.evolve_stack_raw`` call, one group of
-    functionals each; the propagator evolves only the levels and
-    coherence-order blocks the initial operators reach.  Qutrit-control
-    models evolve under the rotating-frame generator of
-    ``build_qutrit_hamiltonian``; that frame acts only on the traced-out
-    controls, so the fidelity is the same as in the interaction picture.
+    ``hamiltonian.dims`` is the only shape read: the end sites are the
+    target qubits, and the middle sites the control register, prepared in
+    the configured state and traced out after evolution.  The target is
+    ``open_gate`` of the configured branch for an open register, else the
+    identity.  All configurations are evolved together by one
+    ``dynamics.evolve_stack_raw`` call, one group of functionals each, over
+    the levels and coherence-order blocks the initial operators reach.  A
+    qutrit-control chain is passed as its rotating-frame generator
+    (``build_qutrit_hamiltonian``), whose frame acts only on the traced-out
+    controls, so the fidelity is that of the interaction picture.
     """
     if isinstance(gate_configs, GateConfig) or not gate_configs:
         raise TypeError("gate_configs must be a nonempty sequence of GateConfig")
-    if targets is None:
-        targets = [None] * len(gate_configs)
-    if len(targets) != len(gate_configs):
-        raise ValueError("targets must match gate_configs one to one")
-    if hamiltonian is None:
-        hamiltonian = (
-            build_qutrit_hamiltonian(model)
-            if isinstance(model, QutritModelParams)
-            else build_interaction_hamiltonian(model)
-        )
     dims = hamiltonian.dims
     d = dims.total_dim
     n_groups = len(gate_configs)
@@ -139,15 +122,14 @@ def average_fidelity(
     # rho_C x (last-target factor), read only by its own group of functionals
     stack = np.empty((16 * n_groups, d, d), dtype=complex)
     weights = np.zeros((n_groups, 16 * n_groups, d, d), dtype=complex)
-    for g, (config, target) in enumerate(zip(gate_configs, targets)):
+    for g, config in enumerate(gate_configs):
         cvec = control_state_vector(config, list(dims.dims[1:-1]))
         rows = slice(16 * g, 16 * (g + 1))
         stack[rows] = np.einsum("aik,cl,bjm->abicjklm", _PAULI_FACTORS,
                                 np.outer(cvec, cvec.conj()),
                                 _PAULI_FACTORS).reshape(16, d, d)
-        if target is None:
-            target = (open_gate(config.delta_branch)
-                      if config.is_open else np.eye(4, dtype=complex))
+        target = (open_gate(config.delta_branch)
+                  if config.is_open else np.eye(4, dtype=complex))
         weights[g, rows] = _target_functionals(target, dims)
     collapse = noise.collapse_operators(dims) if noise is not None else []
     traces = evolve_stack_raw(hamiltonian.entries, collapse, stack, times,

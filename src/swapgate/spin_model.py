@@ -46,28 +46,29 @@ class ModelError(ValueError):
 class SpinModelParams:
     """Frequencies and couplings of an N-site XXZ chain (2pi*MHz numbers).
 
-    ``omega[j]`` is the frequency of site j; only detunings
-    ``delta_j = omega[j] - omega[0]`` enter the interaction-picture
-    Hamiltonian, so builders normally set ``omega[0] = 0``.  ``jx[j]`` and
-    ``jz[j]`` couple sites j and j+1.
+    ``omega[j]`` is the frequency of site j, so N = ``n_sites`` is
+    ``len(omega)``; only detunings ``delta_j = omega[j] - omega[0]`` enter
+    the interaction-picture Hamiltonian, so builders normally set
+    ``omega[0] = 0``.  ``jx[j]`` and ``jz[j]`` couple sites j and j+1.  The
+    branch a gate is scored on is ``GateConfig.delta_branch``.
     """
 
-    n_sites: int
     omega: tuple[float, ...]
     jx: tuple[float, ...]
     jz: tuple[float, ...]
-    detuning_choice: str = "explicit"  # "plus", "minus" or "explicit"
 
     def __post_init__(self) -> None:
         if self.n_sites < 2:
             raise ModelError("need at least two sites")
-        if len(self.omega) != self.n_sites:
-            raise ModelError("omega must have one entry per site")
         if len(self.jx) != self.n_sites - 1 or len(self.jz) != self.n_sites - 1:
             raise ModelError("jx and jz must have one entry per bond")
         object.__setattr__(self, "omega", tuple(float(x) for x in self.omega))
         object.__setattr__(self, "jx", tuple(float(x) for x in self.jx))
         object.__setattr__(self, "jz", tuple(float(x) for x in self.jz))
+
+    @property
+    def n_sites(self) -> int:
+        return len(self.omega)
 
     @property
     def detunings(self) -> tuple[float, ...]:
@@ -101,15 +102,13 @@ def symmetric_chain(
     j2x: float,
     j2z: float,
     delta: float,
-    detuning_choice: str = "explicit",
 ) -> SpinModelParams:
-    """Spatially symmetric 4-site chain with end-site frequency set to zero."""
+    """Spatially symmetric 4-site chain with end-site frequency set to zero
+    and control detuning ``delta`` (``delta_for_branch`` on a branch)."""
     return SpinModelParams(
-        n_sites=4,
         omega=(0.0, delta, delta, 0.0),
         jx=(j1x, j2x, j1x),
         jz=(j1z, j2z, j1z),
-        detuning_choice=detuning_choice,
     )
 
 
@@ -442,11 +441,9 @@ def build_n5_model(
     else:
         raise ModelError(f"unknown branch {branch!r}")
     return SpinModelParams(
-        n_sites=5,
         omega=(0.0, delta, delta3, delta, 0.0),
         jx=(j1x, j2x, j2x, j1x),
         jz=(j1z, j2z, j2z, j1z),
-        detuning_choice=branch,
     )
 
 

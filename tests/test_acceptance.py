@@ -36,6 +36,7 @@ from swapgate.circuit_map import (
     capacitance_matrix,
     inverse_capacitance,
     gate_capacitance_matrix,
+    table_branch,
     table_circuit_params,
     table_qutrit_params,
     table_roundtrip_errors,
@@ -74,6 +75,7 @@ from swapgate.spin_model import (
     analytic_n5_spectrum,
     analytic_single_excitation_spectrum,
     build_interaction_hamiltonian,
+    build_qutrit_hamiltonian,
     closed_config_for_branch,
     single_excitation_block,
     symmetric_chain,
@@ -124,7 +126,8 @@ def row11():
 def row6_open_noisy(row6):
     times = gate_window(row6, *OPEN_WINDOW, 111)
     cfg = GateConfig(delta_branch="plus", control_state="open_0")
-    return average_fidelity(row6, [cfg], NoiseModel(gamma=GAMMA), times)[0]
+    return average_fidelity(build_interaction_hamiltonian(row6), [cfg],
+                            NoiseModel(gamma=GAMMA), times)[0]
 
 
 def test_c01_table_roundtrip():
@@ -227,12 +230,13 @@ def test_c04_closed_gate_fidelity(row6, row11):
     values and reported.
     """
     results = {}
-    for label, params in (("row6", row6), ("row11", row11)):
-        cfg = closed_config_for_branch(params.detuning_choice)
+    for index, params in ((6, row6), (11, row11)):
+        cfg = closed_config_for_branch(table_branch(index))
+        h = build_interaction_hamiltonian(params)
         times = gate_window(params, *CLOSED_WINDOW, 120)
-        clean, = average_fidelity(params, [cfg], None, times)
-        noisy, = average_fidelity(params, [cfg], NoiseModel(gamma=GAMMA), times)
-        results[label] = (min(clean.fbar), min(noisy.fbar))
+        clean, = average_fidelity(h, [cfg], None, times)
+        noisy, = average_fidelity(h, [cfg], NoiseModel(gamma=GAMMA), times)
+        results[f"row{index}"] = (min(clean.fbar), min(noisy.fbar))
     detail = "; ".join(
         f"{k}: min Fbar gamma=0 {v[0]:.5f} (need 0.999), "
         f"gamma=0.01 {v[1]:.5f} (need 0.995)"
@@ -254,11 +258,12 @@ def test_c05_qutrit_leakage(row6, row11):
     noise = NoiseModel(gamma=GAMMA)
     for index, params in ((6, row6), (11, row11)):
         qutrit = table_qutrit_params(index)
-        cfg = GateConfig(delta_branch=params.detuning_choice,
-                         control_state="open_0")
+        cfg = GateConfig(delta_branch=table_branch(index), control_state="open_0")
         times = gate_window(params, *OPEN_WINDOW, 90)
-        tr_qubit, = average_fidelity(params, [cfg], noise, times)
-        tr_qutrit, = average_fidelity(qutrit, [cfg], noise, times)
+        tr_qubit, = average_fidelity(build_interaction_hamiltonian(params), [cfg],
+                                     noise, times)
+        tr_qutrit, = average_fidelity(build_qutrit_hamiltonian(qutrit), [cfg],
+                                      noise, times)
         shifts[index] = abs(tr_qutrit.peak_value - tr_qubit.peak_value)
     passed = all(s < 0.01 for s in shifts.values())
     detail = ", ".join(f"row {i}: |shift| = {s:.4f}" for i, s in shifts.items())
@@ -306,7 +311,6 @@ def test_c07_analytic_spectra():
         j2x = rng.uniform(-1000, 1000)
         j2z = rng.uniform(-1000, 1000)
         p = SpinModelParams(
-            n_sites=5,
             omega=(0.0, delta, delta3, delta, 0.0),
             jx=(0.0, j2x, j2x, 0.0),
             jz=(j1z, j2z, j2z, j1z),
@@ -429,17 +433,15 @@ def test_c10_crosstalk_scaling():
     at the scan point it sits comfortably under 1e-3.
     """
     j1 = 30.0
-    params = symmetric_chain(j1, j1, 750.0, 750.0, 3000.0,
-                             detuning_choice="plus")
+    params = symmetric_chain(j1, j1, 750.0, 750.0, 3000.0)
     open_cfg = GateConfig(delta_branch="plus", control_state="open_0")
     window = gate_window(params, *OPEN_WINDOW, 70)
-    base, = average_fidelity(params, [open_cfg], None, window,
-                             hamiltonian=add_crosstalk(params, 0.0, 0.0))
+    base, = average_fidelity(add_crosstalk(params, 0.0, 0.0), [open_cfg], None, window)
     fractions = np.array([0.02, 0.04, 0.06, 0.08, 0.10])
     losses = []
     for f in fractions:
         h = add_crosstalk(params, j_nn=0.0, j_nnn=f * j1)
-        tr, = average_fidelity(params, [open_cfg], None, window, hamiltonian=h)
+        tr, = average_fidelity(h, [open_cfg], None, window)
         losses.append(base.peak_value - tr.peak_value)
     losses = np.asarray(losses)
     coeffs = np.polyfit(fractions**2, losses, 1)
@@ -454,7 +456,7 @@ def test_c10_crosstalk_scaling():
     closed_vals = []
     for f in (0.0, 0.05, 0.10):
         h = add_crosstalk(params, j_nn=f * j1, j_nnn=0.0)
-        tr, = average_fidelity(params, [closed_cfg], None, window, hamiltonian=h)
+        tr, = average_fidelity(h, [closed_cfg], None, window)
         closed_vals.append(tr.peak_value)
     closed_flat = max(closed_vals) - min(closed_vals)
     passed = r_squared >= 0.95 and closed_flat < 1e-3
@@ -481,15 +483,15 @@ def test_c11_delta_zero_failure(row6_open_noisy):
     """
     j1, j2z = 30.0, 600.0
     # detuning swept through zero by setting j2x = j2z on the minus branch
-    dead = symmetric_chain(j1, j1, 600.0, j2z, 0.0, detuning_choice="minus")
+    dead = symmetric_chain(j1, j1, 600.0, j2z, 0.0)
     cfg = GateConfig(delta_branch="minus", control_state="open_0")
     window = gate_window(dead, *OPEN_WINDOW, 80)
-    tr_dead, = average_fidelity(dead, [cfg], None, window)
+    tr_dead, = average_fidelity(build_interaction_hamiltonian(dead), [cfg], None, window)
     # a proper minus-branch design point recovers
-    live = symmetric_chain(j1, j1, 450.0, j2z, 2 * (j2z - 450.0),
-                           detuning_choice="minus")
+    live = symmetric_chain(j1, j1, 450.0, j2z, 2 * (j2z - 450.0))
     tr_live, = average_fidelity(
-        live, [cfg], None, gate_window(live, *OPEN_WINDOW, 80)
+        build_interaction_hamiltonian(live), [cfg], None,
+        gate_window(live, *OPEN_WINDOW, 80)
     )
     collapsed = tr_dead.peak_value < 0.6
     recovered = tr_live.peak_value > 0.98 and row6_open_noisy.peak_value > 0.98

@@ -332,8 +332,7 @@ class TestTableData:
     def test_spin_params_builder(self):
         p = table_spin_params(6)
         assert p.j2z == 1007.1
-        assert p.detuning_choice == "plus"
-        assert table_spin_params(11).detuning_choice == "minus"
+        assert (table_branch(6), table_branch(11)) == ("plus", "minus")
 
     def test_qutrit_params_builder(self):
         q = table_qutrit_params(6)

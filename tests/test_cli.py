@@ -177,10 +177,11 @@ class TestConfigFormat:
             cfg = resolve_config(raw)
         except ConfigError as exc:
             # every draw lies within its key's bounds, so only a cross-key
-            # rule (ORDER_RULES), a repeated item of a distinct list or a
-            # zero J1 can reject; that input resolves to nothing
+            # rule (ORDER_RULES), a repeated item of a distinct list, a zero
+            # J1 or a zeroed divisor can reject; that input resolves to nothing
             assert any(rule in str(exc)
-                       for rule in ("must exceed", "listed twice", "gate time"))
+                       for rule in ("must exceed", "listed twice", "gate time",
+                                    "branch undefined", "drive amplitude"))
             assume(False)
         text = cfg.to_text()
         again = resolve_config(parse_config_text(text))
@@ -413,7 +414,7 @@ class TestScanReading:
     def test_scan_point_equals_full_trace_reading(self, samples, gamma):
         """One and two samples put t_num on the window's edge (the first or
         last sample); three and twenty refine it between samples."""
-        params = symmetric_chain(**ROW6, detuning_choice="plus")
+        params = symmetric_chain(**ROW6)
         noise = NoiseModel(gamma=gamma) if gamma else None
         got = swapgate.cli._scan_point(params, "plus", noise, samples)
 
@@ -423,7 +424,7 @@ class TestScanReading:
         closed_cfg = closed_config_for_branch("plus")
 
         def trace(cfg, nz):
-            return average_fidelity(params, [cfg], nz, window, hamiltonian=h)[0]
+            return average_fidelity(h, [cfg], nz, window)[0]
 
         clean = trace(open_cfg, None)
         t_num = clean.peak_time
@@ -459,9 +460,9 @@ class TestScanReading:
             for j_nnn in (0.0, jc):
                 h = add_crosstalk(params, j_nn=jc, j_nnn=j_nnn)
                 tr_open, closed_plus, closed_minus = (
-                    average_fidelity(params, [GateConfig(delta_branch="plus",
-                                                         control_state=state)],
-                                     noise, window, hamiltonian=h)[0]
+                    average_fidelity(h, [GateConfig(delta_branch="plus",
+                                                    control_state=state)],
+                                     noise, window)[0]
                     for state in ("open_0", "closed_1plus", "closed_1minus"))
                 t_num = tr_open.peak_time
                 want += [tr_open.peak_value, full_trace_reading(closed_plus, t_num),
@@ -481,7 +482,7 @@ class TestScanReading:
             return engine(hamiltonian, collapse, stack, sample_times, functionals)
 
         monkeypatch.setattr(swapgate.metrics, "evolve_stack_raw", counted)
-        params = symmetric_chain(**ROW6, detuning_choice="plus")
+        params = symmetric_chain(**ROW6)
         noise = NoiseModel(gamma=gamma) if gamma else None
         swapgate.cli._scan_point(params, "plus", noise, 20)
         assert seen == [(20, 32, 2), (2, 32, 2)][:calls]
@@ -560,6 +561,11 @@ class TestCommandLine:
         ("n5", "[grid]\nwindow_hi = 5e-5"),
         ("drive", "[grid]\namplitude_fraction = 0"),
         ("drive", "[grid]\namplitude_fraction = -0.02"),
+        # a zero the experiment divides by: the Eplus/Eminus denominator
+        # delta3/2 + 2 j2, and the drive amplitude amplitude_fraction * |j2z|
+        ("n5", "[model]\nbranch = Eplus\ndelta3 = -3000"),
+        ("n5", "[model]\nbranch = Eminus\ndelta3 = -3000"),
+        ("drive", "[model]\nsource = spin\nj2z = 0"),
         # names outside a key's allowed values
         ("n5", "[model]\nbranch = foo"),
         ("search", "[model]\nbranch = foo"),

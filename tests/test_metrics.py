@@ -1,5 +1,8 @@
 """Tests for gate targets, average fidelity, and entanglement power."""
 
+import inspect
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -25,6 +28,7 @@ from swapgate.metrics import (
 from swapgate.spin_model import (
     GateConfig,
     ModelError,
+    SpinModelParams,
     add_crosstalk,
     analytic_gate_time,
     build_interaction_hamiltonian,
@@ -59,6 +63,7 @@ def full_space_fbar(h, collapse, cvec, target, times):
     rho_c = np.outer(cvec, cvec.conj())
     stack = [np.kron(np.kron(a, rho_c), b) for a in factors for b in factors]
     fbar = []
+    ends = (0, dims.n_sites - 1)
     for t in times:
         if collapse:
             prop = expm(lv * t)
@@ -68,7 +73,7 @@ def full_space_fbar(h, collapse, cvec, target, times):
             evolved = [u @ op @ u.conj().T for op in stack]
         acc = 0.0
         for p, m in zip(pauli_basis_2q(), evolved):
-            reduced = partial_trace(OperatorMatrix(dims, m), (0, 3)).entries
+            reduced = partial_trace(OperatorMatrix(dims, m), ends).entries
             acc += np.trace(target @ p.conj().T @ target.conj().T @ reduced).real
         fbar.append(0.2 + acc / 80.0)
     return np.array(fbar)
@@ -124,20 +129,21 @@ class TestTargets:
     def test_default_target(self, cfg, want):
         params = symmetric_chain(**ROW6)
         times = np.linspace(0.2, 0.4, 3) * analytic_gate_time(params)
-        default, = average_fidelity(params, [cfg], None, times)
-        explicit, = average_fidelity(params, [cfg], None, times, targets=[want])
-        assert default.fbar == explicit.fbar
+        h = build_interaction_hamiltonian(params)
+        got, = average_fidelity(h, [cfg], None, times)
+        oracle = full_space_fbar(h, [], control_state_vector(cfg, [2, 2]), want, times)
+        assert np.max(np.abs(np.array(got.fbar) - oracle)) < 1e-12
 
     def test_n5_open_register_default_target(self):
         """The five-site open register |000> is scored against the plus
         branch's open gate without naming it."""
         params = build_n5_model(40.0, 40.0, 500.0, 500.0, 900.0)
         times = np.linspace(0.5, 1.0, 3) * analytic_gate_time(params)
+        h = build_interaction_hamiltonian(params)
         cfg = GateConfig(delta_branch="plus")
-        default, = average_fidelity(params, [cfg], None, times)
-        explicit, = average_fidelity(params, [cfg], None, times,
-                                     targets=[open_gate("plus")])
-        assert default.fbar == explicit.fbar
+        got, = average_fidelity(h, [cfg], None, times)
+        oracle = full_space_fbar(h, [], np.eye(8)[0], open_gate("plus"), times)
+        assert np.max(np.abs(np.array(got.fbar) - oracle)) < 1e-12
 
 
 class TestFidelityFormula:
@@ -160,7 +166,8 @@ class TestFidelityFormula:
         params = symmetric_chain(**ROW6)
         tg = analytic_gate_time(params)
         cfg = GateConfig(delta_branch="plus", control_state="open_0")
-        trace, = average_fidelity(params, [cfg], None, [tg * 1e-7])
+        trace, = average_fidelity(build_interaction_hamiltonian(params), [cfg], None,
+                                  [tg * 1e-7])
         assert trace.fbar[0] == pytest.approx(oracle, abs=1e-5)
 
     def test_swap_channel_against_open_target(self):
@@ -245,27 +252,27 @@ class TestGateSimulation:
         """The plus-branch chain realizes the -1 swap with the i phase."""
         params = symmetric_chain(**ROW6)
         tg = analytic_gate_time(params)
+        h = build_interaction_hamiltonian(params)
         cfg = GateConfig(delta_branch="plus", control_state="open_0")
         times = np.linspace(0.85 * tg, 1.05 * tg, 41)
-        trace, = average_fidelity(params, [cfg], None, times)
+        trace, = average_fidelity(h, [cfg], None, times)
         assert trace.peak_value > 0.985
         assert 0.9 * tg < trace.peak_time < 1.0 * tg
-        # conjugate phase and opposite swap sign must both score far lower
-        wrong_phase = open_gate("plus").conj()
-        tr2, = average_fidelity(params, [cfg], None, times, targets=[wrong_phase])
-        assert tr2.peak_value < 0.7
-        tr3, = average_fidelity(
-            params, [cfg], None, times, targets=[open_gate("minus")]
-        )
-        assert tr3.peak_value < 0.7
+        # the opposite swap sign (the minus branch's target) and the
+        # conjugate phase must both score far lower
+        opposite, = average_fidelity(h, [GateConfig(delta_branch="minus")], None, times)
+        assert opposite.peak_value < 0.7
+        conjugate = full_space_fbar(h, [], control_state_vector(cfg, [2, 2]),
+                                    open_gate("plus").conj(), times)
+        assert conjugate.max() < 0.7
 
     def test_numerical_gate_time_five_percent_early(self):
         """At strong control coupling the peak sits ~5% before pi/|2 J1|."""
-        p = symmetric_chain(30.0, 30.0, 750.0, 750.0, 3000.0,
-                            detuning_choice="plus")
+        p = symmetric_chain(30.0, 30.0, 750.0, 750.0, 3000.0)
         tg = analytic_gate_time(p)
         cfg = GateConfig(delta_branch="plus", control_state="open_0")
-        trace, = average_fidelity(p, [cfg], None, gate_window(p, *OPEN_WINDOW, 120))
+        trace, = average_fidelity(build_interaction_hamiltonian(p), [cfg], None,
+                                  gate_window(p, *OPEN_WINDOW, 120))
         assert not trace.peak_on_boundary
         ratio = trace.peak_time / tg
         assert 0.93 <= ratio <= 0.97
@@ -279,7 +286,7 @@ class TestGateSimulation:
         noise = NoiseModel(gamma=0.01)
         times = np.linspace(0.2 * tg, 0.4 * tg, 5)
         h = add_crosstalk(params, j_nn=0.05 * params.j1x, j_nnn=0.02 * params.j1x)
-        trace, = average_fidelity(params, [cfg], noise, times, hamiltonian=h)
+        trace, = average_fidelity(h, [cfg], noise, times)
         want = full_space_fbar(h, noise.collapse_operators(h.dims),
                                control_state_vector(cfg, [2, 2]), np.eye(4), times)
         assert np.max(np.abs(np.array(trace.fbar) - want)) < 1e-12
@@ -290,9 +297,21 @@ class TestGateSimulation:
         cfg = GateConfig(delta_branch="plus", control_state="open_0")
         noise = NoiseModel(gamma=0.05)
         trace, = average_fidelity(
-            params, [cfg], noise, np.linspace(0.1 * tg, tg, 13)
+            build_interaction_hamiltonian(params), [cfg], noise,
+            np.linspace(0.1 * tg, tg, 13)
         )
         assert all(0.0 <= f <= 1.0 for f in trace.fbar)
+
+
+def test_fidelity_takes_the_generator_and_chains_hold_only_couplings():
+    """``average_fidelity`` takes its arguments in the order of
+    ``dynamics.propagate`` (perfbench's tracer binds ``times``), and a chain
+    holds only frequencies and couplings, its site count read from them."""
+    assert list(inspect.signature(average_fidelity).parameters) == [
+        "hamiltonian", "gate_configs", "noise", "times"]
+    assert [f.name for f in fields(SpinModelParams)] == ["omega", "jx", "jz"]
+    for p in (symmetric_chain(**ROW6), build_n5_model(30.0, 30.0, 750.0, 750.0, 3000.0)):
+        assert p.n_sites == len(p.omega)
 
 
 class TestBatchedConfigs:
@@ -308,40 +327,40 @@ class TestBatchedConfigs:
         if case == "row6_scan_point":
             configs = [GateConfig(delta_branch="plus", control_state="open_0"),
                        closed_config_for_branch("plus")]
-            h = None
+            h = build_interaction_hamiltonian(params)
         else:
             configs = [GateConfig(delta_branch="plus", control_state=state)
                        for state in ("open_0", "closed_1plus", "closed_1minus")]
             h = add_crosstalk(params, j_nn=0.05 * params.j1x, j_nnn=0.05 * params.j1x)
-        batch = average_fidelity(params, configs, noise, window, hamiltonian=h)
+        batch = average_fidelity(h, configs, noise, window)
         assert len(batch) == len(configs)
         for cfg, got in zip(configs, batch):
-            want, = average_fidelity(params, [cfg], noise, window, hamiltonian=h)
+            want, = average_fidelity(h, [cfg], noise, window)
             assert got.times == want.times
             assert np.max(np.abs(np.subtract(got.fbar, want.fbar))) < 1e-12
             assert got.peak_time == pytest.approx(want.peak_time, rel=1e-9)
             assert abs(got.peak_value - want.peak_value) < 1e-12
 
-    def test_targets_align_with_configs(self):
+    def test_mixed_branch_batch(self):
+        """Each configuration is scored against its own branch's target."""
         params = symmetric_chain(**ROW6)
+        h = build_interaction_hamiltonian(params)
         times = gate_window(params, *OPEN_WINDOW, 9)
-        cfg = GateConfig(delta_branch="plus", control_state="open_0")
-        targets = [open_gate("minus"), None]
-        batch = average_fidelity(params, [cfg, cfg], None, times, targets=targets)
-        for target, got in zip(targets, batch):
-            want, = average_fidelity(params, [cfg], None, times, targets=[target])
+        configs = [GateConfig(delta_branch="minus"), GateConfig(delta_branch="plus")]
+        batch = average_fidelity(h, configs, None, times)
+        for cfg, got in zip(configs, batch):
+            want, = average_fidelity(h, [cfg], None, times)
             assert np.max(np.abs(np.subtract(got.fbar, want.fbar))) < 1e-12
         assert batch[0].peak_value < 0.7 < batch[1].peak_value
 
-    def test_rejects_a_bare_config_and_misaligned_targets(self):
+    def test_rejects_a_bare_config(self):
         params = symmetric_chain(**ROW6)
+        h = build_interaction_hamiltonian(params)
         times = gate_window(params, *OPEN_WINDOW, 9)
         cfg = GateConfig(delta_branch="plus", control_state="open_0")
         for configs in (cfg, []):
             with pytest.raises(TypeError, match="nonempty sequence"):
-                average_fidelity(params, configs, None, times)
-        with pytest.raises(ValueError, match="one to one"):
-            average_fidelity(params, [cfg], None, times, targets=[None, None])
+                average_fidelity(h, configs, None, times)
 
 
 class TestFidelityContraction:
@@ -362,10 +381,9 @@ class TestFidelityContraction:
             "qutrit": (table_qutrit_params(6), open_cfg, None,
                        np.linspace(0.02, 0.1, 3) * tg),
         }[case]
-        trace, = average_fidelity(model, [cfg], noise, times)
-
         h = (build_qutrit_hamiltonian(model) if case == "qutrit"
              else build_interaction_hamiltonian(model))
+        trace, = average_fidelity(h, [cfg], noise, times)
         collapse = noise.collapse_operators(h.dims) if noise else []
         cvec = control_state_vector(cfg, list(h.dims.dims[1:-1]))
         u = open_gate("plus") if cfg.is_open else np.eye(4)

@@ -121,16 +121,17 @@ class TestConstruction:
             assert np.linalg.norm(comm) <= 1e-10 * max(np.linalg.norm(h), 1.0)
 
     def test_generic_chain_any_length(self):
-        p = SpinModelParams(
-            n_sites=3, omega=(0.0, 10.0, 5.0), jx=(1.0, 2.0), jz=(3.0, 4.0)
-        )
+        p = SpinModelParams(omega=(0.0, 10.0, 5.0), jx=(1.0, 2.0), jz=(3.0, 4.0))
         h = build_interaction_hamiltonian(p)
         assert np.max(np.abs(h.entries - h.entries.conj().T)) <= 1e-12
         assert h.entries.shape == (8, 8)
 
     def test_validation(self):
-        with pytest.raises(ModelError):
-            SpinModelParams(n_sites=4, omega=(0, 0, 0), jx=(1, 1, 1), jz=(1, 1, 1))
+        """The site count is ``len(omega)``; the bonds must match it."""
+        with pytest.raises(ModelError, match="one entry per bond"):
+            SpinModelParams(omega=(0, 0, 0), jx=(1, 1, 1), jz=(1, 1, 1))
+        with pytest.raises(ModelError, match="at least two sites"):
+            SpinModelParams(omega=(0,), jx=(), jz=())
 
     def test_gate_mode_violations(self):
         """Every published row is a gate-mode chain; a weak control bond or
@@ -324,7 +325,6 @@ class TestN5:
             delta = rng.uniform(-2500, 2500)
             delta3 = rng.uniform(-2500, 2500)
             p = SpinModelParams(
-                n_sites=5,
                 omega=(0.0, delta, delta3, delta, 0.0),
                 jx=(0.0, j2x, j2x, 0.0),
                 jz=(j1z, j2z, j2z, j1z),
@@ -514,7 +514,7 @@ def random_chain(rng, n):
     def draw(size, scale):
         return tuple(rng.uniform(-scale, scale, size) * (rng.random(size) > 1 / 3))
 
-    return SpinModelParams(n_sites=n, omega=draw(n, 3000.0),
+    return SpinModelParams(omega=draw(n, 3000.0),
                            jx=draw(n - 1, 1200.0), jz=draw(n - 1, 1200.0))
 
 
@@ -527,7 +527,7 @@ class TestTermTables:
         rng = np.random.default_rng(12 + n)
         chains = [random_chain(rng, n) for _ in range(20)]
         zero = (0.0,) * (n - 1)
-        chains.append(SpinModelParams(n, (0.0,) * n, zero, zero))
+        chains.append(SpinModelParams((0.0,) * n, zero, zero))
         for p in chains:
             h = build_interaction_hamiltonian(p).entries
             assert np.array_equal(h, kron_interaction_hamiltonian(p))
