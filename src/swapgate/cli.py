@@ -390,12 +390,19 @@ def _check_gate_time(kind: str, sections: dict[str, dict[str, Any]]) -> None:
 def _check_zero_divisors(kind: str, sections: dict[str, dict[str, Any]]) -> None:
     """Reject a zero the experiment divides by: the ``Eplus``/``Eminus``
     denominator delta3/2 + 2 J2z of ``build_n5_model``, and the drive
-    amplitude amplitude_fraction * |J2z| of a spin-source chain."""
+    amplitude amplitude_fraction * |J2z| of a spin-source chain.  That
+    denominator's sign selects the dressed control state that mediates, so
+    ``Eplus`` also needs it negative and ``Eminus`` positive."""
     model = sections.get("model", {})
-    if (kind == "n5_trace" and model["branch"] != "E0"
-            and model["delta3"] / 2.0 + 2.0 * model["j2"] == 0.0):
-        raise ConfigError(f"[model] delta3/2 + 2 j2 = 0 leaves the {model['branch']} "
-                          "resonance branch undefined")
+    if kind == "n5_trace" and model["branch"] != "E0":
+        den = model["delta3"] / 2.0 + 2.0 * model["j2"]
+        if den == 0.0:
+            raise ConfigError(f"[model] delta3/2 + 2 j2 = 0 leaves the {model['branch']} "
+                              "resonance branch undefined")
+        plus = model["branch"] == "Eplus"
+        if (den < 0.0) != plus:
+            raise ConfigError(f"[model] branch = {model['branch']} needs delta3/2 + 2 j2 "
+                              f"{'<' if plus else '>'} 0, not {den:g}")
     # a [model] section holds j2z only with source = spin
     if (kind == "drive_demo" and "j2z" in model
             and sections["grid"]["amplitude_fraction"] * abs(model["j2z"]) == 0.0):
@@ -875,11 +882,14 @@ def _drive_demo(config: ExperimentConfig) -> Table:
     t_pi = pulse.pi_duration()
     durations = np.linspace(t_pi / grid["n_durations"], 2.0 * t_pi,
                             grid["n_durations"])
-    # t_pi is off the uniform grid, and a non-uniform grid costs one
-    # exponential per interval, so the pi pulse is its own propagation
-    rows = [(float(d), res.transfer_probability)
-            for d, res in zip(durations, rabi_prepare(model, pulse, durations, noise))]
-    pi_result, = rabi_prepare(model, pulse, noise=noise)
+    results = rabi_prepare(model, pulse, durations, noise)
+    rows = [(float(d), res.transfer_probability) for d, res in zip(durations, results)]
+    # the pi sample is read off the grid when it lies there (n_durations = 1);
+    # otherwise it is its own propagation, since merging it into the grid
+    # would make the grid non-uniform, one exponential per interval when noisy
+    on_grid = np.flatnonzero(durations == t_pi)
+    pi_result = (results[on_grid[0]] if on_grid.size
+                 else rabi_prepare(model, pulse, noise=noise)[0])
     summary = {
         "amplitude_mhz": amplitude,
         "frequency_mhz": pulse.frequency,

@@ -84,9 +84,12 @@ def resonant_drive_frequency(params: SpinModelParams) -> float:
     ZZ couplings is included; the bare-register estimate
     |Omega_2 - 2 J2z + 2 J2x| misses that shift by 2 J1z.
     """
-    e_vac = vacuum_energy(params) / TWO_PI
-    e_bell = _bell_energy(build_interaction_hamiltonian(params).entries / TWO_PI)
-    return e_vac - e_bell
+    return _transition_frequency(params, build_interaction_hamiltonian(params))
+
+
+def _transition_frequency(params: SpinModelParams, h0: OperatorMatrix) -> float:
+    """``resonant_drive_frequency`` of ``params`` whose undriven chain is ``h0``."""
+    return vacuum_energy(params) / TWO_PI - _bell_energy(h0.entries / TWO_PI)
 
 
 def _bell_energy(h: np.ndarray) -> float:
@@ -154,22 +157,11 @@ def rabi_prepare(
     in their ground state, so it can be compared directly against ideal
     superposition targets.
     """
-    if params.n_sites != 4:
-        raise ModelError("state preparation drives the 4-site chain")
+    h0, rho0 = _undriven_chain(params)
     if durations is None:
         durations = (pulse.pi_duration(),)
+    states = propagate(rho0, h0 + drive_hamiltonian(pulse, h0.dims), noise, durations)
 
-    h0 = build_interaction_hamiltonian(params)
-    h = h0 + drive_hamiltonian(pulse, h0.dims)
-
-    cvec = control_state_vector(GateConfig(control_state="closed_1plus"), [2, 2])
-    ground = np.array([1.0, 0.0], dtype=complex)
-    full = np.kron(np.kron(ground, cvec), ground)
-    full /= np.linalg.norm(full)
-    rho0 = OperatorMatrix(h0.dims, np.outer(full, full.conj()))
-    states = propagate(rho0, h, noise, durations)
-
-    tvec = control_state_vector(GateConfig(control_state="open_0"), [2, 2])
     numbers = excitation_numbers((2, 2))
     # the free phases: |00>_C rides at the vacuum energy, the symmetric Bell
     # level covers the |01>/|10> sector (the singlet never mixes in), and
@@ -187,9 +179,30 @@ def rabi_prepare(
             control_state=OperatorMatrix(reduced.dims, rho),
             control_state_level_frame=OperatorMatrix(
                 reduced.dims, phases[:, None] * rho * phases.conj()),
-            transfer_probability=float(np.real(tvec.conj() @ rho @ tvec)),
+            transfer_probability=_open_population(state),
         ))
     return results
+
+
+def _undriven_chain(params: SpinModelParams) -> tuple[OperatorMatrix, OperatorMatrix]:
+    """The undriven four-site chain and the state the drive starts from: the
+    closed register |1+>_C with the targets in their ground state."""
+    if params.n_sites != 4:
+        raise ModelError("state preparation drives the 4-site chain")
+    h0 = build_interaction_hamiltonian(params)
+    cvec = control_state_vector(GateConfig(control_state="closed_1plus"), [2, 2])
+    ground = np.array([1.0, 0.0], dtype=complex)
+    full = np.kron(np.kron(ground, cvec), ground)
+    full /= np.linalg.norm(full)
+    return h0, OperatorMatrix(h0.dims, np.outer(full, full.conj()))
+
+
+def _open_population(state: OperatorMatrix) -> float:
+    """The population of |00>_C in a chain state: its diagonal summed over
+    the four levels whose controls are both |0>.  Populations are the same
+    in the drive's rotating frame, so no rotation back is needed."""
+    diagonal = np.real(np.diagonal(state.entries)).reshape(state.dims.dims)
+    return float(diagonal[:, 0, 0, :].sum())
 
 
 def calibrated_pi_pulse(params: SpinModelParams, amplitude: float) -> DrivePulse:
@@ -200,12 +213,18 @@ def calibrated_pi_pulse(params: SpinModelParams, amplitude: float) -> DrivePulse
     probability quadratically (``metrics.refine_peak``), the numerical
     analogue of an experimental Rabi calibration; the off-resonant dressing
     of the register levels shifts the optimum by a few 2pi*MHz from the bare
-    transition.
+    transition.  The chain and its closed-register state are built once;
+    each frequency is one checked ``propagate`` to the pi duration, read as
+    ``rabi_prepare`` reads ``transfer_probability``.
     """
-    base = resonant_drive_frequency(params)
+    h0, rho0 = _undriven_chain(params)
+    base = _transition_frequency(params, h0)
     freqs = np.linspace(base - CALIBRATION_SPAN, base + CALIBRATION_SPAN,
                         CALIBRATION_POINTS)
-    probs = [rabi_prepare(params, DrivePulse(amplitude, f))[0].transfer_probability
+    t_pi = DrivePulse(amplitude, base).pi_duration()
+    probs = [_open_population(propagate(
+                 rho0, h0 + drive_hamiltonian(DrivePulse(amplitude, f), h0.dims),
+                 None, (t_pi,))[0])
              for f in freqs]
     best, _ = refine_peak(freqs, np.array(probs), int(np.argmax(probs)))
     return DrivePulse(amplitude=amplitude, frequency=best)

@@ -178,10 +178,12 @@ class TestConfigFormat:
         except ConfigError as exc:
             # every draw lies within its key's bounds, so only a cross-key
             # rule (ORDER_RULES), a repeated item of a distinct list, a zero
-            # J1 or a zeroed divisor can reject; that input resolves to nothing
+            # J1, a zeroed divisor or a resonance branch whose denominator
+            # has the wrong sign can reject; that input resolves to nothing
             assert any(rule in str(exc)
                        for rule in ("must exceed", "listed twice", "gate time",
-                                    "branch undefined", "drive amplitude"))
+                                    "branch undefined", "drive amplitude",
+                                    "needs delta3/2 + 2 j2"))
             assume(False)
         text = cfg.to_text()
         again = resolve_config(parse_config_text(text))
@@ -565,6 +567,10 @@ class TestCommandLine:
         # delta3/2 + 2 j2, and the drive amplitude amplitude_fraction * |j2z|
         ("n5", "[model]\nbranch = Eplus\ndelta3 = -3000"),
         ("n5", "[model]\nbranch = Eminus\ndelta3 = -3000"),
+        # a denominator of the wrong sign for the branch: Eplus needs it
+        # negative (here the defaults, 3000/2 + 2 * 750), Eminus positive
+        ("n5", "[model]\nbranch = Eplus"),
+        ("n5", "[model]\nbranch = Eminus\ndelta3 = -6000"),
         ("drive", "[model]\nsource = spin\nj2z = 0"),
         # names outside a key's allowed values
         ("n5", "[model]\nbranch = foo"),
@@ -588,6 +594,14 @@ class TestCommandLine:
         )
         assert result.exit_code == 2, result.output
         assert "configuration error" in result.output
+
+    @pytest.mark.parametrize("body", [
+        "branch = Eplus\ndelta3 = -6000", "branch = Eminus", "branch = E0\ndelta3 = -6000",
+    ])
+    def test_n5_branch_of_matching_sign_resolves(self, body):
+        """The sign rule refuses only a mismatched denominator: Eplus with
+        delta3/2 + 2 j2 < 0, Eminus with it > 0 and E0 with either resolve."""
+        resolve_config(parse_config_text(f"experiment = n5_trace\n[model]\n{body}\n"))
 
     @pytest.mark.parametrize("command, body", [
         ("scan-j2", "[grid]\nj1 = 0"),

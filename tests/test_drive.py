@@ -5,7 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import swapgate.drive
 from helpers import pure_state
+from swapgate.circuit_map import table_spin_params
+from swapgate.cli import _noise_from_section, parse_config_text, resolve_config, run_experiment
 from swapgate.dynamics import NoiseModel, propagate
 from swapgate.hilbert import (
     PAULI_X,
@@ -15,6 +18,7 @@ from swapgate.hilbert import (
     partial_trace,
 )
 from swapgate.drive import (
+    CALIBRATION_POINTS,
     CALIBRATION_SPAN,
     DrivePulse,
     _bell_energy,
@@ -24,7 +28,7 @@ from swapgate.drive import (
     rabi_prepare,
     resonant_drive_frequency,
 )
-from swapgate.metrics import control_state_vector
+from swapgate.metrics import control_state_vector, refine_peak
 from swapgate.spin_model import (
     TWO_PI,
     GateConfig,
@@ -151,12 +155,14 @@ class TestDriveTerms:
 class TestRabiTransfer:
     def test_refuses_zero_amplitude_and_other_chains(self):
         """A pulse without amplitude has no pi duration, and the preparation
-        drives the four-site chain only."""
+        and its calibration drive the four-site chain only."""
         with pytest.raises(ModelError, match="zero amplitude"):
             rabi_prepare(row6_params(), DrivePulse(amplitude=0.0, frequency=100.0))
         five = build_n5_model(40.0, 40.0, 500.0, 500.0, 900.0)
         with pytest.raises(ModelError, match="4-site chain"):
             rabi_prepare(five, DrivePulse(amplitude=20.0, frequency=100.0), (1e-3,))
+        with pytest.raises(ModelError, match="4-site chain"):
+            calibrated_pi_pulse(five, 20.0)
 
     def test_pi_pulse_transfer(self, pi_pulse):
         """A calibrated pi pulse moves |1+>_C to |0>_C with P >= 0.99."""
@@ -274,6 +280,74 @@ class TestDurationGrid:
     def test_non_increasing_durations_raise(self, pi_pulse, durations):
         with pytest.raises(ValueError):
             rabi_prepare(row6_params(), pi_pulse, durations)
+
+
+class TestCalibration:
+    """``calibrated_pi_pulse`` builds the chain once and reads each frequency
+    off one propagation; every population must be ``rabi_prepare``'s."""
+
+    def test_populations_match_rabi_prepare(self, monkeypatch):
+        """Table row 6 at A = 0.05 |J2z|: the seven scanned populations, and
+        the refined frequency against its value before the single build."""
+        params = table_spin_params(6)
+        amplitude = 0.05 * abs(params.j2z)
+        scans = []
+
+        def spy(x, y, i):
+            scans.append((x, y))
+            return refine_peak(x, y, i)
+
+        monkeypatch.setattr(swapgate.drive, "refine_peak", spy)
+        pulse = calibrated_pi_pulse(params, amplitude)
+        (freqs, probs), = scans
+        assert len(freqs) == CALIBRATION_POINTS
+        for f, p in zip(freqs, probs):
+            want, = rabi_prepare(params, DrivePulse(amplitude, f))
+            assert abs(p - want.transfer_probability) < 1e-12
+        assert pulse.frequency == pytest.approx(2246.691162633637, rel=1e-9)
+
+
+def drive_config(n_durations, gamma):
+    return resolve_config(parse_config_text(
+        f"experiment = drive_demo\n[model]\nrow = 6\n[noise]\ngamma = {gamma}\n"
+        f"[grid]\namplitude_fraction = 0.05\nn_durations = {n_durations}\n"))
+
+
+class TestDriveExperimentCost:
+    """The drive experiment propagates once per calibration frequency and
+    once for its grid, and once more for the pi pulse only when that is off
+    the grid; it builds the chain once per propagation site."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"propagate": 0, "build_interaction_hamiltonian": 0}
+        for name in counts:
+            real = getattr(swapgate.drive, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(swapgate.drive, name, counted)
+        return counts
+
+    def test_pi_pulse_read_off_the_grid(self, counts):
+        """n_durations = 1 puts the grid at exactly t_pi."""
+        rec = run_experiment(drive_config(1, 0.0))
+        assert counts == {"propagate": CALIBRATION_POINTS + 1,
+                          "build_interaction_hamiltonian": 2}
+        assert rec.summary["pi_transfer_probability"] == rec.rows[0][1]
+
+    def test_pi_pulse_off_the_grid(self, counts):
+        cfg = drive_config(3, 0.01)
+        rec = run_experiment(cfg)
+        assert counts == {"propagate": CALIBRATION_POINTS + 2,
+                          "build_interaction_hamiltonian": 3}
+        params = table_spin_params(6)
+        pulse = DrivePulse(rec.summary["amplitude_mhz"], rec.summary["frequency_mhz"])
+        want, = rabi_prepare(params, pulse, noise=_noise_from_section(cfg["noise"]))
+        assert abs(rec.summary["pi_transfer_probability"]
+                   - want.transfer_probability) < 1e-12
 
 
 class TestPulsePhase:
