@@ -48,7 +48,6 @@ import math
 import re
 import time
 from dataclasses import astuple, dataclass
-from functools import partial
 from pathlib import Path
 from typing import Any, Callable
 
@@ -57,7 +56,7 @@ import numpy as np
 
 from . import circuit_map as cmap
 from .dynamics import CHANNELS, NoiseModel, PropagationError
-from .hilbert import HilbertError
+from .hilbert import HilbertError, OperatorMatrix
 from .metrics import (
     FIRST_SAMPLE,
     OPEN_WINDOW,
@@ -195,11 +194,11 @@ def _format_value(v: Any) -> str:
     return str(v)
 
 
-# schema: section -> key -> (type tag, default[, limits]); None default
-# means required; the optional limits are, for each number, inclusive
-# (lo, hi) bounds with None for an open side, and for each string the tuple
-# of allowed values.  A list holds at least one item unless its key is in
-# _MAY_BE_EMPTY, and no item twice if its key is in _DISTINCT.
+# schema: section -> key -> (type tag, default[, limits]); the optional
+# limits are, for each number, inclusive (lo, hi) bounds with None for an
+# open side, and for each string the tuple of allowed values.  A list holds
+# at least one item unless its key is in _MAY_BE_EMPTY, and no item twice if
+# its key is in _DISTINCT.
 _AT_LEAST_ONE = (1, None)
 _TABLE_ROWS = (min(cmap.TABLE_S1), max(cmap.TABLE_S1))
 _RUN_KEYS = {"out": ("str", "")}
@@ -388,21 +387,17 @@ def _check_gate_time(kind: str, sections: dict[str, dict[str, Any]]) -> None:
 
 
 def _check_zero_divisors(kind: str, sections: dict[str, dict[str, Any]]) -> None:
-    """Reject a zero the experiment divides by: the ``Eplus``/``Eminus``
-    denominator delta3/2 + 2 J2z of ``build_n5_model``, and the drive
-    amplitude amplitude_fraction * |J2z| of a spin-source chain.  That
-    denominator's sign selects the dressed control state that mediates, so
-    ``Eplus`` also needs it negative and ``Eminus`` positive."""
+    """Reject a zero the experiment divides by: the drive amplitude
+    amplitude_fraction * |J2z| of a spin-source chain, and any five-site
+    chain ``build_n5_model`` refuses (the ``Eplus``/``Eminus`` denominator
+    delta3/2 + 2 J2z must be nonzero and of the branch's sign)."""
     model = sections.get("model", {})
-    if kind == "n5_trace" and model["branch"] != "E0":
-        den = model["delta3"] / 2.0 + 2.0 * model["j2"]
-        if den == 0.0:
-            raise ConfigError(f"[model] delta3/2 + 2 j2 = 0 leaves the {model['branch']} "
-                              "resonance branch undefined")
-        plus = model["branch"] == "Eplus"
-        if (den < 0.0) != plus:
-            raise ConfigError(f"[model] branch = {model['branch']} needs delta3/2 + 2 j2 "
-                              f"{'<' if plus else '>'} 0, not {den:g}")
+    if kind == "n5_trace":
+        try:
+            build_n5_model(model["j1"], model["j1"], model["j2"], model["j2"],
+                           model["delta3"], branch=model["branch"])
+        except ModelError as exc:
+            raise ConfigError(f"[model] {exc}") from None
     # a [model] section holds j2z only with source = spin
     if (kind == "drive_demo" and "j2z" in model
             and sections["grid"]["amplitude_fraction"] * abs(model["j2z"]) == 0.0):
@@ -548,10 +543,8 @@ def resolve_config(raw: dict[str, dict[str, Any]]) -> ExperimentConfig:
                 resolved[key] = _check_type(tag, body[key], f"[{sec_name}] {key}",
                                             limits[0] if limits else None,
                                             key in _MAY_BE_EMPTY, key in _DISTINCT)
-            else:
-                if default is None:
-                    raise ConfigError(f"missing required key {key!r} in [{sec_name}]")
-                resolved[key] = default
+            else:  # a list default is copied: the schema's own stays intact
+                resolved[key] = list(default) if isinstance(default, list) else default
         sections[sec_name] = resolved
     _check_order(kind, sections)
     _check_gate_time(kind, sections)
@@ -660,14 +653,27 @@ def _spin_from_model_section(model: dict[str, Any]) -> tuple[SpinModelParams, st
 
 
 def _noise_from_section(noise: dict[str, Any]) -> NoiseModel | None:
-    if noise["gamma"] == 0.0:
+    if noise["gamma"] == 0.0 or not noise["channels"]:
         return None
     return NoiseModel(gamma=noise["gamma"], channels=frozenset(noise["channels"]))
 
 
-def _trace_at(trace: FidelityTrace, t: float) -> float:
-    """The trace at ``t`` by linear interpolation between its samples."""
-    return float(np.interp(t, trace.times, trace.fbar))
+def _gate_point(hamiltonian: OperatorMatrix, window: np.ndarray,
+                traced: list[GateConfig], traced_noise: NoiseModel | None,
+                read: list[GateConfig], read_noise: NoiseModel | None,
+                ) -> tuple[FidelityTrace, list[float]]:
+    """The trace over ``window`` of the first ``traced`` register, whose
+    peak is the numerical gate time ``t_num``, and the fidelity at ``t_num``
+    of each register, ``traced`` then ``read``: the first is that peak, the
+    others the linear interpolation between the two window samples that
+    bracket ``t_num``.  The ``traced`` registers are evolved together over
+    the window, the ``read`` ones (if any) at those two samples alone."""
+    first, *rest = average_fidelity(hamiltonian, traced, traced_noise, window)
+    t_num = first.peak_time
+    if read:
+        rest += average_fidelity(hamiltonian, read, read_noise, _bracket(window, t_num))
+    return first, [first.peak_value] + [float(np.interp(t_num, tr.times, tr.fbar))
+                                        for tr in rest]
 
 
 def _bracket(window: np.ndarray, t: float) -> np.ndarray:
@@ -729,32 +735,24 @@ def _scan_point(
     n_samples: int,
 ) -> tuple[float, ...]:
     """The ``_SCAN_COLUMNS`` of one chain: open and closed fidelities at the
-    numerical gate time ``t_num``, clean and noisy.
+    numerical gate time ``t_num``, clean and noisy (``_gate_point``).
 
     ``t_num`` and the clean open fidelity are the refined peak of the clean
     open trace over ``OPEN_WINDOW``, sampled together with the clean closed
-    trace.  The closed and noisy cells are the linear interpolation at
-    ``t_num`` between the two samples of the window that bracket it; the
-    noisy traces are evolved at those two samples alone.  On the default
-    scans that interpolation is up to 2.0e-5 off the exact fidelity at
-    ``t_num`` (1.3e-5 on the default cross-talk scan, read the same way), so
-    the 12 printed digits are not all precision.
+    trace: the noisy cells are read at the noiseless gate point, and repeat
+    the clean ones without noise.  On the default scans the interpolated
+    cells are up to 2.0e-5 off the exact fidelity at ``t_num`` (1.3e-5 on
+    the default cross-talk scan, read the same way), so the 12 printed
+    digits are not all precision.
     """
-    window = gate_window(params, *OPEN_WINDOW, n_samples)
     configs = [GateConfig(delta_branch=branch, control_state="open_0"),
                closed_config_for_branch(branch)]
-    trace = partial(average_fidelity, build_interaction_hamiltonian(params), configs)
-    clean_open, clean_closed = trace(None, window)
-    t_num = clean_open.peak_time
-    fbar_open = clean_open.peak_value
-    fbar_closed = _trace_at(clean_closed, t_num)
-    if noise is None:
-        open_noisy, closed_noisy = fbar_open, fbar_closed
-    else:
-        open_noisy, closed_noisy = (_trace_at(tr, t_num)
-                                    for tr in trace(noise, _bracket(window, t_num)))
-    return (analytic_gate_time(params), t_num, fbar_open, open_noisy, fbar_closed,
-            closed_noisy, float(clean_open.peak_on_boundary))
+    window = gate_window(params, *OPEN_WINDOW, n_samples)
+    clean_open, cells = _gate_point(build_interaction_hamiltonian(params), window,
+                                    configs, None, configs if noise else [], noise)
+    fbar_open, fbar_closed, open_noisy, closed_noisy = cells if noise else cells * 2
+    return (analytic_gate_time(params), clean_open.peak_time, fbar_open, open_noisy,
+            fbar_closed, closed_noisy, float(clean_open.peak_on_boundary))
 
 
 # scan kind -> (axis column, detuning branch, the [grid] key whose value is
@@ -823,6 +821,9 @@ def _qutrit_compare(config: ExperimentConfig) -> Table:
 
 
 def _crosstalk_scan(config: ExperimentConfig) -> Table:
+    """Open and closed fidelities of the chain with each cross-talk added,
+    read at the numerical gate time ``t_num`` of the noisy open trace
+    (``_gate_point``): each Hamiltonian has its own gate point under noise."""
     model, branch = _spin_from_model_section(config["model"])
     noise = _noise_from_section(config["noise"])
     n = config["run"]["samples"]
@@ -834,16 +835,10 @@ def _crosstalk_scan(config: ExperimentConfig) -> Table:
     rows: list[tuple] = []
     for pct in fractions:
         jc = pct / 100.0 * abs(model.j1x)
-        h_nn = add_crosstalk(model, j_nn=jc, j_nnn=0.0)
-        h_nnn = add_crosstalk(model, j_nn=jc, j_nnn=jc)
         cells = [jc]
-        for h in (h_nn, h_nnn):
-            tr_open, = average_fidelity(h, open_cfg, noise, window)
-            t_num = tr_open.peak_time
-            cells.append(tr_open.peak_value)
-            # both closed registers at the two samples bracketing t_num
-            cells.extend(_trace_at(tr, t_num) for tr in average_fidelity(
-                h, closed_cfgs, noise, _bracket(window, t_num)))
+        for j_nnn in (0.0, jc):
+            h = add_crosstalk(model, j_nn=jc, j_nnn=j_nnn)
+            cells += _gate_point(h, window, open_cfg, noise, closed_cfgs, noise)[1]
         rows.append(tuple(cells))
     columns = (
         "jc_mhz",

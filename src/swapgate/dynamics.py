@@ -24,22 +24,22 @@ itself.  The input then selects one of two branches:
 * Otherwise the row-major Liouvillian ``L`` on those levels splits into the
   weakly connected components of its pattern on the graph of level pairs:
   (a, b) and (c, b) are linked where Heff[a, c] or Heff[c, a] is nonzero,
-  (a, b) and (a, d) where Heff[b, d] or Heff[d, b] is, and (a, b) and
-  (c, d) where a non-diagonal jump has nonzero [a, c] and [b, d].  For an
-  excitation-conserving chain whose loss only lowers excitation these are
-  the blocks of fixed coherence order N_row - N_col.  The components are
-  found once per kept-level pattern of Heff and the jumps and cached, and
-  each block is assembled straight from Heff, the dephasing mask and the
-  jumps; ``L`` itself is never formed.  Real rates make every generator
-  term map X+ to its own adjoint, ``L(X+) = L(X)+``, so the component
-  holding the pairs (b, a) mirrors the one holding (a, b) (Buca & Prosen,
-  New J. Phys. 14, 073007, 2012): one block of each mirror pair is evolved,
-  the partner's rows entering as adjoints and leaving conjugated.  A block
-  is exponentiated once for the first sample time and once for the grid
-  spacing ``p = exp(B dt)`` (once per interval on a non-uniform grid) and
-  acts, by matrix products, only on the stack rows that are nonzero in it;
-  the rest stay exactly zero.  A noiseless generator that is not Hermitian
-  (gain or loss written into H) takes this branch too.
+  (a, b) and (a, d) where Heff[b, d] or Heff[d, b] is, and (a, b) and (c, d)
+  where a jump has nonzero [a, c] and [b, d].  For an excitation-conserving
+  chain whose loss only lowers excitation these are the blocks of fixed
+  coherence order N_row - N_col.  The components are found once per
+  kept-level pattern of Heff and the jumps and cached, and each block is
+  assembled straight from Heff and the jumps; ``L`` itself is never formed.
+  Real rates make every generator term map X+ to its own adjoint,
+  ``L(X+) = L(X)+``, so the component holding the pairs (b, a) mirrors the
+  one holding (a, b) (Buca & Prosen, New J. Phys. 14, 073007, 2012): one
+  block of each mirror pair is evolved, the partner's rows entering as
+  adjoints and leaving conjugated.  A block is exponentiated once for the
+  first sample time and once for the grid spacing ``p = exp(B dt)`` (once
+  per interval on a non-uniform grid) and acts, by matrix products, only on
+  the stack rows that are nonzero in it; the rest stay exactly zero.  A
+  noiseless generator that is not Hermitian (gain or loss written into H)
+  takes this branch too.
 
 Instead of the evolved stack, the engine can return traces against grouped
 functionals: ``G`` groups of operators W over the stack, group g giving
@@ -149,50 +149,33 @@ class _LindbladGenerator:
     """Right-hand side of the master equation for a stack of operators.
 
     Uses the effective-Hamiltonian form: the anticommutator halves are folded
-    into a non-Hermitian Heff, diagonal (dephasing-type) jump terms are
-    applied as one precomputed elementwise mask, and the remaining jumps as
-    matrix products.  Propagation uses the matrix forms below; calling the
-    generator evaluates the right-hand side directly (the tests check it
-    against the master equation written out term by term).
+    into a non-Hermitian Heff and every jump, diagonal (dephasing) or not,
+    is applied as a pair of matrix products.  Propagation uses the matrix
+    forms below; calling the generator evaluates the right-hand side
+    directly (the tests check it against the master equation written out
+    term by term).
     """
 
-    def __init__(
-        self,
-        hamiltonian: np.ndarray,
-        collapse: Sequence[tuple[float, np.ndarray]],
-        n_stack: int,
-    ):
+    def __init__(self, hamiltonian: np.ndarray,
+                 collapse: Sequence[tuple[float, np.ndarray]]):
         self.dim = hamiltonian.shape[0]
-        self.n_stack = n_stack
         heff = -1j * hamiltonian.astype(complex)
-        mask = np.zeros((self.dim, self.dim), dtype=complex)
-        jumps: list[tuple[float, np.ndarray]] = []
         for g, op in collapse:
             heff = heff - 0.5 * g * (op.conj().T @ op)
-            diag = np.diagonal(op)
-            # any off-diagonal entry, however small, moves levels: a jump
-            # goes to the mask only when it is exactly diagonal
-            if np.array_equal(op, np.diag(diag)):
-                mask += g * np.outer(diag, diag.conj())
-            else:
-                jumps.append((g, op))
         self.heff = heff
-        self.mask = mask if np.any(mask) else None
-        self.jumps = jumps
+        self.jumps = list(collapse)
 
     def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
-        r = y.reshape(self.n_stack, self.dim, self.dim)
+        r = y.reshape(-1, self.dim, self.dim)
         heff = self.heff
         # flatten the stack into one wide matrix so BLAS sees a single product
-        flat = r.reshape(self.n_stack * self.dim, self.dim)
+        flat = r.reshape(-1, self.dim)
         out = (flat @ heff.conj().T).reshape(r.shape)
         left = heff @ r.transpose(1, 0, 2).reshape(self.dim, -1)
-        out += left.reshape(self.dim, self.n_stack, self.dim).transpose(1, 0, 2)
-        if self.mask is not None:
-            out += self.mask[None, :, :] * r
+        out += left.reshape(self.dim, -1, self.dim).transpose(1, 0, 2)
         for g, l_op in self.jumps:
             tmp = l_op @ r.transpose(1, 0, 2).reshape(self.dim, -1)
-            tmp = tmp.reshape(self.dim, self.n_stack, self.dim).transpose(1, 0, 2)
+            tmp = tmp.reshape(self.dim, -1, self.dim).transpose(1, 0, 2)
             out += g * (tmp.reshape(-1, self.dim) @ l_op.conj().T).reshape(r.shape)
         return out.ravel()
 
@@ -202,9 +185,9 @@ class _LindbladGenerator:
         into itself.
 
         ``vec(A X B) = (A kron B^T) vec(X)``, so the entry of pairs (a, b)
-        and (c, d) is ``Heff[a, c] d_bd + d_ac Heff*[b, d]``, plus the
-        dephasing mask on the diagonal, plus ``g_l A_l[a, c] A_l*[b, d]`` per
-        jump: the terms of the Kronecker form, summed in its order.
+        and (c, d) is ``Heff[a, c] d_bd + d_ac Heff*[b, d]``, plus
+        ``g_l A_l[a, c] A_l*[b, d]`` per jump: the terms of the Kronecker
+        form, summed in its order.
         """
         a, b = np.divmod(pairs, self.dim)
         # flat indices of the entries [a, c] and [b, d] of a dim x dim matrix
@@ -214,8 +197,6 @@ class _LindbladGenerator:
         right_term = self.heff.conj().ravel()[right]
         right_term[a[:, None] != a] = 0
         lv += right_term
-        if self.mask is not None:
-            lv.flat[::pairs.size + 1] += self.mask[a, b]
         for g, op in self.jumps:
             term = op.ravel()[left]
             term *= op.conj().ravel()[right]
@@ -233,7 +214,6 @@ class _LindbladGenerator:
         """Drop every level outside ``keep``, a set the generator maps into itself."""
         sub = np.ix_(keep, keep)
         self.dim, self.heff = keep.size, self.heff[sub]
-        self.mask = None if self.mask is None else self.mask[sub]
         self.jumps = [(g, op[sub]) for g, op in self.jumps]
 
 
@@ -316,16 +296,15 @@ def evolve_stack_raw(
     if any(np.imag(g) != 0 for g, _ in collapse):
         raise ValueError("collapse rates must be real")
     n, d = stack.shape[0], stack.shape[1]
-    gen = _LindbladGenerator(hamiltonian, collapse, n)
+    gen = _LindbladGenerator(hamiltonian, collapse)
     keep = _reachable_levels(gen, stack)
     gen.restrict(keep)
     sub = (slice(None), keep[:, None], keep[None, :])
     x = stack[sub].astype(complex)
     w = None if functionals is None else functionals[(slice(None),) + sub]
     h = 1j * gen.heff  # the kept-level Hamiltonian when nothing is lost
-    if (gen.mask is None and not gen.jumps
-            and np.abs(h - h.conj().T).max(initial=0.0)
-            <= HERMITIAN_RTOL * np.abs(h).max(initial=0.0)):
+    if not gen.jumps and (np.abs(h - h.conj().T).max(initial=0.0)
+                          <= HERMITIAN_RTOL * np.abs(h).max(initial=0.0)):
         result = _spectral((h + h.conj().T) / 2, x, times, w)
     else:
         rows = x.reshape(n, -1)
@@ -383,8 +362,7 @@ def _spectral(h: np.ndarray, x: np.ndarray, times: np.ndarray,
 
 def _reachable_levels(gen: _LindbladGenerator, stack: np.ndarray) -> np.ndarray:
     """Sorted levels reached from the rows and columns the stack occupies,
-    where level i feeds j if Heff[j, i] or a non-diagonal jump's [j, i] is
-    nonzero (diagonal jumps, held in the mask, move no level)."""
+    where level i feeds j if Heff[j, i] or a jump's [j, i] is nonzero."""
     feeds = gen.heff != 0
     for _, op in gen.jumps:
         feeds |= op != 0
@@ -399,7 +377,7 @@ def _components(
 ) -> tuple[tuple[np.ndarray, np.ndarray | None], ...]:
     """Weakly connected components of the Liouvillian's pattern on the level
     pairs (module docstring), from the nonzero patterns of Heff and of the
-    non-diagonal jumps, as read-only (block, mirror) index arrays.
+    jumps, as read-only (block, mirror) index arrays.
 
     ``block`` holds the row-major indices ``a * dim + b`` of one component,
     sorted, and ``mirror`` the transposed indices ``b * dim + a`` in the same

@@ -15,7 +15,7 @@ of controls in |2>, where it is static (``build_qutrit_hamiltonian``).
 from __future__ import annotations
 
 import functools
-import warnings
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
 import numpy as np
@@ -418,26 +418,24 @@ def build_n5_model(
     ``E0``: delta = 2 J2z (any delta3); transfer is mediated by the
     antisymmetric control state (|100> - |001>)/sqrt(2).  ``Eplus`` and
     ``Eminus``: delta = -2 J2x^2 / (delta3/2 + 2 J2z) + J2z, with the sign of
-    the denominator selecting which dressed control state mediates.
+    the denominator selecting which dressed control state mediates:
+    ``Eplus`` needs it negative and ``Eminus`` positive (else
+    ``ModelError``, as for a detuning that is not finite).
     """
     if branch == "E0":
         delta = 2.0 * j2z
     elif branch in ("Eplus", "Eminus"):
         den = delta3 / 2.0 + 2.0 * j2z
-        if den == 0.0:
-            raise ModelError("delta3/2 + 2 J2z = 0: resonance branch undefined")
-        if branch == "Eplus" and den >= 0.0:
-            warnings.warn(
-                "denominator sign selects the antisymmetric dressed state; "
-                "Eplus expects delta3/2 + 2 J2z < 0",
-                stacklevel=2,
-            )
-        if branch == "Eminus" and den <= 0.0:
-            warnings.warn(
-                "Eminus expects delta3/2 + 2 J2z > 0",
-                stacklevel=2,
-            )
-        delta = -2.0 * j2x**2 / den + j2z
+        plus = branch == "Eplus"
+        if den == 0.0 or (den < 0.0) != plus:
+            raise ModelError(f"branch {branch} needs delta3/2 + 2 J2z "
+                             f"{'<' if plus else '>'} 0, not {den:g}")
+        try:
+            delta = -2.0 * j2x**2 / den + j2z
+        except OverflowError:  # j2x**2 beyond the float range
+            delta = math.inf
+        if not math.isfinite(delta):
+            raise ModelError(f"the {branch} resonant detuning is not finite")
     else:
         raise ModelError(f"unknown branch {branch!r}")
     return SpinModelParams(

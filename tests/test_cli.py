@@ -99,6 +99,18 @@ class TestConfigFormat:
         assert trace["model"]["source"] == "table_row"
         assert cfg["grid"]["points"] == 1
 
+    def test_resolved_lists_do_not_share_the_schema_defaults(self):
+        """Mutating a resolved list default leaves the next resolution, of
+        the same experiment and of another sharing the noise keys, intact."""
+        first = default_config("qutrit_compare")
+        first["model"]["rows"].append(1)
+        first["noise"]["channels"].remove("dephasing")
+        again = default_config("qutrit_compare")
+        assert again["model"]["rows"] == [6, 11]
+        assert again["noise"]["channels"] == ["dephasing", "photon_loss"]
+        assert default_config("scan_j2")["noise"]["channels"] == [
+            "dephasing", "photon_loss"]
+
     def test_unknown_key_rejected_with_name(self):
         text = MINIMAL + "\n[noise]\nwobble = 3\n"
         with pytest.raises(ConfigError, match="wobble"):
@@ -178,12 +190,13 @@ class TestConfigFormat:
         except ConfigError as exc:
             # every draw lies within its key's bounds, so only a cross-key
             # rule (ORDER_RULES), a repeated item of a distinct list, a zero
-            # J1, a zeroed divisor or a resonance branch whose denominator
-            # has the wrong sign can reject; that input resolves to nothing
+            # J1, a zeroed divisor, a resonance branch whose denominator is
+            # zero or has the wrong sign, or a resonant detuning beyond the
+            # float range can reject; that input resolves to nothing
             assert any(rule in str(exc)
                        for rule in ("must exceed", "listed twice", "gate time",
-                                    "branch undefined", "drive amplitude",
-                                    "needs delta3/2 + 2 j2"))
+                                    "drive amplitude", "needs delta3/2 + 2 J2z",
+                                    "resonant detuning is not finite"))
             assume(False)
         text = cfg.to_text()
         again = resolve_config(parse_config_text(text))
@@ -567,6 +580,9 @@ class TestCommandLine:
         # delta3/2 + 2 j2, and the drive amplitude amplitude_fraction * |j2z|
         ("n5", "[model]\nbranch = Eplus\ndelta3 = -3000"),
         ("n5", "[model]\nbranch = Eminus\ndelta3 = -3000"),
+        # a resonant detuning -2 j2^2 / (delta3/2 + 2 j2) + j2 beyond the
+        # float range
+        ("n5", "[model]\nbranch = Eminus\nj2 = 1e200\ndelta3 = 0"),
         # a denominator of the wrong sign for the branch: Eplus needs it
         # negative (here the defaults, 3000/2 + 2 * 750), Eminus positive
         ("n5", "[model]\nbranch = Eplus"),
@@ -730,6 +746,21 @@ class TestCommandLine:
         cfg = resolve_config(parse_config_text(
             "experiment = fidelity_trace\n[noise]\nchannels = []\n"))
         assert cfg["noise"]["channels"] == []
+
+    def test_empty_channel_list_scans_like_zero_gamma(self, tmp_path):
+        """No channel is no noise: the noisy scan cells repeat the clean
+        ones exactly as with gamma = 0, so the two CSVs are byte-identical."""
+        outs = []
+        for noise in ("channels = []", "gamma = 0"):
+            cfgfile = tmp_path / "noise.cfg"
+            cfgfile.write_text(f"experiment = scan_j2\n[grid]\npoints = 2\n"
+                               f"[run]\nsamples = 12\n[noise]\n{noise}\n")
+            out = tmp_path / f"{len(outs)}.csv"
+            result = CliRunner().invoke(
+                main, ["scan-j2", "--config", str(cfgfile), "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("where", ["option", "config"])
     def test_json_output_path_exits_2(self, tmp_path, where):

@@ -108,7 +108,7 @@ class TestAgainstOracles:
         h = (h + h.T) * 10.0
         noise = NoiseModel(gamma=0.3)
         collapse = noise.collapse_operators(dims)
-        gen = _LindbladGenerator(h.astype(complex), collapse, 2)
+        gen = _LindbladGenerator(h.astype(complex), collapse)
         rhos = rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4))
         got = gen(0.0, rhos.ravel()).reshape(2, 4, 4)
         for k in range(2):
@@ -615,7 +615,7 @@ class TestReachableBlocks:
         want = full_space_oracle(h, collapse, stack, times)
         assert np.max(np.abs(got - want)) < 1e-12
         # every coherence order N_row - N_col in [-4, 4] is a block of its own
-        blocks = [b for pair in _LindbladGenerator(h, collapse, 3).components()
+        blocks = [b for pair in _LindbladGenerator(h, collapse).components()
                   for b in pair if b is not None]
         n_of = excitation_numbers((2, 2, 2, 2))
         order = (n_of[:, None] - n_of[None, :]).ravel()
@@ -684,7 +684,7 @@ class TestReachableBlocks:
         dims = SiteDims((2,) + ((3,) if name.startswith("qutrit") else (2,))
                         * (n_sites - 2) + (2,))
         n_ctrl = int(excitation_numbers(dims.dims[1:-1])[np.abs(cvec) > 1e-12].max())
-        gen = _LindbladGenerator(h, NoiseModel(gamma=0.01).collapse_operators(dims), 16)
+        gen = _LindbladGenerator(h, NoiseModel(gamma=0.01).collapse_operators(dims))
         keep = _reachable_levels(gen, fidelity_stack(cvec))
         assert np.array_equal(keep, sector_indices(dims, 2 + n_ctrl))
 
@@ -702,15 +702,15 @@ def register_dims(h):
 
 class TestMirrorBlocks:
     """The Liouvillian branch: components cached per pattern, each block
-    assembled from Heff, the mask and the jumps, one evolution per mirror
-    pair on the stack rows each block holds."""
+    assembled from Heff and the jumps, one evolution per mirror pair on the
+    stack rows each block holds."""
 
     def test_positive_orders_are_evolved_and_negative_ones_mirrored(self):
         h, _ = register("open")
         collapse = NoiseModel(gamma=0.01).collapse_operators((2, 2, 2, 2))
         order = coherence_orders((2, 2, 2, 2)).ravel()
         roles = {}
-        for block, mirror in _LindbladGenerator(h, collapse, 1).components():
+        for block, mirror in _LindbladGenerator(h, collapse).components():
             roles[tuple(np.unique(order[block]))] = "self" if mirror is None else "evolved"
             if mirror is not None:
                 roles[tuple(np.unique(order[mirror]))] = "mirror"
@@ -736,20 +736,24 @@ class TestMirrorBlocks:
         traces = evolve_stack_raw(h, collapse, stack, times, functionals=w[None])[:, 0]
         assert np.max(np.abs(traces - np.einsum("tjab,jba->t", want, w))) < 1e-12
 
+    @pytest.mark.parametrize("channels", [
+        {"dephasing"}, {"photon_loss"}, {"dephasing", "photon_loss"}],
+        ids=["dephasing", "photon_loss", "both"])
     @pytest.mark.parametrize("name", [
         "open", "closed_plus", "qutrit_closed_plus", "n5", "crosstalk"])
-    def test_blocks_are_the_restricted_liouvillian(self, name):
+    def test_blocks_are_the_restricted_liouvillian(self, name, channels):
         """The blocks partition the kept level pairs, the textbook
         Liouvillian links no two of them, and each assembled block is its
-        restriction."""
+        restriction, whichever channels the jumps come from."""
         if name == "crosstalk":
             spin = symmetric_chain(**ROW6)
             h = add_crosstalk(spin, j_nn=0.05 * spin.j1x, j_nnn=0.05 * spin.j1x).entries
             cvec = register("closed_minus")[1]
         else:
             h, cvec = register(name)
-        collapse = NoiseModel(gamma=0.01).collapse_operators(register_dims(h))
-        gen = _LindbladGenerator(h, collapse, 16)
+        noise = NoiseModel(gamma=0.01, channels=channels)
+        collapse = noise.collapse_operators(register_dims(h))
+        gen = _LindbladGenerator(h, collapse)
         keep = _reachable_levels(gen, fidelity_stack(cvec))
         gen.restrict(keep)
         sub = np.ix_(keep, keep)
@@ -779,9 +783,9 @@ class TestMirrorBlocks:
     def test_components_are_cached_per_pattern_and_read_only(self):
         h, _ = register("open")
         collapse = NoiseModel(gamma=0.01).collapse_operators((2, 2, 2, 2))
-        first = _LindbladGenerator(h, collapse, 1).components()
+        first = _LindbladGenerator(h, collapse).components()
         rescaled = [(2 * g, op) for g, op in collapse]
-        assert _LindbladGenerator(0.5 * h, rescaled, 3).components() is first
+        assert _LindbladGenerator(0.5 * h, rescaled).components() is first
         for pair in first:
             for index in pair:
                 if index is not None:
@@ -800,7 +804,7 @@ class TestMirrorBlocks:
         found = []
         for couplings in (ROW6, dict(ROW6, j1x=0.0)):
             h = build_interaction_hamiltonian(symmetric_chain(**couplings)).entries
-            found.append(_LindbladGenerator(h, collapse, 3).components())
+            found.append(_LindbladGenerator(h, collapse).components())
             want = full_space_oracle(h, collapse, stack, times)
             assert np.max(np.abs(evolve_stack_raw(h, collapse, stack, times) - want)) < 1e-12
             traces = evolve_stack_raw(h, collapse, stack, times, functionals=w[None])[:, 0]

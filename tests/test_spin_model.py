@@ -334,9 +334,16 @@ class TestN5:
             scale = max(np.max(np.abs(oracle)), 1e-9)
             assert np.max(np.abs(analytic - oracle)) / scale < 1e-9
 
-    def test_eplus_branch_denominator_guard(self):
-        with pytest.raises(ModelError):
-            build_n5_model(30.0, 30.0, 750.0, 100.0, -400.0, branch="Eplus")
+    @pytest.mark.parametrize("branch", ["Eplus", "Eminus"])
+    @pytest.mark.parametrize("case", ["zero", "wrong_sign"])
+    def test_eplus_branch_denominator_guard(self, branch, case):
+        """delta3/2 + 2 J2z must be nonzero, negative for Eplus and positive
+        for Eminus."""
+        j2z = 100.0
+        delta3 = {"zero": -4.0 * j2z,
+                  "wrong_sign": 400.0 if branch == "Eplus" else -800.0}[case]
+        with pytest.raises(ModelError, match="needs delta3/2"):
+            build_n5_model(30.0, 30.0, 750.0, j2z, delta3, branch=branch)
 
     def test_bisymmetry_of_block(self):
         p = build_n5_model(30.0, 30.0, 750.0, 750.0, 200.0, branch="E0")
