@@ -18,19 +18,19 @@ Configuration files use a flat, typed key/value format with section nesting:
     out = "runs/a#1.csv"          # quoted: '#' and ',' are literal here
 
 Every key is validated against the experiment's schema (type, finiteness,
-range: table rows 1..16, at least one sample and grid point, gamma >= 0;
-the allowed names of a string; at least one item in a list other than
-``channels``; no item twice in ``rows`` or ``configs``) and the cross-key
-rules in ``ORDER_RULES`` (time windows increase, the drive amplitude is
-positive); an experiment that reads the gate time pi / |2 J1| refuses a
-chain, or a scan point, with J1 = 0, and a zero any experiment divides by
-is refused (``_check_zero_divisors``).  A schema holds only the keys its
-experiment reads (the scans take no [model] section; a ``BySource`` [model]
-section takes only the keys of the ``source`` it names), and unknown keys
-are rejected.  '#' and ',' inside double quotes are literal, and '\\' escapes
-'"' and '\\' there.  Loading fills defaults, and emitting a loaded
-configuration reproduces it exactly (load -> emit -> load is the identity
-on resolved configurations).
+range: table rows 1..16; 1..10,000 samples, grid points, durations and
+restarts; gamma >= 0; the allowed names of a string; at least one item in a
+list other than ``channels``; no item twice in ``rows`` or ``configs``) and
+the cross-key rules in ``ORDER_RULES`` (time windows increase, the drive
+amplitude is positive); an experiment that reads the gate time pi / |2 J1|
+refuses a chain, or a scan point, with J1 = 0, and a zero any experiment
+divides by is refused (``_check_zero_divisors``).  A schema holds only the
+keys its experiment reads (the scans take no [model] section; a
+``BySource`` [model] section takes only the keys of the ``source`` it
+names), and unknown keys are rejected.  '#' and ',' inside double quotes
+are literal, and '\\' escapes '"' and '\\' there.  Loading fills defaults,
+and emitting a loaded configuration reproduces it exactly (load -> emit ->
+load is the identity on resolved configurations).
 
 Per run, a CSV table (header row, '.' decimal, 12 significant digits, one
 row per sample) and a JSON summary (peaks, locations, the search seed, the
@@ -67,6 +67,7 @@ from .metrics import (
 from .search import search as run_search
 from .spin_model import (
     BRANCHES,
+    REGISTER_STATES,
     GateConfig,
     ModelError,
     SpinModelParams,
@@ -200,9 +201,11 @@ def _format_value(v: Any) -> str:
 # at least one item unless its key is in _MAY_BE_EMPTY, and no item twice if
 # its key is in _DISTINCT.
 _AT_LEAST_ONE = (1, None)
+# a count that sizes an array, bounded so that a run can allocate it
+_COUNT = (1, 10_000)
 _TABLE_ROWS = (min(cmap.TABLE_S1), max(cmap.TABLE_S1))
 _RUN_KEYS = {"out": ("str", "")}
-_SAMPLED_RUN = {"samples": ("int", 90, _AT_LEAST_ONE), **_RUN_KEYS}
+_SAMPLED_RUN = {"samples": ("int", 90, _COUNT), **_RUN_KEYS}
 _MAY_BE_EMPTY = frozenset({"channels"})
 # each item names an output block and a summary entry of its own
 _DISTINCT = frozenset({"rows", "configs"})
@@ -239,13 +242,7 @@ _NOISE_KEYS = {
     "channels": ("strlist", list(CHANNELS), CHANNELS),
 }
 # [grid] control names: ``closed`` is the stationary Bell state of the branch
-_CONTROL_STATES = {
-    "open": "open_0",
-    "closed_plus": "closed_1plus",
-    "closed_minus": "closed_1minus",
-    "closed_11": "closed_11",
-}
-_CONTROLS = ("closed", *_CONTROL_STATES)
+_CONTROLS = ("closed", *REGISTER_STATES)
 
 SCHEMAS: dict[str, dict[str, dict[str, tuple]]] = {
     "fidelity_trace": {
@@ -264,7 +261,7 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple]]] = {
             "j1": ("float", 30.0),
             "lo": ("float", 2.0),
             "hi": ("float", 40.0),
-            "points": ("int", 8, _AT_LEAST_ONE),
+            "points": ("int", 8, _COUNT),
         },
         "run": _SAMPLED_RUN,
     },
@@ -274,7 +271,7 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple]]] = {
             "j2": ("float", 750.0),
             "lo": ("float", 18.75),
             "hi": ("float", 125.0),
-            "points": ("int", 8, _AT_LEAST_ONE),
+            "points": ("int", 8, _COUNT),
         },
         "run": _SAMPLED_RUN,
     },
@@ -285,7 +282,7 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple]]] = {
             "j2z": ("float", 600.0),
             "lo": ("float", 300.0),
             "hi": ("float", 900.0),
-            "points": ("int", 7, _AT_LEAST_ONE),
+            "points": ("int", 7, _COUNT),
         },
         "run": _SAMPLED_RUN,
     },
@@ -322,7 +319,7 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple]]] = {
         "noise": _NOISE_KEYS,
         "grid": {
             "amplitude_fraction": ("float", 0.02),
-            "n_durations": ("int", 25, _AT_LEAST_ONE),
+            "n_durations": ("int", 25, _COUNT),
         },
         "run": _RUN_KEYS,
     },
@@ -333,7 +330,7 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple]]] = {
     "search": {
         "model": _BRANCH_KEY,
         "grid": {
-            "n_restarts": ("int", 8, _AT_LEAST_ONE),
+            "n_restarts": ("int", 8, _COUNT),
             "max_evaluations": ("int", 400, _AT_LEAST_ONE),
             "keep_all": ("bool", True),
         },
@@ -375,11 +372,9 @@ _J1_KEYS = {
 def _check_gate_time(kind: str, sections: dict[str, dict[str, Any]]) -> None:
     """Reject J1 = 0 where the experiment reads the gate time (``_J1_KEYS``)."""
     undefined = "leaves the gate time pi / |2 J1| undefined"
-    if kind == "scan_j1":
-        grid = sections["grid"]
-        if _linspace_holds_zero(grid["lo"], grid["hi"], grid["points"]):
-            raise ConfigError(f"[grid] a scan point at J1 = 0 {undefined}")
-    elif kind in _J1_KEYS:
+    if kind == "scan_j1" and 0.0 in _scan_axis(kind, sections["grid"]):
+        raise ConfigError(f"[grid] a scan point at J1 = 0 {undefined}")
+    if kind in _J1_KEYS:
         section, key = _J1_KEYS[kind]
         # a [model] section holds j1x only with source = spin
         if sections[section].get(key) == 0.0:
@@ -417,23 +412,6 @@ def _check_qutrit_preparations(kind: str, sections: dict[str, dict[str, Any]]) -
                 raise ConfigError(f"[grid] configs: {config.control_state} is listed twice "
                                   f"on row {row}, as {named[config]!r} and {control!r}")
             named[config] = control
-
-
-def _linspace_holds_zero(lo: float, hi: float, n: int) -> bool:
-    """Whether ``np.linspace(lo, hi, n)`` holds 0.0, decided without forming
-    it (``n`` is unbounded).  numpy's points are ``lo``, then
-    ``k * step + lo`` for ``0 < k < n - 1`` with ``step = (hi - lo) / (n - 1)``,
-    then ``hi``.  A floating-point sum is zero only when its terms cancel, so
-    only the ``k`` next to ``-lo / step`` can give zero.  (numpy's path for a
-    step that underflows to zero is not followed.)"""
-    if lo == 0.0 or (n > 1 and hi == 0.0):
-        return True
-    step = (hi - lo) / (n - 1) if n > 2 else 0.0
-    ratio = -lo / step if step != 0.0 and math.isfinite(step) else -1.0
-    if not 0.0 < ratio < n:
-        return False
-    k = round(ratio)
-    return any(0 < j < n - 1 and j * step + lo == 0.0 for j in (k - 1, k, k + 1))
 
 
 def _check_scalar(tag: str, value: Any, limits: tuple | None) -> Any:
@@ -719,7 +697,7 @@ def _gate_config(control: str, branch: str) -> GateConfig:
     """The register preparation a ``control`` value names (``_CONTROLS``)."""
     if control == "closed":
         return closed_config_for_branch(branch)
-    return GateConfig(delta_branch=branch, control_state=_CONTROL_STATES[control])
+    return GateConfig(delta_branch=branch, control_state=control)
 
 
 _SCAN_COLUMNS = (
@@ -745,8 +723,7 @@ def _scan_point(
     the default cross-talk scan, read the same way), so the 12 printed
     digits are not all precision.
     """
-    configs = [GateConfig(delta_branch=branch, control_state="open_0"),
-               closed_config_for_branch(branch)]
+    configs = [_gate_config("open", branch), _gate_config("closed", branch)]
     window = gate_window(params, *OPEN_WINDOW, n_samples)
     clean_open, cells = _gate_point(build_interaction_hamiltonian(params), window,
                                     configs, None, configs if noise else [], noise)
@@ -766,14 +743,21 @@ _SCANS: dict[str, tuple[str, str, str | None, Callable]] = {
 }
 
 
+def _scan_axis(kind: str, grid: dict[str, Any]) -> np.ndarray:
+    """A scan's axis; points beyond the float range overflow without a warning."""
+    unit_key = _SCANS[kind][2]
+    unit = grid[unit_key] if unit_key else 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.linspace(grid["lo"] * unit, grid["hi"] * unit, grid["points"])
+
+
 def _scan(config: ExperimentConfig) -> Table:
-    axis, branch, unit_key, couplings = _SCANS[config.kind]
+    axis, branch, _, couplings = _SCANS[config.kind]
     grid = config["grid"]
     noise = _noise_from_section(config["noise"])
     n = config["run"]["samples"]
-    unit = grid[unit_key] if unit_key else 1.0
     rows, deltas = [], []
-    for v in np.linspace(grid["lo"] * unit, grid["hi"] * unit, grid["points"]):
+    for v in _scan_axis(config.kind, grid):
         j1, j2x, j2z = couplings(grid, v)
         delta = delta_for_branch(branch, j2x, j2z)
         params = symmetric_chain(j1, j1, j2x, j2z, delta)
@@ -829,9 +813,8 @@ def _crosstalk_scan(config: ExperimentConfig) -> Table:
     n = config["run"]["samples"]
     fractions = config["grid"]["fractions_pct"]
     window = gate_window(model, *OPEN_WINDOW, n)
-    open_cfg = [GateConfig(delta_branch=branch, control_state="open_0")]
-    closed_cfgs = [GateConfig(delta_branch=branch, control_state=state)
-                   for state in ("closed_1plus", "closed_1minus")]
+    open_cfg = [_gate_config("open", branch)]
+    closed_cfgs = [_gate_config(c, branch) for c in ("closed_plus", "closed_minus")]
     rows: list[tuple] = []
     for pct in fractions:
         jc = pct / 100.0 * abs(model.j1x)

@@ -47,7 +47,6 @@ from .spin_model import (
     ModelError,
     SpinModelParams,
     build_interaction_hamiltonian,
-    vacuum_energy,
 )
 
 #: frequencies the calibration scans, and their span about the transition (2pi*MHz)
@@ -84,20 +83,22 @@ def resonant_drive_frequency(params: SpinModelParams) -> float:
     ZZ couplings is included; the bare-register estimate
     |Omega_2 - 2 J2z + 2 J2x| misses that shift by 2 J1z.
     """
-    return _transition_frequency(params, build_interaction_hamiltonian(params))
+    return _transition_frequency(*_undriven_chain(params))
 
 
-def _transition_frequency(params: SpinModelParams, h0: OperatorMatrix) -> float:
-    """``resonant_drive_frequency`` of ``params`` whose undriven chain is ``h0``."""
-    return vacuum_energy(params) / TWO_PI - _bell_energy(h0.entries / TWO_PI)
+def _transition_frequency(h0: OperatorMatrix, start: np.ndarray) -> float:
+    """``resonant_drive_frequency`` of the chain ``_undriven_chain`` returns."""
+    vacuum, bell, _, _ = _register_levels(h0, start)
+    return (vacuum - bell) / TWO_PI
 
 
-def _bell_energy(h: np.ndarray) -> float:
-    """Energy of the symmetric control Bell state, targets in their ground
-    state, under the 4-site chain Hamiltonian ``h``."""
-    bell = np.zeros(h.shape[0])
-    bell[0b0100] = bell[0b0010] = 1.0 / np.sqrt(2.0)
-    return float(np.real(bell @ h @ bell))
+def _register_levels(h0: OperatorMatrix, start: np.ndarray) -> np.ndarray:
+    """Energies (rad/us) of |00>, |01>, |10>, |11>_C, targets in the ground
+    state, read off the chain ``h0``: the symmetric Bell level ``start``
+    covers the |01>/|10> sector, since the singlet never mixes in."""
+    bell = np.real(start.conj() @ h0.entries @ start)
+    return np.array([np.real(h0.entries[0, 0]), bell, bell,
+                     np.real(h0.entries[0b0110, 0b0110])])
 
 
 def drive_hamiltonian(
@@ -146,32 +147,26 @@ def rabi_prepare(
     ``durations``, strictly increasing (default: the pi duration alone), all
     sampled from one propagation.
 
-    The targets start in their ground state; ``transfer_probability`` is the
-    population of |00>_C.  The chain is propagated in the drive's rotating
-    frame (module docstring; dephasing and decay are unchanged by that frame)
-    and each sample is traced down to the register and rotated back there,
-    rho_C = R_C rho_C' R_C+ with R_C = exp(+i d N_C t): N = N_T + N_C, and
-    the targets' share of the frame cancels under their trace.  The
-    level-frame copy also removes the deterministic free-evolution phase of
-    each register level, exp(-i E t) at its chain energy E with the targets
-    in their ground state, so it can be compared directly against ideal
-    superposition targets.
+    The drive starts from |0> |1+>_C |0>, the register's ``closed_plus``
+    vector; ``transfer_probability`` is the population of |00>_C, the
+    ``[0, 0]`` entry of ``control_state``.  The chain is propagated in the
+    drive's rotating frame (module docstring; dephasing and decay are
+    unchanged by that frame) and each sample is traced down to the register
+    and rotated back there, rho_C = R_C rho_C' R_C+ with
+    R_C = exp(+i d N_C t): N = N_T + N_C, and the targets' share of the frame
+    cancels under their trace (|00>_C has no excitation, so its population
+    is read before the rotation).  The level-frame copy also removes the
+    deterministic free-evolution phase of each register level, exp(-i E t)
+    at its chain energy E with the targets in their ground state, so it can
+    be compared directly against ideal superposition targets.
     """
-    h0, rho0 = _undriven_chain(params)
+    h0, start = _undriven_chain(params)
     if durations is None:
         durations = (pulse.pi_duration(),)
-    states = propagate(rho0, h0 + drive_hamiltonian(pulse, h0.dims), noise, durations)
-
     numbers = excitation_numbers((2, 2))
-    # the free phases: |00>_C rides at the vacuum energy, the symmetric Bell
-    # level covers the |01>/|10> sector (the singlet never mixes in), and
-    # |11>_C at its exact chain energy with the targets in their ground state
-    e_bell = _bell_energy(h0.entries)
-    levels = np.array([vacuum_energy(params), e_bell, e_bell,
-                       float(np.real(h0.entries[0b0110, 0b0110]))])
+    levels = _register_levels(h0, start)
     results = []
-    for t, state in zip(durations, states):
-        reduced = partial_trace(state, keep_sites=(1, 2))
+    for t, reduced in zip(durations, _driven_register(h0, start, pulse, durations, noise)):
         back = np.exp(1j * TWO_PI * pulse.frequency * t * numbers)
         rho = back[:, None] * reduced.entries * back.conj()
         phases = np.exp(1j * levels * t)
@@ -179,30 +174,28 @@ def rabi_prepare(
             control_state=OperatorMatrix(reduced.dims, rho),
             control_state_level_frame=OperatorMatrix(
                 reduced.dims, phases[:, None] * rho * phases.conj()),
-            transfer_probability=_open_population(state),
+            transfer_probability=float(np.real(reduced.entries[0, 0])),
         ))
     return results
 
 
-def _undriven_chain(params: SpinModelParams) -> tuple[OperatorMatrix, OperatorMatrix]:
+def _driven_register(h0: OperatorMatrix, start: np.ndarray, pulse: DrivePulse,
+                     durations: Sequence[float], noise: NoiseModel | None,
+                     ) -> list[OperatorMatrix]:
+    """The register's states, in the drive's frame, after ``durations`` from ``start``."""
+    rho0 = OperatorMatrix(h0.dims, np.outer(start, start.conj()))
+    states = propagate(rho0, h0 + drive_hamiltonian(pulse, h0.dims), noise, durations)
+    return [partial_trace(state, keep_sites=(1, 2)) for state in states]
+
+
+def _undriven_chain(params: SpinModelParams) -> tuple[OperatorMatrix, np.ndarray]:
     """The undriven four-site chain and the state the drive starts from: the
     closed register |1+>_C with the targets in their ground state."""
     if params.n_sites != 4:
         raise ModelError("state preparation drives the 4-site chain")
-    h0 = build_interaction_hamiltonian(params)
-    cvec = control_state_vector(GateConfig(control_state="closed_1plus"), [2, 2])
     ground = np.array([1.0, 0.0], dtype=complex)
-    full = np.kron(np.kron(ground, cvec), ground)
-    full /= np.linalg.norm(full)
-    return h0, OperatorMatrix(h0.dims, np.outer(full, full.conj()))
-
-
-def _open_population(state: OperatorMatrix) -> float:
-    """The population of |00>_C in a chain state: its diagonal summed over
-    the four levels whose controls are both |0>.  Populations are the same
-    in the drive's rotating frame, so no rotation back is needed."""
-    diagonal = np.real(np.diagonal(state.entries)).reshape(state.dims.dims)
-    return float(diagonal[:, 0, 0, :].sum())
+    bell = control_state_vector(GateConfig(control_state="closed_plus"), [2, 2])
+    return build_interaction_hamiltonian(params), np.kron(np.kron(ground, bell), ground)
 
 
 def calibrated_pi_pulse(params: SpinModelParams, amplitude: float) -> DrivePulse:
@@ -214,17 +207,15 @@ def calibrated_pi_pulse(params: SpinModelParams, amplitude: float) -> DrivePulse
     analogue of an experimental Rabi calibration; the off-resonant dressing
     of the register levels shifts the optimum by a few 2pi*MHz from the bare
     transition.  The chain and its closed-register state are built once;
-    each frequency is one checked ``propagate`` to the pi duration, read as
-    ``rabi_prepare`` reads ``transfer_probability``.
+    each frequency is one checked ``propagate`` to the pi duration, its
+    |00>_C population read as ``rabi_prepare`` reads it.
     """
-    h0, rho0 = _undriven_chain(params)
-    base = _transition_frequency(params, h0)
+    h0, start = _undriven_chain(params)
+    base = _transition_frequency(h0, start)
     freqs = np.linspace(base - CALIBRATION_SPAN, base + CALIBRATION_SPAN,
                         CALIBRATION_POINTS)
     t_pi = DrivePulse(amplitude, base).pi_duration()
-    probs = [_open_population(propagate(
-                 rho0, h0 + drive_hamiltonian(DrivePulse(amplitude, f), h0.dims),
-                 None, (t_pi,))[0])
-             for f in freqs]
+    probs = [_driven_register(h0, start, DrivePulse(amplitude, f), (t_pi,), None)[0]
+             .entries[0, 0].real for f in freqs]
     best, _ = refine_peak(freqs, np.array(probs), int(np.argmax(probs)))
     return DrivePulse(amplitude=amplitude, frequency=best)

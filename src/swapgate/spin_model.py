@@ -125,14 +125,15 @@ def delta_for_branch(branch: str, j2x: float, j2z: float) -> float:
     raise ModelError(f"unknown branch {branch!r}")
 
 
-#: named preparations of the two-site control register: name -> amplitudes
-#: on |control-1 level, control-2 level>, normalised when used; the open
+#: named preparations of the two-site control register, under the names a
+#: configuration's ``[grid] control`` uses: name -> amplitudes on
+#: |control-1 level, control-2 level>, normalised when used; the open
 #: register, all controls in |0>, is spelled for any number of controls by
 #: ``metrics.control_state_vector``
 REGISTER_STATES: dict[str, dict[tuple[int, int], float]] = {
-    "open_0": {(0, 0): 1.0},
-    "closed_1plus": {(1, 0): 1.0, (0, 1): 1.0},
-    "closed_1minus": {(1, 0): 1.0, (0, 1): -1.0},
+    "open": {(0, 0): 1.0},
+    "closed_plus": {(1, 0): 1.0, (0, 1): 1.0},
+    "closed_minus": {(1, 0): 1.0, (0, 1): -1.0},
     "closed_11": {(1, 1): 1.0},
 }
 
@@ -141,13 +142,14 @@ REGISTER_STATES: dict[str, dict[tuple[int, int], float]] = {
 class GateConfig:
     """Detuning branch plus the control-register preparation.
 
-    ``control_state`` is a name of ``REGISTER_STATES``: ``open_0``, all
-    controls in |0> (on any number of controls); ``closed_1plus`` /
-    ``closed_1minus``, Bell states of the two controls; ``closed_11``.
+    ``control_state`` is a name of ``REGISTER_STATES``, the names a
+    configuration's ``[grid] control`` takes: ``open``, all controls in |0>
+    (on any number of controls); ``closed_plus`` / ``closed_minus``, the
+    Bell states |1+>_C / |1->_C of the two controls; ``closed_11``.
     """
 
     delta_branch: str = "plus"
-    control_state: str = "open_0"
+    control_state: str = "open"
 
     def __post_init__(self) -> None:
         if self.delta_branch not in BRANCHES:
@@ -157,7 +159,7 @@ class GateConfig:
 
     @property
     def is_open(self) -> bool:
-        return self.control_state == "open_0"
+        return self.control_state == "open"
 
 
 def closed_config_for_branch(branch: str) -> GateConfig:
@@ -166,8 +168,7 @@ def closed_config_for_branch(branch: str) -> GateConfig:
     At delta = 2(J2z + J2x) the antisymmetric Bell state mediates the
     transfer, so the symmetric one is the closed switch, and vice versa.
     """
-    state = "closed_1plus" if branch == "plus" else "closed_1minus"
-    return GateConfig(delta_branch=branch, control_state=state)
+    return GateConfig(delta_branch=branch, control_state=f"closed_{branch}")
 
 
 # ---------------------------------------------------------------------------
@@ -342,15 +343,6 @@ def single_excitation_block(params: SpinModelParams) -> np.ndarray:
     return build_interaction_hamiltonian(params).entries[np.ix_(states, states)].real
 
 
-def vacuum_energy(params: SpinModelParams) -> float:
-    """Energy of the all-ground state, in rad/us."""
-    n = params.n_sites
-    det = params.detunings
-    return TWO_PI * (
-        -0.5 * sum(det) + sum(params.jz[j] for j in range(n - 1))
-    )
-
-
 def analytic_single_excitation_spectrum(
     params: SpinModelParams,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -394,11 +386,15 @@ def analytic_single_excitation_spectrum(
 
 
 def analytic_gate_time(params: SpinModelParams) -> float:
-    """Swap period t_g = pi / |2 J1| in microseconds."""
+    """Swap period t_g = pi / |2 J1| in microseconds; ``ModelError`` where
+    J1 = 0 or where t_g is not positive (|J1| so large that it rounds to 0)."""
     j1 = params.j1x
     if j1 == 0.0:
         raise ModelError("gate time undefined for J1 = 0")
-    return np.pi / abs(2.0 * TWO_PI * j1)
+    t_g = np.pi / abs(2.0 * TWO_PI * j1)
+    if not t_g > 0.0:
+        raise ModelError(f"gate time pi / |2 J1| is {t_g:g} at J1 = {j1:g}")
+    return t_g
 
 
 # ---------------------------------------------------------------------------

@@ -125,7 +125,7 @@ def row11():
 @pytest.fixture(scope="module")
 def row6_open_noisy(row6):
     times = gate_window(row6, *OPEN_WINDOW, 111)
-    cfg = GateConfig(delta_branch="plus", control_state="open_0")
+    cfg = GateConfig(delta_branch="plus", control_state="open")
     return average_fidelity(build_interaction_hamiltonian(row6), [cfg],
                             NoiseModel(gamma=GAMMA), times)[0]
 
@@ -258,7 +258,7 @@ def test_c05_qutrit_leakage(row6, row11):
     noise = NoiseModel(gamma=GAMMA)
     for index, params in ((6, row6), (11, row11)):
         qutrit = table_qutrit_params(index)
-        cfg = GateConfig(delta_branch=table_branch(index), control_state="open_0")
+        cfg = GateConfig(delta_branch=table_branch(index), control_state="open")
         times = gate_window(params, *OPEN_WINDOW, 90)
         tr_qubit, = average_fidelity(build_interaction_hamiltonian(params), [cfg],
                                      noise, times)
@@ -372,8 +372,8 @@ def test_c09_drive_scheme(row6):
     pulse = calibrated_pi_pulse(row6, amplitude)
     t_pi = pulse.pi_duration()
     half, full = rabi_prepare(row6, pulse, (t_pi / 2, t_pi))
-    bell = control_state_vector(GateConfig(control_state="closed_1plus"), [2, 2])
-    zero = control_state_vector(GateConfig(control_state="open_0"), [2, 2])
+    bell = control_state_vector(GateConfig(control_state="closed_plus"), [2, 2])
+    zero = control_state_vector(GateConfig(control_state="open"), [2, 2])
     red = half.control_state_level_frame.entries
     half_fid = max(
         float(np.real(tv.conj() @ red @ tv))
@@ -385,7 +385,7 @@ def test_c09_drive_scheme(row6):
     register = symmetric_chain(0.0, 0.0, row6.j2x, row6.j2z, row6.delta)
     reg_pulse = DrivePulse(amplitude=amplitude,
                            frequency=resonant_drive_frequency(register))
-    singlet = control_state_vector(GateConfig(control_state="closed_1minus"),
+    singlet = control_state_vector(GateConfig(control_state="closed_minus"),
                                    [2, 2])
 
     def singlet_max(params, pls):
@@ -434,7 +434,7 @@ def test_c10_crosstalk_scaling():
     """
     j1 = 30.0
     params = symmetric_chain(j1, j1, 750.0, 750.0, 3000.0)
-    open_cfg = GateConfig(delta_branch="plus", control_state="open_0")
+    open_cfg = GateConfig(delta_branch="plus", control_state="open")
     window = gate_window(params, *OPEN_WINDOW, 70)
     base, = average_fidelity(add_crosstalk(params, 0.0, 0.0), [open_cfg], None, window)
     fractions = np.array([0.02, 0.04, 0.06, 0.08, 0.10])
@@ -484,7 +484,7 @@ def test_c11_delta_zero_failure(row6_open_noisy):
     j1, j2z = 30.0, 600.0
     # detuning swept through zero by setting j2x = j2z on the minus branch
     dead = symmetric_chain(j1, j1, 600.0, j2z, 0.0)
-    cfg = GateConfig(delta_branch="minus", control_state="open_0")
+    cfg = GateConfig(delta_branch="minus", control_state="open")
     window = gate_window(dead, *OPEN_WINDOW, 80)
     tr_dead, = average_fidelity(build_interaction_hamiltonian(dead), [cfg], None, window)
     # a proper minus-branch design point recovers

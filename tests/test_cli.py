@@ -26,6 +26,7 @@ from swapgate.cli import (
 from swapgate.dynamics import NoiseModel
 from swapgate.metrics import OPEN_WINDOW, average_fidelity, gate_window
 from swapgate.spin_model import (
+    REGISTER_STATES,
     GateConfig,
     add_crosstalk,
     build_interaction_hamiltonian,
@@ -435,7 +436,7 @@ class TestScanReading:
 
         window = gate_window(params, *OPEN_WINDOW, samples)
         h = build_interaction_hamiltonian(params)
-        open_cfg = GateConfig(delta_branch="plus", control_state="open_0")
+        open_cfg = GateConfig(delta_branch="plus", control_state="open")
         closed_cfg = closed_config_for_branch("plus")
 
         def trace(cfg, nz):
@@ -478,7 +479,7 @@ class TestScanReading:
                     average_fidelity(h, [GateConfig(delta_branch="plus",
                                                     control_state=state)],
                                      noise, window)[0]
-                    for state in ("open_0", "closed_1plus", "closed_1minus"))
+                    for state in ("open", "closed_plus", "closed_minus"))
                 t_num = tr_open.peak_time
                 want += [tr_open.peak_value, full_trace_reading(closed_plus, t_num),
                          full_trace_reading(closed_minus, t_num)]
@@ -600,6 +601,15 @@ class TestCommandLine:
         ("crosstalk", "[grid]\nfractions_pct = []"),
         ("qutrit", "[model]\nrows = []"),
         ("qutrit", "[grid]\nconfigs = []"),
+        # counts beyond 10,000, which size arrays no run could allocate
+        ("trace", "[run]\nsamples = 1000000000000"),
+        ("scan-j1", "[grid]\npoints = 1000000000000"),
+        ("drive", "[grid]\nn_durations = 1000000000000"),
+        ("search", "[grid]\nn_restarts = 1000000000000"),
+        ("trace", "[run]\nsamples = 4611686018427387904"),
+        ("scan-j1", "[grid]\npoints = 4611686018427387904"),
+        ("drive", "[grid]\nn_durations = 4611686018427387904"),
+        ("search", "[grid]\nn_restarts = 4611686018427387904"),
     ])
     def test_out_of_range_input_exits_2(self, tmp_path, command, body):
         kind = swapgate.cli._SUBCOMMANDS[command]
@@ -610,6 +620,7 @@ class TestCommandLine:
         )
         assert result.exit_code == 2, result.output
         assert "configuration error" in result.output
+        assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("body", [
         "branch = Eplus\ndelta3 = -6000", "branch = Eminus", "branch = E0\ndelta3 = -6000",
@@ -640,22 +651,6 @@ class TestCommandLine:
         )
         assert result.exit_code == 2, result.output
         assert "leaves the gate time pi / |2 J1| undefined" in result.output
-
-    @given(lo=st.floats(-1e3, 1e3), hi=st.floats(-1e3, 1e3),
-           points=st.integers(1, 2000))
-    @settings(max_examples=300, deadline=None)
-    def test_zero_scan_point_found_without_forming_the_axis(self, lo, hi, points):
-        """The J1 scan's zero check agrees with the axis the scan forms."""
-        assert swapgate.cli._linspace_holds_zero(lo, hi, points) == bool(
-            np.any(np.linspace(lo, hi, points) == 0.0))
-
-    @pytest.mark.parametrize("lo, hi, points, zero", [
-        (-10.0, 10.0, 2, False), (-10.0, 10.0, 3, True), (-1.0, 2.0, 4, True),
-        (-0.25, 0.75, 5, True), (-0.3, 0.7, 11, False), (5.0, 0.0, 2, True),
-        (0.0, 0.0, 1, True), (1e300, -1e300, 3, True), (-1e308, 1.7e308, 10**12, False),
-    ])
-    def test_zero_scan_point_cases(self, lo, hi, points, zero):
-        assert swapgate.cli._linspace_holds_zero(lo, hi, points) is zero
 
     @pytest.mark.parametrize("body", [
         "[model]\nrows = 6, 6",
@@ -700,6 +695,19 @@ class TestCommandLine:
             f"experiment = qutrit_compare\n[model]\nrows = {rows}\n[grid]\nconfigs = {configs}\n"))
         assert cfg["grid"]["configs"] == configs.split(", ")
 
+    @pytest.mark.parametrize("branch", ["plus", "minus"])
+    def test_control_names_are_the_register_names(self, branch):
+        """``[grid] control`` and ``configs`` name a ``REGISTER_STATES``
+        preparation as the library does, or ``closed``, the stationary Bell
+        state of the branch."""
+        controls = SCHEMAS["fidelity_trace"]["grid"]["control"][2]
+        assert SCHEMAS["qutrit_compare"]["grid"]["configs"][2] == controls
+        assert controls == ("closed", *REGISTER_STATES)
+        for name in controls[1:]:
+            assert swapgate.cli._gate_config(name, branch) == GateConfig(branch, name)
+        assert (swapgate.cli._gate_config("closed", branch)
+                == closed_config_for_branch(branch))
+
     def test_non_finite_propagation_exits_3(self, tmp_path):
         # a finite but absurd rate overflows the propagator
         cfgfile = tmp_path / "huge.cfg"
@@ -710,6 +718,25 @@ class TestCommandLine:
         )
         assert result.exit_code == 3
         assert "non-finite" in result.output
+
+    @pytest.mark.parametrize("command, body", [
+        ("trace", "[model]\nsource = spin\nj1x = 1e308"),
+        ("n5", "[model]\nj1 = 1e308"),
+        ("scan-j2", "[grid]\nj1 = 1e308"),
+        ("scan-j1", "[grid]\nhi = 1.7976931348623157e+308"),
+    ])
+    def test_gate_time_that_underflows_exits_3(self, tmp_path, command, body):
+        """pi / |2 J1| rounds to zero when |J1| is near the float range: a
+        numerical failure, reported without a traceback."""
+        kind = swapgate.cli._SUBCOMMANDS[command]
+        cfgfile = tmp_path / "huge.cfg"
+        cfgfile.write_text(f"experiment = {kind}\n{body}\n[run]\nsamples = 3\n")
+        out = tmp_path / "o.csv"
+        result = CliRunner().invoke(main, [command, "--config", str(cfgfile),
+                                           "--out", str(out)])
+        assert result.exit_code == 3, result.output
+        assert "numerical failure: gate time pi / |2 J1| is 0 at J1 = " in result.output
+        assert not out.exists()
 
     def test_kind_mismatch_is_config_error(self, tmp_path):
         cfgfile = tmp_path / "trace.cfg"

@@ -21,8 +21,9 @@ from swapgate.drive import (
     CALIBRATION_POINTS,
     CALIBRATION_SPAN,
     DrivePulse,
-    _bell_energy,
     _drive_terms,
+    _register_levels,
+    _undriven_chain,
     calibrated_pi_pulse,
     drive_hamiltonian,
     rabi_prepare,
@@ -36,7 +37,6 @@ from swapgate.spin_model import (
     build_interaction_hamiltonian,
     build_n5_model,
     symmetric_chain,
-    vacuum_energy,
 )
 
 ROW6 = dict(j1x=40.9, j1z=40.9, j2x=-540.4, j2z=1007.1, delta=933.4)
@@ -101,7 +101,7 @@ class TestDriveHamiltonian:
         pulse = DrivePulse(amplitude=5.0, frequency=321.0)
         h = drive_hamiltonian(pulse, (2, 2, 2, 2))
         singlet = control_state_vector(
-            GateConfig(control_state="closed_1minus"), [2, 2]
+            GateConfig(control_state="closed_minus"), [2, 2]
         )
         ground = np.array([1.0, 0.0], dtype=complex)
         full = np.kron(np.kron(ground, singlet), ground)
@@ -175,8 +175,8 @@ class TestRabiTransfer:
         params = row6_params()
         res, = rabi_prepare(params, pi_pulse, (pi_pulse.pi_duration() / 2.0,))
         red = res.control_state_level_frame.entries
-        bell = control_state_vector(GateConfig(control_state="closed_1plus"), [2, 2])
-        zero = control_state_vector(GateConfig(control_state="open_0"), [2, 2])
+        bell = control_state_vector(GateConfig(control_state="closed_plus"), [2, 2])
+        zero = control_state_vector(GateConfig(control_state="open"), [2, 2])
         best = 0.0
         for phi in np.linspace(0, 2 * np.pi, 721):
             tv = (bell + 1j * np.exp(1j * phi) * zero) / np.sqrt(2)
@@ -212,7 +212,7 @@ class TestRabiTransfer:
         params = row6_params()
         h0 = build_interaction_hamiltonian(params)
         h = h0 + drive_hamiltonian(pi_pulse, h0.dims)
-        bell = control_state_vector(GateConfig(control_state="closed_1plus"), [2, 2])
+        bell = control_state_vector(GateConfig(control_state="closed_plus"), [2, 2])
         ground = np.array([1.0, 0.0], dtype=complex)
         rho0 = pure_state(
             np.kron(np.kron(ground, bell), ground), h0.dims
@@ -220,12 +220,25 @@ class TestRabiTransfer:
         t_end = pi_pulse.pi_duration()
         times = np.linspace(t_end / 5, t_end, 5)
         singlet = control_state_vector(
-            GateConfig(control_state="closed_1minus"), [2, 2]
+            GateConfig(control_state="closed_minus"), [2, 2]
         )
         for st in propagate(rho0, h, None, times):
             red = partial_trace(st, keep_sites=(1, 2))
             pop = float(np.real(singlet.conj() @ red.entries @ singlet))
             assert pop < 1e-6
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.01])
+    def test_transfer_is_the_open_entry_of_the_control_state(self, pi_pulse, gamma):
+        """``transfer_probability`` is the |00>_C population of the reduced
+        state, which the rotation back to the lab frame leaves unchanged (the
+        noisy propagation leaves ~1e-15 of imaginary part on the diagonal)."""
+        t_pi = pi_pulse.pi_duration()
+        noise = NoiseModel(gamma=gamma) if gamma else None
+        results = rabi_prepare(row6_params(), pi_pulse,
+                               np.linspace(t_pi / 20, 2 * t_pi, 20), noise)
+        for res in results:
+            assert abs(res.transfer_probability
+                       - res.control_state.entries[0, 0].real) < 1e-15
 
     def test_rabi_oscillation_frequency(self, pi_pulse):
         """Transfer vs duration oscillates at the collective rate sqrt(2) A."""
@@ -442,10 +455,10 @@ class TestLeakageCheck:
         uses are the bare (|00>, |1+>, |11>) energies (-d + J2z,
         -J2z + 2 J2x, d + J2z) at control detuning d."""
         params = symmetric_chain(0.0, 0.0, -540.4, 1007.1, 933.4)
-        h = build_interaction_hamiltonian(params).entries
-        levels = (vacuum_energy(params), _bell_energy(h), float(np.real(h[0b0110, 0b0110])))
+        levels = _register_levels(*_undriven_chain(params))
         want = (-933.4 + 1007.1, -1007.1 + 2 * -540.4, 933.4 + 1007.1)
-        assert np.allclose(np.array(levels) / TWO_PI, want, rtol=1e-12)
+        assert levels[1] == levels[2]
+        assert np.allclose(levels[[0, 1, 3]] / TWO_PI, want, rtol=1e-12)
 
     def test_engineered_collision_flags(self):
         """With J2z = J2x the |1+> -> |11> gap equals the |00> <-> |1+> gap,

@@ -373,7 +373,7 @@ def random_stack(d, n=4, seed=21):
 # window in gate times), and more grids of the (2, 0.01) sector in gate times
 RK45_WINDOWS = [
     (2, 0.01, 11, (0.8, 1.05)),   # open register, noisy
-    (3, 0.0, 15, (1e-3, 1.0)),    # closed_1plus sector: a 225x225 generator
+    (3, 0.0, 15, (1e-3, 1.0)),    # closed_plus sector: a 225x225 generator
     (3, 0.01, 15, (1e-3, 1.0)),
 ]
 RK45_FRACTIONS = [
@@ -555,7 +555,7 @@ def register(name):
     h = (build_qutrit_hamiltonian(table_qutrit_params(6)) if qutrit
          else build_interaction_hamiltonian(spin))
     cfg = {
-        "open": GateConfig(control_state="open_0"),
+        "open": GateConfig(control_state="open"),
         "closed_plus": closed_config_for_branch("plus"),
         "closed_minus": closed_config_for_branch("minus"),
         "closed_11": GateConfig(control_state="closed_11"),

@@ -96,7 +96,7 @@ class TestQutritFrame:
         q = table_qutrit_params(13)
         tg = analytic_gate_time(table_spin_params(13))
         times = np.linspace(0.04, 0.12, 3) * tg
-        cfg = GateConfig(delta_branch="plus", control_state="open_0")
+        cfg = GateConfig(delta_branch="plus", control_state="open")
         noise = NoiseModel(gamma=gamma) if gamma else None
         trace, = average_fidelity(build_qutrit_hamiltonian(q), [cfg], noise, times)
 
@@ -141,7 +141,7 @@ class TestDriveFrame:
             h = h0.entries + amp * (np.cos(th) * y_op - np.sin(th) * x_op)
             return -1j * (h @ psi)
 
-        bell = control_state_vector(GateConfig(control_state="closed_1plus"), [2, 2])
+        bell = control_state_vector(GateConfig(control_state="closed_plus"), [2, 2])
         ground = np.array([1.0, 0.0], dtype=complex)
         psi0 = np.kron(np.kron(ground, bell), ground)
         sol = solve_ivp(rhs, (0.0, duration), psi0, t_eval=[duration],

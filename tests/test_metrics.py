@@ -124,7 +124,7 @@ class TestTargets:
 
     @pytest.mark.parametrize("cfg, want", [
         (closed_config_for_branch("plus"), np.eye(4)),
-        (GateConfig(delta_branch="minus", control_state="open_0"), open_gate("minus")),
+        (GateConfig(delta_branch="minus", control_state="open"), open_gate("minus")),
     ], ids=["closed_is_identity", "open_is_open_gate"])
     def test_default_target(self, cfg, want):
         params = symmetric_chain(**ROW6)
@@ -165,7 +165,7 @@ class TestFidelityFormula:
         # the same number must come out of the full machinery at t ~ 0
         params = symmetric_chain(**ROW6)
         tg = analytic_gate_time(params)
-        cfg = GateConfig(delta_branch="plus", control_state="open_0")
+        cfg = GateConfig(delta_branch="plus", control_state="open")
         trace, = average_fidelity(build_interaction_hamiltonian(params), [cfg], None,
                                   [tg * 1e-7])
         assert trace.fbar[0] == pytest.approx(oracle, abs=1e-5)
@@ -253,7 +253,7 @@ class TestGateSimulation:
         params = symmetric_chain(**ROW6)
         tg = analytic_gate_time(params)
         h = build_interaction_hamiltonian(params)
-        cfg = GateConfig(delta_branch="plus", control_state="open_0")
+        cfg = GateConfig(delta_branch="plus", control_state="open")
         times = np.linspace(0.85 * tg, 1.05 * tg, 41)
         trace, = average_fidelity(h, [cfg], None, times)
         assert trace.peak_value > 0.985
@@ -270,7 +270,7 @@ class TestGateSimulation:
         """At strong control coupling the peak sits ~5% before pi/|2 J1|."""
         p = symmetric_chain(30.0, 30.0, 750.0, 750.0, 3000.0)
         tg = analytic_gate_time(p)
-        cfg = GateConfig(delta_branch="plus", control_state="open_0")
+        cfg = GateConfig(delta_branch="plus", control_state="open")
         trace, = average_fidelity(build_interaction_hamiltonian(p), [cfg], None,
                                   gate_window(p, *OPEN_WINDOW, 120))
         assert not trace.peak_on_boundary
@@ -294,7 +294,7 @@ class TestGateSimulation:
     def test_fbar_stays_in_unit_interval(self):
         params = symmetric_chain(**ROW6)
         tg = analytic_gate_time(params)
-        cfg = GateConfig(delta_branch="plus", control_state="open_0")
+        cfg = GateConfig(delta_branch="plus", control_state="open")
         noise = NoiseModel(gamma=0.05)
         trace, = average_fidelity(
             build_interaction_hamiltonian(params), [cfg], noise,
@@ -325,12 +325,12 @@ class TestBatchedConfigs:
         window = gate_window(params, *OPEN_WINDOW, 20)
         noise = NoiseModel(gamma=gamma) if gamma else None
         if case == "row6_scan_point":
-            configs = [GateConfig(delta_branch="plus", control_state="open_0"),
+            configs = [GateConfig(delta_branch="plus", control_state="open"),
                        closed_config_for_branch("plus")]
             h = build_interaction_hamiltonian(params)
         else:
             configs = [GateConfig(delta_branch="plus", control_state=state)
-                       for state in ("open_0", "closed_1plus", "closed_1minus")]
+                       for state in ("open", "closed_plus", "closed_minus")]
             h = add_crosstalk(params, j_nn=0.05 * params.j1x, j_nnn=0.05 * params.j1x)
         batch = average_fidelity(h, configs, noise, window)
         assert len(batch) == len(configs)
@@ -357,7 +357,7 @@ class TestBatchedConfigs:
         params = symmetric_chain(**ROW6)
         h = build_interaction_hamiltonian(params)
         times = gate_window(params, *OPEN_WINDOW, 9)
-        cfg = GateConfig(delta_branch="plus", control_state="open_0")
+        cfg = GateConfig(delta_branch="plus", control_state="open")
         for configs in (cfg, []):
             with pytest.raises(TypeError, match="nonempty sequence"):
                 average_fidelity(h, configs, None, times)
@@ -372,7 +372,7 @@ class TestFidelityContraction:
     def test_matches_partial_trace_readout(self, case):
         spin = symmetric_chain(**ROW6)
         tg = analytic_gate_time(spin)
-        open_cfg = GateConfig(delta_branch="plus", control_state="open_0")
+        open_cfg = GateConfig(delta_branch="plus", control_state="open")
         model, cfg, noise, times = {
             "closed_noisy": (spin, closed_config_for_branch("plus"),
                              NoiseModel(gamma=0.05), np.linspace(0.1, 1.0, 7) * tg),
@@ -393,13 +393,13 @@ class TestFidelityContraction:
 
 class TestControlStates:
     def test_bell_states(self):
-        plus = control_state_vector(GateConfig(control_state="closed_1plus"), [2, 2])
+        plus = control_state_vector(GateConfig(control_state="closed_plus"), [2, 2])
         assert np.allclose(plus, np.array([0, 1, 1, 0]) / np.sqrt(2))
-        minus = control_state_vector(GateConfig(control_state="closed_1minus"), [2, 2])
+        minus = control_state_vector(GateConfig(control_state="closed_minus"), [2, 2])
         assert np.allclose(minus, np.array([0, -1, 1, 0]) / np.sqrt(2))
 
     def test_qutrit_embedding(self):
-        plus = control_state_vector(GateConfig(control_state="closed_1plus"), [3, 3])
+        plus = control_state_vector(GateConfig(control_state="closed_plus"), [3, 3])
         want = np.zeros(9)
         want[3] = want[1] = 1 / np.sqrt(2)  # |10> and |01> in base-3 indexing
         assert np.allclose(plus, want)
@@ -413,7 +413,7 @@ class TestControlStates:
         v = control_state_vector(GateConfig(), [3, 3])
         assert np.array_equal(v, np.eye(9)[0])
 
-    @pytest.mark.parametrize("state", ["closed_1plus", "closed_1minus", "closed_11"])
+    @pytest.mark.parametrize("state", ["closed_plus", "closed_minus", "closed_11"])
     def test_closed_state_on_three_controls_is_a_model_error(self, state):
         with pytest.raises(ModelError, match="two control sites"):
             control_state_vector(GateConfig(control_state=state), [2, 2, 2])

@@ -43,7 +43,6 @@ from swapgate.spin_model import (
     delta_for_branch,
     single_excitation_block,
     symmetric_chain,
-    vacuum_energy,
 )
 
 ROW6 = dict(j1x=40.9, j1z=40.9, j2x=-540.4, j2z=1007.1, delta=933.4)
@@ -259,6 +258,16 @@ class TestGateTime:
         with pytest.raises(ModelError):
             analytic_gate_time(symmetric_chain(0.0, 0.0, 500.0, 500.0, 2000.0))
 
+    def test_gate_time_that_underflows_rejected(self):
+        """pi / |4 pi J1| rounds to zero at J1 = 1e308."""
+        with pytest.raises(ModelError, match="is 0 at J1"):
+            analytic_gate_time(symmetric_chain(1e308, 1e308, 500.0, 500.0, 2000.0))
+
+
+def vacuum_energy(params):
+    """Energy of the all-ground state, in rad/us."""
+    return TWO_PI * (-0.5 * sum(params.detunings) + sum(params.jz))
+
 
 def superposition_residual(params):
     """| |E1 - E0| t_g - 2 pi |: the all-ground state's share of perfect
@@ -446,8 +455,8 @@ class TestGateConfig:
         assert delta_for_branch("minus", 936.2, 1137.7) == pytest.approx(403.0)
 
     def test_closed_config_per_branch(self):
-        assert closed_config_for_branch("plus").control_state == "closed_1plus"
-        assert closed_config_for_branch("minus").control_state == "closed_1minus"
+        assert closed_config_for_branch("plus").control_state == "closed_plus"
+        assert closed_config_for_branch("minus").control_state == "closed_minus"
 
     def test_unknown_control_state_rejected(self):
         with pytest.raises(ModelError, match="unknown control state"):
