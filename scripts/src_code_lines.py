@@ -2,9 +2,11 @@
 hold more than a comment and are not part of a docstring.
 
     python scripts/src_code_lines.py src/swapgate/*.py
+    python scripts/src_code_lines.py src/swapgate
 
-prints the total over the files, so that editing a comment or a docstring
-leaves it unchanged where ``wc -l`` moves.
+prints the total over the files (a directory stands for the ``*.py`` files
+directly in it), so that editing a comment or a docstring leaves it
+unchanged where ``wc -l`` moves.
 """
 
 import ast
@@ -40,7 +42,9 @@ def code_lines(source: str) -> int:
 
 
 def main(paths: list[str]) -> int:
-    print(sum(code_lines(Path(p).read_text(encoding="utf-8")) for p in paths))
+    files = [f for p in map(Path, paths)
+             for f in (sorted(p.glob("*.py")) if p.is_dir() else [p])]
+    print(sum(code_lines(f.read_text(encoding="utf-8")) for f in files))
     return 0
 
 

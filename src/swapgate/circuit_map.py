@@ -407,31 +407,20 @@ def table_qutrit_params(index: int) -> QutritModelParams:
 def table_roundtrip_errors() -> dict[int, dict[str, tuple[float, float, float]]]:
     """(mapped, published, tolerance) per spin column for all 16 rows.
 
-    The tolerance is max(1% of the published value, one unit in its last
-    printed digit).
+    Each column is the ``SpinMapResult`` field of its name; ``anhN_pct`` is
+    ``abs(anh_rel_N)`` in percent.  The tolerance is max(1% of the published
+    value, one unit in its last printed digit: 0.01 for a percentage, else
+    0.1).
     """
-    last_digit = {
-        "omega1": 0.1, "omega2": 0.1, "j1x": 0.1, "j1z": 0.1, "j2x": 0.1,
-        "j2z": 0.1, "delta": 0.1, "anh1_pct": 0.01, "anh2_pct": 0.01,
-        "k23x": 0.1, "m23x": 0.1,
-    }
     out: dict[int, dict[str, tuple[float, float, float]]] = {}
     for i in TABLE_S1:
         res = circuit_to_spin(table_circuit_params(i))
-        mapped = {
-            "omega1": res.omega1, "omega2": res.omega2, "j1x": res.j1x,
-            "j1z": res.j1z, "j2x": res.j2x, "j2z": res.j2z, "delta": res.delta,
-            "anh1_pct": abs(res.anh_rel_1) * 100.0,
-            "anh2_pct": abs(res.anh_rel_2) * 100.0,
-            "k23x": res.k23x, "m23x": res.m23x,
-        }
         row = table_row(i)
-        out[i] = {
-            col: (
-                mapped[col],
-                row[col],
-                max(0.01 * abs(row[col]), last_digit[col]),
-            )
-            for col in TABLE_SPIN_COLUMNS
-        }
+        out[i] = {}
+        for col in TABLE_SPIN_COLUMNS:
+            pct = col.endswith("_pct")
+            mapped = getattr(res, col.removesuffix("_pct").replace("anh", "anh_rel_"))
+            if pct:
+                mapped = abs(mapped) * 100.0
+            out[i][col] = (mapped, row[col], max(0.01 * abs(row[col]), 0.01 if pct else 0.1))
     return out

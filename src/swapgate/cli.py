@@ -24,7 +24,8 @@ list other than ``channels``; no item twice in ``rows`` or ``configs``) and
 the cross-key rules in ``ORDER_RULES`` (time windows increase, the drive
 amplitude is positive); an experiment that reads the gate time pi / |2 J1|
 refuses a chain, or a scan point, with J1 = 0, and a zero any experiment
-divides by is refused (``_check_zero_divisors``).  A schema holds only the
+divides by, or a circuit value that is not positive, is refused
+(``_check_zero_divisors``).  A schema holds only the
 keys its experiment reads (the scans take no [model] section; a
 ``BySource`` [model] section takes only the keys of the ``source`` it
 names), and unknown keys are rejected.  '#' and ',' inside double quotes
@@ -218,17 +219,10 @@ class BySource(dict):
 
 
 _ROW_KEYS = {"row": ("int", 6, _TABLE_ROWS)}
-_SPIN_KEYS = {
-    "j1x": ("float", 40.9),
-    "j1z": ("float", 40.9),
-    "j2x": ("float", -540.4),
-    "j2z": ("float", 1007.1),
-    "delta": ("float", 933.4),
-}
-# defaults: the circuit of table row 6
-_CIRCUIT_KEYS = {
-    name: ("float", cmap.table_row(6)[name]) for name in cmap.CIRCUIT_NAMES
-}
+# defaults: the couplings and the circuit of table row 6
+_ROW6 = cmap.table_row(6)
+_SPIN_KEYS = {name: ("float", _ROW6[name]) for name in ("j1x", "j1z", "j2x", "j2z", "delta")}
+_CIRCUIT_KEYS = {name: ("float", _ROW6[name]) for name in cmap.CIRCUIT_NAMES}
 _BRANCH_KEY = {"branch": ("str", "plus", BRANCHES)}
 # a chain from a table row (whose branch is the table's), explicit spin
 # couplings, or a mapped circuit; ``branch`` only where the experiment reads it
@@ -383,16 +377,19 @@ def _check_gate_time(kind: str, sections: dict[str, dict[str, Any]]) -> None:
 
 def _check_zero_divisors(kind: str, sections: dict[str, dict[str, Any]]) -> None:
     """Reject a zero the experiment divides by: the drive amplitude
-    amplitude_fraction * |J2z| of a spin-source chain, and any five-site
-    chain ``build_n5_model`` refuses (the ``Eplus``/``Eminus`` denominator
-    delta3/2 + 2 J2z must be nonzero and of the branch's sign)."""
+    amplitude_fraction * |J2z| of a spin-source chain, any five-site chain
+    ``build_n5_model`` refuses (the ``Eplus``/``Eminus`` denominator
+    delta3/2 + 2 J2z must be nonzero and of the branch's sign), and any
+    circuit ``CircuitParams`` refuses (every value strictly positive)."""
     model = sections.get("model", {})
-    if kind == "n5_trace":
-        try:
+    try:
+        if kind == "n5_trace":
             build_n5_model(model["j1"], model["j1"], model["j2"], model["j2"],
                            model["delta3"], branch=model["branch"])
-        except ModelError as exc:
-            raise ConfigError(f"[model] {exc}") from None
+        if model.get("source") == "circuit":
+            _circuit_from_model_section(model)
+    except (ModelError, cmap.MappingError) as exc:
+        raise ConfigError(f"[model] {exc}") from None
     # a [model] section holds j2z only with source = spin
     if (kind == "drive_demo" and "j2z" in model
             and sections["grid"]["amplitude_fraction"] * abs(model["j2z"]) == 0.0):
@@ -549,12 +546,15 @@ def default_config(kind: str) -> ExperimentConfig:
 
 @dataclass
 class RunRecord:
-    kind: str
     config: ExperimentConfig
     columns: tuple[str, ...]
     rows: list[tuple]
     summary: dict[str, Any]
     wall_time_s: float
+
+    @property
+    def kind(self) -> str:
+        return self.config.kind
 
     def to_csv(self) -> str:
         lines = [",".join(self.columns)]
@@ -877,25 +877,27 @@ def _drive_demo(config: ExperimentConfig) -> Table:
     return ("duration_us", "p_open"), rows, summary
 
 
+# the mapped-spin fields of a ``SpinMapResult`` -> their CSV columns, in
+# column order: ``circuit-map`` writes all of them, ``search`` all but
+# ``_CIRCUIT_MAP_ONLY``
+_SPIN_COLUMNS = {
+    "omega1": "omega1_ghz", "omega2": "omega2_ghz", "j1x": "j1x_mhz", "j1z": "j1z_mhz",
+    "j2x": "j2x_mhz", "j2y": "j2y_mhz", "j2z": "j2z_mhz", "delta": "delta_mhz",
+    "anh_rel_1": "anh_rel_1", "anh_rel_2": "anh_rel_2", "k23x": "k23x_mhz",
+    "m23x": "m23x_mhz", "r23x": "r23x_mhz", "p23x": "p23x_mhz",
+}
+_CIRCUIT_MAP_ONLY = ("j2y", "r23x", "p23x")
+
+
 def _circuit_map(config: ExperimentConfig) -> Table:
-    circuit = _circuit_from_model_section(config["model"])
-    res = cmap.circuit_to_spin(circuit)
-    columns = (
-        "omega1_ghz", "omega2_ghz", "j1x_mhz", "j1z_mhz", "j2x_mhz", "j2y_mhz",
-        "j2z_mhz", "delta_mhz", "anh_rel_1", "anh_rel_2", "k23x_mhz",
-        "m23x_mhz", "r23x_mhz", "p23x_mhz",
-    )
-    row = (
-        res.omega1, res.omega2, res.j1x, res.j1z, res.j2x, res.j2y, res.j2z,
-        res.delta, res.anh_rel_1, res.anh_rel_2, res.k23x, res.m23x,
-        res.r23x, res.p23x,
-    )
+    res = cmap.circuit_to_spin(_circuit_from_model_section(config["model"]))
+    row = tuple(getattr(res, field) for field in _SPIN_COLUMNS)
     summary = {
         "condition_number": res.condition_number,
         "t_coeffs": list(res.t_coeffs),
         "s_coeffs_ghz": list(res.s_coeffs),
     }
-    return columns, [row], summary
+    return tuple(_SPIN_COLUMNS.values()), [row], summary
 
 
 def _search(config: ExperimentConfig) -> Table:
@@ -908,19 +910,13 @@ def _search(config: ExperimentConfig) -> Table:
         max_evaluations=grid["max_evaluations"],
         keep_all=grid["keep_all"],
     )
+    spin = [field for field in _SPIN_COLUMNS if field not in _CIRCUIT_MAP_ONLY]
     columns = (
-        "e1_ghz", "e2_ghz", "e12_ghz", "e23_ghz", "c1_ff", "c2_ff", "c23_ff",
-        "l12_nh", "omega1_ghz", "omega2_ghz", "j1x_mhz", "j1z_mhz", "j2x_mhz",
-        "j2z_mhz", "delta_mhz", "anh_rel_1", "anh_rel_2", "k23x_mhz",
-        "m23x_mhz", "cost", "accepted",
+        "e1_ghz", "e2_ghz", "e12_ghz", "e23_ghz", "c1_ff", "c2_ff", "c23_ff", "l12_nh",
+        *(_SPIN_COLUMNS[field] for field in spin), "cost", "accepted",
     )
-    rows = []
-    for r in results:
-        s = r.spin
-        rows.append(astuple(r.circuit) + (
-            s.omega1, s.omega2, s.j1x, s.j1z, s.j2x, s.j2z, s.delta,
-            s.anh_rel_1, s.anh_rel_2, s.k23x, s.m23x, r.cost, r.accepted,
-        ))
+    rows = [astuple(r.circuit) + tuple(getattr(r.spin, field) for field in spin)
+            + (r.cost, r.accepted) for r in results]
     summary = {
         "n_results": len(results),
         "n_accepted": sum(1 for r in results if r.accepted),
@@ -931,26 +927,26 @@ def _search(config: ExperimentConfig) -> Table:
     return columns, rows, summary
 
 
-EXPERIMENTS: dict[str, Callable[[ExperimentConfig], Table]] = {
-    "fidelity_trace": _fidelity_trace,
-    "scan_j2": _scan,
-    "scan_j1": _scan,
-    "scan_delta": _scan,
-    "qutrit_compare": _qutrit_compare,
-    "crosstalk_scan": _crosstalk_scan,
-    "n5_trace": _n5_trace,
-    "drive_demo": _drive_demo,
-    "circuit_map": _circuit_map,
-    "search": _search,
+# kind -> (subcommand, runner)
+EXPERIMENTS: dict[str, tuple[str, Callable[[ExperimentConfig], Table]]] = {
+    "fidelity_trace": ("trace", _fidelity_trace),
+    "scan_j2": ("scan-j2", _scan),
+    "scan_j1": ("scan-j1", _scan),
+    "scan_delta": ("scan-delta", _scan),
+    "qutrit_compare": ("qutrit", _qutrit_compare),
+    "crosstalk_scan": ("crosstalk", _crosstalk_scan),
+    "n5_trace": ("n5", _n5_trace),
+    "drive_demo": ("drive", _drive_demo),
+    "circuit_map": ("circuit-map", _circuit_map),
+    "search": ("search", _search),
 }
 
 
 def run_experiment(config: ExperimentConfig) -> RunRecord:
     """Run the configured experiment and record its table and summary."""
     t0 = time.perf_counter()
-    columns, rows, summary = EXPERIMENTS[config.kind](config)
+    columns, rows, summary = EXPERIMENTS[config.kind][1](config)
     return RunRecord(
-        kind=config.kind,
         config=config,
         columns=columns,
         rows=rows,
@@ -962,20 +958,6 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
 # ---------------------------------------------------------------------------
 # command line
 # ---------------------------------------------------------------------------
-
-_SUBCOMMANDS = {
-    "trace": "fidelity_trace",
-    "scan-j2": "scan_j2",
-    "scan-j1": "scan_j1",
-    "scan-delta": "scan_delta",
-    "qutrit": "qutrit_compare",
-    "crosstalk": "crosstalk_scan",
-    "n5": "n5_trace",
-    "drive": "drive_demo",
-    "circuit-map": "circuit_map",
-    "search": "search",
-}
-
 
 @click.group()
 def main() -> None:
@@ -1030,7 +1012,7 @@ def _register(name: str, kind: str) -> None:
     command.__name__ = f"cmd_{kind}"
 
 
-for _name, _kind in _SUBCOMMANDS.items():
+for _kind, (_name, _) in EXPERIMENTS.items():
     _register(_name, _kind)
 
 

@@ -305,7 +305,8 @@ def evolve_stack_raw(
     h = 1j * gen.heff  # the kept-level Hamiltonian when nothing is lost
     if not gen.jumps and (np.abs(h - h.conj().T).max(initial=0.0)
                           <= HERMITIAN_RTOL * np.abs(h).max(initial=0.0)):
-        result = _spectral((h + h.conj().T) / 2, x, times, w)
+        # halves first: a sum of two entries near the float range would overflow
+        result = _spectral(h / 2 + h.conj().T / 2, x, times, w)
     else:
         rows = x.reshape(n, -1)
         if w is None:
@@ -351,7 +352,10 @@ def _spectral(h: np.ndarray, x: np.ndarray, times: np.ndarray,
     traces ``sum_ab C_gab e^{-i(E_a - E_b) t}`` of each group g,
     ``C_gab = sum_j W~[g, j, b, a] X~_j[a, b]``."""
     energies, vecs = eigh(h)
-    turn = np.exp(-1j * np.outer(times, energies))  # e^{-i E_a t}
+    # an energy or phase E_a t beyond the float range turns NaN here, and
+    # ``evolve_stack_raw`` refuses the non-finite result
+    with np.errstate(over="ignore", invalid="ignore"):
+        turn = np.exp(-1j * np.outer(times, energies))  # e^{-i E_a t}
     x = vecs.conj().T @ x @ vecs
     if w is None:
         x = turn[:, None, :, None] * x * turn.conj()[:, None, None, :]

@@ -157,16 +157,12 @@ def partial_trace(op: OperatorMatrix, keep_sites: Iterable[int]) -> OperatorMatr
     if keep[0] < 0 or keep[-1] >= dims.n_sites:
         raise HilbertError(f"invalid site index in {keep}")
 
+    # one contraction: site k's row axis is index k, its column axis index
+    # n + k if kept, else k again, which traces it out
     n = dims.n_sites
-    arr = op.entries.reshape(dims.dims + dims.dims)
-    # Trace one site at a time, from the highest index down so positions of
-    # the remaining axes stay valid.
-    remaining = list(range(n))
-    for site in sorted(set(range(n)) - set(keep), reverse=True):
-        pos = remaining.index(site)
-        m = len(remaining)
-        arr = np.trace(arr, axis1=pos, axis2=pos + m)
-        remaining.pop(pos)
+    cols = [n + k if k in keep else k for k in range(n)]
+    arr = np.einsum(op.entries.reshape(dims.dims + dims.dims), [*range(n), *cols],
+                    [*keep, *(n + k for k in keep)])
     d_red = int(np.prod([dims[k] for k in keep]))
     return OperatorMatrix(SiteDims(tuple(dims[k] for k in keep)),
                           arr.reshape(d_red, d_red))

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import NoiseModel, evolve_stack_raw
+from .dynamics import NoiseModel, PropagationError, evolve_stack_raw
 from .hilbert import IDENTITY_2, PAULI_X, PAULI_Z, OperatorMatrix, SiteDims
 from .spin_model import (
     BRANCHES,
@@ -138,10 +138,10 @@ def average_fidelity(
 
 
 def _checked_trace(times: np.ndarray, fbar: np.ndarray) -> FidelityTrace:
-    """The trace of fidelity samples ``fbar``, checked to lie in [0, 1], with
-    its refined peak."""
+    """The trace of fidelity samples ``fbar``, checked to lie in [0, 1]
+    (``PropagationError`` otherwise), with its refined peak."""
     if not np.all((fbar >= -1e-9) & (fbar <= 1.0 + 1e-9)):
-        raise RuntimeError(
+        raise PropagationError(
             f"average fidelity left [0, 1]: range [{fbar.min()}, {fbar.max()}]"
         )
     fbar = np.clip(fbar, 0.0, 1.0)

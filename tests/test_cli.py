@@ -34,6 +34,8 @@ from swapgate.spin_model import (
     symmetric_chain,
 )
 
+# subcommand -> experiment kind, from the one table of experiments
+SUBCOMMANDS = {name: kind for kind, (name, _) in swapgate.cli.EXPERIMENTS.items()}
 
 MINIMAL = """\
 experiment = scan_j2
@@ -192,12 +194,14 @@ class TestConfigFormat:
             # every draw lies within its key's bounds, so only a cross-key
             # rule (ORDER_RULES), a repeated item of a distinct list, a zero
             # J1, a zeroed divisor, a resonance branch whose denominator is
-            # zero or has the wrong sign, or a resonant detuning beyond the
-            # float range can reject; that input resolves to nothing
+            # zero or has the wrong sign, a resonant detuning beyond the
+            # float range, or a circuit value that is not positive can
+            # reject; that input resolves to nothing
             assert any(rule in str(exc)
                        for rule in ("must exceed", "listed twice", "gate time",
                                     "drive amplitude", "needs delta3/2 + 2 J2z",
-                                    "resonant detuning is not finite"))
+                                    "resonant detuning is not finite",
+                                    "must be strictly positive"))
             assume(False)
         text = cfg.to_text()
         again = resolve_config(parse_config_text(text))
@@ -507,7 +511,7 @@ class TestScanReading:
 DEFAULT_CSV = Path(__file__).parent / "data" / "default_csv"
 
 
-@pytest.mark.parametrize("name, kind", sorted(swapgate.cli._SUBCOMMANDS.items()))
+@pytest.mark.parametrize("name, kind", sorted(SUBCOMMANDS.items()))
 def test_default_csv_matches_the_recorded_table(name, kind):
     """Each subcommand's CSV at its default config against the table recorded
     in ``tests/data/default_csv``: the same header and row count, equal text
@@ -541,8 +545,7 @@ class TestCommandLine:
         runner = CliRunner()
         result = runner.invoke(main, ["--help"])
         assert result.exit_code == 0
-        for name in ("trace", "scan-j2", "qutrit", "crosstalk", "n5",
-                     "drive", "circuit-map", "search"):
+        for name in SUBCOMMANDS:
             assert name in result.output
 
     def test_circuit_map_subcommand_writes_files(self, tmp_path):
@@ -612,7 +615,7 @@ class TestCommandLine:
         ("search", "[grid]\nn_restarts = 4611686018427387904"),
     ])
     def test_out_of_range_input_exits_2(self, tmp_path, command, body):
-        kind = swapgate.cli._SUBCOMMANDS[command]
+        kind = SUBCOMMANDS[command]
         cfgfile = tmp_path / "bad.cfg"
         cfgfile.write_text(f"experiment = {kind}\n{body}\n")
         result = CliRunner().invoke(
@@ -643,7 +646,7 @@ class TestCommandLine:
         """A chain whose gate time pi / |2 J1| the experiment reads, with
         J1 = 0 (at any scan point), is a configuration error, not a
         numerical failure."""
-        kind = swapgate.cli._SUBCOMMANDS[command]
+        kind = SUBCOMMANDS[command]
         cfgfile = tmp_path / "zero.cfg"
         cfgfile.write_text(f"experiment = {kind}\n{body}\n[run]\nsamples = 3\n")
         result = CliRunner().invoke(
@@ -719,6 +722,34 @@ class TestCommandLine:
         assert result.exit_code == 3
         assert "non-finite" in result.output
 
+    @pytest.mark.parametrize("command, body, exit_code, message", [
+        # the noiseless generator's entries reach 1.26e308: its energies
+        # leave the float range, and the spectral branch refuses the result
+        ("trace", "[model]\nsource = spin\nj1x = 1e307\n[run]\nsamples = 5", 3,
+         "numerical failure: propagation produced non-finite entries"),
+        ("scan-j2", "[grid]\nj1 = 3.85e16\nlo = 3.85e16\nhi = 3.85e17\npoints = 1\n"
+         "[run]\nsamples = 1", 3, "numerical failure: average fidelity left [0, 1]"),
+        # the circuit's positivity rule is CircuitParams', checked on loading
+        ("trace", "[model]\nsource = circuit\ne1 = -1", 2,
+         "configuration error: [model] e1 must be strictly positive"),
+        ("circuit-map", "[model]\nsource = circuit\nc23 = 0", 2,
+         "configuration error: [model] c23 must be strictly positive"),
+    ], ids=["trace-overflowing-generator", "scan-j2-fidelity-out-of-range",
+            "trace-negative-e1", "circuit-map-zero-c23"])
+    def test_failure_is_one_line_and_no_csv(self, tmp_path, command, body, exit_code,
+                                            message):
+        """Bad input exits 2 and a numerical failure 3, each with one line on
+        stderr, nothing on stdout and no output written."""
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(f"experiment = {SUBCOMMANDS[command]}\n{body}\n")
+        out = tmp_path / "o.csv"
+        result = CliRunner().invoke(main, [command, "--config", str(cfgfile),
+                                           "--out", str(out)])
+        assert result.exit_code == exit_code, result.output
+        assert result.stderr.startswith(message)
+        assert len(result.stderr.splitlines()) == 1 and result.stdout == ""
+        assert not out.exists() and not out.with_suffix(".json").exists()
+
     @pytest.mark.parametrize("command, body", [
         ("trace", "[model]\nsource = spin\nj1x = 1e308"),
         ("n5", "[model]\nj1 = 1e308"),
@@ -728,7 +759,7 @@ class TestCommandLine:
     def test_gate_time_that_underflows_exits_3(self, tmp_path, command, body):
         """pi / |2 J1| rounds to zero when |J1| is near the float range: a
         numerical failure, reported without a traceback."""
-        kind = swapgate.cli._SUBCOMMANDS[command]
+        kind = SUBCOMMANDS[command]
         cfgfile = tmp_path / "huge.cfg"
         cfgfile.write_text(f"experiment = {kind}\n{body}\n[run]\nsamples = 3\n")
         out = tmp_path / "o.csv"
@@ -927,7 +958,7 @@ class TestCommandLine:
         assert "--no-noise" in result.output
         assert not out.exists()
 
-    @pytest.mark.parametrize("command, kind", sorted(swapgate.cli._SUBCOMMANDS.items()))
+    @pytest.mark.parametrize("command, kind", sorted(SUBCOMMANDS.items()))
     def test_flags_offered_exactly_with_their_keys(self, command, kind):
         """``--no-noise`` where there is a ``[noise]`` section, and ``--seed``
         where there is a ``[run] seed``: only ``search`` draws random numbers."""
@@ -961,6 +992,14 @@ def test_documented_config_example_resolves(block):
     assert text.count("=") >= 8
     cfg = resolve_config(parse_config_text(text))
     assert cfg["run"]["out"].endswith("#1.csv")
+
+
+def test_readme_command_line_lists_every_subcommand():
+    """The README's ``## Command line`` block names exactly the subcommands
+    of ``EXPERIMENTS``, one a line."""
+    lines = _readme_block("## Command line").strip().splitlines()
+    assert [line.split()[:1] for line in lines] == [["swapgate"]] * len(lines)
+    assert sorted(line.split()[1] for line in lines) == sorted(SUBCOMMANDS)
 
 
 def test_readme_library_example_runs(capsys):

@@ -54,3 +54,13 @@ def test_main_sums_the_files(tmp_path, capsys):
         paths.append(str(path))
     assert src_code_lines.main(paths) == 0
     assert capsys.readouterr().out == "16\n"
+
+
+def test_main_counts_the_python_files_of_a_directory(tmp_path, capsys):
+    for name in ("a.py", "b.py"):
+        (tmp_path / name).write_text(SOURCE)
+    (tmp_path / "notes.txt").write_text("x = 1\n")
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "c.py").write_text(SOURCE)
+    assert src_code_lines.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out == "16\n"
