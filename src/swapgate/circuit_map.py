@@ -216,8 +216,7 @@ def map_sites(x: np.ndarray) -> dict[str, np.ndarray]:
     sums run left to right -- so a circuit maps to the same bits whatever
     the batch around it.
     """
-    e1, e2, e12, e23 = x[0], x[1], x[2], x[3]
-    c1, c2, c23, l12 = x[4], x[5], x[6], x[7]
+    e1, e2, e12, e23, c1, c2, c23, l12 = x  # the CIRCUIT_NAMES
     c2_2c23 = c2 + 2.0 * c23
     d = c2 * c2_2c23
     s = c2 + c23
@@ -242,7 +241,7 @@ def map_sites(x: np.ndarray) -> dict[str, np.ndarray]:
     anh_rel = -0.5 * e_j * t4 / omega
 
     # rows: bond (a, b), bond (b, b); j1x~ and j2x~, then j1z and j2z
-    e_bond = x[2:4]  # e12, e23
+    e_bond = np.array([e12, e23])
     tb_tb = np.array([tb, tb])
     jx_tilde = (-0.5 * np.array([e12 + e_lb, e23]) * t * tb_tb
                 + 0.25 * e_bond * (t3 * tb_tb + t * np.array([tb3, tb3])))
@@ -254,17 +253,16 @@ def map_sites(x: np.ndarray) -> dict[str, np.ndarray]:
     k23x = -e23 * tb * tb + e23 * tb3 * tb / 6.0
     m23x = e23 * tb * tb3 / 6.0
 
-    ghz_to_mhz = 1000.0
-    r23x = j2y + k23x + 4.0 * m23x
-    p23x = j2y + k23x + 2.0 * m23x
-    mhz = np.array([
-        jx_tilde[0], jz[0], j2x, j2y, jz[1], omega[1] - omega[0], k23x, m23x, r23x, p23x,
-    ]) * ghz_to_mhz
+    # the fields in 2pi*MHz, scaled from 2pi*GHz by one stacked multiply
+    ghz = {
+        "j1x": jx_tilde[0], "j1z": jz[0], "j2x": j2x, "j2y": j2y, "j2z": jz[1],
+        "delta": omega[1] - omega[0], "k23x": k23x, "m23x": m23x,
+        "r23x": j2y + k23x + 4.0 * m23x, "p23x": j2y + k23x + 2.0 * m23x,
+    }
     return {
+        **dict(zip(ghz, np.array(list(ghz.values())) * 1000.0)),
         "omega1": omega[0], "omega2": omega[1],
-        "j1x": mhz[0], "j1z": mhz[1], "j2x": mhz[2], "j2y": mhz[3], "j2z": mhz[4],
-        "delta": mhz[5], "anh_rel_1": anh_rel[0], "anh_rel_2": anh_rel[1],
-        "k23x": mhz[6], "m23x": mhz[7], "r23x": mhz[8], "p23x": mhz[9],
+        "anh_rel_1": anh_rel[0], "anh_rel_2": anh_rel[1],
         "condition_number": cond,
         "ta": ta, "tb": tb, "sa": s_mode[0], "sb": s_mode[1],
         "det_norm": det_norm, "ra": r[0], "rb": r[1],

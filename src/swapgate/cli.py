@@ -700,20 +700,14 @@ def _gate_config(control: str, branch: str) -> GateConfig:
     return GateConfig(delta_branch=branch, control_state=control)
 
 
-_SCAN_COLUMNS = (
-    "tg_analytic_us", "tg_numeric_us", "fbar_open", "fbar_open_noisy",
-    "fbar_closed", "fbar_closed_noisy", "peak_on_boundary",
-)
-
-
 def _scan_point(
     params: SpinModelParams,
     branch: str,
     noise: NoiseModel | None,
     n_samples: int,
-) -> tuple[float, ...]:
-    """The ``_SCAN_COLUMNS`` of one chain: open and closed fidelities at the
-    numerical gate time ``t_num``, clean and noisy (``_gate_point``).
+) -> dict[str, float]:
+    """The scan cells of one chain by column: open and closed fidelities at
+    the numerical gate time ``t_num``, clean and noisy (``_gate_point``).
 
     ``t_num`` and the clean open fidelity are the refined peak of the clean
     open trace over ``OPEN_WINDOW``, sampled together with the clean closed
@@ -728,8 +722,10 @@ def _scan_point(
     clean_open, cells = _gate_point(build_interaction_hamiltonian(params), window,
                                     configs, None, configs if noise else [], noise)
     fbar_open, fbar_closed, open_noisy, closed_noisy = cells if noise else cells * 2
-    return (analytic_gate_time(params), clean_open.peak_time, fbar_open, open_noisy,
-            fbar_closed, closed_noisy, float(clean_open.peak_on_boundary))
+    return dict(tg_analytic_us=analytic_gate_time(params), tg_numeric_us=clean_open.peak_time,
+                fbar_open=fbar_open, fbar_open_noisy=open_noisy,
+                fbar_closed=fbar_closed, fbar_closed_noisy=closed_noisy,
+                peak_on_boundary=float(clean_open.peak_on_boundary))
 
 
 # scan kind -> (axis column, detuning branch, the [grid] key whose value is
@@ -756,22 +752,20 @@ def _scan(config: ExperimentConfig) -> Table:
     grid = config["grid"]
     noise = _noise_from_section(config["noise"])
     n = config["run"]["samples"]
-    rows, deltas = [], []
+    points, deltas = [], []
     for v in _scan_axis(config.kind, grid):
         j1, j2x, j2z = couplings(grid, v)
         delta = delta_for_branch(branch, j2x, j2z)
         params = symmetric_chain(j1, j1, j2x, j2z, delta)
-        rows.append((v,) + _scan_point(params, branch, noise, n))
+        points.append((v, _scan_point(params, branch, noise, n)))
         deltas.append(delta)
-    best = max(rows, key=lambda r: r[3])
-    summary = {
-        "best_axis_value": best[0],
-        "best_open_fidelity": best[3],
-        "axis": axis,
-    }
+    best_value, best = max(points, key=lambda p: p[1]["fbar_open"])
+    summary = {"best_axis_value": best_value, "best_open_fidelity": best["fbar_open"],
+               "axis": axis}
     if config.kind == "scan_delta":
         summary["delta_values_mhz"] = deltas
-    return (axis,) + _SCAN_COLUMNS, rows, summary
+    # the axis column, then the cells by name
+    return (axis, *best), [(v, *cells.values()) for v, cells in points], summary
 
 
 def _qutrit_compare(config: ExperimentConfig) -> Table:
@@ -887,6 +881,8 @@ _SPIN_COLUMNS = {
     "m23x": "m23x_mhz", "r23x": "r23x_mhz", "p23x": "p23x_mhz",
 }
 _CIRCUIT_MAP_ONLY = ("j2y", "r23x", "p23x")
+# the unit of a circuit value's CSV column, by its kind (the name's letter)
+_CIRCUIT_UNITS = {"e": "ghz", "c": "ff", "l": "nh"}
 
 
 def _circuit_map(config: ExperimentConfig) -> Table:
@@ -911,8 +907,9 @@ def _search(config: ExperimentConfig) -> Table:
         keep_all=grid["keep_all"],
     )
     spin = [field for field in _SPIN_COLUMNS if field not in _CIRCUIT_MAP_ONLY]
+    # the circuit values in field order (``CIRCUIT_NAMES``), then the spins
     columns = (
-        "e1_ghz", "e2_ghz", "e12_ghz", "e23_ghz", "c1_ff", "c2_ff", "c23_ff", "l12_nh",
+        *(f"{name}_{_CIRCUIT_UNITS[name[0]]}" for name in cmap.CIRCUIT_NAMES),
         *(_SPIN_COLUMNS[field] for field in spin), "cost", "accepted",
     )
     rows = [astuple(r.circuit) + tuple(getattr(r.spin, field) for field in spin)
@@ -982,20 +979,18 @@ def _register(name: str, kind: str) -> None:
     @click.option("--out", "out_path", default=None, help="Output CSV path.")
     @seed_option
     @no_noise_option
-    def command(config_path, out_path, seed=None, no_noise=False, _kind=kind):
+    def command(config_path, out_path, seed=None, no_noise=False):
         try:
-            cfg = load_config(config_path) if config_path else default_config(_kind)
-            if cfg.kind != _kind:
-                raise ConfigError(
-                    f"configuration is for {cfg.kind!r}, expected {_kind!r}"
-                )
+            cfg = load_config(config_path) if config_path else default_config(kind)
+            if cfg.kind != kind:
+                raise ConfigError(f"configuration is for {cfg.kind!r}, expected {kind!r}")
             sections = {k: dict(v) for k, v in cfg.sections.items()}
             if seed is not None:
                 sections["run"]["seed"] = seed
             if no_noise:
                 sections["noise"]["gamma"] = 0.0
             cfg = ExperimentConfig(kind=cfg.kind, sections=sections)
-            out = Path(out_path or cfg["run"]["out"] or f"{_kind}.csv")
+            out = Path(out_path or cfg["run"]["out"] or f"{kind}.csv")
             _check_out_path(out)
             record = run_experiment(cfg)
         except ConfigError as exc:
@@ -1009,11 +1004,9 @@ def _register(name: str, kind: str) -> None:
         click.echo(f"wrote {csv_path} and {json_path} "
                    f"({record.wall_time_s:.1f} s)")
 
-    command.__name__ = f"cmd_{kind}"
 
-
-for _kind, (_name, _) in EXPERIMENTS.items():
-    _register(_name, _kind)
+for _experiment, (_subcommand, _) in EXPERIMENTS.items():
+    _register(_subcommand, _experiment)
 
 
 if __name__ == "__main__":

@@ -309,30 +309,31 @@ def evolve_stack_raw(
         result = _spectral(h / 2 + h.conj().T / 2, x, times, w)
     else:
         rows = x.reshape(n, -1)
+        width = rows.shape[1]
         if w is None:
-            result = np.zeros((times.size,) + rows.shape, dtype=complex)
+            result = np.zeros((times.size, rows.size), dtype=complex)
         else:
             # Tr(W X) pairs X[a, b] with W[b, a]
-            w = w.transpose(0, 1, 3, 2).reshape(w.shape[0], n, -1)
+            w = w.transpose(0, 1, 3, 2).reshape(w.shape[0], -1)
             result = np.zeros((times.size, w.shape[0]), dtype=complex)
         for block, mirror in gen.components():
             own = np.flatnonzero(rows[:, block].any(axis=1))
             adj = own[:0] if mirror is None else np.flatnonzero(rows[:, mirror].any(axis=1))
             if own.size + adj.size == 0:
                 continue
-            start = rows[own[:, None], block]
-            if adj.size:  # the mirror block's rows, as adjoints
-                start = np.concatenate([start, rows[adj[:, None], mirror].conj()])
-            if w is not None:
-                funcs = w[:, own[:, None], block]
-                if adj.size:
-                    funcs = np.concatenate([funcs, w[:, adj[:, None], mirror]], axis=1)
-                result += _evolve(gen.block(block), start, times, funcs, adj.size)
-                continue
-            piece = _evolve(gen.block(block), start, times)
-            result[:, own[:, None], block] = piece[:, :own.size]
-            if adj.size:
-                result[:, adj[:, None], mirror] = piece[:, own.size:].conj()
+            # flat stack entries: the block's own rows, then the mirror
+            # block's (none for a self-mirror block), gathered as adjoints
+            at = np.concatenate([own[:, None] * width + block,
+                                 adj[:, None] * width + (block if mirror is None else mirror)])
+            start = rows.ravel()[at]
+            start[own.size:] = start[own.size:].conj()
+            piece = _evolve(gen.block(block), start, times,
+                            None if w is None else w[:, at], adj.size)
+            if w is None:
+                piece[:, own.size:] = piece[:, own.size:].conj()
+                result[:, at] = piece
+            else:
+                result += piece
         if w is None:
             result = result.reshape((times.size,) + x.shape)
     if not np.isfinite(result).all():

@@ -454,9 +454,11 @@ class TestScanReading:
         # without noise the noisy columns repeat the clean ones
         noisy = ([full_trace_reading(trace(c, noise), t_num) for c in (open_cfg, closed_cfg)]
                  if noise else [clean.peak_value, closed])
-        want = (t_num, clean.peak_value, noisy[0], closed, noisy[1])
-        assert got[1] == pytest.approx(t_num, rel=1e-12)
-        assert np.max(np.abs(np.subtract(got[1:6], want))) < 1e-12
+        want = {"tg_numeric_us": t_num, "fbar_open": clean.peak_value,
+                "fbar_open_noisy": noisy[0], "fbar_closed": closed,
+                "fbar_closed_noisy": noisy[1]}
+        assert got["tg_numeric_us"] == pytest.approx(t_num, rel=1e-12)
+        assert max(abs(got[column] - value) for column, value in want.items()) < 1e-12
 
     @pytest.mark.parametrize("samples", [1, 2, 12])
     def test_crosstalk_cells_equal_full_trace_reading(self, monkeypatch, samples):
