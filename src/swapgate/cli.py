@@ -764,7 +764,7 @@ def _scan(config: ExperimentConfig) -> Table:
                "axis": axis}
     if config.kind == "scan_delta":
         summary["delta_values_mhz"] = deltas
-    # the axis column, then the cells by name
+    # the header: the axis column, then the cell names every point shares
     return (axis, *best), [(v, *cells.values()) for v, cells in points], summary
 
 
@@ -939,10 +939,20 @@ EXPERIMENTS: dict[str, tuple[str, Callable[[ExperimentConfig], Table]]] = {
 }
 
 
+#: the errors a run raises on a numerical failure (the command's exit 3)
+NUMERICAL_FAILURES = (PropagationError, ModelError, HilbertError, cmap.MappingError,
+                      cmap.SingularCapacitanceError)
+
+
 def run_experiment(config: ExperimentConfig) -> RunRecord:
     """Run the configured experiment and record its table and summary."""
     t0 = time.perf_counter()
-    columns, rows, summary = EXPERIMENTS[config.kind][1](config)
+    # numpy's floating-point warnings are silenced, not checked: every result
+    # passes a check that refuses a non-finite value (the engine's input and
+    # output checks, the fidelity range check, ``propagate``'s state checks
+    # and ``analytic_gate_time``), which raises one of NUMERICAL_FAILURES
+    with np.errstate(all="ignore"):
+        columns, rows, summary = EXPERIMENTS[config.kind][1](config)
     return RunRecord(
         config=config,
         columns=columns,
@@ -996,8 +1006,7 @@ def _register(name: str, kind: str) -> None:
         except ConfigError as exc:
             click.echo(f"configuration error: {exc}", err=True)
             raise SystemExit(2)
-        except (PropagationError, ModelError, HilbertError, cmap.MappingError,
-                cmap.SingularCapacitanceError) as exc:
+        except NUMERICAL_FAILURES as exc:
             click.echo(f"numerical failure: {exc}", err=True)
             raise SystemExit(3)
         csv_path, json_path = emit(record, out)

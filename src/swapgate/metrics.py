@@ -167,21 +167,27 @@ def _target_functionals(u: np.ndarray, dims: SiteDims) -> np.ndarray:
 
 
 def refine_peak(times: np.ndarray, fbar: np.ndarray, k: int) -> tuple[float, float]:
-    """Three-point quadratic refinement around the discrete argmax ``k``."""
+    """Three-point quadratic refinement around the discrete argmax ``k``.
+
+    The parabola ``f1 + b x + a x^2`` through the samples is fitted in the
+    scale-free offset ``x = (t - t1) / h``, ``h = t2 - t1``, which puts the
+    samples at ``x0 = (t0 - t1) / h``, 0 and 1: from the chord slopes
+    ``g0 = (f0 - f1) / x0`` and ``g2 = f2 - f1``, ``a = (g2 - g0) / (1 - x0)``
+    and ``b = g0 - a x0``, so the vertex ``x = -b / 2a`` peaks at
+    ``f1 + b x / 2``.  No term grows with t: a fit in absolute times loses
+    digits as (t / dt)^2 and overflows far from the origin."""
     if k == 0 or k == len(times) - 1:
         return float(times[k]), float(fbar[k])
     t0, t1, t2 = times[k - 1], times[k], times[k + 1]
     f0, f1, f2 = fbar[k - 1], fbar[k], fbar[k + 1]
-    denom = (t0 - t1) * (t0 - t2) * (t1 - t2)
-    a = (t2 * (f1 - f0) + t1 * (f0 - f2) + t0 * (f2 - f1)) / denom
-    b = (t2**2 * (f0 - f1) + t1**2 * (f2 - f0) + t0**2 * (f1 - f2)) / denom
-    if a >= 0:  # flat or degenerate; keep the sample
+    h, x0 = t2 - t1, (t0 - t1) / (t2 - t1)
+    g0 = (f0 - f1) / x0
+    a = (f2 - f1 - g0) / (1.0 - x0)
+    b = g0 - a * x0
+    x = -b / (2.0 * a) if a < 0 else np.nan
+    if not x0 <= x <= 1.0:  # flat, degenerate or beyond the samples: keep the sample
         return float(t1), float(f1)
-    t_star = -b / (2 * a)
-    if not (t0 <= t_star <= t2):
-        return float(t1), float(f1)
-    c = f1 - (a * t1**2 + b * t1)
-    return float(t_star), float(min(1.0, a * t_star**2 + b * t_star + c))
+    return float(t1 + h * x), float(min(1.0, f1 + b * x / 2.0))
 
 
 #: first sample of a window from the origin, as a fraction of the gate time

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import swapgate.cli
 from swapgate.circuit_map import CIRCUIT_NAMES
@@ -70,6 +70,36 @@ def _value_strategy(tag, limits, may_be_empty):
     if tag.endswith("list"):
         return st.lists(scalar[tag[:-4]], min_size=0 if may_be_empty else 1, max_size=4)
     return scalar[tag]
+
+
+# the largest value a count may take in ``in_bounds_raw``: the schemas allow
+# up to 10,000 samples, points, durations and restarts, which would take
+# minutes per example
+COUNT_CAPS = {"samples": 6, "points": 3, "n_durations": 3, "n_restarts": 2,
+              "max_evaluations": 30}
+
+
+@st.composite
+def in_bounds_raw(draw):
+    """A raw configuration of any experiment, every key within its schema
+    bounds: the keys are drawn as ``test_load_emit_load_is_identity`` draws
+    them, except that each count is always set, at most its ``COUNT_CAPS``."""
+    kind = draw(st.sampled_from(sorted(SCHEMAS)))
+    raw = {"": {"experiment": kind}}
+    for section, keys in SCHEMAS[kind].items():
+        raw[section] = {}
+        if isinstance(keys, BySource):
+            source = draw(st.sampled_from(sorted(keys)))
+            if source != next(iter(keys)) or draw(st.booleans()):
+                raw[section]["source"] = source
+            keys = keys[source]
+        for key, (tag, _default, *limits) in keys.items():
+            if key in COUNT_CAPS:
+                raw[section][key] = draw(st.integers(limits[0][0], COUNT_CAPS[key]))
+            elif draw(st.booleans()):
+                raw[section][key] = draw(_value_strategy(
+                    tag, limits[0] if limits else None, key in swapgate.cli._MAY_BE_EMPTY))
+    return raw
 
 
 @pytest.fixture(scope="module")
@@ -751,6 +781,39 @@ class TestCommandLine:
         assert result.stderr.startswith(message)
         assert len(result.stderr.splitlines()) == 1 and result.stdout == ""
         assert not out.exists() and not out.with_suffix(".json").exists()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(raw=in_bounds_raw())
+    # a warning of numpy's while building a generator (exit 3, one line)
+    @example(raw={"": {"experiment": "scan_j1"}, "grid": {"j2": 1e307, "points": 1},
+                  "run": {"samples": 6}})
+    @example(raw={"": {"experiment": "qutrit_compare"}, "model": {"rows": [5]},
+                  "noise": {"gamma": 1.7e308}, "grid": {"configs": ["closed_minus"]},
+                  "run": {"samples": 2}})
+    # absolute times once overflowed the peak's parabola fit (exit 0)
+    @example(raw={"": {"experiment": "scan_j2"}, "noise": {"gamma": 0.0},
+                  "grid": {"j1": 1e-160, "points": 3}, "run": {"samples": 6}})
+    # an overflowing noiseless generator, and fidelities outside [0, 1]
+    @example(raw={"": {"experiment": "fidelity_trace"},
+                  "model": {"source": "spin", "j1x": 1e307}, "run": {"samples": 5}})
+    @example(raw={"": {"experiment": "scan_j2"},
+                  "grid": {"j1": 3.85e16, "lo": 3.85e16, "hi": 3.85e17, "points": 1},
+                  "run": {"samples": 1}})
+    @example(raw={"": {"experiment": "n5_trace"}, "model": {"j1": 1.16e16},
+                  "grid": {"window_hi": 1.16e16}})
+    def test_every_in_bounds_configuration_exits_0_2_or_3(self, raw):
+        """Under the suite's warning filter, an in-bounds configuration is
+        refused on loading (exit 2), runs (exit 0), or fails with one of the
+        errors the command reports as a numerical failure (exit 3); any
+        other exception, a numpy warning included, fails the test."""
+        try:
+            cfg = resolve_config(raw)
+        except ConfigError:
+            return
+        try:
+            run_experiment(cfg)
+        except swapgate.cli.NUMERICAL_FAILURES:
+            pass
 
     @pytest.mark.parametrize("command, body", [
         ("trace", "[model]\nsource = spin\nj1x = 1e308"),

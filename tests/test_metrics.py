@@ -2,6 +2,7 @@
 
 import inspect
 from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -433,6 +434,28 @@ class TestPeakLocation:
         t_star, f_star = refine_peak(times, fbar, k)
         assert abs(t_star - tg) < (times[1] - times[0])
         assert f_star == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("t1, h, ratio", [
+        (1.0, 2e-3, 1.0), (2247.0, 4.0, 1.0), (100.0, 0.01, 1.0), (1000.0, 1e-3, 1.0),
+        (1e159, 1e156, 1.0), (1e-151, 1e-154, 1.0),
+        (1.0, 2e-3, 0.7), (1000.0, 1e-3, 1.6), (1e159, 1e156, 0.45),
+    ])
+    @pytest.mark.parametrize("f", [(0.97, 0.99, 0.985), (0.5, 0.9, 0.2), (0.8, 0.8000001, 0.8)])
+    def test_vertex_exact_to_rounding_at_any_scale(self, t1, h, ratio, f):
+        """The refined peak equals the exact vertex of the same three float
+        samples (in ``Fraction``) to a few roundings, far from the origin,
+        near it and on uneven spacing (t1 - t0 = ratio * h), without a
+        floating-point warning."""
+        times = np.array([t1 - ratio * h, t1, t1 + h])
+        t_star, f_star = refine_peak(times, np.array(f), 1)
+        (t0, t1x, t2), (f0, f1, f2) = map(Fraction, times), map(Fraction, f)
+        a = ((f2 - f1) / (t2 - t1x) - (f1 - f0) / (t1x - t0)) / (t2 - t0)
+        b = (f1 - f0) / (t1x - t0) - a * (t1x + t0)
+        t_exact = -b / (2 * a)
+        f_exact = f0 + (t_exact - t0) * ((f1 - f0) / (t1x - t0) + a * (t_exact - t1x))
+        eps = np.finfo(float).eps
+        assert abs(Fraction(t_star) - t_exact) <= 4 * eps * (abs(t1) + h)
+        assert abs(Fraction(f_star) - f_exact) <= 4 * eps * max(f)
 
     def test_monotone_trace_flags_boundary(self):
         times = np.linspace(0.0, 1.0, 50)
