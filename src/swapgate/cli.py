@@ -805,12 +805,11 @@ def _crosstalk_scan(config: ExperimentConfig) -> Table:
     model, branch = _spin_from_model_section(config["model"])
     noise = _noise_from_section(config["noise"])
     n = config["run"]["samples"]
-    fractions = config["grid"]["fractions_pct"]
     window = gate_window(model, *OPEN_WINDOW, n)
     open_cfg = [_gate_config("open", branch)]
     closed_cfgs = [_gate_config(c, branch) for c in ("closed_plus", "closed_minus")]
     rows: list[tuple] = []
-    for pct in fractions:
+    for pct in config["grid"]["fractions_pct"]:
         jc = pct / 100.0 * abs(model.j1x)
         cells = [jc]
         for j_nnn in (0.0, jc):
@@ -822,7 +821,8 @@ def _crosstalk_scan(config: ExperimentConfig) -> Table:
         "fbar_open_nn", "fbar_closed_plus_nn", "fbar_closed_minus_nn",
         "fbar_open_nnn", "fbar_closed_plus_nnn", "fbar_closed_minus_nnn",
     )
-    return columns, rows, {"j1_mhz": model.j1x, "baseline_open": rows[0][1]}
+    baseline = next((row[1] for row in rows if row[0] == 0.0), None)
+    return columns, rows, {"j1_mhz": model.j1x, "baseline_open": baseline}
 
 
 def _n5_trace(config: ExperimentConfig) -> Table:

@@ -146,14 +146,11 @@ def _jump_operators(dims: tuple[int, ...], channel: str) -> tuple[np.ndarray, ..
 
 
 class _LindbladGenerator:
-    """Right-hand side of the master equation for a stack of operators.
+    """Generator of the master equation for a stack of operators.
 
     Uses the effective-Hamiltonian form: the anticommutator halves are folded
-    into a non-Hermitian Heff and every jump, diagonal (dephasing) or not,
-    is applied as a pair of matrix products.  Propagation uses the matrix
-    forms below; calling the generator evaluates the right-hand side
-    directly (the tests check it against the master equation written out
-    term by term).
+    into a non-Hermitian Heff, and every jump, diagonal (dephasing) or not,
+    enters as its own term.  Propagation uses the matrix forms below.
     """
 
     def __init__(self, hamiltonian: np.ndarray,
@@ -164,20 +161,6 @@ class _LindbladGenerator:
             heff = heff - 0.5 * g * (op.conj().T @ op)
         self.heff = heff
         self.jumps = list(collapse)
-
-    def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
-        r = y.reshape(-1, self.dim, self.dim)
-        heff = self.heff
-        # flatten the stack into one wide matrix so BLAS sees a single product
-        flat = r.reshape(-1, self.dim)
-        out = (flat @ heff.conj().T).reshape(r.shape)
-        left = heff @ r.transpose(1, 0, 2).reshape(self.dim, -1)
-        out += left.reshape(self.dim, -1, self.dim).transpose(1, 0, 2)
-        for g, l_op in self.jumps:
-            tmp = l_op @ r.transpose(1, 0, 2).reshape(self.dim, -1)
-            tmp = tmp.reshape(self.dim, -1, self.dim).transpose(1, 0, 2)
-            out += g * (tmp.reshape(-1, self.dim) @ l_op.conj().T).reshape(r.shape)
-        return out.ravel()
 
     def block(self, pairs: np.ndarray) -> np.ndarray:
         """Matrix of the generator on the row-major vectorized entries

@@ -1,9 +1,28 @@
-"""Shared test helpers: pure states, the two-qubit Pauli basis, a checked
-Hermitian eigensolver and an independent Liouvillian oracle."""
+"""Shared test helpers and the reference implementations the tests compare
+the engine against, each stated once here:
+
+- ``ROW6``, the couplings of table row 6 (2pi*MHz);
+- ``pure_state`` and ``eig_hermitian``, a checked Hermitian eigensolver;
+- ``PAULI_FACTORS`` and ``pauli_basis_2q``, the fidelity's Pauli basis;
+- ``kron_embed``, local operators embedded by ``np.kron``;
+- ``partial_trace_by_sites``, ``np.trace`` over one site at a time;
+- ``textbook_liouvillian``, the master equation term by term;
+- ``fidelity_stack`` and ``fbar_of``, the 16 initial operators of the
+  average fidelity and its read-off from the evolved ones.
+
+The oracles work on plain arrays and call nothing in ``swapgate``.
+"""
 
 import numpy as np
 
 from swapgate.hilbert import HilbertError, OperatorMatrix
+
+ROW6 = dict(j1x=40.9, j1z=40.9, j2x=-540.4, j2z=1007.1, delta=933.4)
+
+_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_Z = np.diag([1.0, -1.0]).astype(complex)
+# the single-qubit factors X^k Z^l in (k, l) order
+PAULI_FACTORS = [np.eye(2, dtype=complex), _Z, _X, _X @ _Z]
 
 
 def pure_state(vec, dims):
@@ -15,11 +34,8 @@ def pure_state(vec, dims):
 
 def pauli_basis_2q():
     """The 16 operators X^k Z^l x X^m Z^n in lexicographic (k, l, m, n)
-    order, each factor written out and the products taken by np.kron."""
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    z = np.diag([1.0, -1.0]).astype(complex)
-    factors = [np.eye(2), z, x, x @ z]
-    return [np.kron(a, b) for a in factors for b in factors]
+    order, the products taken by np.kron."""
+    return [np.kron(a, b) for a in PAULI_FACTORS for b in PAULI_FACTORS]
 
 
 def eig_hermitian(op):
@@ -40,6 +56,29 @@ def eig_hermitian(op):
     return w, v
 
 
+def kron_embed(site_ops, dims):
+    """Local operators at the given sites, identities elsewhere, by np.kron."""
+    out = np.eye(1, dtype=complex)
+    for i, d in enumerate(dims):
+        out = np.kron(out, np.asarray(site_ops.get(i, np.eye(d)), dtype=complex))
+    return out
+
+
+def partial_trace_by_sites(m, dims, keep):
+    """Reference partial trace of the matrix ``m`` over sites of ``dims``:
+    ``np.trace`` over one traced site at a time, from the highest index down
+    so that the positions of the remaining axes stay valid."""
+    dims = tuple(dims)
+    arr = m.reshape(dims + dims)
+    remaining = list(range(len(dims)))
+    for site in sorted(set(remaining) - set(keep), reverse=True):
+        pos = remaining.index(site)
+        arr = np.trace(arr, axis1=pos, axis2=pos + len(remaining))
+        remaining.pop(pos)
+    d_red = int(np.prod([dims[k] for k in keep]))
+    return arr.reshape(d_red, d_red)
+
+
 def textbook_liouvillian(h, collapse):
     """Row-major Liouvillian of the master equation, term by term, from
     vec(A X B) = (A kron B^T) vec(X).  The Hamiltonian part is
@@ -51,3 +90,21 @@ def textbook_liouvillian(h, collapse):
         lv = lv + g * (np.kron(a, a.conj()) - 0.5 * np.kron(ada, eye)
                        - 0.5 * np.kron(eye, ada.T))
     return lv
+
+
+def fidelity_stack(rho_c):
+    """The fidelity's 16 initial operators: a Pauli factor on each end qubit
+    around the control-register state ``rho_c``, of any register size."""
+    return np.stack([np.kron(np.kron(a, rho_c), b)
+                     for a in PAULI_FACTORS for b in PAULI_FACTORS])
+
+
+def fbar_of(evolved, target, dims):
+    """Average gate fidelity 0.2 + sum_j Tr(U P_j+ U+ rho_j) / 80 (Nielsen,
+    Phys. Lett. A 303, 249, 2002) of the 16 evolved operators ``rho_j`` of
+    ``fidelity_stack``, each reduced to the end sites of ``dims``."""
+    ends = (0, len(dims) - 1)
+    return 0.2 + sum(
+        np.trace(target @ p.conj().T @ target.conj().T
+                 @ partial_trace_by_sites(m, dims, ends)).real
+        for p, m in zip(pauli_basis_2q(), evolved)) / 80.0

@@ -10,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import assume, example, given, settings, strategies as st
 
+from helpers import ROW6
 import swapgate.cli
 from swapgate.circuit_map import CIRCUIT_NAMES
 from swapgate.cli import (
@@ -412,6 +413,22 @@ class TestExperiments:
         )
         assert abs(rows[1]["fbar_closed_plus_nn"] - rows[0]["fbar_closed_plus_nn"]) < 5e-3
 
+    @pytest.mark.parametrize("fractions, zero_row", [(None, 0), ("5, 0", 1), ("5", None)],
+                             ids=["default", "zero_listed_last", "no_zero"])
+    def test_crosstalk_baseline_is_the_row_without_crosstalk(self, fractions, zero_row):
+        """``baseline_open`` is the open fidelity of the listed fraction 0,
+        wherever it stands, and null when no fraction is 0."""
+        grid = "" if fractions is None else f"[grid]\nfractions_pct = {fractions}\n"
+        text = f"experiment = crosstalk_scan\n{grid}[run]\nsamples = 20\n[noise]\ngamma = 0.0\n"
+        rec = run_experiment(resolve_config(parse_config_text(text)))
+        rows = [dict(zip(rec.columns, r)) for r in rec.rows]
+        if zero_row is None:
+            assert all(row["jc_mhz"] != 0.0 for row in rows)
+            assert rec.summary["baseline_open"] is None
+        else:
+            assert rows[zero_row]["jc_mhz"] == 0.0
+            assert rec.summary["baseline_open"] == rows[zero_row]["fbar_open_nn"]
+
     def test_qutrit_compare_runs(self):
         cfg = resolve_config(parse_config_text(
             "experiment = qutrit_compare\n[model]\nrows = 6\n"
@@ -430,9 +447,6 @@ class TestExperiments:
         rec = run_experiment(cfg)
         row = dict(zip(rec.columns, rec.rows[0]))
         assert row["fbar_open"] > 0.95
-
-
-ROW6 = dict(j1x=40.9, j1z=40.9, j2x=-540.4, j2z=1007.1, delta=933.4)
 
 
 def full_trace_reading(trace, t):

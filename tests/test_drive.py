@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import swapgate.drive
-from helpers import pure_state
+from helpers import ROW6, kron_embed, pure_state
 from swapgate.circuit_map import table_spin_params
 from swapgate.cli import _noise_from_section, parse_config_text, resolve_config, run_experiment
 from swapgate.dynamics import NoiseModel, propagate
@@ -38,8 +38,6 @@ from swapgate.spin_model import (
     build_n5_model,
     symmetric_chain,
 )
-
-ROW6 = dict(j1x=40.9, j1z=40.9, j2x=-540.4, j2z=1007.1, delta=933.4)
 
 
 def row6_params():
@@ -118,9 +116,7 @@ def kron_drive_hamiltonian(pulse):
     np.kron and the excitation numbers counted bit by bit."""
     numbers = np.array([bin(i).count("1") for i in range(16)])
     tone = np.cos(pulse.phase) * PAULI_Y - np.sin(pulse.phase) * PAULI_X
-    eye = np.eye(2, dtype=complex)
-    drive = (np.kron(np.kron(np.kron(eye, tone), eye), eye)
-             + np.kron(np.kron(np.kron(eye, eye), tone), eye))
+    drive = kron_embed({1: tone}, (2,) * 4) + kron_embed({2: tone}, (2,) * 4)
     frame = np.diag(pulse.frequency * numbers).astype(complex)
     return TWO_PI * (frame + 0.5 * pulse.amplitude * drive)
 

@@ -33,7 +33,7 @@ from swapgate.hilbert import (
     excitation_numbers,
     sector_indices,
 )
-from helpers import pure_state, textbook_liouvillian
+from helpers import ROW6, fidelity_stack, pure_state, textbook_liouvillian
 from swapgate.circuit_map import table_qutrit_params
 from swapgate.metrics import control_state_vector
 from swapgate.spin_model import (
@@ -48,18 +48,9 @@ from swapgate.spin_model import (
     symmetric_chain,
 )
 
-ROW6 = dict(j1x=40.9, j1z=40.9, j2x=-540.4, j2z=1007.1, delta=933.4)
-
 
 def qubit_op(matrix):
     return OperatorMatrix(SiteDims((2,)), matrix)
-
-
-def naive_lindblad_rhs(h, collapse, rho):
-    out = -1j * (h @ rho - rho @ h)
-    for g, a in collapse:
-        out += g * (a @ rho @ a.conj().T - 0.5 * (a.conj().T @ a @ rho + rho @ a.conj().T @ a))
-    return out
 
 
 class TestAgainstOracles:
@@ -97,24 +88,6 @@ class TestAgainstOracles:
         rho0 = OperatorMatrix(SiteDims((2, 2)), rho)
         for st in propagate(rho0, h, None, (0.5, 1.0)):
             assert np.max(np.abs(st.entries - rho)) < 1e-10
-
-    def test_generator_matches_naive_form(self):
-        """The optimized RHS equals the textbook Lindblad expression."""
-        from swapgate.dynamics import _LindbladGenerator
-
-        rng = np.random.default_rng(7)
-        dims = SiteDims((2, 2))
-        h = rng.normal(size=(4, 4))
-        h = (h + h.T) * 10.0
-        noise = NoiseModel(gamma=0.3)
-        collapse = noise.collapse_operators(dims)
-        gen = _LindbladGenerator(h.astype(complex), collapse)
-        rhos = rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4))
-        got = gen(0.0, rhos.ravel()).reshape(2, 4, 4)
-        for k in range(2):
-            want = naive_lindblad_rhs(h, collapse, rhos[k])
-            assert np.max(np.abs(got[k] - want)) < 1e-10
-
 
     def test_jump_with_tiny_off_diagonal_entries_is_applied_whole(self):
         """An off-diagonal entry far below np.allclose's atol still moves
@@ -531,36 +504,22 @@ def full_space_oracle(h, collapse, stack, times):
         (len(times),) + stack.shape)
 
 
-# single-qubit factors X^k Z^l in (k, l) order
-PAULI_FACTORS = [np.eye(2), PAULI_Z, np.array([[0, 1], [1, 0]]),
-                 np.array([[0, 1], [1, 0]]) @ PAULI_Z]
-
-
-def fidelity_stack(cvec):
-    """The fidelity's 16 initial operators: a Pauli factor on each target
-    around the control-register state."""
-    rho_c = np.outer(cvec, cvec.conj())
-    return np.stack([np.kron(np.kron(a, rho_c), b)
-                     for a in PAULI_FACTORS for b in PAULI_FACTORS])
-
-
 def register(name):
-    """(Hamiltonian, control-register vector) of a shipped register."""
-    spin = symmetric_chain(**ROW6)
+    """(Hamiltonian, control-register state) of a shipped register."""
     if name == "n5":
-        params = build_n5_model(40.0, 40.0, 500.0, 500.0, 900.0)
-        return (build_interaction_hamiltonian(params).entries,
-                control_state_vector(GateConfig(), [2, 2, 2]))
-    qutrit = name.startswith("qutrit_")
-    h = (build_qutrit_hamiltonian(table_qutrit_params(6)) if qutrit
-         else build_interaction_hamiltonian(spin))
-    cfg = {
-        "open": GateConfig(control_state="open"),
-        "closed_plus": closed_config_for_branch("plus"),
-        "closed_minus": closed_config_for_branch("minus"),
-        "closed_11": GateConfig(control_state="closed_11"),
-    }[name.removeprefix("qutrit_")]
-    return h.entries, control_state_vector(cfg, list(h.dims.dims[1:-1]))
+        h = build_interaction_hamiltonian(build_n5_model(40.0, 40.0, 500.0, 500.0, 900.0))
+        cfg = GateConfig()
+    else:
+        h = (build_qutrit_hamiltonian(table_qutrit_params(6)) if name.startswith("qutrit_")
+             else build_interaction_hamiltonian(symmetric_chain(**ROW6)))
+        cfg = {
+            "open": GateConfig(control_state="open"),
+            "closed_plus": closed_config_for_branch("plus"),
+            "closed_minus": closed_config_for_branch("minus"),
+            "closed_11": GateConfig(control_state="closed_11"),
+        }[name.removeprefix("qutrit_")]
+    cvec = control_state_vector(cfg, list(h.dims.dims[1:-1]))
+    return h.entries, np.outer(cvec, cvec.conj())
 
 
 class TestReachableBlocks:
@@ -572,11 +531,11 @@ class TestReachableBlocks:
         ("closed_plus", (1e-3, 1.0)),
     ])
     def test_row6_matches_full_space(self, name, window):
-        h, cvec = register(name)
+        h, rho_c = register(name)
         collapse = NoiseModel(gamma=0.01).collapse_operators((2, 2, 2, 2))
         tg = analytic_gate_time(symmetric_chain(**ROW6))
         times = np.linspace(window[0] * tg, window[1] * tg, 6)
-        stack = fidelity_stack(cvec)
+        stack = fidelity_stack(rho_c)
         got = evolve_stack_raw(h, collapse, stack, times)
         want = full_space_oracle(h, collapse, stack, times)
         assert np.max(np.abs(got - want)) < 1e-12
@@ -584,10 +543,10 @@ class TestReachableBlocks:
     def test_qutrit_row6_matches_full_space(self):
         """The whole space's generator is 1296x1296: its action on the 16
         operators is taken by ``expm_multiply`` rather than a dense expm."""
-        h, cvec = register("qutrit_closed_plus")
+        h, rho_c = register("qutrit_closed_plus")
         collapse = NoiseModel(gamma=0.01).collapse_operators((2, 3, 3, 2))
         t = 0.5 * analytic_gate_time(symmetric_chain(**ROW6))
-        stack = fidelity_stack(cvec)
+        stack = fidelity_stack(rho_c)
         got = evolve_stack_raw(h, collapse, stack, [t])[0]
         rows = stack.reshape(len(stack), -1)
         want = expm_multiply(csr_array(textbook_liouvillian(h, collapse)) * t, rows.T).T
@@ -599,8 +558,8 @@ class TestReachableBlocks:
         collapse = NoiseModel(gamma=0.01).collapse_operators((2, 2, 2, 2))
         tg = analytic_gate_time(spin)
         times = np.linspace(0.8 * tg, 1.05 * tg, 6)
-        _, cvec = register("closed_minus")
-        stack = fidelity_stack(cvec)
+        _, rho_c = register("closed_minus")
+        stack = fidelity_stack(rho_c)
         got = evolve_stack_raw(h, collapse, stack, times)
         want = full_space_oracle(h, collapse, stack, times)
         assert np.max(np.abs(got - want)) < 1e-12
@@ -634,11 +593,11 @@ class TestReachableBlocks:
         assert np.min(np.abs(out[:, :, in_block])) > 0.0
 
     def test_functionals_contract_the_evolved_stack(self):
-        h, cvec = register("closed_plus")
+        h, rho_c = register("closed_plus")
         collapse = NoiseModel(gamma=0.05).collapse_operators((2, 2, 2, 2))
         tg = analytic_gate_time(symmetric_chain(**ROW6))
         times = np.linspace(0.1 * tg, tg, 5)
-        stack = fidelity_stack(cvec)
+        stack = fidelity_stack(rho_c)
         w = random_stack(16, n=16, seed=4)
         for c in (collapse, []):
             out = evolve_stack_raw(h, c, stack, times)
@@ -652,12 +611,12 @@ class TestReachableBlocks:
         traces of one-group calls; a group that reads only one register's
         rows gives the traces of that register's stack evolved alone, though
         the open register reaches fewer levels than the closed one."""
-        h, open_vec = register("open")
-        _, closed_vec = register("closed_plus")
+        h, open_rho = register("open")
+        _, closed_rho = register("closed_plus")
         collapse = NoiseModel(gamma=gamma).collapse_operators((2, 2, 2, 2))
         tg = analytic_gate_time(symmetric_chain(**ROW6))
         times = np.linspace(0.8 * tg, 1.05 * tg, 5)
-        parts = [fidelity_stack(open_vec), fidelity_stack(closed_vec)]
+        parts = [fidelity_stack(open_rho), fidelity_stack(closed_rho)]
         stack = np.concatenate(parts)
         w = random_stack(16, n=3 * 32, seed=4).reshape(3, 32, 16, 16)
         w[0, 16:] = 0.0  # the open rows only
@@ -679,13 +638,13 @@ class TestReachableBlocks:
         """Under the shipped noise model the levels a register's fidelity
         stack reaches are those with at most 2 + n_ctrl excitations, n_ctrl
         the largest excitation in the control state."""
-        h, cvec = register(name)
+        h, rho_c = register(name)
         n_sites = 5 if name == "n5" else 4
         dims = SiteDims((2,) + ((3,) if name.startswith("qutrit") else (2,))
                         * (n_sites - 2) + (2,))
-        n_ctrl = int(excitation_numbers(dims.dims[1:-1])[np.abs(cvec) > 1e-12].max())
+        n_ctrl = int(excitation_numbers(dims.dims[1:-1])[np.diag(rho_c).real > 1e-12].max())
         gen = _LindbladGenerator(h, NoiseModel(gamma=0.01).collapse_operators(dims))
-        keep = _reachable_levels(gen, fidelity_stack(cvec))
+        keep = _reachable_levels(gen, fidelity_stack(rho_c))
         assert np.array_equal(keep, sector_indices(dims, 2 + n_ctrl))
 
 
@@ -748,13 +707,13 @@ class TestMirrorBlocks:
         if name == "crosstalk":
             spin = symmetric_chain(**ROW6)
             h = add_crosstalk(spin, j_nn=0.05 * spin.j1x, j_nnn=0.05 * spin.j1x).entries
-            cvec = register("closed_minus")[1]
+            rho_c = register("closed_minus")[1]
         else:
-            h, cvec = register(name)
+            h, rho_c = register(name)
         noise = NoiseModel(gamma=0.01, channels=channels)
         collapse = noise.collapse_operators(register_dims(h))
         gen = _LindbladGenerator(h, collapse)
-        keep = _reachable_levels(gen, fidelity_stack(cvec))
+        keep = _reachable_levels(gen, fidelity_stack(rho_c))
         gen.restrict(keep)
         sub = np.ix_(keep, keep)
         lv = textbook_liouvillian(h[sub], [(g, op[sub]) for g, op in collapse])
@@ -832,10 +791,10 @@ class TestMeetInTheMiddle:
         stack under noise (its Pauli factors occupy both blocks of the +-1
         coherence-order pairs, so those blocks carry adjoint rows) or over a
         random stack under a noiseless H with loss written into it."""
-        h, cvec = register("open")
+        h, rho_c = register("open")
         if case == "noisy_open":
             collapse = NoiseModel(gamma=0.01).collapse_operators((2, 2, 2, 2))
-            stack = fidelity_stack(cvec)
+            stack = fidelity_stack(rho_c)
         else:
             h = h - 30j * np.diag(excitation_numbers((2, 2, 2, 2)) == 1)
             collapse, stack = [], random_stack(16, n=5)

@@ -13,17 +13,18 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.sparse import csr_array
 
-from helpers import pauli_basis_2q, textbook_liouvillian
+from helpers import (
+    ROW6,
+    fbar_of,
+    fidelity_stack,
+    kron_embed,
+    partial_trace_by_sites,
+    textbook_liouvillian,
+)
 from swapgate.circuit_map import table_qutrit_params, table_spin_params
 from swapgate.drive import calibrated_pi_pulse, rabi_prepare
 from swapgate.dynamics import NoiseModel
-from swapgate.hilbert import (
-    PAULI_X,
-    PAULI_Y,
-    OperatorMatrix,
-    embed_operators,
-    partial_trace,
-)
+from swapgate.hilbert import PAULI_X, PAULI_Y
 from swapgate.metrics import average_fidelity, control_state_vector, open_gate
 from swapgate.spin_model import (
     QUTRIT_DIMS,
@@ -34,8 +35,6 @@ from swapgate.spin_model import (
     build_qutrit_hamiltonian,
     symmetric_chain,
 )
-
-ROW6 = dict(j1x=40.9, j1z=40.9, j2x=-540.4, j2z=1007.1, delta=933.4)
 
 
 def qutrit_lab_parts(q):
@@ -55,17 +54,9 @@ def qutrit_lab_parts(q):
 
 def lab_fbar(h_s, s_up, w, collapse, rho_c, target, times):
     """Average fidelity from RK45 on the interaction-picture master equation
-    over the full space, reduced with ``hilbert.partial_trace``.  The static
-    part is the textbook Liouvillian, independent of the engine."""
-    dims = QUTRIT_DIMS
-    d = dims.total_dim
-    basis = pauli_basis_2q()
-    # P_j on the end qubits (sites 0 and 3), rho_c on the controls
-    stack = np.stack([
-        np.einsum("akbl,cm->ackbml", p.reshape(2, 2, 2, 2),
-                  rho_c).reshape(d, d)
-        for p in basis
-    ])
+    over the full space, read off by ``fbar_of``.  The static part is the
+    textbook Liouvillian, independent of the engine."""
+    stack = fidelity_stack(rho_c)
     lv = csr_array(textbook_liouvillian(h_s, collapse))
 
     def rhs(t, y):
@@ -78,14 +69,8 @@ def lab_fbar(h_s, s_up, w, collapse, rho_c, target, times):
     sol = solve_ivp(rhs, (0.0, times[-1]), stack.astype(complex).ravel(),
                     t_eval=times, method="RK45", rtol=1e-10, atol=1e-12)
     assert sol.success
-    out = []
-    for y in sol.y.T:
-        acc = 0.0
-        for p, m in zip(basis, y.reshape(stack.shape)):
-            reduced = partial_trace(OperatorMatrix(dims, m), (0, 3)).entries
-            acc += np.trace(target @ p.conj().T @ target.conj().T @ reduced).real
-        out.append(0.2 + acc / 80.0)
-    return np.array(out)
+    return np.array([fbar_of(y.reshape(stack.shape), target, QUTRIT_DIMS.dims)
+                     for y in sol.y.T])
 
 
 class TestQutritFrame:
@@ -128,11 +113,9 @@ class TestDriveFrame:
         got = rabi_prepare(params, pulse, (duration,))[0].control_state
 
         h0 = build_interaction_hamiltonian(params)
-        dims = h0.dims
-        y_op = (embed_operators({1: PAULI_Y}, dims)
-                + embed_operators({2: PAULI_Y}, dims)).entries
-        x_op = (embed_operators({1: PAULI_X}, dims)
-                + embed_operators({2: PAULI_X}, dims)).entries
+        dims = h0.dims.dims
+        y_op = kron_embed({1: PAULI_Y}, dims) + kron_embed({2: PAULI_Y}, dims)
+        x_op = kron_embed({1: PAULI_X}, dims) + kron_embed({2: PAULI_X}, dims)
         amp = TWO_PI * pulse.amplitude / 2.0
         d = TWO_PI * pulse.frequency
 
@@ -148,8 +131,7 @@ class TestDriveFrame:
                         method="RK45", rtol=1e-11, atol=1e-13)
         assert sol.success
         psi = sol.y[:, -1]
-        want = partial_trace(OperatorMatrix(dims, np.outer(psi, psi.conj())),
-                             (1, 2)).entries
+        want = partial_trace_by_sites(np.outer(psi, psi.conj()), dims, (1, 2))
         assert np.max(np.abs(got.entries - want)) < 1e-8
         # the coherences the back-rotation restores are not small here
         assert abs(want[0, 1] + want[0, 2]) > 0.1

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from helpers import pauli_basis_2q
+from helpers import ROW6, fbar_of, fidelity_stack, pauli_basis_2q, textbook_liouvillian
 from swapgate.circuit_map import table_qutrit_params
 from swapgate.dynamics import NoiseModel, evolve_stack_raw
-from swapgate.hilbert import PAULI_Z, OperatorMatrix, SiteDims, partial_trace
+from swapgate.hilbert import OperatorMatrix, SiteDims
 from swapgate.metrics import (
     CLOSED_WINDOW,
     FIRST_SAMPLE,
@@ -39,8 +39,6 @@ from swapgate.spin_model import (
     symmetric_chain,
 )
 
-ROW6 = dict(j1x=40.9, j1z=40.9, j2x=-540.4, j2z=1007.1, delta=933.4)
-
 SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
 )
@@ -48,23 +46,11 @@ SWAP = np.array(
 
 def full_space_fbar(h, collapse, cvec, target, times):
     """Fbar read from the whole space: the 16 initial operators evolved by
-    expm of the full Liouvillian (vec(A X B) = (A kron B^T) vec(X)), or by
-    conjugation with expm(-i H t) when there is no noise, then reduced with
-    ``hilbert.partial_trace``."""
-    dims = h.dims
-    eye = np.eye(dims.total_dim)
-    lv = -1j * (np.kron(h.entries, eye) - np.kron(eye, h.entries.T))
-    for g, a in collapse:
-        ada = a.conj().T @ a
-        lv = lv + g * (np.kron(a, a.conj()) - 0.5 * np.kron(ada, eye)
-                       - 0.5 * np.kron(eye, ada.T))
-
-    x = np.array([[0, 1], [1, 0]])
-    factors = [np.eye(2), PAULI_Z, x, x @ PAULI_Z]  # X^k Z^l, (k, l) order
-    rho_c = np.outer(cvec, cvec.conj())
-    stack = [np.kron(np.kron(a, rho_c), b) for a in factors for b in factors]
+    expm of the textbook Liouvillian, or by conjugation with expm(-i H t)
+    when there is no noise, then read off by ``fbar_of``."""
+    lv = textbook_liouvillian(h.entries, collapse)
+    stack = fidelity_stack(np.outer(cvec, cvec.conj()))
     fbar = []
-    ends = (0, dims.n_sites - 1)
     for t in times:
         if collapse:
             prop = expm(lv * t)
@@ -72,21 +58,13 @@ def full_space_fbar(h, collapse, cvec, target, times):
         else:
             u = expm(-1j * h.entries * t)
             evolved = [u @ op @ u.conj().T for op in stack]
-        acc = 0.0
-        for p, m in zip(pauli_basis_2q(), evolved):
-            reduced = partial_trace(OperatorMatrix(dims, m), ends).entries
-            acc += np.trace(target @ p.conj().T @ target.conj().T @ reduced).real
-        fbar.append(0.2 + acc / 80.0)
+        fbar.append(fbar_of(evolved, target, h.dims.dims))
     return np.array(fbar)
 
 
 def fbar_formula(target, channel_of):
-    """Direct evaluation of the average-fidelity sum for a callable channel."""
-    total = 0.0
-    for u_j in pauli_basis_2q():
-        a = target @ u_j.conj().T @ target.conj().T
-        total += np.trace(a @ channel_of(u_j)).real
-    return 0.2 + total / 80.0
+    """The average-fidelity sum for a callable two-qubit channel."""
+    return fbar_of([channel_of(p) for p in pauli_basis_2q()], target, (2, 2))
 
 
 class TestPauliBasis:
@@ -155,13 +133,12 @@ class TestFidelityFormula:
             assert val == pytest.approx(1.0, abs=1e-12)
 
     def test_identity_channel_against_trace_oracle(self):
-        """Fbar of the do-nothing channel, computed two independent ways."""
+        """Fbar of the do-nothing channel, computed two independent ways: the
+        Pauli sum, and the closed form (d + |Tr U|^2) / (d (d + 1)) of the
+        identity against the target U."""
         u = open_gate("plus")
         direct = fbar_formula(u, lambda rho: rho)
-        oracle = 0.2 + sum(
-            np.trace(u @ b.conj().T @ u.conj().T @ b).real
-            for b in pauli_basis_2q()
-        ) / 80.0
+        oracle = (4 + abs(np.trace(u)) ** 2) / 20
         assert direct == pytest.approx(oracle, abs=1e-12)
         # the same number must come out of the full machinery at t ~ 0
         params = symmetric_chain(**ROW6)
@@ -230,10 +207,7 @@ class TestChannelMapConsistency:
 
         units = {(i, j): evolved_unit(i, j) for i in range(4) for j in range(4)}
         u_tgt = open_gate("plus")
-        fbar_direct = 0.2 + sum(
-            np.trace(u_tgt @ basis[m].conj().T @ u_tgt.conj().T @ direct[m]).real
-            for m in range(16)
-        ) / 80.0
+        fbar_direct = fbar_of(direct, u_tgt, (2, 2))
         reconstructed = []
         for b in basis:
             acc = np.zeros((4, 4), dtype=complex)
@@ -241,10 +215,7 @@ class TestChannelMapConsistency:
                 for j in range(4):
                     acc += b[i, j] * units[(i, j)]
             reconstructed.append(acc)
-        fbar_tomo = 0.2 + sum(
-            np.trace(u_tgt @ basis[m].conj().T @ u_tgt.conj().T @ reconstructed[m]).real
-            for m in range(16)
-        ) / 80.0
+        fbar_tomo = fbar_of(reconstructed, u_tgt, (2, 2))
         assert fbar_direct == pytest.approx(fbar_tomo, abs=1e-8)
 
 
@@ -366,8 +337,8 @@ class TestBatchedConfigs:
 
 class TestFidelityContraction:
     """The one-contraction readout against re-embedding each operator evolved
-    by the full-space Liouvillian and tracing out the controls with
-    ``hilbert.partial_trace``."""
+    by the full-space Liouvillian and tracing out the controls site by
+    site."""
 
     @pytest.mark.parametrize("case", ["closed_noisy", "open_full_space", "qutrit"])
     def test_matches_partial_trace_readout(self, case):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import swapgate
-from helpers import eig_hermitian
+from helpers import ROW6, eig_hermitian, kron_embed
 from swapgate.circuit_map import table_qutrit_params, table_spin_params
 from swapgate.hilbert import (
     PAULI_X,
@@ -44,8 +44,6 @@ from swapgate.spin_model import (
     single_excitation_block,
     symmetric_chain,
 )
-
-ROW6 = dict(j1x=40.9, j1z=40.9, j2x=-540.4, j2z=1007.1, delta=933.4)
 
 
 def row6_params():
@@ -466,14 +464,6 @@ class TestGateConfig:
 # ---------------------------------------------------------------------------
 # Cached term tables against a Kronecker-product reference
 # ---------------------------------------------------------------------------
-
-def kron_embed(site_ops, dims):
-    """Local operators at the given sites, identities elsewhere, by np.kron."""
-    out = np.eye(1, dtype=complex)
-    for i, d in enumerate(dims):
-        out = np.kron(out, np.asarray(site_ops.get(i, np.eye(d)), dtype=complex))
-    return out
-
 
 def kron_interaction_hamiltonian(p):
     """The qubit chain with every term embedded afresh by np.kron, with the
