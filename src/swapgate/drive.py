@@ -35,7 +35,6 @@ from .hilbert import (
     PAULI_Y,
     OperatorMatrix,
     SiteDims,
-    _as_site_dims,
     _embedded_sum,
     excitation_numbers,
     partial_trace,
@@ -101,9 +100,7 @@ def _register_levels(h0: OperatorMatrix, start: np.ndarray) -> np.ndarray:
                      np.real(h0.entries[0b0110, 0b0110])])
 
 
-def drive_hamiltonian(
-    pulse: DrivePulse, dims: SiteDims | Sequence[int]
-) -> OperatorMatrix:
+def drive_hamiltonian(pulse: DrivePulse, dims: Sequence[int]) -> OperatorMatrix:
     """What the drive adds to the chain in its rotating frame, in rad/us.
 
     ``d N + (A/2) [cos(phi) (Y_2 + Y_3) - sin(phi) (X_2 + X_3)]``: the frame
@@ -111,8 +108,8 @@ def drive_hamiltonian(
     driven chain in the frame exp(-i d N t).  At zero amplitude only the
     frame term remains.
     """
-    dims = _as_site_dims(dims)
-    if dims.n_sites != 4 or dims[1] != 2 or dims[2] != 2:
+    dims = SiteDims(dims)
+    if len(dims) != 4 or dims[1] != 2 or dims[2] != 2:
         raise ModelError("drive acts on the two qubit control sites of a 4-site chain")
     numbers, y_pair, x_pair = _drive_terms(dims)
     frame = np.diag(pulse.frequency * numbers).astype(complex)

@@ -74,7 +74,6 @@ from .hilbert import (
     HilbertError,
     OperatorMatrix,
     SiteDims,
-    _as_site_dims,
     embed_operators,
 )
 
@@ -118,27 +117,25 @@ class NoiseModel:
         if unknown:
             raise ValueError(f"unknown noise channels {sorted(unknown)}")
 
-    def collapse_operators(
-        self, dims: SiteDims | Sequence[int]
-    ) -> list[tuple[float, np.ndarray]]:
+    def collapse_operators(self, dims: Sequence[int]) -> list[tuple[float, np.ndarray]]:
         """(rate, operator) pairs over the full chain, one per site and channel.
 
         The operators are shared, read-only arrays, embedded once per chain
         shape and channel.
         """
-        dims = _as_site_dims(dims)
+        dims = SiteDims(dims)
         if self.gamma == 0.0:
             return []
         return [
             (self.gamma, op)
             for channel in _CHANNEL_OPERATORS
             if channel in self.channels
-            for op in _jump_operators(dims.dims, channel)
+            for op in _jump_operators(dims, channel)
         ]
 
 
 @functools.lru_cache(maxsize=None)
-def _jump_operators(dims: tuple[int, ...], channel: str) -> tuple[np.ndarray, ...]:
+def _jump_operators(dims: SiteDims, channel: str) -> tuple[np.ndarray, ...]:
     """The channel's jump operator embedded at each site, as read-only arrays."""
     op2, op3 = _CHANNEL_OPERATORS[channel]
     return tuple(embed_operators({j: op2 if d == 2 else op3}, dims).entries
@@ -214,7 +211,7 @@ def propagate(
     (``PropagationError``); both must have no eigenvalue below -1e-7.
     """
     dims = hamiltonian.dims
-    if rho0.dims.dims != dims.dims:
+    if rho0.dims != dims:
         raise HilbertError("state dimensions do not match the Hamiltonian")
     _check_state(rho0.entries, 1e-9, HilbertError, "in the initial state")
     collapse = noise.collapse_operators(dims) if noise else []

@@ -3,7 +3,9 @@
 Site 0 is the slowest-varying (leftmost) Kronecker factor, so a chain state
 reads left to right, ``|q0 q1 ... qN-1>``.  All matrices are dense complex
 numpy arrays; total dimensions stay at or below 36 in this package, so no
-sparse machinery is used.  A density matrix is a plain ``OperatorMatrix``.
+sparse machinery is used.  A chain's shape is a ``SiteDims``, a validated
+tuple of per-site dimensions, and a density matrix is a plain
+``OperatorMatrix``.
 """
 
 from __future__ import annotations
@@ -43,40 +45,29 @@ def projector(dim: int, row: int, col: int) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
-class SiteDims:
-    """Ordered per-site local dimensions of the chain (each 2 or 3)."""
+class SiteDims(tuple):
+    """Ordered per-site local dimensions of the chain (each 2 or 3), a tuple
+    validated once.
 
-    dims: tuple[int, ...]
+    ``SiteDims(dims)`` returns a ``SiteDims`` argument unchanged and checks any
+    other iterable of ints.  A ``SiteDims`` equals and hashes as its plain
+    tuple, so cache keys are shared with tuple keys; slicing gives a plain
+    tuple, and messages print it as ``(2, 3, 3, 2)``.
+    """
 
-    def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
-        if len(dims) < 1:
+    def __new__(cls, dims: Iterable[int]) -> "SiteDims":
+        if isinstance(dims, SiteDims):
+            return dims
+        dims = tuple(int(d) for d in dims)
+        if not dims:
             raise HilbertError("need at least one site")
         if any(d not in (2, 3) for d in dims):
             raise HilbertError(f"site dimensions must be 2 or 3, got {dims}")
-        object.__setattr__(self, "dims", dims)
-
-    @property
-    def n_sites(self) -> int:
-        return len(self.dims)
+        return super().__new__(cls, dims)
 
     @property
     def total_dim(self) -> int:
-        return math.prod(self.dims)
-
-    def __iter__(self):
-        return iter(self.dims)
-
-    def __getitem__(self, i: int) -> int:
-        return self.dims[i]
-
-    def __len__(self) -> int:
-        return len(self.dims)
-
-
-def _as_site_dims(dims: SiteDims | Sequence[int]) -> SiteDims:
-    return dims if isinstance(dims, SiteDims) else SiteDims(tuple(dims))
+        return math.prod(self)
 
 
 @dataclass(frozen=True)
@@ -87,13 +78,13 @@ class OperatorMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        dims = _as_site_dims(self.dims)
+        dims = SiteDims(self.dims)
         arr = np.asarray(self.entries, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise HilbertError(f"operator must be square, got shape {arr.shape}")
         if arr.shape[0] != dims.total_dim:
             raise HilbertError(
-                f"matrix size {arr.shape[0]} does not match dims {dims.dims} "
+                f"matrix size {arr.shape[0]} does not match dims {dims} "
                 f"(total {dims.total_dim})"
             )
         arr = arr.copy()
@@ -102,22 +93,20 @@ class OperatorMatrix:
         object.__setattr__(self, "entries", arr)
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        if self.dims.dims != other.dims.dims:
-            raise HilbertError(
-                f"site dimensions differ: {self.dims.dims} vs {other.dims.dims}"
-            )
+        if self.dims != other.dims:
+            raise HilbertError(f"site dimensions differ: {self.dims} vs {other.dims}")
         return OperatorMatrix(self.dims, self.entries + other.entries)
 
 
 def embed_operators(
-    site_ops: Mapping[int, np.ndarray], dims: SiteDims | Sequence[int]
+    site_ops: Mapping[int, np.ndarray], dims: Sequence[int]
 ) -> OperatorMatrix:
     """Kronecker product with the given local operators and identities elsewhere.
 
-    Every site index must lie on the chain, ``0 <= i < n_sites``.
+    Every site index must lie on the chain, ``0 <= i < len(dims)``.
     """
-    dims = _as_site_dims(dims)
-    outside = [i for i in site_ops if not 0 <= i < dims.n_sites]
+    dims = SiteDims(dims)
+    outside = [i for i in site_ops if not 0 <= i < len(dims)]
     if outside:
         raise HilbertError(f"site index {outside[0]} out of range")
     factors = []
@@ -131,14 +120,14 @@ def embed_operators(
     return OperatorMatrix(dims, functools.reduce(np.kron, factors))
 
 
-def _embedded_sum(dims: SiteDims, *products: dict[int, np.ndarray]) -> np.ndarray:
+def _embedded_sum(dims: Sequence[int], *products: dict[int, np.ndarray]) -> np.ndarray:
     """The sum of the embedded local products, as a read-only array."""
     embedded = (embed_operators(product, dims) for product in products)
     return functools.reduce(OperatorMatrix.__add__, embedded).entries
 
 
 def embed_site_operator(
-    local_op: np.ndarray, site_index: int, dims: SiteDims | Sequence[int]
+    local_op: np.ndarray, site_index: int, dims: Sequence[int]
 ) -> OperatorMatrix:
     """Embed a single-site operator: I x ... x local_op x ... x I."""
     return embed_operators({site_index: local_op}, dims)
@@ -154,29 +143,24 @@ def partial_trace(op: OperatorMatrix, keep_sites: Iterable[int]) -> OperatorMatr
     keep = sorted(set(int(k) for k in keep_sites))
     if not keep:
         raise HilbertError("keep_sites must be nonempty")
-    if keep[0] < 0 or keep[-1] >= dims.n_sites:
+    n = len(dims)
+    if keep[0] < 0 or keep[-1] >= n:
         raise HilbertError(f"invalid site index in {keep}")
 
     # one contraction: site k's row axis is index k, its column axis index
     # n + k if kept, else k again, which traces it out
-    n = dims.n_sites
     cols = [n + k if k in keep else k for k in range(n)]
-    arr = np.einsum(op.entries.reshape(dims.dims + dims.dims), [*range(n), *cols],
+    arr = np.einsum(op.entries.reshape(dims + dims), [*range(n), *cols],
                     [*keep, *(n + k for k in keep)])
-    d_red = int(np.prod([dims[k] for k in keep]))
-    return OperatorMatrix(SiteDims(tuple(dims[k] for k in keep)),
-                          arr.reshape(d_red, d_red))
+    kept = SiteDims(dims[k] for k in keep)
+    return OperatorMatrix(kept, arr.reshape(kept.total_dim, kept.total_dim))
 
 
-def excitation_numbers(dims: SiteDims | Sequence[int]) -> np.ndarray:
+def excitation_numbers(dims: Sequence[int]) -> np.ndarray:
     """Total excitation of each product-basis state (a qutrit's |2> counts 2)."""
-    dims = _as_site_dims(dims)
-    total = np.zeros(1, dtype=int)
-    for d in dims:
-        total = (total[:, None] + np.arange(d)[None, :]).ravel()
-    return total
+    return np.indices(SiteDims(dims)).sum(axis=0).ravel()
 
 
-def sector_indices(dims: SiteDims | Sequence[int], n_max: int) -> np.ndarray:
+def sector_indices(dims: Sequence[int], n_max: int) -> np.ndarray:
     """Product-basis indices with total excitation <= n_max."""
     return np.where(excitation_numbers(dims) <= n_max)[0]

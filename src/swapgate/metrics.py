@@ -123,7 +123,7 @@ def average_fidelity(
     stack = np.empty((16 * n_groups, d, d), dtype=complex)
     weights = np.zeros((n_groups, 16 * n_groups, d, d), dtype=complex)
     for g, config in enumerate(gate_configs):
-        cvec = control_state_vector(config, list(dims.dims[1:-1]))
+        cvec = control_state_vector(config, dims[1:-1])
         rows = slice(16 * g, 16 * (g + 1))
         stack[rows] = np.einsum("aik,cl,bjm->abicjklm", _PAULI_FACTORS,
                                 np.outer(cvec, cvec.conj()),

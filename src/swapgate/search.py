@@ -100,7 +100,12 @@ def _residuals(spin, branch: str) -> dict[str, np.ndarray]:
     }
 
 
-def _box(bounds: dict[str, tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
+def _box(
+    bounds: dict[str, tuple[float, float]] | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The box's lower and upper edges in ``CIRCUIT_NAMES`` order; a name
+    that ``bounds`` does not list keeps its ``DEFAULT_BOUNDS`` range."""
+    bounds = dict(DEFAULT_BOUNDS, **(bounds or {}))
     lo = np.array([bounds[n][0] for n in CIRCUIT_NAMES], dtype=float)
     hi = np.array([bounds[n][1] for n in CIRCUIT_NAMES], dtype=float)
     if np.any(hi < lo):
@@ -146,12 +151,13 @@ def _cost_rows(
 def evaluate_cost(
     x: np.ndarray,
     branch: str,
-    bounds: dict[str, tuple[float, float]],
+    bounds: dict[str, tuple[float, float]] | None,
 ) -> tuple[float, dict[str, float] | None, SpinMapResult | None]:
     """Cost at a parameter vector; infeasible points get a large finite cost.
 
     This is the batched cost of ``search`` on one row, with the residuals
     and the mapping of the clipped point when the mapping accepts it.
+    ``bounds`` is read as by ``search``.
     """
     lo, hi = _box(bounds)
     cost, feasible, sites, res = _cost_rows(
@@ -294,7 +300,9 @@ def search(
     max_evaluations: int = 2000,
     keep_all: bool = False,
 ) -> list[SearchResult]:
-    """Multi-start simplex search over the circuit box.
+    """Multi-start simplex search over the circuit box, ``bounds`` mapping
+    circuit names to (lo, hi); a name it does not list keeps its
+    ``DEFAULT_BOUNDS`` range.
 
     Returns distinct local minima sorted by (cost, parameters); two results
     are duplicates when every circuit parameter agrees within 1% relative.
@@ -302,7 +310,6 @@ def search(
     are returned, so an infeasible search yields an empty list (the residual
     diagnostics remain available through ``keep_all=True``).
     """
-    bounds = dict(DEFAULT_BOUNDS, **(bounds or {}))
     rng = np.random.default_rng(seed)
     lo, hi = _box(bounds)
     starts = lo + (hi - lo) * rng.random((n_restarts, len(CIRCUIT_NAMES)))

@@ -518,7 +518,7 @@ def register(name):
             "closed_minus": closed_config_for_branch("minus"),
             "closed_11": GateConfig(control_state="closed_11"),
         }[name.removeprefix("qutrit_")]
-    cvec = control_state_vector(cfg, list(h.dims.dims[1:-1]))
+    cvec = control_state_vector(cfg, h.dims[1:-1])
     return h.entries, np.outer(cvec, cvec.conj())
 
 
@@ -642,7 +642,7 @@ class TestReachableBlocks:
         n_sites = 5 if name == "n5" else 4
         dims = SiteDims((2,) + ((3,) if name.startswith("qutrit") else (2,))
                         * (n_sites - 2) + (2,))
-        n_ctrl = int(excitation_numbers(dims.dims[1:-1])[np.diag(rho_c).real > 1e-12].max())
+        n_ctrl = int(excitation_numbers(dims[1:-1])[np.diag(rho_c).real > 1e-12].max())
         gen = _LindbladGenerator(h, NoiseModel(gamma=0.01).collapse_operators(dims))
         keep = _reachable_levels(gen, fidelity_stack(rho_c))
         assert np.array_equal(keep, sector_indices(dims, 2 + n_ctrl))

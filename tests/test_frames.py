@@ -69,7 +69,7 @@ def lab_fbar(h_s, s_up, w, collapse, rho_c, target, times):
     sol = solve_ivp(rhs, (0.0, times[-1]), stack.astype(complex).ravel(),
                     t_eval=times, method="RK45", rtol=1e-10, atol=1e-12)
     assert sol.success
-    return np.array([fbar_of(y.reshape(stack.shape), target, QUTRIT_DIMS.dims)
+    return np.array([fbar_of(y.reshape(stack.shape), target, QUTRIT_DIMS)
                      for y in sol.y.T])
 
 
@@ -113,7 +113,7 @@ class TestDriveFrame:
         got = rabi_prepare(params, pulse, (duration,))[0].control_state
 
         h0 = build_interaction_hamiltonian(params)
-        dims = h0.dims.dims
+        dims = h0.dims
         y_op = kron_embed({1: PAULI_Y}, dims) + kron_embed({2: PAULI_Y}, dims)
         x_op = kron_embed({1: PAULI_X}, dims) + kron_embed({2: PAULI_X}, dims)
         amp = TWO_PI * pulse.amplitude / 2.0

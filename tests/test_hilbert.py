@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import eig_hermitian, kron_embed, partial_trace_by_sites, pure_state
+from swapgate.dynamics import _jump_operators
 from swapgate.hilbert import (
     PAULI_X,
     PAULI_Y,
@@ -29,11 +30,33 @@ def random_density(rng, dim):
     return rho / np.trace(rho)
 
 
+# every chain shape of one to five sites over qubits and qutrits, 62 in all
+ALL_SHAPES = [s for n in range(1, 6) for s in itertools.product((2, 3), repeat=n)]
+
+
 class TestSiteDims:
     def test_valid(self):
         d = SiteDims((2, 3, 3, 2))
         assert d.total_dim == 36
-        assert d.n_sites == 4
+        assert len(d) == 4
+
+    def test_is_a_validated_tuple(self):
+        """A SiteDims passes through unchanged, equals and hashes as its
+        plain tuple, and slices to a plain tuple."""
+        d = SiteDims((2, 3, 3, 2))
+        assert SiteDims(d) is d
+        assert SiteDims([2, 3]) == (2, 3)
+        assert hash(SiteDims([2, 3])) == hash((2, 3))
+        assert type(d[1:3]) is tuple and d[1:3] == (3, 3)
+        assert repr(d) == "(2, 3, 3, 2)"
+
+    def test_tuple_and_site_dims_share_a_cache_entry(self):
+        first = _jump_operators((2, 3, 2), "dephasing")
+        before = _jump_operators.cache_info()
+        again = _jump_operators(SiteDims((2, 3, 2)), "dephasing")
+        after = _jump_operators.cache_info()
+        assert again is first
+        assert (after.hits, after.currsize) == (before.hits + 1, before.currsize)
 
     @pytest.mark.parametrize("dims", [(), (4,), (2, 1), (2, 5, 2)])
     def test_invalid(self, dims):
@@ -164,7 +187,7 @@ class TestPartialTrace:
         for r in range(1, len(shape) + 1):
             for keep in itertools.combinations(range(len(shape)), r):
                 got = partial_trace(op, keep)
-                assert got.dims.dims == tuple(shape[k] for k in keep)
+                assert got.dims == tuple(shape[k] for k in keep)
                 want = partial_trace_by_sites(op.entries, shape, keep)
                 assert np.abs(got.entries - want).max() <= 1e-14
 
@@ -206,6 +229,15 @@ class TestOperatorMatrix:
 
 
 class TestExcitationSectors:
+    @pytest.mark.parametrize("shape", ALL_SHAPES)
+    def test_numbers_are_the_diagonal_of_the_kronecker_sum(self, shape):
+        """The diagonal of sum_j I x ... x diag(0 .. d_j - 1) x ... x I."""
+        kron_sum = sum(kron_embed({j: np.diag(np.arange(d))}, shape)
+                       for j, d in enumerate(shape))
+        got = excitation_numbers(shape)
+        assert got.dtype == np.dtype(int)
+        assert np.array_equal(got, np.diag(kron_sum).real.astype(int))
+
     def test_counts(self):
         n = excitation_numbers((2, 3, 3, 2))
         assert n[0] == 0

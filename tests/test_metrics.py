@@ -58,7 +58,7 @@ def full_space_fbar(h, collapse, cvec, target, times):
         else:
             u = expm(-1j * h.entries * t)
             evolved = [u @ op @ u.conj().T for op in stack]
-        fbar.append(fbar_of(evolved, target, h.dims.dims))
+        fbar.append(fbar_of(evolved, target, h.dims))
     return np.array(fbar)
 
 
@@ -357,7 +357,7 @@ class TestFidelityContraction:
              else build_interaction_hamiltonian(model))
         trace, = average_fidelity(h, [cfg], noise, times)
         collapse = noise.collapse_operators(h.dims) if noise else []
-        cvec = control_state_vector(cfg, list(h.dims.dims[1:-1]))
+        cvec = control_state_vector(cfg, h.dims[1:-1])
         u = open_gate("plus") if cfg.is_open else np.eye(4)
         want = full_space_fbar(h, collapse, cvec, u, times)
         assert np.max(np.abs(np.array(trace.fbar) - want)) < 1e-12

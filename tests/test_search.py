@@ -102,6 +102,17 @@ class TestCostFunction:
         with pytest.raises(ValueError, match="lo <= hi"):
             search(bounds=bounds, n_restarts=1, max_evaluations=10)
 
+    @pytest.mark.parametrize("bounds", [DEFAULT_BOUNDS, {"e1": (50.0, 700.0)}, None],
+                             ids=["full", "partial", "none"])
+    def test_partial_box_is_filled_from_the_defaults(self, bounds):
+        """A name the box does not list keeps its default range, as in
+        ``search``; an inverted range is still refused."""
+        x = np.array([300, 300, 200, 200, 500, 100, 300, 50], dtype=float)
+        want, _, _ = evaluate_cost(x, "plus", DEFAULT_BOUNDS)
+        assert evaluate_cost(x, "plus", bounds)[0] == want
+        with pytest.raises(ValueError, match="lo <= hi"):
+            evaluate_cost(x, "plus", dict(bounds or {}, e1=(700.0, 50.0)))
+
     def test_smoothness_under_perturbation(self):
         """A 1% nudge on any single parameter changes the cost finitely."""
         x = np.array([300, 300, 200, 200, 500, 100, 300, 50], dtype=float)

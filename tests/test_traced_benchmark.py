@@ -3,8 +3,8 @@
 ``perfbench/tracer.py`` looks up package functions by name and binds some
 of their parameters by name; a refactor that renames or drops one breaks
 ``perfbench/run.py --trace 1`` without failing any other test.  This runs one
-small experiment per family under the tracer, the way ``run.py`` does, and
-requires a complete trace.
+small run of every experiment under the tracer, the way ``run.py`` does,
+and requires a complete trace.
 """
 
 import importlib.util
@@ -25,11 +25,21 @@ EXPERIMENTS = {
     "drive_demo": "experiment = drive_demo\n[grid]\nn_durations = 1\n",
     # noisy by default: the block-by-block Liouvillian path of param_scan
     "scan_j2": "experiment = scan_j2\n[grid]\npoints = 2\n[run]\nsamples = 5\n",
+    "scan_j1": "experiment = scan_j1\n[grid]\npoints = 2\n[run]\nsamples = 5\n",
+    "scan_delta": "experiment = scan_delta\n[grid]\npoints = 2\n[run]\nsamples = 5\n",
+    "crosstalk_scan": (
+        "experiment = crosstalk_scan\n[grid]\nfractions_pct = 0, 5\n[run]\nsamples = 5\n"
+    ),
+    "n5_trace": "experiment = n5_trace\n[run]\nsamples = 5\n",
     "circuit_map": "experiment = circuit_map\n",
     "search": (
         "experiment = search\n[grid]\nn_restarts = 1\nmax_evaluations = 20\n"
     ),
 }
+
+
+def test_every_experiment_is_covered():
+    assert EXPERIMENTS.keys() == cli.EXPERIMENTS.keys()
 
 
 @pytest.fixture(scope="module")
