@@ -15,12 +15,15 @@ is pow-free: the quartic root is ``sqrt(sqrt(r))``, integer powers are
 products and sums run left to right, so every operation is IEEE-rounded
 and a circuit gives the same bits alone or in any batch (``np.power`` and
 Python's ``**`` can differ in the last bit, and ``np.sum`` pairs its
-terms).  ``map_sites`` holds no ``np.errstate`` of its own: its callers
-do.  ``circuit_to_spin`` is that mapping on one circuit under its own
-``np.errstate``, checked against the singularity thresholds of the
-general-chain ``inverse_capacitance``; the search's batched cost masks the
-same conditions instead of raising, and calls the formula under the one
-``np.errstate`` it holds for its batch.
+terms).  It runs in two stages, each formula written once:
+``map_cost_fields`` computes the ten fields the search's cost reads, and
+``map_sites`` adds the rest from its intermediates.  Neither holds an
+``np.errstate``: their callers do.  ``circuit_to_spin`` is ``map_sites``
+on one circuit under its own ``np.errstate``, checked against the
+singularity thresholds of the general-chain ``inverse_capacitance``; the
+search's batched cost runs the first stage alone, masks the same
+conditions instead of raising, and runs under the one ``np.errstate`` that
+``search`` holds for its whole descent.
 
 Unit bridge: Josephson energies are entered in 2pi*GHz, capacitances in fF,
 inductances in nH.  Capacitive and inductive energies are converted to
@@ -81,8 +84,9 @@ class CircuitParams:
 
     def __post_init__(self) -> None:
         for name in CIRCUIT_NAMES:
-            if getattr(self, name) <= 0:
-                raise MappingError(f"{name} must be strictly positive")
+            # NaN fails both comparisons
+            if not 0 < getattr(self, name) < np.inf:
+                raise MappingError(f"{name} must be strictly positive and finite")
 
 
 #: the eight circuit values, in field order
@@ -169,8 +173,8 @@ def inverse_capacitance(k: np.ndarray) -> tuple[np.ndarray, float]:
 
 #: a capacitance matrix is singular below this normalized determinant, and
 #: ill-conditioned above this condition number
-_DET_FLOOR = 1e-12
-_COND_CEILING = 1e12
+_DET_FLOOR, _COND_CEILING = np.array(1e-12), np.array(1e12)
+_ZERO = np.array(0.0)
 
 
 def _check_capacitance(det: float, cond: float) -> None:
@@ -194,19 +198,91 @@ def gate_capacitance_matrix(params: CircuitParams) -> np.ndarray:
     )
 
 
-def map_sites(x: np.ndarray) -> dict[str, np.ndarray]:
-    """Map circuits, one per column of ``x`` (an (8, m) array whose rows are
-    the ``CIRCUIT_NAMES``), to the ``SpinMapResult`` fields of their two
-    distinct sites, as arrays.
+# The first stage's operands as 0-d arrays: NumPy 2 promotes a Python-float
+# operand (a weak scalar) on every call, which a 0-d float64 array skips
+# with the same bits.
+_HALF, _QUARTER, _TWO, _FOUR, _THOUSAND = map(np.array, (0.5, 0.25, 2.0, 4.0, 1000.0))
+_MINUS_HALF, _MINUS_QUARTER = np.array(-0.5), np.array(-0.25)
+_CAP, _MINUS_CAP = np.array(CAP_ENERGY_SCALE), np.array(-CAP_ENERGY_SCALE)
+_IND = np.array(IND_ENERGY_SCALE * TWO_PI**2)  # E_L = _IND / L
+
+
+def map_cost_fields(x: np.ndarray) -> tuple[dict[str, np.ndarray], tuple]:
+    """The first stage of ``map_sites``: the fields the search's cost reads.
+
+    Takes the (8, m) circuit columns of ``map_sites`` and returns the
+    couplings ``j1x``, ``j1z``, ``j2x``, ``j2z``, the detuning ``delta`` and
+    ``anh_rel_1``, with what ``mappable`` checks: ``condition_number``, the
+    normalized determinant ``det_norm`` and the quartic-root radicands
+    ``ra``, ``rb``.  The second element holds the intermediates that
+    ``map_sites`` completes the other fields from.
 
     The end (a) and control (b) sites are mapped through the closed form of
     K = ``gate_capacitance_matrix``: with d = c2 (c2 + 2 c23), K^-1 is 1/c1
     on the ends, (c2+c23)/d on the controls and +c23/d between them; K has
     eigenvalues c1, c1, c2, c2 + 2 c23 and determinant c1^2 d, against a
-    row-norm product c1^2 ((c2+c23)^2 + c23^2).  Besides the fields, the
-    result holds the per-site mode scales and frequencies ``ta``, ``tb``,
-    ``sa``, ``sb``, and what ``circuit_to_spin`` checks: the normalized
-    determinant ``det_norm`` and the quartic-root radicands ``ra``, ``rb``.
+    row-norm product c1^2 ((c2+c23)^2 + c23^2).  The two sites are the two
+    rows of one array wherever their formulas agree.
+    """
+    # the CIRCUIT_NAMES but e1 and e2, which only x[:2] reads
+    e12, e23, c1, c2, c23, l12 = x[2], x[3], x[4], x[5], x[6], x[7]
+    c2_2c23 = c2 + _TWO * c23
+    d = c2 * c2_2c23
+    s = c2 + c23
+    det_norm = d / (s * s + c23 * c23)  # c1^2 cancels
+    cond = np.maximum(c1, c2_2c23) / np.minimum(c1, c2)  # c23 > 0
+    e_lb = _IND / l12  # both inductive bonds identical
+
+    # rows: end site (a), control site (b)
+    e_c = _CAP * np.array([np.reciprocal(c1), s / d])  # 2pi*GHz per site
+    e_j = x[:2] + e12  # e1 + e12, e2 + e12
+    e_j[1] += e23
+    e_jl = e_j + e_lb
+    r = _TWO * e_c / e_jl
+    t = np.sqrt(np.sqrt(r))
+    s_mode = _FOUR * np.sqrt(_HALF * e_c * e_jl)
+    t2 = t * t
+    t3, t4 = t2 * t, t2 * t2
+    tb, tb2 = t[1], t2[1]
+    tb_tb = np.array([tb, tb])  # a (2, m) operand is cheaper than broadcasting tb
+
+    bond_12 = e12 * t2[0] * tb2  # Josephson energy of bond (a, b)
+    # the junctions' quartic shift, negative: s - q is s + (-q) exactly
+    quartic = _MINUS_HALF * e_j * t4
+    omega = s_mode + quartic - bond_12
+    omega[1] -= e23 * tb2 * tb2
+    anh_rel = quartic / omega
+
+    # rows: bond (a, b), bond (b, b), whose junction energies are x[2:4];
+    # j1x~ and j2x~, then j1z and j2z
+    jx_tilde = (_MINUS_HALF * np.array([e12 + e_lb, e23]) * t * tb_tb
+                + _QUARTER * x[2:4] * (t3 * tb_tb + t * t3[1]))
+    t_tb = t * tb_tb  # ta tb, tb tb
+    jz = _MINUS_QUARTER * x[2:4] * (t_tb * t_tb)
+    j2y = _MINUS_CAP * (c23 / d) / tb2
+    j2x = jx_tilde[1] + j2y
+
+    # in 2pi*MHz, scaled from 2pi*GHz
+    jz = jz * _THOUSAND
+    fields = {
+        "j1x": jx_tilde[0] * _THOUSAND, "j1z": jz[0], "j2x": j2x * _THOUSAND,
+        "j2z": jz[1], "delta": (omega[1] - omega[0]) * _THOUSAND,
+        "anh_rel_1": anh_rel[0], "condition_number": cond,
+        "det_norm": det_norm, "ra": r[0], "rb": r[1],
+    }
+    return fields, (t, t3, s_mode, omega, anh_rel, j2y)
+
+
+def map_sites(x: np.ndarray) -> dict[str, np.ndarray]:
+    """Map circuits, one per column of ``x`` (an (8, m) array whose rows are
+    the ``CIRCUIT_NAMES``), to the ``SpinMapResult`` fields of their two
+    distinct sites, as arrays.
+
+    ``map_cost_fields`` is the first stage; this adds the other fields from
+    its intermediates.  Besides the fields, the result holds the per-site
+    mode scales and frequencies ``ta``, ``tb``, ``sa``, ``sb``, and what
+    ``circuit_to_spin`` checks: the normalized determinant ``det_norm`` and
+    the quartic-root radicands ``ra``, ``rb``.
 
     Circuits are mapped independently and without checks (an unphysical one
     gives meaningless numbers or NaN; ``mappable`` says which are sound), and
@@ -216,68 +292,34 @@ def map_sites(x: np.ndarray) -> dict[str, np.ndarray]:
     sums run left to right -- so a circuit maps to the same bits whatever
     the batch around it.
     """
-    e1, e2, e12, e23, c1, c2, c23, l12 = x  # the CIRCUIT_NAMES
-    c2_2c23 = c2 + 2.0 * c23
-    d = c2 * c2_2c23
-    s = c2 + c23
-    det_norm = d / (s * s + c23 * c23)  # c1^2 cancels
-    cond = np.maximum(c1, c2_2c23) / np.minimum(c1, c2)  # c23 > 0
-    e_lb = IND_ENERGY_SCALE * TWO_PI**2 / l12  # both inductive bonds identical
-
-    # rows: end site (a), control site (b)
-    e_c = CAP_ENERGY_SCALE * np.array([1.0 / c1, s / d])  # 2pi*GHz per site
-    e_j = np.array([e1 + e12, e2 + e12 + e23])
-    e_jl = e_j + e_lb
-    r = 2.0 * e_c / e_jl
-    t = np.sqrt(np.sqrt(r))
-    s_mode = 4.0 * np.sqrt(0.5 * e_c * e_jl)
-    t2 = t * t
-    t3, t4 = t2 * t, t2 * t2
-    ta, tb, ta2, tb2, tb3 = t[0], t[1], t2[0], t2[1], t3[1]
-
-    bond_12 = e12 * ta2 * tb2  # Josephson energy of bond (a, b)
-    omega = s_mode - 0.5 * e_j * t4 - bond_12
-    omega[1] -= e23 * tb2 * tb2
-    anh_rel = -0.5 * e_j * t4 / omega
-
-    # rows: bond (a, b), bond (b, b); j1x~ and j2x~, then j1z and j2z
-    e_bond = np.array([e12, e23])
-    tb_tb = np.array([tb, tb])
-    jx_tilde = (-0.5 * np.array([e12 + e_lb, e23]) * t * tb_tb
-                + 0.25 * e_bond * (t3 * tb_tb + t * np.array([tb3, tb3])))
-    t_tb = t * tb_tb  # ta tb, tb tb
-    jz = -0.25 * e_bond * (t_tb * t_tb)
-    j2y = -CAP_ENERGY_SCALE * (c23 / d) / tb2
-    j2x = jx_tilde[1] + j2y
-
+    fields, (t, t3, s_mode, omega, anh_rel, j2y) = map_cost_fields(x)
+    e23, tb, tb3 = x[3], t[1], t3[1]
     k23x = -e23 * tb * tb + e23 * tb3 * tb / 6.0
     m23x = e23 * tb * tb3 / 6.0
 
-    # the fields in 2pi*MHz, scaled from 2pi*GHz by one stacked multiply
+    # in 2pi*MHz, scaled from 2pi*GHz by one stacked multiply
     ghz = {
-        "j1x": jx_tilde[0], "j1z": jz[0], "j2x": j2x, "j2y": j2y, "j2z": jz[1],
-        "delta": omega[1] - omega[0], "k23x": k23x, "m23x": m23x,
+        "j2y": j2y, "k23x": k23x, "m23x": m23x,
         "r23x": j2y + k23x + 4.0 * m23x, "p23x": j2y + k23x + 2.0 * m23x,
     }
     return {
+        **fields,
         **dict(zip(ghz, np.array(list(ghz.values())) * 1000.0)),
-        "omega1": omega[0], "omega2": omega[1],
-        "anh_rel_1": anh_rel[0], "anh_rel_2": anh_rel[1],
-        "condition_number": cond,
-        "ta": ta, "tb": tb, "sa": s_mode[0], "sb": s_mode[1],
-        "det_norm": det_norm, "ra": r[0], "rb": r[1],
+        "omega1": omega[0], "omega2": omega[1], "anh_rel_2": anh_rel[1],
+        "ta": t[0], "tb": tb, "sa": s_mode[0], "sb": s_mode[1],
     }
 
 
 def mappable(sites: dict[str, np.ndarray]) -> np.ndarray:
-    """Circuits of a ``map_sites`` result that ``circuit_to_spin`` would accept
-    (positive circuit values assumed): not singular, not ill-conditioned, and
-    both quartic-root radicands positive."""
+    """Circuits of a ``map_cost_fields`` or ``map_sites`` result that
+    ``circuit_to_spin`` would accept (positive circuit values assumed): not
+    singular, not ill-conditioned, and both quartic-root radicands
+    positive."""
     return ~(
         (np.abs(sites["det_norm"]) < _DET_FLOOR)
         | (sites["condition_number"] > _COND_CEILING)
-        | (sites["ra"] <= 0)
-        | (sites["rb"] <= 0)
+        | (sites["ra"] <= _ZERO)
+        | (sites["rb"] <= _ZERO)
     )
 
 

@@ -5,15 +5,17 @@ requirements: equal transverse and longitudinal end couplings, the detuning
 on its resonance branch, a floor on the control/end coupling ratio, and a
 floor on the end-qubit relative anharmonicity.  Points outside the box are
 clipped into it and pay a quadratic penalty; circuits the mapping rejects
-cost ``1e6`` plus that penalty.  The cost is evaluated on arrays of points
-through the ``circuit_map.map_sites`` formula, as the columns of a
-C-contiguous (8, m) array under the one ``np.errstate`` that ``_cost_rows``
-holds for the batch; ``evaluate_cost`` is that cost on one point, with its
-requirement residuals and mapped spin parameters.  The search runs no
-dynamics: it scores circuits by the mapping alone.  The squared bound
-excesses are summed in order by ``np.add.accumulate``: ``np.add.reduce``
-and ``sum`` pair the terms of a lone column or of a row, so a point would
-cost other bits alone.
+cost ``1e6`` plus that penalty.  The cost is evaluated on arrays of points,
+as the columns of a C-contiguous (8, m) array, through the first stage of
+the mapping (``circuit_map.map_cost_fields``), which computes only the
+fields the cost reads; ``search`` holds one ``np.errstate`` for its whole
+descent.  The full ``map_sites`` runs only where values are reported:
+``evaluate_cost``, the cost on one point with its requirement residuals
+and mapped spin parameters, and the one call on the restarts' best
+vertices.  The search runs no dynamics: it scores circuits by the mapping
+alone.  The squared bound excesses are summed in order by
+``np.add.accumulate``: ``np.add.reduce`` and ``sum`` pair the terms of a
+lone column or of a row, so a point would cost other bits alone.
 
 Multi-start random initialization inside the bounds feeds one Nelder-Mead
 simplex per start (Nelder & Mead, Comput. J. 7, 308 (1965)).  All simplices
@@ -37,6 +39,7 @@ from .circuit_map import (
     CIRCUIT_NAMES,
     CircuitParams,
     SpinMapResult,
+    map_cost_fields,
     map_sites,
     mappable,
     spin_result,
@@ -59,11 +62,14 @@ DEFAULT_BOUNDS: dict[str, tuple[float, float]] = {
 INFEASIBLE_COST = 1e6
 
 
-# weights of the four requirement residuals and of the bounds penalty
-_W_J1_EQUALITY = _W_DELTA_BRANCH = _W_COUPLING_RATIO = 1.0
-_W_ANHARMONICITY, _W_BOUNDS = 0.1, 10.0
+# weights of the anharmonicity residual and of the bounds penalty (the
+# other three residuals weigh 1), and the cost's other operands, as 0-d
+# arrays (see ``circuit_map``)
+_W_ANHARMONICITY, _W_BOUNDS = np.array(0.1), np.array(10.0)
+_INFEASIBLE, _SCALE_FLOOR, _ZERO = np.array(INFEASIBLE_COST), np.array(1e-9), np.array(0.0)
 #: floor on the end-qubit relative anharmonicity, 0.1%
 ANH_FLOOR = 0.001
+_ANH_FLOOR, _MIN_RATIO = np.array(ANH_FLOOR), np.array(MIN_COUPLING_RATIO)
 
 
 @dataclass(frozen=True)
@@ -86,17 +92,16 @@ def _residuals(spin, branch: str) -> dict[str, np.ndarray]:
     """Requirement residuals of mapped spin values (floats or arrays, read
     by name from the mapping or ``SpinMapResult`` attributes)."""
     j1x, j1z, j2x = spin["j1x"], spin["j1z"], spin["j2x"]
-    j1_scale = np.maximum(np.abs(j1x), 1e-9)
+    j1_scale = np.maximum(np.abs(j1x), _SCALE_FLOOR)
     delta_target = delta_for_branch(branch, j2x, spin["j2z"])
-    delta_scale = np.maximum(np.abs(delta_target), 1e-9)
+    delta_scale = np.maximum(np.abs(delta_target), _SCALE_FLOOR)
     ratio = np.abs(j2x) / j1_scale
     return {
         "j1_equality": np.abs(j1x - j1z) / j1_scale,
         "delta_branch": np.abs(spin["delta"] - delta_target) / delta_scale,
-        "coupling_ratio": np.fmax(MIN_COUPLING_RATIO - ratio, 0.0)
-        / MIN_COUPLING_RATIO,
-        "anharmonicity": np.fmax(ANH_FLOOR - np.abs(spin["anh_rel_1"]), 0.0)
-        / ANH_FLOOR,
+        "coupling_ratio": np.fmax(_MIN_RATIO - ratio, _ZERO) / _MIN_RATIO,
+        "anharmonicity": np.fmax(_ANH_FLOOR - np.abs(spin["anh_rel_1"]), _ZERO)
+        / _ANH_FLOOR,
     }
 
 
@@ -115,37 +120,39 @@ def _box(
 
 def _cost_rows(
     x: np.ndarray, branch: str, lo: np.ndarray, hi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, dict, dict]:
-    """Cost of every row of ``x``, with what ``evaluate_cost`` reports.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cost of every row of ``x``: the costs, the feasibility mask and the
+    points clipped into the box, as columns.
 
-    Returns the costs, the feasibility mask, the ``map_sites`` result of the
-    points clipped into the box, and the residual arrays.  The points become
-    the columns of a C-contiguous (8, m) array; every step is elementwise
-    and the per-parameter penalties are summed in order (see the module
-    docstring), so a row's cost does not depend on the batch around it.
+    The points become the columns of a C-contiguous (8, m) array, mapped by
+    ``map_cost_fields`` alone; every step is elementwise and the
+    per-parameter penalties are summed in order (see the module docstring),
+    so a row's cost does not depend on the batch around it.  The caller
+    holds the ``np.errstate``.
     """
     lo, hi = lo[:, None], hi[:, None]
-    with np.errstate(all="ignore"):
-        cols = np.ascontiguousarray(np.asarray(x, dtype=float).T)
-        clipped = np.minimum(np.maximum(cols, lo), hi)
-        # x - clipped is lo - x below the box and x - hi above it, up to sign
-        excess = (cols - clipped) / np.maximum(hi - lo, 1e-9)
-        penalty = np.add.accumulate(excess * excess)[-1]
+    cols = np.ascontiguousarray(np.asarray(x, dtype=float).T)
+    clipped = np.minimum(np.maximum(cols, lo), hi)
+    # x - clipped is lo - x below the box and x - hi above it, up to sign
+    excess = (cols - clipped) / np.maximum(hi - lo, _SCALE_FLOOR)
+    penalty = np.add.accumulate(excess * excess)[-1]
 
-        sites = map_sites(clipped)
-        feasible = ~(clipped <= 0).any(axis=0) & mappable(sites)
-        res = _residuals(sites, branch)
-        r1, r2 = res["j1_equality"], res["delta_branch"]
-        r3, r4 = res["coupling_ratio"], res["anharmonicity"]
-        cost = (
-            _W_J1_EQUALITY * (r1 * r1)
-            + _W_DELTA_BRANCH * (r2 * r2)
-            + _W_COUPLING_RATIO * (r3 * r3)
-            + _W_ANHARMONICITY * (r4 * r4)
-            + _W_BOUNDS * penalty
-        )
-    cost = np.where(feasible, cost, INFEASIBLE_COST + penalty)
-    return cost, feasible, sites, res
+    fields, _ = map_cost_fields(clipped)
+    feasible = ~(clipped <= _ZERO).any(axis=0) & mappable(fields)
+    r1, r2, r3, r4 = _residuals(fields, branch).values()
+    cost = (r1 * r1 + r2 * r2 + r3 * r3 + _W_ANHARMONICITY * (r4 * r4)
+            + _W_BOUNDS * penalty)
+    return np.where(feasible, cost, _INFEASIBLE + penalty), feasible, clipped
+
+
+def _reported_rows(
+    x: np.ndarray, branch: str, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict, dict]:
+    """``_cost_rows`` with what is reported of each row: its clipped point
+    as a row, its full ``map_sites`` result and its residual arrays."""
+    cost, feasible, clipped = _cost_rows(x, branch, lo, hi)
+    sites = map_sites(clipped)
+    return cost, feasible, clipped.T, sites, _residuals(sites, branch)
 
 
 def evaluate_cost(
@@ -160,9 +167,10 @@ def evaluate_cost(
     ``bounds`` is read as by ``search``.
     """
     lo, hi = _box(bounds)
-    cost, feasible, sites, res = _cost_rows(
-        np.asarray(x, dtype=float)[None, :], branch, lo, hi
-    )
+    with np.errstate(all="ignore"):
+        cost, feasible, _, sites, res = _reported_rows(
+            np.asarray(x, dtype=float)[None, :], branch, lo, hi
+        )
     if not feasible[0]:
         return float(cost[0]), None, None
     return (
@@ -230,6 +238,7 @@ def _lockstep_nelder_mead(
         sim, fsim = _sort_simplices(sim, fsim, runs)
 
     vertices = np.arange(1, n + 1)[:, None]
+    last = budget - 1  # a start with fewer evaluations left pays for its second point
     s, f, used = sim, fsim, nfev.copy()
     while live.size:
         # a start stops on its budget or on scipy's fatol and xatol tests; on
@@ -237,10 +246,10 @@ def _lockstep_nelder_mead(
         # fails both), and the extent is measured only where the costs pass
         stop = used >= budget
         flat = f[-1] - f[0] <= _FATOL
-        if flat.any():
-            k = np.flatnonzero(flat)
+        if np.count_nonzero(flat):
+            k = flat.nonzero()[0]
             stop[k] |= np.abs(s[1:, k] - s[:1, k]).max(axis=(0, 2)) <= _XATOL
-        if stop.any():
+        if np.count_nonzero(stop):
             # the stopped simplices go back to ``sim``, the live arrays shrink
             done = live[stop]
             sim[:, done], fsim[:, done], nfev[done] = s[:, stop], f[:, stop], used[stop]
@@ -265,7 +274,7 @@ def _lockstep_nelder_mead(
         kept = np.where(outside, fc <= fr, fcc < f[-1])
         # the point after the reflection is evaluated only with budget left
         second = expand | contract
-        paid = second & (used < budget - 1)
+        paid = second & (used < last)
         # the trial that replaces the worst vertex where ``take``:
         # reflection 0, expansion 1, outside 2 or inside contraction 3
         pick = np.where(contract, 3 - outside, expand & (fe < fr))
@@ -273,13 +282,13 @@ def _lockstep_nelder_mead(
         shrink = paid & ~take
         used = used + 1 + paid
 
-        k = np.flatnonzero(take)
+        k = take.nonzero()[0]
         pick = pick[k]
         s[-1, k] = trial[pick, k]
         f[-1, k] = f_trial[pick, k]
 
-        if shrink.any():
-            k = np.flatnonzero(shrink)
+        if np.count_nonzero(shrink):
+            k = shrink.nonzero()[0]
             best = s[:1, k]
             moved = best + _SIGMA * (s[1:, k] - best)
             f_moved = cost(moved.reshape(-1, n)).reshape(n, k.size)
@@ -310,15 +319,16 @@ def search(
     are returned, so an infeasible search yields an empty list (the residual
     diagnostics remain available through ``keep_all=True``).
     """
+    if max_evaluations < 1:
+        raise ValueError(f"max_evaluations must be at least 1, got {max_evaluations}")
     rng = np.random.default_rng(seed)
     lo, hi = _box(bounds)
     starts = lo + (hi - lo) * rng.random((n_restarts, len(CIRCUIT_NAMES)))
-    simplices, _, _ = _lockstep_nelder_mead(
-        lambda x: _cost_rows(x, branch, lo, hi)[0], starts, max_evaluations)
-
-    best = simplices[:, 0]
-    cost, feasible, sites, res = _cost_rows(best, branch, lo, hi)
-    circuits = np.clip(best, lo, hi)
+    with np.errstate(all="ignore"):  # one for the whole descent
+        simplices, _, _ = _lockstep_nelder_mead(
+            lambda x: _cost_rows(x, branch, lo, hi)[0], starts, max_evaluations)
+        cost, feasible, circuits, sites, res = _reported_rows(
+            simplices[:, 0], branch, lo, hi)
     results = [
         SearchResult(
             circuit=CircuitParams(*(float(v) for v in circuits[i])),
@@ -326,7 +336,7 @@ def search(
             cost=float(cost[i]),
             residuals={name: float(v[i]) for name, v in res.items()},
         )
-        for i in np.flatnonzero(feasible)
+        for i in feasible.nonzero()[0]
     ]
 
     results.sort(key=lambda r: (r.cost,) + astuple(r.circuit))

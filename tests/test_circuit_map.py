@@ -18,6 +18,7 @@ from swapgate.circuit_map import (
     circuit_to_spin,
     gate_capacitance_matrix,
     inverse_capacitance,
+    map_cost_fields,
     map_sites,
     table_branch,
     table_circuit_params,
@@ -293,6 +294,20 @@ class TestBatchedMap:
                     assert np.array_equal(part[name], column[start:start + size],
                                           equal_nan=True), (name, size, start)
 
+    def test_first_stage_holds_the_reported_bits(self):
+        """``map_cost_fields`` is the first stage of ``map_sites``: its ten
+        fields are the very arrays ``map_sites`` reports, NaN included."""
+        rng = np.random.default_rng(43)
+        lo = np.array([DEFAULT_BOUNDS[name][0] for name in CIRCUIT_NAMES])
+        hi = np.array([DEFAULT_BOUNDS[name][1] for name in CIRCUIT_NAMES])
+        x = np.ascontiguousarray((lo + (hi - lo) * rng.uniform(-0.5, 1.5, (200, 8))).T)
+        with np.errstate(all="ignore"):
+            fields, _ = map_cost_fields(x)
+            sites = map_sites(x)
+        assert len(fields) == 10 and np.isnan(fields["j1x"]).any()
+        for name, column in fields.items():
+            assert np.array_equal(column, sites[name], equal_nan=True), name
+
     def test_unphysical_circuit_warns_without_errstate(self):
         """``map_sites`` silences nothing: a c2 = 0 column warns unless its
         caller holds an ``np.errstate``."""
@@ -373,6 +388,17 @@ class TestMapping:
     def test_positive_param_validation(self):
         with pytest.raises(MappingError):
             CircuitParams(e1=-1, e2=1, e12=1, e23=1, c1=1, c2=1, c23=1, l12=1)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize("name", CIRCUIT_NAMES)
+    def test_nonfinite_value_rejected(self, name, value):
+        """NaN passes a ``<= 0`` test and inf is positive: row 6 with
+        ``e1 = nan`` mapped to ``j1x = nan`` with a finite condition number,
+        and ``l12 = inf`` mapped silently.  Both are refused, as the CLI
+        refuses them."""
+        values = dict(zip(CIRCUIT_NAMES, TABLE_S1[6]), **{name: value})
+        with pytest.raises(MappingError, match=f"{name} must be strictly positive and finite"):
+            CircuitParams(**values)
 
 
 class TestDriveAmplitude:

@@ -1,6 +1,10 @@
 """Tests for the circuit-parameter search."""
 
+import hashlib
+import importlib.util
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,10 +15,11 @@ from swapgate.circuit_map import (
     CircuitParams,
     MappingError,
     circuit_to_spin,
+    map_sites,
     table_row,
     table_spin_params,
 )
-from swapgate.cli import default_config, run_experiment
+from swapgate.cli import default_config, parse_config_text, resolve_config, run_experiment
 from swapgate.dynamics import NoiseModel
 from swapgate.metrics import CLOSED_WINDOW, OPEN_WINDOW, average_fidelity, gate_window
 from swapgate.spin_model import (
@@ -57,10 +62,11 @@ def assert_matches_scipy(starts, budget, branch="plus", bounds=DEFAULT_BOUNDS):
     Returns the lockstep costs.
     """
     lo, hi = _box(bounds)
-    sims, fsims, nfev = _lockstep_nelder_mead(
-        lambda x: _cost_rows(x, branch, lo, hi)[0],
-        starts, budget,
-    )
+    with np.errstate(all="ignore"):  # as ``search`` holds it for its descent
+        sims, fsims, nfev = _lockstep_nelder_mead(
+            lambda x: _cost_rows(x, branch, lo, hi)[0],
+            starts, budget,
+        )
     for r, x0 in enumerate(starts):
         sol = minimize(
             lambda x: evaluate_cost(x, branch, bounds)[0], x0,
@@ -125,30 +131,67 @@ class TestCostFunction:
             assert abs(c1 - c0) < 10.0
 
 
+# the TestCostParity boxes
+BOX_FEASIBLE = DEFAULT_BOUNDS
+# lo <= 0: clipped values at or below zero are not circuits
+BOX_NONPOSITIVE = dict(DEFAULT_BOUNDS, e1=(-700.0, 700.0), c2=(0.0, 1000.0))
+# c2 / c23 below 1e-12: a singular capacitance matrix
+BOX_SINGULAR = dict(DEFAULT_BOUNDS, c2=(1e-13, 1e-11), c23=(500.0, 1000.0))
+# c1 / c2 above 1e12: an ill-conditioned one
+BOX_ILL_CONDITIONED = dict(DEFAULT_BOUNDS, c1=(1e16, 1e17))
+
+
+def parity_points(lo, hi):
+    """256 points, half of them outside the box by up to half its width per
+    side."""
+    rng = np.random.default_rng(31)
+    return lo + (hi - lo) * rng.uniform(-0.5, 1.5, (256, len(lo)))
+
+
 class TestCostParity:
-    """The batched cost, row by row, against ``evaluate_cost`` on one point."""
+    """The batched cost, row by row, against ``evaluate_cost`` on one point,
+    and against the recorded bits of each batch."""
 
     @pytest.mark.parametrize("bounds, n_feasible", [
-        (DEFAULT_BOUNDS, "all"),
-        # lo <= 0: clipped values at or below zero are not circuits
-        (dict(DEFAULT_BOUNDS, e1=(-700.0, 700.0), c2=(0.0, 1000.0)), "some"),
-        # c2 / c23 below 1e-12: a singular capacitance matrix
-        (dict(DEFAULT_BOUNDS, c2=(1e-13, 1e-11), c23=(500.0, 1000.0)), "none"),
-        # c1 / c2 above 1e12: an ill-conditioned one
-        (dict(DEFAULT_BOUNDS, c1=(1e16, 1e17)), "none"),
+        (BOX_FEASIBLE, "all"),
+        (BOX_NONPOSITIVE, "some"),
+        (BOX_SINGULAR, "none"),
+        (BOX_ILL_CONDITIONED, "none"),
     ])
     def test_rows_equal_single_point_cost(self, bounds, n_feasible):
         lo, hi = _box(bounds)
-        rng = np.random.default_rng(31)
-        # half the points outside the box, by up to half its width per side
-        x = lo + (hi - lo) * rng.uniform(-0.5, 1.5, (256, len(lo)))
+        x = parity_points(lo, hi)
         for branch in ("plus", "minus"):
-            batch, feasible, _, _ = _cost_rows(x, branch, lo, hi)
+            with np.errstate(all="ignore"):  # held by ``_cost_rows``' callers
+                batch, feasible, _ = _cost_rows(x, branch, lo, hi)
             single = [evaluate_cost(row, branch, bounds) for row in x]
             assert np.array_equal(batch, [c for c, _, _ in single])
             assert np.array_equal(feasible, [res is not None for _, res, _ in single])
             assert n_feasible == {0: "none", len(x): "all"}.get(feasible.sum(), "some")
             assert np.all(batch[~feasible] >= INFEASIBLE_COST)
+
+    @pytest.mark.parametrize("bounds, digests", [
+        (BOX_FEASIBLE,
+         ("a1874c817730ddc20c97c40c9c4de7ba34eeb0f43b9bb41368d070a6da76c57f",
+          "8dba038514fec97bab70c0be5ea178105005a86f726d500c9c46b1067ca09576")),
+        (BOX_NONPOSITIVE,
+         ("9c6ad31229b0b3e17c32f3019c7fc9874b66a9188d27f3de4430b135ec8a16e5",
+          "95e731514687ad8e10b9a1ba07756e3b0eb6846e53b1fa2ad61b826f27341ad6")),
+        # no point maps: 1e6 plus the bounds penalty, on either branch
+        (BOX_SINGULAR,
+         ("13e82273947407af51079a413799985c03017c334deba5724ae37eb61561b081",) * 2),
+        (BOX_ILL_CONDITIONED,
+         ("6e90020e9dc2a658b918c495fbbc1a3e540a0727fc36733e5c950996c3f9bfe6",) * 2),
+    ], ids=["feasible", "nonpositive", "singular", "ill-conditioned"])
+    def test_costs_keep_their_recorded_bits(self, bounds, digests):
+        """The sha256 of each branch's costs, little-endian, as first
+        recorded.  The scipy comparisons call the same cost on both sides,
+        so a cost that changed bits would still pass them; it fails here."""
+        lo, hi = _box(bounds)
+        for branch, digest in zip(("plus", "minus"), digests):
+            with np.errstate(all="ignore"):
+                batch, _, _ = _cost_rows(parity_points(lo, hi), branch, lo, hi)
+            assert hashlib.sha256(batch.astype("<f8").tobytes()).hexdigest() == digest
 
     def test_single_point_reports_match_the_mapping(self):
         x = np.array([561.6, 438.5, 186.0, 397.1, 926.3, 76.2, 240.4, 37.3])
@@ -209,7 +252,8 @@ class TestLockstepDescent:
             calls.append(len(x))
             return _cost_rows(x, "plus", *_box(bounds))[0]
 
-        _lockstep_nelder_mead(cost, starts, budget)
+        with np.errstate(all="ignore"):  # as ``search`` holds it
+            _lockstep_nelder_mead(cost, starts, budget)
         assert calls == [27, 12, 24]  # init, trial points, all three shrink
         fsims = assert_matches_scipy(starts, budget, "plus", bounds)
         assert np.all(fsims == INFEASIBLE_COST)
@@ -237,10 +281,11 @@ class TestLockstepDescent:
         must be ``evaluate_cost`` at its own restart's best vertex, with the
         same cost, residuals and every mapped spin field."""
         lo, hi = _box(DEFAULT_BOUNDS)
-        sims, _, _ = _lockstep_nelder_mead(
-            lambda x: _cost_rows(x, branch, lo, hi)[0],
-            draw_starts(seed, 6), 120,
-        )
+        with np.errstate(all="ignore"):  # as ``search`` holds it
+            sims, _, _ = _lockstep_nelder_mead(
+                lambda x: _cost_rows(x, branch, lo, hi)[0],
+                draw_starts(seed, 6), 120,
+            )
         want = {}
         for x in sims[:, 0]:
             cost, res, spin = evaluate_cost(x, branch, DEFAULT_BOUNDS)
@@ -300,9 +345,11 @@ class TestSearch:
         bounds = dict(DEFAULT_BOUNDS, e1=(-700.0, 700.0), c2=(-1000.0, 1000.0))
         lo, hi = _box(bounds)
         starts = draw_starts(9, 8, bounds)
+        with np.errstate(all="ignore"):  # ``_cost_rows`` is not an entry point
+            _, feasible, clipped = _cost_rows(starts, "plus", lo, hi)
+            sites = map_sites(clipped)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            _, feasible, sites, _ = _cost_rows(starts, "plus", lo, hi)
             results = search(bounds=bounds, seed=9, n_restarts=8,
                              max_evaluations=120, keep_all=True)
             cost, res, spin = evaluate_cost(starts[~feasible][0], "plus", bounds)
@@ -312,6 +359,16 @@ class TestSearch:
                 circuit_to_spin(CircuitParams(**huge))
         assert not feasible.all() and np.isnan(sites["ta"]).any()
         assert results and (res, spin) == (None, None) and cost >= INFEASIBLE_COST
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_rejected(self, budget):
+        """A budget below one would leave the starts undescended, and its
+        stopping test would subtract inf from inf; ``search`` refuses it, as
+        the CLI does, before any arithmetic."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="max_evaluations must be at least 1"):
+                search(seed=0, n_restarts=2, max_evaluations=budget)
 
     def test_minus_branch_runs(self):
         results = search(
@@ -331,6 +388,31 @@ class TestSearch:
         c0, _, _ = evaluate_cost(x0, "plus", DEFAULT_BOUNDS)
         best = search(seed=5, n_restarts=1, max_evaluations=400, keep_all=True)
         assert best[0].cost <= c0
+
+
+WORKLOADS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def test_benchmark_search_alternatives_match_the_reference(monkeypatch):
+    """The benchmark's eight search alternatives (16 starts, 2,000
+    evaluations, seeds 0-7) against its stored reference outputs, with its
+    own tolerances: exact result and acceptance counts, the best cost to
+    1e-9 relative.  A benchmark run checks only the alternative its seed
+    draws.  ``perfbench/workloads.py`` uses only the standard library; it
+    is loaded by path, and registered while it runs, as its dataclass
+    needs."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PATH)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    reference = workloads.load_reference()
+    experiments = [exp for slot in workloads.WORKLOADS["circuit_search"] for exp in slot
+                   if exp.key.startswith("circuit_search/search_seed")]
+    assert len(experiments) == 8
+    for exp in experiments:
+        record = run_experiment(resolve_config(parse_config_text(exp.config)))
+        assert workloads.check_outputs(exp.key, workloads.key_outputs(record),
+                                       reference) == []
 
 
 def scored_gate(params, branch, gamma, n_samples):
