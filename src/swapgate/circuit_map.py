@@ -16,14 +16,16 @@ products and sums run left to right, so every operation is IEEE-rounded
 and a circuit gives the same bits alone or in any batch (``np.power`` and
 Python's ``**`` can differ in the last bit, and ``np.sum`` pairs its
 terms).  It runs in two stages, each formula written once:
-``map_cost_fields`` computes the ten fields the search's cost reads, and
-``map_sites`` adds the rest from its intermediates.  Neither holds an
-``np.errstate``: their callers do.  ``circuit_to_spin`` is ``map_sites``
-on one circuit under its own ``np.errstate``, checked against the
-singularity thresholds of the general-chain ``inverse_capacitance``; the
-search's batched cost runs the first stage alone, masks the same
-conditions instead of raising, and runs under the one ``np.errstate`` that
-``search`` holds for its whole descent.
+``map_cost_fields`` computes the six fields the search's cost reads, and
+``map_sites`` adds the rest from its intermediates, the capacitance
+matrix's normalized determinant and condition number among them.  Neither
+holds an ``np.errstate``: their callers do.  ``circuit_to_spin`` is
+``map_sites`` on one circuit under its own ``np.errstate``, checked
+against the singularity thresholds of the general-chain
+``inverse_capacitance``; the search's batched cost runs the first stage
+alone, under the one ``np.errstate`` that ``search`` holds for its whole
+descent, and checks nothing: every point of its box maps (see
+``swapgate.search``).
 
 Unit bridge: Josephson energies are entered in 2pi*GHz, capacitances in fF,
 inductances in nH.  Capacitive and inductive energies are converted to
@@ -174,7 +176,6 @@ def inverse_capacitance(k: np.ndarray) -> tuple[np.ndarray, float]:
 #: a capacitance matrix is singular below this normalized determinant, and
 #: ill-conditioned above this condition number
 _DET_FLOOR, _COND_CEILING = np.array(1e-12), np.array(1e12)
-_ZERO = np.array(0.0)
 
 
 def _check_capacitance(det: float, cond: float) -> None:
@@ -212,9 +213,7 @@ def map_cost_fields(x: np.ndarray) -> tuple[dict[str, np.ndarray], tuple]:
 
     Takes the (8, m) circuit columns of ``map_sites`` and returns the
     couplings ``j1x``, ``j1z``, ``j2x``, ``j2z``, the detuning ``delta`` and
-    ``anh_rel_1``, with what ``mappable`` checks: ``condition_number``, the
-    normalized determinant ``det_norm`` and the quartic-root radicands
-    ``ra``, ``rb``.  The second element holds the intermediates that
+    ``anh_rel_1``.  The second element holds the intermediates that
     ``map_sites`` completes the other fields from.
 
     The end (a) and control (b) sites are mapped through the closed form of
@@ -229,8 +228,6 @@ def map_cost_fields(x: np.ndarray) -> tuple[dict[str, np.ndarray], tuple]:
     c2_2c23 = c2 + _TWO * c23
     d = c2 * c2_2c23
     s = c2 + c23
-    det_norm = d / (s * s + c23 * c23)  # c1^2 cancels
-    cond = np.maximum(c1, c2_2c23) / np.minimum(c1, c2)  # c23 > 0
     e_lb = _IND / l12  # both inductive bonds identical
 
     # rows: end site (a), control site (b)
@@ -267,10 +264,9 @@ def map_cost_fields(x: np.ndarray) -> tuple[dict[str, np.ndarray], tuple]:
     fields = {
         "j1x": jx_tilde[0] * _THOUSAND, "j1z": jz[0], "j2x": j2x * _THOUSAND,
         "j2z": jz[1], "delta": (omega[1] - omega[0]) * _THOUSAND,
-        "anh_rel_1": anh_rel[0], "condition_number": cond,
-        "det_norm": det_norm, "ra": r[0], "rb": r[1],
+        "anh_rel_1": anh_rel[0],
     }
-    return fields, (t, t3, s_mode, omega, anh_rel, j2y)
+    return fields, (r, t, t3, s_mode, omega, anh_rel, j2y, c2_2c23, d, s)
 
 
 def map_sites(x: np.ndarray) -> dict[str, np.ndarray]:
@@ -285,15 +281,15 @@ def map_sites(x: np.ndarray) -> dict[str, np.ndarray]:
     the quartic-root radicands ``ra``, ``rb``.
 
     Circuits are mapped independently and without checks (an unphysical one
-    gives meaningless numbers or NaN; ``mappable`` says which are sound), and
-    the caller holds the ``np.errstate`` that silences their warnings.  The
-    formula uses only IEEE-rounded elementwise operations in a fixed order
-    -- the quartic root is ``sqrt(sqrt(r))``, integer powers are products,
-    sums run left to right -- so a circuit maps to the same bits whatever
-    the batch around it.
+    gives meaningless numbers or NaN), and the caller holds the
+    ``np.errstate`` that silences their warnings.  The formula uses only
+    IEEE-rounded elementwise operations in a fixed order -- the quartic
+    root is ``sqrt(sqrt(r))``, integer powers are products, sums run left
+    to right -- so a circuit maps to the same bits whatever the batch
+    around it.
     """
-    fields, (t, t3, s_mode, omega, anh_rel, j2y) = map_cost_fields(x)
-    e23, tb, tb3 = x[3], t[1], t3[1]
+    fields, (r, t, t3, s_mode, omega, anh_rel, j2y, c2_2c23, d, s) = map_cost_fields(x)
+    e23, c1, c2, c23, tb, tb3 = x[3], x[4], x[5], x[6], t[1], t3[1]
     k23x = -e23 * tb * tb + e23 * tb3 * tb / 6.0
     m23x = e23 * tb * tb3 / 6.0
 
@@ -307,20 +303,10 @@ def map_sites(x: np.ndarray) -> dict[str, np.ndarray]:
         **dict(zip(ghz, np.array(list(ghz.values())) * 1000.0)),
         "omega1": omega[0], "omega2": omega[1], "anh_rel_2": anh_rel[1],
         "ta": t[0], "tb": tb, "sa": s_mode[0], "sb": s_mode[1],
+        "det_norm": d / (s * s + c23 * c23),  # c1^2 cancels
+        "condition_number": np.maximum(c1, c2_2c23) / np.minimum(c1, c2),  # c23 > 0
+        "ra": r[0], "rb": r[1],
     }
-
-
-def mappable(sites: dict[str, np.ndarray]) -> np.ndarray:
-    """Circuits of a ``map_cost_fields`` or ``map_sites`` result that
-    ``circuit_to_spin`` would accept (positive circuit values assumed): not
-    singular, not ill-conditioned, and both quartic-root radicands
-    positive."""
-    return ~(
-        (np.abs(sites["det_norm"]) < _DET_FLOOR)
-        | (sites["condition_number"] > _COND_CEILING)
-        | (sites["ra"] <= _ZERO)
-        | (sites["rb"] <= _ZERO)
-    )
 
 
 def spin_result(sites: dict[str, np.ndarray], index: int) -> SpinMapResult:

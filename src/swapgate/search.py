@@ -3,21 +3,26 @@
 The cost is a weighted sum of squared relative residuals on the gate
 requirements: equal transverse and longitudinal end couplings, the detuning
 on its resonance branch, a floor on the control/end coupling ratio, and a
-floor on the end-qubit relative anharmonicity.  Points outside the box are
-clipped into it and pay a quadratic penalty; circuits the mapping rejects
-cost ``1e6`` plus that penalty.  The cost is evaluated on arrays of points,
-as the columns of a C-contiguous (8, m) array, through the first stage of
-the mapping (``circuit_map.map_cost_fields``), which computes only the
-fields the cost reads; ``search`` holds one ``np.errstate`` for its whole
-descent.  The full ``map_sites`` runs only where values are reported:
-``evaluate_cost``, the cost on one point with its requirement residuals
-and mapped spin parameters, and the one call on the restarts' best
-vertices.  The search runs no dynamics: it scores circuits by the mapping
-alone.  The squared bound excesses are summed in order by
-``np.add.accumulate``: ``np.add.reduce`` and ``sum`` pair the terms of a
-lone column or of a row, so a point would cost other bits alone.
+floor on the end-qubit relative anharmonicity.  The search runs over one
+box, ``DEFAULT_BOUNDS``; points outside it are clipped into it and pay a
+quadratic penalty.  Every point of the box maps: all its values are
+positive, so both quartic-root radicands are; the normalized determinant
+of the gate capacitance matrix is at least 0.0198 (at c2 = 20, c23 = 1000)
+against the mapping's 1e-12 floor, and its condition number at most 150
+against the 1e12 ceiling.  So the cost has no infeasible branch.  The cost
+is evaluated on arrays of points, as the columns of a C-contiguous (8, m)
+array, through the first stage of the mapping
+(``circuit_map.map_cost_fields``), which computes only the fields the cost
+reads; ``search`` holds one ``np.errstate`` for its whole descent.  The
+full ``map_sites`` runs only where values are reported: ``evaluate_cost``,
+the cost on one point with its requirement residuals and mapped spin
+parameters, and the one call on the restarts' best vertices.  The search
+runs no dynamics: it scores circuits by the mapping alone.  The squared
+bound excesses are summed in order by ``np.add.accumulate``:
+``np.add.reduce`` and ``sum`` pair the terms of a lone column or of a row,
+so a point would cost other bits alone.
 
-Multi-start random initialization inside the bounds feeds one Nelder-Mead
+Multi-start random initialization inside the box feeds one Nelder-Mead
 simplex per start (Nelder & Mead, Comput. J. 7, 308 (1965)).  All simplices
 descend in lockstep, held vertex-major: each iteration makes one batched
 cost call on the reflection, expansion and both contraction points of every
@@ -30,7 +35,7 @@ are deduplicated and sorted, and identical seeds give identical output.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -41,7 +46,6 @@ from .circuit_map import (
     SpinMapResult,
     map_cost_fields,
     map_sites,
-    mappable,
     spin_result,
 )
 from .spin_model import MIN_COUPLING_RATIO, delta_for_branch
@@ -58,15 +62,16 @@ DEFAULT_BOUNDS: dict[str, tuple[float, float]] = {
     "l12": (25.0, 100.0),
 }
 
-#: cost of a circuit the mapping rejects, before the bounds penalty
-INFEASIBLE_COST = 1e6
-
+# the box's lower and upper edges and its widths, as (8, 1) columns in
+# ``CIRCUIT_NAMES`` order
+_LO, _HI = np.array([DEFAULT_BOUNDS[n] for n in CIRCUIT_NAMES]).T[:, :, None]
+_SPAN = _HI - _LO
 
 # weights of the anharmonicity residual and of the bounds penalty (the
 # other three residuals weigh 1), and the cost's other operands, as 0-d
 # arrays (see ``circuit_map``)
 _W_ANHARMONICITY, _W_BOUNDS = np.array(0.1), np.array(10.0)
-_INFEASIBLE, _SCALE_FLOOR, _ZERO = np.array(INFEASIBLE_COST), np.array(1e-9), np.array(0.0)
+_SCALE_FLOOR, _ZERO = np.array(1e-9), np.array(0.0)
 #: floor on the end-qubit relative anharmonicity, 0.1%
 ANH_FLOOR = 0.001
 _ANH_FLOOR, _MIN_RATIO = np.array(ANH_FLOOR), np.array(MIN_COUPLING_RATIO)
@@ -105,24 +110,9 @@ def _residuals(spin, branch: str) -> dict[str, np.ndarray]:
     }
 
 
-def _box(
-    bounds: dict[str, tuple[float, float]] | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The box's lower and upper edges in ``CIRCUIT_NAMES`` order; a name
-    that ``bounds`` does not list keeps its ``DEFAULT_BOUNDS`` range."""
-    bounds = dict(DEFAULT_BOUNDS, **(bounds or {}))
-    lo = np.array([bounds[n][0] for n in CIRCUIT_NAMES], dtype=float)
-    hi = np.array([bounds[n][1] for n in CIRCUIT_NAMES], dtype=float)
-    if np.any(hi < lo):
-        raise ValueError("bounds must satisfy lo <= hi")
-    return lo, hi
-
-
-def _cost_rows(
-    x: np.ndarray, branch: str, lo: np.ndarray, hi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cost of every row of ``x``: the costs, the feasibility mask and the
-    points clipped into the box, as columns.
+def _cost_rows(x: np.ndarray, branch: str) -> tuple[np.ndarray, np.ndarray]:
+    """Cost of every row of ``x``: the costs and the points clipped into the
+    box, as columns.
 
     The points become the columns of a C-contiguous (8, m) array, mapped by
     ``map_cost_fields`` alone; every step is elementwise and the
@@ -130,49 +120,39 @@ def _cost_rows(
     so a row's cost does not depend on the batch around it.  The caller
     holds the ``np.errstate``.
     """
-    lo, hi = lo[:, None], hi[:, None]
     cols = np.ascontiguousarray(np.asarray(x, dtype=float).T)
-    clipped = np.minimum(np.maximum(cols, lo), hi)
+    clipped = np.minimum(np.maximum(cols, _LO), _HI)
     # x - clipped is lo - x below the box and x - hi above it, up to sign
-    excess = (cols - clipped) / np.maximum(hi - lo, _SCALE_FLOOR)
+    excess = (cols - clipped) / _SPAN
     penalty = np.add.accumulate(excess * excess)[-1]
 
     fields, _ = map_cost_fields(clipped)
-    feasible = ~(clipped <= _ZERO).any(axis=0) & mappable(fields)
     r1, r2, r3, r4 = _residuals(fields, branch).values()
     cost = (r1 * r1 + r2 * r2 + r3 * r3 + _W_ANHARMONICITY * (r4 * r4)
             + _W_BOUNDS * penalty)
-    return np.where(feasible, cost, _INFEASIBLE + penalty), feasible, clipped
+    return cost, clipped
 
 
 def _reported_rows(
-    x: np.ndarray, branch: str, lo: np.ndarray, hi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict, dict]:
+    x: np.ndarray, branch: str
+) -> tuple[np.ndarray, np.ndarray, dict, dict]:
     """``_cost_rows`` with what is reported of each row: its clipped point
     as a row, its full ``map_sites`` result and its residual arrays."""
-    cost, feasible, clipped = _cost_rows(x, branch, lo, hi)
+    cost, clipped = _cost_rows(x, branch)
     sites = map_sites(clipped)
-    return cost, feasible, clipped.T, sites, _residuals(sites, branch)
+    return cost, clipped.T, sites, _residuals(sites, branch)
 
 
 def evaluate_cost(
-    x: np.ndarray,
-    branch: str,
-    bounds: dict[str, tuple[float, float]] | None,
-) -> tuple[float, dict[str, float] | None, SpinMapResult | None]:
-    """Cost at a parameter vector; infeasible points get a large finite cost.
+    x: np.ndarray, branch: str
+) -> tuple[float, dict[str, float], SpinMapResult]:
+    """Cost at a parameter vector, with the requirement residuals and the
+    mapping of the point clipped into the box.
 
-    This is the batched cost of ``search`` on one row, with the residuals
-    and the mapping of the clipped point when the mapping accepts it.
-    ``bounds`` is read as by ``search``.
+    This is the batched cost of ``search`` on one row.
     """
-    lo, hi = _box(bounds)
     with np.errstate(all="ignore"):
-        cost, feasible, _, sites, res = _reported_rows(
-            np.asarray(x, dtype=float)[None, :], branch, lo, hi
-        )
-    if not feasible[0]:
-        return float(cost[0]), None, None
+        cost, _, sites, res = _reported_rows(np.asarray(x, dtype=float)[None, :], branch)
     return (
         float(cost[0]),
         {name: float(v[0]) for name, v in res.items()},
@@ -301,34 +281,45 @@ def _lockstep_nelder_mead(
     return sim.transpose(1, 0, 2), fsim.T, nfev
 
 
-def search(
-    bounds: dict[str, tuple[float, float]] | None = None,
-    branch: str = "plus",
-    seed: int = 0,
-    n_restarts: int = 64,
-    max_evaluations: int = 2000,
-    keep_all: bool = False,
-) -> list[SearchResult]:
-    """Multi-start simplex search over the circuit box, ``bounds`` mapping
-    circuit names to (lo, hi); a name it does not list keeps its
-    ``DEFAULT_BOUNDS`` range.
+def _distinct(cost: np.ndarray, circuits: np.ndarray) -> np.ndarray:
+    """Indices of the rows of ``circuits`` (m, 8) to report, sorted by
+    (cost, circuit values): a row is dropped when each of its values is
+    within 1%, relative to the other row's, of a row kept before it."""
+    order = np.lexsort((*circuits.T[::-1], cost))
+    rows = circuits[order]
+    far = (np.abs(rows[:, None] - rows) / np.maximum(np.abs(rows), 1e-12)
+           ).max(axis=2) > 0.01
+    kept = np.zeros(len(rows), dtype=bool)
+    for i in range(len(rows)):
+        kept[i] = far[i, kept].all()
+    return order[kept]
 
-    Returns distinct local minima sorted by (cost, parameters); two results
-    are duplicates when every circuit parameter agrees within 1% relative.
-    With ``keep_all`` false, only results passing the acceptance residuals
-    are returned, so an infeasible search yields an empty list (the residual
-    diagnostics remain available through ``keep_all=True``).
+
+def search(
+    *,
+    branch: str,
+    seed: int,
+    n_restarts: int,
+    max_evaluations: int,
+    keep_all: bool,
+) -> list[SearchResult]:
+    """Multi-start simplex search over the ``DEFAULT_BOUNDS`` box.
+
+    Returns distinct local minima sorted by (cost, parameters); a result is
+    a duplicate when every circuit parameter agrees within 1% relative with
+    one kept before it.  With ``keep_all`` false, only results passing the
+    acceptance residuals are returned, so a search that accepts nothing
+    yields an empty list (the residual diagnostics remain available through
+    ``keep_all=True``).
     """
     if max_evaluations < 1:
         raise ValueError(f"max_evaluations must be at least 1, got {max_evaluations}")
     rng = np.random.default_rng(seed)
-    lo, hi = _box(bounds)
-    starts = lo + (hi - lo) * rng.random((n_restarts, len(CIRCUIT_NAMES)))
+    starts = _LO.T + _SPAN.T * rng.random((n_restarts, len(CIRCUIT_NAMES)))
     with np.errstate(all="ignore"):  # one for the whole descent
         simplices, _, _ = _lockstep_nelder_mead(
-            lambda x: _cost_rows(x, branch, lo, hi)[0], starts, max_evaluations)
-        cost, feasible, circuits, sites, res = _reported_rows(
-            simplices[:, 0], branch, lo, hi)
+            lambda x: _cost_rows(x, branch)[0], starts, max_evaluations)
+        cost, circuits, sites, res = _reported_rows(simplices[:, 0], branch)
     results = [
         SearchResult(
             circuit=CircuitParams(*(float(v) for v in circuits[i])),
@@ -336,17 +327,8 @@ def search(
             cost=float(cost[i]),
             residuals={name: float(v[i]) for name, v in res.items()},
         )
-        for i in feasible.nonzero()[0]
+        for i in _distinct(cost, circuits)
     ]
-
-    results.sort(key=lambda r: (r.cost,) + astuple(r.circuit))
-    deduped: list[SearchResult] = []
-    for r in results:
-        x = astuple(r.circuit)
-        rel = (max(abs(a - b) / max(abs(b), 1e-12) for a, b in zip(x, astuple(k.circuit)))
-               for k in deduped)
-        if all(d > 0.01 for d in rel):
-            deduped.append(r)
     if keep_all:
-        return deduped
-    return [r for r in deduped if r.accepted]
+        return results
+    return [r for r in results if r.accepted]

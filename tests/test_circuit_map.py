@@ -295,8 +295,9 @@ class TestBatchedMap:
                                           equal_nan=True), (name, size, start)
 
     def test_first_stage_holds_the_reported_bits(self):
-        """``map_cost_fields`` is the first stage of ``map_sites``: its ten
-        fields are the very arrays ``map_sites`` reports, NaN included."""
+        """``map_cost_fields`` is the first stage of ``map_sites``: its six
+        fields, the ones the search's cost reads, are the very arrays
+        ``map_sites`` reports, NaN included."""
         rng = np.random.default_rng(43)
         lo = np.array([DEFAULT_BOUNDS[name][0] for name in CIRCUIT_NAMES])
         hi = np.array([DEFAULT_BOUNDS[name][1] for name in CIRCUIT_NAMES])
@@ -304,7 +305,8 @@ class TestBatchedMap:
         with np.errstate(all="ignore"):
             fields, _ = map_cost_fields(x)
             sites = map_sites(x)
-        assert len(fields) == 10 and np.isnan(fields["j1x"]).any()
+        assert set(fields) == {"j1x", "j1z", "j2x", "j2z", "delta", "anh_rel_1"}
+        assert np.isnan(fields["j1x"]).any()
         for name, column in fields.items():
             assert np.array_equal(column, sites[name], equal_nan=True), name
 

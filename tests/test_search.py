@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib.util
+import itertools
 import sys
 import warnings
 from pathlib import Path
@@ -32,11 +33,10 @@ from swapgate.spin_model import (
 )
 from swapgate.search import (
     DEFAULT_BOUNDS,
-    INFEASIBLE_COST,
     _FATOL,
     _XATOL,
-    _box,
     _cost_rows,
+    _distinct,
     _lockstep_nelder_mead,
     _residuals,
     evaluate_cost,
@@ -48,28 +48,54 @@ def table_circuit_values(row):
     return [table_row(row)[name] for name in CIRCUIT_NAMES]
 
 
-def draw_starts(seed, n, bounds=DEFAULT_BOUNDS):
-    lo, hi = _box(bounds)
+# the search box's edges in ``CIRCUIT_NAMES`` order
+BOX_LO, BOX_HI = (np.array([DEFAULT_BOUNDS[n][k] for n in CIRCUIT_NAMES]) for k in (0, 1))
+
+
+def draw_starts(seed, n):
+    """The starts ``search`` draws for ``seed``."""
     rng = np.random.default_rng(seed)
-    return lo + (hi - lo) * rng.random((n, len(lo)))
+    return BOX_LO + (BOX_HI - BOX_LO) * rng.random((n, len(BOX_LO)))
 
 
-def assert_matches_scipy(starts, budget, branch="plus", bounds=DEFAULT_BOUNDS):
-    """The lockstep descent against scipy's Nelder-Mead, start by start.
+def search_costs(branch):
+    """The search's batched cost on ``branch`` and its single-point form."""
+    return (lambda x: _cost_rows(x, branch)[0],
+            lambda x: evaluate_cost(x, branch)[0])
+
+
+#: the value of ``plateau_cost`` where the first coordinate is negative
+PLATEAU = 1e6
+
+
+def plateau_cost(x):
+    """A cost with an exact plateau, ``PLATEAU`` wherever the first
+    coordinate is negative, and below it elsewhere a bowl with its floor at
+    (100, ..., 100); its terms are added left to right, so a row costs the
+    same bits in any batch."""
+    x = np.asarray(x, dtype=float)
+    bowl = sum(((x[:, k] - 100.0) / 100.0) ** 2 for k in range(x.shape[1]))
+    return np.where(x[:, 0] < 0, PLATEAU, bowl)
+
+
+def plateau_costs():
+    """``plateau_cost`` on a batch and on one point."""
+    return plateau_cost, lambda x: plateau_cost(x[None, :])[0]
+
+
+def assert_matches_scipy(starts, budget, batch_cost, point_cost):
+    """The lockstep descent on ``batch_cost`` against scipy's Nelder-Mead on
+    ``point_cost``, its cost on one point, start by start.
 
     Each start's final simplex, its costs and its evaluation count must equal
-    scipy's bit for bit, with the search's cost and stopping tolerances.
-    Returns the lockstep costs.
+    scipy's bit for bit, with the search's stopping tolerances.  Returns the
+    lockstep costs.
     """
-    lo, hi = _box(bounds)
     with np.errstate(all="ignore"):  # as ``search`` holds it for its descent
-        sims, fsims, nfev = _lockstep_nelder_mead(
-            lambda x: _cost_rows(x, branch, lo, hi)[0],
-            starts, budget,
-        )
+        sims, fsims, nfev = _lockstep_nelder_mead(batch_cost, starts, budget)
     for r, x0 in enumerate(starts):
         sol = minimize(
-            lambda x: evaluate_cost(x, branch, bounds)[0], x0,
+            point_cost, x0,
             method="Nelder-Mead",
             options={"maxfev": budget, "xatol": _XATOL, "fatol": _FATOL},
         )
@@ -84,7 +110,7 @@ def assert_matches_scipy(starts, budget, branch="plus", bounds=DEFAULT_BOUNDS):
 class TestCostFunction:
     def test_residuals_of_mapped_point(self):
         x = np.array([561.6, 438.5, 186.0, 397.1, 926.3, 76.2, 240.4, 37.3])
-        _, res, _ = evaluate_cost(x, "plus", DEFAULT_BOUNDS)
+        _, res, _ = evaluate_cost(x, "plus")
         assert set(res) == {
             "j1_equality", "delta_branch", "coupling_ratio", "anharmonicity"
         }
@@ -94,108 +120,98 @@ class TestCostFunction:
         x_in = np.array([300, 300, 200, 200, 500, 100, 300, 50], dtype=float)
         x_out = x_in.copy()
         x_out[0] = 5000.0
-        c_in, _, _ = evaluate_cost(x_in, "plus", DEFAULT_BOUNDS)
-        c_out, _, _ = evaluate_cost(x_out, "plus", DEFAULT_BOUNDS)
+        c_in, _, _ = evaluate_cost(x_in, "plus")
+        c_out, _, _ = evaluate_cost(x_out, "plus")
         assert c_out > c_in
-
-    def test_inverted_bounds_rejected(self):
-        """Clipping into a box with lo > hi has no meaning; the single-point
-        cost refuses it as ``search`` does."""
-        bounds = dict(DEFAULT_BOUNDS, e1=(700.0, 50.0))
-        x = np.array([300, 300, 200, 200, 500, 100, 300, 50], dtype=float)
-        with pytest.raises(ValueError, match="lo <= hi"):
-            evaluate_cost(x, "plus", bounds)
-        with pytest.raises(ValueError, match="lo <= hi"):
-            search(bounds=bounds, n_restarts=1, max_evaluations=10)
-
-    @pytest.mark.parametrize("bounds", [DEFAULT_BOUNDS, {"e1": (50.0, 700.0)}, None],
-                             ids=["full", "partial", "none"])
-    def test_partial_box_is_filled_from_the_defaults(self, bounds):
-        """A name the box does not list keeps its default range, as in
-        ``search``; an inverted range is still refused."""
-        x = np.array([300, 300, 200, 200, 500, 100, 300, 50], dtype=float)
-        want, _, _ = evaluate_cost(x, "plus", DEFAULT_BOUNDS)
-        assert evaluate_cost(x, "plus", bounds)[0] == want
-        with pytest.raises(ValueError, match="lo <= hi"):
-            evaluate_cost(x, "plus", dict(bounds or {}, e1=(700.0, 50.0)))
 
     def test_smoothness_under_perturbation(self):
         """A 1% nudge on any single parameter changes the cost finitely."""
         x = np.array([300, 300, 200, 200, 500, 100, 300, 50], dtype=float)
-        c0, _, _ = evaluate_cost(x, "plus", DEFAULT_BOUNDS)
+        c0, _, _ = evaluate_cost(x, "plus")
         for k in range(8):
             x2 = x.copy()
             x2[k] *= 1.01
-            c1, _, _ = evaluate_cost(x2, "plus", DEFAULT_BOUNDS)
+            c1, _, _ = evaluate_cost(x2, "plus")
             assert np.isfinite(c1)
             assert abs(c1 - c0) < 10.0
 
 
-# the TestCostParity boxes
-BOX_FEASIBLE = DEFAULT_BOUNDS
-# lo <= 0: clipped values at or below zero are not circuits
-BOX_NONPOSITIVE = dict(DEFAULT_BOUNDS, e1=(-700.0, 700.0), c2=(0.0, 1000.0))
-# c2 / c23 below 1e-12: a singular capacitance matrix
-BOX_SINGULAR = dict(DEFAULT_BOUNDS, c2=(1e-13, 1e-11), c23=(500.0, 1000.0))
-# c1 / c2 above 1e12: an ill-conditioned one
-BOX_ILL_CONDITIONED = dict(DEFAULT_BOUNDS, c1=(1e16, 1e17))
+def box_points():
+    """The box's 256 corners, 1,000 uniform draws inside it and 1,000 draws
+    up to three widths past either side, clipped into it as the cost clips
+    them."""
+    rng = np.random.default_rng(53)
+    width = BOX_HI - BOX_LO
+    corners = np.array(list(itertools.product(*zip(BOX_LO, BOX_HI))))
+    inside = BOX_LO + width * rng.random((1000, len(BOX_LO)))
+    outside = BOX_LO + width * rng.uniform(-3.0, 4.0, (1000, len(BOX_LO)))
+    return np.vstack([corners, inside, np.clip(outside, BOX_LO, BOX_HI)])
 
 
-def parity_points(lo, hi):
+class TestEveryBoxPointMaps:
+    """The search's cost has no infeasible branch: every point of
+    ``DEFAULT_BOUNDS`` maps.  A box that admits an unmappable point fails
+    here rather than giving NaN costs."""
+
+    def test_checked_mapping_accepts_every_point(self):
+        """``circuit_to_spin`` raises on a singular or ill-conditioned
+        capacitance matrix and on a nonpositive quartic-root radicand."""
+        points = box_points()
+        assert len(points) == 2256
+        for x in points:
+            circuit_to_spin(CircuitParams(*x.tolist()))
+
+    def test_capacitance_bounds(self):
+        """Over the box, the normalized determinant
+        c2 (c2 + 2 c23) / ((c2 + c23)^2 + c23^2) is at least 0.0198 (at
+        c2 = 20, c23 = 1000) and the condition number
+        max(c1, c2 + 2 c23) / min(c1, c2) at most 150 (at c1 = 20,
+        c2 = c23 = 1000), far from the mapping's 1e-12 and 1e12 limits."""
+        sites = map_sites(np.ascontiguousarray(box_points().T))
+        assert sites["det_norm"].min() >= 0.0198
+        assert sites["condition_number"].max() <= 150.0
+        assert sites["ra"].min() > 0 and sites["rb"].min() > 0
+
+    @pytest.mark.parametrize("branch", ["plus", "minus"])
+    def test_costs_are_finite(self, branch):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            cost, _ = _cost_rows(box_points(), branch)
+        assert np.isfinite(cost).all()
+
+
+def parity_points():
     """256 points, half of them outside the box by up to half its width per
     side."""
     rng = np.random.default_rng(31)
-    return lo + (hi - lo) * rng.uniform(-0.5, 1.5, (256, len(lo)))
+    return BOX_LO + (BOX_HI - BOX_LO) * rng.uniform(-0.5, 1.5, (256, len(BOX_LO)))
 
 
 class TestCostParity:
     """The batched cost, row by row, against ``evaluate_cost`` on one point,
-    and against the recorded bits of each batch."""
+    and against the recorded bits of the batch."""
 
-    @pytest.mark.parametrize("bounds, n_feasible", [
-        (BOX_FEASIBLE, "all"),
-        (BOX_NONPOSITIVE, "some"),
-        (BOX_SINGULAR, "none"),
-        (BOX_ILL_CONDITIONED, "none"),
-    ])
-    def test_rows_equal_single_point_cost(self, bounds, n_feasible):
-        lo, hi = _box(bounds)
-        x = parity_points(lo, hi)
-        for branch in ("plus", "minus"):
-            with np.errstate(all="ignore"):  # held by ``_cost_rows``' callers
-                batch, feasible, _ = _cost_rows(x, branch, lo, hi)
-            single = [evaluate_cost(row, branch, bounds) for row in x]
-            assert np.array_equal(batch, [c for c, _, _ in single])
-            assert np.array_equal(feasible, [res is not None for _, res, _ in single])
-            assert n_feasible == {0: "none", len(x): "all"}.get(feasible.sum(), "some")
-            assert np.all(batch[~feasible] >= INFEASIBLE_COST)
+    @pytest.mark.parametrize("branch", ["plus", "minus"])
+    def test_rows_equal_single_point_cost(self, branch):
+        x = parity_points()
+        with np.errstate(all="ignore"):  # held by ``_cost_rows``' callers
+            batch, _ = _cost_rows(x, branch)
+        assert np.array_equal(batch, [evaluate_cost(row, branch)[0] for row in x])
 
-    @pytest.mark.parametrize("bounds, digests", [
-        (BOX_FEASIBLE,
-         ("a1874c817730ddc20c97c40c9c4de7ba34eeb0f43b9bb41368d070a6da76c57f",
-          "8dba038514fec97bab70c0be5ea178105005a86f726d500c9c46b1067ca09576")),
-        (BOX_NONPOSITIVE,
-         ("9c6ad31229b0b3e17c32f3019c7fc9874b66a9188d27f3de4430b135ec8a16e5",
-          "95e731514687ad8e10b9a1ba07756e3b0eb6846e53b1fa2ad61b826f27341ad6")),
-        # no point maps: 1e6 plus the bounds penalty, on either branch
-        (BOX_SINGULAR,
-         ("13e82273947407af51079a413799985c03017c334deba5724ae37eb61561b081",) * 2),
-        (BOX_ILL_CONDITIONED,
-         ("6e90020e9dc2a658b918c495fbbc1a3e540a0727fc36733e5c950996c3f9bfe6",) * 2),
-    ], ids=["feasible", "nonpositive", "singular", "ill-conditioned"])
-    def test_costs_keep_their_recorded_bits(self, bounds, digests):
+    def test_costs_keep_their_recorded_bits(self):
         """The sha256 of each branch's costs, little-endian, as first
         recorded.  The scipy comparisons call the same cost on both sides,
         so a cost that changed bits would still pass them; it fails here."""
-        lo, hi = _box(bounds)
+        digests = ("a1874c817730ddc20c97c40c9c4de7ba34eeb0f43b9bb41368d070a6da76c57f",
+                   "8dba038514fec97bab70c0be5ea178105005a86f726d500c9c46b1067ca09576")
         for branch, digest in zip(("plus", "minus"), digests):
             with np.errstate(all="ignore"):
-                batch, _, _ = _cost_rows(parity_points(lo, hi), branch, lo, hi)
+                batch, _ = _cost_rows(parity_points(), branch)
             assert hashlib.sha256(batch.astype("<f8").tobytes()).hexdigest() == digest
 
     def test_single_point_reports_match_the_mapping(self):
         x = np.array([561.6, 438.5, 186.0, 397.1, 926.3, 76.2, 240.4, 37.3])
-        cost, res, spin = evaluate_cost(x, "plus", DEFAULT_BOUNDS)
+        cost, res, spin = evaluate_cost(x, "plus")
         want = circuit_to_spin(CircuitParams(*x))
         assert spin == want
         assert res == {name: float(v) for name, v in _residuals(vars(want), "plus").items()}
@@ -213,64 +229,55 @@ class TestLockstepDescent:
     def test_matches_scipy_per_start(self, budget, branch):
         # budgets below, at and just past the initial simplex's 9
         # evaluations, one that stops mid-iteration and a long descent
-        assert_matches_scipy(draw_starts(budget, 6), budget, branch)
+        assert_matches_scipy(draw_starts(budget, 6), budget, *search_costs(branch))
 
     def test_matches_scipy_on_the_search_budget(self):
-        assert_matches_scipy(draw_starts(2000, 4), 2000)
+        assert_matches_scipy(draw_starts(2000, 4), 2000, *search_costs("plus"))
 
-    def test_zero_coordinate_and_degenerate_bounds(self):
-        """A start with a zero coordinate (scipy steps it by 0.00025) under a
-        box with ``lo == hi`` on two parameters (a 1e-9 penalty scale)."""
-        bounds = dict(DEFAULT_BOUNDS, l12=(50.0, 50.0), c23=(300.0, 300.0))
-        starts = draw_starts(4, 5, bounds)
+    def test_zero_coordinate_start(self):
+        """Starts with a zero coordinate, which scipy steps by 0.00025 where
+        it steps the others by 5%; one of them sits on the plateau's edge."""
+        starts = draw_starts(4, 5)
         starts[0, 2] = 0.0
+        starts[1, 0] = 0.0
         starts[3, 7] = 0.0
-        assert_matches_scipy(starts, 150, "minus", bounds)
+        assert_matches_scipy(starts, 150, *plateau_costs())
 
     def test_cost_plateaus_and_ties(self):
-        """Under lo <= 0 bounds whole regions cost exactly ``INFEASIBLE_COST``:
-        ties between trial and vertex costs decide the branch."""
-        bounds = dict(DEFAULT_BOUNDS, e1=(-700.0, 700.0), c2=(-1000.0, 1000.0))
-        starts = draw_starts(9, 8, bounds)
-        fsims = assert_matches_scipy(starts, 120, "plus", bounds)
-        assert np.any(fsims == INFEASIBLE_COST)
+        """Where the first coordinate is negative the cost is exactly
+        ``PLATEAU``: ties between trial and vertex costs decide the branch."""
+        starts = draw_starts(9, 8)
+        starts[:, 0] -= 400.0
+        fsims = assert_matches_scipy(starts, 120, *plateau_costs())
+        assert np.any(fsims == PLATEAU) and np.any(fsims < PLATEAU)
 
     @pytest.mark.parametrize("budget", range(11, 20))
     def test_budget_ends_mid_shrink(self, budget):
-        """On a flat infeasible region every iteration shrinks: 9 initial
-        evaluations, a reflection and an inside contraction that tie with the
-        worst vertex, then 8 shrink evaluations, of which budgets 11-19 allow
-        0-8.  The starts are table circuits with e1 < 0 whose initial
-        simplices stay inside the box, so every vertex costs exactly
-        ``INFEASIBLE_COST``."""
-        bounds = dict(DEFAULT_BOUNDS, e1=(-700.0, 700.0))
+        """On a plateau every iteration shrinks: 9 initial evaluations, a
+        reflection and an inside contraction that tie with the worst vertex,
+        then 8 shrink evaluations, of which budgets 11-19 allow 0-8.  The
+        starts are table circuits with a negative first coordinate, whose
+        simplices stay on the plateau, so every vertex costs exactly
+        ``PLATEAU``."""
         starts = np.array([table_circuit_values(row) for row in (1, 6, 8)])
         starts[:, 0] = [-300.0, -450.0, -120.0]
         calls = []
 
         def cost(x):
             calls.append(len(x))
-            return _cost_rows(x, "plus", *_box(bounds))[0]
+            return plateau_cost(x)
 
-        with np.errstate(all="ignore"):  # as ``search`` holds it
-            _lockstep_nelder_mead(cost, starts, budget)
+        _lockstep_nelder_mead(cost, starts, budget)
         assert calls == [27, 12, 24]  # init, trial points, all three shrink
-        fsims = assert_matches_scipy(starts, budget, "plus", bounds)
-        assert np.all(fsims == INFEASIBLE_COST)
-
-    def test_point_bounds(self):
-        """A box of one point: every step off it costs ~1e18 (a 1e-9
-        penalty scale), so the start stays the best vertex."""
-        point = {k: (v[0], v[0]) for k, v in DEFAULT_BOUNDS.items()}
-        lo, _ = _box(point)
-        fsims = assert_matches_scipy(lo[None, :], 50, "plus", point)
-        assert fsims[0, 0] == evaluate_cost(lo, "plus", point)[0]
+        fsims = assert_matches_scipy(starts, budget, *plateau_costs())
+        assert np.all(fsims == PLATEAU)
 
     def test_search_is_the_lockstep_descent_of_its_starts(self):
         """``search`` draws its starts in restart order and reports the cost
         at each start's best vertex."""
-        results = search(seed=4, n_restarts=3, max_evaluations=60, keep_all=True)
-        fsims = assert_matches_scipy(draw_starts(4, 3), 60)
+        results = search(branch="plus", seed=4, n_restarts=3, max_evaluations=60,
+                         keep_all=True)
+        fsims = assert_matches_scipy(draw_starts(4, 3), 60, *search_costs("plus"))
         assert results[0].cost == fsims[:, 0].min()
         assert {r.cost for r in results} <= set(fsims[:, 0].tolist())
 
@@ -280,17 +287,13 @@ class TestLockstepDescent:
         """``search`` assembles all results from one batched cost call: each
         must be ``evaluate_cost`` at its own restart's best vertex, with the
         same cost, residuals and every mapped spin field."""
-        lo, hi = _box(DEFAULT_BOUNDS)
         with np.errstate(all="ignore"):  # as ``search`` holds it
             sims, _, _ = _lockstep_nelder_mead(
-                lambda x: _cost_rows(x, branch, lo, hi)[0],
-                draw_starts(seed, 6), 120,
-            )
-        want = {}
-        for x in sims[:, 0]:
-            cost, res, spin = evaluate_cost(x, branch, DEFAULT_BOUNDS)
-            if res is not None:
-                want[CircuitParams(*map(float, np.clip(x, lo, hi)))] = (cost, res, spin)
+                search_costs(branch)[0], draw_starts(seed, 6), 120)
+        want = {
+            CircuitParams(*map(float, np.clip(x, BOX_LO, BOX_HI))): evaluate_cost(x, branch)
+            for x in sims[:, 0]
+        }
         results = search(branch=branch, seed=seed, n_restarts=6,
                          max_evaluations=120, keep_all=True)
         assert len(results) >= 2
@@ -300,15 +303,16 @@ class TestLockstepDescent:
 
 class TestSearch:
     def test_deterministic(self):
-        a = search(seed=3, n_restarts=3, max_evaluations=150, keep_all=True)
-        b = search(seed=3, n_restarts=3, max_evaluations=150, keep_all=True)
+        a = search(branch="plus", seed=3, n_restarts=3, max_evaluations=150, keep_all=True)
+        b = search(branch="plus", seed=3, n_restarts=3, max_evaluations=150, keep_all=True)
         assert len(a) == len(b)
         for ra, rb in zip(a, b):
             assert ra.cost == rb.cost
             assert ra.circuit == rb.circuit
 
     def test_sorted_and_deduplicated(self):
-        results = search(seed=1, n_restarts=4, max_evaluations=150, keep_all=True)
+        results = search(branch="plus", seed=1, n_restarts=4, max_evaluations=150,
+                         keep_all=True)
         costs = [r.cost for r in results]
         assert costs == sorted(costs)
         for i, a in enumerate(results):
@@ -319,6 +323,39 @@ class TestSearch:
                     for n in DEFAULT_BOUNDS
                 )
                 assert rel > 0.01
+
+    def test_distinct_rows_match_the_pairwise_loop(self):
+        """``_distinct`` against a loop over sorted (cost, values) tuples
+        that keeps a row only if, for every kept row, some value differs by
+        more than 1% of the kept row's.  Of the 26 rows, 8 go: four within
+        0.5% of a base row and two exact copies; of rows that differ only in
+        a value of 99, 100 and 101, the 101 (1% of 100 exactly), while 100
+        stays, 1% from 99 only relative to 100; and of 200, 201.5 and 203.5,
+        the 201.5, while 203.5 stays, within 1% of the dropped 201.5 only.
+        Costs are drawn with many ties, then all tied."""
+        base = draw_starts(7, 12)
+        tail = np.repeat(base[8:9], 6, axis=0)
+        tail[:, 0] = [101.0, 100.0, 99.0, 203.5, 201.5, 200.0]
+        rows = np.vstack([base, base[:4] * 1.005, base[4:6], base[6:8] * 1.02, tail])
+        cost = np.round(np.random.default_rng(7).random(len(rows)), 1)
+        cost[-6:] = 0.0
+        for c in (cost, np.zeros(len(rows))):
+            order = sorted(range(len(rows)), key=lambda i: (c[i], *rows[i]))
+            want = []
+            for i in order:
+                if all(max(abs(a - b) / max(abs(b), 1e-12) for a, b in zip(rows[i], rows[k]))
+                       > 0.01 for k in want):
+                    want.append(i)
+            assert _distinct(c, rows).tolist() == want
+            assert len(want) == len(rows) - 8 and {21, 22, 23, 25} <= set(want)
+
+    def test_keep_all_false_keeps_the_accepted_results(self):
+        """Nothing passes the acceptance residuals (ROADMAP item 11), so the
+        filtered search is empty."""
+        kwargs = dict(branch="plus", seed=2, n_restarts=4, max_evaluations=150)
+        every = search(**kwargs, keep_all=True)
+        assert every and not any(r.accepted for r in every)
+        assert search(**kwargs, keep_all=False) == []
 
     def test_default_experiment_regression_pin(self):
         """The default ``search`` experiment's best cost and result count.
@@ -333,32 +370,20 @@ class TestSearch:
         assert summary["best_cost"] == pytest.approx(0.9633969687757836, rel=1e-9)
         assert summary["n_results"] == 8
 
-    def test_degenerate_infeasible_bounds_empty(self):
-        point = {k: (v[0], v[0]) for k, v in DEFAULT_BOUNDS.items()}
-        out = search(bounds=point, seed=0, n_restarts=2, max_evaluations=50)
-        assert out == []
-
-    def test_infeasible_and_nan_rows_raise_no_warning(self):
-        """Under lo <= 0 bounds the descent meets non-positive circuit values
-        and negative quartic-root radicands (NaN mode scales); every entry
-        point keeps numpy's warnings inside."""
-        bounds = dict(DEFAULT_BOUNDS, e1=(-700.0, 700.0), c2=(-1000.0, 1000.0))
-        lo, hi = _box(bounds)
-        starts = draw_starts(9, 8, bounds)
-        with np.errstate(all="ignore"):  # ``_cost_rows`` is not an entry point
-            _, feasible, clipped = _cost_rows(starts, "plus", lo, hi)
-            sites = map_sites(clipped)
+    def test_entry_points_raise_no_warning(self):
+        """Every entry point keeps numpy's warnings inside: ``search``,
+        ``evaluate_cost`` far outside the box (the penalty overflows to inf)
+        and ``circuit_to_spin`` on a circuit it refuses."""
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            results = search(bounds=bounds, seed=9, n_restarts=8,
-                             max_evaluations=120, keep_all=True)
-            cost, res, spin = evaluate_cost(starts[~feasible][0], "plus", bounds)
+            results = search(branch="plus", seed=9, n_restarts=8, max_evaluations=120,
+                             keep_all=True)
+            cost, _, _ = evaluate_cost(np.full(len(CIRCUIT_NAMES), 1e308), "plus")
             # e1 + e12 overflows: a zero end radicand, reached through inf
             huge = dict(zip(CIRCUIT_NAMES, table_circuit_values(6)), e1=1e308, e12=1e308)
             with pytest.raises(MappingError, match="quartic-root"):
                 circuit_to_spin(CircuitParams(**huge))
-        assert not feasible.all() and np.isnan(sites["ta"]).any()
-        assert results and (res, spin) == (None, None) and cost >= INFEASIBLE_COST
+        assert results and cost == np.inf
 
     @pytest.mark.parametrize("budget", [0, -1])
     def test_budget_below_one_rejected(self, budget):
@@ -368,7 +393,8 @@ class TestSearch:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ValueError, match="max_evaluations must be at least 1"):
-                search(seed=0, n_restarts=2, max_evaluations=budget)
+                search(branch="plus", seed=0, n_restarts=2, max_evaluations=budget,
+                       keep_all=True)
 
     def test_minus_branch_runs(self):
         results = search(
@@ -381,12 +407,10 @@ class TestSearch:
 
     def test_descent_reduces_cost(self):
         """The polished minimum beats its own starting point."""
-        rng = np.random.default_rng(5)
-        lo = np.array([DEFAULT_BOUNDS[n][0] for n in DEFAULT_BOUNDS])
-        hi = np.array([DEFAULT_BOUNDS[n][1] for n in DEFAULT_BOUNDS])
-        x0 = lo + (hi - lo) * rng.random(8)
-        c0, _, _ = evaluate_cost(x0, "plus", DEFAULT_BOUNDS)
-        best = search(seed=5, n_restarts=1, max_evaluations=400, keep_all=True)
+        x0, = draw_starts(5, 1)
+        c0, _, _ = evaluate_cost(x0, "plus")
+        best = search(branch="plus", seed=5, n_restarts=1, max_evaluations=400,
+                      keep_all=True)
         assert best[0].cost <= c0
 
 
