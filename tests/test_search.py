@@ -198,16 +198,17 @@ class TestCostParity:
             batch, _ = _cost_rows(x, branch)
         assert np.array_equal(batch, [evaluate_cost(row, branch)[0] for row in x])
 
-    def test_costs_keep_their_recorded_bits(self):
-        """The sha256 of each branch's costs, little-endian, as first
+    @pytest.mark.parametrize("branch, digest", [
+        ("plus", "a1874c817730ddc20c97c40c9c4de7ba34eeb0f43b9bb41368d070a6da76c57f"),
+        ("minus", "8dba038514fec97bab70c0be5ea178105005a86f726d500c9c46b1067ca09576"),
+    ], ids=["plus", "minus"])
+    def test_costs_keep_their_recorded_bits(self, branch, digest):
+        """The sha256 of the branch's costs, little-endian, as first
         recorded.  The scipy comparisons call the same cost on both sides,
         so a cost that changed bits would still pass them; it fails here."""
-        digests = ("a1874c817730ddc20c97c40c9c4de7ba34eeb0f43b9bb41368d070a6da76c57f",
-                   "8dba038514fec97bab70c0be5ea178105005a86f726d500c9c46b1067ca09576")
-        for branch, digest in zip(("plus", "minus"), digests):
-            with np.errstate(all="ignore"):
-                batch, _ = _cost_rows(parity_points(), branch)
-            assert hashlib.sha256(batch.astype("<f8").tobytes()).hexdigest() == digest
+        with np.errstate(all="ignore"):
+            batch, _ = _cost_rows(parity_points(), branch)
+        assert hashlib.sha256(batch.astype("<f8").tobytes()).hexdigest() == digest
 
     def test_single_point_reports_match_the_mapping(self):
         x = np.array([561.6, 438.5, 186.0, 397.1, 926.3, 76.2, 240.4, 37.3])
@@ -395,6 +396,20 @@ class TestSearch:
             with pytest.raises(ValueError, match="max_evaluations must be at least 1"):
                 search(branch="plus", seed=0, n_restarts=2, max_evaluations=budget,
                        keep_all=True)
+
+    @pytest.mark.parametrize(
+        "knob", ["branch", "seed", "n_restarts", "max_evaluations", "keep_all"])
+    def test_knobs_are_required_keywords(self, knob):
+        """``search`` states no default for its knobs, so the CLI schema is
+        the only place that does: leaving one out, or passing them by
+        position, is refused before any descent."""
+        knobs = dict(branch="plus", seed=0, n_restarts=2, max_evaluations=10,
+                     keep_all=True)
+        del knobs[knob]
+        with pytest.raises(TypeError, match=f"required keyword-only argument: '{knob}'"):
+            search(**knobs)
+        with pytest.raises(TypeError, match="positional"):
+            search(*knobs.values())
 
     def test_minus_branch_runs(self):
         results = search(
