@@ -13,7 +13,6 @@ from .hilbert import (
     OperatorMatrix,
     SiteDims,
     embed_operators,
-    embed_site_operator,
     partial_trace,
 )
 from .spin_model import (
@@ -85,7 +84,6 @@ __all__ = [
     "closed_config_for_branch",
     "drive_hamiltonian",
     "embed_operators",
-    "embed_site_operator",
     "entanglement_power",
     "inverse_capacitance",
     "open_gate",

@@ -846,22 +846,23 @@ def _n5_trace(config: ExperimentConfig) -> Table:
 
 
 def _drive_demo(config: ExperimentConfig) -> Table:
+    """The calibrated pi pulse's transfer, the |00>_C population, after each
+    of n = ``n_durations`` uniform durations t_pi k / m, k = 1 .. n, with
+    m = ceil(n / 2), all from one propagation.  The m-th is t_pi bit for bit
+    (k / m is 1.0 at k = m), so the summary's pi transfer is CSV row m; an
+    even n ends at 2 t_pi."""
     model, _ = _spin_from_model_section(config["model"])
     noise = _noise_from_section(config["noise"])
     grid = config["grid"]
     amplitude = grid["amplitude_fraction"] * abs(model.j2z)
     pulse = calibrated_pi_pulse(model, amplitude)
     t_pi = pulse.pi_duration()
-    durations = np.linspace(t_pi / grid["n_durations"], 2.0 * t_pi,
-                            grid["n_durations"])
+    n = grid["n_durations"]
+    m = -(-n // 2)
+    durations = t_pi * (np.arange(1, n + 1) / m)
     results = rabi_prepare(model, pulse, durations, noise)
     rows = [(float(d), res.transfer_probability) for d, res in zip(durations, results)]
-    # the pi sample is read off the grid when it lies there (n_durations = 1);
-    # otherwise it is its own propagation, since merging it into the grid
-    # would make the grid non-uniform, one exponential per interval when noisy
-    on_grid = np.flatnonzero(durations == t_pi)
-    pi_result = (results[on_grid[0]] if on_grid.size
-                 else rabi_prepare(model, pulse, noise=noise)[0])
+    pi_result = results[m - 1]
     summary = {
         "amplitude_mhz": amplitude,
         "frequency_mhz": pulse.frequency,

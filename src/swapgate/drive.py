@@ -82,22 +82,13 @@ def resonant_drive_frequency(params: SpinModelParams) -> float:
     ZZ couplings is included; the bare-register estimate
     |Omega_2 - 2 J2z + 2 J2x| misses that shift by 2 J1z.
     """
-    return _transition_frequency(*_undriven_chain(params))
+    return _transition_frequency(_undriven_chain(params)[2])
 
 
-def _transition_frequency(h0: OperatorMatrix, start: np.ndarray) -> float:
-    """``resonant_drive_frequency`` of the chain ``_undriven_chain`` returns."""
-    vacuum, bell, _, _ = _register_levels(h0, start)
-    return (vacuum - bell) / TWO_PI
-
-
-def _register_levels(h0: OperatorMatrix, start: np.ndarray) -> np.ndarray:
-    """Energies (rad/us) of |00>, |01>, |10>, |11>_C, targets in the ground
-    state, read off the chain ``h0``: the symmetric Bell level ``start``
-    covers the |01>/|10> sector, since the singlet never mixes in."""
-    bell = np.real(start.conj() @ h0.entries @ start)
-    return np.array([np.real(h0.entries[0, 0]), bell, bell,
-                     np.real(h0.entries[0b0110, 0b0110])])
+def _transition_frequency(levels: np.ndarray) -> float:
+    """``resonant_drive_frequency`` from the register levels ``_undriven_chain``
+    returns."""
+    return (levels[0] - levels[1]) / TWO_PI
 
 
 def drive_hamiltonian(pulse: DrivePulse, dims: Sequence[int]) -> OperatorMatrix:
@@ -136,13 +127,13 @@ class RabiResult:
 def rabi_prepare(
     params: SpinModelParams,
     pulse: DrivePulse,
-    durations: Sequence[float] | None = None,
+    durations: Sequence[float],
     noise: NoiseModel | None = None,
 ) -> list[RabiResult]:
     """Drive the four-site chain from the closed register |1+>_C towards the
     open |00>_C and return the reduced control state after each of
-    ``durations``, strictly increasing (default: the pi duration alone), all
-    sampled from one propagation.
+    ``durations``, strictly increasing, all sampled from one propagation
+    (pass ``(pulse.pi_duration(),)`` for the pi pulse alone).
 
     The drive starts from |0> |1+>_C |0>, the register's ``closed_plus``
     vector; ``transfer_probability`` is the population of |00>_C, the
@@ -157,11 +148,8 @@ def rabi_prepare(
     at its chain energy E with the targets in their ground state, so it can
     be compared directly against ideal superposition targets.
     """
-    h0, start = _undriven_chain(params)
-    if durations is None:
-        durations = (pulse.pi_duration(),)
+    h0, start, levels = _undriven_chain(params)
     numbers = excitation_numbers((2, 2))
-    levels = _register_levels(h0, start)
     results = []
     for t, reduced in zip(durations, _driven_register(h0, start, pulse, durations, noise)):
         back = np.exp(1j * TWO_PI * pulse.frequency * t * numbers)
@@ -185,14 +173,25 @@ def _driven_register(h0: OperatorMatrix, start: np.ndarray, pulse: DrivePulse,
     return [partial_trace(state, keep_sites=(1, 2)) for state in states]
 
 
-def _undriven_chain(params: SpinModelParams) -> tuple[OperatorMatrix, np.ndarray]:
-    """The undriven four-site chain and the state the drive starts from: the
-    closed register |1+>_C with the targets in their ground state."""
+def _undriven_chain(
+    params: SpinModelParams,
+) -> tuple[OperatorMatrix, np.ndarray, np.ndarray]:
+    """The undriven four-site chain ``h0``, the state ``start`` the drive
+    starts from (the closed register |1+>_C with the targets in their ground
+    state) and the register levels: the energies (rad/us) of |00>, |01>,
+    |10>, |11>_C with the targets in the ground state, read off ``h0``; the
+    symmetric Bell level ``start`` covers the |01>/|10> sector, since the
+    singlet never mixes in."""
     if params.n_sites != 4:
         raise ModelError("state preparation drives the 4-site chain")
     ground = np.array([1.0, 0.0], dtype=complex)
     bell = control_state_vector(GateConfig(control_state="closed_plus"), [2, 2])
-    return build_interaction_hamiltonian(params), np.kron(np.kron(ground, bell), ground)
+    h0 = build_interaction_hamiltonian(params)
+    start = np.kron(np.kron(ground, bell), ground)
+    bell_level = np.real(start.conj() @ h0.entries @ start)
+    levels = np.array([np.real(h0.entries[0, 0]), bell_level, bell_level,
+                       np.real(h0.entries[0b0110, 0b0110])])
+    return h0, start, levels
 
 
 def calibrated_pi_pulse(params: SpinModelParams, amplitude: float) -> DrivePulse:
@@ -207,8 +206,8 @@ def calibrated_pi_pulse(params: SpinModelParams, amplitude: float) -> DrivePulse
     each frequency is one checked ``propagate`` to the pi duration, its
     |00>_C population read as ``rabi_prepare`` reads it.
     """
-    h0, start = _undriven_chain(params)
-    base = _transition_frequency(h0, start)
+    h0, start, levels = _undriven_chain(params)
+    base = _transition_frequency(levels)
     freqs = np.linspace(base - CALIBRATION_SPAN, base + CALIBRATION_SPAN,
                         CALIBRATION_POINTS)
     t_pi = DrivePulse(amplitude, base).pi_duration()

@@ -255,13 +255,16 @@ def evolve_stack_raw(
     spectral branch) without forming the full-space stack.  Each group g of
     functionals reads its own quantity off the one propagation, so operators
     that share a generator are evolved together.  A stack of shape other
-    than (n_stack, D, D), functionals of shape other than (G,) + that, or a
-    complex rate raise ``ValueError``; a non-finite generator or result
-    raises ``PropagationError``.
+    than (n_stack, D, D), functionals of shape other than (G,) + that, a
+    complex rate, or sample times that are empty, negative or not strictly
+    increasing raise ``ValueError``; a non-finite sample time, generator or
+    result raises ``PropagationError``.
     """
     times = np.asarray(sample_times, dtype=float)
     if times.size == 0:
         raise ValueError("no sample times requested")
+    if not np.isfinite(times).all():
+        raise PropagationError("sample times are not finite")
     if times[0] < 0.0 or np.any(np.diff(times) <= 0.0):
         raise ValueError("sample times must be nonnegative and strictly increasing")
     if stack.shape[1:] != hamiltonian.shape:

@@ -50,20 +50,22 @@ class SiteDims(tuple):
     validated once.
 
     ``SiteDims(dims)`` returns a ``SiteDims`` argument unchanged and checks any
-    other iterable of ints.  A ``SiteDims`` equals and hashes as its plain
-    tuple, so cache keys are shared with tuple keys; slicing gives a plain
-    tuple, and messages print it as ``(2, 3, 3, 2)``.
+    other iterable: each value must equal 2 or 3 (``2.0`` and numpy integers
+    do; ``2.5`` and ``"2"`` do not) and is then stored as an int.  A
+    ``SiteDims`` equals and hashes as its plain tuple, so cache keys are
+    shared with tuple keys; slicing gives a plain tuple, and messages print
+    it as ``(2, 3, 3, 2)``.
     """
 
     def __new__(cls, dims: Iterable[int]) -> "SiteDims":
         if isinstance(dims, SiteDims):
             return dims
-        dims = tuple(int(d) for d in dims)
+        dims = tuple(dims)
         if not dims:
             raise HilbertError("need at least one site")
         if any(d not in (2, 3) for d in dims):
             raise HilbertError(f"site dimensions must be 2 or 3, got {dims}")
-        return super().__new__(cls, dims)
+        return super().__new__(cls, (int(d) for d in dims))
 
     @property
     def total_dim(self) -> int:

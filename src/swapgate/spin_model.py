@@ -387,12 +387,13 @@ def analytic_single_excitation_spectrum(
 
 def analytic_gate_time(params: SpinModelParams) -> float:
     """Swap period t_g = pi / |2 J1| in microseconds; ``ModelError`` where
-    J1 = 0 or where t_g is not positive (|J1| so large that it rounds to 0)."""
+    J1 = 0 or where t_g is not finite and positive: |J1| so large that it
+    rounds to 0, or so small (subnormal) that it overflows to inf."""
     j1 = params.j1x
     if j1 == 0.0:
         raise ModelError("gate time undefined for J1 = 0")
     t_g = np.pi / abs(2.0 * TWO_PI * j1)
-    if not t_g > 0.0:
+    if not 0.0 < t_g < np.inf:
         raise ModelError(f"gate time pi / |2 J1| is {t_g:g} at J1 = {j1:g}")
     return t_g
 

@@ -775,13 +775,16 @@ class TestCommandLine:
          "numerical failure: propagation produced non-finite entries"),
         ("scan-j2", "[grid]\nj1 = 3.85e16\nlo = 3.85e16\nhi = 3.85e17\npoints = 1\n"
          "[run]\nsamples = 1", 3, "numerical failure: average fidelity left [0, 1]"),
+        # a finite gate time 2.5e299 us whose window's end overflows to inf
+        ("trace", "[model]\nsource = spin\nj1x = 1e-300\n[grid]\nwindow_hi = 1e10\n"
+         "[run]\nsamples = 3", 3, "numerical failure: sample times are not finite"),
         # the circuit's positivity rule is CircuitParams', checked on loading
         ("trace", "[model]\nsource = circuit\ne1 = -1", 2,
          "configuration error: [model] e1 must be strictly positive"),
         ("circuit-map", "[model]\nsource = circuit\nc23 = 0", 2,
          "configuration error: [model] c23 must be strictly positive"),
     ], ids=["trace-overflowing-generator", "scan-j2-fidelity-out-of-range",
-            "trace-negative-e1", "circuit-map-zero-c23"])
+            "trace-overflowing-window", "trace-negative-e1", "circuit-map-zero-c23"])
     def test_failure_is_one_line_and_no_csv(self, tmp_path, command, body, exit_code,
                                             message):
         """Bad input exits 2 and a numerical failure 3, each with one line on
@@ -846,6 +849,26 @@ class TestCommandLine:
                                            "--out", str(out)])
         assert result.exit_code == 3, result.output
         assert "numerical failure: gate time pi / |2 J1| is 0 at J1 = " in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, body", [
+        ("trace", "[model]\nsource = spin\nj1x = 1e-320"),
+        ("n5", "[model]\nj1 = 1e-320"),
+        ("scan-j2", "[grid]\nj1 = 1e-320"),
+        ("scan-j1", "[grid]\nlo = 1e-320"),
+    ])
+    def test_gate_time_that_overflows_exits_3(self, tmp_path, command, body):
+        """pi / |2 J1| overflows to inf when |J1| is subnormal: a numerical
+        failure that names the gate time, not the propagation it would
+        break."""
+        kind = SUBCOMMANDS[command]
+        cfgfile = tmp_path / "tiny.cfg"
+        cfgfile.write_text(f"experiment = {kind}\n{body}\n[run]\nsamples = 3\n")
+        out = tmp_path / "o.csv"
+        result = CliRunner().invoke(main, [command, "--config", str(cfgfile),
+                                           "--out", str(out)])
+        assert result.exit_code == 3, result.output
+        assert "numerical failure: gate time pi / |2 J1| is inf at J1 = " in result.output
         assert not out.exists()
 
     def test_kind_mismatch_is_config_error(self, tmp_path):

@@ -22,7 +22,6 @@ from swapgate.drive import (
     CALIBRATION_SPAN,
     DrivePulse,
     _drive_terms,
-    _register_levels,
     _undriven_chain,
     calibrated_pi_pulse,
     drive_hamiltonian,
@@ -153,7 +152,7 @@ class TestRabiTransfer:
         """A pulse without amplitude has no pi duration, and the preparation
         and its calibration drive the four-site chain only."""
         with pytest.raises(ModelError, match="zero amplitude"):
-            rabi_prepare(row6_params(), DrivePulse(amplitude=0.0, frequency=100.0))
+            DrivePulse(amplitude=0.0, frequency=100.0).pi_duration()
         five = build_n5_model(40.0, 40.0, 500.0, 500.0, 900.0)
         with pytest.raises(ModelError, match="4-site chain"):
             rabi_prepare(five, DrivePulse(amplitude=20.0, frequency=100.0), (1e-3,))
@@ -262,13 +261,13 @@ class TestDurationGrid:
     @pytest.mark.parametrize("gamma", [0.01, 0.0])
     @pytest.mark.parametrize("grid", ["default", "non_uniform"])
     def test_grid_matches_single_durations(self, pi_pulse, gamma, grid):
-        """The default drive grid (row 6, A = J2z/50, 25 durations up to
-        2 t_pi) and an uneven one, on the Liouvillian (gamma = 0.01) and
-        the spectral (gamma = 0) branch."""
+        """The default drive grid (row 6, A = J2z/50, the 25 durations
+        t_pi k / 13) and an uneven one, on the Liouvillian (gamma = 0.01)
+        and the spectral (gamma = 0) branch."""
         params = row6_params()
         t_pi = pi_pulse.pi_duration()
         if grid == "default":
-            durations = np.linspace(t_pi / 25, 2.0 * t_pi, 25)
+            durations = t_pi * (np.arange(1, 26) / 13)
         else:
             durations = t_pi * np.array([0.05, 0.3, 0.31, 0.9, 1.0, 1.7])
         noise = NoiseModel(gamma=gamma) if gamma else None
@@ -311,7 +310,8 @@ class TestCalibration:
         (freqs, probs), = scans
         assert len(freqs) == CALIBRATION_POINTS
         for f, p in zip(freqs, probs):
-            want, = rabi_prepare(params, DrivePulse(amplitude, f))
+            pulse_f = DrivePulse(amplitude, f)
+            want, = rabi_prepare(params, pulse_f, (pulse_f.pi_duration(),))
             assert abs(p - want.transfer_probability) < 1e-12
         assert pulse.frequency == pytest.approx(2246.691162633637, rel=1e-9)
 
@@ -324,8 +324,8 @@ def drive_config(n_durations, gamma):
 
 class TestDriveExperimentCost:
     """The drive experiment propagates once per calibration frequency and
-    once for its grid, and once more for the pi pulse only when that is off
-    the grid; it builds the chain once per propagation site."""
+    once for its grid, which holds the pi pulse; it builds the chain once for
+    the calibration and once for the grid."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -340,21 +340,24 @@ class TestDriveExperimentCost:
             monkeypatch.setattr(swapgate.drive, name, counted)
         return counts
 
-    def test_pi_pulse_read_off_the_grid(self, counts):
-        """n_durations = 1 puts the grid at exactly t_pi."""
-        rec = run_experiment(drive_config(1, 0.0))
+    @pytest.mark.parametrize("n_durations, gamma", [(1, 0.0), (3, 0.01), (25, 0.01)])
+    def test_pi_pulse_read_off_the_grid(self, counts, n_durations, gamma):
+        """The grid t_pi k / m, m = ceil(n / 2), holds t_pi at row m: the
+        summary's pi duration and transfer are that row's, and agree with
+        the pi pulse propagated alone."""
+        cfg = drive_config(n_durations, gamma)
+        rec = run_experiment(cfg)
         assert counts == {"propagate": CALIBRATION_POINTS + 1,
                           "build_interaction_hamiltonian": 2}
-        assert rec.summary["pi_transfer_probability"] == rec.rows[0][1]
-
-    def test_pi_pulse_off_the_grid(self, counts):
-        cfg = drive_config(3, 0.01)
-        rec = run_experiment(cfg)
-        assert counts == {"propagate": CALIBRATION_POINTS + 2,
-                          "build_interaction_hamiltonian": 3}
+        m = -(-n_durations // 2)
+        assert len(rec.rows) == n_durations
+        assert rec.rows[m - 1] == (rec.summary["pi_duration_us"],
+                                   rec.summary["pi_transfer_probability"])
         params = table_spin_params(6)
         pulse = DrivePulse(rec.summary["amplitude_mhz"], rec.summary["frequency_mhz"])
-        want, = rabi_prepare(params, pulse, noise=_noise_from_section(cfg["noise"]))
+        t_pi = pulse.pi_duration()
+        assert rec.summary["pi_duration_us"] == t_pi
+        want, = rabi_prepare(params, pulse, (t_pi,), _noise_from_section(cfg["noise"]))
         assert abs(rec.summary["pi_transfer_probability"]
                    - want.transfer_probability) < 1e-12
 
@@ -393,7 +396,8 @@ class TestResonance:
         params = row6_params()
         populations = []
         for amplitude in (abs(params.j2z) / 20.0, abs(params.j2z)):
-            res, = rabi_prepare(params, calibrated_pi_pulse(params, amplitude))
+            pulse = calibrated_pi_pulse(params, amplitude)
+            res, = rabi_prepare(params, pulse, (pulse.pi_duration(),))
             populations.append((res.transfer_probability,
                                 float(np.real(res.control_state.entries[3, 3]))))
         (weak_transfer, weak_leak), (strong_transfer, strong_leak) = populations
@@ -451,7 +455,7 @@ class TestLeakageCheck:
         uses are the bare (|00>, |1+>, |11>) energies (-d + J2z,
         -J2z + 2 J2x, d + J2z) at control detuning d."""
         params = symmetric_chain(0.0, 0.0, -540.4, 1007.1, 933.4)
-        levels = _register_levels(*_undriven_chain(params))
+        _, _, levels = _undriven_chain(params)
         want = (-933.4 + 1007.1, -1007.1 + 2 * -540.4, 933.4 + 1007.1)
         assert levels[1] == levels[2]
         assert np.allclose(levels[[0, 1, 3]] / TWO_PI, want, rtol=1e-12)

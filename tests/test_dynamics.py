@@ -879,6 +879,16 @@ class TestNonFiniteGuard:
         with pytest.raises(PropagationError, match="non-finite"):
             evolve_stack_raw(h, [], np.ones((1, 1, 1)), [1.0])
 
+    @pytest.mark.parametrize("times", [
+        [0.1, float("nan"), 0.3], [float("nan"), 0.2], [0.1, float("inf")],
+    ])
+    def test_non_finite_sample_time_raises(self, times):
+        """NaN compares false, so the ordering check alone let it through and
+        the run then blamed its own result."""
+        h, collapse, _, _ = row6_sector(2, 0.01)
+        with pytest.raises(PropagationError, match="sample times are not finite"):
+            evolve_stack_raw(h, collapse, random_stack(h.shape[0]), times)
+
 
 class TestPackage:
     def test_superoperator_entry_point_is_gone(self):

@@ -63,6 +63,22 @@ class TestSiteDims:
         with pytest.raises(HilbertError):
             SiteDims(dims)
 
+    @pytest.mark.parametrize("dims", [(2.5, 3.9), ["2", "3"]])
+    def test_refuses_values_that_only_convert_to_2_or_3(self, dims):
+        """A value is checked before it is converted: int() would truncate
+        2.5 to 2 and parse "2"."""
+        with pytest.raises(HilbertError, match="must be 2 or 3"):
+            SiteDims(dims)
+
+    def test_refuses_a_fractional_dimension_when_embedding(self):
+        with pytest.raises(HilbertError, match="must be 2 or 3"):
+            embed_operators({}, (2.9, 2))
+
+    def test_integral_floats_and_numpy_ints_are_ints(self):
+        for dims in [(2.0, 3.0), np.array([2, 3]), (np.int64(2), np.uint8(3))]:
+            d = SiteDims(dims)
+            assert d == (2, 3) and all(type(x) is int for x in d)
+
 
 class TestEmbed:
     def test_sigma_z_at_first_site(self):
@@ -217,10 +233,13 @@ class TestOperatorMatrix:
             OperatorMatrix(SiteDims((2, 2)), np.eye(3))
 
     def test_no_state_or_target_wrapper_is_exported(self):
-        """A state is an OperatorMatrix and a target gate an array."""
+        """A state is an OperatorMatrix and a target gate an array; the
+        one-site embedding is ``hilbert``'s, not the package's."""
         import swapgate
         from swapgate import hilbert, metrics
 
+        assert "embed_site_operator" not in swapgate.__all__
+        assert not hasattr(swapgate, "embed_site_operator")
         for name in ("DensityMatrix", "TargetGate"):
             assert name not in swapgate.__all__
             assert not hasattr(hilbert, name) and not hasattr(metrics, name)
