@@ -530,7 +530,7 @@ def resolve_config(raw: dict[str, dict[str, Any]]) -> ExperimentConfig:
 
 def load_config(path: str | Path) -> ExperimentConfig:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
     return resolve_config(parse_config_text(text))

@@ -20,7 +20,6 @@ import numpy as np
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
 
 # |0> is the ground state, so sigma_minus lowers |1> -> |0>.
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -139,7 +138,7 @@ def partial_trace(op: OperatorMatrix, keep_sites: Iterable[int]) -> OperatorMatr
     """Trace out all sites not in ``keep_sites``; kept sites keep their order.
 
     Preserves trace and Hermiticity, and is linear in the input, which the
-    fidelity map relies on when evolved Pauli-basis operators are reduced.
+    fidelity map relies on when evolved matrix units are reduced.
     """
     dims = op.dims
     keep = sorted(set(int(k) for k in keep_sites))

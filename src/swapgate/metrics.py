@@ -1,18 +1,22 @@
 """Gate scoring: target unitaries, average gate fidelity, entanglement power.
 
 The average fidelity of the realized channel E_t against a two-qubit target
-U is the Nielsen form
+U follows from its process fidelity,
 
-    Fbar(t) = 1/5 + (1/80) sum_j Tr( U U_j+ U+ E_t(U_j) )
+    F_pro(t) = (1/16) sum_pq <p| U+ E_t(|p><q|) U |q>,
+    Fbar(t) = (4 F_pro(t) + 1) / 5 = 1/5 + (1/20) sum_pq Tr( U|q><p|U+ E_t(|p><q|) ),
 
-over the 16 products (X_1)^k (Z_1)^l (X_N)^m (Z_N)^n.  E_t acts on operators
-of the two target (end) qubits: the operator is embedded together with the
-control-register projector, evolved under the full master equation, and the
-control sites are traced out.  Linearity of the generator makes this
-well-defined for the non-Hermitian basis elements.  The partial trace is
-folded into the functional: each term is Tr(W_j rho_j(t)) with W_j the
-operator U U_j+ U+ lifted by the identity on the control sites, so the
-propagator reads a whole trace off its evolved blocks by one contraction.
+over the 16 matrix units |p><q| of the two target qubits (Horodecki,
+Horodecki & Horodecki, Phys. Rev. A 60, 1888, 1999; Nielsen, Phys. Lett. A
+303, 249, 2002); the evolved units, reduced to the targets, are the columns
+of the channel's Choi matrix.  E_t acts on operators of the two target
+(end) qubits: the operator is placed around the control-register
+projector, evolved under the full master equation, and the control sites
+are traced out.  Linearity of the generator makes this well-defined for the
+non-Hermitian units.  The partial trace is folded into the functional: each
+term is Tr(W_pq X_pq(t)) with W_pq the operator U|q><p|U+ placed around the
+identity on the control sites, so the propagator reads a whole trace off
+its evolved blocks by one contraction.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import NoiseModel, PropagationError, evolve_stack_raw
-from .hilbert import IDENTITY_2, PAULI_X, PAULI_Z, OperatorMatrix, SiteDims
+from .hilbert import OperatorMatrix
 from .spin_model import (
     BRANCHES,
     REGISTER_STATES,
@@ -64,14 +68,9 @@ class FidelityTrace:
     peak_on_boundary: bool
 
 
-# single-qubit factors X^k Z^l in lexicographic (k, l) order, and their 16
-# two-qubit products
-_PAULI_FACTORS = np.stack([
-    (PAULI_X if k else IDENTITY_2) @ (PAULI_Z if l else IDENTITY_2)
-    for k in range(2)
-    for l in range(2)
-])
-_PAULI_2Q = np.stack([np.kron(a, b) for a in _PAULI_FACTORS for b in _PAULI_FACTORS])
+# the 16 matrix units |p><q| of the target qubits, unit 4p + q, in the
+# {|00>, |01>, |10>, |11>} order
+_UNITS = np.eye(16).reshape(16, 4, 4)
 
 
 def control_state_vector(
@@ -106,7 +105,11 @@ def average_fidelity(
     target qubits, and the middle sites the control register, prepared in
     the configured state and traced out after evolution.  The target is
     ``open_gate`` of the configured branch for an open register, else the
-    identity.  All configurations are evolved together by one
+    identity.  Each sample is Fbar = 1/5 + (1/20) sum_pq Re Tr(W_pq X_pq(t))
+    over the 16 matrix units |p><q| of the targets (module docstring), with
+    initial operators X_pq = |p><q| x rho_C and functionals
+    W_pq = U|q><p|U+ x 1_C, both placed around the controls by ``_place``.
+    All configurations are evolved together by one
     ``dynamics.evolve_stack_raw`` call, one group of functionals each, over
     the levels and coherence-order blocks the initial operators reach.  A
     qutrit-control chain is passed as its rotating-frame generator
@@ -118,23 +121,22 @@ def average_fidelity(
     dims = hamiltonian.dims
     d = dims.total_dim
     n_groups = len(gate_configs)
-    # each configuration's 16 initial operators, (first-target factor) x
-    # rho_C x (last-target factor), read only by its own group of functionals
+    # each configuration's 16 initial operators |p><q| x rho_C, read only by
+    # its own group of functionals U|q><p|U+ x 1_C
     stack = np.empty((16 * n_groups, d, d), dtype=complex)
     weights = np.zeros((n_groups, 16 * n_groups, d, d), dtype=complex)
     for g, config in enumerate(gate_configs):
         cvec = control_state_vector(config, dims[1:-1])
         rows = slice(16 * g, 16 * (g + 1))
-        stack[rows] = np.einsum("aik,cl,bjm->abicjklm", _PAULI_FACTORS,
-                                np.outer(cvec, cvec.conj()),
-                                _PAULI_FACTORS).reshape(16, d, d)
+        stack[rows] = _place(_UNITS, np.outer(cvec, cvec.conj()))
         target = (open_gate(config.delta_branch)
                   if config.is_open else np.eye(4, dtype=complex))
-        weights[g, rows] = _target_functionals(target, dims)
+        weights[g, rows] = _place(target @ _UNITS.transpose(0, 2, 1) @ target.conj().T,
+                                  np.eye(len(cvec)))
     collapse = noise.collapse_operators(dims) if noise is not None else []
     traces = evolve_stack_raw(hamiltonian.entries, collapse, stack, times,
                               functionals=weights)
-    return [_checked_trace(np.asarray(times), 0.2 + t.real / 80.0) for t in traces.T]
+    return [_checked_trace(np.asarray(times), 0.2 + t.real / 20.0) for t in traces.T]
 
 
 def _checked_trace(times: np.ndarray, fbar: np.ndarray) -> FidelityTrace:
@@ -156,14 +158,14 @@ def _checked_trace(times: np.ndarray, fbar: np.ndarray) -> FidelityTrace:
     )
 
 
-def _target_functionals(u: np.ndarray, dims: SiteDims) -> np.ndarray:
-    """The 16 operators U U_j+ U+ on the end qubits, lifted by the identity
-    on the control sites: Tr(W_j M) = Tr(U U_j+ U+ Tr_controls(M))."""
-    c = u @ _PAULI_2Q.conj().transpose(0, 2, 1) @ u.conj().T
-    d_ctrl = dims.total_dim // 4
-    lifted = np.einsum("jikml,ab->jiakmbl", c.reshape(16, 2, 2, 2, 2),
-                       np.eye(d_ctrl))
-    return lifted.reshape(16, dims.total_dim, dims.total_dim)
+def _place(ends: np.ndarray, control: np.ndarray) -> np.ndarray:
+    """Each 4x4 target-qubit operator of ``ends`` (n, 4, 4) placed around
+    the control-site operator ``control``: the first target's indices on the
+    leftmost site, the last target's on the rightmost and ``control`` on the
+    sites between, so Tr(_place(E, 1_C) M) = Tr(E Tr_controls(M))."""
+    n, d_ctrl = len(ends), len(control)
+    placed = np.einsum("nabij,ck->nacbikj", ends.reshape(n, 2, 2, 2, 2), control)
+    return placed.reshape(n, 4 * d_ctrl, 4 * d_ctrl)
 
 
 def refine_peak(times: np.ndarray, fbar: np.ndarray, k: int) -> tuple[float, float]:

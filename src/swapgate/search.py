@@ -314,11 +314,14 @@ def search(
     """
     if max_evaluations < 1:
         raise ValueError(f"max_evaluations must be at least 1, got {max_evaluations}")
+    # the descent counts evaluations in int64, and no start is ever charged
+    # more than that holds, so a larger budget runs as that one
+    budget = min(max_evaluations, np.iinfo(np.int64).max)
     rng = np.random.default_rng(seed)
     starts = _LO.T + _SPAN.T * rng.random((n_restarts, len(CIRCUIT_NAMES)))
     with np.errstate(all="ignore"):  # one for the whole descent
         simplices, _, _ = _lockstep_nelder_mead(
-            lambda x: _cost_rows(x, branch)[0], starts, max_evaluations)
+            lambda x: _cost_rows(x, branch)[0], starts, budget)
         cost, circuits, sites, res = _reported_rows(simplices[:, 0], branch)
     results = [
         SearchResult(

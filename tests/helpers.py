@@ -3,12 +3,15 @@ the engine against, each stated once here:
 
 - ``ROW6``, the couplings of table row 6 (2pi*MHz);
 - ``pure_state`` and ``eig_hermitian``, a checked Hermitian eigensolver;
-- ``PAULI_FACTORS`` and ``pauli_basis_2q``, the fidelity's Pauli basis;
+- ``PAULI_FACTORS`` and ``pauli_basis_2q``, the Pauli basis of the
+  fidelity oracle;
 - ``kron_embed``, local operators embedded by ``np.kron``;
 - ``partial_trace_by_sites``, ``np.trace`` over one site at a time;
 - ``textbook_liouvillian``, the master equation term by term;
 - ``fidelity_stack`` and ``fbar_of``, the 16 initial operators of the
-  average fidelity and its read-off from the evolved ones.
+  average fidelity in Nielsen's Pauli form and its read-off from the
+  evolved ones.  The engine scores on the matrix units |p><q| of the end
+  qubits, so the Pauli form checks it in an independent basis.
 
 The oracles work on plain arrays and call nothing in ``swapgate``.
 """

@@ -2,6 +2,7 @@
 
 import importlib.util
 from pathlib import Path
+from xml.sax.saxutils import quoteattr
 
 import pytest
 
@@ -17,15 +18,27 @@ CASES = {
     "other": "test_c02_gate_time",
 }
 
+# the failure messages the criteria print, shortened
+MESSAGES = {
+    "c01": "AssertionError: 0/176 cells within max(1%, last digit); worst column "
+           "delta (row 10, 133.7x off).",
+    "c04": "AssertionError: row6: min Fbar gamma=0 0.98820 (need 0.999), "
+           "gamma=0.01 0.98797 (need 0.995); row11: min Fbar gamma=0 0.99692 "
+           "(need 0.999), gamma=0.01 0.99666 (need 0.995)",
+    "c11": "AssertionError: peak at zero detuning 0.685 (criterion < 0.6)",
+    "other": "AssertionError: gate time off",
+}
 
-def report(tmp_path, failing, missing=()):
+
+def report(tmp_path, failing, missing=(), messages=MESSAGES):
     """A pytest-style report with a case per entry of CASES that is not
-    ``missing``, those in ``failing`` failed."""
+    ``missing``, those in ``failing`` failed with their ``messages``."""
     lines = []
     for key, name in CASES.items():
         if key in missing:
             continue
-        verdict = '<failure message="AssertionError"/>' if key in failing else ""
+        verdict = (f"<failure message={quoteattr(messages[key])}/>"
+                   if key in failing else "")
         lines.append(f'<testcase classname="tests.test_acceptance" name="{name}" '
                      f'time="0.5">{verdict}</testcase>')
     path = tmp_path / "tier1.xml"
@@ -48,3 +61,12 @@ def test_exactly_the_known_red_failing_passes(tmp_path, capsys):
 ], ids=["extra_failure", "c04_passes", "c11_missing"])
 def test_any_other_outcome_fails(tmp_path, failing, missing):
     assert check_known_red.main(report(tmp_path, failing, missing)) == 1
+
+
+def test_a_known_red_value_that_moved_fails(tmp_path, capsys):
+    """C4 still fails, but its row-6 floor reads 0.98821, not 0.98820."""
+    moved = dict(MESSAGES, c04=MESSAGES["c04"].replace("0.98820", "0.98821"))
+    assert check_known_red.main(report(tmp_path, {"c01", "c04", "c11"},
+                                       messages=moved)) == 1
+    assert ("no longer prints 0.98820: tests.test_acceptance::"
+            "test_c04_closed_gate_fidelity") in capsys.readouterr().out

@@ -957,6 +957,20 @@ class TestCommandLine:
         with pytest.raises(ConfigError):
             swapgate.cli.load_config(cfgfile)
 
+    def test_config_with_a_byte_order_mark_reads_as_without(self, tmp_path):
+        """A UTF-8 byte-order mark, as some editors write one, is not read
+        into the first key (it was: "missing top-level key", exit 2)."""
+        text = "experiment = circuit_map\n[model]\nrow = 6\n"
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(text.encode("utf-8-sig"))
+        assert swapgate.cli.load_config(marked) == swapgate.cli.load_config(plain)
+        out = tmp_path / "m.csv"
+        result = CliRunner().invoke(
+            main, ["circuit-map", "--config", str(marked), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert out.exists()
+
     @pytest.mark.parametrize("taken, out_name", [
         pytest.param("d.csv/", "d.csv", id="d.csv"),
         pytest.param("d.json/", "d.csv", id="d.json"),

@@ -16,9 +16,10 @@ from swapgate.metrics import (
     CLOSED_WINDOW,
     FIRST_SAMPLE,
     OPEN_WINDOW,
-    _PAULI_2Q,
+    _UNITS,
     FidelityTrace,
     _checked_trace,
+    _place,
     average_fidelity,
     control_state_vector,
     entanglement_power,
@@ -67,24 +68,28 @@ def fbar_formula(target, channel_of):
     return fbar_of([channel_of(p) for p in pauli_basis_2q()], target, (2, 2))
 
 
-class TestPauliBasis:
-    """The fidelity's basis, ``metrics._PAULI_2Q``."""
+class TestUnitBasis:
+    """The fidelity's basis, the matrix units ``metrics._UNITS``, and the
+    placement of target-qubit operators around the controls."""
 
-    def test_first_elements(self):
-        basis = _PAULI_2Q
-        assert np.array_equal(basis, pauli_basis_2q())
-        assert np.allclose(basis[0], np.eye(4))
-        x = np.array([[0, 1], [1, 0]])
-        assert np.allclose(basis[8], np.kron(x, np.eye(2)))  # (k,l,m,n) = (1,0,0,0)
+    def test_each_unit_has_one_entry(self):
+        assert _UNITS.shape == (16, 4, 4)
+        for j, unit in enumerate(_UNITS):
+            p, q = divmod(j, 4)
+            assert unit[p, q] == 1.0
+            assert np.count_nonzero(unit) == 1
 
-    def test_unitary_and_trace_orthogonal(self):
-        basis = _PAULI_2Q
-        assert len(basis) == 16
-        for i, u in enumerate(basis):
-            assert np.allclose(u.conj().T @ u, np.eye(4), atol=1e-12)
-            for j, v in enumerate(basis):
-                want = 4.0 if i == j else 0.0
-                assert abs(np.trace(u.conj().T @ v) - want) < 1e-12
+    def test_trace_orthonormal(self):
+        for i, u in enumerate(_UNITS):
+            for j, v in enumerate(_UNITS):
+                assert np.trace(u.conj().T @ v) == (1.0 if i == j else 0.0)
+
+    def test_placement_of_a_product_is_the_kron(self):
+        rng = np.random.default_rng(3)
+        a, b, c = (rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+                   for k in (2, 2, 9))
+        placed, = _place(np.kron(a, b)[None], c)
+        assert np.allclose(placed, np.kron(np.kron(a, c), b), atol=1e-14)
 
 
 class TestTargets:

@@ -1,20 +1,41 @@
-"""Smoke test of the per-layer benchmark tracer against the package.
+"""The benchmark's harness against the package: the per-layer tracer's
+smoke test and every alternative's reference outputs.
 
 ``perfbench/tracer.py`` looks up package functions by name and binds some
 of their parameters by name; a refactor that renames or drops one breaks
 ``perfbench/run.py --trace 1`` without failing any other test.  This runs one
 small run of every experiment under the tracer, the way ``run.py`` does,
-and requires a complete trace.
+and requires a complete trace.  A benchmark run checks only the
+alternatives its seed draws, so every alternative is checked here.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
 import swapgate.cli as cli
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER_PATH = PERFBENCH / "tracer.py"
+
+
+def _load_workloads():
+    """``perfbench/workloads.py``, loaded by path; it uses only the standard
+    library, and is registered while it runs, as its dataclass needs."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+workloads = _load_workloads()
 
 EXPERIMENTS = {
     "fidelity_trace": "experiment = fidelity_trace\n[run]\nsamples = 5\n",
@@ -61,3 +82,17 @@ def test_traced_experiment_is_complete(tracer_module, kind):
     wall = tracer.families[tracer_module.ROOT_SPAN].time
     assert tracer.self_test(wall) == []
     assert tracer.layer_metrics()["cli.experiments"] == 1
+
+
+@pytest.fixture(scope="module")
+def reference():
+    return workloads.load_reference()
+
+
+@pytest.mark.parametrize("exp", workloads.all_experiments(), ids=lambda exp: exp.key)
+def test_benchmark_alternative_matches_the_reference(reference, exp):
+    """Each alternative of every workload against the stored reference
+    outputs, with the benchmark's own tolerances and known-red readings
+    (``workloads.check_outputs``)."""
+    record = cli.run_experiment(cli.resolve_config(cli.parse_config_text(exp.config)))
+    assert workloads.check_outputs(exp.key, workloads.key_outputs(record), reference) == []
