@@ -5,7 +5,7 @@ Configuration files use a flat, typed key/value format with section nesting:
     # comment lines start with '#'; blank lines are ignored
     experiment = fidelity_trace   # top-level key before any section
     [model]                       # section header
-    source = table_row            # string (bare or double-quoted)
+    source = table_row            # name
     row = 6                       # integer
     [noise]
     gamma = 0.01                  # float
@@ -13,9 +13,9 @@ Configuration files use a flat, typed key/value format with section nesting:
     [grid]
     window_lo = 0.8
     window_hi = 1.05
+    control = open
     [run]
     samples = 90
-    out = "runs/a#1.csv"          # quoted: '#' and ',' are literal here
 
 Every key is validated against the experiment's schema (type, finiteness,
 range: table rows 1..16; 1..10,000 samples, grid points, durations and
@@ -28,16 +28,20 @@ divides by, or a circuit value that is not positive, is refused
 (``_check_zero_divisors``).  A schema holds only the
 keys its experiment reads (the scans take no [model] section; a
 ``BySource`` [model] section takes only the keys of the ``source`` it
-names), and unknown keys are rejected.  '#' and ',' inside double quotes
-are literal, and '\\' escapes '"' and '\\' there.  Loading fills defaults,
+names), and unknown keys are rejected.  Values are integers, floats,
+true/false, names or comma lists; there is no quoting: '#' always starts a
+comment, ',' always separates list items, and a '"' is an ordinary
+character, which no allowed name holds.  Loading fills defaults,
 and emitting a loaded configuration reproduces it exactly (load -> emit ->
 load is the identity on resolved configurations).
 
 Per run, a CSV table (header row, '.' decimal, 12 significant digits, one
 row per sample) and a JSON summary (peaks, locations, the search seed, the
-full resolved configuration, and a format-version field) are written.  The
-output path must not end in ``.json``, the summary's suffix.  Identical
-configurations produce byte-identical CSV files.
+full resolved configuration, and a format-version field) are written to the
+command's ``--out`` path (default ``<kind>.csv``) and beside it with the
+suffix ``.json``.  The output path is not part of the configuration, and
+must not end in ``.json``, the summary's suffix.  Identical configurations
+produce byte-identical CSV files.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -46,7 +50,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 import time
 from dataclasses import astuple, dataclass
 from pathlib import Path
@@ -57,7 +60,7 @@ import numpy as np
 
 from . import circuit_map as cmap
 from .dynamics import CHANNELS, NoiseModel, PropagationError
-from .hilbert import HilbertError, OperatorMatrix
+from .hilbert import HilbertError
 from .metrics import (
     FIRST_SAMPLE,
     OPEN_WINDOW,
@@ -83,7 +86,7 @@ from .spin_model import (
 )
 from .drive import calibrated_pi_pulse, rabi_prepare
 
-FORMAT_VERSION = "1"
+FORMAT_VERSION = "2"
 
 
 class ConfigError(ValueError):
@@ -94,36 +97,8 @@ class ConfigError(ValueError):
 # config format
 # ---------------------------------------------------------------------------
 
-_QUOTED = re.compile(r'"((?:[^"\\]|\\.)*)"')
-_UNESCAPE = re.compile(r"\\(.)")
-
-
-def _split_unquoted(text: str, sep: str) -> list[str]:
-    """Split ``text`` at every ``sep`` character outside double quotes."""
-    parts, start, quoted, escaped = [], 0, False, False
-    for i, c in enumerate(text):
-        if escaped:
-            escaped = False
-        elif quoted and c == "\\":
-            escaped = True
-        elif c == '"':
-            quoted = not quoted
-        elif c == sep and not quoted:
-            parts.append(text[start:i])
-            start = i + 1
-    if quoted:
-        raise ConfigError("unterminated string")
-    parts.append(text[start:])
-    return parts
-
-
 def _parse_scalar(raw: str):
     raw = raw.strip()
-    quoted = _QUOTED.fullmatch(raw)
-    if quoted:
-        return _UNESCAPE.sub(r"\1", quoted.group(1))
-    if '"' in raw:
-        raise ConfigError(f"stray quote in {raw!r}")
     low = raw.lower()
     if low in ("true", "false"):
         return low == "true"
@@ -139,7 +114,7 @@ def _parse_scalar(raw: str):
 
 
 def _parse_value(raw: str):
-    parts = _split_unquoted(raw, ",")
+    parts = raw.split(",")
     if len(parts) > 1:
         return [_parse_scalar(p) for p in parts]
     return [] if raw.strip() == "[]" else _parse_scalar(raw)
@@ -153,10 +128,7 @@ def parse_config_text(text: str) -> dict[str, dict[str, Any]]:
     out: dict[str, dict[str, Any]] = {"": {}}
     section = ""
     for lineno, line in enumerate(text.splitlines(), start=1):
-        try:
-            stripped = _split_unquoted(line, "#")[0].strip()
-        except ConfigError as exc:
-            raise ConfigError(f"line {lineno}: {exc}") from None
+        stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if stripped.startswith("[") and stripped.endswith("]"):
@@ -172,10 +144,7 @@ def parse_config_text(text: str) -> dict[str, dict[str, Any]]:
             raise ConfigError(f"line {lineno}: empty key")
         if key in out[section]:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        try:
-            out[section][key] = _parse_value(raw)
-        except ConfigError as exc:
-            raise ConfigError(f"line {lineno}: {exc}") from None
+        out[section][key] = _parse_value(raw)
     return out
 
 
@@ -188,25 +157,20 @@ def _format_value(v: Any) -> str:
         return short if float(short) == v and short != "-0" else repr(v)
     if isinstance(v, (list, tuple)):
         return ", ".join(_format_value(x) for x in v) if v else "[]"
-    if isinstance(v, str):
-        if (v == "" or any(c in v for c in '#,=[]"\\') or v != v.strip()
-                or _parse_scalar(v) != v):
-            return '"' + v.replace("\\", "\\\\").replace('"', '\\"') + '"'
-        return v
     return str(v)
 
 
-# schema: section -> key -> (type tag, default[, limits]); the optional
-# limits are, for each number, inclusive (lo, hi) bounds with None for an
-# open side, and for each string the tuple of allowed values.  A list holds
+# schema: section -> key -> (type tag, default[, limits]); the limits are,
+# for each number (optional), inclusive (lo, hi) bounds with None for an
+# open side, and for each string the tuple of allowed values: every string
+# is a name, so the config format needs no quoting.  A list holds
 # at least one item unless its key is in _MAY_BE_EMPTY, and no item twice if
 # its key is in _DISTINCT.
 _AT_LEAST_ONE = (1, None)
 # a count that sizes an array, bounded so that a run can allocate it
 _COUNT = (1, 10_000)
 _TABLE_ROWS = (min(cmap.TABLE_S1), max(cmap.TABLE_S1))
-_RUN_KEYS = {"out": ("str", "")}
-_SAMPLED_RUN = {"samples": ("int", 90, _COUNT), **_RUN_KEYS}
+_SAMPLED_RUN = {"samples": ("int", 90, _COUNT)}
 _MAY_BE_EMPTY = frozenset({"channels"})
 # each item names an output block and a summary entry of its own
 _DISTINCT = frozenset({"rows", "configs"})
@@ -315,11 +279,9 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple]]] = {
             "amplitude_fraction": ("float", 0.02),
             "n_durations": ("int", 25, _COUNT),
         },
-        "run": _RUN_KEYS,
     },
     "circuit_map": {
         "model": BySource(table_row=_ROW_KEYS, circuit=_CIRCUIT_KEYS),
-        "run": _RUN_KEYS,
     },
     "search": {
         "model": _BRANCH_KEY,
@@ -328,7 +290,7 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple]]] = {
             "max_evaluations": ("int", 400, _AT_LEAST_ONE),
             "keep_all": ("bool", True),
         },
-        "run": {"seed": ("int", 0, (0, None)), **_RUN_KEYS},
+        "run": {"seed": ("int", 0, (0, None))},
     },
 }
 
@@ -424,7 +386,7 @@ def _check_scalar(tag: str, value: Any, limits: tuple | None) -> Any:
     elif tag == "str":
         if not isinstance(value, str):
             raise ConfigError("expected string")
-        if limits is not None and value not in limits:
+        if value not in limits:
             raise ConfigError(f"{value!r}: expected one of " + ", ".join(limits))
         return value
     elif tag == "bool":
@@ -478,10 +440,10 @@ def _section_keys(sec_name: str, spec: dict, body: dict[str, Any]) -> dict[str, 
     plus the keys of the source the body names (or the default source)."""
     if not isinstance(spec, BySource):
         return spec
-    default = next(iter(spec))
+    default, names = next(iter(spec)), tuple(spec)
     source = _check_type("str", body.get("source", default), f"[{sec_name}] source",
-                         tuple(spec))
-    return {"source": ("str", default), **spec[source]}
+                         names)
+    return {"source": ("str", default, names), **spec[source]}
 
 
 def _source_hint(spec: dict, key: str, body: dict[str, Any]) -> str:
@@ -636,22 +598,13 @@ def _noise_from_section(noise: dict[str, Any]) -> NoiseModel | None:
     return NoiseModel(gamma=noise["gamma"], channels=frozenset(noise["channels"]))
 
 
-def _gate_point(hamiltonian: OperatorMatrix, window: np.ndarray,
-                traced: list[GateConfig], traced_noise: NoiseModel | None,
-                read: list[GateConfig], read_noise: NoiseModel | None,
-                ) -> tuple[FidelityTrace, list[float]]:
-    """The trace over ``window`` of the first ``traced`` register, whose
-    peak is the numerical gate time ``t_num``, and the fidelity at ``t_num``
-    of each register, ``traced`` then ``read``: the first is that peak, the
-    others the linear interpolation between the two window samples that
-    bracket ``t_num``.  The ``traced`` registers are evolved together over
-    the window, the ``read`` ones (if any) at those two samples alone."""
-    first, *rest = average_fidelity(hamiltonian, traced, traced_noise, window)
+def _gate_point(first: FidelityTrace, *others: FidelityTrace) -> list[float]:
+    """The fidelities at the numerical gate time ``t_num``, the peak of
+    ``first``: that peak, then each of ``others`` interpolated linearly
+    between its two samples that bracket ``t_num``."""
     t_num = first.peak_time
-    if read:
-        rest += average_fidelity(hamiltonian, read, read_noise, _bracket(window, t_num))
-    return first, [first.peak_value] + [float(np.interp(t_num, tr.times, tr.fbar))
-                                        for tr in rest]
+    return [first.peak_value] + [float(np.interp(t_num, tr.times, tr.fbar))
+                                 for tr in others]
 
 
 def _bracket(window: np.ndarray, t: float) -> np.ndarray:
@@ -719,8 +672,11 @@ def _scan_point(
     """
     configs = [_gate_config("open", branch), _gate_config("closed", branch)]
     window = gate_window(params, *OPEN_WINDOW, n_samples)
-    clean_open, cells = _gate_point(build_interaction_hamiltonian(params), window,
-                                    configs, None, configs if noise else [], noise)
+    h = build_interaction_hamiltonian(params)
+    clean_open, clean_closed = average_fidelity(h, configs, None, window)
+    noisy = (average_fidelity(h, configs, noise, _bracket(window, clean_open.peak_time))
+             if noise else [])
+    cells = _gate_point(clean_open, clean_closed, *noisy)
     fbar_open, fbar_closed, open_noisy, closed_noisy = cells if noise else cells * 2
     return dict(tg_analytic_us=analytic_gate_time(params), tg_numeric_us=clean_open.peak_time,
                 fbar_open=fbar_open, fbar_open_noisy=open_noisy,
@@ -801,20 +757,20 @@ def _qutrit_compare(config: ExperimentConfig) -> Table:
 def _crosstalk_scan(config: ExperimentConfig) -> Table:
     """Open and closed fidelities of the chain with each cross-talk added,
     read at the numerical gate time ``t_num`` of the noisy open trace
-    (``_gate_point``): each Hamiltonian has its own gate point under noise."""
+    (``_gate_point``): each Hamiltonian has its own gate point under noise,
+    and its three registers are evolved together over the window."""
     model, branch = _spin_from_model_section(config["model"])
     noise = _noise_from_section(config["noise"])
     n = config["run"]["samples"]
     window = gate_window(model, *OPEN_WINDOW, n)
-    open_cfg = [_gate_config("open", branch)]
-    closed_cfgs = [_gate_config(c, branch) for c in ("closed_plus", "closed_minus")]
+    configs = [_gate_config(c, branch) for c in ("open", "closed_plus", "closed_minus")]
     rows: list[tuple] = []
     for pct in config["grid"]["fractions_pct"]:
         jc = pct / 100.0 * abs(model.j1x)
         cells = [jc]
         for j_nnn in (0.0, jc):
             h = add_crosstalk(model, j_nn=jc, j_nnn=j_nnn)
-            cells += _gate_point(h, window, open_cfg, noise, closed_cfgs, noise)[1]
+            cells += _gate_point(*average_fidelity(h, configs, noise, window))
         rows.append(tuple(cells))
     columns = (
         "jc_mhz",
@@ -977,7 +933,7 @@ def _register(name: str, kind: str) -> None:
     seed_option = click.option(
         "--seed", type=click.IntRange(min=0), default=None,
         help="Override [run] seed.",
-    ) if "seed" in SCHEMAS[kind]["run"] else (lambda f: f)
+    ) if "seed" in SCHEMAS[kind].get("run", {}) else (lambda f: f)
     no_noise_option = click.option(
         "--no-noise", is_flag=True, default=False,
         help="Disable decoherence noise for this run ([noise] gamma = 0).",
@@ -987,7 +943,9 @@ def _register(name: str, kind: str) -> None:
     @click.option("--config", "config_path",
                   type=click.Path(exists=True, dir_okay=False),
                   default=None, help="Configuration file.")
-    @click.option("--out", "out_path", default=None, help="Output CSV path.")
+    @click.option("--out", "out_path", default=None,
+                  help=f"Output CSV path (default {kind}.csv); the JSON summary "
+                       "goes beside it with the suffix .json.")
     @seed_option
     @no_noise_option
     def command(config_path, out_path, seed=None, no_noise=False):
@@ -1001,7 +959,7 @@ def _register(name: str, kind: str) -> None:
             if no_noise:
                 sections["noise"]["gamma"] = 0.0
             cfg = ExperimentConfig(kind=cfg.kind, sections=sections)
-            out = Path(out_path or cfg["run"]["out"] or f"{kind}.csv")
+            out = Path(out_path or f"{kind}.csv")
             _check_out_path(out)
             record = run_experiment(cfg)
         except ConfigError as exc:

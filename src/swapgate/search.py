@@ -94,8 +94,9 @@ class SearchResult:
 
 
 def _residuals(spin, branch: str) -> dict[str, np.ndarray]:
-    """Requirement residuals of mapped spin values (floats or arrays, read
-    by name from the mapping or ``SpinMapResult`` attributes)."""
+    """Requirement residuals of mapped spin values (floats or arrays), read
+    by subscript from a mapping of field name to value: the fields
+    ``map_cost_fields`` or ``map_sites`` returns, not a ``SpinMapResult``."""
     j1x, j1z, j2x = spin["j1x"], spin["j1z"], spin["j2x"]
     j1_scale = np.maximum(np.abs(j1x), _SCALE_FLOOR)
     delta_target = delta_for_branch(branch, j2x, spin["j2z"])
@@ -281,17 +282,26 @@ def _lockstep_nelder_mead(
     return sim.transpose(1, 0, 2), fsim.T, nfev
 
 
+# rows ``_distinct`` compares at once: a default search's 16 restarts are
+# one block
+_DISTINCT_BLOCK = 16
+
+
 def _distinct(cost: np.ndarray, circuits: np.ndarray) -> np.ndarray:
     """Indices of the rows of ``circuits`` (m, 8) to report, sorted by
     (cost, circuit values): a row is dropped when each of its values is
-    within 1%, relative to the other row's, of a row kept before it."""
+    within 1%, relative to the other row's, of a row kept before it.  The
+    rows are compared in blocks of ``_DISTINCT_BLOCK`` with the rows up to
+    their block's end, so the memory grows with m, not m**2."""
     order = np.lexsort((*circuits.T[::-1], cost))
     rows = circuits[order]
-    far = (np.abs(rows[:, None] - rows) / np.maximum(np.abs(rows), 1e-12)
-           ).max(axis=2) > 0.01
     kept = np.zeros(len(rows), dtype=bool)
-    for i in range(len(rows)):
-        kept[i] = far[i, kept].all()
+    for start in range(0, len(rows), _DISTINCT_BLOCK):
+        seen = rows[:start + _DISTINCT_BLOCK]
+        far = (np.abs(rows[start:start + _DISTINCT_BLOCK, None] - seen)
+               / np.maximum(np.abs(seen), 1e-12)).max(axis=2) > 0.01
+        for i, row_far in enumerate(far, start=start):
+            kept[i] = row_far[kept[:len(seen)]].all()
     return order[kept]
 
 

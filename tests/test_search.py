@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -354,6 +355,22 @@ class TestSearch:
                     want.append(i)
             assert _distinct(c, rows).tolist() == want
             assert len(want) == len(rows) - 8 and {21, 22, 23, 25} <= set(want)
+
+    def test_many_restarts_stay_small_in_memory(self):
+        """2,000 restarts, one evaluation each: deduplicating them compares
+        rows in blocks, so the search allocates far less than the 488 MiB of
+        the (m, m, 8) pairwise differences (10,000 restarts, which the
+        configuration allows, would have needed about 12 GB).  Points drawn
+        at random in the box are all more than 1% apart."""
+        tracemalloc.start()
+        try:
+            results = search(branch="plus", seed=0, n_restarts=2000, max_evaluations=1,
+                             keep_all=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert len(results) == 2000
 
     def test_keep_all_false_keeps_the_accepted_results(self):
         """Nothing passes the acceptance residuals (ROADMAP item 11), so the
