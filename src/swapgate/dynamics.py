@@ -35,11 +35,20 @@ itself.  The input then selects one of two branches:
   one holding (a, b) (Buca & Prosen, New J. Phys. 14, 073007, 2012): one
   block of each mirror pair is evolved, the partner's rows entering as
   adjoints and leaving conjugated.  A block is exponentiated once for the
-  first sample time and once for the grid spacing ``p = exp(B dt)`` (once
-  per interval on a non-uniform grid) and acts, by matrix products, only on
+  grid spacing, ``p = exp(B dt)``, which also reaches the first sample of a
+  grid that starts at dt, once more for any other first sample (once per
+  interval on a non-uniform grid), and acts, by matrix products, only on
   the stack rows that are nonzero in it; the rest stay exactly zero.  A
   noiseless generator that is not Hermitian (gain or loss written into H)
   takes this branch too.
+
+The engine needs numpy alone: ``numpy.linalg.eigh`` diagonalises, and
+``expm`` is scaling and squaring on the diagonal Pade approximants (Higham,
+SIAM J. Matrix Anal. Appl. 26, 1179, 2005).  It takes the lowest degree of
+3, 5, 7 and 9 whose theta_m bounds the argument's 1-norm, and otherwise
+degree 13 after halving the argument s times to theta_13 = 5.37, then
+squares s times.  It refuses a non-finite argument, one whose sixth power
+leaves the float range, and a non-finite result with ``PropagationError``.
 
 Instead of the evolved stack, the engine can return traces against grouped
 functionals: ``G`` groups of operators W over the stack, group g giving
@@ -64,7 +73,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import eigh, expm
 
 from .hilbert import (
     DEPHASE_3,
@@ -335,7 +343,7 @@ def _spectral(h: np.ndarray, x: np.ndarray, times: np.ndarray,
     ``X~_ab e^{-i(E_a - E_b) t}``; or, given grouped functionals ``w``, the
     traces ``sum_ab C_gab e^{-i(E_a - E_b) t}`` of each group g,
     ``C_gab = sum_j W~[g, j, b, a] X~_j[a, b]``."""
-    energies, vecs = eigh(h)
+    energies, vecs = np.linalg.eigh(h)
     # an energy or phase E_a t beyond the float range turns NaN here, and
     # ``evolve_stack_raw`` refuses the non-finite result
     with np.errstate(over="ignore", invalid="ignore"):
@@ -418,9 +426,10 @@ def _evolve(generator: np.ndarray, rows: np.ndarray, times: np.ndarray,
     """Sample ``rows @ expm(generator * t).T`` at ``times``: the rows are
     the vectorised operators that occupy a Liouvillian block (for a mirror
     pair, those of both blocks, the mirror's as adjoints) and ``generator``
-    is the block.  One exponential reaches the first sample and one more,
-    ``p = expm(generator * dt)``, serves every step of a uniform grid; a
-    non-uniform grid takes one per interval.
+    is the block.  One exponential, ``p = expm(generator * dt)``, serves
+    every step of a uniform grid and, when the grid starts at ``dt``, the
+    first sample too; any other first sample takes one more, and a
+    non-uniform grid one per interval.
 
     Given ``functionals`` F of shape (G, rows, nb), paired entry by entry
     with the operators the rows stand for (the last ``n_adjoint`` rows are
@@ -437,15 +446,17 @@ def _evolve(generator: np.ndarray, rows: np.ndarray, times: np.ndarray,
     The states themselves, and the traces on a non-uniform grid, are
     stepped sample by sample (m = 1).
     """
-    if times[0] > 0.0:
-        rows = rows @ expm(generator * times[0]).T
     steps = np.diff(times)
-    p = None
+    p = dt = None
     if steps.size:
         dt = (times[-1] - times[0]) / steps.size
         grid = times[0] + dt * np.arange(times.size)
         if np.max(np.abs(grid - times)) <= 1e-14 * times[-1]:
             p = expm(generator * dt)
+    if times[0] > 0.0:
+        # a grid that starts one step in reaches its first sample with p
+        first = p if p is not None and times[0] == dt else expm(generator * times[0])
+        rows = rows @ first.T
     m = 1
     if functionals is not None and p is not None:
         m = 1 << (math.isqrt(times.size).bit_length() - 1)
@@ -477,10 +488,71 @@ def _evolve(generator: np.ndarray, rows: np.ndarray, times: np.ndarray,
     return traces.reshape(-1, n_groups)[:times.size]
 
 
+#: (m, theta_m, b_0 ... b_m) of the diagonal Pade approximants r_m below
+#: degree 13: r_m(A) is exp(A) to double precision while ||A||_1 <= theta_m
+#: (Higham 2005, Table 2.3 and (2.11))
+_PADE = (
+    (3, 1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
+    (5, 2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+    (7, 9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0,
+                               25200.0, 1512.0, 56.0, 1.0)),
+    (9, 2.097847961257068, (17643225600.0, 8821612800.0, 2075673600.0,
+                            302702400.0, 30270240.0, 2162160.0, 110880.0,
+                            3960.0, 90.0, 1.0)),
+)
+_THETA_13 = 5.371920351148152
+_PADE_13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+            1187353796428800.0, 129060195264000.0, 10559470521600.0,
+            670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+            960960.0, 16380.0, 182.0, 1.0)
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) of a square matrix by scaling and squaring (Higham, SIAM J.
+    Matrix Anal. Appl. 26, 1179, 2005, Algorithm 2.3; the module docstring
+    gives the degree choice): ``r_m(a / 2^s)`` squared s times, with
+    ``r_m = (V - U)^-1 (V + U)`` and U and V the odd and even parts of the
+    Pade numerator, built from the even powers of ``a``.  The degree-13
+    branch forms a^2, a^4 and a^6 before scaling, as scipy does, so an
+    argument whose powers overflow raises ``PropagationError``, as does a
+    non-finite argument or result.
+    """
+    norm = np.abs(a).sum(axis=0).max(initial=0.0)
+    ident = np.eye(a.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        a2, s = a @ a, 0
+        for m, theta, b in _PADE:
+            if norm <= theta:
+                powers = [ident, a2]
+                while len(powers) <= m // 2:
+                    powers.append(powers[-1] @ a2)
+                u = a @ sum(c * x for c, x in zip(b[1::2], powers))
+                v = sum(c * x for c, x in zip(b[::2], powers))
+                break
+        else:
+            a4 = a2 @ a2
+            a6 = a4 @ a2
+            if not np.isfinite(a6).all():
+                raise PropagationError("propagation produced non-finite entries")
+            s = max(0, math.ceil(math.log2(norm / _THETA_13)))
+            a, a2, a4, a6 = a * 2.0**-s, a2 * 4.0**-s, a4 * 16.0**-s, a6 * 64.0**-s
+            b = _PADE_13
+            u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+                     + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+            v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+                 + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+        r = np.linalg.solve(v - u, v + u)
+        for _ in range(s):
+            r = r @ r
+    if not np.isfinite(r).all():
+        raise PropagationError("propagation produced non-finite entries")
+    return r
+
+
 def __getattr__(name: str):
     # perfbench's tracer looks up two names nothing here uses: it counts RK45
-    # evaluations by wrapping ``solve_ivp`` (imported lazily, so that the
-    # package does not load scipy.integrate), and it wraps the stub below
+    # evaluations by wrapping ``solve_ivp`` (imported lazily: the package
+    # itself loads no scipy), and it wraps the stub below
     if name == "solve_ivp":
         from scipy.integrate import solve_ivp
 

@@ -858,6 +858,107 @@ class TestSpectralBranch:
         assert np.max(np.abs(got - full_space_oracle(sym, [], stack, times))) < 1e-12
 
 
+# the default experiments whose exponentials are checked against scipy's
+EXPONENTIATING = ("trace", "qutrit", "crosstalk", "scan-j2", "drive")
+
+
+@pytest.fixture(scope="module")
+def default_exponentials():
+    """Per default experiment in ``EXPONENTIATING``: the arguments it hands
+    to ``dynamics.expm`` and the number of blocks ``dynamics._evolve``
+    evolves."""
+    from swapgate.cli import EXPERIMENTS, default_config, run_experiment
+
+    kinds = {name: kind for kind, (name, _) in EXPERIMENTS.items()}
+    expm_, evolve = dynamics.expm, dynamics._evolve
+    arguments, blocks = {}, {}
+    with pytest.MonkeyPatch.context() as mp:
+        for name in EXPONENTIATING:
+            seen, evolved = arguments[name], blocks[name] = [], []
+
+            def recorded(a, seen=seen):
+                seen.append(a.copy())
+                return expm_(a)
+
+            def counted(*args, evolved=evolved, **kwargs):
+                evolved.append(args[0].shape[0])
+                return evolve(*args, **kwargs)
+
+            mp.setattr(dynamics, "expm", recorded)
+            mp.setattr(dynamics, "_evolve", counted)
+            run_experiment(default_config(kinds[name]))
+    return arguments, blocks
+
+
+def assert_matches_scipy_expm(a, rtol=1e-13):
+    """``dynamics.expm(a)`` against ``scipy.linalg.expm``: the largest entry
+    difference over the largest entry."""
+    want = expm(a)
+    assert np.max(np.abs(dynamics.expm(a) - want)) <= rtol * np.max(np.abs(want))
+
+
+def damped_generator(d, seed=3):
+    """A non-normal d x d Lindblad-like generator at unit 1-norm: -i H for a
+    random Hermitian H, minus a random nonnegative diagonal loss."""
+    rng = np.random.default_rng(seed)
+    h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    a = -0.5j * (h + h.conj().T) - np.diag(np.abs(rng.normal(size=d)))
+    return a / np.abs(a).sum(axis=0).max()
+
+
+class TestExponential:
+    """``dynamics.expm``, scaling and squaring on Pade degrees 3 to 13,
+    against scipy's ``expm`` as the oracle."""
+
+    @pytest.mark.parametrize("name", EXPONENTIATING)
+    def test_matches_scipy_on_every_default_block(self, default_exponentials, name):
+        arguments, _ = default_exponentials
+        assert arguments[name]
+        for a in arguments[name]:
+            assert_matches_scipy_expm(a)
+
+    def test_one_exponential_per_block_on_the_default_drive(self, default_exponentials):
+        """The drive samples t_pi k / m, k = 1 ... n, so its grid starts one
+        step in and the step's exponential also reaches the first sample."""
+        arguments, blocks = default_exponentials
+        assert blocks["drive"]
+        assert len(arguments["drive"]) == len(blocks["drive"])
+        assert max(blocks["drive"]) == 256  # the noisy 256-wide block among them
+
+    @pytest.mark.parametrize("a", [
+        np.zeros((4, 4), dtype=complex),
+        np.array([[-0.3 + 2.0j]]),
+        1e-3 * damped_generator(6),
+    ] + [
+        side * theta * damped_generator(6)
+        for theta in [theta for _, theta, _ in dynamics._PADE] + [dynamics._THETA_13]
+        for side in (1 - 1e-6, 1 + 1e-6)
+    ] + [
+        # a 6 x 6 Jordan block: non-normal, nilpotent part of order 6
+        12.0 * (np.eye(6, k=1) - np.eye(6)),
+    ], ids=lambda a: f"norm{np.abs(a).sum(axis=0).max():.6g}")
+    def test_matches_scipy(self, a):
+        assert_matches_scipy_expm(a)
+
+    def test_matches_scipy_at_a_large_norm(self):
+        """At 1e3 theta_13 the two algorithms agree only as far as the
+        exponential's conditioning allows, which is at least ||A|| (Van Loan,
+        SIAM J. Numer. Anal. 14, 971, 1977): relative to the largest entry,
+        within ||A||_1 unit roundoffs, about 1.2e-12 here."""
+        a = 1e3 * dynamics._THETA_13 * damped_generator(6)
+        assert_matches_scipy_expm(a, rtol=np.abs(a).sum(axis=0).max() * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("a", [
+        np.full((3, 3), np.nan + 0j),
+        np.diag([np.inf, 1.0, 1.0]),
+        # finite, but its sixth power leaves the float range
+        1e60 * (np.eye(3) + np.eye(3, k=1)),
+    ], ids=["nan", "inf", "sixth_power_overflows"])
+    def test_refuses_what_it_cannot_exponentiate(self, a):
+        with pytest.raises(PropagationError, match="non-finite entries"):
+            dynamics.expm(a)
+
+
 class TestNonFiniteGuard:
     def test_nan_rate_raises_instead_of_integrating(self):
         h, collapse, _, tg = row6_sector(2, 0.01)
@@ -900,24 +1001,31 @@ class TestPackage:
         with pytest.raises(AttributeError, match="evolve_stack_raw"):
             dynamics.propagate_superoperator()
 
-    def test_import_does_not_load_the_integrator(self):
-        """RK45 is a test oracle only: importing the package (and its command
-        line) must not import scipy.integrate."""
+    def test_import_loads_no_scipy(self):
+        """scipy is a test oracle only (RK45, expm, Nelder-Mead): importing
+        the package and its command line loads no scipy module."""
         src = str(Path(swapgate.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
-        code = ("import sys, swapgate, swapgate.cli; "
-                "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))")
+        code = ("import sys, swapgate, swapgate.cli; print(sorted(m for m in sys.modules "
+                "if m == 'scipy' or m.startswith('scipy.')))")
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out.strip() == "[]"
 
-    def test_import_does_not_load_the_optimizer(self):
-        """scipy's Nelder-Mead is a test oracle only: the search descends on
-        its own, so importing the package must not import scipy.optimize."""
+    def test_runs_without_scipy(self, tmp_path):
+        """With scipy unimportable, the default trace, drive and scan-j2 run
+        through the command line and exit 0."""
         src = str(Path(swapgate.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
-        code = ("import sys, swapgate, swapgate.cli; "
-                "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert out.strip() == "[]"
+        code = ("import sys\n"
+                "sys.modules['scipy'] = None\n"
+                "from swapgate.cli import main\n"
+                "for command in ('trace', 'drive', 'scan-j2'):\n"
+                "    try:\n"
+                "        main([command, '--out', sys.argv[1] + '/' + command + '.csv'])\n"
+                "    except SystemExit as exc:\n"
+                "        print(command, exc.code)\n")
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                             check=True, capture_output=True, text=True).stdout
+        assert [line for line in out.splitlines() if not line.startswith("wrote ")] == [
+            "trace 0", "drive 0", "scan-j2 0"]
