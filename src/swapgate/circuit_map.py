@@ -25,7 +25,10 @@ against the singularity thresholds of the general-chain
 ``inverse_capacitance``; the search's batched cost runs the first stage
 alone, under the one ``np.errstate`` that ``search`` holds for its whole
 descent, and checks nothing: every point of its box maps (see
-``swapgate.search``).
+``swapgate.search``).  A mapped circuit is simulated through its couplings:
+``symmetric_chain`` of its ``j1x``, ``j1z``, ``j2x``, ``j2z`` and ``delta``
+in the library, or, on the command line, the ``circuit-map`` output run
+with ``[model] source = spin``; no gate experiment takes a circuit.
 
 Unit bridge: Josephson energies are entered in 2pi*GHz, capacitances in fF,
 inductances in nH.  Capacitive and inductive energies are converted to
@@ -121,9 +124,6 @@ class SpinMapResult:
     t_coeffs: tuple[float, ...]
     s_coeffs: tuple[float, ...]
     condition_number: float
-
-    def spin_params(self) -> SpinModelParams:
-        return symmetric_chain(self.j1x, self.j1z, self.j2x, self.j2z, self.delta)
 
 
 _SCALAR_FIELDS = tuple(

@@ -28,20 +28,26 @@ divides by, or a circuit value that is not positive, is refused
 (``_check_zero_divisors``).  A schema holds only the
 keys its experiment reads (the scans take no [model] section; a
 ``BySource`` [model] section takes only the keys of the ``source`` it
-names), and unknown keys are rejected.  Values are integers, floats,
-true/false, names or comma lists; there is no quoting: '#' always starts a
-comment, ',' always separates list items, and a '"' is an ordinary
-character, which no allowed name holds.  Loading fills defaults,
-and emitting a loaded configuration reproduces it exactly (load -> emit ->
-load is the identity on resolved configurations).
+names), and unknown keys are rejected.  The gate experiments
+(``fidelity_trace``, ``crosstalk_scan``, ``drive_demo``) take a chain from a
+table row or from explicit spin couplings; only ``circuit_map`` takes a
+circuit, and a mapped circuit is simulated by passing the couplings it
+writes as ``source = spin``.  Values are integers, floats, true/false,
+names or comma lists; there is no quoting: '#' always starts a comment, ','
+always separates list items, and a '"' is an ordinary character, which no
+allowed name holds.  Loading fills defaults, and emitting a loaded
+configuration reproduces it exactly (load -> emit -> load is the identity
+on resolved configurations).
 
-Per run, a CSV table (header row, '.' decimal, 12 significant digits, one
-row per sample) and a JSON summary (peaks, locations, the search seed, the
-full resolved configuration, and a format-version field) are written to the
-command's ``--out`` path (default ``<kind>.csv``) and beside it with the
-suffix ``.json``.  The output path is not part of the configuration, and
-must not end in ``.json``, the summary's suffix.  Identical configurations
-produce byte-identical CSV files.
+Every subcommand takes ``--config`` and ``--out`` alone: the configuration
+file is the one way to set a value, the noise rate and the search seed
+included.  Per run, a CSV table (header row, '.' decimal, 12 significant
+digits, one row per sample) and a JSON summary (peaks, locations, the
+search seed, the full resolved configuration, and a format-version field)
+are written to the command's ``--out`` path (default ``<kind>.csv``) and
+beside it with the suffix ``.json``.  The output path is not part of the
+configuration, and must not end in ``.json``, the summary's suffix.
+Identical configurations produce byte-identical CSV files.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -188,13 +194,9 @@ _ROW6 = cmap.table_row(6)
 _SPIN_KEYS = {name: ("float", _ROW6[name]) for name in ("j1x", "j1z", "j2x", "j2z", "delta")}
 _CIRCUIT_KEYS = {name: ("float", _ROW6[name]) for name in cmap.CIRCUIT_NAMES}
 _BRANCH_KEY = {"branch": ("str", "plus", BRANCHES)}
-# a chain from a table row (whose branch is the table's), explicit spin
-# couplings, or a mapped circuit; ``branch`` only where the experiment reads it
-_GATE_MODEL = BySource(
-    table_row=_ROW_KEYS,
-    spin={**_SPIN_KEYS, **_BRANCH_KEY},
-    circuit={**_CIRCUIT_KEYS, **_BRANCH_KEY},
-)
+# a chain from a table row (whose branch is the table's) or explicit spin
+# couplings; ``branch`` only where the experiment reads it
+_GATE_MODEL = BySource(table_row=_ROW_KEYS, spin={**_SPIN_KEYS, **_BRANCH_KEY})
 _NOISE_KEYS = {
     "gamma": ("float", 0.01, (0.0, None)),
     "channels": ("strlist", list(CHANNELS), CHANNELS),
@@ -273,7 +275,7 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple]]] = {
         "run": _SAMPLED_RUN,
     },
     "drive_demo": {
-        "model": BySource(table_row=_ROW_KEYS, spin=_SPIN_KEYS, circuit=_CIRCUIT_KEYS),
+        "model": BySource(table_row=_ROW_KEYS, spin=_SPIN_KEYS),
         "noise": _NOISE_KEYS,
         "grid": {
             "amplitude_fraction": ("float", 0.02),
@@ -342,7 +344,8 @@ def _check_zero_divisors(kind: str, sections: dict[str, dict[str, Any]]) -> None
     amplitude_fraction * |J2z| of a spin-source chain, any five-site chain
     ``build_n5_model`` refuses (the ``Eplus``/``Eminus`` denominator
     delta3/2 + 2 J2z must be nonzero and of the branch's sign), and any
-    circuit ``CircuitParams`` refuses (every value strictly positive)."""
+    ``circuit_map`` circuit (the only experiment with a circuit source) that
+    ``CircuitParams`` refuses (every value strictly positive)."""
     model = sections.get("model", {})
     try:
         if kind == "n5_trace":
@@ -582,14 +585,10 @@ def _spin_from_model_section(model: dict[str, Any]) -> tuple[SpinModelParams, st
     """The chain a model section names, and its detuning branch: the table's
     for a table row, else the section's ``branch`` (None where the
     experiment's schema has no such key)."""
-    source = model["source"]
-    if source == "table_row":
-        params = cmap.table_spin_params(model["row"])
-        return params, cmap.table_branch(model["row"])
-    branch = model.get("branch")
-    if source == "spin":
-        return symmetric_chain(**{name: model[name] for name in _SPIN_KEYS}), branch
-    return cmap.circuit_to_spin(_circuit_from_model_section(model)).spin_params(), branch
+    if model["source"] == "table_row":
+        return cmap.table_spin_params(model["row"]), cmap.table_branch(model["row"])
+    chain = symmetric_chain(**{name: model[name] for name in _SPIN_KEYS})
+    return chain, model.get("branch")
 
 
 def _noise_from_section(noise: dict[str, Any]) -> NoiseModel | None:
@@ -929,16 +928,6 @@ def main() -> None:
 
 
 def _register(name: str, kind: str) -> None:
-    # --seed and --no-noise exist only where the schema has the key they set
-    seed_option = click.option(
-        "--seed", type=click.IntRange(min=0), default=None,
-        help="Override [run] seed.",
-    ) if "seed" in SCHEMAS[kind].get("run", {}) else (lambda f: f)
-    no_noise_option = click.option(
-        "--no-noise", is_flag=True, default=False,
-        help="Disable decoherence noise for this run ([noise] gamma = 0).",
-    ) if "noise" in SCHEMAS[kind] else (lambda f: f)
-
     @main.command(name=name, help=f"Run the {kind} experiment.")
     @click.option("--config", "config_path",
                   type=click.Path(exists=True, dir_okay=False),
@@ -946,19 +935,11 @@ def _register(name: str, kind: str) -> None:
     @click.option("--out", "out_path", default=None,
                   help=f"Output CSV path (default {kind}.csv); the JSON summary "
                        "goes beside it with the suffix .json.")
-    @seed_option
-    @no_noise_option
-    def command(config_path, out_path, seed=None, no_noise=False):
+    def command(config_path, out_path):
         try:
             cfg = load_config(config_path) if config_path else default_config(kind)
             if cfg.kind != kind:
                 raise ConfigError(f"configuration is for {cfg.kind!r}, expected {kind!r}")
-            sections = {k: dict(v) for k, v in cfg.sections.items()}
-            if seed is not None:
-                sections["run"]["seed"] = seed
-            if no_noise:
-                sections["noise"]["gamma"] = 0.0
-            cfg = ExperimentConfig(kind=cfg.kind, sections=sections)
             out = Path(out_path or f"{kind}.csv")
             _check_out_path(out)
             record = run_experiment(cfg)

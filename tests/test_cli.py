@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from helpers import ROW6
 import swapgate.cli
-from swapgate.circuit_map import CIRCUIT_NAMES
+from swapgate.circuit_map import CIRCUIT_NAMES, circuit_to_spin, table_circuit_params
 from swapgate.cli import (
     SCHEMAS,
     BySource,
@@ -77,10 +77,12 @@ COUNT_CAPS = {"samples": 6, "points": 3, "n_durations": 3, "n_restarts": 2,
 
 
 @st.composite
-def in_bounds_raw(draw):
+def in_bounds_raw(draw, caps=COUNT_CAPS):
     """A raw configuration of any experiment, every key within its schema
-    bounds: the keys are drawn as ``test_load_emit_load_is_identity`` draws
-    them, except that each count is always set, at most its ``COUNT_CAPS``."""
+    bounds: a source, named or left at the default, then each of its keys
+    set or left at its default, except that each count in ``caps`` is
+    always set, at most its cap.  A configuration that is only resolved,
+    not run, takes ``caps={}``: every count is then drawn like any key."""
     kind = draw(st.sampled_from(sorted(SCHEMAS)))
     raw = {"": {"experiment": kind}}
     for section, keys in SCHEMAS[kind].items():
@@ -91,8 +93,8 @@ def in_bounds_raw(draw):
                 raw[section]["source"] = source
             keys = keys[source]
         for key, (tag, _default, *limits) in keys.items():
-            if key in COUNT_CAPS:
-                raw[section][key] = draw(st.integers(limits[0][0], COUNT_CAPS[key]))
+            if key in caps:
+                raw[section][key] = draw(st.integers(limits[0][0], caps[key]))
             elif draw(st.booleans()):
                 raw[section][key] = draw(_value_strategy(
                     tag, limits[0] if limits else None, key in swapgate.cli._MAY_BE_EMPTY))
@@ -193,23 +195,8 @@ class TestConfigFormat:
         assert raw["empty"] == []
 
     @settings(max_examples=150, deadline=None)
-    @given(st.data())
-    def test_load_emit_load_is_identity(self, data):
-        kind = data.draw(st.sampled_from(sorted(SCHEMAS)))
-        raw = {"": {"experiment": kind}}
-        for section, keys in SCHEMAS[kind].items():
-            raw[section] = {}
-            if isinstance(keys, BySource):
-                # a source, named or left at the default, and then its keys
-                source = data.draw(st.sampled_from(sorted(keys)))
-                if source != next(iter(keys)) or data.draw(st.booleans()):
-                    raw[section]["source"] = source
-                keys = keys[source]
-            for key, (tag, _default, *limits) in keys.items():
-                if data.draw(st.booleans()):
-                    value = _value_strategy(tag, limits[0] if limits else None,
-                                            key in swapgate.cli._MAY_BE_EMPTY)
-                    raw[section][key] = data.draw(value)
+    @given(raw=in_bounds_raw(caps={}))
+    def test_load_emit_load_is_identity(self, raw):
         try:
             cfg = resolve_config(raw)
         except ConfigError as exc:
@@ -233,9 +220,7 @@ class TestConfigFormat:
     @pytest.mark.parametrize("kind, source, keys", [
         ("fidelity_trace", None, {"row"}),
         ("fidelity_trace", "spin", {"j1x", "j1z", "j2x", "j2z", "delta", "branch"}),
-        ("crosstalk_scan", "circuit", set(CIRCUIT_NAMES) | {"branch"}),
         ("drive_demo", "spin", {"j1x", "j1z", "j2x", "j2z", "delta"}),
-        ("drive_demo", "circuit", set(CIRCUIT_NAMES)),
         ("circuit_map", "circuit", set(CIRCUIT_NAMES)),
     ])
     def test_model_section_holds_its_sources_keys(self, kind, source, keys):
@@ -314,18 +299,6 @@ class TestExperiments:
         assert rec.columns == ("t_us", "fbar", "fbar_noiseless")
         assert len(rec.rows) == 30
         assert rec.summary["peak_fidelity"] > 0.97
-
-    def test_no_noise_flag_matches_zero_gamma(self, tmp_path):
-        cfgfile = tmp_path / "t.cfg"
-        cfgfile.write_text("experiment = fidelity_trace\n[run]\nsamples = 12\n")
-        out = tmp_path / "t.csv"
-        result = CliRunner().invoke(
-            main, ["trace", "--no-noise", "--config", str(cfgfile), "--out", str(out)]
-        )
-        assert result.exit_code == 0, result.output
-        rows = np.loadtxt(out, delimiter=",", skiprows=1)
-        fbar, clean = rows[:, 1], rows[:, 2]
-        assert np.allclose(fbar, clean)
 
     def test_zero_gamma_trace_runs_one_noiseless_trace(self, monkeypatch):
         """With gamma = 0 the noisy trace is the noiseless one: computed once."""
@@ -639,7 +612,6 @@ class TestCommandLine:
         ("n5", "[model]\nbranch = foo"),
         ("search", "[model]\nbranch = foo"),
         ("trace", "[model]\nsource = spin\nbranch = foo"),
-        ("crosstalk", "[model]\nsource = circuit\nbranch = foo"),
         ("trace", "[grid]\ncontrol = foo"),
         ("qutrit", "[grid]\nconfigs = open, foo"),
         ("trace", "[noise]\nchannels = foo"),
@@ -776,12 +748,12 @@ class TestCommandLine:
         ("trace", "[model]\nsource = spin\nj1x = 1e-300\n[grid]\nwindow_hi = 1e10\n"
          "[run]\nsamples = 3", 3, "numerical failure: sample times are not finite"),
         # the circuit's positivity rule is CircuitParams', checked on loading
-        ("trace", "[model]\nsource = circuit\ne1 = -1", 2,
+        ("circuit-map", "[model]\nsource = circuit\ne1 = -1", 2,
          "configuration error: [model] e1 must be strictly positive"),
         ("circuit-map", "[model]\nsource = circuit\nc23 = 0", 2,
          "configuration error: [model] c23 must be strictly positive"),
     ], ids=["trace-overflowing-generator", "scan-j2-fidelity-out-of-range",
-            "trace-overflowing-window", "trace-negative-e1", "circuit-map-zero-c23"])
+            "trace-overflowing-window", "circuit-map-negative-e1", "circuit-map-zero-c23"])
     def test_failure_is_one_line_and_no_csv(self, tmp_path, command, body, exit_code,
                                             message):
         """Bad input exits 2 and a numerical failure 3, each with one line on
@@ -875,29 +847,16 @@ class TestCommandLine:
         result = runner.invoke(main, ["scan-j2", "--config", str(cfgfile)])
         assert result.exit_code == 2
 
-    def test_seed_override_lands_in_summary(self, tmp_path):
+    def test_config_seed_lands_in_summary(self, tmp_path):
         cfgfile = tmp_path / "s.cfg"
         cfgfile.write_text("experiment = search\n[grid]\nn_restarts = 2\n"
-                           "max_evaluations = 20\n")
+                           "max_evaluations = 20\n[run]\nseed = 42\n")
         out = tmp_path / "search.csv"
-        runner = CliRunner()
-        result = runner.invoke(
-            main, ["search", "--config", str(cfgfile), "--out", str(out),
-                   "--seed", "42"],
-        )
+        result = CliRunner().invoke(
+            main, ["search", "--config", str(cfgfile), "--out", str(out)])
         assert result.exit_code == 0, result.output
         payload = json.loads(out.with_suffix(".json").read_text())
         assert payload["summary"]["seed"] == 42
-
-    @pytest.mark.parametrize("command, seed", [("trace", "3"), ("search", "-1")])
-    def test_rejected_seed_exits_2(self, tmp_path, command, seed):
-        """Only ``search`` has ``--seed``, and the override keeps the
-        schema's ``seed >= 0``."""
-        out = tmp_path / "o.csv"
-        result = CliRunner().invoke(main, [command, "--seed", seed, "--out", str(out)])
-        assert result.exit_code == 2, result.output
-        assert "--seed" in result.output
-        assert not out.exists()
 
     def test_empty_channel_list_means_no_channel(self):
         cfg = resolve_config(parse_config_text(
@@ -1059,12 +1018,10 @@ class TestCommandLine:
         ("trace", "fidelity_trace", "[model]\nbranch = minus"),
         ("trace", "fidelity_trace", "[model]\ne1 = 5"),
         ("trace", "fidelity_trace", "[model]\nsource = spin\nrow = 3"),
-        ("trace", "fidelity_trace", "[model]\nsource = circuit\nj1x = 1"),
         ("crosstalk", "crosstalk_scan", "[model]\nsource = table_row\nbranch = minus"),
         ("drive", "drive_demo", "[model]\nj1x = 1"),
         # the drive never reads a branch
         ("drive", "drive_demo", "[model]\nsource = spin\nbranch = minus"),
-        ("drive", "drive_demo", "[model]\nsource = circuit\nbranch = minus"),
         ("circuit-map", "circuit_map", "[model]\ne1 = 5"),
     ])
     def test_key_the_experiment_does_not_read_exits_2(self, tmp_path, command,
@@ -1079,39 +1036,74 @@ class TestCommandLine:
         assert "configuration error" in result.output
         assert not out.exists()
 
-    def test_no_noise_flag_is_zero_gamma_in_the_record(self, tmp_path):
-        body = "experiment = fidelity_trace\n[run]\nsamples = 8\n"
-        flagged = tmp_path / "flag.cfg"
-        flagged.write_text(body)
-        zero = tmp_path / "zero.cfg"
-        zero.write_text(body + "[noise]\ngamma = 0.0\n")
-        runner = CliRunner()
-        for args, out in ((["--config", str(flagged), "--no-noise"], "flag.csv"),
-                          (["--config", str(zero)], "zero.csv")):
-            result = runner.invoke(main, ["trace", *args, "--out", str(tmp_path / out)])
-            assert result.exit_code == 0, result.output
-        payload = json.loads((tmp_path / "flag.json").read_text())
-        embedded = resolve_config(parse_config_text(payload["config"]))
-        assert embedded["noise"]["gamma"] == 0.0
-        assert (tmp_path / "flag.csv").read_bytes() == (tmp_path / "zero.csv").read_bytes()
-
-    @pytest.mark.parametrize("command", ["circuit-map", "search"])
-    def test_no_noise_flag_rejected_without_noise_section(self, tmp_path, command):
+    @pytest.mark.parametrize("command", ["trace", "crosstalk", "drive"])
+    def test_gate_experiment_refuses_a_circuit_source(self, tmp_path, command):
+        """A circuit reaches the gate experiments only through ``circuit-map``,
+        whose couplings run as ``source = spin``."""
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text(f"experiment = {SUBCOMMANDS[command]}\n[model]\n"
+                           "source = circuit\n")
         out = tmp_path / "o.csv"
-        result = CliRunner().invoke(main, [command, "--no-noise", "--out", str(out)])
+        result = CliRunner().invoke(
+            main, [command, "--config", str(cfgfile), "--out", str(out)])
         assert result.exit_code == 2, result.output
-        assert "--no-noise" in result.output
+        assert result.stderr.startswith("configuration error: [model] source: ")
+        assert "expected one of table_row, spin" in result.stderr
         assert not out.exists()
 
-    @pytest.mark.parametrize("command, kind", sorted(SUBCOMMANDS.items()))
-    def test_flags_offered_exactly_with_their_keys(self, command, kind):
-        """``--no-noise`` where there is a ``[noise]`` section, and ``--seed``
-        where there is a ``[run] seed``: only ``search`` draws random numbers."""
+    @pytest.mark.parametrize("command, body, atol", [
+        ("trace", "[run]\nsamples = 12", 1e-10),
+        ("crosstalk", "[grid]\nfractions_pct = 0, 5\n[run]\nsamples = 12", 1e-10),
+        ("drive", "[grid]\nn_durations = 3", 1e-7),
+    ], ids=["trace", "crosstalk", "drive"])
+    def test_mapped_circuit_runs_as_a_spin_source(self, tmp_path, command, body, atol):
+        """The couplings ``circuit-map`` writes, passed as ``source = spin``,
+        run the chain of ``circuit_to_spin``'s exact couplings, to the 12
+        digits of that CSV: the fidelities to 6e-12, and the drive's
+        transfer, whose calibrated pulse is off this chain's resonance (the
+        pi pulse transfers 0.009), to 1.4e-8."""
+        mapped = tmp_path / "map.csv"
+        result = CliRunner().invoke(main, ["circuit-map", "--out", str(mapped)])
+        assert result.exit_code == 0, result.output
+        header, values = mapped.read_text().splitlines()
+        row = dict(zip(header.split(","), values.split(",")))
+        spin = circuit_to_spin(table_circuit_params(6))
+        head = f"experiment = {SUBCOMMANDS[command]}\n[model]\nsource = spin\n"
+        couplings = ("j1x", "j1z", "j2x", "j2z", "delta")
+        cfgfile = tmp_path / "spin.cfg"
+        cfgfile.write_text(head + "".join(f"{k} = {row[k + '_mhz']}\n" for k in couplings)
+                           + body + "\n")
+        out = tmp_path / "o.csv"
+        result = CliRunner().invoke(main, [command, "--config", str(cfgfile),
+                                           "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        exact = resolve_config(parse_config_text(
+            head + "".join(f"{k} = {getattr(spin, k)!r}\n" for k in couplings) + body))
+        want = np.array(run_experiment(exact).rows)
+        got = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=1e-10, atol=atol)
+
+    @pytest.mark.parametrize("args", [["trace", "--no-noise"], ["search", "--seed", "1"]])
+    def test_setting_flags_are_usage_errors(self, tmp_path, args):
+        """The noise rate and the seed are set in the configuration file alone."""
+        out = tmp_path / "o.csv"
+        result = CliRunner().invoke(main, [*args, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "No such option" in result.output and args[1] in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+    def test_every_subcommand_offers_config_and_out_only(self, command):
+        """Each value a run reads comes from the configuration file, and the
+        output path from ``--out``: no subcommand has another option."""
+        options = [param.opts for param in main.commands[command].params]
+        assert options == [["--config"], ["--out"]]
         result = CliRunner().invoke(main, [command, "--help"])
         assert result.exit_code == 0
-        assert ("--no-noise" in result.output) == ("noise" in SCHEMAS[kind])
-        assert ("seed" in SCHEMAS[kind].get("run", {})) == (kind == "search")
-        assert ("--seed" in result.output) == (kind == "search")
+        offered = {word.rstrip(",") for word in result.output.split()
+                   if word.startswith("--")}
+        assert offered == {"--config", "--out", "--help"}
 
 
 def _readme_block(heading: str) -> str:

@@ -13,6 +13,7 @@ from scipy.optimize import minimize
 
 from swapgate.circuit_map import (
     CIRCUIT_NAMES,
+    IND_ENERGY_SCALE,
     CircuitParams,
     MappingError,
     circuit_to_spin,
@@ -30,6 +31,7 @@ from swapgate.cli import (
 from swapgate.dynamics import NoiseModel
 from swapgate.metrics import CLOSED_WINDOW, OPEN_WINDOW, average_fidelity, gate_window
 from swapgate.spin_model import (
+    TWO_PI,
     GateConfig,
     analytic_gate_time,
     build_interaction_hamiltonian,
@@ -184,6 +186,53 @@ class TestEveryBoxPointMaps:
             warnings.simplefilter("error", RuntimeWarning)
             cost, _ = _cost_rows(box_points(), branch)
         assert np.isfinite(cost).all()
+
+
+@pytest.fixture(scope="class")
+def certificate_sites():
+    """The box's 256 corners and 200,000 uniform draws inside it, as the
+    columns of ``x`` (the corners first), and their ``map_sites`` fields."""
+    corners = np.array(list(itertools.product(*zip(BOX_LO, BOX_HI))))
+    draws = BOX_LO + (BOX_HI - BOX_LO) * np.random.default_rng(5).random((200_000, 8))
+    x = np.ascontiguousarray(np.vstack([corners, draws]).T)
+    with np.errstate(all="ignore"):
+        return x, map_sites(x)
+
+
+class TestNoBoxPointPasses:
+    """No circuit of ``DEFAULT_BOUNDS`` meets the search's ``j1_equality``
+    <= 0.01.  On the end bond the mapping reads, with u = e12 / (e12 + E_L)
+    and the mode scales ta, tb,
+
+        J1z / J1x = 1/2 u ta tb / (1 - 1/2 u (ta^2 + tb^2)),
+
+    and over the box ta^2 + tb^2 < 0.251 and u < 1, so J1z / J1x < 0.0718
+    (1/2 ta tb <= 1/4 (ta^2 + tb^2)) and ``j1_equality`` > 0.928 everywhere."""
+
+    def test_closed_form_ratio_matches_the_mapping(self, certificate_sites):
+        x, sites = certificate_sites
+        e12, l12 = x[2], x[7]
+        u = e12 / (e12 + IND_ENERGY_SCALE * TWO_PI**2 / l12)
+        ta, tb = sites["ta"], sites["tb"]
+        closed = 0.5 * u * ta * tb / (1.0 - 0.5 * u * (ta * ta + tb * tb))
+        np.testing.assert_allclose(closed, sites["j1z"] / sites["j1x"], rtol=1e-14, atol=0)
+        assert u.max() < 1.0 and (ta * ta + tb * tb).max() < 0.251
+
+    def test_j1_equality_is_at_least_0_928(self, certificate_sites):
+        _, sites = certificate_sites
+        assert _residuals(sites, "plus")["j1_equality"].min() >= 0.928
+
+    def test_best_point_is_the_small_corner(self, certificate_sites):
+        """The ratio grows with ta, tb and u: its largest value, the box's
+        smallest ``j1_equality``, is 0.93851 at the corner of the smallest
+        junctions and capacitances and the largest inductance."""
+        x, sites = certificate_sites
+        equality = _residuals(sites, "plus")["j1_equality"][:256]
+        best = int(np.argmin(equality))
+        assert round(float(equality[best]), 5) == 0.93851
+        assert dict(zip(CIRCUIT_NAMES, x[:, best])) == {
+            "e1": 50.0, "e2": 50.0, "e12": 50.0, "e23": 50.0,
+            "c1": 20.0, "c2": 20.0, "c23": 20.0, "l12": 100.0}
 
 
 def parity_points():
