@@ -9,7 +9,7 @@ Configuration files use a flat, typed key/value format with section nesting:
     row = 6                       # integer
     [noise]
     gamma = 0.01                  # float
-    channels = dephasing, photon_loss   # comma list ('[]' is the empty list)
+    channels = dephasing, photon_loss   # comma list
     [grid]
     window_lo = 0.8
     window_hi = 1.05
@@ -19,8 +19,8 @@ Configuration files use a flat, typed key/value format with section nesting:
 
 Every key is validated against the experiment's schema (type, finiteness,
 range: table rows 1..16; 1..10,000 samples, grid points, durations and
-restarts; gamma >= 0; the allowed names of a string; at least one item in a
-list other than ``channels``; no item twice in ``rows`` or ``configs``) and
+restarts; gamma >= 0; the allowed names of a string; at least one item in
+every list; no item twice in ``rows`` or ``configs``) and
 the cross-key rules in ``ORDER_RULES`` (time windows increase, the drive
 amplitude is positive); an experiment that reads the gate time pi / |2 J1|
 refuses a chain, or a scan point, with J1 = 0, and a zero any experiment
@@ -33,9 +33,10 @@ names), and unknown keys are rejected.  The gate experiments
 table row or from explicit spin couplings; only ``circuit_map`` takes a
 circuit, and a mapped circuit is simulated by passing the couplings it
 writes as ``source = spin``.  Values are integers, floats, true/false,
-names or comma lists; there is no quoting: '#' always starts a comment, ','
-always separates list items, and a '"' is an ordinary character, which no
-allowed name holds.  Loading fills defaults, and emitting a loaded
+names or comma lists; there is no quoting and no empty list: '#' always
+starts a comment, ',' always separates list items, and '"' and '[]' are
+ordinary characters, which no allowed name holds.  A noiseless run is
+``[noise] gamma = 0``.  Loading fills defaults, and emitting a loaded
 configuration reproduces it exactly (load -> emit -> load is the identity
 on resolved configurations).
 
@@ -49,11 +50,12 @@ beside it with the suffix ``.json``.  The output path is not part of the
 configuration, and must not end in ``.json``, the summary's suffix.
 Identical configurations produce byte-identical CSV files.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 usage or configuration error, 3 numerical failure.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import time
@@ -61,7 +63,6 @@ from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Any, Callable
 
-import click
 import numpy as np
 
 from . import circuit_map as cmap
@@ -123,7 +124,7 @@ def _parse_value(raw: str):
     parts = raw.split(",")
     if len(parts) > 1:
         return [_parse_scalar(p) for p in parts]
-    return [] if raw.strip() == "[]" else _parse_scalar(raw)
+    return _parse_scalar(raw)
 
 
 def parse_config_text(text: str) -> dict[str, dict[str, Any]]:
@@ -162,7 +163,7 @@ def _format_value(v: Any) -> str:
         # "-0" would load back as the integer 0
         return short if float(short) == v and short != "-0" else repr(v)
     if isinstance(v, (list, tuple)):
-        return ", ".join(_format_value(x) for x in v) if v else "[]"
+        return ", ".join(_format_value(x) for x in v)
     return str(v)
 
 
@@ -170,14 +171,12 @@ def _format_value(v: Any) -> str:
 # for each number (optional), inclusive (lo, hi) bounds with None for an
 # open side, and for each string the tuple of allowed values: every string
 # is a name, so the config format needs no quoting.  A list holds
-# at least one item unless its key is in _MAY_BE_EMPTY, and no item twice if
-# its key is in _DISTINCT.
+# at least one item, and no item twice if its key is in _DISTINCT.
 _AT_LEAST_ONE = (1, None)
 # a count that sizes an array, bounded so that a run can allocate it
 _COUNT = (1, 10_000)
 _TABLE_ROWS = (min(cmap.TABLE_S1), max(cmap.TABLE_S1))
 _SAMPLED_RUN = {"samples": ("int", 90, _COUNT)}
-_MAY_BE_EMPTY = frozenset({"channels"})
 # each item names an output block and a summary entry of its own
 _DISTINCT = frozenset({"rows", "configs"})
 
@@ -404,11 +403,11 @@ def _check_scalar(tag: str, value: Any, limits: tuple | None) -> Any:
 
 
 def _check_type(tag: str, value: Any, where: str, limits: tuple | None,
-                may_be_empty: bool = False, distinct: bool = False) -> Any:
+                distinct: bool = False) -> Any:
     try:
         if tag.endswith("list"):
             items = value if isinstance(value, list) else [value]
-            if not items and not may_be_empty:
+            if not items:
                 raise ConfigError("expected at least one item")
             items = [_check_scalar(tag[:-4], x, limits) for x in items]
             twice = [x for i, x in enumerate(items) if x in items[:i]] if distinct else []
@@ -482,7 +481,7 @@ def resolve_config(raw: dict[str, dict[str, Any]]) -> ExperimentConfig:
             if key in body:
                 resolved[key] = _check_type(tag, body[key], f"[{sec_name}] {key}",
                                             limits[0] if limits else None,
-                                            key in _MAY_BE_EMPTY, key in _DISTINCT)
+                                            key in _DISTINCT)
             else:  # a list default is copied: the schema's own stays intact
                 resolved[key] = list(default) if isinstance(default, list) else default
         sections[sec_name] = resolved
@@ -592,7 +591,7 @@ def _spin_from_model_section(model: dict[str, Any]) -> tuple[SpinModelParams, st
 
 
 def _noise_from_section(noise: dict[str, Any]) -> NoiseModel | None:
-    if noise["gamma"] == 0.0 or not noise["channels"]:
+    if noise["gamma"] == 0.0:
         return None
     return NoiseModel(gamma=noise["gamma"], channels=frozenset(noise["channels"]))
 
@@ -922,40 +921,35 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
 # command line
 # ---------------------------------------------------------------------------
 
-@click.group()
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
     """Conditional two-qubit swap gate simulator."""
-
-
-def _register(name: str, kind: str) -> None:
-    @main.command(name=name, help=f"Run the {kind} experiment.")
-    @click.option("--config", "config_path",
-                  type=click.Path(exists=True, dir_okay=False),
-                  default=None, help="Configuration file.")
-    @click.option("--out", "out_path", default=None,
-                  help=f"Output CSV path (default {kind}.csv); the JSON summary "
-                       "goes beside it with the suffix .json.")
-    def command(config_path, out_path):
-        try:
-            cfg = load_config(config_path) if config_path else default_config(kind)
-            if cfg.kind != kind:
-                raise ConfigError(f"configuration is for {cfg.kind!r}, expected {kind!r}")
-            out = Path(out_path or f"{kind}.csv")
-            _check_out_path(out)
-            record = run_experiment(cfg)
-        except ConfigError as exc:
-            click.echo(f"configuration error: {exc}", err=True)
-            raise SystemExit(2)
-        except NUMERICAL_FAILURES as exc:
-            click.echo(f"numerical failure: {exc}", err=True)
-            raise SystemExit(3)
-        csv_path, json_path = emit(record, out)
-        click.echo(f"wrote {csv_path} and {json_path} "
-                   f"({record.wall_time_s:.1f} s)")
-
-
-for _experiment, (_subcommand, _) in EXPERIMENTS.items():
-    _register(_subcommand, _experiment)
+    parser = argparse.ArgumentParser(prog="swapgate", description=main.__doc__,
+                                     allow_abbrev=False)
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    for kind, (name, _) in EXPERIMENTS.items():
+        about = f"Run the {kind} experiment."
+        command = commands.add_parser(name, help=about, description=about,
+                                      allow_abbrev=False)
+        command.set_defaults(kind=kind)
+        command.add_argument("--config", metavar="PATH", help="Configuration file.")
+        command.add_argument("--out", metavar="PATH", default=f"{kind}.csv",
+                             help="Output CSV path (default %(default)s); the JSON "
+                                  "summary goes beside it with the suffix .json.")
+    args = parser.parse_args(argv)
+    try:
+        cfg = default_config(args.kind) if args.config is None else load_config(args.config)
+        if cfg.kind != args.kind:
+            raise ConfigError(f"configuration is for {cfg.kind!r}, expected {args.kind!r}")
+        if not args.out:
+            raise ConfigError("output path is empty")
+        _check_out_path(Path(args.out))
+        record = run_experiment(cfg)
+    except ConfigError as exc:
+        parser.exit(2, f"configuration error: {exc}\n")
+    except NUMERICAL_FAILURES as exc:
+        parser.exit(3, f"numerical failure: {exc}\n")
+    csv_path, json_path = emit(record, args.out)
+    print(f"wrote {csv_path} and {json_path} ({record.wall_time_s:.1f} s)")
 
 
 if __name__ == "__main__":

@@ -11,13 +11,19 @@ the engine against, each stated once here:
 - ``fidelity_stack`` and ``fbar_of``, the 16 initial operators of the
   average fidelity in Nielsen's Pauli form and its read-off from the
   evolved ones.  The engine scores on the matrix units |p><q| of the end
-  qubits, so the Pauli form checks it in an independent basis.
+  qubits, so the Pauli form checks it in an independent basis;
+- ``run_cli``, one ``swapgate`` command line run in this process.
 
 The oracles work on plain arrays and call nothing in ``swapgate``.
 """
 
+import contextlib
+import io
+from typing import NamedTuple
+
 import numpy as np
 
+from swapgate.cli import main
 from swapgate.hilbert import HilbertError, OperatorMatrix
 
 ROW6 = dict(j1x=40.9, j1z=40.9, j2x=-540.4, j2z=1007.1, delta=933.4)
@@ -111,3 +117,27 @@ def fbar_of(evolved, target, dims):
         np.trace(target @ p.conj().T @ target.conj().T
                  @ partial_trace_by_sites(m, dims, ends)).real
         for p, m in zip(pauli_basis_2q(), evolved)) / 80.0
+
+
+class CliResult(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+
+    @property
+    def output(self) -> str:
+        """Standard output, then standard error."""
+        return self.stdout + self.stderr
+
+
+def run_cli(args):
+    """Run ``swapgate <args>`` in this process: the exit code (0 when
+    ``main`` returns), standard output and standard error."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            main(list(args))
+            exit_code = 0
+        except SystemExit as exc:
+            exit_code = exc.code
+    return CliResult(exit_code, stdout.getvalue(), stderr.getvalue())

@@ -1002,27 +1002,29 @@ class TestPackage:
             dynamics.propagate_superoperator()
 
     def test_import_loads_no_scipy(self):
-        """scipy is a test oracle only (RK45, expm, Nelder-Mead): importing
-        the package and its command line loads no scipy module."""
+        """scipy is a test oracle only (RK45, expm, Nelder-Mead), and the
+        command line runs on the standard library: importing the package and
+        its command line loads no scipy and no click module."""
         src = str(Path(swapgate.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
         code = ("import sys, swapgate, swapgate.cli; print(sorted(m for m in sys.modules "
-                "if m == 'scipy' or m.startswith('scipy.')))")
+                "if m.split('.')[0] in ('scipy', 'click')))")
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out.strip() == "[]"
 
     def test_runs_without_scipy(self, tmp_path):
-        """With scipy unimportable, the default trace, drive and scan-j2 run
-        through the command line and exit 0."""
+        """With scipy and click unimportable, the default trace, drive and
+        scan-j2 run through the command line and exit 0 (``main`` returns)."""
         src = str(Path(swapgate.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
         code = ("import sys\n"
-                "sys.modules['scipy'] = None\n"
+                "sys.modules['scipy'] = sys.modules['click'] = None\n"
                 "from swapgate.cli import main\n"
                 "for command in ('trace', 'drive', 'scan-j2'):\n"
                 "    try:\n"
                 "        main([command, '--out', sys.argv[1] + '/' + command + '.csv'])\n"
+                "        print(command, 0)\n"
                 "    except SystemExit as exc:\n"
                 "        print(command, exc.code)\n")
         out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,

@@ -8,9 +8,9 @@ import warnings
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from scipy.optimize import minimize
 
+from helpers import run_cli
 from swapgate.circuit_map import (
     CIRCUIT_NAMES,
     IND_ENERGY_SCALE,
@@ -23,7 +23,6 @@ from swapgate.circuit_map import (
 )
 from swapgate.cli import (
     default_config,
-    main,
     parse_config_text,
     resolve_config,
     run_experiment,
@@ -479,8 +478,7 @@ class TestSearch:
         cfgfile.write_text("experiment = search\n[grid]\nn_restarts = 2\n"
                            f"max_evaluations = {2**70}\n[run]\nseed = 3\n")
         out = tmp_path / "s.csv"
-        result = CliRunner().invoke(main, ["search", "--config", str(cfgfile),
-                                           "--out", str(out)])
+        result = run_cli(["search", "--config", str(cfgfile), "--out", str(out)])
         assert result.exit_code == 0, result.output
         summary = json.loads(out.with_suffix(".json").read_text())["summary"]
         assert summary["best_cost"] == results[0].cost
