@@ -51,13 +51,19 @@ configuration, and must not end in ``.json``, the summary's suffix.
 Identical configurations produce byte-identical CSV files.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 numerical failure.
+
+``main``, the console script, runs numpy's bundled OpenBLAS on one thread
+unless ``OPENBLAS_NUM_THREADS`` is set (``_pin_blas_thread``); importing the
+module changes no process setting.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
+import os
 import time
 from dataclasses import astuple, dataclass
 from pathlib import Path
@@ -921,8 +927,28 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
 # command line
 # ---------------------------------------------------------------------------
 
+def _pin_blas_thread() -> None:
+    """Run numpy's bundled OpenBLAS on one thread, unless the caller set
+    ``OPENBLAS_NUM_THREADS``: every matrix here is at most 256 wide, so
+    threads cost more in handoff than they save.  OpenBLAS read the variable
+    when numpy loaded it, so the count is set through its own setter, found
+    via ``ctypes`` among the libraries numpy's core links; a BLAS without
+    that symbol is left alone."""
+    if "OPENBLAS_NUM_THREADS" in os.environ:
+        return
+    try:
+        from numpy._core import _multiarray_umath
+
+        set_threads = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    set_threads(1)
+
+
 def main(argv: list[str] | None = None) -> None:
     """Conditional two-qubit swap gate simulator."""
+    _pin_blas_thread()
     parser = argparse.ArgumentParser(prog="swapgate", description=main.__doc__,
                                      allow_abbrev=False)
     commands = parser.add_subparsers(metavar="COMMAND", required=True)

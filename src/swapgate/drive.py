@@ -151,7 +151,8 @@ def rabi_prepare(
     h0, start, levels = _undriven_chain(params)
     numbers = excitation_numbers((2, 2))
     results = []
-    for t, reduced in zip(durations, _driven_register(h0, start, pulse, durations, noise)):
+    reduced_states, = _driven_register(h0, start, [pulse], durations, noise)
+    for t, reduced in zip(durations, reduced_states):
         back = np.exp(1j * TWO_PI * pulse.frequency * t * numbers)
         rho = back[:, None] * reduced.entries * back.conj()
         phases = np.exp(1j * levels * t)
@@ -164,13 +165,15 @@ def rabi_prepare(
     return results
 
 
-def _driven_register(h0: OperatorMatrix, start: np.ndarray, pulse: DrivePulse,
+def _driven_register(h0: OperatorMatrix, start: np.ndarray, pulses: Sequence[DrivePulse],
                      durations: Sequence[float], noise: NoiseModel | None,
-                     ) -> list[OperatorMatrix]:
-    """The register's states, in the drive's frame, after ``durations`` from ``start``."""
+                     ) -> list[list[OperatorMatrix]]:
+    """The register's states, in each pulse's frame, after ``durations`` from
+    ``start``: one checked ``propagate`` for all ``pulses``, one list per pulse."""
     rho0 = OperatorMatrix(h0.dims, np.outer(start, start.conj()))
-    states = propagate(rho0, h0 + drive_hamiltonian(pulse, h0.dims), noise, durations)
-    return [partial_trace(state, keep_sites=(1, 2)) for state in states]
+    runs = propagate(rho0, [h0 + drive_hamiltonian(pulse, h0.dims) for pulse in pulses],
+                     noise, durations)
+    return [[partial_trace(state, keep_sites=(1, 2)) for state in states] for states in runs]
 
 
 def _undriven_chain(
@@ -202,16 +205,17 @@ def calibrated_pi_pulse(params: SpinModelParams, amplitude: float) -> DrivePulse
     probability quadratically (``metrics.refine_peak``), the numerical
     analogue of an experimental Rabi calibration; the off-resonant dressing
     of the register levels shifts the optimum by a few 2pi*MHz from the bare
-    transition.  The chain and its closed-register state are built once;
-    each frequency is one checked ``propagate`` to the pi duration, its
-    |00>_C population read as ``rabi_prepare`` reads it.
+    transition.  The chain and its closed-register state are built once,
+    and one checked ``propagate`` takes all ``CALIBRATION_POINTS``
+    frequencies to the pi duration on its generator axis, each |00>_C
+    population read as ``rabi_prepare`` reads it.
     """
     h0, start, levels = _undriven_chain(params)
     base = _transition_frequency(levels)
     freqs = np.linspace(base - CALIBRATION_SPAN, base + CALIBRATION_SPAN,
                         CALIBRATION_POINTS)
     t_pi = DrivePulse(amplitude, base).pi_duration()
-    probs = [_driven_register(h0, start, DrivePulse(amplitude, f), (t_pi,), None)[0]
-             .entries[0, 0].real for f in freqs]
+    probs = [states[0].entries[0, 0].real for states in _driven_register(
+        h0, start, [DrivePulse(amplitude, f) for f in freqs], (t_pi,), None)]
     best, _ = refine_peak(freqs, np.array(probs), int(np.argmax(probs)))
     return DrivePulse(amplitude=amplitude, frequency=best)

@@ -61,8 +61,18 @@ the functionals by ``p``, and one matrix product contracts the two, about
 as the fidelity stacks of several register preparations, are concatenated
 and evolved once, each group reading its own rows.
 
-``propagate`` evolves one state, an ``OperatorMatrix``, checked on input and
-at every sample.  Hamiltonians are in rad/us and times in us.
+Generators that share a stack, such as the drive chains a Rabi calibration
+scans, are evolved together on a leading generator axis: a Hamiltonian of
+shape (K, D, D) gives samples (T, K, n, D, D), or traces (T, K, G).  The
+levels kept are the union of what the K reach, and the spectral branch
+diagonalises all K in one stacked ``eigh`` and turns them by broadcast
+products, so each generator's samples are those of its own call, bit for
+bit, wherever the K reach the same levels.  Only noiseless Hermitian
+generators are stacked: there is no batched Liouvillian.
+
+``propagate`` evolves one state, an ``OperatorMatrix``, under one
+Hamiltonian or a sequence of them, checked on input and at every sample in
+one vectorised check.  Hamiltonians are in rad/us and times in us.
 """
 
 from __future__ import annotations
@@ -70,7 +80,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -155,12 +165,14 @@ class _LindbladGenerator:
 
     Uses the effective-Hamiltonian form: the anticommutator halves are folded
     into a non-Hermitian Heff, and every jump, diagonal (dephasing) or not,
-    enters as its own term.  Propagation uses the matrix forms below.
+    enters as its own term.  Propagation uses the matrix forms below.  A
+    stack of Hamiltonians (K, D, D) gives a stack of Heff sharing the jumps;
+    ``block`` and ``components`` need a single one.
     """
 
     def __init__(self, hamiltonian: np.ndarray,
                  collapse: Sequence[tuple[float, np.ndarray]]):
-        self.dim = hamiltonian.shape[0]
+        self.dim = hamiltonian.shape[-1]
         heff = -1j * hamiltonian.astype(complex)
         for g, op in collapse:
             heff = heff - 0.5 * g * (op.conj().T @ op)
@@ -201,46 +213,70 @@ class _LindbladGenerator:
     def restrict(self, keep: np.ndarray) -> None:
         """Drop every level outside ``keep``, a set the generator maps into itself."""
         sub = np.ix_(keep, keep)
-        self.dim, self.heff = keep.size, self.heff[sub]
+        self.dim, self.heff = keep.size, self.heff[(...,) + sub]
         self.jumps = [(g, op[sub]) for g, op in self.jumps]
 
 
 def propagate(
     rho0: OperatorMatrix,
-    hamiltonian: OperatorMatrix,
+    hamiltonian: OperatorMatrix | Sequence[OperatorMatrix],
     noise: NoiseModel | None,
     sample_times: Sequence[float],
-) -> list[OperatorMatrix]:
+) -> list[OperatorMatrix] | list[list[OperatorMatrix]]:
     """Evolve a state from t = 0 under ``hamiltonian`` and ``noise`` and
     sample it at ``sample_times``, nonnegative and strictly increasing.
 
-    The input must be a state within 1e-9 (``HilbertError``), and every
-    sample is checked for trace and Hermiticity preservation within 1e-8
-    (``PropagationError``); both must have no eigenvalue below -1e-7.
+    ``hamiltonian`` is one ``OperatorMatrix``, giving the list of samples,
+    or a sequence of them over the state's sites, evolved in one call on
+    ``evolve_stack_raw``'s generator axis and giving one list of samples per
+    Hamiltonian; more than one needs no noise and Hermitian members
+    (``ValueError``).  The input must be a state within 1e-9
+    (``HilbertError``), and every sample is checked for trace and
+    Hermiticity preservation within 1e-8 (``PropagationError``, naming the
+    sample's time); both must have no eigenvalue below -1e-7.
     """
-    dims = hamiltonian.dims
-    if rho0.dims != dims:
+    single = isinstance(hamiltonian, OperatorMatrix)
+    members = [hamiltonian] if single else list(hamiltonian)
+    if not members:
+        raise ValueError("no Hamiltonian to propagate")
+    dims = rho0.dims
+    if any(h.dims != dims for h in members):
         raise HilbertError("state dimensions do not match the Hamiltonian")
-    _check_state(rho0.entries, 1e-9, HilbertError, "in the initial state")
+    _check_states(rho0.entries[None], 1e-9, HilbertError, lambda _: "in the initial state")
     collapse = noise.collapse_operators(dims) if noise else []
-    out = evolve_stack_raw(hamiltonian.entries, collapse,
-                           rho0.entries[None, :, :], sample_times)
-    for t, m in zip(sample_times, out[:, 0]):
-        _check_state(m, 1e-8, PropagationError, f"at t = {t:.3e}")
-    return [OperatorMatrix(dims, m) for m in out[:, 0]]
+    entries = hamiltonian.entries if single else np.stack([h.entries for h in members])
+    out = evolve_stack_raw(entries, collapse, rho0.entries[None, :, :], sample_times)
+    samples = out[:, None, 0] if single else out[:, :, 0]  # (time, Hamiltonian)
+    _check_states(samples, 1e-8, PropagationError,
+                  lambda at: f"at t = {sample_times[at[0]]:.3e}")
+    runs = [[OperatorMatrix(dims, m) for m in samples[:, k]] for k in range(len(members))]
+    return runs[0] if single else runs
 
 
-def _check_state(m: np.ndarray, tol: float, error: type[Exception], where: str) -> None:
-    """Raise ``error`` unless ``m`` has unit trace and is Hermitian within
-    ``tol`` (NaN fails both) with no eigenvalue below -1e-7."""
-    tr = np.trace(m)
-    if not abs(tr - 1.0) <= tol:
-        raise error(f"trace {tr:.10f} is not 1 within {tol:g} {where}")
-    if not np.max(np.abs(m - m.conj().T)) <= tol:
-        raise error(f"Hermiticity lost beyond {tol:g} {where}")
-    w_min = np.linalg.eigvalsh((m + m.conj().T) / 2.0).min()
-    if w_min < -1e-7:
-        raise error(f"negative population {w_min:.3e} {where}")
+def _check_states(m: np.ndarray, tol: float, error: type[Exception],
+                  where: Callable[[tuple], str]) -> None:
+    """Raise ``error`` unless every matrix of the stack ``m`` (..., D, D) has
+    unit trace and is Hermitian within ``tol`` (NaN fails both) with no
+    eigenvalue below -1e-7.  The message names the first failing matrix in
+    C order, by ``where`` of its index, and its first failing check."""
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    trace_ok = np.abs(tr - 1.0) <= tol
+    hermitian = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) <= tol
+    ok = trace_ok & hermitian
+    # eigenvalues only of matrices that passed, so NaN never reaches LAPACK
+    passed = m if ok.all() else m[ok]
+    passed = (passed + passed.conj().swapaxes(-1, -2)) / 2.0
+    w_min = np.zeros(ok.shape)
+    w_min[ok] = np.linalg.eigvalsh(passed).min(-1).ravel()
+    bad = ~ok | (w_min < -1e-7)
+    if not bad.any():
+        return
+    at = np.unravel_index(np.argmax(bad), bad.shape)
+    if not trace_ok[at]:
+        raise error(f"trace {tr[at]:.10f} is not 1 within {tol:g} {where(at)}")
+    if not hermitian[at]:
+        raise error(f"Hermiticity lost beyond {tol:g} {where(at)}")
+    raise error(f"negative population {w_min[at]:.3e} {where(at)}")
 
 
 def evolve_stack_raw(
@@ -262,11 +298,19 @@ def evolve_stack_raw(
     contracted block by block (``_evolve``; in the eigenbasis on the
     spectral branch) without forming the full-space stack.  Each group g of
     functionals reads its own quantity off the one propagation, so operators
-    that share a generator are evolved together.  A stack of shape other
-    than (n_stack, D, D), functionals of shape other than (G,) + that, a
-    complex rate, or sample times that are empty, negative or not strictly
-    increasing raise ``ValueError``; a non-finite sample time, generator or
-    result raises ``PropagationError``.
+    that share a generator are evolved together.
+
+    A ``hamiltonian`` of shape (K, D, D) is K generators evolving the one
+    stack: the result gains a generator axis after time, (n_times, K,
+    n_stack, D, D) or (n_times, K, G), each generator's samples those of its
+    own call wherever the K reach the same levels.  More than one generator
+    must be noiseless and Hermitian (one stacked ``eigh``); with collapse
+    operators or a member that is not, they raise ``ValueError``.
+
+    A stack of shape other than (n_stack, D, D), functionals of shape other
+    than (G,) + that, a complex rate, or sample times that are empty,
+    negative or not strictly increasing raise ``ValueError``; a non-finite
+    sample time, generator or result raises ``PropagationError``.
     """
     times = np.asarray(sample_times, dtype=float)
     if times.size == 0:
@@ -275,7 +319,9 @@ def evolve_stack_raw(
         raise PropagationError("sample times are not finite")
     if times[0] < 0.0 or np.any(np.diff(times) <= 0.0):
         raise ValueError("sample times must be nonnegative and strictly increasing")
-    if stack.shape[1:] != hamiltonian.shape:
+    stacked = hamiltonian.ndim == 3
+    hs = hamiltonian if stacked else hamiltonian[None]
+    if hs.ndim != 3 or hs.shape[0] == 0 or stack.shape[1:] != hs.shape[1:]:
         raise ValueError(f"stack of shape {stack.shape} does not fit the "
                          f"{hamiltonian.shape} Hamiltonian")
     if functionals is not None and functionals.shape[1:] != stack.shape:
@@ -286,18 +332,27 @@ def evolve_stack_raw(
         raise PropagationError("generator or initial operators are not finite")
     if any(np.imag(g) != 0 for g, _ in collapse):
         raise ValueError("collapse rates must be real")
+    if len(hs) > 1 and len(collapse):
+        raise ValueError(f"{len(hs)} generators with collapse operators: "
+                         "a generator stack is propagated noiseless only")
     n, d = stack.shape[0], stack.shape[1]
-    gen = _LindbladGenerator(hamiltonian, collapse)
+    gen = _LindbladGenerator(hs if len(hs) > 1 else hs[0], collapse)
     keep = _reachable_levels(gen, stack)
     gen.restrict(keep)
     sub = (slice(None), keep[:, None], keep[None, :])
     x = stack[sub].astype(complex)
     w = None if functionals is None else functionals[(slice(None),) + sub]
-    h = 1j * gen.heff  # the kept-level Hamiltonian when nothing is lost
-    if not gen.jumps and (np.abs(h - h.conj().T).max(initial=0.0)
-                          <= HERMITIAN_RTOL * np.abs(h).max(initial=0.0)):
+    # the kept-level Hamiltonians when nothing is lost, one per generator
+    h = 1j * gen.heff.reshape(-1, keep.size, keep.size)
+    h_adj = h.conj().swapaxes(1, 2)
+    hermitian = (np.abs(h - h_adj).max(axis=(1, 2), initial=0.0)
+                 <= HERMITIAN_RTOL * np.abs(h).max(axis=(1, 2), initial=0.0))
+    if not gen.jumps and hermitian.all():
         # halves first: a sum of two entries near the float range would overflow
-        result = _spectral(h / 2 + h.conj().T / 2, x, times, w)
+        result = _spectral(h / 2 + h_adj / 2, x, times, w)
+    elif len(hs) > 1:
+        raise ValueError(f"generator {int(np.argmin(hermitian))} is not Hermitian: "
+                         "a generator stack is propagated spectrally only")
     else:
         rows = x.reshape(n, -1)
         width = rows.shape[1]
@@ -325,41 +380,45 @@ def evolve_stack_raw(
                 result[:, at] = piece
             else:
                 result += piece
-        if w is None:
-            result = result.reshape((times.size,) + x.shape)
+        result = result.reshape((times.size, 1) + (x.shape if w is None else (-1,)))
     if not np.isfinite(result).all():
         raise PropagationError("propagation produced non-finite entries")
-    if w is not None:
-        return result
-    full = np.zeros((times.size, n, d, d), dtype=complex)
-    full[(slice(None),) + sub] = result
-    return full
+    if w is None:
+        full = np.zeros((times.size, len(hs), n, d, d), dtype=complex)
+        full[(slice(None),) * 2 + sub] = result
+        result = full
+    return result if stacked else result[:, 0]
 
 
 def _spectral(h: np.ndarray, x: np.ndarray, times: np.ndarray,
               w: np.ndarray | None) -> np.ndarray:
-    """The stack ``x`` conjugated by ``exp(-i h t)`` at ``times`` for a
-    Hermitian ``h = V diag(E) V+``, where ``X~ = V+ X V`` only turns,
+    """The stack ``x`` conjugated by ``exp(-i h_k t)`` at ``times`` for each
+    of the Hermitian ``h_k = V_k diag(E_k) V_k+`` stacked in ``h`` (K, d, d),
+    shape (T, K) + ``x.shape``, where ``X~ = V+ X V`` only turns,
     ``X~_ab e^{-i(E_a - E_b) t}``; or, given grouped functionals ``w``, the
-    traces ``sum_ab C_gab e^{-i(E_a - E_b) t}`` of each group g,
-    ``C_gab = sum_j W~[g, j, b, a] X~_j[a, b]``."""
+    (T, K, G) traces ``sum_ab C_gab e^{-i(E_a - E_b) t}`` of each group g,
+    ``C_gab = sum_j W~[g, j, b, a] X~_j[a, b]``.  One stacked ``eigh`` and
+    broadcast products do the K at once, each as its own call would."""
     energies, vecs = np.linalg.eigh(h)
+    adj = vecs.conj().swapaxes(1, 2)
     # an energy or phase E_a t beyond the float range turns NaN here, and
     # ``evolve_stack_raw`` refuses the non-finite result
     with np.errstate(over="ignore", invalid="ignore"):
-        turn = np.exp(-1j * np.outer(times, energies))  # e^{-i E_a t}
-    x = vecs.conj().T @ x @ vecs
+        turn = np.exp(-1j * (energies[:, None, :] * times[:, None]))  # e^{-i E_a t}, (K, T, d)
+    x = adj[:, None] @ x @ vecs[:, None]
     if w is None:
-        x = turn[:, None, :, None] * x * turn.conj()[:, None, None, :]
-        return vecs @ x @ vecs.conj().T
-    c = np.einsum("gjba,jab->gab", vecs.conj().T @ w @ vecs, x)
-    return ((turn @ c) * turn.conj()).sum(-1).T
+        turn = turn.swapaxes(0, 1)
+        x = turn[:, :, None, :, None] * x * turn.conj()[:, :, None, None, :]
+        return vecs[:, None] @ x @ adj[:, None]
+    c = np.einsum("kgjba,kjab->kgab", adj[:, None, None] @ w @ vecs[:, None, None], x)
+    return ((turn[:, None] @ c) * turn.conj()[:, None]).sum(-1).transpose(2, 0, 1)
 
 
 def _reachable_levels(gen: _LindbladGenerator, stack: np.ndarray) -> np.ndarray:
     """Sorted levels reached from the rows and columns the stack occupies,
-    where level i feeds j if Heff[j, i] or a jump's [j, i] is nonzero."""
-    feeds = gen.heff != 0
+    where level i feeds j if Heff[j, i] (of any generator of a stack) or a
+    jump's [j, i] is nonzero."""
+    feeds = (gen.heff != 0).reshape(-1, gen.dim, gen.dim).any(axis=0)
     for _, op in gen.jumps:
         feeds |= op != 0
     occupied = stack != 0

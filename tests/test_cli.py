@@ -1,7 +1,11 @@
 """Tests for configuration handling, experiment records, and the CLI."""
 
+import ctypes
 import json
 import math
+import os
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -1090,6 +1094,58 @@ class TestCommandLine:
         offered = {word.rstrip(",") for word in result.output.split()
                    if word.startswith("--")}
         assert offered == {"--config", "--out", "--help"}
+
+
+# reads numpy's bundled OpenBLAS thread count the way ``cli._pin_blas_thread`` sets it
+_READ_BLAS_THREADS = (
+    "import ctypes\n"
+    "from numpy._core import _multiarray_umath\n"
+    "threads = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_num_threads64_\n"
+    "threads.argtypes, threads.restype = [], ctypes.c_int\n")
+
+
+def _has_bundled_openblas() -> bool:
+    try:
+        from numpy._core import _multiarray_umath
+
+        ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return False
+    return True
+
+
+@pytest.mark.skipif(not _has_bundled_openblas(), reason="numpy has no bundled OpenBLAS")
+class TestBlasThreads:
+    """The console script runs numpy's OpenBLAS on one thread unless
+    ``OPENBLAS_NUM_THREADS`` is set; importing the package changes nothing."""
+
+    @staticmethod
+    def threads(code, tmp_path, openblas_num_threads=None):
+        """The thread count ``code`` leaves, run in a fresh interpreter with
+        ``OPENBLAS_NUM_THREADS`` unset or as given."""
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = str(Path(swapgate.cli.__file__).resolve().parents[1])
+        if openblas_num_threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = openblas_num_threads
+        out = subprocess.run(
+            [sys.executable, "-c", _READ_BLAS_THREADS + code + "print(threads())\n",
+             str(tmp_path / "map.csv")],
+            env=env, cwd=tmp_path, check=True, capture_output=True, text=True).stdout
+        return int(out.splitlines()[-1])
+
+    RUN_MAIN = ("import sys\nfrom swapgate.cli import main\n"
+                "main(['circuit-map', '--out', sys.argv[1]])\n")
+
+    def test_main_pins_one_thread(self, tmp_path):
+        assert self.threads(self.RUN_MAIN, tmp_path) == 1
+
+    def test_main_keeps_an_explicit_count(self, tmp_path):
+        """2, as OpenBLAS reads the variable (capped at the CPUs it may use)."""
+        assert self.threads(self.RUN_MAIN, tmp_path, "2") == self.threads("", tmp_path, "2")
+
+    def test_import_changes_nothing(self, tmp_path):
+        imported = self.threads("import swapgate, swapgate.cli\n", tmp_path)
+        assert imported == self.threads("", tmp_path)
 
 
 def _readme_block(heading: str) -> str:

@@ -291,8 +291,9 @@ class TestDurationGrid:
 
 
 class TestCalibration:
-    """``calibrated_pi_pulse`` builds the chain once and reads each frequency
-    off one propagation; every population must be ``rabi_prepare``'s."""
+    """``calibrated_pi_pulse`` builds the chain once and reads every
+    frequency off one propagation, on its generator axis; every population
+    must be ``rabi_prepare``'s."""
 
     def test_populations_match_rabi_prepare(self, monkeypatch):
         """Table row 6 at A = 0.05 |J2z|: the seven scanned populations, and
@@ -323,9 +324,9 @@ def drive_config(n_durations, gamma):
 
 
 class TestDriveExperimentCost:
-    """The drive experiment propagates once per calibration frequency and
-    once for its grid, which holds the pi pulse; it builds the chain once for
-    the calibration and once for the grid."""
+    """The drive experiment propagates twice: once for all calibration
+    frequencies and once for its grid, which holds the pi pulse; it builds
+    the chain once for the calibration and once for the grid."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -347,8 +348,7 @@ class TestDriveExperimentCost:
         the pi pulse propagated alone."""
         cfg = drive_config(n_durations, gamma)
         rec = run_experiment(cfg)
-        assert counts == {"propagate": CALIBRATION_POINTS + 1,
-                          "build_interaction_hamiltonian": 2}
+        assert counts == {"propagate": 2, "build_interaction_hamiltonian": 2}
         m = -(-n_durations // 2)
         assert len(rec.rows) == n_durations
         assert rec.rows[m - 1] == (rec.summary["pi_duration_us"],

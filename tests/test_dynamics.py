@@ -34,7 +34,15 @@ from swapgate.hilbert import (
     sector_indices,
 )
 from helpers import ROW6, fidelity_stack, pure_state, textbook_liouvillian
-from swapgate.circuit_map import table_qutrit_params
+from swapgate.circuit_map import table_qutrit_params, table_spin_params
+from swapgate.drive import (
+    CALIBRATION_POINTS,
+    CALIBRATION_SPAN,
+    DrivePulse,
+    _undriven_chain,
+    drive_hamiltonian,
+    resonant_drive_frequency,
+)
 from swapgate.metrics import control_state_vector
 from swapgate.spin_model import (
     TWO_PI,
@@ -856,6 +864,137 @@ class TestSpectralBranch:
         got = evolve_stack_raw(h, [], stack, times)
         assert np.array_equal(got, evolve_stack_raw(sym, [], stack, times))
         assert np.max(np.abs(got - full_space_oracle(sym, [], stack, times))) < 1e-12
+
+
+def calibration_chains():
+    """The row-6 drive chains at the ``CALIBRATION_POINTS`` frequencies
+    ``calibrated_pi_pulse`` scans (A = 0.05 |J2z|), the closed-register
+    state the drive starts from, and the pi duration."""
+    params = table_spin_params(6)
+    h0, start, _ = _undriven_chain(params)
+    base = resonant_drive_frequency(params)
+    amplitude = 0.05 * abs(params.j2z)
+    freqs = np.linspace(base - CALIBRATION_SPAN, base + CALIBRATION_SPAN, CALIBRATION_POINTS)
+    hams = [h0 + drive_hamiltonian(DrivePulse(amplitude, f), h0.dims) for f in freqs]
+    return (hams, OperatorMatrix(h0.dims, np.outer(start, start.conj())),
+            DrivePulse(amplitude, base).pi_duration())
+
+
+def row6_j1_chains():
+    """Row 6 at three end couplings, the chains of a J1 scan."""
+    return [build_interaction_hamiltonian(symmetric_chain(**dict(ROW6, j1x=j1, j1z=j1)))
+            for j1 in (0.9 * ROW6["j1x"], ROW6["j1x"], 1.1 * ROW6["j1x"])]
+
+
+class TestGeneratorAxis:
+    """A (K, D, D) Hamiltonian evolves one stack under K noiseless Hermitian
+    generators in one call, each generator's samples bit for bit those of
+    its own call; ``propagate`` takes them as a sequence."""
+
+    @pytest.mark.parametrize("fractions", [(1.0,), (0.0, 0.25, 0.5, 1.0)],
+                             ids=["pi_pulse", "grid_from_zero"])
+    def test_calibration_chains_match_single_propagate_calls(self, fractions):
+        hams, rho0, t_pi = calibration_chains()
+        times = t_pi * np.array(fractions)
+        runs = propagate(rho0, hams, None, times)
+        assert len(runs) == CALIBRATION_POINTS
+        for h, states in zip(hams, runs):
+            alone = propagate(rho0, h, None, times)
+            assert len(states) == len(alone) == times.size
+            for got, want in zip(states, alone):
+                assert got.dims == want.dims
+                assert np.array_equal(got.entries, want.entries)
+
+    @pytest.mark.parametrize("chains", [row6_j1_chains, lambda: calibration_chains()[0]],
+                             ids=["row6_j1", "calibration"])
+    def test_stacks_and_functionals_match_single_calls(self, chains):
+        """The row-6 fidelity stack of the closed register, evolved and
+        contracted against three groups of functionals."""
+        hs = np.stack([h.entries for h in chains()])
+        stack = fidelity_stack(register("closed_plus")[1])
+        w = random_stack(16, n=3 * 16, seed=4).reshape(3, 16, 16, 16)
+        tg = analytic_gate_time(symmetric_chain(**ROW6))
+        times = np.linspace(0.8 * tg, 1.05 * tg, 9)
+        out = evolve_stack_raw(hs, [], stack, times)
+        traces = evolve_stack_raw(hs, [], stack, times, functionals=w)
+        assert out.shape == (times.size, len(hs)) + stack.shape
+        assert traces.shape == (times.size, len(hs), 3)
+        for k, h in enumerate(hs):
+            assert np.array_equal(out[:, k], evolve_stack_raw(h, [], stack, times))
+            assert np.array_equal(traces[:, k],
+                                  evolve_stack_raw(h, [], stack, times, functionals=w))
+
+    def test_levels_are_the_union_of_the_members(self):
+        """With its end couplings off, row 6 keeps an end excitation where
+        it is and reaches one level alone; stacked with row 6 itself it is
+        propagated on the levels row 6 reaches, and both agree with the full
+        space."""
+        hs = np.stack([build_interaction_hamiltonian(symmetric_chain(
+            **dict(ROW6, j1x=j1, j1z=j1))).entries for j1 in (0.0, ROW6["j1x"])])
+        vec = np.zeros(16)
+        vec[0b1000] = 1.0
+        stack = np.outer(vec, vec)[None].astype(complex)
+        tg = analytic_gate_time(symmetric_chain(**ROW6))
+        times = np.array([0.3, 1.0]) * tg
+        reach = [_reachable_levels(_LindbladGenerator(h, []), stack).size for h in hs]
+        assert reach[0] == 1 < reach[1] == _reachable_levels(
+            _LindbladGenerator(hs, []), stack).size
+        got = evolve_stack_raw(hs, [], stack, times)
+        for k, h in enumerate(hs):
+            assert np.max(np.abs(got[:, k] - full_space_oracle(h, [], stack, times))) < 1e-12
+
+    def test_one_member_is_the_single_call_with_noise_too(self):
+        h = build_interaction_hamiltonian(symmetric_chain(**ROW6))
+        rho0 = pure_state(np.eye(16)[0b1000], h.dims)
+        times = np.linspace(0.1, 1.0, 4) * analytic_gate_time(symmetric_chain(**ROW6))
+        for noise in (None, NoiseModel(gamma=0.01)):
+            (states,) = propagate(rho0, [h], noise, times)
+            alone = propagate(rho0, h, noise, times)
+            assert all(np.array_equal(a.entries, b.entries) for a, b in zip(states, alone))
+
+    def test_noise_with_several_generators_raises(self):
+        hams, rho0, t_pi = calibration_chains()
+        with pytest.raises(ValueError, match="noiseless only"):
+            propagate(rho0, hams, NoiseModel(gamma=0.01), (t_pi,))
+        collapse = NoiseModel(gamma=0.01).collapse_operators(rho0.dims)
+        with pytest.raises(ValueError, match="noiseless only"):
+            evolve_stack_raw(np.stack([h.entries for h in hams]), collapse,
+                             rho0.entries[None], [t_pi])
+
+    def test_non_hermitian_member_raises(self):
+        hams, rho0, t_pi = calibration_chains()
+        lossy = hams[2].entries.copy()
+        lossy[3, 3] -= 200j
+        hs = np.stack([hams[0].entries, hams[1].entries, lossy])
+        with pytest.raises(ValueError, match="generator 2 is not Hermitian"):
+            evolve_stack_raw(hs, [], rho0.entries[None], [t_pi])
+
+    def test_member_of_other_dims_raises(self):
+        hams, rho0, t_pi = calibration_chains()
+        other = OperatorMatrix(SiteDims((2, 2, 2, 2, 2)), np.zeros((32, 32)))
+        with pytest.raises(HilbertError, match="dimensions"):
+            propagate(rho0, hams[:3] + [other], None, (t_pi,))
+        with pytest.raises(ValueError, match="no Hamiltonian"):
+            propagate(rho0, [], None, (t_pi,))
+
+    def test_nan_member_raises(self):
+        hams, rho0, t_pi = calibration_chains()
+        bad = hams[4].entries.copy()
+        bad[0, 0] = np.nan
+        members = hams[:4] + [OperatorMatrix(rho0.dims, bad)]
+        with pytest.raises(PropagationError, match="not finite"):
+            propagate(rho0, members, None, (t_pi,))
+
+    def test_failing_sample_of_any_generator_names_its_time(self, monkeypatch):
+        """One check over the (time, generator) samples: a faulty sample of
+        the second generator at the second time raises, naming that time."""
+        good = np.diag([1.0, 0.0]).astype(complex)
+        samples = np.stack([np.stack([good, good]),
+                            np.stack([good, np.diag([0.6, 0.5])])])[:, :, None]
+        monkeypatch.setattr(dynamics, "evolve_stack_raw", lambda *args: samples)
+        zero = qubit_op(np.zeros((2, 2)))
+        with pytest.raises(PropagationError, match="trace .* at t = 2.000e-01"):
+            propagate(qubit_op(good), [zero, zero], None, (0.1, 0.2))
 
 
 # the default experiments whose exponentials are checked against scipy's
