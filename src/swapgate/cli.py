@@ -554,7 +554,8 @@ def _format_cell(v: Any) -> str:
 def _check_out_path(out: Path) -> None:
     if out.suffix.lower() == ".json":
         raise ConfigError(f"output path {out}: .json is the summary's suffix")
-    for path in (out, out.with_suffix(".json")):
+    # "." and "/" have no name to take the suffix
+    for path in (out, out.with_suffix(".json") if out.name else out):
         if path.is_dir():
             raise ConfigError(f"output path {path} is a directory")
     ancestor = next(p for p in out.parents if p.exists())

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import NoiseModel, propagate
+from .dynamics import NoiseModel, PropagationError, evolve_stack_raw, propagate
 from .hilbert import (
     PAULI_X,
     PAULI_Y,
@@ -149,10 +149,12 @@ def rabi_prepare(
     be compared directly against ideal superposition targets.
     """
     h0, start, levels = _undriven_chain(params)
+    rho0 = OperatorMatrix(h0.dims, np.outer(start, start.conj()))
+    states = propagate(rho0, h0 + drive_hamiltonian(pulse, h0.dims), noise, durations)
     numbers = excitation_numbers((2, 2))
     results = []
-    reduced_states, = _driven_register(h0, start, [pulse], durations, noise)
-    for t, reduced in zip(durations, reduced_states):
+    for t, state in zip(durations, states):
+        reduced = partial_trace(state, keep_sites=(1, 2))
         back = np.exp(1j * TWO_PI * pulse.frequency * t * numbers)
         rho = back[:, None] * reduced.entries * back.conj()
         phases = np.exp(1j * levels * t)
@@ -163,17 +165,6 @@ def rabi_prepare(
             transfer_probability=float(np.real(reduced.entries[0, 0])),
         ))
     return results
-
-
-def _driven_register(h0: OperatorMatrix, start: np.ndarray, pulses: Sequence[DrivePulse],
-                     durations: Sequence[float], noise: NoiseModel | None,
-                     ) -> list[list[OperatorMatrix]]:
-    """The register's states, in each pulse's frame, after ``durations`` from
-    ``start``: one checked ``propagate`` for all ``pulses``, one list per pulse."""
-    rho0 = OperatorMatrix(h0.dims, np.outer(start, start.conj()))
-    runs = propagate(rho0, [h0 + drive_hamiltonian(pulse, h0.dims) for pulse in pulses],
-                     noise, durations)
-    return [[partial_trace(state, keep_sites=(1, 2)) for state in states] for states in runs]
 
 
 def _undriven_chain(
@@ -206,16 +197,27 @@ def calibrated_pi_pulse(params: SpinModelParams, amplitude: float) -> DrivePulse
     analogue of an experimental Rabi calibration; the off-resonant dressing
     of the register levels shifts the optimum by a few 2pi*MHz from the bare
     transition.  The chain and its closed-register state are built once,
-    and one checked ``propagate`` takes all ``CALIBRATION_POINTS``
-    frequencies to the pi duration on its generator axis, each |00>_C
-    population read as ``rabi_prepare`` reads it.
+    and one ``evolve_stack_raw`` call takes all ``CALIBRATION_POINTS``
+    frequencies to the pi duration on its generator axis and reads two
+    functionals off each state rho: the |00>_C population Tr(P rho), with
+    P = 1_T (x) |00><00|_C (x) 1_T the open register's projector (the
+    ``[0, 0]`` entry ``rabi_prepare`` reads), and Tr(rho).  Unless the trace
+    is 1 within 1e-8 and the population lies in [0, 1] within 1e-9, it
+    raises ``PropagationError`` naming the frequency.
     """
     h0, start, levels = _undriven_chain(params)
     base = _transition_frequency(levels)
     freqs = np.linspace(base - CALIBRATION_SPAN, base + CALIBRATION_SPAN,
                         CALIBRATION_POINTS)
     t_pi = DrivePulse(amplitude, base).pi_duration()
-    probs = [states[0].entries[0, 0].real for states in _driven_register(
-        h0, start, [DrivePulse(amplitude, f) for f in freqs], (t_pi,), None)]
-    best, _ = refine_peak(freqs, np.array(probs), int(np.argmax(probs)))
+    hams = np.stack([h0.entries + drive_hamiltonian(DrivePulse(amplitude, f), h0.dims).entries
+                     for f in freqs])
+    open_register = np.kron(np.eye(2), np.kron(np.diag([1.0, 0.0, 0.0, 0.0]), np.eye(2)))
+    probs, traces = evolve_stack_raw(hams, [], np.outer(start, start.conj())[None], (t_pi,),
+                                     np.stack([open_register, np.eye(16)])[:, None])[0].T
+    for f, p, tr in zip(freqs, probs.real, traces):
+        if not (abs(tr - 1.0) <= 1e-8 and -1e-9 <= p <= 1.0 + 1e-9):
+            raise PropagationError(f"calibration at drive frequency {f:.6f}: trace "
+                                   f"{tr:.10f}, |00>_C population {p:.10f}")
+    best, _ = refine_peak(freqs, probs.real, int(np.argmax(probs.real)))
     return DrivePulse(amplitude=amplitude, frequency=best)

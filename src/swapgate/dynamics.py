@@ -61,8 +61,9 @@ the functionals by ``p``, and one matrix product contracts the two, about
 as the fidelity stacks of several register preparations, are concatenated
 and evolved once, each group reading its own rows.
 
-Generators that share a stack, such as the drive chains a Rabi calibration
-scans, are evolved together on a leading generator axis: a Hamiltonian of
+Generators that share a stack, such as the drive chains the Rabi calibration
+scans (``drive.calibrated_pi_pulse`` reads two traces off each), are
+evolved together on a leading generator axis: a Hamiltonian of
 shape (K, D, D) gives samples (T, K, n, D, D), or traces (T, K, G).  The
 levels kept are the union of what the K reach, and the spectral branch
 diagonalises all K in one stacked ``eigh`` and turns them by broadcast
@@ -71,8 +72,8 @@ bit, wherever the K reach the same levels.  Only noiseless Hermitian
 generators are stacked: there is no batched Liouvillian.
 
 ``propagate`` evolves one state, an ``OperatorMatrix``, under one
-Hamiltonian or a sequence of them, checked on input and at every sample in
-one vectorised check.  Hamiltonians are in rad/us and times in us.
+Hamiltonian, checked on input and at every sample in one vectorised check.
+Hamiltonians are in rad/us and times in us.
 """
 
 from __future__ import annotations
@@ -219,38 +220,28 @@ class _LindbladGenerator:
 
 def propagate(
     rho0: OperatorMatrix,
-    hamiltonian: OperatorMatrix | Sequence[OperatorMatrix],
+    hamiltonian: OperatorMatrix,
     noise: NoiseModel | None,
     sample_times: Sequence[float],
-) -> list[OperatorMatrix] | list[list[OperatorMatrix]]:
+) -> list[OperatorMatrix]:
     """Evolve a state from t = 0 under ``hamiltonian`` and ``noise`` and
     sample it at ``sample_times``, nonnegative and strictly increasing.
 
-    ``hamiltonian`` is one ``OperatorMatrix``, giving the list of samples,
-    or a sequence of them over the state's sites, evolved in one call on
-    ``evolve_stack_raw``'s generator axis and giving one list of samples per
-    Hamiltonian; more than one needs no noise and Hermitian members
-    (``ValueError``).  The input must be a state within 1e-9
-    (``HilbertError``), and every sample is checked for trace and
-    Hermiticity preservation within 1e-8 (``PropagationError``, naming the
-    sample's time); both must have no eigenvalue below -1e-7.
+    The input must be a state within 1e-9 (``HilbertError``), and every
+    sample is checked for trace and Hermiticity preservation within 1e-8
+    (``PropagationError``, naming the sample's time); both must have no
+    eigenvalue below -1e-7.
     """
-    single = isinstance(hamiltonian, OperatorMatrix)
-    members = [hamiltonian] if single else list(hamiltonian)
-    if not members:
-        raise ValueError("no Hamiltonian to propagate")
-    dims = rho0.dims
-    if any(h.dims != dims for h in members):
+    dims = hamiltonian.dims
+    if rho0.dims != dims:
         raise HilbertError("state dimensions do not match the Hamiltonian")
     _check_states(rho0.entries[None], 1e-9, HilbertError, lambda _: "in the initial state")
     collapse = noise.collapse_operators(dims) if noise else []
-    entries = hamiltonian.entries if single else np.stack([h.entries for h in members])
-    out = evolve_stack_raw(entries, collapse, rho0.entries[None, :, :], sample_times)
-    samples = out[:, None, 0] if single else out[:, :, 0]  # (time, Hamiltonian)
+    samples = evolve_stack_raw(hamiltonian.entries, collapse, rho0.entries[None, :, :],
+                               sample_times)[:, 0]
     _check_states(samples, 1e-8, PropagationError,
                   lambda at: f"at t = {sample_times[at[0]]:.3e}")
-    runs = [[OperatorMatrix(dims, m) for m in samples[:, k]] for k in range(len(members))]
-    return runs[0] if single else runs
+    return [OperatorMatrix(dims, m) for m in samples]
 
 
 def _check_states(m: np.ndarray, tol: float, error: type[Exception],

@@ -959,18 +959,22 @@ class TestCommandLine:
         pytest.param("d.json/", "d.csv", id="d.json"),
         pytest.param("f", "f/x.csv", id="f/x.csv"),
         pytest.param("f", "f/sub/x.csv", id="f/sub/x.csv"),
+        pytest.param("", ".", id="."),
+        pytest.param("", "/", id="/"),
     ])
     def test_output_path_that_is_a_directory_exits_2(
         self, tmp_path, monkeypatch, taken, out_name
     ):
         """The CSV path, or the JSON path beside it, is a directory (a
-        trailing "/" on ``taken``), or the path lies below a regular file:
+        trailing "/" on ``taken``, or "." and "/", which have no name to
+        take the .json suffix), or the path lies below a regular file:
         refused before the run starts, and by ``emit`` itself."""
-        out = tmp_path / out_name
-        blocker = tmp_path / taken.rstrip("/")
+        monkeypatch.chdir(tmp_path)
+        out = Path(out_name)
+        blocker = tmp_path / taken.rstrip("/") if taken else None
         if taken.endswith("/"):
             blocker.mkdir()
-        else:
+        elif blocker is not None:
             blocker.write_text("kept")
         record = run_experiment(default_config("circuit_map"))
         runs = []
@@ -980,7 +984,13 @@ class TestCommandLine:
         assert "directory" in result.output
         assert runs == []
         with pytest.raises(ConfigError):
+            swapgate.cli._check_out_path(out)
+        with pytest.raises(ConfigError):
             emit(record, out)
+        if blocker is None:
+            assert f"output path {out} is a directory" in result.output
+            assert list(tmp_path.iterdir()) == []
+            return
         assert [p.name for p in tmp_path.iterdir()] == [blocker.name]
         if blocker.is_dir():
             assert list(blocker.iterdir()) == []

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 import swapgate.drive
+import swapgate.dynamics
 from helpers import ROW6, kron_embed, pure_state
 from swapgate.circuit_map import table_spin_params
 from swapgate.cli import _noise_from_section, parse_config_text, resolve_config, run_experiment
-from swapgate.dynamics import NoiseModel, propagate
+from swapgate.dynamics import NoiseModel, PropagationError, propagate
 from swapgate.hilbert import (
     PAULI_X,
     PAULI_Y,
@@ -292,8 +293,8 @@ class TestDurationGrid:
 
 class TestCalibration:
     """``calibrated_pi_pulse`` builds the chain once and reads every
-    frequency off one propagation, on its generator axis; every population
-    must be ``rabi_prepare``'s."""
+    frequency's population and trace off one ``evolve_stack_raw`` call, on
+    its generator axis; every population must be ``rabi_prepare``'s."""
 
     def test_populations_match_rabi_prepare(self, monkeypatch):
         """Table row 6 at A = 0.05 |J2z|: the seven scanned populations, and
@@ -316,6 +317,27 @@ class TestCalibration:
             assert abs(p - want.transfer_probability) < 1e-12
         assert pulse.frequency == pytest.approx(2246.691162633637, rel=1e-9)
 
+    @pytest.mark.parametrize("column, value, shown", [
+        (1, 1.0 + 1e-6, "trace 1.0000010000"),
+        (0, 1.1, "population 1.1000000000"),
+    ], ids=["trace", "population"])
+    def test_checks_what_it_reads(self, monkeypatch, column, value, shown):
+        """A trace off 1 by 1e-6, or a population of 1.1, at the fourth
+        frequency raises, naming that frequency."""
+        params = row6_params()
+
+        def faulty(*args):
+            out = swapgate.dynamics.evolve_stack_raw(*args)
+            out[0, 3, column] = value
+            return out
+
+        monkeypatch.setattr(swapgate.drive, "evolve_stack_raw", faulty)
+        base = resonant_drive_frequency(params)
+        want = np.linspace(base - CALIBRATION_SPAN, base + CALIBRATION_SPAN,
+                           CALIBRATION_POINTS)[3]
+        with pytest.raises(PropagationError, match=f"frequency {want:.6f}: .*{shown}"):
+            calibrated_pi_pulse(params, abs(params.j2z) / 50.0)
+
 
 def drive_config(n_durations, gamma):
     return resolve_config(parse_config_text(
@@ -324,13 +346,15 @@ def drive_config(n_durations, gamma):
 
 
 class TestDriveExperimentCost:
-    """The drive experiment propagates twice: once for all calibration
-    frequencies and once for its grid, which holds the pi pulse; it builds
-    the chain once for the calibration and once for the grid."""
+    """The drive experiment propagates twice: one ``evolve_stack_raw`` call
+    reads the calibration's functionals at all its frequencies, and one
+    ``propagate`` takes the register along the grid, which holds the pi
+    pulse; it builds the chain once for the calibration and once for the
+    grid."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        counts = {"propagate": 0, "build_interaction_hamiltonian": 0}
+        counts = {"propagate": 0, "evolve_stack_raw": 0, "build_interaction_hamiltonian": 0}
         for name in counts:
             real = getattr(swapgate.drive, name)
 
@@ -348,7 +372,8 @@ class TestDriveExperimentCost:
         the pi pulse propagated alone."""
         cfg = drive_config(n_durations, gamma)
         rec = run_experiment(cfg)
-        assert counts == {"propagate": 2, "build_interaction_hamiltonian": 2}
+        assert counts == {"propagate": 1, "evolve_stack_raw": 1,
+                          "build_interaction_hamiltonian": 2}
         m = -(-n_durations // 2)
         assert len(rec.rows) == n_durations
         assert rec.rows[m - 1] == (rec.summary["pi_duration_us"],

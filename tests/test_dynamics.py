@@ -868,49 +868,47 @@ class TestSpectralBranch:
 
 def calibration_chains():
     """The row-6 drive chains at the ``CALIBRATION_POINTS`` frequencies
-    ``calibrated_pi_pulse`` scans (A = 0.05 |J2z|), the closed-register
-    state the drive starts from, and the pi duration."""
+    ``calibrated_pi_pulse`` scans (A = 0.05 |J2z|), stacked (K, D, D), the
+    closed-register state the drive starts from, as a one-member stack, and
+    the pi duration."""
     params = table_spin_params(6)
     h0, start, _ = _undriven_chain(params)
     base = resonant_drive_frequency(params)
     amplitude = 0.05 * abs(params.j2z)
     freqs = np.linspace(base - CALIBRATION_SPAN, base + CALIBRATION_SPAN, CALIBRATION_POINTS)
-    hams = [h0 + drive_hamiltonian(DrivePulse(amplitude, f), h0.dims) for f in freqs]
-    return (hams, OperatorMatrix(h0.dims, np.outer(start, start.conj())),
-            DrivePulse(amplitude, base).pi_duration())
+    hs = np.stack([(h0 + drive_hamiltonian(DrivePulse(amplitude, f), h0.dims)).entries
+                   for f in freqs])
+    return hs, np.outer(start, start.conj())[None], DrivePulse(amplitude, base).pi_duration()
 
 
 def row6_j1_chains():
     """Row 6 at three end couplings, the chains of a J1 scan."""
-    return [build_interaction_hamiltonian(symmetric_chain(**dict(ROW6, j1x=j1, j1z=j1)))
-            for j1 in (0.9 * ROW6["j1x"], ROW6["j1x"], 1.1 * ROW6["j1x"])]
+    return np.stack([build_interaction_hamiltonian(symmetric_chain(
+        **dict(ROW6, j1x=j1, j1z=j1))).entries
+        for j1 in (0.9 * ROW6["j1x"], ROW6["j1x"], 1.1 * ROW6["j1x"])])
 
 
 class TestGeneratorAxis:
     """A (K, D, D) Hamiltonian evolves one stack under K noiseless Hermitian
     generators in one call, each generator's samples bit for bit those of
-    its own call; ``propagate`` takes them as a sequence."""
+    its own call."""
 
     @pytest.mark.parametrize("fractions", [(1.0,), (0.0, 0.25, 0.5, 1.0)],
                              ids=["pi_pulse", "grid_from_zero"])
-    def test_calibration_chains_match_single_propagate_calls(self, fractions):
-        hams, rho0, t_pi = calibration_chains()
+    def test_calibration_chains_match_single_calls(self, fractions):
+        hs, stack, t_pi = calibration_chains()
         times = t_pi * np.array(fractions)
-        runs = propagate(rho0, hams, None, times)
-        assert len(runs) == CALIBRATION_POINTS
-        for h, states in zip(hams, runs):
-            alone = propagate(rho0, h, None, times)
-            assert len(states) == len(alone) == times.size
-            for got, want in zip(states, alone):
-                assert got.dims == want.dims
-                assert np.array_equal(got.entries, want.entries)
+        out = evolve_stack_raw(hs, [], stack, times)
+        assert out.shape == (times.size, CALIBRATION_POINTS) + stack.shape
+        for k, h in enumerate(hs):
+            assert np.array_equal(out[:, k], evolve_stack_raw(h, [], stack, times))
 
     @pytest.mark.parametrize("chains", [row6_j1_chains, lambda: calibration_chains()[0]],
                              ids=["row6_j1", "calibration"])
     def test_stacks_and_functionals_match_single_calls(self, chains):
         """The row-6 fidelity stack of the closed register, evolved and
         contracted against three groups of functionals."""
-        hs = np.stack([h.entries for h in chains()])
+        hs = chains()
         stack = fidelity_stack(register("closed_plus")[1])
         w = random_stack(16, n=3 * 16, seed=4).reshape(3, 16, 16, 16)
         tg = analytic_gate_time(symmetric_chain(**ROW6))
@@ -944,57 +942,35 @@ class TestGeneratorAxis:
             assert np.max(np.abs(got[:, k] - full_space_oracle(h, [], stack, times))) < 1e-12
 
     def test_one_member_is_the_single_call_with_noise_too(self):
-        h = build_interaction_hamiltonian(symmetric_chain(**ROW6))
-        rho0 = pure_state(np.eye(16)[0b1000], h.dims)
+        h = build_interaction_hamiltonian(symmetric_chain(**ROW6)).entries
+        vec = np.eye(16)[0b1000]
+        stack = np.outer(vec, vec)[None].astype(complex)
         times = np.linspace(0.1, 1.0, 4) * analytic_gate_time(symmetric_chain(**ROW6))
         for noise in (None, NoiseModel(gamma=0.01)):
-            (states,) = propagate(rho0, [h], noise, times)
-            alone = propagate(rho0, h, noise, times)
-            assert all(np.array_equal(a.entries, b.entries) for a, b in zip(states, alone))
+            collapse = noise.collapse_operators((2, 2, 2, 2)) if noise else []
+            out = evolve_stack_raw(h[None], collapse, stack, times)
+            assert out.shape == (times.size, 1) + stack.shape
+            assert np.array_equal(out[:, 0], evolve_stack_raw(h, collapse, stack, times))
 
     def test_noise_with_several_generators_raises(self):
-        hams, rho0, t_pi = calibration_chains()
+        hs, stack, t_pi = calibration_chains()
+        collapse = NoiseModel(gamma=0.01).collapse_operators((2, 2, 2, 2))
         with pytest.raises(ValueError, match="noiseless only"):
-            propagate(rho0, hams, NoiseModel(gamma=0.01), (t_pi,))
-        collapse = NoiseModel(gamma=0.01).collapse_operators(rho0.dims)
-        with pytest.raises(ValueError, match="noiseless only"):
-            evolve_stack_raw(np.stack([h.entries for h in hams]), collapse,
-                             rho0.entries[None], [t_pi])
+            evolve_stack_raw(hs, collapse, stack, [t_pi])
 
     def test_non_hermitian_member_raises(self):
-        hams, rho0, t_pi = calibration_chains()
-        lossy = hams[2].entries.copy()
-        lossy[3, 3] -= 200j
-        hs = np.stack([hams[0].entries, hams[1].entries, lossy])
+        hs, stack, t_pi = calibration_chains()
+        hs = hs[:3].copy()
+        hs[2, 3, 3] -= 200j
         with pytest.raises(ValueError, match="generator 2 is not Hermitian"):
-            evolve_stack_raw(hs, [], rho0.entries[None], [t_pi])
-
-    def test_member_of_other_dims_raises(self):
-        hams, rho0, t_pi = calibration_chains()
-        other = OperatorMatrix(SiteDims((2, 2, 2, 2, 2)), np.zeros((32, 32)))
-        with pytest.raises(HilbertError, match="dimensions"):
-            propagate(rho0, hams[:3] + [other], None, (t_pi,))
-        with pytest.raises(ValueError, match="no Hamiltonian"):
-            propagate(rho0, [], None, (t_pi,))
+            evolve_stack_raw(hs, [], stack, [t_pi])
 
     def test_nan_member_raises(self):
-        hams, rho0, t_pi = calibration_chains()
-        bad = hams[4].entries.copy()
-        bad[0, 0] = np.nan
-        members = hams[:4] + [OperatorMatrix(rho0.dims, bad)]
+        hs, stack, t_pi = calibration_chains()
+        hs = hs[:5].copy()
+        hs[4, 0, 0] = np.nan
         with pytest.raises(PropagationError, match="not finite"):
-            propagate(rho0, members, None, (t_pi,))
-
-    def test_failing_sample_of_any_generator_names_its_time(self, monkeypatch):
-        """One check over the (time, generator) samples: a faulty sample of
-        the second generator at the second time raises, naming that time."""
-        good = np.diag([1.0, 0.0]).astype(complex)
-        samples = np.stack([np.stack([good, good]),
-                            np.stack([good, np.diag([0.6, 0.5])])])[:, :, None]
-        monkeypatch.setattr(dynamics, "evolve_stack_raw", lambda *args: samples)
-        zero = qubit_op(np.zeros((2, 2)))
-        with pytest.raises(PropagationError, match="trace .* at t = 2.000e-01"):
-            propagate(qubit_op(good), [zero, zero], None, (0.1, 0.2))
+            evolve_stack_raw(hs, [], stack, [t_pi])
 
 
 # the default experiments whose exponentials are checked against scipy's
