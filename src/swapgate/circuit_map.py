@@ -51,7 +51,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .spin_model import TWO_PI, SpinModelParams, QutritModelParams, symmetric_chain
+from .spin_model import (TWO_PI, SpinModelParams, QutritModelParams, ladder_strengths,
+                         symmetric_chain)
 
 # e^2/(2h) in GHz*fF and (Phi_0/2pi)^2/h in GHz*nH (divided by (2pi)^2 so the
 # inductive energies can be written with their conventional (2pi)^2/L factor).
@@ -292,12 +293,10 @@ def map_sites(x: np.ndarray) -> dict[str, np.ndarray]:
     e23, c1, c2, c23, tb, tb3 = x[3], x[4], x[5], x[6], t[1], t3[1]
     k23x = -e23 * tb * tb + e23 * tb3 * tb / 6.0
     m23x = e23 * tb * tb3 / 6.0
+    r23x, p23x = ladder_strengths(j2y, k23x, m23x)
 
     # in 2pi*MHz, scaled from 2pi*GHz by one stacked multiply
-    ghz = {
-        "j2y": j2y, "k23x": k23x, "m23x": m23x,
-        "r23x": j2y + k23x + 4.0 * m23x, "p23x": j2y + k23x + 2.0 * m23x,
-    }
+    ghz = {"j2y": j2y, "k23x": k23x, "m23x": m23x, "r23x": r23x, "p23x": p23x}
     return {
         **fields,
         **dict(zip(ghz, np.array(list(ghz.values())) * 1000.0)),
@@ -414,19 +413,17 @@ def table_qutrit_params(index: int) -> QutritModelParams:
 
     The published 1<->2 coefficients satisfy k23x + 2 m23x = 2 J2z exactly,
     which identifies the tabulated transverse ladder pair with the quartic
-    expansion and fixes j2y = j2x - 2 j2z; the sideband mismatch frequency is
-    the tabulated relative anharmonicity times omega2.
+    expansion and fixes j2y = j2x - 2 j2z; r23x and p23x follow from them by
+    ``ladder_strengths``.  The sideband mismatch frequency is the tabulated
+    relative anharmonicity times omega2.
     """
     r = table_row(index)
-    omega2_mhz = r["omega2"] * 1000.0
-    gap = (r["anh2_pct"] / 100.0) * omega2_mhz
+    r23x, p23x = ladder_strengths(r["j2x"] - 2.0 * r["j2z"], r["k23x"], r["m23x"])
     return QutritModelParams(
         qubit=table_spin_params(index),
-        omega2=omega2_mhz,
-        omega2_prime=omega2_mhz - gap,
-        k23x=r["k23x"],
-        m23x=r["m23x"],
-        j2y=r["j2x"] - 2.0 * r["j2z"],
+        sideband_gap=(r["anh2_pct"] / 100.0) * (r["omega2"] * 1000.0),
+        r23x=r23x,
+        p23x=p23x,
     )
 
 

@@ -39,7 +39,7 @@ from .hilbert import (
     excitation_numbers,
     partial_trace,
 )
-from .metrics import control_state_vector, refine_peak
+from .metrics import _place, control_state_vector, refine_peak
 from .spin_model import (
     TWO_PI,
     GateConfig,
@@ -50,6 +50,8 @@ from .spin_model import (
 
 #: frequencies the calibration scans, and their span about the transition (2pi*MHz)
 CALIBRATION_POINTS, CALIBRATION_SPAN = 7, 12.0
+#: |00><00| of two qubits, the targets' ground state and the open register
+_VACUUM = np.diag([1.0, 0.0, 0.0, 0.0])
 
 
 @dataclass(frozen=True)
@@ -148,8 +150,7 @@ def rabi_prepare(
     at its chain energy E with the targets in their ground state, so it can
     be compared directly against ideal superposition targets.
     """
-    h0, start, levels = _undriven_chain(params)
-    rho0 = OperatorMatrix(h0.dims, np.outer(start, start.conj()))
+    h0, rho0, levels = _undriven_chain(params)
     states = propagate(rho0, h0 + drive_hamiltonian(pulse, h0.dims), noise, durations)
     numbers = excitation_numbers((2, 2))
     results = []
@@ -169,23 +170,22 @@ def rabi_prepare(
 
 def _undriven_chain(
     params: SpinModelParams,
-) -> tuple[OperatorMatrix, np.ndarray, np.ndarray]:
-    """The undriven four-site chain ``h0``, the state ``start`` the drive
-    starts from (the closed register |1+>_C with the targets in their ground
-    state) and the register levels: the energies (rad/us) of |00>, |01>,
-    |10>, |11>_C with the targets in the ground state, read off ``h0``; the
-    symmetric Bell level ``start`` covers the |01>/|10> sector, since the
-    singlet never mixes in."""
+) -> tuple[OperatorMatrix, OperatorMatrix, np.ndarray]:
+    """The undriven four-site chain ``h0``, the state ``rho0`` the drive
+    starts from (the closed register |1+>_C with the targets in |00>) and
+    the register levels: the energies Tr(rho H0) (rad/us) of |00>, |01>,
+    |10>, |11>_C with the targets in |00>, where the symmetric Bell level
+    |1+>_C covers the |01>/|10> sector, since the singlet never mixes in.
+    Each state is placed around the targets by ``metrics._place``, the
+    layout the fidelity prepares its register in."""
     if params.n_sites != 4:
         raise ModelError("state preparation drives the 4-site chain")
-    ground = np.array([1.0, 0.0], dtype=complex)
-    bell = control_state_vector(GateConfig(control_state="closed_plus"), [2, 2])
     h0 = build_interaction_hamiltonian(params)
-    start = np.kron(np.kron(ground, bell), ground)
-    bell_level = np.real(start.conj() @ h0.entries @ start)
-    levels = np.array([np.real(h0.entries[0, 0]), bell_level, bell_level,
-                       np.real(h0.entries[0b0110, 0b0110])])
-    return h0, start, levels
+    registers = [control_state_vector(GateConfig(control_state=name), [2, 2])
+                 for name in ("open", "closed_plus", "closed_11")]
+    states = [_place(_VACUUM[None], np.outer(v, v.conj()))[0] for v in registers]
+    ground, bell, double = np.real(np.einsum("nij,ji->n", states, h0.entries))
+    return h0, OperatorMatrix(h0.dims, states[1]), np.array([ground, bell, bell, double])
 
 
 def calibrated_pi_pulse(params: SpinModelParams, amplitude: float) -> DrivePulse:
@@ -205,15 +205,15 @@ def calibrated_pi_pulse(params: SpinModelParams, amplitude: float) -> DrivePulse
     is 1 within 1e-8 and the population lies in [0, 1] within 1e-9, it
     raises ``PropagationError`` naming the frequency.
     """
-    h0, start, levels = _undriven_chain(params)
+    h0, rho0, levels = _undriven_chain(params)
     base = _transition_frequency(levels)
     freqs = np.linspace(base - CALIBRATION_SPAN, base + CALIBRATION_SPAN,
                         CALIBRATION_POINTS)
     t_pi = DrivePulse(amplitude, base).pi_duration()
     hams = np.stack([h0.entries + drive_hamiltonian(DrivePulse(amplitude, f), h0.dims).entries
                      for f in freqs])
-    open_register = np.kron(np.eye(2), np.kron(np.diag([1.0, 0.0, 0.0, 0.0]), np.eye(2)))
-    probs, traces = evolve_stack_raw(hams, [], np.outer(start, start.conj())[None], (t_pi,),
+    open_register = _place(np.eye(4)[None], _VACUUM)[0]
+    probs, traces = evolve_stack_raw(hams, [], rho0.entries[None], (t_pi,),
                                      np.stack([open_register, np.eye(16)])[:, None])[0].T
     for f, p, tr in zip(freqs, probs.real, traces):
         if not (abs(tr - 1.0) <= 1e-8 and -1e-9 <= p <= 1.0 + 1e-9):

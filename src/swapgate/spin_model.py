@@ -234,36 +234,32 @@ def add_crosstalk(
 class QutritModelParams:
     """4-site chain with three-level control sites (dims [2, 3, 3, 2]).
 
-    In addition to the qubit-level parameters this carries the 0->1 and 1->2
-    control transition frequencies (2pi*MHz) and the second-level coupling
-    coefficients ``k23x``/``m23x``/``j2y``, from which the 1<->2 swap strength
-    ``r23x = j2y + k23x + 4 m23x`` and the sideband strength
-    ``p23x = j2y + k23x + 2 m23x`` follow exactly.
+    Besides the qubit chain this carries the three frequencies (2pi*MHz)
+    the control's second level adds: ``sideband_gap``, the mismatch
+    omega2 - omega2' of the 0->1 and 1->2 control transitions, the 1<->2
+    swap strength ``r23x`` and the sideband strength ``p23x``.  A circuit's
+    ladder coefficients give the last two through ``ladder_strengths``; the
+    control is the transmon ladder of Koch et al., Phys. Rev. A 76, 042319
+    (2007).
     """
 
     qubit: SpinModelParams
-    omega2: float
-    omega2_prime: float
-    k23x: float
-    m23x: float
-    j2y: float
+    sideband_gap: float
+    r23x: float
+    p23x: float
 
     def __post_init__(self) -> None:
         if self.qubit.n_sites != 4:
             raise ModelError("qutrit model is defined for the 4-site chain")
 
-    @property
-    def r23x(self) -> float:
-        return self.j2y + self.k23x + 4.0 * self.m23x
 
-    @property
-    def p23x(self) -> float:
-        return self.j2y + self.k23x + 2.0 * self.m23x
-
-    @property
-    def sideband_gap(self) -> float:
-        """Frequency of the 0->1 vs 1->2 mismatch, omega2 - omega2' (2pi*MHz)."""
-        return self.omega2 - self.omega2_prime
+def ladder_strengths(j2y: float | np.ndarray, k23x: float | np.ndarray,
+                     m23x: float | np.ndarray) -> tuple:
+    """The second-level couplings (r23x, p23x) of two coupled controls, from
+    the transverse coupling ``j2y`` and the ladder coefficients ``k23x`` and
+    ``m23x``: r23x = j2y + k23x + 4 m23x and p23x = j2y + k23x + 2 m23x, on
+    floats or elementwise on arrays."""
+    return j2y + k23x + 4.0 * m23x, j2y + k23x + 2.0 * m23x
 
 
 QUTRIT_DIMS = SiteDims((2, 3, 3, 2))
@@ -427,10 +423,7 @@ def build_n5_model(
         if den == 0.0 or (den < 0.0) != plus:
             raise ModelError(f"branch {branch} needs delta3/2 + 2 J2z "
                              f"{'<' if plus else '>'} 0, not {den:g}")
-        try:
-            delta = -2.0 * j2x**2 / den + j2z
-        except OverflowError:  # j2x**2 beyond the float range
-            delta = math.inf
+        delta = -2.0 * j2x * j2x / den + j2z
         if not math.isfinite(delta):
             raise ModelError(f"the {branch} resonant detuning is not finite")
     else:

@@ -352,13 +352,14 @@ class TestTableData:
         assert (table_branch(6), table_branch(11)) == ("plus", "minus")
 
     def test_qutrit_params_builder(self):
+        """Row 6: the gap is the table's anh2 omega2, and r23x and p23x
+        follow from the published k23x and m23x with j2y = j2x - 2 j2z."""
         q = table_qutrit_params(6)
-        assert q.k23x == 3357.1
-        assert q.m23x == -671.4
-        assert q.j2y == pytest.approx(-540.4 - 2 * 1007.1)
+        assert q.sideband_gap == (6.88 / 100.0) * (10.7 * 1000.0)
+        assert q.r23x == (-540.4 - 2.0 * 1007.1) + 3357.1 + 4.0 * -671.4
+        assert q.p23x == (-540.4 - 2.0 * 1007.1) + 3357.1 + 2.0 * -671.4
         # inferred sideband couplings stay at the coupling scale
         assert q.p23x == pytest.approx(-540.3, abs=0.2)
-        assert q.sideband_gap == pytest.approx(0.0688 * 10700.0, rel=1e-12)
 
     def test_unknown_row(self):
         with pytest.raises(KeyError):

@@ -339,6 +339,37 @@ class TestCalibration:
             calibrated_pi_pulse(params, abs(params.j2z) / 50.0)
 
 
+class TestRegisterLayout:
+    """``_undriven_chain`` and the calibration place the register with
+    ``metrics._place``; the explicit Kronecker layout targets (x) register
+    (x) targets is the oracle."""
+
+    @pytest.mark.parametrize("row", [1, 6, 11])
+    def test_matches_kron_layout(self, row, monkeypatch):
+        """rho0 is |s><s| with s = |0> |1+>_C |0>; the levels are
+        h0[0, 0], s+ h0 s and h0[6, 6]; the calibration's projector is
+        1 (x) |00><00|_C (x) 1."""
+        params = table_spin_params(row)
+        h0, rho0, levels = _undriven_chain(params)
+        ground = np.array([1.0, 0.0])
+        s = np.kron(np.kron(ground, np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2)), ground)
+        assert np.max(np.abs(rho0.entries - np.outer(s, s))) < 1e-15
+        h = h0.entries
+        want = np.real([h[0, 0], s @ h @ s, s @ h @ s, h[0b0110, 0b0110]])
+        assert np.allclose(levels, want, rtol=1e-12, atol=0)
+        functionals = []
+
+        def spy(*args):
+            functionals.append(args[4])
+            return swapgate.dynamics.evolve_stack_raw(*args)
+
+        monkeypatch.setattr(swapgate.drive, "evolve_stack_raw", spy)
+        calibrated_pi_pulse(params, 0.05 * abs(params.j2z))
+        weights, = functionals
+        open_register = np.kron(np.eye(2), np.kron(np.diag([1.0, 0.0, 0.0, 0.0]), np.eye(2)))
+        assert np.array_equal(weights[0, 0], open_register)
+
+
 def drive_config(n_durations, gamma):
     return resolve_config(parse_config_text(
         f"experiment = drive_demo\n[model]\nrow = 6\n[noise]\ngamma = {gamma}\n"

@@ -872,13 +872,13 @@ def calibration_chains():
     closed-register state the drive starts from, as a one-member stack, and
     the pi duration."""
     params = table_spin_params(6)
-    h0, start, _ = _undriven_chain(params)
+    h0, rho0, _ = _undriven_chain(params)
     base = resonant_drive_frequency(params)
     amplitude = 0.05 * abs(params.j2z)
     freqs = np.linspace(base - CALIBRATION_SPAN, base + CALIBRATION_SPAN, CALIBRATION_POINTS)
     hs = np.stack([(h0 + drive_hamiltonian(DrivePulse(amplitude, f), h0.dims)).entries
                    for f in freqs])
-    return hs, np.outer(start, start.conj())[None], DrivePulse(amplitude, base).pi_duration()
+    return hs, rho0.entries[None], DrivePulse(amplitude, base).pi_duration()
 
 
 def row6_j1_chains():

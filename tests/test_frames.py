@@ -44,7 +44,7 @@ def qutrit_lab_parts(q):
     rotating frame is the interaction picture itself; S is its part that
     puts one more control into |2>.
     """
-    h = build_qutrit_hamiltonian(replace(q, omega2_prime=q.omega2)).entries
+    h = build_qutrit_hamiltonian(replace(q, sideband_gap=0.0)).entries
     idx = np.arange(QUTRIT_DIMS.total_dim)
     n2 = ((idx // 6) % 3 == 2).astype(int) + ((idx // 2) % 3 == 2)
     step = n2[:, None] - n2[None, :]

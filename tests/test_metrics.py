@@ -1,7 +1,7 @@
 """Tests for gate targets, average fidelity, and entanglement power."""
 
 import inspect
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +9,7 @@ import pytest
 from scipy.linalg import expm
 
 from helpers import ROW6, fbar_of, fidelity_stack, pauli_basis_2q, textbook_liouvillian
-from swapgate.circuit_map import table_qutrit_params
+from swapgate.circuit_map import table_branch, table_qutrit_params
 from swapgate.dynamics import NoiseModel, evolve_stack_raw
 from swapgate.hilbert import OperatorMatrix, SiteDims
 from swapgate.metrics import (
@@ -508,3 +508,45 @@ class TestEntanglementPower:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
             entanglement_power(np.ones((4, 4)))
+
+
+def scaled_chain(params, s):
+    """The qubit chain with every frequency, site and coupling, times ``s``."""
+    return SpinModelParams(omega=tuple(s * w for w in params.omega),
+                           jx=tuple(s * j for j in params.jx),
+                           jz=tuple(s * j for j in params.jz))
+
+
+def scale_pairs(s):
+    """(chain, chain with every frequency times s, registers) of the row-6
+    qubit and qutrit chains and the default ``n5`` chain."""
+    q = table_qutrit_params(6)
+    q_s = replace(q, qubit=scaled_chain(q.qubit, s), sideband_gap=s * q.sideband_gap,
+                  r23x=s * q.r23x, p23x=s * q.p23x)
+    n5 = build_n5_model(30.0, 30.0, 750.0, 750.0, 3000.0)
+    row6 = [GateConfig(table_branch(6), c) for c in ("open", "closed_plus", "closed_minus")]
+    return {
+        "qubit": (build_interaction_hamiltonian(q.qubit),
+                  build_interaction_hamiltonian(scaled_chain(q.qubit, s)), q.qubit, row6),
+        "qutrit": (build_qutrit_hamiltonian(q), build_qutrit_hamiltonian(q_s), q.qubit, row6),
+        "n5": (build_interaction_hamiltonian(n5),
+               build_interaction_hamiltonian(scaled_chain(n5, s)), n5, [GateConfig("plus")]),
+    }
+
+
+class TestScaleInvariance:
+    """Without noise the gate is scale-free: the chain with every frequency
+    times s, read at the times over s, evolves by the same exp(-i H t), so
+    Fbar is unchanged on the spectral branch.  So the noiseless gate depends
+    only on the ratios of its frequencies; a term left unscaled (the
+    detuning, say) breaks it."""
+
+    S = 1.7
+
+    @pytest.mark.parametrize("chain", ["qubit", "qutrit", "n5"])
+    def test_fbar_unchanged(self, chain):
+        h, h_scaled, params, configs = scale_pairs(self.S)[chain]
+        times = gate_window(params, FIRST_SAMPLE, 1.2, 200)
+        for tr, tr_scaled in zip(average_fidelity(h, configs, None, times),
+                                 average_fidelity(h_scaled, configs, None, times / self.S)):
+            assert np.max(np.abs(np.subtract(tr.fbar, tr_scaled.fbar))) < 1e-12

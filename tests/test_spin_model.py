@@ -11,7 +11,7 @@ import pytest
 
 import swapgate
 from helpers import ROW6, eig_hermitian, kron_embed
-from swapgate.circuit_map import table_qutrit_params, table_spin_params
+from swapgate.circuit_map import TABLE_S1, table_qutrit_params, table_row, table_spin_params
 from swapgate.hilbert import (
     PAULI_X,
     PAULI_Y,
@@ -41,6 +41,7 @@ from swapgate.spin_model import (
     build_qutrit_hamiltonian,
     closed_config_for_branch,
     delta_for_branch,
+    ladder_strengths,
     single_excitation_block,
     symmetric_chain,
 )
@@ -380,20 +381,21 @@ class TestDoubleExcitationDegeneracy:
 
 class TestQutritModel:
     def qutrit_row6(self):
-        return QutritModelParams(
-            qubit=row6_params(),
-            omega2=10700.0,
-            omega2_prime=10700.0 - 0.0688 * 10700.0,
-            k23x=3357.1,
-            m23x=-671.4,
-            j2y=ROW6["j2x"] - 2 * ROW6["j2z"],
-        )
+        """Table row 6: the gap anh2 omega2 and the ladder strengths of the
+        published k23x and m23x, with j2y = j2x - 2 j2z."""
+        r23x, p23x = ladder_strengths(ROW6["j2x"] - 2 * ROW6["j2z"], 3357.1, -671.4)
+        return QutritModelParams(qubit=row6_params(), sideband_gap=0.0688 * 10700.0,
+                                 r23x=r23x, p23x=p23x)
 
-    def test_coefficient_identities(self):
-        q = self.qutrit_row6()
-        assert q.r23x == pytest.approx(q.j2y + q.k23x + 4 * q.m23x)
-        assert q.p23x == pytest.approx(q.j2y + q.k23x + 2 * q.m23x)
-        assert q.r23x - q.p23x == pytest.approx(2 * q.m23x)
+    def test_ladder_strengths(self):
+        """r23x - p23x = 2 m23x over the 16 published rows, and the rows
+        taken together as arrays give each row's floats bit for bit."""
+        rows = [table_row(i) for i in TABLE_S1]
+        args = [(r["j2x"] - 2 * r["j2z"], r["k23x"], r["m23x"]) for r in rows]
+        j2y, k23x, m23x = np.array(args).T
+        r_all, p_all = ladder_strengths(j2y, k23x, m23x)
+        assert np.allclose(r_all - p_all, 2 * m23x, rtol=1e-12, atol=0)
+        assert list(zip(r_all, p_all)) == [ladder_strengths(*a) for a in args]
 
     def test_projection_reproduces_qubit_hamiltonian(self):
         """On the two lowest levels of each control the chain is the qubit
@@ -434,7 +436,7 @@ class TestQutritModel:
         assert s_up[12, 8] == pytest.approx(TWO_PI * 2 * np.sqrt(2) * q.p23x)
         w = TWO_PI * q.sideband_gap
         h_gapless = build_qutrit_hamiltonian(
-            replace(q, omega2_prime=q.omega2)
+            replace(q, sideband_gap=0.0)
         ).entries
         assert np.max(np.abs(h - h_gapless - w * np.diag(n2))) < 1e-9
         h_s = np.where(step == 0, h_gapless, 0.0)
